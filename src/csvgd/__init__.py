@@ -15,11 +15,11 @@ from .errors import (CheckpointError, CondenseError, DomainError,
 from .kernels import (KernelSpec, kernel_eval, kernel_grad, median_bandwidth,
                       silverman_bandwidth)
 from .likelihoods import (Dataset, DirectNetModel, MvnTarget, RegressionTarget,
-                          load_dataset, mvn_score, save_dataset)
+                          load_dataset, save_dataset)
 from .metrics import (GaussianSummary, bhattacharyya, moving_average,
                       pushforward_w1, sparsity_l1, wasserstein1)
-from .network import (LayeredNet, Layout, forward, forward_batch, grad_input,
-                      grad_params, load_net, param_count, permute_hidden,
+from .network import (LayeredNet, Layout, forward_batch, grad_input_batch,
+                      grad_params_batch, load_net, param_count, permute_hidden,
                       save_net)
 from .priors import PriorSpec, log_prior_density, prior_constants, prior_score
 

@@ -14,6 +14,7 @@ deterministic under a fixed seed.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, replace, asdict
 from pathlib import Path
 
@@ -22,7 +23,7 @@ import numpy as np
 from . import condense as gc
 from .errors import CheckpointError, NonFiniteGradientError, ShapeError
 from .kernels import KernelSpec, median_bandwidth
-from .network import LayeredNet
+from .network import LayeredNet, net_from_dict, net_to_dict
 from .priors import PriorSpec, prior_score
 
 __all__ = [
@@ -254,15 +255,8 @@ def svgd_step(ensemble: Ensemble, gradients, config: SvgdConfig,
 
 
 def _particle_scores(ensemble: Ensemble, target):
-    if ensemble.template is None:
-        if hasattr(target, "score_and_mse_batch"):
-            S, mses = target.score_and_mse_batch(ensemble.particles)
-            return S, float(np.mean(mses))
-        pairs = [target.score_and_mse(p) for p in ensemble.particles]
-    else:
-        pairs = [target.score_and_mse(ensemble.template.with_values(p))
-                 for p in ensemble.particles]
-    return np.stack([s for s, _ in pairs]), float(np.mean([m for _, m in pairs]))
+    S, mses = target.score_and_mse_batch(ensemble.template, ensemble.particles)
+    return S, float(np.mean(mses))
 
 
 def active_param_count(ensemble: Ensemble, threshold: float) -> int:
@@ -484,27 +478,6 @@ def _config_from_dict(d: dict) -> SvgdConfig:
     return SvgdConfig(**d)
 
 
-def _net_to_dict(net: LayeredNet | None):
-    if net is None:
-        return None
-    return {
-        "layer_widths": list(net.layer_widths),
-        "weights": [w.tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
-        "activations": list(net.activations),
-        "nonneg_mask": list(net.nonneg_mask),
-    }
-
-
-def _net_from_dict(d) -> LayeredNet | None:
-    if d is None:
-        return None
-    return LayeredNet(tuple(d["layer_widths"]),
-                      tuple(np.asarray(w) for w in d["weights"]),
-                      tuple(np.asarray(b) for b in d["biases"]),
-                      tuple(d["activations"]), tuple(d["nonneg_mask"]))
-
-
 def save_checkpoint(path, state: _RunState) -> None:
     ens = state.ensemble
     doc = {
@@ -521,7 +494,7 @@ def save_checkpoint(path, state: _RunState) -> None:
         "opt_state": None if state.opt_state is None else state.opt_state.tolist(),
         "ensemble": {
             "particles": ens.particles.tolist(),
-            "template": _net_to_dict(ens.template),
+            "template": None if ens.template is None else net_to_dict(ens.template),
             "iteration": ens.iteration,
             "stage": ens.stage,
             "rng_state": ens.rng.bit_generator.state,
@@ -529,7 +502,14 @@ def save_checkpoint(path, state: _RunState) -> None:
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc))
+    # write-then-rename: an interrupted write leaves the previous file whole
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(json.dumps(doc))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> _RunState:
@@ -546,7 +526,8 @@ def load_checkpoint(path) -> _RunState:
     rng = np.random.default_rng()
     rng.bit_generator.state = e["rng_state"]
     ensemble = Ensemble(np.asarray(e["particles"], dtype=float),
-                        _net_from_dict(e["template"]), rng,
+                        None if e["template"] is None else net_from_dict(e["template"]),
+                        rng,
                         e["iteration"], e["stage"])
     opt = doc["opt_state"]
     return _RunState(
@@ -566,6 +547,8 @@ def load_checkpoint(path) -> _RunState:
 
 def resume_csvgd(checkpoint_path, target, on_iteration=None, on_stage=None
                  ) -> tuple[Ensemble, RunReport]:
-    """Continue a staged run from a stage-boundary checkpoint."""
+    """Continue a staged run from a stage-boundary checkpoint, writing its own
+    stage checkpoints next to it so that it can in turn be resumed."""
     state = load_checkpoint(checkpoint_path)
-    return _run_from_state(state, target, None, on_iteration, on_stage)
+    return _run_from_state(state, target, Path(checkpoint_path).parent,
+                           on_iteration, on_stage)

@@ -89,7 +89,9 @@ def median_bandwidth(median_distance: float, n_particles: int,
 
     ``median_distance`` is the median pairwise inter-particle distance; an
     undefined summary (NaN, e.g. a single particle with no pairs) falls back
-    to the floor.
+    to the floor.  Scaling the particles by c scales gamma by sqrt(c), not by
+    c^2 as a scale-equivariant rule for the beta=2 kernel would; the rule is
+    kept because the acceptance results were calibrated with it.
     """
     if n_particles < 1:
         raise DomainError("need at least one particle")

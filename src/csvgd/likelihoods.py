@@ -1,9 +1,10 @@
 """Log-likelihoods and scores for the two experiment targets.
 
-Both target classes expose the same small surface the engine consumes:
-``score_and_mse`` returning (flat score vector, scalar fit error), plus the
-individual pieces.  MvnTarget works on raw parameter vectors; RegressionTarget
-works on a LayeredNet rebuilt from the particle by the engine.
+Every target scores the whole particle stack in the one call the engine makes,
+``score_and_mse_batch(template, particles) -> (S (N, D), mse (N,))``, where
+``particles`` holds flat parameter rows and ``template`` is the network graph
+they share (None for raw vectors, as in MvnTarget).  ``log_likelihood`` takes
+the same arguments and returns the (N,) values the scores differentiate.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "Dataset",
     "RegressionTarget",
     "DirectNetModel",
-    "mvn_score",
     "save_dataset",
     "load_dataset",
 ]
@@ -44,32 +44,15 @@ class MvnTarget:
         object.__setattr__(self, "mean", m)
         object.__setattr__(self, "precision", p)
 
-    def score(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != self.mean.shape:
-            raise ShapeError(f"theta shape {theta.shape} does not match mean {self.mean.shape}")
-        return -self.precision @ (theta - self.mean)
+    def log_likelihood(self, template, particles) -> np.ndarray:
+        D = np.atleast_2d(np.asarray(particles, dtype=float)) - self.mean
+        return -0.5 * np.einsum("ni,ij,nj->n", D, self.precision, D)
 
-    def log_likelihood(self, theta) -> float:
-        d = np.asarray(theta, dtype=float) - self.mean
-        return float(-0.5 * d @ self.precision @ d)
-
-    def mse(self, theta) -> float:
-        """Quadratic form (theta-mu)' P (theta-mu); the fit error the engine tracks."""
-        return float(-2.0 * self.log_likelihood(theta))
-
-    def score_and_mse(self, theta) -> tuple[np.ndarray, float]:
-        return self.score(theta), self.mse(theta)
-
-    def score_and_mse_batch(self, particles) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized scores/fit errors for particle rows."""
+    def score_and_mse_batch(self, template, particles) -> tuple[np.ndarray, np.ndarray]:
+        """Scores -P (theta - mu) and the quadratic forms (theta-mu)' P (theta-mu),
+        the fit error the engine tracks, for particle rows."""
         D = np.atleast_2d(np.asarray(particles, dtype=float)) - self.mean
         return -D @ self.precision, np.einsum("ni,ij,nj->n", D, self.precision, D)
-
-
-def mvn_score(target: MvnTarget, theta) -> np.ndarray:
-    """-precision @ (theta - mean); vanishes at the mode."""
-    return target.score(theta)
 
 
 @dataclass(frozen=True)
@@ -125,14 +108,18 @@ def load_dataset(path, n_inputs: int) -> Dataset:
 
 
 class DirectNetModel:
-    """Pushforward map that is just the network output itself."""
+    """Pushforward map that is just the network output itself, for a particle
+    stack: ``template`` is the shared graph, ``particles`` (N, D) its flat rows."""
 
-    def predict(self, net, X) -> np.ndarray:
-        return network.forward_batch(net, X)
+    def prepare(self, X) -> np.ndarray:
+        return np.atleast_2d(np.asarray(X, dtype=float))
 
-    def param_score(self, net, X, residuals) -> np.ndarray:
-        """Flat gradient of sum_b residuals[b] . net(X[b]) w.r.t. parameters."""
-        return network.grad_params_batch(net, X, residuals)
+    def predict(self, template, particles, X) -> np.ndarray:
+        return network.forward_batch(template, X, particles)
+
+    def param_score(self, template, particles, X, residuals) -> np.ndarray:
+        """Flat gradients (N, D) of sum_b residuals[a, b] . net_a(X[b])."""
+        return network.grad_params_batch(template, X, residuals, particles)
 
 
 @dataclass(frozen=True)
@@ -141,36 +128,33 @@ class RegressionTarget:
 
     log-likelihood (up to theta-independent constants):
         -(1/(2 sigma^2)) * sum_i |y_i - yhat(x_i; theta)|^2
+
+    The model's data-only preparation of the inputs is done once, here.
     """
 
     dataset: Dataset
     noise_var: float
     model: object = field(default_factory=DirectNetModel)
+    _inputs: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.noise_var <= 0.0:
             raise ShapeError(f"noise_var must be > 0, got {self.noise_var}")
+        object.__setattr__(self, "_inputs", self.model.prepare(self.dataset.inputs))
 
-    def residuals(self, net) -> np.ndarray:
-        pred = self.model.predict(net, self.dataset.inputs)
-        if pred.shape != self.dataset.outputs.shape:
-            raise ShapeError(f"model output shape {pred.shape} does not match "
+    def _residuals(self, template, particles) -> tuple[np.ndarray, np.ndarray]:
+        P = np.atleast_2d(np.asarray(particles, dtype=float))
+        pred = self.model.predict(template, P, self._inputs)
+        if pred.shape[1:] != self.dataset.outputs.shape:
+            raise ShapeError(f"model output shape {pred.shape[1:]} does not match "
                              f"data {self.dataset.outputs.shape}")
-        return self.dataset.outputs - pred
+        return P, self.dataset.outputs - pred
 
-    def log_likelihood(self, net) -> float:
-        r = self.residuals(net)
-        return float(-np.sum(r * r) / (2.0 * self.noise_var))
+    def log_likelihood(self, template, particles) -> np.ndarray:
+        _, R = self._residuals(template, particles)
+        return -np.sum((R * R).reshape(len(R), -1), axis=1) / (2.0 * self.noise_var)
 
-    def mse(self, net) -> float:
-        r = self.residuals(net)
-        return float(np.mean(r * r))
-
-    def score(self, net) -> np.ndarray:
-        r = self.residuals(net)
-        return self.model.param_score(net, self.dataset.inputs, r) / self.noise_var
-
-    def score_and_mse(self, net) -> tuple[np.ndarray, float]:
-        r = self.residuals(net)
-        score = self.model.param_score(net, self.dataset.inputs, r) / self.noise_var
-        return score, float(np.mean(r * r))
+    def score_and_mse_batch(self, template, particles) -> tuple[np.ndarray, np.ndarray]:
+        P, R = self._residuals(template, particles)
+        S = self.model.param_score(template, P, self._inputs, R) / self.noise_var
+        return S, np.mean((R * R).reshape(len(R), -1), axis=1)

@@ -30,7 +30,6 @@ __all__ = [
     "TruthPotential",
     "NetPotential",
     "reference_normalize",
-    "normalized_nn_potential",
     "stress_from_potential",
     "stress_batch",
     "generate_data",
@@ -186,18 +185,21 @@ class TruthPotential:
 
 
 class NetPotential:
-    """A scalar-output network evaluated on invariant triples."""
+    """A scalar-output network evaluated on invariant triples; with flat
+    parameter rows ``params`` (N, D), the stack of N such networks."""
 
-    def __init__(self, net: network.LayeredNet):
+    def __init__(self, net: network.LayeredNet, params=None):
         if net.layer_widths[0] != 3 or net.layer_widths[-1] != 1:
             raise ShapeError("potential network must map 3 invariants to 1 value")
         self.net = net
+        self.params = params
 
     def value(self, inv) -> np.ndarray:
-        return network.forward_batch(self.net, np.atleast_2d(inv))[..., 0]
+        return network.forward_batch(self.net, np.atleast_2d(inv), self.params)[..., 0]
 
     def gradient(self, inv) -> np.ndarray:
-        return network.grad_input_batch(self.net, np.atleast_2d(inv))[..., 0, :]
+        return network.grad_input_batch(self.net, np.atleast_2d(inv),
+                                        self.params)[..., 0, :]
 
 
 class _ReferenceNormalized:
@@ -206,40 +208,33 @@ class _ReferenceNormalized:
     Phi_hat(I) = Phi(I) - Phi(3,3,1) - n (sqrt(I3) - 1), with
     n = 2 d1 + 4 d2 + 2 d3 evaluated at the reference; (2, 4, 2) are the
     diagonal scales of dI_i/dE at E = 0, so S(E=0) = 0 by construction.
-    The constant is recomputed from the wrapped potential on every call.
+    The reference is evaluated as its own one-row batch: inside the batch of
+    the other rows it would round differently.
     """
 
     def __init__(self, base):
         self.base = base
 
-    def _reference(self):
-        ref = np.array([REFERENCE_INVARIANTS])
-        g = self.base.gradient(ref)[0]
-        n = 2.0 * g[0] + 4.0 * g[1] + 2.0 * g[2]
-        return float(self.base.value(ref)[0]), float(n)
+    def _slope(self):
+        g = self.base.gradient(np.array([REFERENCE_INVARIANTS]))[..., 0, :]
+        return 2.0 * g[..., 0] + 4.0 * g[..., 1] + 2.0 * g[..., 2]
 
     def value(self, inv) -> np.ndarray:
         inv = np.atleast_2d(np.asarray(inv, dtype=float))
-        v0, n = self._reference()
-        return self.base.value(inv) - v0 - n * (np.sqrt(inv[..., 2]) - 1.0)
+        v0 = self.base.value(np.array([REFERENCE_INVARIANTS]))
+        return (self.base.value(inv) - v0
+                - self._slope()[..., None] * (np.sqrt(inv[:, 2]) - 1.0))
 
     def gradient(self, inv) -> np.ndarray:
         inv = np.atleast_2d(np.asarray(inv, dtype=float))
-        _, n = self._reference()
         g = np.array(self.base.gradient(inv), dtype=float)
-        g[..., 2] -= 0.5 * n / np.sqrt(inv[..., 2])
+        g[..., 2] -= 0.5 * self._slope()[..., None] / np.sqrt(inv[:, 2])
         return g
 
 
 def reference_normalize(potential) -> _ReferenceNormalized:
     """Wrap any potential-with-gradient so its stress vanishes at E = 0."""
     return _ReferenceNormalized(potential)
-
-
-def normalized_nn_potential(net: network.LayeredNet, i1: float, i2: float,
-                            i3: float) -> float:
-    """Value of the reference-normalized network potential at one invariant triple."""
-    return float(reference_normalize(NetPotential(net)).value([[i1, i2, i3]])[0])
 
 
 def stress_from_potential(potential, E) -> np.ndarray:
@@ -251,13 +246,16 @@ def stress_from_potential(potential, E) -> np.ndarray:
     return g[0] * d1 + g[1] * d2 + g[2] * d3
 
 
+def _stress_rows(g, dI) -> np.ndarray:
+    """S = sum_i dPhi/dI_i * dI_i/dE per row; g may carry a particle axis."""
+    return np.einsum("...ni,nik->...nk", g, dI)
+
+
 def stress_batch(potential, E_voigt) -> np.ndarray:
     """Voigt stress rows for Voigt strain rows."""
     E = np.atleast_2d(np.asarray(E_voigt, dtype=float))
-    inv = invariants_batch(E)
-    g = np.asarray(potential.gradient(inv))
-    dI = invariant_derivatives_batch(E)
-    return np.einsum("ni,nik->nk", g, dI)
+    g = np.asarray(potential.gradient(invariants_batch(E)))
+    return _stress_rows(g, invariant_derivatives_batch(E))
 
 
 @dataclass(frozen=True)
@@ -325,32 +323,39 @@ def generate_data(params: TruthParams | None = None, n_train: int = 80,
 class StressRegressionModel:
     """Pushforward map from Voigt strain rows to Voigt stress rows through a
     reference-normalized network potential, with its exact parameter score.
+
+    Both act on a particle stack: ``template`` is the shared graph and
+    ``particles`` (N, D) its flat parameter rows.  The strain-only inputs,
+    invariants and dI/dE, come from ``prepare`` once per strain set.
     """
 
-    def predict(self, net, E_voigt) -> np.ndarray:
-        return stress_batch(reference_normalize(NetPotential(net)), E_voigt)
+    def prepare(self, E_voigt) -> tuple[np.ndarray, np.ndarray]:
+        E = np.atleast_2d(np.asarray(E_voigt, dtype=float))
+        return invariants_batch(E), invariant_derivatives_batch(E)
 
-    def param_score(self, net, E_voigt, residuals) -> np.ndarray:
-        """Flat gradient of sum_b residuals[b] . S(E[b]; theta).
+    def predict(self, template, particles, features) -> np.ndarray:
+        """Voigt stress rows of every particle, shape (N, n, 6)."""
+        inv, dI = features
+        potential = reference_normalize(NetPotential(template, particles))
+        return _stress_rows(potential.gradient(inv), dI)
+
+    def param_score(self, template, particles, features, residuals) -> np.ndarray:
+        """Flat gradients (N, D) of sum_b residuals[a, b] . S(E[b]; theta_a).
 
         With u_i = r . voigt(dI_i/dE) the contraction reduces to the
         parameter gradient of the input-directional derivative u . grad_I NN,
         minus the residual-weighted gradient of the normalization constant
         n(theta) = (2, 4, 2) . grad_I NN(3, 3, 1).
         """
-        E = np.atleast_2d(np.asarray(E_voigt, dtype=float))
-        R = np.atleast_2d(np.asarray(residuals, dtype=float))
-        inv = invariants_batch(E)
-        dI = invariant_derivatives_batch(E)            # (n, 3, 6)
-        u = np.einsum("nk,nik->ni", R, dI)             # (n, 3)
-        ones = np.ones((len(E), 1))
-        g = network.grad_params_dirderiv_batch(net, inv, u, ones)
+        inv, dI = features
+        u = np.einsum("...nk,nik->...ni", residuals, dI)
+        ones = np.ones((len(inv), 1))
+        g = network.grad_params_dirderiv_batch(template, inv, u, ones, particles)
         # d/dtheta of the n(theta) * (sqrt(I3) - 1) correction
-        w_ref = float(np.sum(u[:, 2] / (2.0 * np.sqrt(inv[:, 2]))))
-        ref = np.array(REFERENCE_INVARIANTS)
-        g_ref = network.grad_params_dirderiv(net, ref, np.array([2.0, 4.0, 2.0]),
-                                             np.array([1.0]))
-        return g - w_ref * g_ref
+        w_ref = np.sum(u[..., 2] / (2.0 * np.sqrt(inv[:, 2])), axis=-1)
+        g_ref = network.grad_params_dirderiv_batch(
+            template, REFERENCE_INVARIANTS, [2.0, 4.0, 2.0], [1.0], particles)
+        return g - w_ref[..., None] * g_ref
 
 
 def icnn_template(widths=(3, 30, 30, 1)) -> network.LayeredNet:

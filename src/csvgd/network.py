@@ -6,6 +6,11 @@ are reproducible bit-for-bit and safe to evaluate from multiple threads.
 Besides the usual parameter/input gradients, the module provides the
 parameter gradient of an input-directional derivative (reverse-over-forward),
 which is what stress-style models built on input gradients need.
+
+Each pass evaluates ``net`` itself or, given ``params`` (N, D) of flat
+parameter rows laid out like ``net``, the N networks of a particle stack at
+once; results then gain a leading particle axis.  Inputs X are shared by all
+particles; a 1-D X is one sample and drops the batch axis.
 """
 
 from __future__ import annotations
@@ -23,17 +28,15 @@ __all__ = [
     "Layout",
     "softplus",
     "sigmoid",
-    "forward",
     "forward_batch",
-    "grad_params",
     "grad_params_batch",
-    "grad_input",
     "grad_input_batch",
     "dirderiv",
-    "grad_params_dirderiv",
     "grad_params_dirderiv_batch",
     "param_count",
     "permute_hidden",
+    "net_to_dict",
+    "net_from_dict",
     "save_net",
     "load_net",
 ]
@@ -82,33 +85,31 @@ class Layout:
     def size(self) -> int:
         return sum(int(np.prod(shape)) for _, shape in self.entries)
 
-    def slices(self) -> dict[str, slice]:
-        out, off = {}, 0
-        for name, shape in self.entries:
-            n = int(np.prod(shape))
-            out[name] = slice(off, off + n)
-            off += n
-        return out
-
     def flatten(self, arrays) -> np.ndarray:
+        """One flat vector, or one flat row per particle for stacked arrays."""
         if len(arrays) != len(self.entries):
             raise ShapeError(f"layout has {len(self.entries)} entries, got {len(arrays)} arrays")
-        parts = []
+        parts, lead = [], None
         for (name, shape), a in zip(self.entries, arrays):
             a = np.asarray(a, dtype=float)
-            if a.shape != shape:
+            k = a.ndim - len(shape)
+            if k < 0 or a.shape[k:] != shape or lead not in (None, a.shape[:k]):
                 raise ShapeError(f"{name}: expected shape {shape}, got {a.shape}")
-            parts.append(a.ravel())
-        return np.concatenate(parts) if parts else np.zeros(0)
+            lead = a.shape[:k]
+            parts.append(a.reshape(lead + (int(np.prod(shape)),)))
+        return np.concatenate(parts, axis=-1) if parts else np.zeros(0)
 
     def unflatten(self, flat) -> list[np.ndarray]:
+        """Array views of a flat vector, or of flat rows (N, size) with a particle axis."""
         flat = np.asarray(flat, dtype=float)
-        if flat.shape != (self.size,):
-            raise ShapeError(f"flat vector has length {flat.shape}, layout needs ({self.size},)")
+        if flat.ndim not in (1, 2) or flat.shape[-1] != self.size:
+            raise ShapeError(f"flat vector has shape {flat.shape}, layout needs "
+                             f"({self.size},) or (N, {self.size})")
+        lead = flat.shape[:-1]
         out, off = [], 0
         for _, shape in self.entries:
             n = int(np.prod(shape))
-            out.append(flat[off:off + n].reshape(shape))
+            out.append(flat[..., off:off + n].reshape(lead + shape))
             off += n
         return out
 
@@ -213,87 +214,87 @@ def _check_input(net, X):
     return X, single
 
 
-def _forward_pass(net, X):
+def _check_rows(name, A, single, shape):
+    """Per-sample rows (..., batch, width); a single sample gains its batch axis."""
+    A = np.asarray(A, dtype=float)
+    if single:
+        A = A[..., None, :]
+    if A.shape[-2:] != shape:
+        raise ShapeError(f"{name} shape {A.shape} does not match {shape}")
+    return A
+
+
+def _params(net, params):
+    """Weights and biases of ``net``, or views of flat ``params`` laid out like it."""
+    if params is None:
+        return net.weights, net.biases
+    arrays = net.layout.unflatten(params)
+    return arrays[:net.n_links], arrays[net.n_links:]
+
+
+def _forward_pass(net, W, b, X):
     """Returns per-link pre-activations Z and post-activations H (H[0] is X)."""
     H = [X]
     Z = []
     for k in range(net.n_links):
-        z = H[-1] @ net.weights[k].T
-        if net.biases:
-            z = z + net.biases[k]
+        z = H[-1] @ W[k].swapaxes(-1, -2)
+        if b:
+            z = z + b[k][..., None, :]
         Z.append(z)
         H.append(_ACTIVATIONS[net.activations[k]][0](z))
     return Z, H
 
 
-def forward(net: LayeredNet, x) -> np.ndarray:
-    """Evaluate the network on a single input vector."""
-    X, _ = _check_input(net, x)
-    _, H = _forward_pass(net, X)
-    return H[-1][0]
-
-
-def forward_batch(net: LayeredNet, X) -> np.ndarray:
+def forward_batch(net: LayeredNet, X, params=None) -> np.ndarray:
     """Evaluate the network on rows of X, shape (batch, in) -> (batch, out)."""
     X, single = _check_input(net, X)
-    _, H = _forward_pass(net, X)
-    return H[-1][0] if single else H[-1]
+    W, b = _params(net, params)
+    _, H = _forward_pass(net, W, b, X)
+    return H[-1][..., 0, :] if single else H[-1]
 
 
-def grad_params_batch(net: LayeredNet, X, upstream) -> np.ndarray:
-    """Flat gradient of sum_b upstream[b] . net(X[b]) with respect to all parameters."""
+def grad_params_batch(net: LayeredNet, X, upstream, params=None) -> np.ndarray:
+    """Flat gradient of sum_b upstream[b] . net(X[b]) with respect to all parameters.
+
+    ``upstream`` may carry the particle axis, one set of rows per particle.
+    """
     X, single = _check_input(net, X)
-    U = np.asarray(upstream, dtype=float)
-    if single:
-        U = U[None, :]
-    if U.shape != (X.shape[0], net.layer_widths[-1]):
-        raise ShapeError(f"upstream shape {U.shape} does not match "
-                         f"({X.shape[0]}, {net.layer_widths[-1]})")
-    Z, H = _forward_pass(net, X)
+    W, b = _params(net, params)
+    U = _check_rows("upstream", upstream, single, (X.shape[0], net.layer_widths[-1]))
+    Z, H = _forward_pass(net, W, b, X)
     gW = [None] * net.n_links
     gb = [None] * net.n_links
-    bar = U  # output activation is identity
+    bar = np.broadcast_to(U, H[-1].shape)  # output activation is identity
     for k in range(net.n_links - 1, -1, -1):
-        gW[k] = bar.T @ H[k]
-        if net.biases:
-            gb[k] = bar.sum(axis=0)
+        gW[k] = bar.swapaxes(-1, -2) @ H[k]
+        if b:
+            gb[k] = bar.sum(axis=-2)
         if k > 0:
             d = _ACTIVATIONS[net.activations[k - 1]][1](Z[k - 1])
-            bar = (bar @ net.weights[k]) * d
-    arrays = gW + (gb if net.biases else [])
-    return net.layout.flatten(arrays)
+            bar = (bar @ W[k]) * d
+    return net.layout.flatten(gW + (gb if b else []))
 
 
-def grad_params(net: LayeredNet, x, upstream) -> np.ndarray:
-    """Flat gradient of upstream . net(x) with respect to all parameters."""
-    return grad_params_batch(net, x, upstream)
-
-
-def grad_input_batch(net: LayeredNet, X) -> np.ndarray:
+def grad_input_batch(net: LayeredNet, X, params=None) -> np.ndarray:
     """Jacobian d net(X[b]) / d X[b] for every row, shape (batch, out, in)."""
     X, single = _check_input(net, X)
-    Z, _ = _forward_pass(net, X)
-    B = X.shape[0]
-    J = np.broadcast_to(np.eye(net.layer_widths[-1]),
-                        (B, net.layer_widths[-1], net.layer_widths[-1])).copy()
+    W, b = _params(net, params)
+    Z, _ = _forward_pass(net, W, b, X)
+    out = net.layer_widths[-1]
+    J = np.broadcast_to(np.eye(out), Z[-1].shape + (out,))
     for k in range(net.n_links - 1, -1, -1):
-        J = J @ net.weights[k]
+        J = J @ W[k][..., None, :, :]
         if k > 0:
             d = _ACTIVATIONS[net.activations[k - 1]][1](Z[k - 1])
-            J = J * d[:, None, :]
-    return J[0] if single else J
-
-
-def grad_input(net: LayeredNet, x) -> np.ndarray:
-    """Jacobian of the output with respect to the input, shape (out, in)."""
-    return grad_input_batch(net, x)
+            J = J * d[..., None, :]
+    return J[..., 0, :, :] if single else J
 
 
 def dirderiv(net: LayeredNet, x, u) -> np.ndarray:
     """Directional derivative J(x) @ u via a forward (tangent) pass."""
     X, single = _check_input(net, x)
     U, _ = _check_input(net, u)
-    Z, _ = _forward_pass(net, X)
+    Z, _ = _forward_pass(net, net.weights, net.biases, X)
     T = U
     for k in range(net.n_links):
         T = T @ net.weights[k].T
@@ -301,7 +302,7 @@ def dirderiv(net: LayeredNet, x, u) -> np.ndarray:
     return T[0] if single else T
 
 
-def grad_params_dirderiv_batch(net: LayeredNet, X, u, upstream) -> np.ndarray:
+def grad_params_dirderiv_batch(net: LayeredNet, X, u, upstream, params=None) -> np.ndarray:
     """Flat parameter gradient of sum_b upstream[b] . (J(X[b]) @ u[b]).
 
     Reverse pass over the tangent-augmented forward computation.  For each
@@ -314,22 +315,19 @@ def grad_params_dirderiv_batch(net: LayeredNet, X, u, upstream) -> np.ndarray:
         db    += bar_z
 
     which yields the exact mixed second derivative d/dtheta of the
-    input-directional derivative.
+    input-directional derivative.  ``u`` and ``upstream`` may carry the
+    particle axis.
     """
     X, single = _check_input(net, X)
-    Udir, _ = _check_input(net, u)
-    Up = np.asarray(upstream, dtype=float)
-    if single:
-        Up = Up[None, :]
-    if Up.shape != (X.shape[0], net.layer_widths[-1]):
-        raise ShapeError(f"upstream shape {Up.shape} does not match "
-                         f"({X.shape[0]}, {net.layer_widths[-1]})")
-    Z, H = _forward_pass(net, X)
+    W, b = _params(net, params)
+    Udir = _check_rows("direction", u, single, X.shape)
+    Up = _check_rows("upstream", upstream, single, (X.shape[0], net.layer_widths[-1]))
+    Z, H = _forward_pass(net, W, b, X)
     # tangent forward
     T = [Udir]
     TZ = []
     for k in range(net.n_links):
-        tz = T[-1] @ net.weights[k].T
+        tz = T[-1] @ W[k].swapaxes(-1, -2)
         TZ.append(tz)
         T.append(_ACTIVATIONS[net.activations[k]][1](Z[k]) * tz)
     gW = [None] * net.n_links
@@ -341,18 +339,12 @@ def grad_params_dirderiv_batch(net: LayeredNet, X, u, upstream) -> np.ndarray:
         d2 = _ACTIVATIONS[net.activations[k]][2](Z[k])
         bar_z = d1 * bar_h + d2 * TZ[k] * bar_t
         bar_tz = d1 * bar_t
-        gW[k] = bar_z.T @ H[k] + bar_tz.T @ T[k]
-        if net.biases:
-            gb[k] = bar_z.sum(axis=0)
-        bar_h = bar_z @ net.weights[k]
-        bar_t = bar_tz @ net.weights[k]
-    arrays = gW + (gb if net.biases else [])
-    return net.layout.flatten(arrays)
-
-
-def grad_params_dirderiv(net: LayeredNet, x, u, upstream) -> np.ndarray:
-    """Single-sample form of grad_params_dirderiv_batch."""
-    return grad_params_dirderiv_batch(net, x, u, upstream)
+        gW[k] = bar_z.swapaxes(-1, -2) @ H[k] + bar_tz.swapaxes(-1, -2) @ T[k]
+        if b:
+            gb[k] = bar_z.sum(axis=-2)
+        bar_h = bar_z @ W[k]
+        bar_t = bar_tz @ W[k]
+    return net.layout.flatten(gW + (gb if b else []))
 
 
 def param_count(net: LayeredNet, threshold: float = 0.0) -> int:
@@ -382,16 +374,31 @@ def permute_hidden(net: LayeredNet, layer: int, perm) -> LayeredNet:
     return replace(net, weights=tuple(ws), biases=tuple(bs))
 
 
-def save_net(net: LayeredNet, path) -> None:
-    """Write a network as structured text (JSON); floats round-trip exactly."""
-    doc = {
-        "format": NET_FORMAT_TAG,
+def net_to_dict(net: LayeredNet) -> dict:
+    """Plain JSON-ready form of a network; floats round-trip exactly."""
+    return {
         "layer_widths": list(net.layer_widths),
         "weights": [w.tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
         "activations": list(net.activations),
         "nonneg_mask": list(net.nonneg_mask),
     }
+
+
+def net_from_dict(d: dict) -> LayeredNet:
+    """Inverse of net_to_dict; keys other than the network's are ignored."""
+    return LayeredNet(
+        layer_widths=tuple(d["layer_widths"]),
+        weights=tuple(np.asarray(w, dtype=float) for w in d["weights"]),
+        biases=tuple(np.asarray(b, dtype=float) for b in d["biases"]),
+        activations=tuple(d["activations"]),
+        nonneg_mask=tuple(d["nonneg_mask"]),
+    )
+
+
+def save_net(net: LayeredNet, path) -> None:
+    """Write a network as structured text (JSON) with a format tag."""
+    doc = {"format": NET_FORMAT_TAG, **net_to_dict(net)}
     Path(path).write_text(json.dumps(doc, indent=1))
 
 
@@ -399,10 +406,4 @@ def load_net(path) -> LayeredNet:
     doc = json.loads(Path(path).read_text())
     if doc.get("format") != NET_FORMAT_TAG:
         raise ShapeError(f"unknown network format tag {doc.get('format')!r}")
-    return LayeredNet(
-        layer_widths=tuple(doc["layer_widths"]),
-        weights=tuple(np.asarray(w, dtype=float) for w in doc["weights"]),
-        biases=tuple(np.asarray(b, dtype=float) for b in doc["biases"]),
-        activations=tuple(doc["activations"]),
-        nonneg_mask=tuple(doc["nonneg_mask"]),
-    )
+    return net_from_dict(doc)

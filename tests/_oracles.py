@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive (finite differences, dense-grid
 quadrature, straight-line gradient ascent) and shares no code with the
-implementations under test.
+implementations under test, except the per-particle score reference at the
+end, which says why.
 """
 
 import numpy as np
@@ -88,3 +89,39 @@ def gradient_ascent(score, theta0, step, n_iters):
         theta = theta + step * score(theta)
         path.append(theta.copy())
     return path
+
+
+def per_particle_score_and_mse(target, template, particles):
+    """The per-particle regression score the batched path replaced.
+
+    Unlike the rest of this module it reuses library pieces: one network per
+    particle, rebuilt from its row and evaluated by the single-network passes.
+    It is the reference for the particle-stacked evaluation.
+    """
+    from csvgd import mechanics as mech
+    from csvgd import network as nw
+
+    X, Y = target.dataset.inputs, target.dataset.outputs
+    scores, mses = [], []
+    for theta in np.atleast_2d(particles):
+        net = template.with_values(theta)
+        if isinstance(target.model, mech.StressRegressionModel):
+            inv = mech.invariants_batch(X)
+            dI = mech.invariant_derivatives_batch(X)
+            ref = np.array([[3.0, 3.0, 1.0]])
+            g = nw.grad_input_batch(net, inv)[:, 0, :]
+            g_ref = nw.grad_input_batch(net, ref)[0, 0]
+            n = 2.0 * g_ref[0] + 4.0 * g_ref[1] + 2.0 * g_ref[2]
+            g[:, 2] -= 0.5 * n / np.sqrt(inv[:, 2])
+            r = Y - np.einsum("ni,nik->nk", g, dI)
+            u = np.einsum("nk,nik->ni", r, dI)
+            s = nw.grad_params_dirderiv_batch(net, inv, u, np.ones((len(X), 1)))
+            w_ref = float(np.sum(u[:, 2] / (2.0 * np.sqrt(inv[:, 2]))))
+            s = s - w_ref * nw.grad_params_dirderiv_batch(
+                net, ref[0], np.array([2.0, 4.0, 2.0]), np.array([1.0]))
+        else:
+            r = Y - nw.forward_batch(net, X)
+            s = nw.grad_params_batch(net, X, r)
+        scores.append(s / target.noise_var)
+        mses.append(float(np.mean(r * r)))
+    return np.stack(scores), np.array(mses)

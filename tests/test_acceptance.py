@@ -126,14 +126,14 @@ def test_criterion_03_gradient_correctness():
         net = random_net(rng, (3, 8, 8, 1))
         x = rng.normal(size=3)
         theta = net.flatten()
-        g = nw.grad_params(net, x, np.array([1.0]))
-        fd = fd_gradient(lambda t: float(nw.forward(net.with_values(t), x)[0]),
+        g = nw.grad_params_batch(net, x, np.array([1.0]))
+        fd = fd_gradient(lambda t: float(nw.forward_batch(net.with_values(t), x)[0]),
                          theta)
         rel = np.abs(g - fd) / np.maximum(np.abs(fd), 1e-8)
         worst = max(worst, rel.max())
         n_checked += theta.size
-        gi = nw.grad_input(net, x)[0]
-        fdi = fd_gradient(lambda xv: float(nw.forward(net, xv)[0]), x)
+        gi = nw.grad_input_batch(net, x)[0]
+        fdi = fd_gradient(lambda xv: float(nw.forward_batch(net, xv)[0]), x)
         rel_i = np.abs(gi - fdi) / np.maximum(np.abs(fdi), 1e-8)
         worst = max(worst, rel_i.max())
         n_checked += x.size

@@ -1,4 +1,7 @@
 import dataclasses
+import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,18 +30,25 @@ def vector_config(**kw):
 class FlatTarget:
     """Zero likelihood score everywhere; isolates prior and repulsion terms."""
 
-    def score_and_mse(self, theta):
-        return np.zeros_like(theta), 0.0
-
-    def score_and_mse_batch(self, P):
+    def score_and_mse_batch(self, template, P):
         return np.zeros_like(P), np.zeros(len(P))
 
 
 class QuadraticTarget:
     """log-likelihood -|theta|^2/2."""
 
-    def score_and_mse(self, theta):
-        return -theta, float(theta @ theta)
+    def score_and_mse_batch(self, template, P):
+        return -P, np.sum(P * P, axis=1)
+
+
+class PullDown:
+    """log-likelihood -rate |theta|^2 / 2; fit error is the mean square."""
+
+    def __init__(self, rate):
+        self.rate = rate
+
+    def score_and_mse_batch(self, template, P):
+        return -self.rate * P, np.mean(P ** 2, axis=1)
 
 
 def make_ensemble(particles, template=None, seed=0):
@@ -168,8 +178,8 @@ class TestRunStage:
         ens = init_net_ensemble(template, 4, seed=2)
 
         class PushNegative:
-            def score_and_mse(self, net):
-                return -np.ones(net.layout.size), 0.0
+            def score_and_mse_batch(self, template, P):
+                return -np.ones_like(P), np.zeros(len(P))
 
         cfg = vector_config(step_size=0.05, max_iters=20, tol=0.0,
                             grad_norm_tol=0.0)
@@ -207,13 +217,7 @@ class TestStagedRun:
     def _net_setup(self, n=3, seed=4):
         template = icnn_template((2, 4, 1))
         ens = init_net_ensemble(template, n, seed=seed)
-
-        class PullDown:
-            def score_and_mse(self, net):
-                theta = net.flatten()
-                return -4.0 * theta, float(np.mean(theta ** 2))
-
-        return ens, PullDown()
+        return ens, PullDown(4.0)
 
     def test_fixed_single_stage_equals_stage_plus_condense(self):
         ens1, target = self._net_setup()
@@ -244,10 +248,10 @@ class TestStagedRun:
             def __init__(self):
                 self.calls = 0
 
-            def score_and_mse(self, net):
+            def score_and_mse_batch(self, template, P):
                 self.calls += 1
                 # fit error grows with time: triggers the degradation branch
-                return np.zeros(net.layout.size), float(self.calls)
+                return np.zeros_like(P), np.full(len(P), float(self.calls))
 
         cfg = vector_config(step_size=1e-3, max_iters=5, tol=0.0,
                             grad_norm_tol=0.0, condense_enabled=True,
@@ -274,24 +278,71 @@ class TestStagedRun:
         assert outs[0] == outs[1]
 
 
+# a csvgd-checkpoint-v1 file as earlier versions wrote it: it must still load
+# and save back to the same bytes
+LEGACY_CHECKPOINT = {
+    "format": "csvgd-checkpoint-v1",
+    "config": {"step_size": 0.1, "max_iters": 5,
+               "kernel": {"beta": 2, "gamma": 1.0, "bandwidth_rule": "fixed"},
+               "prior": None, "tol": 0.0001, "tol_window": 50,
+               "grad_norm_tol": 1e-08, "axis_mask_threshold": 0.01,
+               "prior_dead_zone": 0.001, "adagrad": False, "adagrad_offset": 1e-08,
+               "schedule": "fixed", "lambda_growth": 2.0, "mse_band": 0.1,
+               "num_stages": 1, "prune_epsilon": 0.001, "condense_enabled": True,
+               "polish_iters": None},
+    "lam": 0.0, "lam0": 0.0, "best_mse": float("inf"), "next_stage": 0,
+    "polished": False, "degraded": False, "lambda_trajectory": [], "stages": [],
+    "opt_state": None,
+    "ensemble": {
+        "particles": [[0.38738615147100774, -0.651141503267228,
+                       0.05794531324878517, 0.023373606318405262],
+                      [0.886062041929778, 1.1674490706625804,
+                       0.8579125415106695, 1.0316639302481023]],
+        "template": {"layer_widths": [1, 2, 1], "weights": [[[0.0], [0.0]], [[0.0, 0.0]]],
+                     "biases": [], "activations": ["softplus", "identity"],
+                     "nonneg_mask": [False, True]},
+        "iteration": 0, "stage": 0,
+        "rng_state": {"bit_generator": "PCG64",
+                      "state": {"state": 309019961079606187284900980202903920827,
+                                "inc": 87136372517582989555478159403783844777},
+                      "has_uint32": 0, "uinteger": 0}},
+}
+
+
 class TestCheckpointing:
+    def _three_stage_config(self):
+        return vector_config(step_size=0.01, max_iters=20, tol=0.0,
+                             grad_norm_tol=0.0, condense_enabled=True,
+                             prior=PriorSpec(1.0, 0.05), num_stages=3)
+
     def test_round_trip_and_resume_match_uninterrupted(self, tmp_path):
         template = icnn_template((2, 4, 1))
-
-        class PullDown:
-            def score_and_mse(self, net):
-                theta = net.flatten()
-                return -2.0 * theta, float(np.mean(theta ** 2))
-
-        cfg = vector_config(step_size=0.01, max_iters=20, tol=0.0,
-                            grad_norm_tol=0.0, condense_enabled=True,
-                            prior=PriorSpec(1.0, 0.05), num_stages=3)
-        full, _ = run_csvgd(init_net_ensemble(template, 3, seed=7), PullDown(), cfg)
+        cfg = self._three_stage_config()
+        full, _ = run_csvgd(init_net_ensemble(template, 3, seed=7), PullDown(2.0), cfg)
 
         ens = init_net_ensemble(template, 3, seed=7)
-        _, _ = run_csvgd(ens, PullDown(), cfg, checkpoint_dir=tmp_path)
-        resumed, _ = resume_csvgd(tmp_path / "stage_00.json", PullDown())
+        _, _ = run_csvgd(ens, PullDown(2.0), cfg, checkpoint_dir=tmp_path)
+        resumed, _ = resume_csvgd(tmp_path / "stage_00.json", PullDown(2.0))
         assert resumed.particles.tolist() == full.particles.tolist()
+
+    def test_resumed_run_can_be_resumed_again(self, tmp_path):
+        template = icnn_template((2, 4, 1))
+        cfg = self._three_stage_config()
+        full, full_rep = run_csvgd(init_net_ensemble(template, 3, seed=7),
+                                   PullDown(2.0), cfg)
+        first, second = tmp_path / "first", tmp_path / "second"
+        run_csvgd(init_net_ensemble(template, 3, seed=7), PullDown(2.0), cfg,
+                  checkpoint_dir=first)
+        second.mkdir()
+        shutil.copy(first / "stage_00.json", second / "stage_00.json")
+        resume_csvgd(second / "stage_00.json", PullDown(2.0))
+        # the resumed run wrote its checkpoints next to the one it came from
+        assert (second / "stage_01.json").read_bytes() == \
+            (first / "stage_01.json").read_bytes()
+        resumed, rep = resume_csvgd(second / "stage_01.json", PullDown(2.0))
+        assert resumed.particles.tolist() == full.particles.tolist()
+        assert [r.mse_trace for r in rep.stages] == \
+            [r.mse_trace for r in full_rep.stages]
 
     def test_adaptive_resume_after_degradation(self, tmp_path):
         template = icnn_template((2, 4, 1))
@@ -299,9 +350,8 @@ class TestCheckpointing:
         class WorsensTowardZero:
             # pull to zero; reported fit error grows as the particles shrink,
             # so the adaptive schedule degrades deterministically
-            def score_and_mse(self, net):
-                theta = net.flatten()
-                return -theta, float(1.0 / (np.abs(theta).mean() + 0.1))
+            def score_and_mse_batch(self, template, P):
+                return -P, 1.0 / (np.abs(P).mean(axis=1) + 0.1)
 
         cfg = vector_config(step_size=0.05, max_iters=15, tol=0.0,
                             grad_norm_tol=0.0, condense_enabled=True,
@@ -324,6 +374,39 @@ class TestCheckpointing:
             load_checkpoint(p)
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "missing.json")
+
+    def test_interrupted_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        from csvgd.engine import _RunState
+        path = tmp_path / "stage_00.json"
+        state = _RunState(init_vector_ensemble(2, 4, seed=3), vector_config(),
+                          0.0, 0.0, float("inf"), 0, [], [], None)
+        save_checkpoint(path, state)
+        before = path.read_bytes()
+
+        def half_then_fail(self, data, *args, **kwargs):
+            # a full disk: half of the bytes land, then the write fails
+            with open(self, "w") as fh:
+                fh.write(data[:len(data) // 2])
+            raise OSError("no space left on device")
+
+        state.next_stage = 1
+        with monkeypatch.context() as m:
+            m.setattr(Path, "write_text", half_then_fail)
+            with pytest.raises(OSError):
+                save_checkpoint(path, state)
+        assert path.read_bytes() == before
+        assert load_checkpoint(path).next_stage == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["stage_00.json"]
+
+    def test_checkpoint_format_unchanged(self, tmp_path):
+        path = tmp_path / "stage_00.json"
+        path.write_text(json.dumps(LEGACY_CHECKPOINT))
+        state = load_checkpoint(path)
+        assert state.ensemble.template.layer_widths == (1, 2, 1)
+        assert state.ensemble.particles.tolist() == \
+            LEGACY_CHECKPOINT["ensemble"]["particles"]
+        save_checkpoint(tmp_path / "again.json", state)
+        assert (tmp_path / "again.json").read_text() == path.read_text()
 
     def test_rng_state_survives(self, tmp_path):
         ens = init_vector_ensemble(2, 4, seed=3)

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from csvgd.engine import Ensemble, SvgdConfig, _resolve_gamma
 from csvgd.errors import DomainError, ShapeError
 from csvgd.kernels import (BANDWIDTH_FLOOR, KernelSpec, kernel_eval, kernel_grad,
                            kernel_matrix, median_bandwidth, silverman_bandwidth)
@@ -104,6 +108,23 @@ class TestBandwidth:
 
     def test_undefined_summary_falls_back_to_floor(self):
         assert median_bandwidth(float("nan"), 1) == BANDWIDTH_FLOOR
+
+    @settings(max_examples=60, deadline=None)
+    @given(P=st.integers(2, 12).flatmap(lambda n: st.integers(1, 5).flatmap(
+               lambda d: arrays(float, (n, d), elements=st.floats(-10.0, 10.0)))),
+           c=st.floats(0.01, 100.0))
+    def test_engine_gamma_scales_as_sqrt_of_particle_scale(self, P, c):
+        # the documented rule: gamma grows as sqrt(distance), not distance^2
+        config = SvgdConfig(step_size=0.1, max_iters=1,
+                            kernel=KernelSpec(2, 1.0, "median"))
+
+        def gamma(particles):
+            return _resolve_gamma(config, Ensemble(particles, None,
+                                                   np.random.default_rng(0)))
+
+        g = gamma(P)
+        assume(g > 1e-3)
+        assert gamma(c * P) == pytest.approx(np.sqrt(c) * g, rel=1e-9)
 
     def test_silverman_positive_and_scales(self, rng):
         P = rng.normal(size=(50, 4))

@@ -3,12 +3,13 @@ import pytest
 
 from csvgd import network as nw
 from csvgd.errors import ShapeError
+from csvgd.engine import condense_ensemble, init_net_ensemble
 from csvgd.likelihoods import (Dataset, DirectNetModel, MvnTarget,
-                               RegressionTarget, load_dataset, mvn_score,
-                               save_dataset)
+                               RegressionTarget, load_dataset, save_dataset)
+from csvgd.mechanics import StressRegressionModel, generate_data, icnn_template
 
-from _oracles import fd_gradient
-from conftest import random_net
+from _oracles import fd_gradient, per_particle_score_and_mse
+from conftest import bias_net, random_net
 
 MEAN = np.array([1.0, 2.0, 3.0])
 PRECISION = np.array([[2.0, 1.0, 0.0],
@@ -16,46 +17,60 @@ PRECISION = np.array([[2.0, 1.0, 0.0],
                       [0.0, 0.0, 0.0025]])
 
 
+def mvn_score(theta):
+    S, _ = MvnTarget(MEAN, PRECISION).score_and_mse_batch(None, theta)
+    return S[0]
+
+
 class TestMvn:
     def test_score_vanishes_at_mode(self):
-        t = MvnTarget(MEAN, PRECISION)
-        assert np.all(mvn_score(t, MEAN) == 0.0)
+        assert np.all(mvn_score(MEAN) == 0.0)
 
     def test_first_column_value(self):
-        t = MvnTarget(MEAN, PRECISION)
-        assert mvn_score(t, np.array([2.0, 2.0, 3.0])) == pytest.approx([-2.0, -1.0, 0.0])
+        assert mvn_score(np.array([2.0, 2.0, 3.0])) == pytest.approx([-2.0, -1.0, 0.0])
 
     def test_weak_coordinate_value(self):
-        t = MvnTarget(MEAN, PRECISION)
-        assert mvn_score(t, np.array([1.0, 2.0, 4.0])) == \
+        assert mvn_score(np.array([1.0, 2.0, 4.0])) == \
             pytest.approx([0.0, 0.0, -0.0025], abs=1e-15)
 
     def test_affine_in_theta(self, rng):
-        t = MvnTarget(MEAN, PRECISION)
         for _ in range(10):
             a, b = rng.normal(size=(2, 3))
             lam = rng.uniform(-2, 2)
-            lhs = t.score(lam * a + (1 - lam) * b)
-            rhs = lam * t.score(a) + (1 - lam) * t.score(b)
+            lhs = mvn_score(lam * a + (1 - lam) * b)
+            rhs = lam * mvn_score(a) + (1 - lam) * mvn_score(b)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_score_is_log_density_gradient(self, rng):
         t = MvnTarget(MEAN, PRECISION)
         theta = rng.normal(size=3)
-        oracle = fd_gradient(t.log_likelihood, theta)
-        assert t.score(theta) == pytest.approx(oracle, rel=1e-6, abs=1e-9)
+        oracle = fd_gradient(lambda v: t.log_likelihood(None, v)[0], theta)
+        assert mvn_score(theta) == pytest.approx(oracle, rel=1e-6, abs=1e-9)
 
     def test_batch_matches_loop(self, rng):
         t = MvnTarget(MEAN, PRECISION)
         P = rng.normal(size=(6, 3))
-        S, m = t.score_and_mse_batch(P)
+        S, m = t.score_and_mse_batch(None, P)
+        ll = t.log_likelihood(None, P)
         for a in range(6):
-            assert S[a] == pytest.approx(t.score(P[a]), abs=1e-14)
-            assert m[a] == pytest.approx(t.mse(P[a]), abs=1e-12)
+            d = P[a] - MEAN
+            assert S[a] == pytest.approx(-PRECISION @ d, abs=1e-14)
+            assert m[a] == pytest.approx(d @ PRECISION @ d, abs=1e-12)
+            assert ll[a] == pytest.approx(-0.5 * m[a], abs=1e-12)
 
     def test_asymmetric_precision_rejected(self):
         with pytest.raises(ShapeError):
             MvnTarget(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+def score_of(target, net):
+    S, _ = target.score_and_mse_batch(net, net.flatten()[None])
+    return S[0]
+
+
+def log_lik(target, net, theta=None):
+    theta = net.flatten() if theta is None else theta
+    return float(target.log_likelihood(net, theta[None])[0])
 
 
 class TestRegression:
@@ -70,19 +85,19 @@ class TestRegression:
         X = rng.normal(size=(4, 2))
         target = RegressionTarget(Dataset(X, nw.forward_batch(net, X)), 1.0,
                                   DirectNetModel())
-        assert target.log_likelihood(net) == 0.0
-        assert np.all(target.score(net) == 0.0)
+        assert log_lik(target, net) == 0.0
+        assert np.all(score_of(target, net) == 0.0)
 
     def test_single_residual_value(self):
         # one scalar datum with residual 2 and unit variance -> -2
         net = nw.LayeredNet((1, 1), (np.array([[1.0]]),), (), ("identity",), (False,))
         target = RegressionTarget(Dataset([[1.0]], [[3.0]]), 1.0, DirectNetModel())
-        assert target.log_likelihood(net) == pytest.approx(-2.0)
+        assert log_lik(target, net) == pytest.approx(-2.0)
 
     def test_doubling_variance_halves_magnitude(self, rng):
         net, t1 = self._target(rng)
         t2 = RegressionTarget(t1.dataset, 2.0, t1.model)
-        assert t2.log_likelihood(net) == pytest.approx(0.5 * t1.log_likelihood(net))
+        assert log_lik(t2, net) == pytest.approx(0.5 * log_lik(t1, net))
 
     def test_linear_model_score(self):
         # y = a * theta with one datum: score = residual / sigma^2 * a
@@ -90,26 +105,77 @@ class TestRegression:
         net = nw.LayeredNet((1, 1), (np.array([[0.4]]),), (), ("identity",), (False,))
         target = RegressionTarget(Dataset([[a]], [[2.0]]), 0.5, DirectNetModel())
         residual = 2.0 - 0.4 * a
-        assert target.score(net) == pytest.approx([residual / 0.5 * a])
+        assert score_of(target, net) == pytest.approx([residual / 0.5 * a])
 
     def test_score_matches_finite_differences(self, rng):
         net, target = self._target(rng, noise_var=0.3)
-        score = target.score(net)
-        oracle = fd_gradient(lambda t: target.log_likelihood(net.with_values(t)),
-                             net.flatten())
+        oracle = fd_gradient(lambda t: log_lik(target, net, t), net.flatten())
+        score = score_of(target, net)
         rel = np.abs(score - oracle) / np.maximum(np.abs(oracle), 1e-8)
         assert rel.max() < 1e-5
 
     def test_score_and_mse_consistent(self, rng):
         net, target = self._target(rng)
-        s, m = target.score_and_mse(net)
-        assert s == pytest.approx(target.score(net))
-        assert m == pytest.approx(target.mse(net))
+        _, m = target.score_and_mse_batch(net, net.flatten()[None])
+        r = target.dataset.outputs - nw.forward_batch(net, target.dataset.inputs)
+        assert m[0] == pytest.approx(np.mean(r * r), rel=1e-14)
+        assert log_lik(target, net) == pytest.approx(
+            -np.sum(r * r) / (2.0 * target.noise_var), rel=1e-14)
+
+    def test_wrong_output_width_rejected(self, rng):
+        net = random_net(rng, (2, 3, 1))
+        target = RegressionTarget(Dataset(rng.normal(size=(4, 2)), np.zeros((4, 2))),
+                                  1.0, DirectNetModel())
+        with pytest.raises(ShapeError):
+            target.score_and_mse_batch(net, net.flatten()[None])
 
     def test_noise_var_must_be_positive(self, rng):
         net, target = self._target(rng)
         with pytest.raises(ShapeError):
             RegressionTarget(target.dataset, 0.0, target.model)
+
+
+def _stress_target(n_train=12, seed=3):
+    data = generate_data(n_train=n_train, seed=seed, n_test=11)
+    return RegressionTarget(data.train, 0.7, StressRegressionModel())
+
+
+def _condensed_icnn_ensemble():
+    ens = init_net_ensemble(icnn_template((3, 12, 12, 1)), 5, seed=13)
+    ens.particles[np.random.default_rng(5).random(ens.particles.shape) < 0.4] *= 1e-5
+    condensed, _ = condense_ensemble(ens, 1e-3)
+    assert condensed.template.layer_widths != (3, 12, 12, 1)
+    return condensed.template, condensed.particles
+
+
+class TestBatchedScoreEquivalence:
+    """The particle-stacked score equals the per-particle formula."""
+
+    def _check(self, target, template, particles):
+        S, m = target.score_and_mse_batch(template, particles)
+        S_ref, m_ref = per_particle_score_and_mse(target, template, particles)
+        assert S.shape == S_ref.shape and m.shape == m_ref.shape
+        np.testing.assert_allclose(S, S_ref, rtol=1e-12, atol=1e-12 * np.abs(S_ref).max())
+        np.testing.assert_allclose(m, m_ref, rtol=1e-12)
+
+    @pytest.mark.parametrize("n_particles", [1, 6])
+    def test_stress_model_full_template(self, n_particles):
+        template = icnn_template((3, 8, 8, 1))
+        ens = init_net_ensemble(template, n_particles, seed=2)
+        self._check(_stress_target(), template, ens.particles)
+
+    @pytest.mark.parametrize("n_particles", [1, 5])
+    def test_stress_model_condensed_template(self, n_particles):
+        template, P = _condensed_icnn_ensemble()
+        self._check(_stress_target(), template, P[:n_particles])
+
+    @pytest.mark.parametrize("n_particles", [1, 4])
+    def test_direct_model_with_biases(self, rng, n_particles):
+        nets = [bias_net(rng, (3, 5, 4, 2)) for _ in range(n_particles)]
+        X = rng.normal(size=(9, 3))
+        target = RegressionTarget(Dataset(X, rng.normal(size=(9, 2))), 0.4,
+                                  DirectNetModel())
+        self._check(target, nets[0], np.stack([n.flatten() for n in nets]))
 
 
 class TestDatasetIO:

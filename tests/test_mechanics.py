@@ -159,7 +159,8 @@ class TestStressFromPotential:
 class TestNormalization:
     def test_value_zero_at_reference(self, rng):
         net = random_icnn(rng)
-        assert mech.normalized_nn_potential(net, 3.0, 3.0, 1.0) == pytest.approx(0.0, abs=1e-14)
+        pot = mech.reference_normalize(mech.NetPotential(net))
+        assert pot.value([[3.0, 3.0, 1.0]])[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_stress_zero_at_reference(self, rng):
         for _ in range(20):
@@ -228,17 +229,27 @@ class TestStressModelScore:
         net = random_icnn(rng, (3, 4, 1))
         data = mech.generate_data(n_train=6, seed=3, n_test=11)
         target = RegressionTarget(data.train, 0.5, mech.StressRegressionModel())
-        score = target.score(net)
-        oracle = fd_gradient(lambda t: target.log_likelihood(net.with_values(t)),
+        S, _ = target.score_and_mse_batch(net, net.flatten()[None])
+        oracle = fd_gradient(lambda t: target.log_likelihood(net, t[None])[0],
                              net.flatten())
-        rel = np.abs(score - oracle) / np.maximum(np.abs(oracle), 1e-6)
+        rel = np.abs(S[0] - oracle) / np.maximum(np.abs(oracle), 1e-6)
         assert rel.max() < 1e-5
 
     def test_predict_zero_at_reference(self, rng):
         net = random_icnn(rng)
         model = mech.StressRegressionModel()
-        S = model.predict(net, np.zeros((1, 6)))
+        S = model.predict(net, net.flatten()[None], model.prepare(np.zeros((1, 6))))
         assert np.linalg.norm(S) < 1e-8
+
+    def test_predict_matches_stress_batch(self, rng):
+        nets = [random_icnn(rng) for _ in range(3)]
+        E = 0.05 * rng.normal(size=(7, 6))
+        model = mech.StressRegressionModel()
+        S = model.predict(nets[0], np.stack([n.flatten() for n in nets]),
+                          model.prepare(E))
+        for a, net in enumerate(nets):
+            expect = mech.stress_batch(mech.reference_normalize(mech.NetPotential(net)), E)
+            assert S[a] == pytest.approx(expect, rel=1e-13, abs=1e-15)
 
 
 class TestVoigt:

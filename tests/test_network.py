@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from csvgd import network as nw
 from csvgd.errors import ShapeError
 
 from _oracles import fd_gradient
-from conftest import random_net
+from conftest import bias_net, random_net
 
 
 def single_layer(w, activation="identity"):
@@ -21,11 +23,11 @@ def single_layer(w, activation="identity"):
 class TestForward:
     def test_identity_single_layer(self):
         net = single_layer([[1.0]])
-        assert nw.forward(net, [2.0]) == pytest.approx([2.0])
+        assert nw.forward_batch(net, [2.0]) == pytest.approx([2.0])
 
     def test_softplus_at_zero(self):
         net = single_layer([[1.0]], "softplus")
-        assert nw.forward(net, [0.0]) == pytest.approx([np.log(2.0)], abs=1e-15)
+        assert nw.forward_batch(net, [0.0]) == pytest.approx([np.log(2.0)], abs=1e-15)
 
     def test_zero_weights_give_zero_output(self):
         widths = (3, 30, 30, 1)
@@ -33,39 +35,39 @@ class TestForward:
                             tuple(np.zeros((widths[k + 1], widths[k])) for k in range(3)),
                             (), ("softplus", "softplus", "identity"),
                             (False, True, True))
-        assert nw.forward(net, [0.3, -1.0, 2.0]) == pytest.approx([0.0])
+        assert nw.forward_batch(net, [0.3, -1.0, 2.0]) == pytest.approx([0.0])
 
     def test_dimension_mismatch(self):
         net = single_layer([[1.0]])
         with pytest.raises(ShapeError):
-            nw.forward(net, [1.0, 2.0])
+            nw.forward_batch(net, [1.0, 2.0])
 
     def test_batch_matches_single(self, rng):
         net = random_net(rng, (3, 5, 2))
         X = rng.normal(size=(7, 3))
         batch = nw.forward_batch(net, X)
         for b in range(7):
-            assert batch[b] == pytest.approx(nw.forward(net, X[b]), abs=1e-14)
+            assert batch[b] == pytest.approx(nw.forward_batch(net, X[b]), abs=1e-14)
 
 
 class TestGradParams:
     def test_linear_map(self):
         net = single_layer([[0.7]])
-        g = nw.grad_params(net, [3.0], [1.0])
+        g = nw.grad_params_batch(net, [3.0], [1.0])
         assert g == pytest.approx([3.0])
 
     def test_zero_upstream(self, rng):
         net = random_net(rng, (3, 4, 2))
-        g = nw.grad_params(net, rng.normal(size=3), np.zeros(2))
+        g = nw.grad_params_batch(net, rng.normal(size=3), np.zeros(2))
         assert np.all(g == 0.0)
 
     def test_matches_finite_differences(self, rng):
         net = random_net(rng, (3, 4, 1))
         x = rng.normal(size=3)
         up = np.array([1.0])
-        g = nw.grad_params(net, x, up)
+        g = nw.grad_params_batch(net, x, up)
         oracle = fd_gradient(
-            lambda t: float(up @ nw.forward(net.with_values(t), x)), net.flatten())
+            lambda t: float(up @ nw.forward_batch(net.with_values(t), x)), net.flatten())
         rel = np.abs(g - oracle) / np.maximum(np.abs(oracle), 1e-10)
         assert rel.max() < 1e-5
 
@@ -74,7 +76,7 @@ class TestGradParams:
         X = rng.normal(size=(4, 2))
         U = rng.normal(size=(4, 2))
         total = nw.grad_params_batch(net, X, U)
-        parts = sum(nw.grad_params(net, X[b], U[b]) for b in range(4))
+        parts = sum(nw.grad_params_batch(net, X[b], U[b]) for b in range(4))
         assert total == pytest.approx(parts, abs=1e-12)
 
     def test_bias_gradients(self, rng):
@@ -85,27 +87,27 @@ class TestGradParams:
             (rng.normal(size=3), rng.normal(size=1)),
             ("softplus", "identity"), (False, False))
         x = rng.normal(size=2)
-        g = nw.grad_params(net, x, [1.0])
+        g = nw.grad_params_batch(net, x, [1.0])
         oracle = fd_gradient(
-            lambda t: float(nw.forward(net.with_values(t), x)[0]), net.flatten())
+            lambda t: float(nw.forward_batch(net.with_values(t), x)[0]), net.flatten())
         assert g == pytest.approx(oracle, rel=1e-5)
 
 
 class TestGradInput:
     def test_identity_single_layer(self):
         net = single_layer([[2.0]])
-        assert nw.grad_input(net, [1.0]).ravel() == pytest.approx([2.0])
+        assert nw.grad_input_batch(net, [1.0]).ravel() == pytest.approx([2.0])
 
     def test_softplus_slope_at_zero(self):
         net = single_layer([[1.0]], "softplus")
         # softplus' = logistic, logistic(0) = 1/2
-        assert nw.grad_input(net, [0.0]).ravel() == pytest.approx([0.5])
+        assert nw.grad_input_batch(net, [0.0]).ravel() == pytest.approx([0.5])
 
     def test_matches_finite_differences(self, rng):
         net = random_net(rng, (3, 5, 1))
         x = rng.normal(size=3)
-        J = nw.grad_input(net, x)
-        oracle = fd_gradient(lambda xv: float(nw.forward(net, xv)[0]), x)
+        J = nw.grad_input_batch(net, x)
+        oracle = fd_gradient(lambda xv: float(nw.forward_batch(net, xv)[0]), x)
         rel = np.abs(J[0] - oracle) / np.maximum(np.abs(oracle), 1e-10)
         assert rel.max() < 1e-5
 
@@ -115,7 +117,7 @@ class TestDirectionalSecondOrder:
         net = random_net(rng, (3, 6, 2))
         x = rng.normal(size=3)
         u = rng.normal(size=3)
-        assert nw.dirderiv(net, x, u) == pytest.approx(nw.grad_input(net, x) @ u,
+        assert nw.dirderiv(net, x, u) == pytest.approx(nw.grad_input_batch(net, x) @ u,
                                                        abs=1e-12)
 
     def test_grad_params_dirderiv_matches_fd(self, rng):
@@ -123,7 +125,7 @@ class TestDirectionalSecondOrder:
         x = rng.normal(size=3)
         u = rng.normal(size=3)
         up = np.array([1.0])
-        g = nw.grad_params_dirderiv(net, x, u, up)
+        g = nw.grad_params_dirderiv_batch(net, x, u, up)
 
         def phi(t):
             return float(up @ nw.dirderiv(net.with_values(t), x, u))
@@ -131,6 +133,72 @@ class TestDirectionalSecondOrder:
         oracle = fd_gradient(phi, net.flatten())
         rel = np.abs(g - oracle) / np.maximum(np.abs(oracle), 1e-8)
         assert rel.max() < 1e-4
+
+
+class TestParticleStack:
+    """Every pass on flat parameter rows equals the pass on each row's net."""
+
+    @pytest.fixture(params=["no-bias", "bias"])
+    def stack(self, request, rng):
+        if request.param == "bias":
+            nets = [bias_net(rng) for _ in range(4)]
+        else:
+            nets = [random_net(rng, (3, 5, 2)) for _ in range(4)]
+        return nets[0], np.stack([n.flatten() for n in nets]), nets
+
+    def test_forward(self, stack, rng):
+        template, P, nets = stack
+        X = rng.normal(size=(6, 3))
+        out = nw.forward_batch(template, X, P)
+        assert out.shape == (4, 6, 2)
+        for a, net in enumerate(nets):
+            assert out[a] == pytest.approx(nw.forward_batch(net, X), rel=1e-14, abs=1e-15)
+        single = nw.forward_batch(template, X[0], P)
+        assert single.shape == (4, 2)
+        assert single == pytest.approx(out[:, 0], rel=1e-14, abs=1e-15)
+
+    def test_grad_params_per_particle_upstream(self, stack, rng):
+        template, P, nets = stack
+        X = rng.normal(size=(6, 3))
+        U = rng.normal(size=(4, 6, 2))
+        g = nw.grad_params_batch(template, X, U, P)
+        assert g.shape == P.shape
+        for a, net in enumerate(nets):
+            assert g[a] == pytest.approx(nw.grad_params_batch(net, X, U[a]),
+                                         rel=1e-13, abs=1e-14)
+
+    def test_grad_params_shared_upstream(self, stack, rng):
+        template, P, nets = stack
+        X = rng.normal(size=(6, 3))
+        U = rng.normal(size=(6, 2))
+        g = nw.grad_params_batch(template, X, U, P)
+        for a, net in enumerate(nets):
+            assert g[a] == pytest.approx(nw.grad_params_batch(net, X, U),
+                                         rel=1e-13, abs=1e-14)
+
+    def test_grad_input(self, stack, rng):
+        template, P, nets = stack
+        X = rng.normal(size=(6, 3))
+        J = nw.grad_input_batch(template, X, P)
+        assert J.shape == (4, 6, 2, 3)
+        for a, net in enumerate(nets):
+            assert J[a] == pytest.approx(nw.grad_input_batch(net, X), rel=1e-14, abs=1e-15)
+
+    def test_grad_params_dirderiv(self, stack, rng):
+        template, P, nets = stack
+        X = rng.normal(size=(6, 3))
+        u = rng.normal(size=(4, 6, 3))
+        up = rng.normal(size=(6, 2))
+        g = nw.grad_params_dirderiv_batch(template, X, u, up, P)
+        assert g.shape == P.shape
+        for a, net in enumerate(nets):
+            assert g[a] == pytest.approx(
+                nw.grad_params_dirderiv_batch(net, X, u[a], up), rel=1e-13, abs=1e-14)
+
+    def test_wrong_row_width_rejected(self, stack, rng):
+        template, P, _ = stack
+        with pytest.raises(ShapeError):
+            nw.forward_batch(template, rng.normal(size=(6, 3)), P[:, :-1])
 
 
 class TestParamCount:
@@ -186,6 +254,44 @@ class TestLayoutAndSerialization:
         again = net.with_values(flat)
         assert again.flatten().tolist() == flat.tolist()
         assert [b.tolist() for b in again.biases] == [b.tolist() for b in net.biases]
+
+    def test_stacked_round_trip_exact(self, rng):
+        nets = [bias_net(rng, (2, 3, 1)) for _ in range(3)]
+        P = np.stack([n.flatten() for n in nets])
+        arrays = nets[0].layout.unflatten(P)
+        assert [a.shape for a in arrays] == [(3, 3, 2), (3, 1, 3), (3, 3), (3, 1)]
+        for a, net in enumerate(nets):
+            assert arrays[0][a].tolist() == net.weights[0].tolist()
+            assert arrays[3][a].tolist() == net.biases[1].tolist()
+        assert nets[0].layout.flatten(arrays).tolist() == P.tolist()
+
+    def test_stacked_leading_axes_must_agree(self, rng):
+        layout = bias_net(rng, (2, 3, 1)).layout
+        arrays = layout.unflatten(np.zeros((3, layout.size)))
+        arrays[1] = arrays[1][:2]
+        with pytest.raises(ShapeError):
+            layout.flatten(arrays)
+
+    def test_dict_round_trip_exact(self, rng):
+        net = bias_net(rng, (2, 3, 1))
+        again = nw.net_from_dict(json.loads(json.dumps(nw.net_to_dict(net))))
+        assert again.flatten().tolist() == net.flatten().tolist()
+        assert (again.layer_widths, again.activations, again.nonneg_mask) == \
+            (net.layer_widths, net.activations, net.nonneg_mask)
+
+    def test_file_format_unchanged(self, tmp_path):
+        net = nw.LayeredNet((2, 2, 1),
+                            (np.array([[0.5, -1.25], [0.1, 2.0]]), np.array([[3.0, 0.0]])),
+                            (np.array([0.25, -0.5]), np.array([1.5])),
+                            ("softplus", "identity"), (False, True))
+        path = tmp_path / "net.json"
+        nw.save_net(net, path)
+        expected = {"format": "layered-net-v1", "layer_widths": [2, 2, 1],
+                    "weights": [[[0.5, -1.25], [0.1, 2.0]], [[3.0, 0.0]]],
+                    "biases": [[0.25, -0.5], [1.5]],
+                    "activations": ["softplus", "identity"],
+                    "nonneg_mask": [False, True]}
+        assert path.read_text() == json.dumps(expected, indent=1)
 
     def test_file_round_trip_exact(self, rng, tmp_path):
         net = random_net(rng, (3, 5, 2))
