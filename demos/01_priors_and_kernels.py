@@ -9,6 +9,7 @@ that singular pull is what drives weights to exactly zero.
 
 import numpy as np
 
+from csvgd.condense import distance_matrix
 from csvgd.kernels import (KernelSpec, kernel_eval, kernel_grad,
                            median_bandwidth, silverman_bandwidth)
 from csvgd.priors import PriorSpec, prior_constants, prior_score
@@ -38,7 +39,7 @@ for beta in (1, 2):
 print("\n=== bandwidth selection ===")
 rng = np.random.default_rng(0)
 cloud = rng.normal(size=(30, 5))
-D = np.linalg.norm(cloud[:, None] - cloud[None], axis=-1)
+D = distance_matrix(cloud)
 med = float(np.median(D[np.triu_indices(30, 1)]))
 print(f"median pairwise distance  {med:.3f}")
 print(f"median-rule bandwidth     {median_bandwidth(med, 30):.3f}")

@@ -5,6 +5,10 @@ Node sorting permutes rows of the incoming weight matrix and columns of the
 outgoing one, so each member's input-output map is preserved; pruning changes
 it by at most the threshold times the local fan-in.  Input and output layers
 are never pruned or permuted.  Bias-carrying networks are out of scope here.
+
+``distance_matrix`` is the graph metric over flat weight rows; the pairwise
+pass behind it, with its bounded memory, belongs to ``kernels``, which owns
+distances, the kernel matrix and the Stein direction.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CondenseError, DomainError, ShapeError
+from .kernels import pairwise_power_sum
 from .network import LayeredNet
 
 __all__ = [
@@ -232,10 +237,13 @@ def condense_graphs(graphs: list[NetGraph], epsilon: float,
 
 
 def distance_matrix(particle_weights) -> np.ndarray:
-    """Pairwise distances sqrt(sum_l ||W_la - W_lb||_F^2) from flat weight rows."""
+    """Pairwise distances sqrt(sum_l ||W_la - W_lb||_F^2) from flat weight rows.
+
+    The square root of ``kernels.pairwise_power_sum`` at beta=2, which bounds
+    the working memory; see that module.
+    """
     P = np.atleast_2d(np.asarray(particle_weights, dtype=float))
-    sq = np.sum((P[:, None, :] - P[None, :, :]) ** 2, axis=-1)
-    return np.sqrt(np.maximum(sq, 0.0))
+    return np.sqrt(pairwise_power_sum(P, P, 2))
 
 
 def dump_graph(graph: NetGraph, path) -> None:

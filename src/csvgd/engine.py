@@ -22,7 +22,7 @@ import numpy as np
 
 from . import condense as gc
 from .errors import CheckpointError, NonFiniteGradientError, ShapeError
-from .kernels import KernelSpec, median_bandwidth
+from .kernels import KernelSpec, median_bandwidth, stein_direction
 from .network import LayeredNet, net_from_dict, net_to_dict
 from .priors import PriorSpec, prior_score
 
@@ -40,9 +40,11 @@ __all__ = [
     "condense_ensemble",
     "active_param_count",
     "ensemble_distances",
+    "median_distance",
     "save_checkpoint",
     "load_checkpoint",
     "resume_csvgd",
+    "write_text_atomically",
 ]
 
 CHECKPOINT_FORMAT_TAG = "csvgd-checkpoint-v1"
@@ -172,7 +174,9 @@ def ensemble_distances(ensemble: Ensemble) -> np.ndarray:
     return gc.distance_matrix(_weight_columns(ensemble))
 
 
-def _median_offdiag(D: np.ndarray) -> float:
+def median_distance(ensemble: Ensemble) -> float:
+    """Median of ``ensemble_distances`` over particle pairs; NaN without pairs."""
+    D = ensemble_distances(ensemble)
     n = D.shape[0]
     if n < 2:
         return float("nan")
@@ -180,11 +184,11 @@ def _median_offdiag(D: np.ndarray) -> float:
 
 
 def _resolve_gamma(config: SvgdConfig, ensemble: Ensemble,
-                   median_distance: float | None = None) -> float:
+                   median: float | None = None) -> float:
     if config.kernel.bandwidth_rule == "median":
-        if median_distance is None:
-            median_distance = _median_offdiag(ensemble_distances(ensemble))
-        return median_bandwidth(median_distance, ensemble.n_particles)
+        if median is None:
+            median = median_distance(ensemble)
+        return median_bandwidth(median, ensemble.n_particles)
     return config.kernel.gamma
 
 
@@ -205,21 +209,9 @@ def stein_gradient(ensemble: Ensemble, scores, config: SvgdConfig,
         prior = config.prior
     if prior is not None:
         S = S + prior_score(prior, P, config.prior_dead_zone)
-    n = ensemble.n_particles
-    beta = config.kernel.beta
     g = _resolve_gamma(config, ensemble) if gamma is None else gamma
-
-    diff = P[:, None, :] - P[None, :, :]               # diff[a,b] = t_a - t_b
-    K = np.exp(-(np.abs(diff) ** beta).sum(axis=-1) / (g * beta))
-    drive = K @ S / n
-    if beta == 2:
-        rep = diff * K[:, :, None]
-    else:
-        rep = np.sign(diff) * K[:, :, None]
-    if config.axis_mask_threshold > 0:
-        near = np.abs(P) < config.axis_mask_threshold
-        rep = np.where(near[:, None, :] & near[None, :, :], 0.0, rep)
-    return drive + rep.sum(axis=1) / (n * g)
+    near = np.abs(P) < config.axis_mask_threshold
+    return stein_direction(config.kernel, P, S, g, near)
 
 
 def svgd_step(ensemble: Ensemble, gradients, config: SvgdConfig,
@@ -281,8 +273,7 @@ def run_stage(ensemble: Ensemble, target, config: SvgdConfig,
     mse = None
     for _ in range(budget):
         scores, mse = _particle_scores(ensemble, target)
-        D = gc.distance_matrix(_weight_columns(ensemble))
-        med = _median_offdiag(D)
+        med = median_distance(ensemble)
         gamma = _resolve_gamma(config, ensemble, med)
         g = stein_gradient(ensemble, scores, config, gamma=gamma, prior=prior)
         ensemble = svgd_step(ensemble, g, config, opt_state)
@@ -500,12 +491,17 @@ def save_checkpoint(path, state: _RunState) -> None:
             "rng_state": ens.rng.bit_generator.state,
         },
     }
+    write_text_atomically(path, json.dumps(doc))
+
+
+def write_text_atomically(path, text: str) -> None:
+    """Write ``text`` to ``<name>.tmp`` beside ``path``, then rename it over
+    ``path``: an interrupted write leaves the previous file whole."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    # write-then-rename: an interrupted write leaves the previous file whole
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(json.dumps(doc))
+        tmp.write_text(text, newline="")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -20,7 +21,8 @@ import numpy as np
 from . import condense as gc
 from .engine import (Ensemble, SvgdConfig, active_param_count,
                      ensemble_distances, init_net_ensemble,
-                     init_vector_ensemble, load_checkpoint, run_csvgd)
+                     init_vector_ensemble, load_checkpoint, median_distance,
+                     run_csvgd, write_text_atomically)
 from .kernels import KernelSpec
 from .likelihoods import MvnTarget, RegressionTarget, save_dataset
 from .mechanics import (HyperelasticData, StressRegressionModel, TruthParams,
@@ -188,19 +190,16 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path, header, rows) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([_fmt(v) for v in row])
+    write_text_atomically(path, buf.getvalue())
 
 
 def _write_json(path, doc) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1))
+    write_text_atomically(path, json.dumps(doc, indent=1))
 
 
 def _run_stub(out_dir, cfg: RunConfig, command_line: str | None) -> None:
@@ -409,12 +408,10 @@ def cmd_hyperelastic(cfg: RunConfig, command_line: str | None = None) -> int:
                ("delta", "f11", "w1", "w1_ma11"),
                zip(data.test_delta, data.test_f11, per_point,
                    moving_average(per_point, 11)))
-    D = ensemble_distances(ensemble)
-    med = float(np.median(D[np.triu_indices(len(D), 1)])) if len(D) > 1 else None
     log.add(ensemble.iteration, ensemble.stage,
             report.stages[-1].lam if report.stages else cfg.prior_lambda,
             report.stages[-1].final_mse if report.stages else None,
-            w1_total, None, report.final_active_params, med)
+            w1_total, None, report.final_active_params, median_distance(ensemble))
     log.write(out / "metrics.csv")
     summary = {
         "w1_sum": w1_total,
@@ -438,8 +435,10 @@ def cmd_hyperelastic(cfg: RunConfig, command_line: str | None = None) -> int:
 def cmd_sweep(cfg: RunConfig, command_line: str | None = None) -> int:
     """Cartesian grid over (alpha, beta, lambda, gamma); one CSV row per cell.
 
-    Resumable: existing rows in cells.csv are reused; the file is rewritten
-    in deterministic grid order at the end.
+    Resumable: existing rows in cells.csv are reused.  The file is rewritten
+    whole, in grid order, after every computed cell and at the end, each time
+    through a temporary file, so an interrupted write never leaves a partial
+    row behind.
     """
     out = Path(cfg.out_dir)
     _run_stub(out, cfg, command_line)
@@ -468,11 +467,7 @@ def cmd_sweep(cfg: RunConfig, command_line: str | None = None) -> int:
                                             bandwidth_rule="fixed")
                     row = key + (_fmt(s["bhattacharyya"]), _fmt(s["sparsity_theta3"]))
                     rows.append(row)
-                    with open(path, "a" if path.exists() else "w", newline="") as fh:
-                        w = csv.writer(fh)
-                        if fh.tell() == 0:
-                            w.writerow(header)
-                        w.writerow(row)
+                    _write_csv(path, header, rows)
     _write_csv(path, header, rows)
     print(f"sweep: {len(rows)} cells -> {path}")
     return 0

@@ -125,3 +125,36 @@ def per_particle_score_and_mse(target, template, particles):
         scores.append(s / target.noise_var)
         mses.append(float(np.mean(r * r)))
     return np.stack(scores), np.array(mses)
+
+
+def broadcast_power_sum(P, beta):
+    """sum_i |a_i - b_i|^beta over all row pairs via one (N, N, D) broadcast,
+    the formula the blocked pairwise passes replaced."""
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    return (np.abs(P[:, None, :] - P[None, :, :]) ** beta).sum(axis=-1)
+
+
+def broadcast_distance_matrix(P):
+    return np.sqrt(np.maximum(broadcast_power_sum(P, 2), 0.0))
+
+
+def broadcast_kernel_matrix(P, beta, gamma):
+    return np.exp(-broadcast_power_sum(P, beta) / (gamma * beta))
+
+
+def broadcast_stein_direction(P, S, beta, gamma, threshold):
+    """The (N, N, D) Stein direction: drive plus the masked repulsion summed
+    over an explicit tensor of pairwise differences."""
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    n = len(P)
+    diff = P[:, None, :] - P[None, :, :]
+    K = np.exp(-(np.abs(diff) ** beta).sum(axis=-1) / (gamma * beta))
+    drive = K @ S / n
+    if beta == 2:
+        rep = diff * K[:, :, None]
+    else:
+        rep = np.sign(diff) * K[:, :, None]
+    if threshold > 0:
+        near = np.abs(P) < threshold
+        rep = np.where(near[:, None, :] & near[None, :, :], 0.0, rep)
+    return drive + rep.sum(axis=1) / (n * gamma)

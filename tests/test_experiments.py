@@ -156,6 +156,15 @@ class TestHyperelasticCommand:
         off = json.loads(Path(cfg_off.out_dir, "summary.json").read_text())
         assert off["active_params"] >= on["active_params"]
 
+    def test_single_particle_median_reads_nan_on_every_row(self, tmp_path):
+        # no particle pairs: the final row must agree with the iteration rows
+        cfg = small_hyper_config(tmp_path, n_particles=1)
+        assert cmd_hyperelastic(cfg) == 0
+        rows = read_csv(Path(cfg.out_dir) / "metrics.csv")
+        col = rows[0].index("median_pairwise_distance")
+        assert len(rows) > 2
+        assert [r[col] for r in rows[1:]] == ["nan"] * (len(rows) - 1)
+
 
 class TestSweepCommand:
     def test_grid_row_count_and_layout(self, tmp_path):
@@ -194,6 +203,45 @@ class TestSweepCommand:
             csv.writer(fh).writerows(rows[:-1])
         cmd_sweep(cfg)
         assert path.read_bytes() == first
+
+    def test_interrupted_cell_write_then_resume_matches_uninterrupted(
+            self, tmp_path, monkeypatch):
+        def sweep_cfg(name):
+            return RunConfig(experiment="sweep", seed=5, out_dir=str(tmp_path / name),
+                             n_particles=12, max_iters=60, bandwidth_rule="fixed",
+                             sweep_lambdas=(0.1, 1.0), sweep_gammas=(0.5,))
+
+        whole = sweep_cfg("whole")
+        cmd_sweep(whole)
+        expected = (Path(whole.out_dir) / "cells.csv").read_bytes()
+
+        cut = sweep_cfg("cut")
+        real_writer = csv.writer
+
+        class HalfRowThenFail:
+            """Writes the second cell's row up to the middle of its
+            bhattacharyya value, then fails like a killed process."""
+
+            def __init__(self, fh):
+                self.fh = fh
+                self.inner = real_writer(fh)
+
+            def writerow(self, row):
+                if list(row[:3]) == ["1.0", "2", "1.0"]:
+                    bh = row[4]
+                    self.fh.write(",".join(row[:4]) + "," + bh[:len(bh) // 2])
+                    raise KeyboardInterrupt
+                return self.inner.writerow(row)
+
+        with monkeypatch.context() as m:
+            m.setattr(csv, "writer", HalfRowThenFail)
+            with pytest.raises(KeyboardInterrupt):
+                cmd_sweep(cut)
+        cmd_sweep(cut)
+        path = Path(cut.out_dir) / "cells.csv"
+        assert path.read_bytes() == expected
+        assert sorted(p.name for p in path.parent.iterdir()) == [
+            "README.txt", "cells.csv", "config.json"]
 
 
 class TestCondenseInspect:

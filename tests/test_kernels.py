@@ -1,15 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from csvgd.engine import Ensemble, SvgdConfig, _resolve_gamma
+from csvgd.condense import distance_matrix
+from csvgd.engine import Ensemble, SvgdConfig, _resolve_gamma, stein_gradient
 from csvgd.errors import DomainError, ShapeError
-from csvgd.kernels import (BANDWIDTH_FLOOR, KernelSpec, kernel_eval, kernel_grad,
-                           kernel_matrix, median_bandwidth, silverman_bandwidth)
+from csvgd.kernels import (BANDWIDTH_FLOOR, BLOCK_ELEMENTS, KernelSpec, kernel_eval,
+                           kernel_grad, kernel_matrix, median_bandwidth,
+                           silverman_bandwidth)
 
-from _oracles import fd_gradient
+from _oracles import (broadcast_distance_matrix, broadcast_kernel_matrix,
+                      broadcast_stein_direction, fd_gradient)
 
 
 class TestEval:
@@ -146,3 +151,96 @@ class TestSpecValidation:
     def test_bandwidth_rule_names(self):
         with pytest.raises(DomainError):
             KernelSpec(2, 1.0, "adaptive-ish")
+
+
+def _direction(P, S, beta, gamma, threshold):
+    config = SvgdConfig(step_size=0.1, max_iters=1, kernel=KernelSpec(beta, gamma),
+                        axis_mask_threshold=threshold)
+    return stein_gradient(Ensemble(P, None, np.random.default_rng(0)), S, config,
+                          gamma=gamma)
+
+
+class TestPairwiseLayer:
+    """The blocked pairwise passes against the (N, N, D) broadcast formulas."""
+
+    # 53 rows of 1000 coordinates come in blocks of 4 rows, the last one short
+    SHAPES = [(53, 1000), (1, 4), (6, 3)]
+
+    def _cloud(self, rng, n, d):
+        # a third of the coordinates inside the 1e-2 axis band
+        P = rng.normal(scale=0.5, size=(n, d))
+        P[rng.random(size=(n, d)) < 1 / 3] *= 1e-3
+        return P, rng.normal(size=(n, d))
+
+    def test_shapes_cover_a_short_last_block(self):
+        n, d = self.SHAPES[0]
+        rows = BLOCK_ELEMENTS // (n * d)
+        assert 1 < rows < n and n % rows
+
+    @pytest.mark.parametrize("n,d", SHAPES)
+    def test_distances_and_kernel_matrix_equal_broadcast(self, rng, n, d):
+        P, _ = self._cloud(rng, n, d)
+        assert np.array_equal(distance_matrix(P), broadcast_distance_matrix(P))
+        for beta in (1, 2):
+            gamma = 0.3 * d
+            assert np.array_equal(kernel_matrix(KernelSpec(beta, gamma), P),
+                                  broadcast_kernel_matrix(P, beta, gamma))
+
+    @pytest.mark.parametrize("n,d", SHAPES)
+    @pytest.mark.parametrize("threshold", [0.0, 1e-2])
+    def test_beta1_direction_equals_broadcast(self, rng, n, d, threshold):
+        P, S = self._cloud(rng, n, d)
+        gamma = 0.3 * d
+        assert np.array_equal(_direction(P, S, 1, gamma, threshold),
+                              broadcast_stein_direction(P, S, 1, gamma, threshold))
+
+    @pytest.mark.parametrize("n,d", SHAPES)
+    @pytest.mark.parametrize("threshold", [0.0, 1e-2])
+    def test_beta2_direction_matches_broadcast(self, rng, n, d, threshold):
+        P, S = self._cloud(rng, n, d)
+        # near-diagonal K at the smaller gammas; zero scores leave the
+        # repulsion alone, where a kernel diagonal left in would show
+        for gamma in (0.3 * d, 0.03 * d, 1e-3 * d):
+            for scores in (S, np.zeros_like(S)):
+                old = broadcast_stein_direction(P, scores, 2, gamma, threshold)
+                new = _direction(P, scores, 2, gamma, threshold)
+                assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
+
+    @pytest.mark.parametrize("beta", [1, 2])
+    def test_band_coordinates_get_exactly_zero_repulsion(self, rng, beta):
+        P = rng.normal(size=(9, 4))
+        P[:, 1] = rng.uniform(-9e-3, 9e-3, size=9)   # every particle in the band
+        g = _direction(P, np.zeros_like(P), beta, 0.7, 1e-2)
+        assert np.all(g[:, 1] == 0.0)
+        assert np.all(g[:, [0, 2, 3]] != 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), beta=st.sampled_from([1, 2]),
+           n=st.integers(1, 8), d=st.integers(1, 5))
+    def test_permuting_particles_permutes_the_direction(self, data, beta, n, d):
+        P = data.draw(arrays(float, (n, d), elements=st.floats(-3.0, 3.0)))
+        S = data.draw(arrays(float, (n, d), elements=st.floats(-3.0, 3.0)))
+        perm = np.array(data.draw(st.permutations(range(n))), dtype=int)
+        g = _direction(P, S, beta, 0.8, 1e-2)
+        gp = _direction(P[perm], S[perm], beta, 0.8, 1e-2)
+        assert gp == pytest.approx(g[perm], rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("call", ["stein_b1", "stein_b2", "distance"])
+    def test_peak_memory_bounded_at_wide_particles(self, rng, call):
+        # the broadcast formulas peak at 975 MiB (Stein) and 312 MiB (distances)
+        P = rng.standard_normal((200, 1020))
+        if call == "distance":
+            def run():
+                distance_matrix(P)
+        else:
+            S = np.zeros_like(P)
+
+            def run():
+                _direction(P, S, int(call[-1]), 1020.0, 1e-2)
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
