@@ -22,7 +22,8 @@ import numpy as np
 
 from . import condense as gc
 from .errors import CheckpointError, NonFiniteGradientError, ShapeError
-from .kernels import KernelSpec, median_bandwidth, stein_direction
+from .kernels import (KernelSpec, median_bandwidth, pairwise_square_sums,
+                      stein_direction)
 from .network import LayeredNet, net_from_dict, net_to_dict
 from .priors import PriorSpec, prior_score
 
@@ -162,11 +163,31 @@ def init_net_ensemble(template: LayeredNet, n_particles: int, seed: int) -> Ense
     return Ensemble(particles, template, rng)
 
 
-def _weight_columns(ensemble: Ensemble) -> np.ndarray:
-    """Particle rows restricted to weight coordinates (biases excluded)."""
+def _weight_mask(ensemble: Ensemble) -> np.ndarray:
+    """Weight (non-bias) coordinates; all of them for raw-vector particles."""
     if ensemble.template is None:
-        return ensemble.particles
-    return ensemble.particles[:, ensemble.template.weight_flat_mask()]
+        return np.ones(ensemble.particles.shape[1], dtype=bool)
+    return ensemble.template.weight_flat_mask()
+
+
+def _weight_columns(ensemble: Ensemble) -> np.ndarray:
+    """C-contiguous particle rows restricted to weight coordinates.
+
+    Contiguous rows give every distance over them the summation order that
+    ``pairwise_square_sums`` uses in the run."""
+    return np.ascontiguousarray(ensemble.particles[:, _weight_mask(ensemble)])
+
+
+def _distance_pass(ensemble: Ensemble) -> tuple[float, np.ndarray]:
+    """The median pairwise distance over the weight coordinates (NaN without
+    pairs) and the pairwise squared distances over all coordinates (the
+    beta=2 kernel's), from one pass over the rows with their weights first."""
+    P, m = ensemble.particles, _weight_mask(ensemble)
+    pairs, all_sq = pairwise_square_sums(
+        np.concatenate([P[:, m], P[:, ~m]], axis=1), int(m.sum()))
+    if not pairs.size:
+        return float("nan"), all_sq
+    return float(np.median(np.sqrt(pairs, out=pairs), overwrite_input=True)), all_sq
 
 
 def ensemble_distances(ensemble: Ensemble) -> np.ndarray:
@@ -176,11 +197,7 @@ def ensemble_distances(ensemble: Ensemble) -> np.ndarray:
 
 def median_distance(ensemble: Ensemble) -> float:
     """Median of ``ensemble_distances`` over particle pairs; NaN without pairs."""
-    D = ensemble_distances(ensemble)
-    n = D.shape[0]
-    if n < 2:
-        return float("nan")
-    return float(np.median(D[np.triu_indices(n, k=1)]))
+    return _distance_pass(ensemble)[0]
 
 
 def _resolve_gamma(config: SvgdConfig, ensemble: Ensemble,
@@ -194,12 +211,17 @@ def _resolve_gamma(config: SvgdConfig, ensemble: Ensemble,
 
 def stein_gradient(ensemble: Ensemble, scores, config: SvgdConfig,
                    gamma: float | None = None,
-                   prior: PriorSpec | None = None) -> np.ndarray:
+                   prior: PriorSpec | None = None,
+                   sq_dists: np.ndarray | None = None) -> np.ndarray:
     """Per-particle update directions, shape (n_particles, dim).
 
     ``scores`` are the likelihood scores, one row per particle; the prior
     score (with its dead zone) is added here, and the kernel repulsion is
     zeroed per coordinate whenever both particles lie inside the axis band.
+    ``sq_dists`` are the pairwise squared distances over all coordinates,
+    which ``run_stage`` takes from the pass that gives it the median; the
+    pass runs here when the median is needed (no ``gamma``) or the beta=2
+    kernel is (no ``sq_dists``).
     """
     P = ensemble.particles
     S = np.atleast_2d(np.asarray(scores, dtype=float))
@@ -209,9 +231,12 @@ def stein_gradient(ensemble: Ensemble, scores, config: SvgdConfig,
         prior = config.prior
     if prior is not None:
         S = S + prior_score(prior, P, config.prior_dead_zone)
-    g = _resolve_gamma(config, ensemble) if gamma is None else gamma
+    if gamma is None or (sq_dists is None and config.kernel.beta == 2):
+        median, sq_dists = _distance_pass(ensemble)
+        if gamma is None:
+            gamma = _resolve_gamma(config, ensemble, median)
     near = np.abs(P) < config.axis_mask_threshold
-    return stein_direction(config.kernel, P, S, g, near)
+    return stein_direction(config.kernel, P, S, gamma, near, sq_dists)
 
 
 def svgd_step(ensemble: Ensemble, gradients, config: SvgdConfig,
@@ -273,9 +298,11 @@ def run_stage(ensemble: Ensemble, target, config: SvgdConfig,
     mse = None
     for _ in range(budget):
         scores, mse = _particle_scores(ensemble, target)
-        med = median_distance(ensemble)
+        med, sq_dists = _distance_pass(ensemble)
         gamma = _resolve_gamma(config, ensemble, med)
-        g = stein_gradient(ensemble, scores, config, gamma=gamma, prior=prior)
+        g = stein_gradient(ensemble, scores, config, gamma=gamma, prior=prior,
+                           sq_dists=sq_dists)
+        del sq_dists  # N x N: free it before the next iteration's pass
         ensemble = svgd_step(ensemble, g, config, opt_state)
         mse_trace.append(mse)
         med_trace.append(med)

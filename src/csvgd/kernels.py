@@ -6,8 +6,14 @@ kappa(a, b) = exp(-(1/(gamma*beta)) * sum_i |a_i - b_i|^beta),  beta in {1, 2}.
 This module owns every pairwise pass over particles: the power sum behind
 the kernel and the distance matrix, the kernel matrix, and the Stein
 direction.  Pairwise differences are only ever formed in row blocks of at
-most ``BLOCK_ELEMENTS`` values, so memory stays bounded for any N and D; the
-beta=2 direction needs no differences at all beyond the kernel matrix.
+most ``BLOCK_ELEMENTS`` values, so memory stays bounded for any N and D.
+
+A beta=2 Stein iteration makes one pairwise pass: ``pairwise_square_sums``
+gives the squared distances over the weight coordinates (the median
+bandwidth's) and over all coordinates (the kernel's) together, from the
+pairs a <= b only, and the beta=2 direction needs nothing beyond the kernel
+matrix built from them.  beta=1 needs absolute differences, so it forms its
+kernel rows inside the sign pass of its repulsion.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ __all__ = [
     "kernel_grad",
     "kernel_matrix",
     "pairwise_power_sum",
+    "pairwise_square_sums",
     "stein_direction",
     "median_bandwidth",
     "silverman_bandwidth",
@@ -71,19 +78,25 @@ def _pair(a, b):
     return a, b
 
 
-def _difference_blocks(A, B):
-    """(rows, A[rows, None, :] - B[None, :, :]) over row blocks of A.
+def _difference_blocks(A, B, upper: bool = False):
+    """(rows, A[rows, None, :] - B[None, :, :]) over row blocks of A; with
+    ``upper``, only against the rows of B from the block's first row on.
 
-    Each block is a fresh array of at most BLOCK_ELEMENTS values (one row at
-    least) that the caller may overwrite.  Differences, not the Gram identity
+    Each block is a C-contiguous view of one buffer of at most BLOCK_ELEMENTS
+    values (one row at least), which the next block overwrites and the
+    caller may overwrite too.  Differences, not the Gram identity
     |a|^2 + |b|^2 - 2 a.b: the identity's cancellation moved the median
     bandwidth by 1e-9 relative, enough to break its pinned sqrt-scaling
     property in a 3000-example run that the differences pass.
     """
     step = max(1, BLOCK_ELEMENTS // max(1, B.size))
+    buf = np.empty(min(step, len(A)) * B.size)
     for start in range(0, len(A), step):
         rows = slice(start, start + step)
-        yield rows, A[rows, None, :] - B[None, :, :]
+        a, b = A[rows], (B[start:] if upper else B)
+        diff = buf[:a.shape[0] * b.size].reshape(a.shape[0], *b.shape)
+        np.subtract(a[:, None, :], b[None, :, :], out=diff)
+        yield rows, diff
 
 
 def pairwise_power_sum(A, B, beta: int) -> np.ndarray:
@@ -101,15 +114,46 @@ def pairwise_power_sum(A, B, beta: int) -> np.ndarray:
     return out
 
 
-def _kernel(power_sum, gamma: float, beta: int):
-    return np.exp(-power_sum / (gamma * beta))
+def pairwise_square_sums(P, head: int) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distances between particle rows over their first ``head``
+    coordinates, for the n(n-1)/2 pairs a < b in ``np.triu_indices`` order,
+    and over all coordinates, as a symmetric matrix.
+
+    One difference pass over the pairs a <= b: a - b and b - a square to the
+    same values, so the lower triangle mirrors the upper one bit for bit.
+    The head pairs equal the upper triangle of
+    ``pairwise_power_sum(P[:, :head], P[:, :head], 2)`` bit for bit, and the
+    full sum is the head sum plus the sum over the other coordinates, so
+    with no other coordinates it is the head sum exactly.
+    """
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    n = len(P)
+    head_pairs = np.empty(n * (n - 1) // 2)
+    all_sq = np.empty((n, n))
+    filled = 0
+    for rows, diff in _difference_blocks(P, P, upper=True):
+        np.square(diff, out=diff)
+        head_sq = diff[..., :head].sum(axis=-1)
+        block = all_sq[rows, rows.start:]
+        diff[..., head:].sum(axis=-1, out=block)
+        block += head_sq
+        all_sq[rows.start:, rows] = block.T
+        pairs = head_sq[np.triu(np.ones(head_sq.shape, dtype=bool), k=1)]
+        head_pairs[filled:filled + pairs.size] = pairs
+        filled += pairs.size
+    return head_pairs, all_sq
+
+
+def _kernel(power_sum, gamma: float, beta: int) -> np.ndarray:
+    K = -power_sum / (gamma * beta)
+    return np.exp(K, out=K)
 
 
 def kernel_eval(spec: KernelSpec, a, b) -> float:
     """Kernel value in (0, 1]; equals 1 iff a == b."""
     a, b = _pair(a, b)
-    return float(_kernel(pairwise_power_sum(a, b, spec.beta)[0, 0],
-                         spec.gamma, spec.beta))
+    return float(_kernel(pairwise_power_sum(a, b, spec.beta), spec.gamma,
+                         spec.beta)[0, 0])
 
 
 def kernel_grad(spec: KernelSpec, a, b) -> np.ndarray:
@@ -134,7 +178,7 @@ def kernel_matrix(spec: KernelSpec, particles, gamma: float | None = None) -> np
 
 
 def stein_direction(spec: KernelSpec, particles, scores, gamma: float,
-                    near) -> np.ndarray:
+                    near, sq_dists) -> np.ndarray:
     """Stein update direction for every particle row, shape (n, dim).
 
     g_a = (1/n) sum_b [kappa(t_b, t_a) s_b + grad_{t_b} kappa(t_b, t_a)],
@@ -143,30 +187,40 @@ def stein_direction(spec: KernelSpec, particles, scores, gamma: float,
     every pair whose two particles are both ``near`` (a boolean mask shaped
     like the particles) on that coordinate.
 
-    beta=2 uses matrix products with K0, the kernel matrix without its
-    diagonal (a particle does not repel itself), and far = 1 - near: a near
-    coordinate is repelled only by the particles that are far on it, a far
-    one by all.  Coordinates near for every particle get exactly zero.
-    beta=1 sums the signed kernel over row blocks.
+    beta=2 takes its kernel matrix from ``sq_dists``, the pairwise squared
+    distances over all coordinates, and uses matrix products with K0, that
+    matrix without its diagonal (a particle does not repel itself), and
+    far = 1 - near: a near coordinate is repelled only by the particles that
+    are far on it, a far one by all.  Coordinates near for every particle get
+    exactly zero.  beta=1 ignores ``sq_dists``: each row block of its one
+    difference pass gives the kernel rows (from |diff|) and then the signed
+    repulsion of those rows.
     """
     P = np.atleast_2d(np.asarray(particles, dtype=float))
     S = np.atleast_2d(np.asarray(scores, dtype=float))
     n = len(P)
-    K = kernel_matrix(spec, P, gamma)
-    drive = K @ S / n
     if spec.beta == 2:
-        K0 = K.copy()
+        K = _kernel(sq_dists, gamma, 2)
+        drive = K @ S / n
+        K0 = K  # the drive has used the diagonal; zero it in place
         np.fill_diagonal(K0, 0.0)
         far = 1.0 - near
         rep = np.where(near, P * (K0 @ far) - K0 @ (far * P),
                        P * K0.sum(1)[:, None] - K0 @ P)
     else:
+        K = np.empty((n, n))
         rep = np.empty_like(P)
+        far = ~near
         for rows, diff in _difference_blocks(P, P):
-            np.sign(diff, out=diff)
-            diff *= K[rows, :, None]
-            diff[near[rows, None, :] & near[None, :, :]] = 0.0
+            K[rows] = _kernel(np.abs(diff).sum(axis=-1), gamma, 1)
+            # sign(diff) * K without the slow np.sign: +-K, then 0 where diff
+            # is 0 or both particles are near.  A masked -K gives -0.0, not
+            # 0.0, but each row's own +0.0 term makes the sums bit-identical.
+            keep = (diff != 0.0) & (far[rows, None, :] | far[None, :, :])
+            np.copysign(K[rows, :, None], diff, out=diff)
+            diff *= keep
             rep[rows] = diff.sum(axis=1)
+        drive = K @ S / n
     return drive + rep / (n * gamma)
 
 

@@ -6,18 +6,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from csvgd import kernels
+from csvgd.condense import distance_matrix
 from csvgd.engine import (Ensemble, SvgdConfig, active_param_count,
-                          condense_ensemble, init_net_ensemble,
-                          init_vector_ensemble, load_checkpoint, resume_csvgd,
+                          condense_ensemble, ensemble_distances,
+                          init_net_ensemble, init_vector_ensemble,
+                          load_checkpoint, median_distance, resume_csvgd,
                           run_csvgd, run_stage, save_checkpoint, stein_gradient,
                           svgd_step)
 from csvgd.errors import NonFiniteGradientError, ShapeError
-from csvgd.kernels import KernelSpec
+from csvgd.kernels import KernelSpec, median_bandwidth
 from csvgd.likelihoods import MvnTarget
 from csvgd.mechanics import icnn_template
 from csvgd.priors import PriorSpec, prior_score
 
-from _oracles import gradient_ascent
+from _oracles import (broadcast_distance_matrix, broadcast_stein_direction,
+                      gradient_ascent)
+from conftest import bias_net
 
 
 def vector_config(**kw):
@@ -90,6 +95,65 @@ class TestSteinGradient:
         ens = make_ensemble([[0.0], [1.0]])
         with pytest.raises(ShapeError):
             stein_gradient(ens, np.zeros((3, 1)), vector_config())
+
+
+class TestSharedPairwisePass:
+    """One pairwise pass per iteration feeds both the median bandwidth
+    (weights only) and the beta=2 kernel (all coordinates)."""
+
+    def _bias_ensemble(self, rng, n=7):
+        template = bias_net(rng)
+        P = rng.normal(size=(n, template.layout.size))
+        return Ensemble(P, template, np.random.default_rng(0))
+
+    def test_weight_rows_sum_like_the_particle_rows(self):
+        # bias-free: the weight rows are the particle rows, so the distances
+        # must agree bit for bit (a column-major copy summed in another order)
+        ens = init_net_ensemble(icnn_template((3, 8, 8, 1)), 6, seed=1)
+        assert np.array_equal(ensemble_distances(ens),
+                              distance_matrix(ens.particles))
+
+    @pytest.mark.parametrize("beta", [1, 2])
+    def test_bias_carrying_template_matches_broadcast(self, rng, beta):
+        ens = self._bias_ensemble(rng)
+        P = ens.particles
+        W = P[:, ens.template.weight_flat_mask()]
+        D_old = broadcast_distance_matrix(W)
+        med_old = float(np.median(D_old[np.triu_indices(len(P), k=1)]))
+        assert ensemble_distances(ens) == pytest.approx(D_old, rel=0,
+                                                        abs=1e-12 * D_old.max())
+        assert abs(median_distance(ens) - med_old) <= 1e-12 * med_old
+        S = rng.normal(size=P.shape)
+        cfg = vector_config(kernel=KernelSpec(beta, 1.0, "median"))
+        old = broadcast_stein_direction(P, S, beta, median_bandwidth(med_old, len(P)),
+                                        cfg.axis_mask_threshold)
+        new = stein_gradient(ens, S, cfg)
+        assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
+
+    @pytest.mark.parametrize("biases", [False, True])
+    def test_beta2_iteration_makes_one_difference_pass(self, rng, monkeypatch,
+                                                       biases):
+        if biases:
+            ens = self._bias_ensemble(rng)
+        else:
+            ens = init_net_ensemble(icnn_template((2, 4, 1)), 5, seed=3)
+        passes = []
+        blocks = kernels._difference_blocks
+
+        def counted(A, B, **kw):
+            passes.append(len(A))
+            return blocks(A, B, **kw)
+
+        monkeypatch.setattr(kernels, "_difference_blocks", counted)
+        seen = [ens]
+        k = 6
+        cfg = vector_config(step_size=0.01, max_iters=k, tol=0.0, grad_norm_tol=0.0,
+                            kernel=KernelSpec(2, 1.0, "median"))
+        _, report = run_stage(ens, PullDown(1.0), cfg,
+                              on_iteration=lambda e, info: seen.append(e))
+        assert report.iterations == k
+        assert len(passes) == k
+        assert report.median_distance_trace == [median_distance(e) for e in seen[:k]]
 
 
 class TestSvgdStep:

@@ -11,10 +11,11 @@ from csvgd.engine import Ensemble, SvgdConfig, _resolve_gamma, stein_gradient
 from csvgd.errors import DomainError, ShapeError
 from csvgd.kernels import (BANDWIDTH_FLOOR, BLOCK_ELEMENTS, KernelSpec, kernel_eval,
                            kernel_grad, kernel_matrix, median_bandwidth,
+                           pairwise_power_sum, pairwise_square_sums,
                            silverman_bandwidth)
 
 from _oracles import (broadcast_distance_matrix, broadcast_kernel_matrix,
-                      broadcast_stein_direction, fd_gradient)
+                      broadcast_power_sum, broadcast_stein_direction, fd_gradient)
 
 
 class TestEval:
@@ -185,6 +186,31 @@ class TestPairwiseLayer:
             gamma = 0.3 * d
             assert np.array_equal(kernel_matrix(KernelSpec(beta, gamma), P),
                                   broadcast_kernel_matrix(P, beta, gamma))
+
+    @pytest.mark.parametrize("n,d", SHAPES)
+    def test_split_square_sums(self, rng, n, d):
+        P, _ = self._cloud(rng, n, d)
+        full = broadcast_power_sum(P, 2)
+        for head in (d, d // 2, 0):
+            head_pairs, all_sq = pairwise_square_sums(P, head)
+            H = np.ascontiguousarray(P[:, :head])
+            assert np.array_equal(head_pairs,
+                                  pairwise_power_sum(H, H, 2)[np.triu_indices(n, k=1)])
+            assert np.array_equal(all_sq, all_sq.T)
+            if head == d:
+                assert np.array_equal(all_sq, full)
+            assert np.abs(all_sq - full).max() <= 1e-12 * full.max()
+
+    @pytest.mark.parametrize("threshold", [0.0, 1e-2])
+    def test_beta1_direction_equals_broadcast_at_coincident_particles(self, rng,
+                                                                      threshold):
+        # zero differences off the diagonal and exact zero coordinates
+        P, S = self._cloud(rng, 8, 5)
+        P[:3] = P[3]
+        P[5, 1:3] = 0.0
+        P[6, 1:3] = -0.0
+        assert np.array_equal(_direction(P, S, 1, 1.5, threshold),
+                              broadcast_stein_direction(P, S, 1, 1.5, threshold))
 
     @pytest.mark.parametrize("n,d", SHAPES)
     @pytest.mark.parametrize("threshold", [0.0, 1e-2])
