@@ -76,11 +76,6 @@ class NetGraph:
     def active_counts(self) -> tuple[int, ...]:
         return tuple(int(a.sum()) for a in self.active)
 
-    def edge_set(self) -> frozenset:
-        return frozenset((k, i, j)
-                         for k, w in enumerate(self.weights)
-                         for i, j in zip(*np.nonzero(w)))
-
 
 def prune(graph: NetGraph, epsilon: float) -> NetGraph:
     """Zero edges with |w| < epsilon, then deactivate hidden nodes lacking a
@@ -94,15 +89,16 @@ def prune(graph: NetGraph, epsilon: float) -> NetGraph:
     while changed:
         changed = False
         for layer in range(1, g.n_layers - 1):
+            # Zeroing node j's row and column leaves the other nodes of the
+            # layer as they were, so a whole layer's dead nodes go at once.
             w_in, w_out = g.weights[layer - 1], g.weights[layer]
-            for j in np.flatnonzero(g.active[layer]):
-                has_in = np.any(w_in[j, :] != 0.0)
-                has_out = np.any(w_out[:, j] != 0.0)
-                if not (has_in and has_out):
-                    g.active[layer][j] = False
-                    w_in[j, :] = 0.0
-                    w_out[:, j] = 0.0
-                    changed = True
+            alive = (w_in != 0.0).any(axis=1) & (w_out != 0.0).any(axis=0)
+            dead = g.active[layer] & ~alive
+            if dead.any():
+                g.active[layer][dead] = False
+                w_in[dead, :] = 0.0
+                w_out[:, dead] = 0.0
+                changed = True
     return g
 
 
@@ -229,7 +225,7 @@ def condense_graphs(graphs: list[NetGraph], epsilon: float,
         if 0 in widths[1:-1]:
             graphs, widths = _collapse_dead_layers(graphs, widths)
         graphs = [reconcile(g, widths) for g in graphs]
-        sig = (widths, tuple(g.edge_set() for g in graphs))
+        sig = (widths, tuple((w != 0.0).tobytes() for g in graphs for w in g.weights))
         if sig == signature:
             break
         signature = sig
@@ -253,22 +249,24 @@ def dump_graph(graph: NetGraph, path) -> None:
     ``edges`` section (from_layer, from_index, to_index, weight); zero-weight
     edges are omitted.
     """
+    lines = ["nodes", "layer,index,importance,active"]
+    for layer in range(graph.n_layers):
+        if 0 < layer < graph.n_layers - 1:
+            imp = importance(graph, layer)
+        else:
+            imp = np.zeros(graph.widths[layer])
+        active = graph.active[layer].tolist()
+        lines += [f"{layer},{j},{v!r},{int(a)}"
+                  for j, (v, a) in enumerate(zip(imp.tolist(), active))]
+    lines += ["edges", "from_layer,from_index,to_index,weight"]
+    for k, mat in enumerate(graph.weights):
+        rows, cols = np.nonzero(mat)
+        values = mat[rows, cols].tolist()
+        lines += [f"{k},{j},{i},{v!r}"
+                  for i, j, v in zip(rows.tolist(), cols.tolist(), values)]
+    # the csv module's line terminator, which load_graph_dump reads back
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["nodes"])
-        w.writerow(["layer", "index", "importance", "active"])
-        for layer in range(graph.n_layers):
-            if 0 < layer < graph.n_layers - 1:
-                imp = importance(graph, layer)
-            else:
-                imp = np.zeros(graph.widths[layer])
-            for j in range(graph.widths[layer]):
-                w.writerow([layer, j, repr(float(imp[j])), int(graph.active[layer][j])])
-        w.writerow(["edges"])
-        w.writerow(["from_layer", "from_index", "to_index", "weight"])
-        for k, mat in enumerate(graph.weights):
-            for i, j in zip(*np.nonzero(mat)):
-                w.writerow([k, int(j), int(i), repr(float(mat[i, j]))])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def load_graph_dump(path) -> tuple[list[tuple], list[tuple]]:

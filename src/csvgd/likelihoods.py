@@ -114,12 +114,11 @@ class DirectNetModel:
     def prepare(self, X) -> np.ndarray:
         return np.atleast_2d(np.asarray(X, dtype=float))
 
-    def predict(self, template, particles, X) -> np.ndarray:
-        return network.forward_batch(template, X, particles)
-
-    def param_score(self, template, particles, X, residuals) -> np.ndarray:
-        """Flat gradients (N, D) of sum_b residuals[a, b] . net_a(X[b])."""
-        return network.grad_params_batch(template, X, residuals, particles)
+    def predict_and_score(self, template, particles, X):
+        """Outputs (N, n, out) and ``score_of``: residuals -> flat gradients
+        (N, D) of sum_b residuals[a, b] . net_a(X[b]), from one forward pass."""
+        rows = network.forward_pass(template, X, particles)
+        return rows.output(), rows.grad_params
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,10 @@ class RegressionTarget:
     log-likelihood (up to theta-independent constants):
         -(1/(2 sigma^2)) * sum_i |y_i - yhat(x_i; theta)|^2
 
-    The model's data-only preparation of the inputs is done once, here.
+    The model's data-only preparation of the inputs is done once, here.  A
+    model gives its predictions and its score as a function of the residuals
+    from one call, ``predict_and_score(template, particles, features) ->
+    (pred, score_of)``, so both share one forward pass.
     """
 
     dataset: Dataset
@@ -142,19 +144,20 @@ class RegressionTarget:
             raise ShapeError(f"noise_var must be > 0, got {self.noise_var}")
         object.__setattr__(self, "_inputs", self.model.prepare(self.dataset.inputs))
 
-    def _residuals(self, template, particles) -> tuple[np.ndarray, np.ndarray]:
+    def _residuals(self, template, particles):
+        """Residuals (N, n, out) and the model's score as a function of them."""
         P = np.atleast_2d(np.asarray(particles, dtype=float))
-        pred = self.model.predict(template, P, self._inputs)
+        pred, score_of = self.model.predict_and_score(template, P, self._inputs)
         if pred.shape[1:] != self.dataset.outputs.shape:
             raise ShapeError(f"model output shape {pred.shape[1:]} does not match "
                              f"data {self.dataset.outputs.shape}")
-        return P, self.dataset.outputs - pred
+        return self.dataset.outputs - pred, score_of
 
     def log_likelihood(self, template, particles) -> np.ndarray:
-        _, R = self._residuals(template, particles)
+        R, _ = self._residuals(template, particles)
         return -np.sum((R * R).reshape(len(R), -1), axis=1) / (2.0 * self.noise_var)
 
     def score_and_mse_batch(self, template, particles) -> tuple[np.ndarray, np.ndarray]:
-        P, R = self._residuals(template, particles)
-        S = self.model.param_score(template, P, self._inputs, R) / self.noise_var
+        R, score_of = self._residuals(template, particles)
+        S = score_of(R) / self.noise_var
         return S, np.mean((R * R).reshape(len(R), -1), axis=1)

@@ -202,6 +202,18 @@ class NetPotential:
                                         self.params)[..., 0, :]
 
 
+def _reference_slope(g_ref) -> np.ndarray:
+    """n = 2 d1 + 4 d2 + 2 d3 from the potential's gradient at the reference."""
+    return 2.0 * g_ref[..., 0] + 4.0 * g_ref[..., 1] + 2.0 * g_ref[..., 2]
+
+
+def _pin_reference(g, slope, inv) -> np.ndarray:
+    """Gradient rows of Phi_hat from those of Phi and the reference slope n."""
+    g = np.array(g, dtype=float)
+    g[..., 2] -= 0.5 * slope[..., None] / np.sqrt(inv[:, 2])
+    return g
+
+
 class _ReferenceNormalized:
     """Potential wrapper that pins value and stress to zero at the reference.
 
@@ -217,7 +229,7 @@ class _ReferenceNormalized:
 
     def _slope(self):
         g = self.base.gradient(np.array([REFERENCE_INVARIANTS]))[..., 0, :]
-        return 2.0 * g[..., 0] + 4.0 * g[..., 1] + 2.0 * g[..., 2]
+        return _reference_slope(g)
 
     def value(self, inv) -> np.ndarray:
         inv = np.atleast_2d(np.asarray(inv, dtype=float))
@@ -227,9 +239,7 @@ class _ReferenceNormalized:
 
     def gradient(self, inv) -> np.ndarray:
         inv = np.atleast_2d(np.asarray(inv, dtype=float))
-        g = np.array(self.base.gradient(inv), dtype=float)
-        g[..., 2] -= 0.5 * self._slope()[..., None] / np.sqrt(inv[:, 2])
-        return g
+        return _pin_reference(self.base.gradient(inv), self._slope(), inv)
 
 
 def reference_normalize(potential) -> _ReferenceNormalized:
@@ -333,29 +343,36 @@ class StressRegressionModel:
         E = np.atleast_2d(np.asarray(E_voigt, dtype=float))
         return invariants_batch(E), invariant_derivatives_batch(E)
 
-    def predict(self, template, particles, features) -> np.ndarray:
-        """Voigt stress rows of every particle, shape (N, n, 6)."""
-        inv, dI = features
-        potential = reference_normalize(NetPotential(template, particles))
-        return _stress_rows(potential.gradient(inv), dI)
+    def predict_and_score(self, template, particles, features):
+        """Voigt stress rows of every particle, shape (N, n, 6), and
+        ``score_of``: residuals (N, n, 6) -> flat gradients (N, D) of
+        sum_b residuals[a, b] . S(E[b]; theta_a).
 
-    def param_score(self, template, particles, features, residuals) -> np.ndarray:
-        """Flat gradients (N, D) of sum_b residuals[a, b] . S(E[b]; theta_a).
-
-        With u_i = r . voigt(dI_i/dE) the contraction reduces to the
+        Both read one forward pass over the strain rows and one over the
+        reference row.  With u_i = r . voigt(dI_i/dE) the score reduces to the
         parameter gradient of the input-directional derivative u . grad_I NN,
         minus the residual-weighted gradient of the normalization constant
         n(theta) = (2, 4, 2) . grad_I NN(3, 3, 1).
         """
         inv, dI = features
-        u = np.einsum("...nk,nik->...ni", residuals, dI)
-        ones = np.ones((len(inv), 1))
-        g = network.grad_params_dirderiv_batch(template, inv, u, ones, particles)
-        # d/dtheta of the n(theta) * (sqrt(I3) - 1) correction
-        w_ref = np.sum(u[..., 2] / (2.0 * np.sqrt(inv[:, 2])), axis=-1)
-        g_ref = network.grad_params_dirderiv_batch(
-            template, REFERENCE_INVARIANTS, [2.0, 4.0, 2.0], [1.0], particles)
-        return g - w_ref[..., None] * g_ref
+        rows = network.forward_pass(template, inv, particles)
+        ref = network.forward_pass(template, np.array([REFERENCE_INVARIANTS]), particles)
+        slope = _reference_slope(ref.grad_input()[..., 0, 0, :])
+        pred = _stress_rows(_pin_reference(rows.grad_input()[..., 0, :], slope, inv), dI)
+
+        def score_of(residuals) -> np.ndarray:
+            u = np.einsum("...nk,nik->...ni", residuals, dI)
+            g = rows.grad_params_dirderiv(u, np.ones((len(inv), 1)))
+            # d/dtheta of the n(theta) * (sqrt(I3) - 1) correction
+            w_ref = np.sum(u[..., 2] / (2.0 * np.sqrt(inv[:, 2])), axis=-1)
+            g_ref = ref.grad_params_dirderiv([[2.0, 4.0, 2.0]], [[1.0]])
+            return g - w_ref[..., None] * g_ref
+
+        return pred, score_of
+
+    def predict(self, template, particles, features) -> np.ndarray:
+        """Voigt stress rows of every particle, shape (N, n, 6)."""
+        return self.predict_and_score(template, particles, features)[0]
 
 
 def icnn_template(widths=(3, 30, 30, 1)) -> network.LayeredNet:

@@ -7,6 +7,14 @@ Besides the usual parameter/input gradients, the module provides the
 parameter gradient of an input-directional derivative (reverse-over-forward),
 which is what stress-style models built on input gradients need.
 
+Every pass builds on one forward pass, ``forward_pass``: it evaluates each
+link's activation once, its value and first two derivatives from one
+evaluation, and keeps them in a ``ForwardPass``.  The output, the input
+Jacobian, the parameter gradient and the reverse-over-forward gradient are
+methods that read that pass, so a model that needs a prediction and its score
+makes one forward pass for both; the ``*_batch`` functions are the one-call
+forms.
+
 Each pass evaluates ``net`` itself or, given ``params`` (N, D) of flat
 parameter rows laid out like ``net``, the N networks of a particle stack at
 once; results then gain a leading particle axis.  Inputs X are shared by all
@@ -27,7 +35,8 @@ __all__ = [
     "LayeredNet",
     "Layout",
     "softplus",
-    "sigmoid",
+    "ForwardPass",
+    "forward_pass",
     "forward_batch",
     "grad_params_batch",
     "grad_input_batch",
@@ -44,29 +53,28 @@ __all__ = [
 NET_FORMAT_TAG = "layered-net-v1"
 
 
+def _softplus_terms(z):
+    """softplus(z), sigmoid(z) and sigmoid(z) * (1 - sigmoid(z)) from one exp(-|z|).
+
+    The value is the overflow-safe max(z, 0) + log1p(exp(-|z|)); the sigmoid
+    is 1 / (1 + e) for z >= 0 and e / (1 + e) otherwise, with e = exp(-|z|).
+    """
+    e = np.exp(-np.abs(z))
+    s = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(z, 0.0) + np.log1p(e), s, s * (1.0 - s)
+
+
+def _identity_terms(z):
+    return z, np.ones_like(z), np.zeros_like(z)
+
+
+# tag -> function of z giving (value, first derivative, second derivative)
+_ACTIVATIONS = {"softplus": _softplus_terms, "identity": _identity_terms}
+
+
 def softplus(x):
     """Overflow-safe softplus: max(x,0) + log1p(exp(-|x|))."""
-    x = np.asarray(x, dtype=float)
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
-def sigmoid(x):
-    """Numerically stable logistic function."""
-    x = np.asarray(x, dtype=float)
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def _sigmoid_deriv(x):
-    s = sigmoid(x)
-    return s * (1.0 - s)
-
-
-# tag -> (value, first derivative, second derivative)
-_ACTIVATIONS = {
-    "softplus": (softplus, sigmoid, _sigmoid_deriv),
-    "identity": (lambda x: x, lambda x: np.ones_like(x), lambda x: np.zeros_like(x)),
-}
+    return _softplus_terms(np.asarray(x, dtype=float))[0]
 
 
 def _frozen(a):
@@ -232,119 +240,150 @@ def _params(net, params):
     return arrays[:net.n_links], arrays[net.n_links:]
 
 
-def _forward_pass(net, W, b, X):
-    """Returns per-link pre-activations Z and post-activations H (H[0] is X)."""
-    H = [X]
-    Z = []
+@dataclass(frozen=True, eq=False)
+class ForwardPass:
+    """One evaluation of a network on the rows of X, kept for every pass that
+    reads it, so each activation is evaluated once per link.
+
+    ``W`` and ``b`` are the weights and biases (with the particle axis for a
+    particle stack).  Per link k, ``H[k + 1]`` holds the post-activations
+    (``H[0]`` is X) and ``D1[k]``, ``D2[k]`` the activation's first and second
+    derivatives at the pre-activations.  ``single`` marks a 1-D X, whose
+    results drop the batch axis.
+    """
+
+    net: LayeredNet
+    W: tuple
+    b: tuple
+    single: bool
+    H: list
+    D1: list
+    D2: list
+
+    def output(self) -> np.ndarray:
+        """Network outputs, shape (batch, out)."""
+        return self.H[-1][..., 0, :] if self.single else self.H[-1]
+
+    def grad_input(self) -> np.ndarray:
+        """Jacobian d net(X[b]) / d X[b] for every row, shape (batch, out, in)."""
+        out = self.net.layer_widths[-1]
+        J = np.broadcast_to(np.eye(out), self.H[-1].shape + (out,))
+        for k in range(self.net.n_links - 1, -1, -1):
+            J = J @ self.W[k][..., None, :, :]
+            if k > 0:
+                J = J * self.D1[k - 1][..., None, :]
+        return J[..., 0, :, :] if self.single else J
+
+    def grad_params(self, upstream) -> np.ndarray:
+        """Flat gradient of sum_b upstream[b] . net(X[b]) with respect to all
+        parameters; ``upstream`` may carry the particle axis."""
+        n_links = self.net.n_links
+        U = _check_rows("upstream", upstream, self.single,
+                        (len(self.H[0]), self.net.layer_widths[-1]))
+        gW = [None] * n_links
+        gb = [None] * n_links
+        bar = np.broadcast_to(U, self.H[-1].shape)  # output activation is identity
+        for k in range(n_links - 1, -1, -1):
+            gW[k] = bar.swapaxes(-1, -2) @ self.H[k]
+            if self.b:
+                gb[k] = bar.sum(axis=-2)
+            if k > 0:
+                bar = (bar @ self.W[k]) * self.D1[k - 1]
+        return self.net.layout.flatten(gW + (gb if self.b else []))
+
+    def _tangents(self, u):
+        """Forward tangent pass along input directions u: per link the tangent
+        pre-activations TZ[k] = T[k] W_k' and T[k + 1] = act'(z) * TZ[k]."""
+        T = [_check_rows("direction", u, self.single, self.H[0].shape)]
+        TZ = []
+        for k in range(self.net.n_links):
+            tz = T[-1] @ self.W[k].swapaxes(-1, -2)
+            TZ.append(tz)
+            T.append(self.D1[k] * tz)
+        return T, TZ
+
+    def dirderiv(self, u) -> np.ndarray:
+        """Directional derivatives J(X[b]) @ u[b] via the tangent pass."""
+        T, _ = self._tangents(u)
+        return T[-1][..., 0, :] if self.single else T[-1]
+
+    def grad_params_dirderiv(self, u, upstream) -> np.ndarray:
+        """Flat parameter gradient of sum_b upstream[b] . (J(X[b]) @ u[b]).
+
+        Reverse pass over the tangent-augmented forward computation.  For each
+        link k with z = W h + b, tz = W t, h' = act(z), t' = act'(z) * tz, the
+        adjoints are
+
+            bar_z  = act'(z) * bar_h' + act''(z) * tz * bar_t'
+            bar_tz = act'(z) * bar_t'
+            dW    += outer(bar_z, h) + outer(bar_tz, t)
+            db    += bar_z
+
+        which yields the exact mixed second derivative d/dtheta of the
+        input-directional derivative.  ``u`` and ``upstream`` may carry the
+        particle axis.
+        """
+        n_links = self.net.n_links
+        Up = _check_rows("upstream", upstream, self.single,
+                         (len(self.H[0]), self.net.layer_widths[-1]))
+        T, TZ = self._tangents(u)
+        gW = [None] * n_links
+        gb = [None] * n_links
+        bar_h = np.zeros_like(self.H[-1])
+        bar_t = Up
+        for k in range(n_links - 1, -1, -1):
+            d1 = self.D1[k]
+            bar_z = d1 * bar_h + self.D2[k] * TZ[k] * bar_t
+            bar_tz = d1 * bar_t
+            gW[k] = bar_z.swapaxes(-1, -2) @ self.H[k] + bar_tz.swapaxes(-1, -2) @ T[k]
+            if self.b:
+                gb[k] = bar_z.sum(axis=-2)
+            bar_h = bar_z @ self.W[k]
+            bar_t = bar_tz @ self.W[k]
+        return self.net.layout.flatten(gW + (gb if self.b else []))
+
+
+def forward_pass(net: LayeredNet, X, params=None) -> ForwardPass:
+    """The forward pass every other pass builds on: ``net``, or the particle
+    stack of flat ``params`` rows, on the rows of X (a 1-D X is one sample)."""
+    X, single = _check_input(net, X)
+    W, b = _params(net, params)
+    H, D1, D2 = [X], [], []
     for k in range(net.n_links):
         z = H[-1] @ W[k].swapaxes(-1, -2)
         if b:
             z = z + b[k][..., None, :]
-        Z.append(z)
-        H.append(_ACTIVATIONS[net.activations[k]][0](z))
-    return Z, H
+        h, d1, d2 = _ACTIVATIONS[net.activations[k]](z)
+        H.append(h)
+        D1.append(d1)
+        D2.append(d2)
+    return ForwardPass(net, W, b, single, H, D1, D2)
 
 
 def forward_batch(net: LayeredNet, X, params=None) -> np.ndarray:
     """Evaluate the network on rows of X, shape (batch, in) -> (batch, out)."""
-    X, single = _check_input(net, X)
-    W, b = _params(net, params)
-    _, H = _forward_pass(net, W, b, X)
-    return H[-1][..., 0, :] if single else H[-1]
+    return forward_pass(net, X, params).output()
 
 
 def grad_params_batch(net: LayeredNet, X, upstream, params=None) -> np.ndarray:
-    """Flat gradient of sum_b upstream[b] . net(X[b]) with respect to all parameters.
-
-    ``upstream`` may carry the particle axis, one set of rows per particle.
-    """
-    X, single = _check_input(net, X)
-    W, b = _params(net, params)
-    U = _check_rows("upstream", upstream, single, (X.shape[0], net.layer_widths[-1]))
-    Z, H = _forward_pass(net, W, b, X)
-    gW = [None] * net.n_links
-    gb = [None] * net.n_links
-    bar = np.broadcast_to(U, H[-1].shape)  # output activation is identity
-    for k in range(net.n_links - 1, -1, -1):
-        gW[k] = bar.swapaxes(-1, -2) @ H[k]
-        if b:
-            gb[k] = bar.sum(axis=-2)
-        if k > 0:
-            d = _ACTIVATIONS[net.activations[k - 1]][1](Z[k - 1])
-            bar = (bar @ W[k]) * d
-    return net.layout.flatten(gW + (gb if b else []))
+    """Flat gradient of sum_b upstream[b] . net(X[b]); see ForwardPass.grad_params."""
+    return forward_pass(net, X, params).grad_params(upstream)
 
 
 def grad_input_batch(net: LayeredNet, X, params=None) -> np.ndarray:
     """Jacobian d net(X[b]) / d X[b] for every row, shape (batch, out, in)."""
-    X, single = _check_input(net, X)
-    W, b = _params(net, params)
-    Z, _ = _forward_pass(net, W, b, X)
-    out = net.layer_widths[-1]
-    J = np.broadcast_to(np.eye(out), Z[-1].shape + (out,))
-    for k in range(net.n_links - 1, -1, -1):
-        J = J @ W[k][..., None, :, :]
-        if k > 0:
-            d = _ACTIVATIONS[net.activations[k - 1]][1](Z[k - 1])
-            J = J * d[..., None, :]
-    return J[..., 0, :, :] if single else J
+    return forward_pass(net, X, params).grad_input()
 
 
 def dirderiv(net: LayeredNet, x, u) -> np.ndarray:
     """Directional derivative J(x) @ u via a forward (tangent) pass."""
-    X, single = _check_input(net, x)
-    U, _ = _check_input(net, u)
-    Z, _ = _forward_pass(net, net.weights, net.biases, X)
-    T = U
-    for k in range(net.n_links):
-        T = T @ net.weights[k].T
-        T = _ACTIVATIONS[net.activations[k]][1](Z[k]) * T
-    return T[0] if single else T
+    return forward_pass(net, x).dirderiv(u)
 
 
 def grad_params_dirderiv_batch(net: LayeredNet, X, u, upstream, params=None) -> np.ndarray:
-    """Flat parameter gradient of sum_b upstream[b] . (J(X[b]) @ u[b]).
-
-    Reverse pass over the tangent-augmented forward computation.  For each
-    link k with z = W h + b, tz = W t, h' = act(z), t' = act'(z) * tz, the
-    adjoints are
-
-        bar_z  = act'(z) * bar_h' + act''(z) * tz * bar_t'
-        bar_tz = act'(z) * bar_t'
-        dW    += outer(bar_z, h) + outer(bar_tz, t)
-        db    += bar_z
-
-    which yields the exact mixed second derivative d/dtheta of the
-    input-directional derivative.  ``u`` and ``upstream`` may carry the
-    particle axis.
-    """
-    X, single = _check_input(net, X)
-    W, b = _params(net, params)
-    Udir = _check_rows("direction", u, single, X.shape)
-    Up = _check_rows("upstream", upstream, single, (X.shape[0], net.layer_widths[-1]))
-    Z, H = _forward_pass(net, W, b, X)
-    # tangent forward
-    T = [Udir]
-    TZ = []
-    for k in range(net.n_links):
-        tz = T[-1] @ W[k].swapaxes(-1, -2)
-        TZ.append(tz)
-        T.append(_ACTIVATIONS[net.activations[k]][1](Z[k]) * tz)
-    gW = [None] * net.n_links
-    gb = [None] * net.n_links
-    bar_h = np.zeros_like(H[-1])
-    bar_t = Up
-    for k in range(net.n_links - 1, -1, -1):
-        d1 = _ACTIVATIONS[net.activations[k]][1](Z[k])
-        d2 = _ACTIVATIONS[net.activations[k]][2](Z[k])
-        bar_z = d1 * bar_h + d2 * TZ[k] * bar_t
-        bar_tz = d1 * bar_t
-        gW[k] = bar_z.swapaxes(-1, -2) @ H[k] + bar_tz.swapaxes(-1, -2) @ T[k]
-        if b:
-            gb[k] = bar_z.sum(axis=-2)
-        bar_h = bar_z @ W[k]
-        bar_t = bar_tz @ W[k]
-    return net.layout.flatten(gW + (gb if b else []))
+    """Flat parameter gradient of sum_b upstream[b] . (J(X[b]) @ u[b]); see
+    ForwardPass.grad_params_dirderiv."""
+    return forward_pass(net, X, params).grad_params_dirderiv(u, upstream)
 
 
 def param_count(net: LayeredNet, threshold: float = 0.0) -> int:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csvgd import condense as gc
 from csvgd import network as nw
@@ -7,6 +9,7 @@ from csvgd.engine import active_param_count, condense_ensemble, init_net_ensembl
 from csvgd.errors import CondenseError, DomainError, ShapeError
 from csvgd.mechanics import icnn_template
 
+from _oracles import dump_graph_csv, prune_per_node
 from conftest import random_net
 
 
@@ -49,6 +52,24 @@ class TestPrune:
     def test_negative_epsilon_rejected(self, rng):
         with pytest.raises(DomainError):
             gc.prune(graph_of(random_net(rng)), -1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(widths=st.lists(st.integers(1, 5), min_size=3, max_size=6),
+           seed=st.integers(0, 2**32 - 1), zero_share=st.floats(0.0, 0.9),
+           epsilon=st.floats(0.0, 1.0))
+    def test_layerwise_equals_per_node(self, widths, seed, zero_share, epsilon):
+        rng = np.random.default_rng(seed)
+        weights = []
+        for a, b in zip(widths[:-1], widths[1:]):
+            w = rng.uniform(-1.0, 1.0, size=(b, a))
+            w[rng.random(w.shape) < zero_share] = 0.0
+            weights.append(w)
+        g = graph_of(chain(weights))
+        for layer in range(1, len(widths) - 1):       # padding-like inactive slots
+            g.active[layer] &= rng.random(widths[layer]) < 0.8
+        got, want = gc.prune(g, epsilon), prune_per_node(g, epsilon)
+        for a, b in zip(got.weights + got.active, want.weights + want.active):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestImportance:
@@ -277,3 +298,13 @@ class TestGraphDump:
         # edge weights survive exactly
         k, j, i, w = edges[0]
         assert net.weights[k][i, j] == w
+
+    def test_bytes_equal_csv_writer_rows(self, rng, tmp_path):
+        net = random_net(rng, (3, 6, 5, 1), nonneg=(False, True, True))
+        g = graph_of(net)
+        g.weights[1][2, :] = 0.0
+        g = gc.reconcile(gc.sort_nodes(gc.prune(g, 0.1)), (3, 7, 5, 1))
+        gc.dump_graph(g, tmp_path / "one_write.txt")
+        dump_graph_csv(g, tmp_path / "rows.txt")
+        one_write = (tmp_path / "one_write.txt").read_bytes()
+        assert one_write == (tmp_path / "rows.txt").read_bytes()

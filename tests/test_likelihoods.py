@@ -8,7 +8,7 @@ from csvgd.likelihoods import (Dataset, DirectNetModel, MvnTarget,
                                RegressionTarget, load_dataset, save_dataset)
 from csvgd.mechanics import StressRegressionModel, generate_data, icnn_template
 
-from _oracles import fd_gradient, per_particle_score_and_mse
+from _oracles import fd_gradient, per_particle_score_and_mse, two_call_score_and_mse
 from conftest import bias_net, random_net
 
 MEAN = np.array([1.0, 2.0, 3.0])
@@ -149,7 +149,8 @@ def _condensed_icnn_ensemble():
 
 
 class TestBatchedScoreEquivalence:
-    """The particle-stacked score equals the per-particle formula."""
+    """The particle-stacked score equals the per-particle formula, and bit for
+    bit the two-call score (predict, then param_score) it replaced."""
 
     def _check(self, target, template, particles):
         S, m = target.score_and_mse_batch(template, particles)
@@ -157,6 +158,9 @@ class TestBatchedScoreEquivalence:
         assert S.shape == S_ref.shape and m.shape == m_ref.shape
         np.testing.assert_allclose(S, S_ref, rtol=1e-12, atol=1e-12 * np.abs(S_ref).max())
         np.testing.assert_allclose(m, m_ref, rtol=1e-12)
+        S_two, m_two = two_call_score_and_mse(target, template, particles)
+        np.testing.assert_array_equal(S, S_two)
+        np.testing.assert_array_equal(m, m_two)
 
     @pytest.mark.parametrize("n_particles", [1, 6])
     def test_stress_model_full_template(self, n_particles):
@@ -176,6 +180,37 @@ class TestBatchedScoreEquivalence:
         target = RegressionTarget(Dataset(X, rng.normal(size=(9, 2))), 0.4,
                                   DirectNetModel())
         self._check(target, nets[0], np.stack([n.flatten() for n in nets]))
+
+
+class TestOnePassScore:
+    """A score call makes one forward pass per row set."""
+
+    @staticmethod
+    def _count_passes(monkeypatch):
+        rows = []
+        forward_pass = nw.forward_pass
+
+        def counted(net, X, params=None):
+            rows.append(len(np.atleast_2d(X)))
+            return forward_pass(net, X, params)
+
+        monkeypatch.setattr(nw, "forward_pass", counted)
+        return rows
+
+    def test_stress_score_makes_one_pass_per_row_set(self, monkeypatch):
+        target = _stress_target(n_train=12)
+        ens = init_net_ensemble(icnn_template((3, 8, 8, 1)), 3, seed=2)
+        rows = self._count_passes(monkeypatch)
+        target.score_and_mse_batch(ens.template, ens.particles)
+        assert sorted(rows) == [1, 12]      # the reference row and the data rows
+
+    def test_direct_score_makes_one_pass(self, rng, monkeypatch):
+        net = bias_net(rng, (3, 5, 2))
+        target = RegressionTarget(Dataset(rng.normal(size=(7, 3)), rng.normal(size=(7, 2))),
+                                  1.0, DirectNetModel())
+        rows = self._count_passes(monkeypatch)
+        target.score_and_mse_batch(net, net.flatten()[None])
+        assert rows == [7]
 
 
 class TestDatasetIO:

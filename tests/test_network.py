@@ -6,7 +6,8 @@ import pytest
 from csvgd import network as nw
 from csvgd.errors import ShapeError
 
-from _oracles import fd_gradient
+from _oracles import (fd_gradient, sigmoid_deriv_formula, sigmoid_formula,
+                      softplus_formula)
 from conftest import bias_net, random_net
 
 
@@ -48,6 +49,29 @@ class TestForward:
         batch = nw.forward_batch(net, X)
         for b in range(7):
             assert batch[b] == pytest.approx(nw.forward_batch(net, X[b]), abs=1e-14)
+
+
+class TestActivationTerms:
+    """One evaluation gives every activation term, bit for bit the separate formulas."""
+
+    Z = np.array([0.0, -0.0, 1e-300, -1e-300, 37.0, -37.0, 700.0, -700.0, np.nan])
+
+    @staticmethod
+    def bits(a):
+        return np.asarray(a, dtype=float).view(np.uint64)
+
+    def test_softplus_terms_equal_separate_formulas(self):
+        value, d1, d2 = nw._ACTIVATIONS["softplus"](self.Z)
+        for got, want in ((value, softplus_formula(self.Z)), (d1, sigmoid_formula(self.Z)),
+                          (d2, sigmoid_deriv_formula(self.Z))):
+            np.testing.assert_array_equal(self.bits(got), self.bits(want))
+        np.testing.assert_array_equal(self.bits(nw.softplus(self.Z)),
+                                      self.bits(softplus_formula(self.Z)))
+
+    def test_identity_terms(self):
+        value, d1, d2 = nw._ACTIVATIONS["identity"](self.Z)
+        np.testing.assert_array_equal(self.bits(value), self.bits(self.Z))
+        assert d1.tolist() == [1.0] * self.Z.size and d2.tolist() == [0.0] * self.Z.size
 
 
 class TestGradParams:
