@@ -3,9 +3,9 @@
 Everything here is deliberately naive (finite differences, dense-grid
 quadrature, straight-line gradient ascent) and shares no code with the
 implementations under test.  The exceptions are the references for rewritten
-code paths (the per-particle and two-call scores, the per-node prune, the
-row-by-row graph dump): each keeps the replaced code as it was and says which
-library pieces it reuses.
+code paths (the merged-CDF W1, the per-particle and two-call scores, the
+per-node prune, the row-by-row graph dump): each keeps the replaced code as it
+was and says which library pieces it reuses.
 """
 
 import numpy as np
@@ -63,6 +63,22 @@ def w1_dense_grid(a, b, n_grid=100_000):
     fa = np.searchsorted(a, mid, side="right") / a.size
     fb = np.searchsorted(b, mid, side="right") / b.size
     return float(np.sum(np.abs(fa - fb)) * (hi - lo) / n_grid)
+
+
+def w1_merged_cdf_batch(A, B):
+    """`metrics.wasserstein1_batch` as the integral of |CDF_a - CDF_b|: both
+    samples merged by one stable argsort per row, the two CDFs as cumsums."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    n, m = A.shape[-1], B.shape[-1]
+    v = np.concatenate([A, B], axis=-1)
+    order = np.argsort(v, axis=-1, kind="stable")
+    v_sorted = np.take_along_axis(v, order, axis=-1)
+    from_a = (order < n).astype(float)
+    fa = np.cumsum(from_a, axis=-1) / n
+    fb = np.cumsum(1.0 - from_a, axis=-1) / m
+    dv = np.diff(v_sorted, axis=-1)
+    return np.sum(np.abs(fa[..., :-1] - fb[..., :-1]) * dv, axis=-1)
 
 
 def stress_cycle_integral(stress_batch_fn, A, B, n_steps=10_000):

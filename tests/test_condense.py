@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,6 +254,44 @@ class TestCondense:
         net = chain([[[0.0], [0.0]], [[0.0, 0.0]]])
         with pytest.raises(CondenseError):
             gc.condense_graphs([graph_of(net)], 1e-3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(widths=st.lists(st.integers(1, 6), min_size=3, max_size=9),
+           n_graphs=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           tie_values=st.booleans(), zero_share=st.floats(0.0, 0.9),
+           epsilon=st.sampled_from([0.0, 0.15, 0.25]) | st.floats(0.0, 1.0))
+    def test_fixpoint_within_one_pass_per_hidden_layer(
+            self, widths, n_graphs, seed, tie_values, zero_share, epsilon):
+        """Passes <= hidden layers + 1, far below max_passes = 20.
+
+        Pruning and collapsing are final after the first pass.  A layer's
+        importance sums its outgoing columns in the row order the next layer
+        had when it was sorted, so a last-bit tie can reorder it one pass
+        later: the last hidden layer is final after pass 1, the one before it
+        after pass 2, and so on, and one more pass sees no change.
+        """
+        rng = np.random.default_rng(seed)
+        n_links = len(widths) - 1
+        acts = tuple(rng.choice(["identity", "softplus"], size=n_links - 1)) + ("identity",)
+        nonneg = tuple(bool(x) for x in rng.random(n_links) < 0.5)
+        pool = np.array([0.1, 0.2, 0.3, 1 / 3, 0.6, 0.7])   # sums that tie in the last bit
+        graphs = []
+        for _ in range(n_graphs):
+            weights = []
+            for k, (a, b) in enumerate(zip(widths[:-1], widths[1:])):
+                w = (rng.choice(pool, size=(b, a)) if tie_values
+                     else rng.uniform(0.0, 1.0, size=(b, a)))
+                if not nonneg[k]:
+                    w *= rng.choice([-1.0, 1.0], size=w.shape)
+                w[rng.random(w.shape) < zero_share] = 0.0
+                weights.append(w)
+            graphs.append(graph_of(chain(weights, nonneg=nonneg, acts=acts)))
+        with mock.patch.object(gc, "common_template", wraps=gc.common_template) as passes:
+            try:
+                gc.condense_graphs(graphs, epsilon)
+            except CondenseError:
+                pass                        # a dead softplus layer, named
+        assert passes.call_count <= len(widths) - 1 < 20
 
     def test_bias_networks_rejected(self, rng):
         net = nw.LayeredNet((2, 3, 1),

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from csvgd import experiments
 from csvgd.cli import main
 from csvgd.experiments import (RunConfig, cmd_condense_inspect, cmd_hyperelastic,
                                cmd_mvn, cmd_sweep, default_config, load_config,
@@ -144,6 +145,40 @@ class TestHyperelasticCommand:
         cmd_hyperelastic(cfg)
         for p in (out / "metrics.csv", out / "w1_per_point.csv"):
             assert p.read_bytes() == before[p.name]
+
+    def test_w1_is_only_logged(self, tmp_path, monkeypatch):
+        # doubling every W1 value moves the w1 outputs and nothing else
+        base = small_hyper_config(tmp_path)
+        cmd_hyperelastic(base)
+        doubled = small_hyper_config(tmp_path)
+        doubled.out_dir = str(tmp_path / "hyp_w1x2")
+        real = experiments.pushforward_w1
+
+        def twice(model_samples, reference_samples):
+            per_point, total = real(model_samples, reference_samples)
+            return 2.0 * per_point, 2.0 * total
+
+        monkeypatch.setattr(experiments, "pushforward_w1", twice)
+        cmd_hyperelastic(doubled)
+        a, b = Path(base.out_dir), Path(doubled.out_dir)
+        names = sorted(str(p.relative_to(a)) for p in a.rglob("*") if p.is_file())
+        assert names == sorted(str(p.relative_to(b)) for p in b.rglob("*") if p.is_file())
+        trajectory = [n for n in names
+                      if n.startswith(("checkpoints/", "graphs/", "data_"))]
+        # a checkpoint per stage, two data files, a graph per stage and particle
+        assert len(trajectory) == base.num_stages * (1 + base.n_particles) + 2
+        for name in trajectory:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        rows_a, rows_b = read_csv(a / "metrics.csv"), read_csv(b / "metrics.csv")
+        w1 = rows_a[0].index("w1_sum")
+        assert len(rows_a) == len(rows_b) > 2
+        for ra, rb in zip(rows_a[1:], rows_b[1:]):
+            assert ra[:w1] + ra[w1 + 1:] == rb[:w1] + rb[w1 + 1:]
+            assert float(rb[w1]) == 2.0 * float(ra[w1])
+        sa = json.loads((a / "summary.json").read_text())
+        sb = json.loads((b / "summary.json").read_text())
+        assert sb.pop("w1_sum") == 2.0 * sa.pop("w1_sum")
+        assert sa == sb
 
     def test_condense_toggle_keeps_more_parameters(self, tmp_path):
         cfg_on = small_hyper_config(tmp_path, max_iters=100, num_stages=3)

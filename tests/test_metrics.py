@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from csvgd.errors import ShapeError
 from csvgd.metrics import (GaussianSummary, bhattacharyya, moving_average,
                            pushforward_w1, sparsity_l1, wasserstein1,
                            wasserstein1_batch)
 
-from _oracles import w1_dense_grid
+from _oracles import w1_dense_grid, w1_merged_cdf_batch
 
 
 class TestBhattacharyya:
@@ -96,6 +99,127 @@ class TestWasserstein1:
             for j in range(3):
                 assert W[i, j] == pytest.approx(wasserstein1(A[i, j], B[i, j]),
                                                 rel=1e-12)
+
+
+def assert_matches_merged_cdf(A, B):
+    """Agreement with the merged-CDF oracle within rtol 1e-12, and exactly 0
+    wherever the oracle is 0."""
+    got, want = wasserstein1_batch(A, B), w1_merged_cdf_batch(A, B)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got[want == 0.0], 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+# Small pools of repeated values force ties within and across the samples.
+TIE_POOL = [-0.0, 0.0, 0.5, -1.5, 2.0, 1e-300, -7.25]
+
+
+@st.composite
+def w1_pairs(draw, values=st.one_of(st.sampled_from(TIE_POOL),
+                                    st.floats(-1e3, 1e3))):
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    n, m = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    return (draw(arrays(float, lead + (n,), elements=values)),
+            draw(arrays(float, lead + (m,), elements=values)))
+
+
+class TestW1QuantileForm:
+    """`wasserstein1_batch` against the merged-CDF form it replaced."""
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 7), (7, 1), (3, 6), (5, 10),
+                                     (4, 6), (10, 100), (7, 11)])
+    def test_random_rows_3d(self, rng, n, m):
+        assert_matches_merged_cdf(rng.normal(size=(4, 3, n)),
+                                  rng.normal(size=(4, 3, m)) + 0.3)
+
+    def test_ties_within_and_across(self):
+        A = np.array([[1.0, 1.0, 2.0, 2.0], [0.0, 3.0, 3.0, 3.0],
+                      [-1.0, -1.0, -1.0, -1.0]])
+        B = np.array([[2.0, 1.0, 5.0], [3.0, 3.0, 0.0], [-1.0, 4.0, -1.0]])
+        assert_matches_merged_cdf(A, B)
+        assert_matches_merged_cdf(B, A)
+
+    def test_signed_zeros_are_equal_samples(self):
+        A = np.array([[-0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        B = np.array([[0.0, -0.0, 1.0], [-0.0, -0.0, -0.0]])
+        assert_matches_merged_cdf(A, B)
+        np.testing.assert_array_equal(wasserstein1_batch(A, B), 0.0)
+
+    def test_equal_laws_with_divisible_counts_are_exactly_zero(self, rng):
+        # n | m: B repeats each of A's values m / n times, so the laws agree
+        A = rng.normal(size=(5, 4))
+        B = np.repeat(A, 3, axis=-1)[:, rng.permutation(12)]
+        assert_matches_merged_cdf(A, B)
+        np.testing.assert_array_equal(wasserstein1_batch(A, B), 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=w1_pairs())
+    def test_matches_merged_cdf(self, pair):
+        assert_matches_merged_cdf(*pair)
+
+
+class TestW1Properties:
+    @settings(max_examples=200, deadline=None)
+    @given(pair=w1_pairs())
+    def test_exact_symmetry(self, pair):
+        A, B = pair
+        np.testing.assert_array_equal(wasserstein1_batch(A, B),
+                                      wasserstein1_batch(B, A))
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=w1_pairs(), seed=st.integers(0, 2**32 - 1))
+    def test_exact_permutation_invariance(self, pair, seed):
+        A, B = pair
+        rng = np.random.default_rng(seed)
+        shuffled = rng.permuted(A, axis=-1), rng.permuted(B, axis=-1)
+        np.testing.assert_array_equal(wasserstein1_batch(*shuffled),
+                                      wasserstein1_batch(A, B))
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=w1_pairs(), k=st.integers(-8, 8), c=st.floats(1e-3, 1e3))
+    def test_positive_homogeneity(self, pair, k, c):
+        A, B = pair
+        w = wasserstein1_batch(A, B)
+        # a power of two scales every sample and gap exactly (no subnormals
+        # here: the smallest nonzero sample is 1e-300)
+        np.testing.assert_array_equal(wasserstein1_batch(2.0**k * A, 2.0**k * B),
+                                      2.0**k * w)
+        # otherwise rounding c * x moves each gap by up to eps * c * |x|
+        scale = c * max(np.abs(A).max(), np.abs(B).max())
+        np.testing.assert_allclose(wasserstein1_batch(c * A, c * B), c * w,
+                                   rtol=1e-12, atol=4e-16 * scale)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=w1_pairs(), data=st.data())
+    def test_nan_sample_spoils_only_its_row(self, pair, data):
+        A, B = pair
+        rows_a, rows_b = A.reshape(-1, A.shape[-1]), B.reshape(-1, B.shape[-1])
+        row = data.draw(st.integers(0, len(rows_a) - 1))
+        side = data.draw(st.sampled_from(["a", "b"]))
+        target = rows_a if side == "a" else rows_b
+        spoiled = target.copy()
+        spoiled[row, data.draw(st.integers(0, target.shape[1] - 1))] = np.nan
+        args = (spoiled, rows_b) if side == "a" else (rows_a, spoiled)
+        got, clean = wasserstein1_batch(*args), wasserstein1_batch(rows_a, rows_b)
+        assert np.isnan(got[row])
+        keep = np.arange(len(got)) != row
+        np.testing.assert_array_equal(got[keep], clean[keep])
+
+
+class TestW1EmptySamples:
+    @pytest.mark.parametrize("shape_a,shape_b", [((3, 0), (3, 4)), ((3, 4), (3, 0)),
+                                                 ((2, 0), (2, 0))])
+    def test_batch_rejects_empty_sample_axis(self, shape_a, shape_b):
+        with pytest.raises(ShapeError):
+            wasserstein1_batch(np.zeros(shape_a), np.zeros(shape_b))
+
+    def test_pushforward_rejects_zero_model_samples(self, rng):
+        with pytest.raises(ShapeError):
+            pushforward_w1(np.zeros((5, 6, 0)), rng.normal(size=(5, 6, 10)))
+
+    def test_scalar_samples_rejected(self):
+        with pytest.raises(ShapeError):
+            wasserstein1_batch(1.0, [1.0, 2.0])
 
 
 class TestPushforward:
