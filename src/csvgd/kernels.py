@@ -8,12 +8,21 @@ the kernel and the distance matrix, the kernel matrix, and the Stein
 direction.  Pairwise differences are only ever formed in row blocks of at
 most ``BLOCK_ELEMENTS`` values, so memory stays bounded for any N and D.
 
+The power sums take one of two layouts, by row width.  Rows of
+``PAIRWISE_SUM_MIN`` coordinates or more form (rows, cols, D) differences
+and sum them along the row.  Narrower rows (the MVN example's D=3) form one
+(rows, cols) coordinate plane at a time from a coordinate-major copy and add
+the planes from the left, so no numpy inner loop runs over a handful of
+coordinates per pair.  Both give the same bits: numpy sums fewer than 8
+contiguous values from the left too.
+
 A beta=2 Stein iteration makes one pairwise pass: ``pairwise_square_sums``
 gives the squared distances over the weight coordinates (the median
 bandwidth's) and over all coordinates (the kernel's) together, from the
 pairs a <= b only, and the beta=2 direction needs nothing beyond the kernel
 matrix built from them.  beta=1 needs absolute differences, so it forms its
-kernel rows inside the sign pass of its repulsion.
+kernel rows inside the sign pass of its repulsion, in the row-major layout
+at every width: its repulsion sums over the particles, not the coordinates.
 """
 
 from __future__ import annotations
@@ -43,9 +52,16 @@ BANDWIDTH_FLOOR = 1e-6
 # Most differences held at once by a pairwise pass: 2**18 float64 values,
 # 2 MiB, which fits a core's 2 MiB L2 share on a 2-core Xeon.  There, with
 # one BLAS thread, the N=200, D=1020 distance pass took 60 ms per call at
-# 2**18, 65 ms at 2**20 and 140 ms unblocked; the N=1000, D=3 pass took
-# 30-34 ms at every size from 2**16 up and unblocked.
+# 2**18, 65 ms at 2**20 and 140 ms unblocked.  Narrow rows hold one
+# coordinate plane of this size at a time: the N=512, D=3 squared-distance
+# pass took 2.7 ms per call in planes, against 11.4 ms row-major.
 BLOCK_ELEMENTS = 2**18
+
+# numpy's add.reduce adds fewer than 8 contiguous values one by one from the
+# left and switches to an 8-way pairwise order at 8.  Below this width, a
+# row's coordinates summed in place and its coordinate planes added from the
+# left give the same bits, so narrow rows take the plane pass.
+PAIRWISE_SUM_MIN = 8
 
 
 @dataclass(frozen=True)
@@ -99,12 +115,50 @@ def _difference_blocks(A, B, upper: bool = False):
         yield rows, diff
 
 
+def _plane_blocks(A, B, upper: bool = False):
+    """The narrow rows' counterpart of ``_difference_blocks``: (rows, a, b,
+    plane) over row blocks of A, where a and b hold the coordinates of the
+    block's rows of A and of the rows of B (with ``upper``, from the block's
+    first row on) as C-contiguous coordinate rows, and plane is a (rows,
+    cols) buffer of at most BLOCK_ELEMENTS values (one row at least) that
+    the next block reuses."""
+    AT, BT = np.ascontiguousarray(A.T), np.ascontiguousarray(B.T)
+    step = max(1, BLOCK_ELEMENTS // max(1, len(B)))
+    buf = np.empty(min(step, len(A)) * len(B))
+    for start in range(0, len(A), step):
+        rows = slice(start, start + step)
+        a, b = AT[:, rows], (BT[:, start:] if upper else BT)
+        yield rows, a, b, buf[:a.shape[1] * b.shape[1]].reshape(a.shape[1], -1)
+
+
+def _plane_power_sum(a, b, beta: int, out, plane):
+    """out[i, j] = sum_k |a[k, i] - b[k, j]|^beta, the coordinate planes added
+    from the left: bit for bit what add.reduce gives along rows narrower
+    than PAIRWISE_SUM_MIN.  ``plane`` is scratch shaped like ``out``."""
+    power = np.square if beta == 2 else np.abs
+    if not len(a):
+        out.fill(0.0)
+    for k in range(len(a)):
+        term = plane if k else out
+        np.subtract(a[k, :, None], b[k, None, :], out=term)
+        power(term, out=term)
+        if k:
+            out += term
+    return out
+
+
 def pairwise_power_sum(A, B, beta: int) -> np.ndarray:
     """sum_i |a_i - b_i|^beta, beta in {1, 2}, for every row a of A and row b
     of B."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
+    if A.shape[1] != B.shape[1]:
+        raise ShapeError(f"row lengths differ: {A.shape[1]} vs {B.shape[1]}")
     out = np.empty((len(A), len(B)))
+    if A.shape[1] < PAIRWISE_SUM_MIN:
+        for rows, a, b, plane in _plane_blocks(A, B):
+            _plane_power_sum(a, b, beta, out[rows], plane)
+        return out
     for rows, diff in _difference_blocks(A, B):
         if beta == 2:
             np.square(diff, out=diff)
@@ -114,13 +168,39 @@ def pairwise_power_sum(A, B, beta: int) -> np.ndarray:
     return out
 
 
+def _upper_square_sums(P, head: int, all_sq):
+    """Over row blocks of P: write the squared distances from the block's
+    rows to the rows from its first row on into ``all_sq[rows, rows.start:]``
+    and yield (rows, the same over the first ``head`` coordinates)."""
+    if P.shape[1] < PAIRWISE_SUM_MIN:
+        for rows, a, b, plane in _plane_blocks(P, P, upper=True):
+            block = all_sq[rows, rows.start:]
+            if head == len(a):  # no other coordinates: the sums are the same
+                yield rows, _plane_power_sum(a, b, 2, block, plane)
+                continue
+            head_sq = _plane_power_sum(a[:head], b[:head], 2,
+                                       np.empty_like(plane), plane)
+            _plane_power_sum(a[head:], b[head:], 2, block, plane)
+            block += head_sq
+            yield rows, head_sq
+        return
+    for rows, diff in _difference_blocks(P, P, upper=True):
+        np.square(diff, out=diff)
+        head_sq = diff[..., :head].sum(axis=-1)
+        block = all_sq[rows, rows.start:]
+        diff[..., head:].sum(axis=-1, out=block)
+        block += head_sq
+        yield rows, head_sq
+
+
 def pairwise_square_sums(P, head: int) -> tuple[np.ndarray, np.ndarray]:
     """Squared distances between particle rows over their first ``head``
     coordinates, for the n(n-1)/2 pairs a < b in ``np.triu_indices`` order,
     and over all coordinates, as a symmetric matrix.
 
-    One difference pass over the pairs a <= b: a - b and b - a square to the
-    same values, so the lower triangle mirrors the upper one bit for bit.
+    One difference pass over the pairs a <= b, in either layout (see the
+    module docstring): a - b and b - a square to the same values, so the
+    lower triangle mirrors the upper one bit for bit.
     The head pairs equal the upper triangle of
     ``pairwise_power_sum(P[:, :head], P[:, :head], 2)`` bit for bit, and the
     full sum is the head sum plus the sum over the other coordinates, so
@@ -131,14 +211,10 @@ def pairwise_square_sums(P, head: int) -> tuple[np.ndarray, np.ndarray]:
     head_pairs = np.empty(n * (n - 1) // 2)
     all_sq = np.empty((n, n))
     filled = 0
-    for rows, diff in _difference_blocks(P, P, upper=True):
-        np.square(diff, out=diff)
-        head_sq = diff[..., :head].sum(axis=-1)
-        block = all_sq[rows, rows.start:]
-        diff[..., head:].sum(axis=-1, out=block)
-        block += head_sq
-        all_sq[rows.start:, rows] = block.T
-        pairs = head_sq[np.triu(np.ones(head_sq.shape, dtype=bool), k=1)]
+    for rows, head_sq in _upper_square_sums(P, head, all_sq):
+        all_sq[rows.stop:, rows] = all_sq[rows, rows.stop:].T
+        r, c = head_sq.shape
+        pairs = head_sq[np.arange(c) > np.arange(r)[:, None]]   # strict upper
         head_pairs[filled:filled + pairs.size] = pairs
         filled += pairs.size
     return head_pairs, all_sq

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, ShapeError
 
@@ -134,13 +135,20 @@ def sparsity_l1(particles, coords) -> float:
 
 
 def moving_average(x, window: int = 11) -> np.ndarray:
-    """Centered moving average with shrinking windows at the edges."""
+    """Centered moving average over an odd ``window``, shrinking at the edges.
+
+    Each window is summed on its own (zero padding fills the edges, then the
+    sum is divided by the true count), so rounding scales with the window and
+    not with a running total: a window of small values after large ones
+    keeps full relative accuracy.
+    """
     x = np.asarray(x, dtype=float)
-    if window < 1:
-        raise DomainError("window must be >= 1")
+    if window < 1 or window % 2 == 0:
+        raise DomainError(f"window must be odd and >= 1, got {window}")
+    if not x.size:
+        return x.copy()
     half = window // 2
-    c = np.cumsum(np.concatenate([[0.0], x]))
-    n = x.size
-    lo = np.maximum(np.arange(n) - half, 0)
-    hi = np.minimum(np.arange(n) + half + 1, n)
-    return (c[hi] - c[lo]) / (hi - lo)
+    sums = sliding_window_view(np.pad(x, half), window).sum(axis=-1)
+    idx = np.arange(x.size)
+    counts = np.minimum(idx + half + 1, x.size) - np.maximum(idx - half, 0)
+    return sums / counts

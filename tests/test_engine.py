@@ -130,21 +130,22 @@ class TestSharedPairwisePass:
         new = stein_gradient(ens, S, cfg)
         assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
 
-    @pytest.mark.parametrize("biases", [False, True])
-    def test_beta2_iteration_makes_one_difference_pass(self, rng, monkeypatch,
-                                                       biases):
-        if biases:
-            ens = self._bias_ensemble(rng)
-        else:
-            ens = init_net_ensemble(icnn_template((2, 4, 1)), 5, seed=3)
-        passes = []
-        blocks = kernels._difference_blocks
+    def _count_passes(self, monkeypatch, ens):
+        """Run k beta=2 median-bandwidth iterations, check their median trace
+        against ``median_distance``, and return k and the pairwise passes the
+        iterations made, by layout."""
+        passes = {"rows": 0, "planes": 0}
 
-        def counted(A, B, **kw):
-            passes.append(len(A))
-            return blocks(A, B, **kw)
+        def counted(blocks, layout):
+            def wrapped(A, B, **kw):
+                passes[layout] += 1
+                return blocks(A, B, **kw)
+            return wrapped
 
-        monkeypatch.setattr(kernels, "_difference_blocks", counted)
+        monkeypatch.setattr(kernels, "_difference_blocks",
+                            counted(kernels._difference_blocks, "rows"))
+        monkeypatch.setattr(kernels, "_plane_blocks",
+                            counted(kernels._plane_blocks, "planes"))
         seen = [ens]
         k = 6
         cfg = vector_config(step_size=0.01, max_iters=k, tol=0.0, grad_norm_tol=0.0,
@@ -152,8 +153,26 @@ class TestSharedPairwisePass:
         _, report = run_stage(ens, PullDown(1.0), cfg,
                               on_iteration=lambda e, info: seen.append(e))
         assert report.iterations == k
-        assert len(passes) == k
+        made = dict(passes)
         assert report.median_distance_trace == [median_distance(e) for e in seen[:k]]
+        return k, made
+
+    @pytest.mark.parametrize("biases", [False, True])
+    def test_beta2_iteration_makes_one_difference_pass(self, rng, monkeypatch,
+                                                       biases):
+        if biases:
+            ens = self._bias_ensemble(rng)
+        else:
+            ens = init_net_ensemble(icnn_template((2, 4, 1)), 5, seed=3)
+        assert ens.particles.shape[1] >= kernels.PAIRWISE_SUM_MIN
+        k, passes = self._count_passes(monkeypatch, ens)
+        assert passes == {"rows": k, "planes": 0}
+
+    def test_beta2_iteration_makes_one_plane_pass_on_narrow_rows(self, rng,
+                                                                 monkeypatch):
+        ens = Ensemble(rng.normal(size=(9, 3)), None, np.random.default_rng(0))
+        k, passes = self._count_passes(monkeypatch, ens)
+        assert passes == {"rows": 0, "planes": k}
 
 
 class TestSvgdStep:

@@ -9,10 +9,10 @@ from hypothesis.extra.numpy import arrays
 from csvgd.condense import distance_matrix
 from csvgd.engine import Ensemble, SvgdConfig, _resolve_gamma, stein_gradient
 from csvgd.errors import DomainError, ShapeError
-from csvgd.kernels import (BANDWIDTH_FLOOR, BLOCK_ELEMENTS, KernelSpec, kernel_eval,
-                           kernel_grad, kernel_matrix, median_bandwidth,
-                           pairwise_power_sum, pairwise_square_sums,
-                           silverman_bandwidth)
+from csvgd.kernels import (BANDWIDTH_FLOOR, BLOCK_ELEMENTS, PAIRWISE_SUM_MIN,
+                           KernelSpec, kernel_eval, kernel_grad, kernel_matrix,
+                           median_bandwidth, pairwise_power_sum,
+                           pairwise_square_sums, silverman_bandwidth)
 
 from _oracles import (broadcast_distance_matrix, broadcast_kernel_matrix,
                       broadcast_power_sum, broadcast_stein_direction, fd_gradient)
@@ -164,8 +164,9 @@ def _direction(P, S, beta, gamma, threshold):
 class TestPairwiseLayer:
     """The blocked pairwise passes against the (N, N, D) broadcast formulas."""
 
-    # 53 rows of 1000 coordinates come in blocks of 4 rows, the last one short
-    SHAPES = [(53, 1000), (1, 4), (6, 3)]
+    # 53 rows of 1000 coordinates come in blocks of 4 rows and 600 rows of 3
+    # in coordinate planes of 436 rows, the last block of each short
+    SHAPES = [(53, 1000), (1, 4), (6, 3), (600, 3)]
 
     def _cloud(self, rng, n, d):
         # a third of the coordinates inside the 1e-2 axis band
@@ -177,6 +178,11 @@ class TestPairwiseLayer:
         n, d = self.SHAPES[0]
         rows = BLOCK_ELEMENTS // (n * d)
         assert 1 < rows < n and n % rows
+
+    def test_narrow_shape_covers_a_short_last_plane_block(self):
+        n, d = self.SHAPES[-1]
+        rows = BLOCK_ELEMENTS // n
+        assert d < PAIRWISE_SUM_MIN and 1 < rows < n and n % rows
 
     @pytest.mark.parametrize("n,d", SHAPES)
     def test_distances_and_kernel_matrix_equal_broadcast(self, rng, n, d):
@@ -270,3 +276,85 @@ class TestPairwiseLayer:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+def _sequential_sum(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+class TestNarrowRows:
+    """Rows narrower than PAIRWISE_SUM_MIN add coordinate planes from the
+    left; they must equal the broadcast sums along the rows bit for bit."""
+
+    def test_threshold_is_where_numpy_stops_summing_from_the_left(self):
+        # 1 then tiny values: from the left each tiny one rounds away against
+        # the 1; the pairwise order adds tiny ones together first
+        for d in (PAIRWISE_SUM_MIN - 1, PAIRWISE_SUM_MIN):
+            x = np.array([1.0] + [1e-16] * (d - 1))
+            row_major = np.tile(x, (3, 4, 1)).sum(axis=-1)
+            assert np.all(row_major == _sequential_sum(x)) == (d < PAIRWISE_SUM_MIN)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40),
+           d=st.integers(0, PAIRWISE_SUM_MIN - 1))
+    def test_sums_equal_broadcast_bit_for_bit(self, data, n, d):
+        P = data.draw(arrays(float, (n, d), elements=st.floats(-1e6, 1e6)))
+        for beta in (1, 2):
+            assert np.array_equal(pairwise_power_sum(P, P, beta),
+                                  broadcast_power_sum(P, beta))
+        for head in range(d + 1):
+            self._check_square_sums(P, head)
+
+    @pytest.mark.parametrize("head", [0, 1, 2, 3])
+    def test_square_sums_over_several_blocks(self, rng, head):
+        # 1100 rows come in planes of 238 rows, the last block 148 rows
+        P = rng.normal(size=(1100, 3)) * rng.lognormal(0.0, 3.0, size=(1100, 3))
+        assert 1100 % (BLOCK_ELEMENTS // 1100) == 148
+        self._check_square_sums(P, head)
+
+    @pytest.mark.parametrize("beta", [1, 2])
+    def test_power_sum_over_several_blocks(self, rng, beta):
+        P = rng.normal(size=(1100, 3)) * rng.lognormal(0.0, 3.0, size=(1100, 3))
+        assert np.array_equal(pairwise_power_sum(P, P, beta),
+                              broadcast_power_sum(P, beta))
+
+    def test_row_length_mismatch_rejected(self):
+        # coordinate planes would pair up only the shorter rows' coordinates
+        with pytest.raises(ShapeError):
+            pairwise_power_sum(np.zeros((2, 3)), np.zeros((4, 5)), 2)
+
+    @staticmethod
+    def _check_square_sums(P, head):
+        head_pairs, all_sq = pairwise_square_sums(P, head)
+        head_sq = broadcast_power_sum(P[:, :head], 2)
+        assert np.array_equal(head_pairs, head_sq[np.triu_indices(len(P), k=1)])
+        assert np.array_equal(all_sq, broadcast_power_sum(P[:, head:], 2) + head_sq)
+
+    @pytest.mark.parametrize("call", ["power_sum", "square_sums_all",
+                                      "square_sums_split"])
+    def test_peak_memory_is_the_output_plus_a_few_blocks(self, rng, call):
+        # an (N, N, D) difference tensor would take 96 MB on its own
+        n, d = 2000, 3
+        P = rng.standard_normal((n, d))
+        if call == "power_sum":
+            out_bytes = n * n * 8
+
+            def run():
+                pairwise_power_sum(P, P, 2)
+        else:
+            out_bytes = (n * n + n * (n - 1) // 2) * 8
+
+            def run():
+                pairwise_square_sums(P, d if call == "square_sums_all" else 1)
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # blocks: a plane, the head sums, the mirrored rows' copy, the pairs
+        # and their mask
+        assert peak <= out_bytes + 5 * BLOCK_ELEMENTS * 8

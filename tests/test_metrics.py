@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from csvgd.errors import ShapeError
+from csvgd.errors import DomainError, ShapeError
 from csvgd.metrics import (GaussianSummary, bhattacharyya, moving_average,
                            pushforward_w1, sparsity_l1, wasserstein1,
                            wasserstein1_batch)
@@ -272,3 +274,21 @@ class TestMovingAverage:
     def test_interior_value(self):
         x = np.arange(30.0)
         assert moving_average(x, 11)[15] == pytest.approx(15.0)
+
+    @pytest.mark.parametrize("window", [1, 3, 11])
+    def test_each_window_summed_on_its_own(self, rng, window):
+        # small values after large ones: a running total's rounding would
+        # swamp them (it read 9.9945e-4 for 1e-3)
+        x = np.concatenate([np.full(500, 1e8), np.full(20, 1e-3),
+                            rng.lognormal(0.0, 6.0, size=200)])
+        got = moving_average(x, window)
+        half = window // 2
+        for i, value in enumerate(got):
+            w = x[max(i - half, 0):i + half + 1]
+            exact = math.fsum(w) / len(w)
+            assert abs(value - exact) <= 1e-15 * abs(exact)
+
+    @pytest.mark.parametrize("window", [0, 2, 4])
+    def test_even_or_empty_window_rejected(self, window):
+        with pytest.raises(DomainError):
+            moving_average(np.arange(9.0), window)
