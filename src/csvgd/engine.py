@@ -22,8 +22,8 @@ import numpy as np
 
 from . import condense as gc
 from .errors import CheckpointError, NonFiniteGradientError, ShapeError
-from .kernels import (KernelSpec, median_bandwidth, pairwise_square_sums,
-                      stein_direction)
+from .kernels import (KernelSpec, median_bandwidth, median_pair_distance,
+                      pairwise_square_sums, stein_direction)
 from .network import LayeredNet, net_from_dict, net_to_dict
 from .priors import PriorSpec, prior_score
 
@@ -178,16 +178,16 @@ def _weight_columns(ensemble: Ensemble) -> np.ndarray:
     return np.ascontiguousarray(ensemble.particles[:, _weight_mask(ensemble)])
 
 
-def _distance_pass(ensemble: Ensemble) -> tuple[float, np.ndarray]:
+def _distance_pass(ensemble: Ensemble, out: np.ndarray | None = None
+                   ) -> tuple[float, np.ndarray]:
     """The median pairwise distance over the weight coordinates (NaN without
     pairs) and the pairwise squared distances over all coordinates (the
-    beta=2 kernel's), from one pass over the rows with their weights first."""
+    beta=2 kernel's, written into ``out`` when given), from one pass over the
+    rows with their weights first."""
     P, m = ensemble.particles, _weight_mask(ensemble)
-    pairs, all_sq = pairwise_square_sums(
-        np.concatenate([P[:, m], P[:, ~m]], axis=1), int(m.sum()))
-    if not pairs.size:
-        return float("nan"), all_sq
-    return float(np.median(np.sqrt(pairs, out=pairs), overwrite_input=True)), all_sq
+    head_sq, all_sq = pairwise_square_sums(
+        np.concatenate([P[:, m], P[:, ~m]], axis=1), int(m.sum()), out=out)
+    return median_pair_distance(head_sq), all_sq
 
 
 def ensemble_distances(ensemble: Ensemble) -> np.ndarray:
@@ -221,7 +221,8 @@ def stein_gradient(ensemble: Ensemble, scores, config: SvgdConfig,
     ``sq_dists`` are the pairwise squared distances over all coordinates,
     which ``run_stage`` takes from the pass that gives it the median; the
     pass runs here when the median is needed (no ``gamma``) or the beta=2
-    kernel is (no ``sq_dists``).
+    kernel is (no ``sq_dists``).  beta=2 overwrites ``sq_dists`` with its
+    kernel matrix.
     """
     P = ensemble.particles
     S = np.atleast_2d(np.asarray(scores, dtype=float))
@@ -296,13 +297,13 @@ def run_stage(ensemble: Ensemble, target, config: SvgdConfig,
     med_trace: list[float] = []
     converged = False
     mse = None
+    sq_dists = None  # the stage's N x N buffer: each pass, then its kernel
     for _ in range(budget):
         scores, mse = _particle_scores(ensemble, target)
-        med, sq_dists = _distance_pass(ensemble)
+        med, sq_dists = _distance_pass(ensemble, out=sq_dists)
         gamma = _resolve_gamma(config, ensemble, med)
         g = stein_gradient(ensemble, scores, config, gamma=gamma, prior=prior,
                            sq_dists=sq_dists)
-        del sq_dists  # N x N: free it before the next iteration's pass
         ensemble = svgd_step(ensemble, g, config, opt_state)
         mse_trace.append(mse)
         med_trace.append(med)

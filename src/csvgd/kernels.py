@@ -18,11 +18,14 @@ contiguous values from the left too.
 
 A beta=2 Stein iteration makes one pairwise pass: ``pairwise_square_sums``
 gives the squared distances over the weight coordinates (the median
-bandwidth's) and over all coordinates (the kernel's) together, from the
-pairs a <= b only, and the beta=2 direction needs nothing beyond the kernel
-matrix built from them.  beta=1 needs absolute differences, so it forms its
-kernel rows inside the sign pass of its repulsion, in the row-major layout
-at every width: its repulsion sums over the particles, not the coordinates.
+bandwidth's) and over all coordinates (the kernel's) together, as symmetric
+(n, n) matrices filled from the pairs a <= b only, into a buffer the caller
+may recycle; with no bias coordinates the two are one matrix.
+``median_pair_distance`` selects the median from it with one single-point
+partition, and the beta=2 direction forms its kernel matrix in place over
+it.  beta=1 needs absolute differences, so it forms its kernel rows inside
+the sign pass of its repulsion, in the row-major layout at every width: its
+repulsion sums over the particles, not the coordinates.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
     "pairwise_square_sums",
     "stein_direction",
     "median_bandwidth",
+    "median_pair_distance",
     "silverman_bandwidth",
     "BANDWIDTH_FLOOR",
 ]
@@ -168,63 +172,55 @@ def pairwise_power_sum(A, B, beta: int) -> np.ndarray:
     return out
 
 
-def _upper_square_sums(P, head: int, all_sq):
-    """Over row blocks of P: write the squared distances from the block's
-    rows to the rows from its first row on into ``all_sq[rows, rows.start:]``
-    and yield (rows, the same over the first ``head`` coordinates)."""
+def _upper_square_sums(P):
+    """Over row blocks of P: (rows, square_sum), where square_sum(cols, out)
+    writes the squared distances over the coordinates ``cols`` from the
+    block's rows to the rows from its first row on into ``out`` and returns
+    it."""
     if P.shape[1] < PAIRWISE_SUM_MIN:
         for rows, a, b, plane in _plane_blocks(P, P, upper=True):
-            block = all_sq[rows, rows.start:]
-            # No other coordinates: the sums are the same.  Skipping the
-            # split's scratch block, its fill and its add took 30% off
-            # mvn_large_n's run time and 2 MB off its peak RSS.
-            if head == len(a):
-                yield rows, _plane_power_sum(a, b, 2, block, plane)
-                continue
-            head_sq = _plane_power_sum(a[:head], b[:head], 2,
-                                       np.empty_like(plane), plane)
-            _plane_power_sum(a[head:], b[head:], 2, block, plane)
-            block += head_sq
-            yield rows, head_sq
+            yield rows, lambda cols, out: _plane_power_sum(a[cols], b[cols], 2,
+                                                           out, plane)
         return
     for rows, diff in _difference_blocks(P, P, upper=True):
         np.square(diff, out=diff)
-        head_sq = diff[..., :head].sum(axis=-1)
-        block = all_sq[rows, rows.start:]
-        diff[..., head:].sum(axis=-1, out=block)
-        block += head_sq
-        yield rows, head_sq
+        yield rows, lambda cols, out: diff[..., cols].sum(axis=-1, out=out)
 
 
-def pairwise_square_sums(P, head: int) -> tuple[np.ndarray, np.ndarray]:
+def pairwise_square_sums(P, head: int, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Squared distances between particle rows over their first ``head``
-    coordinates, for the n(n-1)/2 pairs a < b in ``np.triu_indices`` order,
-    and over all coordinates, as a symmetric matrix.
+    coordinates and over all coordinates: (head_sq, all_sq), both symmetric
+    (n, n) matrices with a zero diagonal.  With no other coordinates
+    (head == D) the two sums are the same and ``head_sq is all_sq``.
+    ``all_sq`` is written into ``out`` when one is given.
 
     One difference pass over the pairs a <= b, in either layout (see the
     module docstring): a - b and b - a square to the same values, so the
-    lower triangle mirrors the upper one bit for bit.
-    The head pairs equal the upper triangle of
-    ``pairwise_power_sum(P[:, :head], P[:, :head], 2)`` bit for bit, and the
-    full sum is the head sum plus the sum over the other coordinates, so
-    with no other coordinates it is the head sum exactly.
+    lower triangle mirrors the upper one bit for bit.  ``head_sq`` equals
+    ``pairwise_power_sum(P[:, :head], P[:, :head], 2)`` bit for bit, and
+    ``all_sq`` is the head sum plus the sum over the other coordinates.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    n = len(P)
-    head_pairs = np.empty(n * (n - 1) // 2)
-    all_sq = np.empty((n, n))
-    filled = 0
-    for rows, head_sq in _upper_square_sums(P, head, all_sq):
+    n, d = P.shape
+    if out is not None and out.shape != (n, n):
+        raise ShapeError(f"out has shape {out.shape}, need {(n, n)}")
+    all_sq = np.empty((n, n)) if out is None else out
+    head_sq = all_sq if head == d else np.empty((n, n))
+    for rows, square_sum in _upper_square_sums(P):
+        head_block = square_sum(slice(head), head_sq[rows, rows.start:])
+        if head_sq is not all_sq:
+            block = square_sum(slice(head, None), all_sq[rows, rows.start:])
+            block += head_block
+            head_sq[rows.stop:, rows] = head_sq[rows, rows.stop:].T
         all_sq[rows.stop:, rows] = all_sq[rows, rows.stop:].T
-        r, c = head_sq.shape
-        pairs = head_sq[np.arange(c) > np.arange(r)[:, None]]   # strict upper
-        head_pairs[filled:filled + pairs.size] = pairs
-        filled += pairs.size
-    return head_pairs, all_sq
+    return head_sq, all_sq
 
 
 def _kernel(power_sum, gamma: float, beta: int) -> np.ndarray:
-    K = -power_sum / (gamma * beta)
+    """exp(-power_sum / (gamma*beta)), formed in place over ``power_sum``.
+    IEEE division is sign-symmetric: dividing by the negated scale gives the
+    bits of dividing the negated sum, without a negated copy."""
+    K = np.divide(power_sum, -(gamma * beta), out=power_sum)
     return np.exp(K, out=K)
 
 
@@ -266,14 +262,14 @@ def stein_direction(spec: KernelSpec, particles, scores, gamma: float,
     every pair whose two particles are both ``near`` (a boolean mask shaped
     like the particles) on that coordinate.
 
-    beta=2 takes its kernel matrix from ``sq_dists``, the pairwise squared
-    distances over all coordinates, and uses matrix products with K0, that
-    matrix without its diagonal (a particle does not repel itself), and
-    far = 1 - near: a near coordinate is repelled only by the particles that
-    are far on it, a far one by all.  Coordinates near for every particle get
-    exactly zero.  beta=1 ignores ``sq_dists``: each row block of its one
-    difference pass gives the kernel rows (from |diff|) and then the signed
-    repulsion of those rows.
+    beta=2 forms its kernel matrix in place over ``sq_dists``, the pairwise
+    squared distances over all coordinates, which it overwrites.  It uses
+    matrix products with K0, that matrix without its diagonal (a particle
+    does not repel itself), and far = 1 - near: a near coordinate is
+    repelled only by the particles that are far on it, a far one by all.
+    Coordinates near for every particle get exactly zero.  beta=1 ignores
+    ``sq_dists``: each row block of its one difference pass gives the kernel
+    rows (from |diff|) and then the signed repulsion of those rows.
     """
     P = np.atleast_2d(np.asarray(particles, dtype=float))
     S = np.atleast_2d(np.asarray(scores, dtype=float))
@@ -319,6 +315,33 @@ def median_bandwidth(median_distance: float, n_particles: int,
         return floor
     g = float(np.sqrt(0.5 * max(median_distance, 0.0) / np.log(n_particles + 1.0)))
     return max(g, floor)
+
+
+def median_pair_distance(sq) -> float:
+    """The median pairwise distance from a symmetric (n, n) matrix of squared
+    distances with a zero diagonal: ``np.median(np.sqrt(sq[np.triu_indices(n,
+    1)]))`` bit for bit.  NaN with fewer than two rows or any NaN.
+
+    A flat copy holds the n diagonal zeros, which sort first, and each of
+    the m = n(n-1)/2 pairs twice, so the pairs' order statistic k sits at
+    index n + 2k.  One single-point partition at k = m // 2 finds the upper
+    middle pair; for even m the lower one is the largest value below it.
+    sqrt is monotone, so their roots are the middle distances, averaged as
+    ``np.median`` averages them.
+    """
+    sq = np.asarray(sq, dtype=float)
+    n = len(sq)
+    m = n * (n - 1) // 2
+    if not m:
+        return float("nan")
+    k = n + 2 * (m // 2)
+    part = np.partition(sq, k, axis=None)
+    if np.isnan(part[k:].max()):
+        return float("nan")
+    upper = np.sqrt(part[k])
+    if m % 2:
+        return float(upper)
+    return float((np.sqrt(part[:k].max()) + upper) / 2)
 
 
 def silverman_bandwidth(particles) -> float:

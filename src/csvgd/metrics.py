@@ -93,7 +93,10 @@ def wasserstein1_batch(A, B) -> np.ndarray:
     [g_i, g_(i+1)) the quantiles are the order statistics a_(g_i // m) and
     b_(g_i // n) (0-based), so W1 is the sum of their absolute gaps weighted
     by the cell widths.  Unequal counts need no merge; for equal counts this
-    is the mean absolute gap of the order statistics.
+    is the mean absolute gap of the order statistics.  The gaps are weighted
+    by the integer widths and the sum divided by n m once: a gap times a
+    fractional width would underflow for subnormal gaps, and W1 of two
+    different laws could read 0.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -107,7 +110,7 @@ def wasserstein1_batch(A, B) -> np.ndarray:
     g = np.union1d(np.arange(n + 1) * m, np.arange(m + 1) * n)
     gaps = np.abs(np.sort(A, axis=-1)[..., g[:-1] // m]
                   - np.sort(B, axis=-1)[..., g[:-1] // n])
-    return gaps @ (np.diff(g) / (n * m))
+    return gaps @ np.diff(g).astype(float) / (n * m)
 
 
 def pushforward_w1(model_samples, reference_samples) -> tuple[np.ndarray, float]:

@@ -67,18 +67,20 @@ def w1_dense_grid(a, b, n_grid=100_000):
 
 def w1_merged_cdf_batch(A, B):
     """`metrics.wasserstein1_batch` as the integral of |CDF_a - CDF_b|: both
-    samples merged by one stable argsort per row, the two CDFs as cumsums."""
+    samples merged by one stable argsort per row, the two CDFs as cumsums of
+    counts.  The CDF gap is kept in integer units of 1/(n m) and the integral
+    divided by n m once, so a subnormal step does not round to 0."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     n, m = A.shape[-1], B.shape[-1]
     v = np.concatenate([A, B], axis=-1)
     order = np.argsort(v, axis=-1, kind="stable")
     v_sorted = np.take_along_axis(v, order, axis=-1)
-    from_a = (order < n).astype(float)
-    fa = np.cumsum(from_a, axis=-1) / n
-    fb = np.cumsum(1.0 - from_a, axis=-1) / m
+    from_a = order < n
+    ca = np.cumsum(from_a, axis=-1) * m
+    cb = np.cumsum(~from_a, axis=-1) * n
     dv = np.diff(v_sorted, axis=-1)
-    return np.sum(np.abs(fa[..., :-1] - fb[..., :-1]) * dv, axis=-1)
+    return np.sum(np.abs(ca[..., :-1] - cb[..., :-1]) * dv, axis=-1) / (n * m)
 
 
 def stress_cycle_integral(stress_batch_fn, A, B, n_steps=10_000):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from csvgd import kernels
+from csvgd import engine, kernels
 from csvgd.condense import distance_matrix
 from csvgd.engine import (Ensemble, SvgdConfig, active_param_count,
                           condense_ensemble, ensemble_distances,
@@ -15,7 +15,7 @@ from csvgd.engine import (Ensemble, SvgdConfig, active_param_count,
                           run_csvgd, run_stage, save_checkpoint, stein_gradient,
                           svgd_step)
 from csvgd.errors import NonFiniteGradientError, ShapeError
-from csvgd.kernels import KernelSpec, median_bandwidth
+from csvgd.kernels import KernelSpec, median_bandwidth, pairwise_power_sum
 from csvgd.likelihoods import MvnTarget
 from csvgd.mechanics import icnn_template
 from csvgd.priors import PriorSpec, prior_score
@@ -129,6 +129,52 @@ class TestSharedPairwisePass:
                                         cfg.axis_mask_threshold)
         new = stein_gradient(ens, S, cfg)
         assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
+
+    @pytest.mark.parametrize("widths", [(3, 5, 2), (1, 1, 1)])
+    def test_bias_template_median_is_the_weight_median_bit_for_bit(self, rng,
+                                                                   widths):
+        # rows of 32 and of 4 coordinates, weights first: both layouts split
+        template = bias_net(rng, widths)
+        ens = Ensemble(rng.normal(size=(9, template.layout.size)), template,
+                       np.random.default_rng(0))
+        W = ens.particles[:, template.weight_flat_mask()]
+        assert 0 < W.shape[1] < ens.particles.shape[1]
+        W = np.ascontiguousarray(W)
+        sq = pairwise_power_sum(W, W, 2)
+        assert median_distance(ens) == np.median(np.sqrt(sq[np.triu_indices(9, 1)]))
+
+    @pytest.mark.parametrize("d", [3, 12])
+    def test_given_sq_dists_equal_the_internal_pass_and_are_overwritten(self, rng,
+                                                                        d):
+        ens = Ensemble(rng.normal(size=(11, d)), None, np.random.default_rng(0))
+        S = rng.normal(size=ens.particles.shape)
+        cfg = vector_config(kernel=KernelSpec(2, 1.0, "median"))
+        med, X = engine._distance_pass(ens)
+        given = X.copy()
+        gamma = median_bandwidth(med, 11)
+        assert np.array_equal(stein_gradient(ens, S, cfg, gamma=gamma, sq_dists=given),
+                              stein_gradient(ens, S, cfg))
+        # the beta=2 direction forms its kernel matrix over the buffer
+        assert not np.array_equal(given, X)
+
+    def test_run_stage_recycles_one_distance_buffer(self, rng, monkeypatch):
+        calls = []
+        distance_pass = engine._distance_pass
+
+        def recorded(ensemble, out=None):
+            result = distance_pass(ensemble, out=out)
+            calls.append((out, result[1]))
+            return result
+
+        monkeypatch.setattr(engine, "_distance_pass", recorded)
+        ens = Ensemble(rng.normal(size=(9, 3)), None, np.random.default_rng(0))
+        cfg = vector_config(step_size=0.01, max_iters=4, tol=0.0, grad_norm_tol=0.0,
+                            kernel=KernelSpec(2, 1.0, "median"))
+        _, report = run_stage(ens, PullDown(1.0), cfg)
+        assert report.iterations == len(calls) == 4
+        assert calls[0][0] is None
+        for (_, previous), (out, _) in zip(calls, calls[1:]):
+            assert np.shares_memory(out, previous)
 
     def _count_passes(self, monkeypatch, ens):
         """Run k beta=2 median-bandwidth iterations, check their median trace

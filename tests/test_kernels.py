@@ -11,8 +11,9 @@ from csvgd.engine import Ensemble, SvgdConfig, _resolve_gamma, stein_gradient
 from csvgd.errors import DomainError, ShapeError
 from csvgd.kernels import (BANDWIDTH_FLOOR, BLOCK_ELEMENTS, PAIRWISE_SUM_MIN,
                            KernelSpec, kernel_eval, kernel_grad, kernel_matrix,
-                           median_bandwidth, pairwise_power_sum,
-                           pairwise_square_sums, silverman_bandwidth)
+                           median_bandwidth, median_pair_distance,
+                           pairwise_power_sum, pairwise_square_sums,
+                           silverman_bandwidth)
 
 from _oracles import (broadcast_distance_matrix, broadcast_kernel_matrix,
                       broadcast_power_sum, broadcast_stein_direction, fd_gradient)
@@ -140,6 +141,66 @@ class TestBandwidth:
         assert g2 == pytest.approx(3.0 * g1, rel=1e-12)
 
 
+# Squared distances that tie, underflow and overflow: zero, subnormals, the
+# smallest normal number, ordinary values and inf.
+SQ_POOL = [0.0, 5e-324, 1e-323, 2.2250738585072014e-308, 1e-300, 0.25, 1.0,
+           2.0, 3.0, 1e300, float("inf")]
+
+
+@st.composite
+def square_distance_matrices(draw, n=st.integers(0, 40)):
+    """Symmetric (n, n) matrices with a zero diagonal, pairs from SQ_POOL or
+    any non-negative float."""
+    n = draw(n)
+    iu = np.triu_indices(n, 1)
+    pairs = draw(arrays(float, len(iu[0]), elements=st.one_of(
+        st.sampled_from(SQ_POOL), st.floats(0.0, 1e6))))
+    sq = np.zeros((n, n))
+    sq[iu] = pairs
+    sq.T[iu] = pairs
+    return sq
+
+
+def _median_of_pairs(sq):
+    return np.median(np.sqrt(sq[np.triu_indices(len(sq), 1)]))
+
+
+class TestMedianPairDistance:
+    @settings(max_examples=300, deadline=None)
+    @given(sq=square_distance_matrices())
+    def test_equals_median_of_the_pairs_bit_for_bit(self, sq):
+        got = median_pair_distance(sq)
+        assert isinstance(got, float)
+        if len(sq) < 2:
+            assert np.isnan(got)
+            return
+        assert np.float64(got).tobytes() == np.float64(_median_of_pairs(sq)).tobytes()
+
+    @pytest.mark.parametrize("n", [50, 101, 200, 512])
+    def test_equals_median_of_the_pairs_on_particle_clouds(self, rng, n):
+        # large enough that the partition leaves the part below its index
+        # unordered, so the lower middle is not simply the entry next to it
+        for _ in range(5):
+            sq = pairwise_square_sums(rng.normal(size=(n, 3)), 3)[1]
+            assert median_pair_distance(sq) == _median_of_pairs(sq)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_odd_and_even_pair_counts_with_ties(self, n):
+        # 1, 3, 6 and 10 pairs; every pair value repeats
+        sq = np.zeros((n, n))
+        iu = np.triu_indices(n, 1)
+        sq[iu] = sq.T[iu] = np.resize([4.0, 1.0, 1.0, 9.0], len(iu[0]))
+        assert median_pair_distance(sq) == _median_of_pairs(sq)
+
+    @pytest.mark.parametrize("where", [(0, 1), (2, 3)])
+    def test_nan_pair_gives_nan(self, where):
+        sq = np.array([[0.0, 1.0, 4.0, 9.0], [1.0, 0.0, 1.0, 4.0],
+                       [4.0, 1.0, 0.0, 1.0], [9.0, 4.0, 1.0, 0.0]])
+        sq[where] = sq[where[::-1]] = np.nan
+        assert np.isnan(_median_of_pairs(sq))
+        assert np.isnan(median_pair_distance(sq))
+
+
 class TestSpecValidation:
     def test_beta_restricted(self):
         with pytest.raises(DomainError):
@@ -198,14 +259,28 @@ class TestPairwiseLayer:
         P, _ = self._cloud(rng, n, d)
         full = broadcast_power_sum(P, 2)
         for head in (d, d // 2, 0):
-            head_pairs, all_sq = pairwise_square_sums(P, head)
+            head_sq, all_sq = pairwise_square_sums(P, head)
             H = np.ascontiguousarray(P[:, :head])
-            assert np.array_equal(head_pairs,
-                                  pairwise_power_sum(H, H, 2)[np.triu_indices(n, k=1)])
-            assert np.array_equal(all_sq, all_sq.T)
+            assert np.array_equal(head_sq, pairwise_power_sum(H, H, 2))
+            assert (head_sq is all_sq) == (head == d)
+            for M in (head_sq, all_sq):
+                assert np.array_equal(M, M.T)
+                assert np.all(np.diag(M) == 0.0)
             if head == d:
                 assert np.array_equal(all_sq, full)
             assert np.abs(all_sq - full).max() <= 1e-12 * full.max()
+
+    @pytest.mark.parametrize("n,d", SHAPES)
+    def test_square_sums_write_into_out(self, rng, n, d):
+        P, _ = self._cloud(rng, n, d)
+        for head in (d, d // 2):
+            expect = pairwise_square_sums(P, head)
+            out = np.full((n, n), np.nan)
+            got = pairwise_square_sums(P, head, out=out)
+            assert got[1] is out
+            assert all(np.array_equal(g, e) for g, e in zip(got, expect))
+        with pytest.raises(ShapeError):
+            pairwise_square_sums(P, d, out=np.empty((n + 1, n + 1)))
 
     @pytest.mark.parametrize("threshold", [0.0, 1e-2])
     def test_beta1_direction_equals_broadcast_at_coincident_particles(self, rng,
@@ -328,13 +403,14 @@ class TestNarrowRows:
 
     @staticmethod
     def _check_square_sums(P, head):
-        head_pairs, all_sq = pairwise_square_sums(P, head)
-        head_sq = broadcast_power_sum(P[:, :head], 2)
-        assert np.array_equal(head_pairs, head_sq[np.triu_indices(len(P), k=1)])
-        assert np.array_equal(all_sq, broadcast_power_sum(P[:, head:], 2) + head_sq)
+        head_sq, all_sq = pairwise_square_sums(P, head)
+        expect = broadcast_power_sum(P[:, :head], 2)
+        assert np.array_equal(head_sq, expect)
+        assert np.array_equal(all_sq, broadcast_power_sum(P[:, head:], 2) + expect)
+        assert (head_sq is all_sq) == (head == P.shape[1])
 
     @pytest.mark.parametrize("call", ["power_sum", "square_sums_all",
-                                      "square_sums_split"])
+                                      "square_sums_split", "square_sums_out"])
     def test_peak_memory_is_the_output_plus_a_few_blocks(self, rng, call):
         # an (N, N, D) difference tensor would take 96 MB on its own
         n, d = 2000, 3
@@ -344,8 +420,16 @@ class TestNarrowRows:
 
             def run():
                 pairwise_power_sum(P, P, 2)
+        elif call == "square_sums_out":
+            # a recycled output: no new (n, n) memory at all
+            out_bytes = 0
+            out = np.empty((n, n))
+
+            def run():
+                pairwise_square_sums(P, d, out=out)
         else:
-            out_bytes = (n * n + n * (n - 1) // 2) * 8
+            # one (n, n) matrix when the head is every coordinate, else two
+            out_bytes = (1 if call == "square_sums_all" else 2) * n * n * 8
 
             def run():
                 pairwise_square_sums(P, d if call == "square_sums_all" else 1)
@@ -355,6 +439,5 @@ class TestNarrowRows:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # blocks: a plane, the head sums, the mirrored rows' copy, the pairs
-        # and their mask
+        # blocks: a plane and the mirrored rows' copy
         assert peak <= out_bytes + 5 * BLOCK_ELEMENTS * 8

@@ -125,6 +125,18 @@ def w1_pairs(draw, values=st.one_of(st.sampled_from(TIE_POOL),
             draw(arrays(float, lead + (m,), elements=values)))
 
 
+def stays_normal(A, B, scale):
+    """Whether every nonzero sample and every nonzero gap between a sample of
+    A and one of B in the same row, divided by the largest cell count n m,
+    is a normal number before and after multiplying by ``scale``.  Then so
+    is every gap, weighted gap, partial sum and W1 value the quantile form
+    computes, and a power-of-two scale changes none of their roundings."""
+    gaps = np.abs(A[..., :, None] - B[..., None, :])
+    values = np.concatenate([np.abs(A).ravel(), np.abs(B).ravel(), gaps.ravel()])
+    values = values[values != 0.0] * min(1.0, scale) / (A.shape[-1] * B.shape[-1])
+    return bool(np.all(values >= np.finfo(float).tiny))
+
+
 class TestW1QuantileForm:
     """`wasserstein1_batch` against the merged-CDF form it replaced."""
 
@@ -154,6 +166,13 @@ class TestW1QuantileForm:
         assert_matches_merged_cdf(A, B)
         np.testing.assert_array_equal(wasserstein1_batch(A, B), 0.0)
 
+    def test_subnormal_gaps_do_not_round_to_zero(self):
+        # gaps of one or two 5e-324 units over half-width cells: a gap times
+        # a fractional width underflows to 0 for two different laws
+        assert wasserstein1([-0.0], [5e-324, 5e-324]) == 5e-324
+        assert wasserstein1([5e-324], [-0.0, 1e-323]) == 5e-324
+        assert_matches_merged_cdf(np.array([5e-324]), np.array([-0.0, 1e-323]))
+
     @settings(max_examples=300, deadline=None)
     @given(pair=w1_pairs())
     def test_matches_merged_cdf(self, pair):
@@ -182,10 +201,11 @@ class TestW1Properties:
     def test_positive_homogeneity(self, pair, k, c):
         A, B = pair
         w = wasserstein1_batch(A, B)
-        # a power of two scales every sample and gap exactly (no subnormals
-        # here: the smallest nonzero sample is 1e-300)
-        np.testing.assert_array_equal(wasserstein1_batch(2.0**k * A, 2.0**k * B),
-                                      2.0**k * w)
+        # a power of two scales every sample and gap exactly while they stay
+        # normal numbers; below the normal range 2**k * x itself rounds
+        if stays_normal(A, B, 2.0**k):
+            np.testing.assert_array_equal(wasserstein1_batch(2.0**k * A, 2.0**k * B),
+                                          2.0**k * w)
         # otherwise rounding c * x moves each gap by up to eps * c * |x|
         scale = c * max(np.abs(A).max(), np.abs(B).max())
         np.testing.assert_allclose(wasserstein1_batch(c * A, c * B), c * w,
