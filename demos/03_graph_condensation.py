@@ -24,7 +24,7 @@ ens = init_net_ensemble(template, 6, seed=3)
 ens.particles[rng.random(ens.particles.shape) < 0.5] *= 1e-5
 
 X = rng.uniform(-1, 1, size=(5, 3))
-before_outputs = [nw.forward_batch(net, X) for net in ens.nets()]
+before_outputs = [nw.forward_pass(net, X).output() for net in ens.nets()]
 print(f"before: template widths {template.layer_widths}, "
       f"{ens.particles.shape[1]} stored weights, "
       f"{active_param_count(ens, 1e-3)} active")
@@ -34,13 +34,13 @@ print(f"after:  template widths {condensed.template.layer_widths}, "
       f"{condensed.particles.shape[1]} stored weights, "
       f"{active_param_count(condensed, 1e-3)} active")
 
-shift = max(np.max(np.abs(b - nw.forward_batch(net, X)))
+shift = max(np.max(np.abs(b - nw.forward_pass(net, X).output()))
             for b, net in zip(before_outputs, condensed.nets()))
 print(f"worst raw-output shift from pruning: {shift:.2e} "
       f"(mostly dropped resting-level emissions of dead nodes)")
 
 lossless, _ = condense_ensemble(ens, 0.0)
-shift0 = max(np.max(np.abs(b - nw.forward_batch(net, X)))
+shift0 = max(np.max(np.abs(b - nw.forward_pass(net, X).output()))
              for b, net in zip(before_outputs, lossless.nets()))
 print(f"with epsilon = 0 (sort and pad only): {shift0:.2e}")
 

@@ -12,15 +12,13 @@ from .engine import (Ensemble, RunReport, StageReport, SvgdConfig,
                      stein_gradient, svgd_step)
 from .errors import (CheckpointError, CondenseError, DomainError,
                      NonFiniteGradientError, ShapeError)
-from .kernels import (KernelSpec, kernel_eval, kernel_grad, median_bandwidth,
-                      silverman_bandwidth)
+from .kernels import KernelSpec, median_bandwidth, silverman_bandwidth
 from .likelihoods import (Dataset, DirectNetModel, MvnTarget, RegressionTarget,
                           load_dataset, save_dataset)
 from .metrics import (GaussianSummary, bhattacharyya, moving_average,
                       pushforward_w1, sparsity_l1, wasserstein1)
-from .network import (LayeredNet, Layout, forward_batch, grad_input_batch,
-                      grad_params_batch, load_net, param_count, permute_hidden,
-                      save_net)
+from .network import (LayeredNet, Layout, forward_pass, load_net, param_count,
+                      permute_hidden, save_net)
 from .priors import PriorSpec, log_prior_density, prior_constants, prior_score
 
 __version__ = "0.1.0"

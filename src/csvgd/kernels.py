@@ -4,9 +4,10 @@ direction, and bandwidth selection.
 kappa(a, b) = exp(-(1/(gamma*beta)) * sum_i |a_i - b_i|^beta),  beta in {1, 2}.
 
 This module owns every pairwise pass over particles: the power sum behind
-the kernel and the distance matrix, the kernel matrix, and the Stein
-direction.  Pairwise differences are only ever formed in row blocks of at
-most ``BLOCK_ELEMENTS`` values, so memory stays bounded for any N and D.
+the kernel and the distance matrix, and the Stein direction, the one place
+the kernel matrix is formed.  Pairwise differences are only ever formed in
+row blocks of at most ``BLOCK_ELEMENTS`` values, so memory stays bounded
+for any N and D.
 
 The power sums take one of two layouts, by row width.  Rows of
 ``PAIRWISE_SUM_MIN`` coordinates or more form (rows, cols, D) differences
@@ -38,9 +39,6 @@ from .errors import DomainError, ShapeError
 
 __all__ = [
     "KernelSpec",
-    "kernel_eval",
-    "kernel_grad",
-    "kernel_matrix",
     "pairwise_power_sum",
     "pairwise_square_sums",
     "stein_direction",
@@ -88,14 +86,6 @@ class KernelSpec:
             raise DomainError(f"gamma must be > 0, got {self.gamma}")
         if self.bandwidth_rule not in ("fixed", "median"):
             raise DomainError(f"unknown bandwidth rule {self.bandwidth_rule!r}")
-
-
-def _pair(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ShapeError(f"vector shapes differ: {a.shape} vs {b.shape}")
-    return a, b
 
 
 def _difference_blocks(A, B, upper: bool = False):
@@ -222,34 +212,6 @@ def _kernel(power_sum, gamma: float, beta: int) -> np.ndarray:
     bits of dividing the negated sum, without a negated copy."""
     K = np.divide(power_sum, -(gamma * beta), out=power_sum)
     return np.exp(K, out=K)
-
-
-def kernel_eval(spec: KernelSpec, a, b) -> float:
-    """Kernel value in (0, 1]; equals 1 iff a == b."""
-    a, b = _pair(a, b)
-    return float(_kernel(pairwise_power_sum(a, b, spec.beta), spec.gamma,
-                         spec.beta)[0, 0])
-
-
-def kernel_grad(spec: KernelSpec, a, b) -> np.ndarray:
-    """Gradient of kernel_eval with respect to its first argument.
-
-    (1/gamma) * |b - a|^(beta-1) * sign(b - a) * kappa(a, b) per coordinate;
-    identically zero where a and b coincide (sign(0) = 0 covers beta = 1).
-    """
-    a, b = _pair(a, b)
-    d = b - a
-    k = kernel_eval(spec, a, b)
-    if spec.beta == 2:
-        return d * (k / spec.gamma)
-    return np.sign(d) * (k / spec.gamma)
-
-
-def kernel_matrix(spec: KernelSpec, particles, gamma: float | None = None) -> np.ndarray:
-    """Symmetric kernel Gram matrix over particle rows."""
-    P = np.atleast_2d(np.asarray(particles, dtype=float))
-    g = spec.gamma if gamma is None else gamma
-    return _kernel(pairwise_power_sum(P, P, spec.beta), g, spec.beta)
 
 
 def stein_direction(spec: KernelSpec, particles, scores, gamma: float,

@@ -1,9 +1,18 @@
-"""Hyperelastic physics: strain invariants, potentials, stress, data generation.
+"""Hyperelastic physics: strain invariants, the truth model, stress, data
+generation, and the stress regression model.
 
 Strain lives in Lagrange form E = (F'F - I)/2; invariants are taken of
 C = 2E + I.  Stress is the potential derivative S = dPhi/dE expanded through
 the invariant chain rule.  Stress tensors travel as 6-component Voigt rows
 in the order (11, 22, 33, 23, 13, 12).
+
+Every stress goes through one function, ``_pinned_stress``: from a
+potential's invariant gradient at the strain rows and at the reference
+invariants (3, 3, 1) it forms the stress of that potential pinned to zero
+stress at E = 0.  ``truth_stress`` feeds it the Gent-type truth model's
+gradient (the data ``generate_data`` samples), and
+``StressRegressionModel`` the input gradients of a particle stack of
+potential networks.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network
-from .errors import DomainError, ShapeError
+from .errors import DomainError
 from .likelihoods import Dataset
 
 __all__ = [
@@ -21,17 +30,10 @@ __all__ = [
     "VOIGT_NAMES",
     "sym_to_voigt",
     "voigt_to_sym",
-    "invariants",
     "invariants_batch",
-    "invariant_derivatives",
     "invariant_derivatives_batch",
     "TruthParams",
-    "truth_potential",
-    "TruthPotential",
-    "NetPotential",
-    "reference_normalize",
-    "stress_from_potential",
-    "stress_batch",
+    "truth_stress",
     "generate_data",
     "HyperelasticData",
     "StressRegressionModel",
@@ -57,25 +59,6 @@ def voigt_to_sym(v) -> np.ndarray:
         M[..., i, j] = v[..., k]
         M[..., j, i] = v[..., k]
     return M
-
-
-def _check_sym(E):
-    E = np.asarray(E, dtype=float)
-    if E.shape != (3, 3):
-        raise ShapeError(f"expected a 3x3 strain tensor, got {E.shape}")
-    if not np.allclose(E, E.T, atol=1e-10):
-        raise ShapeError("strain tensor must be symmetric")
-    return 0.5 * (E + E.T)
-
-
-def invariants(E) -> tuple[float, float, float]:
-    """Principal invariants (I1, I2, I3) of C = 2E + I."""
-    E = _check_sym(E)
-    C = 2.0 * E + np.eye(3)
-    i1 = float(np.trace(C))
-    i2 = float(0.5 * (i1 * i1 - np.trace(C @ C)))
-    i3 = float(np.linalg.det(C))
-    return i1, i2, i3
 
 
 def invariants_batch(E_voigt) -> np.ndarray:
@@ -106,19 +89,6 @@ def _adjugate_sym(C) -> np.ndarray:
     return a
 
 
-def invariant_derivatives(E) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """dI1/dE = 2I, dI2/dE = 2(I1 I - C), dI3/dE = 2 adj(C) = 2 I3 C^-1."""
-    E = _check_sym(E)
-    C = 2.0 * E + np.eye(3)
-    i1, _, i3 = invariants(E)
-    if i3 <= 0.0:
-        raise DomainError(f"I3 = {i3} must be > 0")
-    d1 = 2.0 * np.eye(3)
-    d2 = 2.0 * (i1 * np.eye(3) - C)
-    d3 = 2.0 * _adjugate_sym(C)
-    return d1, d2, d3
-
-
 def invariant_derivatives_batch(E_voigt) -> np.ndarray:
     """Voigt rows of (dI1/dE, dI2/dE, dI3/dE), shape (n, 6) -> (n, 3, 6)."""
     E = np.asarray(E_voigt, dtype=float)
@@ -145,127 +115,60 @@ class TruthParams:
             raise DomainError(f"j_m must be > 0, got {self.j_m}")
 
 
-def truth_potential(params: TruthParams, i1: float, i2: float, i3: float) -> float:
-    """Reference strain-energy density.
+def _truth_gradient(params: TruthParams, inv) -> np.ndarray:
+    """(dPsi/dI1, dPsi/dI2, dPsi/dI3) rows of the reference material's
+    strain-energy density at invariant rows (n, 3),
 
-    Psi = -(t1/2) J_m log(1 - (I1-3)/J_m) - t2 log(I2/J) + t3 ((J^2-1)/2 - log J)
-    with J = sqrt(I3).  Raises DomainError when any log argument is <= 0
-    (Gent lock-up at I1 -> 3 + J_m).
+        Psi = -(t1/2) J_m log(1 - (I1-3)/J_m) - t2 log(I2/J)
+              + t3 ((J^2-1)/2 - log J),   J = sqrt(I3).
+
+    Raises DomainError where Psi is undefined: at or beyond the Gent lock-up
+    I1 = 3 + J_m, or where I2 or I3 is not positive.
     """
-    gent = 1.0 - (i1 - 3.0) / params.j_m
-    if gent <= 0.0:
-        raise DomainError(f"I1 = {i1} at or beyond the lock-up stretch")
-    if i2 <= 0.0 or i3 <= 0.0:
-        raise DomainError(f"invariants must be positive, got I2={i2}, I3={i3}")
-    j = np.sqrt(i3)
-    return float(-0.5 * params.t1 * params.j_m * np.log(gent)
-                 - params.t2 * np.log(i2 / j)
-                 + params.t3 * (0.5 * (j * j - 1.0) - np.log(j)))
+    i1, i2, i3 = inv[..., 0], inv[..., 1], inv[..., 2]
+    p = params
+    gent = 1.0 - (i1 - 3.0) / p.j_m
+    if np.any(gent <= 0.0):
+        raise DomainError(f"I1 = {i1.max()} at or beyond the lock-up stretch")
+    if np.any(i2 <= 0.0) or np.any(i3 <= 0.0):
+        raise DomainError(f"invariants must be positive, got min I2={i2.min()}, "
+                          f"I3={i3.min()}")
+    g1 = 0.5 * p.t1 / gent
+    g2 = -p.t2 / i2
+    g3 = 0.5 * p.t2 / i3 + 0.5 * p.t3 * (1.0 - 1.0 / i3)
+    return np.stack([g1, g2, g3], axis=-1)
 
 
-class TruthPotential:
-    """Truth model as a potential-with-gradient object in invariant space."""
+def _pinned_stress(g, g_ref, inv, dI) -> np.ndarray:
+    """Voigt stress rows S = sum_i dPhi_hat/dI_i * dI_i/dE of a potential
+    pinned to zero stress at the reference state,
 
-    def __init__(self, params: TruthParams | None = None):
-        self.params = params or TruthParams()
+        Phi_hat(I) = Phi(I) - Phi(3,3,1) - n (sqrt(I3) - 1),
+        n = 2 d1 + 4 d2 + 2 d3,
 
-    def value(self, inv) -> np.ndarray:
-        inv = np.atleast_2d(np.asarray(inv, dtype=float))
-        return np.array([truth_potential(self.params, *row) for row in inv])
-
-    def gradient(self, inv) -> np.ndarray:
-        """(dPsi/dI1, dPsi/dI2, dPsi/dI3) rows for invariant rows."""
-        inv = np.atleast_2d(np.asarray(inv, dtype=float))
-        i1, i2, i3 = inv[..., 0], inv[..., 1], inv[..., 2]
-        p = self.params
-        g1 = 0.5 * p.t1 / (1.0 - (i1 - 3.0) / p.j_m)
-        g2 = -p.t2 / i2
-        g3 = 0.5 * p.t2 / i3 + 0.5 * p.t3 * (1.0 - 1.0 / i3)
-        return np.stack([g1, g2, g3], axis=-1)
-
-
-class NetPotential:
-    """A scalar-output network evaluated on invariant triples; with flat
-    parameter rows ``params`` (N, D), the stack of N such networks."""
-
-    def __init__(self, net: network.LayeredNet, params=None):
-        if net.layer_widths[0] != 3 or net.layer_widths[-1] != 1:
-            raise ShapeError("potential network must map 3 invariants to 1 value")
-        self.net = net
-        self.params = params
-
-    def value(self, inv) -> np.ndarray:
-        return network.forward_batch(self.net, np.atleast_2d(inv), self.params)[..., 0]
-
-    def gradient(self, inv) -> np.ndarray:
-        return network.grad_input_batch(self.net, np.atleast_2d(inv),
-                                        self.params)[..., 0, :]
-
-
-def _reference_slope(g_ref) -> np.ndarray:
-    """n = 2 d1 + 4 d2 + 2 d3 from the potential's gradient at the reference."""
-    return 2.0 * g_ref[..., 0] + 4.0 * g_ref[..., 1] + 2.0 * g_ref[..., 2]
-
-
-def _pin_reference(g, slope, inv) -> np.ndarray:
-    """Gradient rows of Phi_hat from those of Phi and the reference slope n."""
+    where (d1, d2, d3) = ``g_ref`` is Phi's invariant gradient at (3,3,1) and
+    (2, 4, 2) are the diagonal scales of dI_i/dE at E = 0, so S(E=0) = 0 by
+    construction.  ``g`` (..., rows, 3) is Phi's gradient at the invariant
+    rows ``inv`` and ``dI`` (rows, 3, 6) their dI/dE; ``g`` and ``g_ref``
+    (..., 3) may carry a particle axis.  The reference gradient comes from its own
+    one-row evaluation: inside the batch of the other rows it would round
+    differently.
+    """
+    slope = 2.0 * g_ref[..., 0] + 4.0 * g_ref[..., 1] + 2.0 * g_ref[..., 2]
     g = np.array(g, dtype=float)
     g[..., 2] -= 0.5 * slope[..., None] / np.sqrt(inv[:, 2])
-    return g
-
-
-class _ReferenceNormalized:
-    """Potential wrapper that pins value and stress to zero at the reference.
-
-    Phi_hat(I) = Phi(I) - Phi(3,3,1) - n (sqrt(I3) - 1), with
-    n = 2 d1 + 4 d2 + 2 d3 evaluated at the reference; (2, 4, 2) are the
-    diagonal scales of dI_i/dE at E = 0, so S(E=0) = 0 by construction.
-    The reference is evaluated as its own one-row batch: inside the batch of
-    the other rows it would round differently.
-    """
-
-    def __init__(self, base):
-        self.base = base
-
-    def _slope(self):
-        g = self.base.gradient(np.array([REFERENCE_INVARIANTS]))[..., 0, :]
-        return _reference_slope(g)
-
-    def value(self, inv) -> np.ndarray:
-        inv = np.atleast_2d(np.asarray(inv, dtype=float))
-        v0 = self.base.value(np.array([REFERENCE_INVARIANTS]))
-        return (self.base.value(inv) - v0
-                - self._slope()[..., None] * (np.sqrt(inv[:, 2]) - 1.0))
-
-    def gradient(self, inv) -> np.ndarray:
-        inv = np.atleast_2d(np.asarray(inv, dtype=float))
-        return _pin_reference(self.base.gradient(inv), self._slope(), inv)
-
-
-def reference_normalize(potential) -> _ReferenceNormalized:
-    """Wrap any potential-with-gradient so its stress vanishes at E = 0."""
-    return _ReferenceNormalized(potential)
-
-
-def stress_from_potential(potential, E) -> np.ndarray:
-    """Second Piola-Kirchhoff stress S = sum_i dPhi/dI_i * dI_i/dE at strain E."""
-    E = _check_sym(E)
-    inv = np.array([invariants(E)])
-    g = np.asarray(potential.gradient(inv))[0]
-    d1, d2, d3 = invariant_derivatives(E)
-    return g[0] * d1 + g[1] * d2 + g[2] * d3
-
-
-def _stress_rows(g, dI) -> np.ndarray:
-    """S = sum_i dPhi/dI_i * dI_i/dE per row; g may carry a particle axis."""
     return np.einsum("...ni,nik->...nk", g, dI)
 
 
-def stress_batch(potential, E_voigt) -> np.ndarray:
-    """Voigt stress rows for Voigt strain rows."""
+def truth_stress(E_voigt, params: TruthParams | None = None) -> np.ndarray:
+    """Voigt stress rows of the reference-pinned truth model at Voigt strain
+    rows, shape (n, 6) -> (n, 6)."""
+    params = params or TruthParams()
     E = np.atleast_2d(np.asarray(E_voigt, dtype=float))
-    g = np.asarray(potential.gradient(invariants_batch(E)))
-    return _stress_rows(g, invariant_derivatives_batch(E))
+    inv = invariants_batch(E)
+    g_ref = _truth_gradient(params, np.array([REFERENCE_INVARIANTS]))[0]
+    return _pinned_stress(_truth_gradient(params, inv), g_ref, inv,
+                          invariant_derivatives_batch(E))
 
 
 @dataclass(frozen=True)
@@ -296,7 +199,6 @@ def generate_data(params: TruthParams | None = None, n_train: int = 80,
     test targets are noiseless.
     """
     params = params or TruthParams()
-    truth = reference_normalize(TruthPotential(params))
     rng = np.random.default_rng(seed)
 
     E_rows = np.empty((n_train, 6))
@@ -308,7 +210,7 @@ def generate_data(params: TruthParams | None = None, n_train: int = 80,
         else:
             raise DomainError(f"no positive-determinant F after {max_retries} retries")
         E_rows[i] = sym_to_voigt(0.5 * (F.T @ F - np.eye(3)))
-    S_rows = stress_batch(truth, E_rows)
+    S_rows = truth_stress(E_rows, params)
     S_noisy = S_rows * (1.0 + noise_level * rng.standard_normal(S_rows.shape))
 
     d_grid = np.linspace(-test_range, test_range, n_test)
@@ -317,7 +219,7 @@ def generate_data(params: TruthParams | None = None, n_train: int = 80,
     E_test[:, 0] = 0.5 * (stretch**2 - 1.0)
     E_test[:, 1] = 0.5 * (stretch - 1.0)   # (sqrt(1+d))^2 = 1+d
     E_test[:, 2] = E_test[:, 1]
-    S_test = stress_batch(truth, E_test)
+    S_test = truth_stress(E_test, params)
 
     names_e = tuple(f"E{n}" for n in VOIGT_NAMES)
     names_s = tuple(f"S{n}" for n in VOIGT_NAMES)
@@ -357,8 +259,8 @@ class StressRegressionModel:
         inv, dI = features
         rows = network.forward_pass(template, inv, particles)
         ref = network.forward_pass(template, np.array([REFERENCE_INVARIANTS]), particles)
-        slope = _reference_slope(ref.grad_input()[..., 0, 0, :])
-        pred = _stress_rows(_pin_reference(rows.grad_input()[..., 0, :], slope, inv), dI)
+        pred = _pinned_stress(rows.grad_input()[..., 0, :],
+                              ref.grad_input()[..., 0, 0, :], inv, dI)
 
         def score_of(residuals) -> np.ndarray:
             u = np.einsum("...nk,nik->...ni", residuals, dI)

@@ -12,8 +12,9 @@ link's activation once, its value and first two derivatives from one
 evaluation, and keeps them in a ``ForwardPass``.  The output, the input
 Jacobian, the parameter gradient and the reverse-over-forward gradient are
 methods that read that pass, so a model that needs a prediction and its score
-makes one forward pass for both; the ``*_batch`` functions are the one-call
-forms.
+makes one forward pass for both: ``forward_pass(net, X).output()`` evaluates
+a network, and ``.grad_input()``, ``.grad_params(upstream)``, ``.dirderiv(u)``
+and ``.grad_params_dirderiv(u, upstream)`` read the same pass.
 
 Each pass evaluates ``net`` itself or, given ``params`` (N, D) of flat
 parameter rows laid out like ``net``, the N networks of a particle stack at
@@ -37,11 +38,6 @@ __all__ = [
     "softplus",
     "ForwardPass",
     "forward_pass",
-    "forward_batch",
-    "grad_params_batch",
-    "grad_input_batch",
-    "dirderiv",
-    "grad_params_dirderiv_batch",
     "param_count",
     "permute_hidden",
     "net_to_dict",
@@ -358,32 +354,6 @@ def forward_pass(net: LayeredNet, X, params=None) -> ForwardPass:
         D1.append(d1)
         D2.append(d2)
     return ForwardPass(net, W, b, single, H, D1, D2)
-
-
-def forward_batch(net: LayeredNet, X, params=None) -> np.ndarray:
-    """Evaluate the network on rows of X, shape (batch, in) -> (batch, out)."""
-    return forward_pass(net, X, params).output()
-
-
-def grad_params_batch(net: LayeredNet, X, upstream, params=None) -> np.ndarray:
-    """Flat gradient of sum_b upstream[b] . net(X[b]); see ForwardPass.grad_params."""
-    return forward_pass(net, X, params).grad_params(upstream)
-
-
-def grad_input_batch(net: LayeredNet, X, params=None) -> np.ndarray:
-    """Jacobian d net(X[b]) / d X[b] for every row, shape (batch, out, in)."""
-    return forward_pass(net, X, params).grad_input()
-
-
-def dirderiv(net: LayeredNet, x, u) -> np.ndarray:
-    """Directional derivative J(x) @ u via a forward (tangent) pass."""
-    return forward_pass(net, x).dirderiv(u)
-
-
-def grad_params_dirderiv_batch(net: LayeredNet, X, u, upstream, params=None) -> np.ndarray:
-    """Flat parameter gradient of sum_b upstream[b] . (J(X[b]) @ u[b]); see
-    ForwardPass.grad_params_dirderiv."""
-    return forward_pass(net, X, params).grad_params_dirderiv(u, upstream)
 
 
 def param_count(net: LayeredNet, threshold: float = 0.0) -> int:

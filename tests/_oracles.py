@@ -25,24 +25,26 @@ def fd_gradient(f, theta, rel_h=1e-6):
     return g
 
 
-def fd_strain_gradient(f, E, h=1e-6):
-    """d f / dE for symmetric E, perturbing (i,j) and (j,i) together.
+def fd_strain_gradient(f, E, h=1e-3):
+    """d f / dE for symmetric E by five-point central differences (error
+    O(h^4)), perturbing (i,j) and (j,i) together.
 
     A symmetric perturbation changes both components, so the off-diagonal
     directional derivative is S_ij + S_ji = 2 S_ij; halve it to recover S_ij.
+    The pinned stresses have components near zero, where the rounding noise
+    of a two-point difference at h = 1e-6 (up to 1e-8: the truth model's
+    Gent term multiplies the rounding of log(1 - (I1-3)/J_m) by
+    t1 J_m / 2 = 94) reads as a relative error above 1e-6; five points at
+    h = 1e-3 keep it near 1e-10.
     """
     E = np.asarray(E, dtype=float)
     g = np.zeros((3, 3))
     for i in range(3):
         for j in range(3):
-            Ep = E.copy()
-            Em = E.copy()
-            Ep[i, j] += h
-            Em[i, j] -= h
-            if i != j:
-                Ep[j, i] += h
-                Em[j, i] -= h
-            d = (f(Ep) - f(Em)) / (2.0 * h)
+            step = np.zeros((3, 3))
+            step[i, j] = step[j, i] = h
+            d = (8.0 * (f(E + step) - f(E - step))
+                 - (f(E + 2.0 * step) - f(E - 2.0 * step))) / (12.0 * h)
             g[i, j] = d if i == j else d / 2.0
     return g
 
@@ -129,19 +131,21 @@ def per_particle_score_and_mse(target, template, particles):
             inv = mech.invariants_batch(X)
             dI = mech.invariant_derivatives_batch(X)
             ref = np.array([[3.0, 3.0, 1.0]])
-            g = nw.grad_input_batch(net, inv)[:, 0, :]
-            g_ref = nw.grad_input_batch(net, ref)[0, 0]
+            rows = nw.forward_pass(net, inv)
+            g = rows.grad_input()[:, 0, :]
+            g_ref = nw.forward_pass(net, ref).grad_input()[0, 0]
             n = 2.0 * g_ref[0] + 4.0 * g_ref[1] + 2.0 * g_ref[2]
             g[:, 2] -= 0.5 * n / np.sqrt(inv[:, 2])
             r = Y - np.einsum("ni,nik->nk", g, dI)
             u = np.einsum("nk,nik->ni", r, dI)
-            s = nw.grad_params_dirderiv_batch(net, inv, u, np.ones((len(X), 1)))
+            s = rows.grad_params_dirderiv(u, np.ones((len(X), 1)))
             w_ref = float(np.sum(u[:, 2] / (2.0 * np.sqrt(inv[:, 2]))))
-            s = s - w_ref * nw.grad_params_dirderiv_batch(
-                net, ref[0], np.array([2.0, 4.0, 2.0]), np.array([1.0]))
+            s = s - w_ref * nw.forward_pass(net, ref[0]).grad_params_dirderiv(
+                np.array([2.0, 4.0, 2.0]), np.array([1.0]))
         else:
-            r = Y - nw.forward_batch(net, X)
-            s = nw.grad_params_batch(net, X, r)
+            rows = nw.forward_pass(net, X)
+            r = Y - rows.output()
+            s = rows.grad_params(r)
         scores.append(s / target.noise_var)
         mses.append(float(np.mean(r * r)))
     return np.stack(scores), np.array(mses)
@@ -343,3 +347,51 @@ def dump_graph_csv(graph, path):
         for k, mat in enumerate(graph.weights):
             for i, j in zip(*np.nonzero(mat)):
                 w.writerow([k, int(j), int(i), repr(float(mat[i, j]))])
+
+
+# ---------------------------------------------------------------------------
+# Scalar hyperelastic forms on one 3x3 strain tensor or one invariant triple.
+# The library computes stress only from batched invariant gradients; these
+# values are what the finite-difference stress checks differentiate.
+
+def invariants_3x3(E):
+    """Principal invariants (I1, I2, I3) of C = 2E + I from its trace and
+    determinant."""
+    C = 2.0 * np.asarray(E, dtype=float) + np.eye(3)
+    i1 = float(np.trace(C))
+    return np.array([i1, 0.5 * (i1 * i1 - np.trace(C @ C)), np.linalg.det(C)])
+
+
+def truth_potential(params, inv):
+    """The Gent-type strain-energy density at one invariant triple:
+    -(t1/2) J_m log(1 - (I1-3)/J_m) - t2 log(I2/J) + t3 ((J^2-1)/2 - log J),
+    J = sqrt(I3)."""
+    i1, i2, i3 = inv
+    j = np.sqrt(i3)
+    return float(-0.5 * params.t1 * params.j_m * np.log(1.0 - (i1 - 3.0) / params.j_m)
+                 - params.t2 * np.log(i2 / j)
+                 + params.t3 * (0.5 * (j * j - 1.0) - np.log(j)))
+
+
+def net_potential(net):
+    """A scalar-output network as a potential of one invariant triple."""
+    from csvgd import network as nw
+
+    return lambda inv: float(nw.forward_pass(net, inv).output()[0])
+
+
+def reference_normalized(potential, h=1e-3):
+    """Phi_hat(I) = Phi(I) - Phi(3,3,1) - n (sqrt(I3) - 1) for a potential of
+    one invariant triple, where n = (2, 4, 2) . grad Phi(3,3,1) is the
+    derivative along (2, 4, 2) by a five-point central difference (error
+    O(h^4))."""
+    ref, step = np.array([3.0, 3.0, 1.0]), np.array([2.0, 4.0, 2.0])
+    v0 = potential(ref)
+    n = (8.0 * (potential(ref + h * step) - potential(ref - h * step))
+         - (potential(ref + 2 * h * step) - potential(ref - 2 * h * step))) / (12.0 * h)
+    return lambda inv: potential(inv) - v0 - n * (np.sqrt(inv[2]) - 1.0)
+
+
+def strain_energy(potential):
+    """A potential of invariants as a function of the 3x3 strain tensor."""
+    return lambda E: potential(invariants_3x3(E))

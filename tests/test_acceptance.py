@@ -20,9 +20,8 @@ from csvgd.experiments import (MVN_MEAN, MVN_PRECISION, RunConfig,
                                _test_path_samples)
 from csvgd.kernels import KernelSpec
 from csvgd.likelihoods import MvnTarget
-from csvgd.mechanics import (NetPotential, TruthParams, TruthPotential,
-                             icnn_template, invariants, reference_normalize,
-                             stress_from_potential, truth_potential)
+from csvgd.mechanics import (StressRegressionModel, TruthParams, icnn_template,
+                             sym_to_voigt, truth_stress, voigt_to_sym)
 from csvgd.metrics import pushforward_w1, sparsity_l1
 from csvgd.priors import PriorSpec, log_prior_density, prior_score
 
@@ -126,14 +125,14 @@ def test_criterion_03_gradient_correctness():
         net = random_net(rng, (3, 8, 8, 1))
         x = rng.normal(size=3)
         theta = net.flatten()
-        g = nw.grad_params_batch(net, x, np.array([1.0]))
-        fd = fd_gradient(lambda t: float(nw.forward_batch(net.with_values(t), x)[0]),
-                         theta)
+        g = nw.forward_pass(net, x).grad_params(np.array([1.0]))
+        fd = fd_gradient(
+            lambda t: float(nw.forward_pass(net.with_values(t), x).output()[0]), theta)
         rel = np.abs(g - fd) / np.maximum(np.abs(fd), 1e-8)
         worst = max(worst, rel.max())
         n_checked += theta.size
-        gi = nw.grad_input_batch(net, x)[0]
-        fdi = fd_gradient(lambda xv: float(nw.forward_batch(net, xv)[0]), x)
+        gi = nw.forward_pass(net, x).grad_input()[0]
+        fdi = fd_gradient(lambda xv: float(nw.forward_pass(net, xv).output()[0]), x)
         rel_i = np.abs(gi - fdi) / np.maximum(np.abs(fdi), 1e-8)
         worst = max(worst, rel_i.max())
         n_checked += x.size
@@ -162,11 +161,11 @@ def test_criterion_05_condensation_correctness():
     ens = init_net_ensemble(template, 6, seed=13)
     ens.particles[rng.random(ens.particles.shape) < 0.4] *= 1e-5
     X = rng.uniform(-1.0, 1.0, size=(100, 3))
-    before = [nw.forward_batch(net, X) for net in ens.nets()]
+    before = [nw.forward_pass(net, X).output() for net in ens.nets()]
 
     exact, _ = condense_ensemble(ens, 0.0)
     preserved = max(np.max(np.abs(b - a)) for b, a in
-                    zip(before, [nw.forward_batch(n, X) for n in exact.nets()]))
+                    zip(before, [nw.forward_pass(n, X).output() for n in exact.nets()]))
 
     once, _ = condense_ensemble(ens, 1e-3)
     twice, _ = condense_ensemble(once, 1e-3)
@@ -177,7 +176,7 @@ def test_criterion_05_condensation_correctness():
     # computed fan-in bound on the pruning perturbation
     from csvgd import condense as gc
     within_bound = True
-    after = [nw.forward_batch(net, X) for net in once.nets()]
+    after = [nw.forward_pass(net, X).output() for net in once.nets()]
     for net, b, a in zip(ens.nets(), before, after):
         pruned = gc.prune(gc.NetGraph.from_net(net), 1e-3)
         h, dh = X, np.zeros(X.shape[1])
@@ -196,38 +195,39 @@ def test_criterion_05_condensation_correctness():
 
 
 def test_criterion_06_zero_stress_reference_and_truth_consistency():
-    from csvgd.mechanics import stress_batch
-
-    from _oracles import stress_cycle_integral
+    from _oracles import (reference_normalized, strain_energy, stress_cycle_integral,
+                          truth_potential)
 
     rng = np.random.default_rng(6)
+    model = StressRegressionModel()
+    at_reference = model.prepare(np.zeros((1, 6)))
     worst_s0 = 0.0
     for _ in range(100):
         widths = (3, int(rng.integers(3, 12)), 1)
         net = random_net(rng, widths, nonneg=(False, True))
-        pot = reference_normalize(NetPotential(net))
-        s0 = np.linalg.norm(stress_from_potential(pot, np.zeros((3, 3))))
-        worst_s0 = max(worst_s0, s0)
+        S0 = model.predict(net, net.flatten()[None], at_reference)[0, 0]
+        worst_s0 = max(worst_s0, np.linalg.norm(voigt_to_sym(S0)))
 
     params = TruthParams()
-    truth = TruthPotential(params)
+    energy = strain_energy(reference_normalized(lambda inv: truth_potential(params, inv)))
     worst_fd = 0.0
     for _ in range(100):
         E = 0.05 * rng.normal(size=(3, 3))
         E = 0.5 * (E + E.T)
-        S = stress_from_potential(truth, E)
-        fd = fd_strain_gradient(
-            lambda Em: truth_potential(params, *invariants(Em)), E)
+        S = voigt_to_sym(truth_stress(sym_to_voigt(E), params)[0])
+        fd = fd_strain_gradient(energy, E)
         rel = np.abs(S - fd) / np.maximum(np.abs(fd), 1e-8)
         worst_fd = max(worst_fd, rel.max())
 
     A = 0.04 * np.array([[1.0, 0.3, 0.0], [0.3, -0.5, 0.1], [0.0, 0.1, 0.2]])
     B = 0.04 * np.array([[0.2, -0.1, 0.4], [-0.1, 0.8, 0.0], [0.4, 0.0, -0.3]])
-    net_pot = reference_normalize(NetPotential(
-        random_net(rng, (3, 6, 1), nonneg=(False, True))))
-    cycle = max(abs(stress_cycle_integral(
-        lambda E: stress_batch(pot, E), A, B))
-        for pot in (reference_normalize(truth), net_pot))
+    net = random_net(rng, (3, 6, 1), nonneg=(False, True))
+
+    def net_stress(E):
+        return model.predict(net, net.flatten()[None], model.prepare(E))[0]
+
+    cycle = max(abs(stress_cycle_integral(stress, A, B))
+                for stress in (lambda E: truth_stress(E, params), net_stress))
 
     ok = worst_s0 < 1e-8 and worst_fd < 1e-6 and cycle < 1e-6
     report(6, ok, f"max |S(0)| {worst_s0:.1e} < 1e-8 over 100 nets, truth-stress "

@@ -116,8 +116,8 @@ class TestSortNodes:
         g = gc.sort_nodes(graph_of(net))
         assert g.provenance[1].tolist() == [1, 0]
         x = rng.normal(size=(10, 1))
-        before = nw.forward_batch(net, x)
-        after = nw.forward_batch(g.to_net(), x)
+        before = nw.forward_pass(net, x).output()
+        after = nw.forward_pass(g.to_net(), x).output()
         assert np.max(np.abs(before - after)) <= 1e-12
 
     def test_ties_keep_original_order(self):
@@ -160,8 +160,8 @@ class TestTemplateAndReconcile:
         assert padded.widths == (1, 3, 1)
         assert padded.provenance[1].tolist()[-1] == -1
         x = rng.normal(size=(10, 1))
-        assert np.max(np.abs(nw.forward_batch(net, x)
-                             - nw.forward_batch(padded.to_net(), x))) <= 1e-12
+        assert np.max(np.abs(nw.forward_pass(net, x).output()
+                             - nw.forward_pass(padded.to_net(), x).output())) <= 1e-12
 
     def test_reconcile_on_own_template_is_identity(self, rng):
         net = random_net(rng, (2, 3, 1))
@@ -189,9 +189,9 @@ class TestCondense:
     def test_outputs_preserved_at_zero_epsilon(self, rng):
         ens = self._noisy_ensemble(rng)
         X = rng.normal(size=(100, 3))
-        before = [nw.forward_batch(net, X) for net in ens.nets()]
+        before = [nw.forward_pass(net, X).output() for net in ens.nets()]
         out, _ = condense_ensemble(ens, 0.0)
-        after = [nw.forward_batch(net, X) for net in out.nets()]
+        after = [nw.forward_pass(net, X).output() for net in out.nets()]
         for b, a in zip(before, after):
             assert np.max(np.abs(b - a)) <= 1e-12
 
@@ -225,7 +225,7 @@ class TestCondense:
         eps = 1e-3
         ens = self._noisy_ensemble(rng)
         X = rng.uniform(-1.0, 1.0, size=(50, 3))
-        before = [nw.forward_batch(net, X) for net in ens.nets()]
+        before = [nw.forward_pass(net, X).output() for net in ens.nets()]
         bounds = []
         for net in ens.nets():
             pruned = gc.prune(gc.NetGraph.from_net(net), eps)
@@ -240,7 +240,7 @@ class TestCondense:
                 dh = dz
             bounds.append(dh.max())
         out, _ = condense_ensemble(ens, eps)
-        after = [nw.forward_batch(net, X) for net in out.nets()]
+        after = [nw.forward_pass(net, X).output() for net in out.nets()]
         for b, a, bound in zip(before, after, bounds):
             assert np.max(np.abs(b - a)) <= bound + 1e-9
 

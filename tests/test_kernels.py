@@ -10,29 +10,54 @@ from csvgd.condense import distance_matrix
 from csvgd.engine import Ensemble, SvgdConfig, _resolve_gamma, stein_gradient
 from csvgd.errors import DomainError, ShapeError
 from csvgd.kernels import (BANDWIDTH_FLOOR, BLOCK_ELEMENTS, PAIRWISE_SUM_MIN,
-                           KernelSpec, kernel_eval, kernel_grad, kernel_matrix,
-                           median_bandwidth, median_pair_distance,
-                           pairwise_power_sum, pairwise_square_sums,
-                           silverman_bandwidth)
+                           KernelSpec, _kernel, median_bandwidth,
+                           median_pair_distance, pairwise_power_sum,
+                           pairwise_square_sums, silverman_bandwidth,
+                           stein_direction)
 
 from _oracles import (broadcast_distance_matrix, broadcast_kernel_matrix,
                       broadcast_power_sum, broadcast_stein_direction, fd_gradient)
+
+
+def kappa(spec, a, b):
+    """The library's kernel value: its one kernel formula over the pairwise
+    power sum, as the Stein direction forms it."""
+    return float(_kernel(pairwise_power_sum(a, b, spec.beta), spec.gamma, spec.beta)[0, 0])
+
+
+def stein(spec, P, S, near):
+    """``stein_direction`` at the spec's gamma, given the distances it needs."""
+    P = np.asarray(P, dtype=float)
+    sq = pairwise_square_sums(P, P.shape[1])[1] if spec.beta == 2 else None
+    return stein_direction(spec, P, S, spec.gamma, near, sq)
+
+
+def repulsion(spec, a, b):
+    """grad_a kappa(a, b) read off the Stein direction: for the particles
+    (a, b) with zero scores and no coordinate near, b's direction is
+    (1/2) grad_{t_a} kappa(t_a, t_b)."""
+    P = np.stack([np.asarray(a, dtype=float), np.asarray(b, dtype=float)])
+    return 2.0 * stein(spec, P, np.zeros_like(P), np.zeros(P.shape, dtype=bool))[1]
+
+
+def oracle_kappa(spec, a, b):
+    return broadcast_kernel_matrix(np.stack([a, b]), spec.beta, spec.gamma)[0, 1]
 
 
 class TestEval:
     def test_self_similarity_is_one(self, rng):
         spec = KernelSpec(2, 0.7)
         a = rng.normal(size=6)
-        assert kernel_eval(spec, a, a) == 1.0
+        assert kappa(spec, a, a) == 1.0
 
     def test_gaussian_hand_value(self):
         spec = KernelSpec(2, 1.0)
-        assert kernel_eval(spec, np.array([1.0, 0.0]), np.zeros(2)) == \
+        assert kappa(spec, np.array([1.0, 0.0]), np.zeros(2)) == \
             pytest.approx(np.exp(-0.5), rel=1e-12)
 
     def test_exponential_hand_value(self):
         spec = KernelSpec(1, 2.0)
-        assert kernel_eval(spec, np.array([1.0, -1.0]), np.zeros(2)) == \
+        assert kappa(spec, np.array([1.0, -1.0]), np.zeros(2)) == \
             pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_symmetric_and_bounded(self, rng):
@@ -40,55 +65,57 @@ class TestEval:
             spec = KernelSpec(beta, 0.3)
             for _ in range(20):
                 a, b = rng.normal(size=(2, 4))
-                k1, k2 = kernel_eval(spec, a, b), kernel_eval(spec, b, a)
+                k1, k2 = kappa(spec, a, b), kappa(spec, b, a)
                 assert k1 == k2
                 assert 0.0 < k1 <= 1.0
                 assert (k1 == 1.0) == bool(np.all(a == b))
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            kernel_eval(KernelSpec(2, 1.0), np.zeros(2), np.zeros(3))
+            kappa(KernelSpec(2, 1.0), np.zeros(2), np.zeros(3))
 
     def test_matrix_agrees_with_pairwise(self, rng):
-        P = rng.normal(size=(5, 3))
+        # every coordinate near: no repulsion, so unit scores give the drive K / n
+        P = rng.normal(size=(5, 5))
         for beta in (1, 2):
             spec = KernelSpec(beta, 0.9)
-            K = kernel_matrix(spec, P)
+            K = 5.0 * stein(spec, P, np.eye(5), np.ones(P.shape, dtype=bool))
             for a in range(5):
                 for b in range(5):
-                    assert K[a, b] == pytest.approx(kernel_eval(spec, P[a], P[b]),
-                                                    rel=1e-12)
+                    assert K[a, b] == pytest.approx(kappa(spec, P[a], P[b]), rel=1e-12)
 
 
 class TestGrad:
+    """The repulsion of the Stein direction is the kernel gradient."""
+
     def test_zero_at_coincident_points(self, rng):
         a = rng.normal(size=4)
         for beta in (1, 2):
-            g = kernel_grad(KernelSpec(beta, 0.5), a, a.copy())
+            g = repulsion(KernelSpec(beta, 0.5), a, a.copy())
             assert np.all(g == 0.0)
 
     def test_gaussian_hand_value(self):
         spec = KernelSpec(2, 1.0)
-        g = kernel_grad(spec, np.zeros(2), np.array([1.0, 0.0]))
+        g = repulsion(spec, np.zeros(2), np.array([1.0, 0.0]))
         assert g == pytest.approx([np.exp(-0.5), 0.0], rel=1e-12)
 
     def test_exponential_hand_value(self):
         spec = KernelSpec(1, 1.0)
-        g = kernel_grad(spec, np.zeros(1), np.array([0.5]))
+        g = repulsion(spec, np.zeros(1), np.array([0.5]))
         assert g == pytest.approx([np.exp(-0.5)], rel=1e-12)
 
     def test_antisymmetry_under_swap(self, rng):
         for beta in (1, 2):
             spec = KernelSpec(beta, 0.8)
             a, b = rng.normal(size=(2, 5))
-            assert kernel_grad(spec, a, b) == pytest.approx(-kernel_grad(spec, b, a),
-                                                            abs=1e-14)
+            assert repulsion(spec, a, b) == pytest.approx(-repulsion(spec, b, a),
+                                                          abs=1e-14)
 
     def test_matches_finite_differences_beta2(self, rng):
         spec = KernelSpec(2, 0.6)
         a, b = rng.normal(size=(2, 4))
-        g = kernel_grad(spec, a, b)
-        oracle = fd_gradient(lambda av: kernel_eval(spec, av, b), a)
+        g = repulsion(spec, a, b)
+        oracle = fd_gradient(lambda av: oracle_kappa(spec, av, b), a)
         rel = np.abs(g - oracle) / np.maximum(np.abs(oracle), 1e-12)
         assert rel.max() < 1e-6
 
@@ -96,8 +123,8 @@ class TestGrad:
         spec = KernelSpec(1, 0.9)
         a = rng.uniform(1.0, 2.0, size=4)
         b = -rng.uniform(1.0, 2.0, size=4)
-        g = kernel_grad(spec, a, b)
-        oracle = fd_gradient(lambda av: kernel_eval(spec, av, b), a)
+        g = repulsion(spec, a, b)
+        oracle = fd_gradient(lambda av: oracle_kappa(spec, av, b), a)
         rel = np.abs(g - oracle) / np.maximum(np.abs(oracle), 1e-12)
         assert rel.max() < 1e-6
 
@@ -251,7 +278,7 @@ class TestPairwiseLayer:
         assert np.array_equal(distance_matrix(P), broadcast_distance_matrix(P))
         for beta in (1, 2):
             gamma = 0.3 * d
-            assert np.array_equal(kernel_matrix(KernelSpec(beta, gamma), P),
+            assert np.array_equal(_kernel(pairwise_power_sum(P, P, beta), gamma, beta),
                                   broadcast_kernel_matrix(P, beta, gamma))
 
     @pytest.mark.parametrize("n,d", SHAPES)

@@ -77,13 +77,13 @@ class TestRegression:
     def _target(self, rng, noise_var=1.0, n=5, widths=(2, 4, 1)):
         net = random_net(rng, widths)
         X = rng.normal(size=(n, widths[0]))
-        Y = nw.forward_batch(net, X) + 0.1 * rng.normal(size=(n, widths[-1]))
+        Y = nw.forward_pass(net, X).output() + 0.1 * rng.normal(size=(n, widths[-1]))
         return net, RegressionTarget(Dataset(X, Y), noise_var, DirectNetModel())
 
     def test_perfect_fit_is_zero(self, rng):
         net = random_net(rng, (2, 3, 1))
         X = rng.normal(size=(4, 2))
-        target = RegressionTarget(Dataset(X, nw.forward_batch(net, X)), 1.0,
+        target = RegressionTarget(Dataset(X, nw.forward_pass(net, X).output()), 1.0,
                                   DirectNetModel())
         assert log_lik(target, net) == 0.0
         assert np.all(score_of(target, net) == 0.0)
@@ -117,7 +117,7 @@ class TestRegression:
     def test_score_and_mse_consistent(self, rng):
         net, target = self._target(rng)
         _, m = target.score_and_mse_batch(net, net.flatten()[None])
-        r = target.dataset.outputs - nw.forward_batch(net, target.dataset.inputs)
+        r = target.dataset.outputs - nw.forward_pass(net, target.dataset.inputs).output()
         assert m[0] == pytest.approx(np.mean(r * r), rel=1e-14)
         assert log_lik(target, net) == pytest.approx(
             -np.sum(r * r) / (2.0 * target.noise_var), rel=1e-14)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from csvgd import mechanics as mech
+from csvgd import network as nw
 from csvgd.errors import DomainError
 from csvgd.likelihoods import RegressionTarget
 
-from _oracles import fd_gradient, fd_strain_gradient
+from _oracles import (fd_gradient, fd_strain_gradient, invariants_3x3, net_potential,
+                      reference_normalized, strain_energy, truth_potential)
 from conftest import random_net
 
 
@@ -18,14 +20,25 @@ def random_icnn(rng, widths=(3, 4, 1)):
     return random_net(rng, widths, nonneg=(False,) + (True,) * (len(widths) - 2))
 
 
+def predict_one(net, E_voigt):
+    """Voigt stress rows of one network through the stress model."""
+    model = mech.StressRegressionModel()
+    return model.predict(net, net.flatten()[None], model.prepare(E_voigt))[0]
+
+
+def voigt_fd_stress(potential, E):
+    """Voigt row of the FD strain gradient of a potential of invariants."""
+    return mech.sym_to_voigt(fd_strain_gradient(strain_energy(potential), E))
+
+
 class TestInvariants:
     def test_reference_state(self):
-        assert mech.invariants(np.zeros((3, 3))) == pytest.approx((3.0, 3.0, 1.0))
+        assert mech.invariants_batch(np.zeros((1, 6)))[0] == pytest.approx((3.0, 3.0, 1.0))
 
     def test_uniaxial_stretch(self):
         # C = diag(4, 1, 1): I1 = 6, I2 = (36 - 18)/2 = 9, I3 = 4
-        E = np.diag([1.5, 0.0, 0.0])
-        assert mech.invariants(E) == pytest.approx((6.0, 9.0, 4.0))
+        E = np.array([[1.5, 0.0, 0.0, 0.0, 0.0, 0.0]])
+        assert mech.invariants_batch(E)[0] == pytest.approx((6.0, 9.0, 4.0))
 
     def test_rotation_invariance(self, rng):
         for _ in range(10):
@@ -33,171 +46,143 @@ class TestInvariants:
             C = 2.0 * E + np.eye(3)
             Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             E_rot = 0.5 * (Q.T @ C @ Q - np.eye(3))
-            assert mech.invariants(E_rot) == pytest.approx(mech.invariants(E),
-                                                           abs=1e-12)
+            rows = mech.sym_to_voigt(np.stack([E, E_rot]))
+            inv = mech.invariants_batch(rows)
+            assert inv[1] == pytest.approx(inv[0], abs=1e-12)
 
     def test_batch_matches_single(self, rng):
-        E_rows = np.stack([mech.sym_to_voigt(random_strain(rng)) for _ in range(8)])
-        batch = mech.invariants_batch(E_rows)
-        for i, row in enumerate(E_rows):
-            assert batch[i] == pytest.approx(mech.invariants(mech.voigt_to_sym(row)),
-                                             abs=1e-12)
-
-    def test_asymmetric_rejected(self):
-        E = np.zeros((3, 3))
-        E[0, 1] = 0.2
-        with pytest.raises(Exception):
-            mech.invariants(E)
+        """The Voigt-row closed forms against trace and determinant of C."""
+        E = np.stack([random_strain(rng) for _ in range(8)])
+        batch = mech.invariants_batch(mech.sym_to_voigt(E))
+        for i in range(8):
+            assert batch[i] == pytest.approx(invariants_3x3(E[i]), abs=1e-12)
 
 
 class TestInvariantDerivatives:
     def test_reference_values(self):
-        d1, d2, d3 = mech.invariant_derivatives(np.zeros((3, 3)))
-        assert d1 == pytest.approx(2.0 * np.eye(3))
-        assert d2 == pytest.approx(4.0 * np.eye(3))
-        assert d3 == pytest.approx(2.0 * np.eye(3))
+        d1, d2, d3 = mech.invariant_derivatives_batch(np.zeros((1, 6)))[0]
+        assert d1 == pytest.approx(mech.sym_to_voigt(2.0 * np.eye(3)))
+        assert d2 == pytest.approx(mech.sym_to_voigt(4.0 * np.eye(3)))
+        assert d3 == pytest.approx(mech.sym_to_voigt(2.0 * np.eye(3)))
 
     def test_match_finite_differences(self, rng):
         for _ in range(10):
             E = random_strain(rng)
-            ds = mech.invariant_derivatives(E)
+            ds = mech.invariant_derivatives_batch(mech.sym_to_voigt(E)[None])[0]
             for i, d in enumerate(ds):
-                oracle = fd_strain_gradient(lambda Em: mech.invariants(Em)[i], E)
+                oracle = mech.sym_to_voigt(
+                    fd_strain_gradient(lambda Em: invariants_3x3(Em)[i], E))
                 rel = np.abs(d - oracle) / np.maximum(np.abs(oracle), 1e-8)
                 assert rel.max() < 1e-6
 
-    def test_derivatives_symmetric(self, rng):
-        for d in mech.invariant_derivatives(random_strain(rng)):
-            assert d == pytest.approx(d.T, abs=1e-14)
-
     def test_batch_matches_single(self, rng):
-        E = random_strain(rng)
-        row = mech.sym_to_voigt(E)[None]
-        batch = mech.invariant_derivatives_batch(row)[0]
-        for i, d in enumerate(mech.invariant_derivatives(E)):
-            assert batch[i] == pytest.approx(mech.sym_to_voigt(d), abs=1e-12)
+        """Each row against 2I, 2(I1 I - C) and 2 det(C) C^-1 of its own C."""
+        E = np.stack([random_strain(rng) for _ in range(6)])
+        batch = mech.invariant_derivatives_batch(mech.sym_to_voigt(E))
+        for row, Ei in zip(batch, E):
+            C = 2.0 * Ei + np.eye(3)
+            expect = (2.0 * np.eye(3), 2.0 * (np.trace(C) * np.eye(3) - C),
+                      2.0 * np.linalg.det(C) * np.linalg.inv(C))
+            for got, want in zip(row, expect):
+                assert got == pytest.approx(mech.sym_to_voigt(want), abs=1e-12)
 
 
 class TestTruthModel:
     def test_reference_value(self):
+        # at (3, 3, 1): dPsi/dI = (t1/2, -t2/I2, t2/(2 I3) + 0)
         p = mech.TruthParams()
-        # only the -t2 log(I2/J) term survives at (3, 3, 1)
-        assert mech.truth_potential(p, 3.0, 3.0, 1.0) == \
-            pytest.approx(0.75 * np.log(3.0), rel=1e-12)
+        g = mech._truth_gradient(p, np.array([[3.0, 3.0, 1.0]]))[0]
+        assert g == pytest.approx([0.5 * p.t1, -p.t2 / 3.0, 0.5 * p.t2], rel=1e-12)
 
     def test_lockup_raises(self):
         p = mech.TruthParams()
+        # E11 = J_m gives I1 = 3 + 2 J_m, beyond the lock-up at 3 + J_m
         with pytest.raises(DomainError):
-            mech.truth_potential(p, 3.0 + p.j_m, 3.0, 1.0)
+            mech.truth_stress([[p.j_m, 0.0, 0.0, 0.0, 0.0, 0.0]], p)
 
     def test_gradient_matches_fd(self, rng):
-        truth = mech.TruthPotential()
+        p = mech.TruthParams()
         inv = np.array([[3.4, 3.2, 1.1]])
-        g = truth.gradient(inv)[0]
-        oracle = fd_gradient(lambda v: float(truth.value(v[None])[0]), inv[0])
+        g = mech._truth_gradient(p, inv)[0]
+        oracle = fd_gradient(lambda v: truth_potential(p, v), inv[0])
         assert g == pytest.approx(oracle, rel=1e-6)
 
     def test_stress_matches_potential_fd(self, rng):
         p = mech.TruthParams()
-        truth = mech.TruthPotential(p)
+        pinned = reference_normalized(lambda inv: truth_potential(p, inv))
         for _ in range(5):
             E = random_strain(rng)
-            S = mech.stress_from_potential(truth, E)
-            oracle = fd_strain_gradient(
-                lambda Em: mech.truth_potential(p, *mech.invariants(Em)), E)
+            S = mech.truth_stress(mech.sym_to_voigt(E), p)[0]
+            oracle = voigt_fd_stress(pinned, E)
             rel = np.abs(S - oracle) / np.maximum(np.abs(oracle), 1e-8)
             assert rel.max() < 1e-6
 
 
 class TestStressFromPotential:
-    class _Const:
-        def gradient(self, inv):
-            return np.zeros_like(np.atleast_2d(inv))
-
-        def value(self, inv):
-            return np.full(len(np.atleast_2d(inv)), 7.0)
-
-    class _I1:
-        def gradient(self, inv):
-            g = np.zeros_like(np.atleast_2d(inv))
-            g[..., 0] = 1.0
-            return g
-
-        def value(self, inv):
-            return np.atleast_2d(inv)[..., 0]
+    """The pinned stress of potentials with known closed forms."""
 
     def test_constant_potential_gives_zero(self, rng):
-        S = mech.stress_from_potential(self._Const(), random_strain(rng))
+        net = random_icnn(rng)
+        W0, W1 = net.weights
+        constant = nw.LayeredNet(net.layer_widths, (W0, np.zeros_like(W1)), (),
+                                 net.activations, net.nonneg_mask)
+        S = predict_one(constant, mech.sym_to_voigt(random_strain(rng))[None])
         assert np.all(S == 0.0)
 
     def test_first_invariant_potential(self, rng):
-        S = mech.stress_from_potential(self._I1(), random_strain(rng))
-        assert S == pytest.approx(2.0 * np.eye(3))
+        # Phi = I1 has n = 2, so S = 2I - (1/sqrt(I3)) dI3/dE = 2I - 2 sqrt(I3) C^-1
+        net = nw.LayeredNet((3, 1), (np.array([[1.0, 0.0, 0.0]]),), (),
+                            ("identity",), (False,))
+        E = random_strain(rng)
+        C = 2.0 * E + np.eye(3)
+        S = predict_one(net, mech.sym_to_voigt(E)[None])[0]
+        expect = 2.0 * np.eye(3) - 2.0 * np.sqrt(np.linalg.det(C)) * np.linalg.inv(C)
+        assert S == pytest.approx(mech.sym_to_voigt(expect), abs=1e-12)
 
     def test_energy_conservation_on_cycle(self, rng):
         """Stress power integrates to ~0 around a closed strain loop for both
-        the truth potential and a network potential."""
+        the truth model and a network potential."""
         from _oracles import stress_cycle_integral
         A = 0.04 * np.array([[1.0, 0.3, 0.0], [0.3, -0.5, 0.1], [0.0, 0.1, 0.2]])
         B = 0.04 * np.array([[0.2, -0.1, 0.4], [-0.1, 0.8, 0.0], [0.4, 0.0, -0.3]])
-        truth = mech.reference_normalize(mech.TruthPotential())
-        net_pot = mech.reference_normalize(mech.NetPotential(random_icnn(rng)))
-        for pot in (truth, net_pot):
-            total = stress_cycle_integral(
-                lambda E: mech.stress_batch(pot, E), A, B)
-            assert abs(total) < 1e-6
-
-    def test_stress_batch_matches_single(self, rng):
-        truth = mech.TruthPotential()
-        rows = np.stack([mech.sym_to_voigt(random_strain(rng)) for _ in range(6)])
-        batch = mech.stress_batch(truth, rows)
-        for row_e, row_s in zip(rows, batch):
-            S = mech.stress_from_potential(truth, mech.voigt_to_sym(row_e))
-            assert row_s == pytest.approx(mech.sym_to_voigt(S), abs=1e-12)
+        net = random_icnn(rng)
+        for stress in (mech.truth_stress, lambda E: predict_one(net, E)):
+            assert abs(stress_cycle_integral(stress, A, B)) < 1e-6
 
 
 class TestNormalization:
-    def test_value_zero_at_reference(self, rng):
-        net = random_icnn(rng)
-        pot = mech.reference_normalize(mech.NetPotential(net))
-        assert pot.value([[3.0, 3.0, 1.0]])[0] == pytest.approx(0.0, abs=1e-14)
-
     def test_stress_zero_at_reference(self, rng):
         for _ in range(20):
-            net = random_icnn(rng)
-            pot = mech.reference_normalize(mech.NetPotential(net))
-            S0 = mech.stress_from_potential(pot, np.zeros((3, 3)))
+            S0 = predict_one(random_icnn(rng), np.zeros((1, 6)))
             assert np.linalg.norm(S0) < 1e-8
 
     def test_correction_only_depends_on_i3(self, rng):
+        """Pinning shifts only dPhi/dI3, by -n / (2 sqrt(I3)) with one n for
+        every row: the stress moves along dI3/dE alone."""
         net = random_icnn(rng)
-        raw = mech.NetPotential(net)
-        normed = mech.reference_normalize(raw)
-        inv = np.array([[3.7, 2.9, 1.2]])
-        # the I3-only shift leaves the I1 sensitivity untouched
-        assert normed.gradient(inv)[0][0] == pytest.approx(raw.gradient(inv)[0][0],
-                                                           rel=1e-12)
+        E = np.stack([mech.sym_to_voigt(random_strain(rng)) for _ in range(5)])
+        inv, dI = mech.StressRegressionModel().prepare(E)
+        raw = np.einsum("ni,nik->nk",
+                        nw.forward_pass(net, inv).grad_input()[:, 0, :], dI)
+        shift = predict_one(net, E) - raw
+        c = np.sum(shift * dI[:, 2], axis=1) / np.sum(dI[:, 2] ** 2, axis=1)
+        assert shift == pytest.approx(c[:, None] * dI[:, 2], rel=1e-9, abs=1e-15)
+        assert c * np.sqrt(inv[:, 2]) == pytest.approx(np.full(5, c[0] * np.sqrt(inv[0, 2])),
+                                                       rel=1e-9)
 
     def test_normalized_stress_matches_value_fd(self, rng):
         net = random_icnn(rng)
-        pot = mech.reference_normalize(mech.NetPotential(net))
         E = random_strain(rng)
-        S = mech.stress_from_potential(pot, E)
-
-        def value_at(Em):
-            return float(pot.value(np.array([mech.invariants(Em)]))[0])
-
-        oracle = fd_strain_gradient(value_at, E)
+        S = predict_one(net, mech.sym_to_voigt(E)[None])[0]
+        oracle = voigt_fd_stress(reference_normalized(net_potential(net)), E)
         assert S == pytest.approx(oracle, rel=1e-5, abs=1e-9)
 
 
 class TestDataGeneration:
     def test_zero_noise_reproduces_truth(self):
         data = mech.generate_data(noise_level=0.0, n_train=10, seed=4, n_test=21)
-        truth = mech.reference_normalize(mech.TruthPotential())
-        for row_e, row_s in zip(data.train.inputs, data.train.outputs):
-            S = mech.stress_from_potential(truth, mech.voigt_to_sym(row_e))
-            assert row_s == pytest.approx(mech.sym_to_voigt(S), abs=1e-12)
+        assert np.array_equal(data.train.outputs, mech.truth_stress(data.train.inputs))
+        assert np.array_equal(data.test.outputs, mech.truth_stress(data.test.inputs))
 
     def test_reference_point_on_test_path(self):
         data = mech.generate_data(n_train=4, seed=0, n_test=21)
@@ -219,9 +204,7 @@ class TestDataGeneration:
 
     def test_deformations_admissible(self):
         data = mech.generate_data(n_train=30, seed=2, n_test=13)
-        for row in data.train.inputs:
-            i3 = mech.invariants(mech.voigt_to_sym(row))[2]
-            assert i3 > 0.0
+        assert np.all(mech.invariants_batch(data.train.inputs)[:, 2] > 0.0)
 
 
 class TestStressModelScore:
@@ -242,14 +225,17 @@ class TestStressModelScore:
         assert np.linalg.norm(S) < 1e-8
 
     def test_predict_matches_stress_batch(self, rng):
+        """Each particle of a stack against the FD stress of its own
+        reference-normalized potential."""
         nets = [random_icnn(rng) for _ in range(3)]
         E = 0.05 * rng.normal(size=(7, 6))
         model = mech.StressRegressionModel()
         S = model.predict(nets[0], np.stack([n.flatten() for n in nets]),
                           model.prepare(E))
         for a, net in enumerate(nets):
-            expect = mech.stress_batch(mech.reference_normalize(mech.NetPotential(net)), E)
-            assert S[a] == pytest.approx(expect, rel=1e-13, abs=1e-15)
+            pinned = reference_normalized(net_potential(net))
+            expect = [voigt_fd_stress(pinned, mech.voigt_to_sym(row)) for row in E]
+            assert S[a] == pytest.approx(np.array(expect), rel=1e-5, abs=1e-9)
 
 
 class TestVoigt:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -198,6 +198,7 @@ class TestW1Properties:
 
     @settings(max_examples=200, deadline=None)
     @given(pair=w1_pairs(), k=st.integers(-8, 8), c=st.floats(1e-3, 1e3))
+    @example(pair=(np.array([5e-324, -0.0]), np.array([-0.0])), k=0, c=2.0)
     def test_positive_homogeneity(self, pair, k, c):
         A, B = pair
         w = wasserstein1_batch(A, B)
@@ -206,10 +207,14 @@ class TestW1Properties:
         if stays_normal(A, B, 2.0**k):
             np.testing.assert_array_equal(wasserstein1_batch(2.0**k * A, 2.0**k * B),
                                           2.0**k * w)
-        # otherwise rounding c * x moves each gap by up to eps * c * |x|
+        # otherwise rounding c * x moves each gap by up to eps * c * |x|, and
+        # below the normal range by up to one subnormal step s whatever c is:
+        # half a step for each of the two scaled samples of a gap, half for
+        # rounding each W1 value into the subnormals, times c for w's own
         scale = c * max(np.abs(A).max(), np.abs(B).max())
-        np.testing.assert_allclose(wasserstein1_batch(c * A, c * B), c * w,
-                                   rtol=1e-12, atol=4e-16 * scale)
+        step = np.nextafter(0.0, 1.0)
+        np.testing.assert_allclose(wasserstein1_batch(c * A, c * B), c * w, rtol=1e-12,
+                                   atol=4e-16 * scale + (c + 2.0) * step)
 
     @settings(max_examples=200, deadline=None)
     @given(pair=w1_pairs(), data=st.data())

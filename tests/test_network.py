@@ -24,11 +24,12 @@ def single_layer(w, activation="identity"):
 class TestForward:
     def test_identity_single_layer(self):
         net = single_layer([[1.0]])
-        assert nw.forward_batch(net, [2.0]) == pytest.approx([2.0])
+        assert nw.forward_pass(net, [2.0]).output() == pytest.approx([2.0])
 
     def test_softplus_at_zero(self):
         net = single_layer([[1.0]], "softplus")
-        assert nw.forward_batch(net, [0.0]) == pytest.approx([np.log(2.0)], abs=1e-15)
+        assert nw.forward_pass(net, [0.0]).output() == pytest.approx([np.log(2.0)],
+                                                                     abs=1e-15)
 
     def test_zero_weights_give_zero_output(self):
         widths = (3, 30, 30, 1)
@@ -36,19 +37,20 @@ class TestForward:
                             tuple(np.zeros((widths[k + 1], widths[k])) for k in range(3)),
                             (), ("softplus", "softplus", "identity"),
                             (False, True, True))
-        assert nw.forward_batch(net, [0.3, -1.0, 2.0]) == pytest.approx([0.0])
+        assert nw.forward_pass(net, [0.3, -1.0, 2.0]).output() == pytest.approx([0.0])
 
     def test_dimension_mismatch(self):
         net = single_layer([[1.0]])
         with pytest.raises(ShapeError):
-            nw.forward_batch(net, [1.0, 2.0])
+            nw.forward_pass(net, [1.0, 2.0])
 
     def test_batch_matches_single(self, rng):
         net = random_net(rng, (3, 5, 2))
         X = rng.normal(size=(7, 3))
-        batch = nw.forward_batch(net, X)
+        batch = nw.forward_pass(net, X).output()
         for b in range(7):
-            assert batch[b] == pytest.approx(nw.forward_batch(net, X[b]), abs=1e-14)
+            assert batch[b] == pytest.approx(nw.forward_pass(net, X[b]).output(),
+                                             abs=1e-14)
 
 
 class TestActivationTerms:
@@ -77,21 +79,22 @@ class TestActivationTerms:
 class TestGradParams:
     def test_linear_map(self):
         net = single_layer([[0.7]])
-        g = nw.grad_params_batch(net, [3.0], [1.0])
+        g = nw.forward_pass(net, [3.0]).grad_params([1.0])
         assert g == pytest.approx([3.0])
 
     def test_zero_upstream(self, rng):
         net = random_net(rng, (3, 4, 2))
-        g = nw.grad_params_batch(net, rng.normal(size=3), np.zeros(2))
+        g = nw.forward_pass(net, rng.normal(size=3)).grad_params(np.zeros(2))
         assert np.all(g == 0.0)
 
     def test_matches_finite_differences(self, rng):
         net = random_net(rng, (3, 4, 1))
         x = rng.normal(size=3)
         up = np.array([1.0])
-        g = nw.grad_params_batch(net, x, up)
+        g = nw.forward_pass(net, x).grad_params(up)
         oracle = fd_gradient(
-            lambda t: float(up @ nw.forward_batch(net.with_values(t), x)), net.flatten())
+            lambda t: float(up @ nw.forward_pass(net.with_values(t), x).output()),
+            net.flatten())
         rel = np.abs(g - oracle) / np.maximum(np.abs(oracle), 1e-10)
         assert rel.max() < 1e-5
 
@@ -99,8 +102,8 @@ class TestGradParams:
         net = random_net(rng, (2, 3, 2))
         X = rng.normal(size=(4, 2))
         U = rng.normal(size=(4, 2))
-        total = nw.grad_params_batch(net, X, U)
-        parts = sum(nw.grad_params_batch(net, X[b], U[b]) for b in range(4))
+        total = nw.forward_pass(net, X).grad_params(U)
+        parts = sum(nw.forward_pass(net, X[b]).grad_params(U[b]) for b in range(4))
         assert total == pytest.approx(parts, abs=1e-12)
 
     def test_bias_gradients(self, rng):
@@ -111,27 +114,28 @@ class TestGradParams:
             (rng.normal(size=3), rng.normal(size=1)),
             ("softplus", "identity"), (False, False))
         x = rng.normal(size=2)
-        g = nw.grad_params_batch(net, x, [1.0])
+        g = nw.forward_pass(net, x).grad_params([1.0])
         oracle = fd_gradient(
-            lambda t: float(nw.forward_batch(net.with_values(t), x)[0]), net.flatten())
+            lambda t: float(nw.forward_pass(net.with_values(t), x).output()[0]),
+            net.flatten())
         assert g == pytest.approx(oracle, rel=1e-5)
 
 
 class TestGradInput:
     def test_identity_single_layer(self):
         net = single_layer([[2.0]])
-        assert nw.grad_input_batch(net, [1.0]).ravel() == pytest.approx([2.0])
+        assert nw.forward_pass(net, [1.0]).grad_input().ravel() == pytest.approx([2.0])
 
     def test_softplus_slope_at_zero(self):
         net = single_layer([[1.0]], "softplus")
         # softplus' = logistic, logistic(0) = 1/2
-        assert nw.grad_input_batch(net, [0.0]).ravel() == pytest.approx([0.5])
+        assert nw.forward_pass(net, [0.0]).grad_input().ravel() == pytest.approx([0.5])
 
     def test_matches_finite_differences(self, rng):
         net = random_net(rng, (3, 5, 1))
         x = rng.normal(size=3)
-        J = nw.grad_input_batch(net, x)
-        oracle = fd_gradient(lambda xv: float(nw.forward_batch(net, xv)[0]), x)
+        J = nw.forward_pass(net, x).grad_input()
+        oracle = fd_gradient(lambda xv: float(nw.forward_pass(net, xv).output()[0]), x)
         rel = np.abs(J[0] - oracle) / np.maximum(np.abs(oracle), 1e-10)
         assert rel.max() < 1e-5
 
@@ -141,18 +145,18 @@ class TestDirectionalSecondOrder:
         net = random_net(rng, (3, 6, 2))
         x = rng.normal(size=3)
         u = rng.normal(size=3)
-        assert nw.dirderiv(net, x, u) == pytest.approx(nw.grad_input_batch(net, x) @ u,
-                                                       abs=1e-12)
+        fp = nw.forward_pass(net, x)
+        assert fp.dirderiv(u) == pytest.approx(fp.grad_input() @ u, abs=1e-12)
 
     def test_grad_params_dirderiv_matches_fd(self, rng):
         net = random_net(rng, (3, 4, 1))
         x = rng.normal(size=3)
         u = rng.normal(size=3)
         up = np.array([1.0])
-        g = nw.grad_params_dirderiv_batch(net, x, u, up)
+        g = nw.forward_pass(net, x).grad_params_dirderiv(u, up)
 
         def phi(t):
-            return float(up @ nw.dirderiv(net.with_values(t), x, u))
+            return float(up @ nw.forward_pass(net.with_values(t), x).dirderiv(u))
 
         oracle = fd_gradient(phi, net.flatten())
         rel = np.abs(g - oracle) / np.maximum(np.abs(oracle), 1e-8)
@@ -173,11 +177,12 @@ class TestParticleStack:
     def test_forward(self, stack, rng):
         template, P, nets = stack
         X = rng.normal(size=(6, 3))
-        out = nw.forward_batch(template, X, P)
+        out = nw.forward_pass(template, X, P).output()
         assert out.shape == (4, 6, 2)
         for a, net in enumerate(nets):
-            assert out[a] == pytest.approx(nw.forward_batch(net, X), rel=1e-14, abs=1e-15)
-        single = nw.forward_batch(template, X[0], P)
+            assert out[a] == pytest.approx(nw.forward_pass(net, X).output(),
+                                           rel=1e-14, abs=1e-15)
+        single = nw.forward_pass(template, X[0], P).output()
         assert single.shape == (4, 2)
         assert single == pytest.approx(out[:, 0], rel=1e-14, abs=1e-15)
 
@@ -185,44 +190,46 @@ class TestParticleStack:
         template, P, nets = stack
         X = rng.normal(size=(6, 3))
         U = rng.normal(size=(4, 6, 2))
-        g = nw.grad_params_batch(template, X, U, P)
+        g = nw.forward_pass(template, X, P).grad_params(U)
         assert g.shape == P.shape
         for a, net in enumerate(nets):
-            assert g[a] == pytest.approx(nw.grad_params_batch(net, X, U[a]),
+            assert g[a] == pytest.approx(nw.forward_pass(net, X).grad_params(U[a]),
                                          rel=1e-13, abs=1e-14)
 
     def test_grad_params_shared_upstream(self, stack, rng):
         template, P, nets = stack
         X = rng.normal(size=(6, 3))
         U = rng.normal(size=(6, 2))
-        g = nw.grad_params_batch(template, X, U, P)
+        g = nw.forward_pass(template, X, P).grad_params(U)
         for a, net in enumerate(nets):
-            assert g[a] == pytest.approx(nw.grad_params_batch(net, X, U),
+            assert g[a] == pytest.approx(nw.forward_pass(net, X).grad_params(U),
                                          rel=1e-13, abs=1e-14)
 
     def test_grad_input(self, stack, rng):
         template, P, nets = stack
         X = rng.normal(size=(6, 3))
-        J = nw.grad_input_batch(template, X, P)
+        J = nw.forward_pass(template, X, P).grad_input()
         assert J.shape == (4, 6, 2, 3)
         for a, net in enumerate(nets):
-            assert J[a] == pytest.approx(nw.grad_input_batch(net, X), rel=1e-14, abs=1e-15)
+            assert J[a] == pytest.approx(nw.forward_pass(net, X).grad_input(),
+                                         rel=1e-14, abs=1e-15)
 
     def test_grad_params_dirderiv(self, stack, rng):
         template, P, nets = stack
         X = rng.normal(size=(6, 3))
         u = rng.normal(size=(4, 6, 3))
         up = rng.normal(size=(6, 2))
-        g = nw.grad_params_dirderiv_batch(template, X, u, up, P)
+        g = nw.forward_pass(template, X, P).grad_params_dirderiv(u, up)
         assert g.shape == P.shape
         for a, net in enumerate(nets):
             assert g[a] == pytest.approx(
-                nw.grad_params_dirderiv_batch(net, X, u[a], up), rel=1e-13, abs=1e-14)
+                nw.forward_pass(net, X).grad_params_dirderiv(u[a], up),
+                rel=1e-13, abs=1e-14)
 
     def test_wrong_row_width_rejected(self, stack, rng):
         template, P, _ = stack
         with pytest.raises(ShapeError):
-            nw.forward_batch(template, rng.normal(size=(6, 3)), P[:, :-1])
+            nw.forward_pass(template, rng.normal(size=(6, 3)), P[:, :-1])
 
 
 class TestParamCount:
@@ -248,11 +255,11 @@ class TestPermutationSymmetry:
     def test_hidden_permutation_preserves_output(self, rng):
         net = random_net(rng, (3, 8, 8, 1))
         x = rng.normal(size=(20, 3))
-        base = nw.forward_batch(net, x)
+        base = nw.forward_pass(net, x).output()
         for layer in (1, 2):
             perm = rng.permutation(8)
             permuted = nw.permute_hidden(net, layer, perm)
-            assert np.max(np.abs(nw.forward_batch(permuted, x) - base)) <= 1e-12
+            assert np.max(np.abs(nw.forward_pass(permuted, x).output() - base)) <= 1e-12
 
     def test_input_output_layers_rejected(self, rng):
         net = random_net(rng, (3, 4, 1))
