@@ -6,6 +6,12 @@ outgoing one, so each member's input-output map is preserved; pruning changes
 it by at most the threshold times the local fan-in.  Input and output layers
 are never pruned or permuted.  Bias-carrying networks are out of scope here.
 
+A ``NetGraph`` is one network or, like the particle stack ``network`` passes
+take, the whole ensemble at once: its arrays then carry a leading particle
+axis, weights (N, out, in) and active flags and provenance (N, width).  Every
+step below acts on either form, each particle on its own, so one call
+condenses or dumps the whole stack; reductions run over the last two axes.
+
 ``distance_matrix`` is the graph metric over flat weight rows; the pairwise
 pass behind it, with its bounded memory, belongs to ``kernels``, which owns
 distances, the kernel matrix and the Stein direction.
@@ -37,27 +43,54 @@ __all__ = [
 
 @dataclass
 class NetGraph:
-    """Directed-graph view of one network: weights plus activity/provenance."""
+    """Directed-graph view of a network, or of a particle stack of networks:
+    weights plus activity/provenance, with an optional leading particle axis."""
 
     widths: tuple[int, ...]
-    weights: list[np.ndarray]
-    active: list[np.ndarray]        # bool per layer; ends are always fully active
+    weights: list[np.ndarray]       # (..., out, in) per link
+    active: list[np.ndarray]        # bool (..., width); ends are always fully active
     provenance: list[np.ndarray]    # original node index per slot, -1 for padding
     activations: tuple[str, ...]
     nonneg_mask: tuple[bool, ...]
 
     @classmethod
-    def from_net(cls, net: LayeredNet) -> "NetGraph":
+    def from_net(cls, net: LayeredNet, params=None) -> "NetGraph":
+        """The graph of ``net`` or, given ``params`` (N, D) of flat rows laid
+        out like it, the stacked graph of those N networks."""
         if net.biases:
             raise CondenseError("condensation supports bias-free networks only")
+        weights = net.weights if params is None else net.layout.unflatten(params)
+        lead = weights[0].shape[:-2]
         return cls(
             widths=net.layer_widths,
-            weights=[np.array(w) for w in net.weights],
-            active=[np.ones(w, dtype=bool) for w in net.layer_widths],
-            provenance=[np.arange(w) for w in net.layer_widths],
+            weights=[np.array(w) for w in weights],
+            active=[np.ones(lead + (w,), dtype=bool) for w in net.layer_widths],
+            provenance=[np.broadcast_to(np.arange(w), lead + (w,)).copy()
+                        for w in net.layer_widths],
             activations=net.activations,
             nonneg_mask=net.nonneg_mask,
         )
+
+    @classmethod
+    def stack(cls, graphs) -> "NetGraph":
+        """One stacked graph from single graphs of one architecture."""
+        first = graphs[0]
+        for g in graphs[1:]:
+            if (g.widths, g.activations, g.nonneg_mask) != \
+                    (first.widths, first.activations, first.nonneg_mask):
+                raise ShapeError("graphs disagree on layer widths or link types")
+        return cls(first.widths,
+                   [np.stack(ws) for ws in zip(*(g.weights for g in graphs))],
+                   [np.stack(a) for a in zip(*(g.active for g in graphs))],
+                   [np.stack(p) for p in zip(*(g.provenance for g in graphs))],
+                   first.activations, first.nonneg_mask)
+
+    def __getitem__(self, index) -> "NetGraph":
+        """The graph of one particle (or a sub-stack) of a stacked graph."""
+        return NetGraph(self.widths, [w[index] for w in self.weights],
+                        [a[index] for a in self.active],
+                        [p[index] for p in self.provenance],
+                        self.activations, self.nonneg_mask)
 
     def to_net(self) -> LayeredNet:
         return LayeredNet(self.widths, tuple(np.array(w) for w in self.weights), (),
@@ -73,15 +106,12 @@ class NetGraph:
     def n_layers(self) -> int:
         return len(self.widths)
 
-    def active_counts(self) -> tuple[int, ...]:
-        return tuple(int(a.sum()) for a in self.active)
-
 
 def prune(graph: NetGraph, epsilon: float) -> NetGraph:
     """Zero edges with |w| < epsilon, then deactivate hidden nodes lacking a
     nonzero incoming or outgoing edge, cascading until stable."""
-    if epsilon < 0:
-        raise DomainError("epsilon must be >= 0")
+    if not epsilon >= 0:
+        raise DomainError(f"epsilon must be >= 0, got {epsilon!r}")
     g = graph.copy()
     for w in g.weights:
         w[np.abs(w) < epsilon] = 0.0
@@ -90,14 +120,15 @@ def prune(graph: NetGraph, epsilon: float) -> NetGraph:
         changed = False
         for layer in range(1, g.n_layers - 1):
             # Zeroing node j's row and column leaves the other nodes of the
-            # layer as they were, so a whole layer's dead nodes go at once.
+            # layer as they were, so a whole layer's dead nodes go at once; a
+            # particle that is already stable sees no dead node here.
             w_in, w_out = g.weights[layer - 1], g.weights[layer]
-            alive = (w_in != 0.0).any(axis=1) & (w_out != 0.0).any(axis=0)
+            alive = (w_in != 0.0).any(axis=-1) & (w_out != 0.0).any(axis=-2)
             dead = g.active[layer] & ~alive
             if dead.any():
                 g.active[layer][dead] = False
-                w_in[dead, :] = 0.0
-                w_out[:, dead] = 0.0
+                np.copyto(w_in, 0.0, where=dead[..., :, None])
+                np.copyto(w_out, 0.0, where=dead[..., None, :])
                 changed = True
     return g
 
@@ -113,7 +144,7 @@ def importance(graph: NetGraph, layer: int) -> np.ndarray:
     if not 0 < layer < graph.n_layers - 1:
         raise DomainError("importance is defined for hidden layers only")
     w = graph.weights[layer]
-    s = w.sum(axis=0) if graph.nonneg_mask[layer] else np.abs(w).sum(axis=0)
+    s = w.sum(axis=-2) if graph.nonneg_mask[layer] else np.abs(w).sum(axis=-2)
     return np.where(graph.active[layer], s, 0.0)
 
 
@@ -123,68 +154,63 @@ def sort_nodes(graph: NetGraph) -> NetGraph:
     g = graph.copy()
     for layer in range(1, g.n_layers - 1):
         s = importance(g, layer)
-        order = sorted(range(g.widths[layer]),
-                       key=lambda j: (not g.active[layer][j], -s[j], j))
-        perm = np.asarray(order, dtype=int)
-        if np.array_equal(perm, np.arange(perm.size)):
-            continue
-        g.weights[layer - 1] = g.weights[layer - 1][perm, :]
-        g.weights[layer] = g.weights[layer][:, perm]
-        g.active[layer] = g.active[layer][perm]
-        g.provenance[layer] = g.provenance[layer][perm]
+        perm = np.lexsort((-s, ~g.active[layer]), axis=-1)   # stable
+        g.weights[layer - 1] = np.take_along_axis(g.weights[layer - 1],
+                                                  perm[..., :, None], axis=-2)
+        g.weights[layer] = np.take_along_axis(g.weights[layer], perm[..., None, :],
+                                              axis=-1)
+        g.active[layer] = np.take_along_axis(g.active[layer], perm, axis=-1)
+        g.provenance[layer] = np.take_along_axis(g.provenance[layer], perm, axis=-1)
     return g
 
 
-def common_template(graphs: list[NetGraph]) -> tuple[int, ...]:
+def common_template(graph: NetGraph) -> tuple[int, ...]:
     """Template widths: per hidden layer, the max active-node count across
     the ensemble; input and output widths are fixed."""
-    first = graphs[0]
-    for g in graphs[1:]:
-        if (g.n_layers != first.n_layers
-                or g.widths[0] != first.widths[0]
-                or g.widths[-1] != first.widths[-1]):
-            raise ShapeError("graphs disagree on layer count or end widths")
-    widths = [first.widths[0]]
-    for layer in range(1, first.n_layers - 1):
-        widths.append(max(int(g.active[layer].sum()) for g in graphs))
-    widths.append(first.widths[-1])
-    return tuple(widths)
+    hidden = [int(graph.active[layer].sum(axis=-1).max())
+              for layer in range(1, graph.n_layers - 1)]
+    return (graph.widths[0], *hidden, graph.widths[-1])
 
 
 def reconcile(graph: NetGraph, template_widths: tuple[int, ...]) -> NetGraph:
     """Embed a pruned, sorted graph into the template, padding with inert
-    zero-weight nodes; the member's input-output map is unchanged."""
-    idx = []
-    for layer in range(graph.n_layers):
-        if layer == 0 or layer == graph.n_layers - 1:
-            idx.append(np.arange(graph.widths[layer]))
+    zero-weight nodes; the member's input-output map is unchanged.
+
+    Each hidden layer keeps its active nodes, in their order, in the leading
+    slots; the rest is padding.
+    """
+    lead = graph.active[0].shape[:-1]
+    last = graph.n_layers - 1
+    order, live = [], []
+    for layer, (width, w_t) in enumerate(zip(graph.widths, template_widths)):
+        if layer in (0, last):
+            order.append(np.broadcast_to(np.arange(width), lead + (width,)))
+            live.append(np.ones(lead + (width,), dtype=bool))
             continue
-        act = np.flatnonzero(graph.active[layer])
-        if act.size > template_widths[layer]:
-            raise ShapeError(f"layer {layer}: {act.size} active nodes overflow "
-                             f"template width {template_widths[layer]}")
-        idx.append(act)
-    weights, active, prov = [], [], []
-    for layer in range(graph.n_layers):
-        w_t = template_widths[layer]
-        n_act = idx[layer].size
-        a = np.zeros(w_t, dtype=bool)
-        a[:n_act] = True
-        p = np.full(w_t, -1, dtype=int)
-        p[:n_act] = graph.provenance[layer][idx[layer]]
-        active.append(a)
-        prov.append(p)
-        if layer > 0:
-            w = np.zeros((w_t, template_widths[layer - 1]))
-            w[:n_act, :idx[layer - 1].size] = \
-                graph.weights[layer - 1][np.ix_(idx[layer], idx[layer - 1])]
-            weights.append(w)
-    return NetGraph(tuple(template_widths), weights, active, prov,
+        act = graph.active[layer]
+        n_act = act.sum(axis=-1)
+        if (n_act > w_t).any():
+            raise ShapeError(f"layer {layer}: {n_act.max()} active nodes overflow "
+                             f"template width {w_t}")
+        o = np.zeros(lead + (w_t,), dtype=int)
+        o[..., :min(width, w_t)] = np.argsort(~act, axis=-1, kind="stable")[..., :w_t]
+        order.append(o)
+        live.append(np.arange(w_t) < n_act[..., None])
+    weights = []
+    for layer in range(1, graph.n_layers):
+        w = np.take_along_axis(graph.weights[layer - 1], order[layer][..., :, None],
+                               axis=-2)
+        w = np.take_along_axis(w, order[layer - 1][..., None, :], axis=-1)
+        weights.append(np.where(live[layer][..., :, None] & live[layer - 1][..., None, :],
+                                w, 0.0))
+    prov = [np.where(a, np.take_along_axis(p, o, axis=-1), -1)
+            for p, o, a in zip(graph.provenance, order, live)]
+    return NetGraph(tuple(template_widths), weights, live, prov,
                     graph.activations, graph.nonneg_mask)
 
 
-def _collapse_dead_layers(graphs: list[NetGraph],
-                          widths: tuple[int, ...]) -> tuple[list[NetGraph], tuple[int, ...]]:
+def _collapse_dead_layers(graph: NetGraph,
+                          widths: tuple[int, ...]) -> tuple[NetGraph, tuple[int, ...]]:
     """Remove zero-width hidden layers by composing the adjacent affine maps.
 
     Only defined when the dead layer's activation is the identity; softplus
@@ -192,44 +218,38 @@ def _collapse_dead_layers(graphs: list[NetGraph],
     """
     while 0 in widths[1:-1]:
         layer = next(i for i in range(1, len(widths) - 1) if widths[i] == 0)
-        if graphs[0].activations[layer - 1] != "identity":
+        if graph.activations[layer - 1] != "identity":
             raise CondenseError(
                 f"hidden layer {layer} died in every particle and its activation "
-                f"is {graphs[0].activations[layer - 1]!r}; cannot compose through it")
-        new = []
-        for g in graphs:
-            w_merged = g.weights[layer] @ g.weights[layer - 1]
-            weights = g.weights[:layer - 1] + [w_merged] + g.weights[layer + 1:]
-            acts = g.activations[:layer - 1] + g.activations[layer:]
-            mask = (g.nonneg_mask[:layer - 1]
-                    + (g.nonneg_mask[layer - 1] and g.nonneg_mask[layer],)
-                    + g.nonneg_mask[layer + 1:])
-            new.append(NetGraph(g.widths[:layer] + g.widths[layer + 1:], weights,
-                                g.active[:layer] + g.active[layer + 1:],
-                                g.provenance[:layer] + g.provenance[layer + 1:],
-                                acts, mask))
-        graphs = new
+                f"is {graph.activations[layer - 1]!r}; cannot compose through it")
+        w, m = graph.weights, graph.nonneg_mask
+        graph = NetGraph(graph.widths[:layer] + graph.widths[layer + 1:],
+                         w[:layer - 1] + [w[layer] @ w[layer - 1]] + w[layer + 1:],
+                         graph.active[:layer] + graph.active[layer + 1:],
+                         graph.provenance[:layer] + graph.provenance[layer + 1:],
+                         graph.activations[:layer - 1] + graph.activations[layer:],
+                         m[:layer - 1] + (m[layer - 1] and m[layer],) + m[layer + 1:])
         widths = widths[:layer] + widths[layer + 1:]
-    return graphs, widths
+    return graph, widths
 
 
-def condense_graphs(graphs: list[NetGraph], epsilon: float,
-                    max_passes: int = 20) -> tuple[list[NetGraph], tuple[int, ...]]:
-    """Iterate prune -> sort -> template -> reconcile until the template and
-    every member's active edge set stop changing."""
+def condense_graphs(graph: NetGraph, epsilon: float,
+                    max_passes: int = 20) -> tuple[NetGraph, tuple[int, ...]]:
+    """Iterate prune -> sort -> template -> reconcile on a stacked graph until
+    the template and every member's active edge set stop changing."""
     signature = None
-    widths = graphs[0].widths
+    widths = graph.widths
     for _ in range(max_passes):
-        graphs = [sort_nodes(prune(g, epsilon)) for g in graphs]
-        widths = common_template(graphs)
+        graph = sort_nodes(prune(graph, epsilon))
+        widths = common_template(graph)
         if 0 in widths[1:-1]:
-            graphs, widths = _collapse_dead_layers(graphs, widths)
-        graphs = [reconcile(g, widths) for g in graphs]
-        sig = (widths, tuple((w != 0.0).tobytes() for g in graphs for w in g.weights))
+            graph, widths = _collapse_dead_layers(graph, widths)
+        graph = reconcile(graph, widths)
+        sig = (widths, tuple((w != 0.0).tobytes() for w in graph.weights))
         if sig == signature:
             break
         signature = sig
-    return graphs, widths
+    return graph, widths
 
 
 def distance_matrix(particle_weights) -> np.ndarray:
@@ -242,49 +262,58 @@ def distance_matrix(particle_weights) -> np.ndarray:
     return np.sqrt(pairwise_power_sum(P, P, 2))
 
 
-def dump_graph(graph: NetGraph, path) -> None:
-    """Delimited node and edge lists for external plotting.
+def dump_graph(graph: NetGraph, paths) -> None:
+    """Delimited node and edge lists for external plotting: one file for a
+    single graph, or one file per particle of a stacked graph.
 
     A ``nodes`` section (layer, index, importance, active) followed by an
     ``edges`` section (from_layer, from_index, to_index, weight); zero-weight
-    edges are omitted.
+    edges are omitted.  ``paths`` is one path, or one path per particle.
     """
-    lines = ["nodes", "layer,index,importance,active"]
-    for layer in range(graph.n_layers):
-        if 0 < layer < graph.n_layers - 1:
-            imp = importance(graph, layer)
-        else:
-            imp = np.zeros(graph.widths[layer])
-        active = graph.active[layer].tolist()
-        lines += [f"{layer},{j},{v!r},{int(a)}"
-                  for j, (v, a) in enumerate(zip(imp.tolist(), active))]
-    lines += ["edges", "from_layer,from_index,to_index,weight"]
-    for k, mat in enumerate(graph.weights):
-        rows, cols = np.nonzero(mat)
-        values = mat[rows, cols].tolist()
-        lines += [f"{k},{j},{i},{v!r}"
-                  for i, j, v in zip(rows.tolist(), cols.tolist(), values)]
-    # the csv module's line terminator, which load_graph_dump reads back
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+    if graph.active[0].ndim == 1:
+        graph, paths = NetGraph.stack([graph]), [paths]
+    n = len(graph.active[0])
+    if len(paths) != n:
+        raise ShapeError(f"{len(paths)} paths for a stack of {n} graphs")
+    # Line prefixes are shared by every particle; edges follow the flat
+    # (link, row, column) order, which is that of np.nonzero per matrix.
+    node_prefix = [f"{layer},{j}," for layer, w in enumerate(graph.widths)
+                   for j in range(w)]
+    edge_prefix = [f"{k},{j},{i}," for k, w in enumerate(graph.weights)
+                   for i in range(w.shape[-2]) for j in range(w.shape[-1])]
+    imp = [importance(graph, layer) if 0 < layer < graph.n_layers - 1
+           else np.zeros((n, width)) for layer, width in enumerate(graph.widths)]
+    values = np.concatenate(imp + [w.reshape(n, -1) for w in graph.weights], axis=1)
+    active = np.concatenate(graph.active, axis=1).tolist()
+    n_nodes = len(node_prefix)
+    for path, row, act in zip(paths, values, active):
+        row = row.tolist()
+        lines = ["nodes", "layer,index,importance,active"]
+        lines += [f"{p}{v!r},{int(a)}" for p, v, a in zip(node_prefix, row[:n_nodes], act)]
+        lines += ["edges", "from_layer,from_index,to_index,weight"]
+        lines += [p + repr(v) for p, v in zip(edge_prefix, row[n_nodes:]) if v != 0.0]
+        # the csv module's line terminator, which load_graph_dump reads back
+        with open(path, "w", newline="") as fh:
+            fh.write("\r\n".join(lines) + "\r\n")
 
 
 def load_graph_dump(path) -> tuple[list[tuple], list[tuple]]:
     """Parse a dump_graph file back into (node rows, edge rows)."""
-    nodes, edges, section = [], [], None
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if row == ["nodes"]:
-                section, skip = "nodes", True
-                continue
-            if row == ["edges"]:
-                section, skip = "edges", True
-                continue
-            if skip:
-                skip = False
-                continue
-            if section == "nodes":
-                nodes.append((int(row[0]), int(row[1]), float(row[2]), bool(int(row[3]))))
-            else:
-                edges.append((int(row[0]), int(row[1]), int(row[2]), float(row[3])))
+        rows = list(csv.reader(fh))
+    if rows[:1] != [["nodes"]]:
+        raise ShapeError(f"{path} is not a graph dump: it does not open with "
+                         f"a 'nodes' section")
+    nodes, edges, section, skip = [], [], None, False
+    for row in rows:
+        if row in (["nodes"], ["edges"]):
+            section, skip = row[0], True
+            continue
+        if skip:
+            skip = False
+            continue
+        if section == "nodes":
+            nodes.append((int(row[0]), int(row[1]), float(row[2]), bool(int(row[3]))))
+        else:
+            edges.append((int(row[0]), int(row[1]), int(row[2]), float(row[3])))
     return nodes, edges

@@ -111,6 +111,8 @@ class SvgdConfig:
             raise ShapeError("step_size must be > 0")
         if self.axis_mask_threshold < 0 or self.prior_dead_zone < 0:
             raise ShapeError("thresholds must be >= 0")
+        if not self.prune_epsilon >= 0:     # also rejects NaN
+            raise ShapeError(f"prune_epsilon must be >= 0, got {self.prune_epsilon!r}")
         if self.schedule not in ("fixed", "adaptive"):
             raise ShapeError(f"unknown schedule {self.schedule!r}")
 
@@ -335,59 +337,48 @@ def run_stage(ensemble: Ensemble, target, config: SvgdConfig,
 
 
 def condense_ensemble(ensemble: Ensemble, epsilon: float
-                      ) -> tuple[Ensemble, list[np.ndarray] | None]:
+                      ) -> tuple[Ensemble, np.ndarray | None]:
     """Run graph condensation and rebuild the ensemble on the common template.
 
     Also returns, per particle, the old flat index feeding each new flat
-    coordinate (-1 for padding), so optimizer state can be carried across the
-    relayout; None when layers collapsed and no per-coordinate map exists.
+    coordinate (-1 for padding), one (N, D_new) array, so optimizer state can
+    be carried across the relayout; None when layers collapsed and no
+    per-coordinate map exists.
     """
     if ensemble.template is None:
         raise ShapeError("condensation requires a network template")
     template = ensemble.template
-    graphs = [gc.NetGraph.from_net(template.with_values(p))
-              for p in ensemble.particles]
-    graphs, widths = gc.condense_graphs(graphs, epsilon)
-    collapsed = len(widths) != len(template.layer_widths)
-    nets = [g.to_net() for g in graphs]
-    new_template = replace(nets[0],
-                           weights=tuple(np.zeros_like(w) for w in nets[0].weights))
-    particles = np.stack([n.flatten() for n in nets])
-    new_ens = Ensemble(particles, new_template, ensemble.rng,
-                       ensemble.iteration, ensemble.stage)
-    if collapsed:
+    graph, widths = gc.condense_graphs(
+        gc.NetGraph.from_net(template, ensemble.particles), epsilon)
+    new_template = LayeredNet(widths, tuple(np.zeros(w.shape[1:]) for w in graph.weights),
+                              (), graph.activations, graph.nonneg_mask)
+    new_ens = Ensemble(new_template.layout.flatten(graph.weights), new_template,
+                       ensemble.rng, ensemble.iteration, ensemble.stage)
+    if len(widths) != len(template.layer_widths):
         return new_ens, None
-    index_maps = [_flat_index_map(g, template.layer_widths) for g in graphs]
-    return new_ens, index_maps
+    return new_ens, _flat_index_map(graph, template.layer_widths)
 
 
 def _flat_index_map(graph: gc.NetGraph, old_widths: tuple[int, ...]) -> np.ndarray:
-    """old flat position for every new flat position; -1 where padded."""
-    old_offsets, off = [], 0
-    for k in range(len(old_widths) - 1):
-        old_offsets.append(off)
+    """Per particle, the old flat position of every new flat position; -1
+    where padded."""
+    maps, off = [], 0
+    for k in range(graph.n_layers - 1):
+        rows = graph.provenance[k + 1][..., :, None]
+        cols = graph.provenance[k][..., None, :]
+        m = np.where((rows < 0) | (cols < 0), -1, off + rows * old_widths[k] + cols)
+        maps.append(m.reshape(m.shape[:-2] + (-1,)))
         off += old_widths[k + 1] * old_widths[k]
-    maps = []
-    for k, w in enumerate(graph.weights):
-        rows = graph.provenance[k + 1]
-        cols = graph.provenance[k]
-        pi, pj = np.meshgrid(rows, cols, indexing="ij")
-        m = old_offsets[k] + pi * old_widths[k] + pj
-        m[(pi < 0) | (pj < 0)] = -1
-        maps.append(m.ravel())
-    return np.concatenate(maps)
+    return np.concatenate(maps, axis=-1)
 
 
-def _remap_opt_state(opt_state, index_maps) -> np.ndarray | None:
+def _remap_opt_state(opt_state, index_map) -> np.ndarray | None:
     if opt_state is None:
         return None
-    if index_maps is None:
+    if index_map is None:
         return None  # collapsed layout: start the accumulator fresh
-    out = np.zeros((opt_state.shape[0], index_maps[0].size))
-    for a, m in enumerate(index_maps):
-        valid = m >= 0
-        out[a, valid] = opt_state[a, m[valid]]
-    return out
+    old = np.take_along_axis(opt_state, np.maximum(index_map, 0), axis=1)
+    return np.where(index_map >= 0, old, 0.0)
 
 
 @dataclass
@@ -436,8 +427,8 @@ def _run_from_state(state: _RunState, target, checkpoint_dir=None,
                                      on_iteration=on_iteration)
         state.stages.append(report)
         if ensemble.template is not None and config.condense_enabled:
-            ensemble, index_maps = condense_ensemble(ensemble, config.prune_epsilon)
-            state.opt_state = _remap_opt_state(state.opt_state, index_maps)
+            ensemble, index_map = condense_ensemble(ensemble, config.prune_epsilon)
+            state.opt_state = _remap_opt_state(state.opt_state, index_map)
         ensemble.stage += 1
         state.ensemble = ensemble
         state.next_stage = s + 1

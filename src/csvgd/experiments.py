@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -213,6 +214,12 @@ def _run_stub(out_dir, cfg: RunConfig, command_line: str | None) -> None:
     (out / "README.txt").write_text("\n".join(lines) + "\n")
 
 
+def _dump_graphs(ens: Ensemble, paths) -> None:
+    """One graph dump per particle, of its net with dead nodes deactivated."""
+    graph = gc.prune(gc.NetGraph.from_net(ens.template, ens.particles), 0.0)
+    gc.dump_graph(graph, paths)
+
+
 class _MetricsLog:
     def __init__(self):
         self.rows = []
@@ -395,9 +402,8 @@ def cmd_hyperelastic(cfg: RunConfig, command_line: str | None = None) -> int:
         name = "polish" if s < 0 else f"{s:02d}"
         gdir = out / "graphs"
         gdir.mkdir(parents=True, exist_ok=True)
-        for a, net in enumerate(ens.nets()):
-            graph = gc.prune(gc.NetGraph.from_net(net), 0.0)
-            gc.dump_graph(graph, gdir / f"stage_{name}_particle_{a:02d}.txt")
+        _dump_graphs(ens, [gdir / f"stage_{name}_particle_{a:02d}.txt"
+                           for a in range(ens.n_particles)])
 
     ensemble, report = run_csvgd(ensemble, target, econf,
                                  checkpoint_dir=out / "checkpoints",
@@ -487,20 +493,16 @@ def cmd_condense_inspect(checkpoint_path, out_dir, command_line: str | None = No
     _write_csv(out / "distance_matrix.csv",
                [f"p{a}" for a in range(len(D))], D)
     if ens.template is not None:
-        nets = ens.nets()
-        for k in range(nets[0].n_links):
-            rows = []
-            for a, net in enumerate(nets):
-                w = net.weights[k]
-                for i in range(w.shape[0]):
-                    for j in range(w.shape[1]):
-                        rows.append((k, i, j, a, w[i, j]))
+        weights = ens.template.layout.unflatten(ens.particles)[:ens.template.n_links]
+        for k, w in enumerate(weights):
+            # rows in (particle, row, col) order
+            a, i, j = (x.ravel().tolist() for x in np.indices(w.shape))
             _write_csv(out / f"weights_layer{k}.csv",
-                       ("layer", "row", "col", "particle", "value"), rows)
+                       ("layer", "row", "col", "particle", "value"),
+                       zip(itertools.repeat(k), i, j, a, w.ravel().tolist()))
         gdir = out / "graphs"
         gdir.mkdir(exist_ok=True)
-        for a, net in enumerate(nets):
-            graph = gc.prune(gc.NetGraph.from_net(net), 0.0)
-            gc.dump_graph(graph, gdir / f"particle_{a:02d}.txt")
+        _dump_graphs(ens, [gdir / f"particle_{a:02d}.txt"
+                           for a in range(ens.n_particles)])
     print(f"condense-inspect: {len(D)} particles -> {out}")
     return 0

@@ -4,8 +4,9 @@ Everything here is deliberately naive (finite differences, dense-grid
 quadrature, straight-line gradient ascent) and shares no code with the
 implementations under test.  The exceptions are the references for rewritten
 code paths (the merged-CDF W1, the per-particle and two-call scores, the
-per-node prune, the row-by-row graph dump): each keeps the replaced code as it
-was and says which library pieces it reuses.
+per-node prune, the row-by-row graph dump, the one-graph-at-a-time
+condensation and dumps): each keeps the replaced code as it was and says which
+library pieces it reuses.
 """
 
 import numpy as np
@@ -348,6 +349,246 @@ def dump_graph_csv(graph, path):
             for i, j in zip(*np.nonzero(mat)):
                 w.writerow([k, int(j), int(i), repr(float(mat[i, j]))])
 
+
+# ---------------------------------------------------------------------------
+# Condensation one graph at a time, as it ran before graphs took a particle
+# axis.  Each function takes one `condense.NetGraph` without a particle axis
+# (the dataclass and its `copy` are the only library pieces reused);
+# `condense_graphs_per_graph` takes a list of them.
+
+def prune_per_graph(graph, epsilon):
+    """`condense.prune` on one graph, a whole layer's dead nodes at a time."""
+    from csvgd.errors import DomainError
+
+    if epsilon < 0:
+        raise DomainError("epsilon must be >= 0")
+    g = graph.copy()
+    for w in g.weights:
+        w[np.abs(w) < epsilon] = 0.0
+    changed = True
+    while changed:
+        changed = False
+        for layer in range(1, g.n_layers - 1):
+            w_in, w_out = g.weights[layer - 1], g.weights[layer]
+            alive = (w_in != 0.0).any(axis=1) & (w_out != 0.0).any(axis=0)
+            dead = g.active[layer] & ~alive
+            if dead.any():
+                g.active[layer][dead] = False
+                w_in[dead, :] = 0.0
+                w_out[:, dead] = 0.0
+                changed = True
+    return g
+
+
+def importance_per_graph(graph, layer):
+    """`condense.importance` of one graph's hidden layer."""
+    w = graph.weights[layer]
+    s = w.sum(axis=0) if graph.nonneg_mask[layer] else np.abs(w).sum(axis=0)
+    return np.where(graph.active[layer], s, 0.0)
+
+
+def sort_nodes_per_graph(graph):
+    """`condense.sort_nodes` on one graph through Python's `sorted`."""
+    g = graph.copy()
+    for layer in range(1, g.n_layers - 1):
+        s = importance_per_graph(g, layer)
+        order = sorted(range(g.widths[layer]),
+                       key=lambda j: (not g.active[layer][j], -s[j], j))
+        perm = np.asarray(order, dtype=int)
+        if np.array_equal(perm, np.arange(perm.size)):
+            continue
+        g.weights[layer - 1] = g.weights[layer - 1][perm, :]
+        g.weights[layer] = g.weights[layer][:, perm]
+        g.active[layer] = g.active[layer][perm]
+        g.provenance[layer] = g.provenance[layer][perm]
+    return g
+
+
+def common_template_per_graph(graphs):
+    """`condense.common_template` over a list of graphs."""
+    first = graphs[0]
+    widths = [first.widths[0]]
+    for layer in range(1, first.n_layers - 1):
+        widths.append(max(int(g.active[layer].sum()) for g in graphs))
+    widths.append(first.widths[-1])
+    return tuple(widths)
+
+
+def reconcile_per_graph(graph, template_widths):
+    """`condense.reconcile` of one graph through `np.ix_` blocks."""
+    from csvgd.condense import NetGraph
+    from csvgd.errors import ShapeError
+
+    idx = []
+    for layer in range(graph.n_layers):
+        if layer == 0 or layer == graph.n_layers - 1:
+            idx.append(np.arange(graph.widths[layer]))
+            continue
+        act = np.flatnonzero(graph.active[layer])
+        if act.size > template_widths[layer]:
+            raise ShapeError(f"layer {layer}: {act.size} active nodes overflow "
+                             f"template width {template_widths[layer]}")
+        idx.append(act)
+    weights, active, prov = [], [], []
+    for layer in range(graph.n_layers):
+        w_t = template_widths[layer]
+        n_act = idx[layer].size
+        a = np.zeros(w_t, dtype=bool)
+        a[:n_act] = True
+        p = np.full(w_t, -1, dtype=int)
+        p[:n_act] = graph.provenance[layer][idx[layer]]
+        active.append(a)
+        prov.append(p)
+        if layer > 0:
+            w = np.zeros((w_t, template_widths[layer - 1]))
+            w[:n_act, :idx[layer - 1].size] = \
+                graph.weights[layer - 1][np.ix_(idx[layer], idx[layer - 1])]
+            weights.append(w)
+    return NetGraph(tuple(template_widths), weights, active, prov,
+                    graph.activations, graph.nonneg_mask)
+
+
+def collapse_dead_layers_per_graph(graphs, widths):
+    """`condense._collapse_dead_layers` over a list of graphs."""
+    from csvgd.condense import NetGraph
+    from csvgd.errors import CondenseError
+
+    while 0 in widths[1:-1]:
+        layer = next(i for i in range(1, len(widths) - 1) if widths[i] == 0)
+        if graphs[0].activations[layer - 1] != "identity":
+            raise CondenseError(
+                f"hidden layer {layer} died in every particle and its activation "
+                f"is {graphs[0].activations[layer - 1]!r}; cannot compose through it")
+        new = []
+        for g in graphs:
+            w_merged = g.weights[layer] @ g.weights[layer - 1]
+            weights = g.weights[:layer - 1] + [w_merged] + g.weights[layer + 1:]
+            acts = g.activations[:layer - 1] + g.activations[layer:]
+            mask = (g.nonneg_mask[:layer - 1]
+                    + (g.nonneg_mask[layer - 1] and g.nonneg_mask[layer],)
+                    + g.nonneg_mask[layer + 1:])
+            new.append(NetGraph(g.widths[:layer] + g.widths[layer + 1:], weights,
+                                g.active[:layer] + g.active[layer + 1:],
+                                g.provenance[:layer] + g.provenance[layer + 1:],
+                                acts, mask))
+        graphs = new
+        widths = widths[:layer] + widths[layer + 1:]
+    return graphs, widths
+
+
+def condense_graphs_per_graph(graphs, epsilon, max_passes=20):
+    """`condense.condense_graphs` over a list of graphs; also returns the
+    number of passes it ran."""
+    signature = None
+    widths = graphs[0].widths
+    passes = 0
+    for _ in range(max_passes):
+        passes += 1
+        graphs = [sort_nodes_per_graph(prune_per_graph(g, epsilon)) for g in graphs]
+        widths = common_template_per_graph(graphs)
+        if 0 in widths[1:-1]:
+            graphs, widths = collapse_dead_layers_per_graph(graphs, widths)
+        graphs = [reconcile_per_graph(g, widths) for g in graphs]
+        sig = (widths, tuple((w != 0.0).tobytes() for g in graphs for w in g.weights))
+        if sig == signature:
+            break
+        signature = sig
+    return graphs, widths, passes
+
+
+def flat_index_map_per_graph(graph, old_widths):
+    """`engine._flat_index_map` of one graph: the old flat position of every
+    new flat position, -1 where padded."""
+    old_offsets, off = [], 0
+    for k in range(len(old_widths) - 1):
+        old_offsets.append(off)
+        off += old_widths[k + 1] * old_widths[k]
+    maps = []
+    for k, w in enumerate(graph.weights):
+        rows = graph.provenance[k + 1]
+        cols = graph.provenance[k]
+        pi, pj = np.meshgrid(rows, cols, indexing="ij")
+        m = old_offsets[k] + pi * old_widths[k] + pj
+        m[(pi < 0) | (pj < 0)] = -1
+        maps.append(m.ravel())
+    return np.concatenate(maps)
+
+
+def remap_opt_state_per_particle(opt_state, index_maps):
+    """`engine._remap_opt_state` from one index map per particle."""
+    if opt_state is None:
+        return None
+    if index_maps is None:
+        return None
+    out = np.zeros((opt_state.shape[0], index_maps[0].size))
+    for a, m in enumerate(index_maps):
+        valid = m >= 0
+        out[a, valid] = opt_state[a, m[valid]]
+    return out
+
+
+def graph_of_net(net):
+    """`condense.NetGraph.from_net` of one network."""
+    from csvgd.condense import NetGraph
+
+    return NetGraph(widths=net.layer_widths,
+                    weights=[np.array(w) for w in net.weights],
+                    active=[np.ones(w, dtype=bool) for w in net.layer_widths],
+                    provenance=[np.arange(w) for w in net.layer_widths],
+                    activations=net.activations, nonneg_mask=net.nonneg_mask)
+
+
+def condense_ensemble_per_particle(template, particles, epsilon):
+    """`engine.condense_ensemble` through one network and one graph per
+    particle: (new flat rows, template widths, index maps or None)."""
+    graphs = [graph_of_net(template.with_values(p)) for p in particles]
+    graphs, widths, _ = condense_graphs_per_graph(graphs, epsilon)
+    rows = np.stack([np.concatenate([w.ravel() for w in g.weights]) for g in graphs])
+    if len(widths) != len(template.layer_widths):
+        return rows, widths, None
+    return rows, widths, [flat_index_map_per_graph(g, template.layer_widths)
+                          for g in graphs]
+
+
+def dump_graph_per_graph(graph, path):
+    """`condense.dump_graph` of one graph, its lines formatted one by one."""
+    lines = ["nodes", "layer,index,importance,active"]
+    for layer in range(graph.n_layers):
+        if 0 < layer < graph.n_layers - 1:
+            imp = importance_per_graph(graph, layer)
+        else:
+            imp = np.zeros(graph.widths[layer])
+        active = graph.active[layer].tolist()
+        lines += [f"{layer},{j},{v!r},{int(a)}"
+                  for j, (v, a) in enumerate(zip(imp.tolist(), active))]
+    lines += ["edges", "from_layer,from_index,to_index,weight"]
+    for k, mat in enumerate(graph.weights):
+        rows, cols = np.nonzero(mat)
+        values = mat[rows, cols].tolist()
+        lines += [f"{k},{j},{i},{v!r}"
+                  for i, j, v in zip(rows.tolist(), cols.tolist(), values)]
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join(lines) + "\r\n")
+
+
+def dump_graphs_per_particle(template, particles, paths):
+    """The stage graph dumps, one network, one pruned graph and one file per
+    particle."""
+    for p, path in zip(particles, paths):
+        dump_graph_per_graph(prune_per_graph(graph_of_net(template.with_values(p)), 0.0),
+                             path)
+
+
+def inspect_weight_rows(template, particles, k):
+    """The rows of `condense-inspect`'s weights_layer{k}.csv from four nested
+    loops: (layer, row, col, particle, value)."""
+    rows = []
+    for a, p in enumerate(particles):
+        w = template.with_values(p).weights[k]
+        for i in range(w.shape[0]):
+            for j in range(w.shape[1]):
+                rows.append((k, i, j, a, w[i, j]))
+    return rows
 
 # ---------------------------------------------------------------------------
 # Scalar hyperelastic forms on one 3x3 strain tensor or one invariant triple.

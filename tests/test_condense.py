@@ -1,3 +1,6 @@
+import re
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,11 +10,16 @@ from hypothesis import strategies as st
 
 from csvgd import condense as gc
 from csvgd import network as nw
-from csvgd.engine import active_param_count, condense_ensemble, init_net_ensemble
+from csvgd.engine import (Ensemble, _remap_opt_state, active_param_count,
+                          condense_ensemble, init_net_ensemble)
 from csvgd.errors import CondenseError, DomainError, ShapeError
 from csvgd.mechanics import icnn_template
 
-from _oracles import dump_graph_csv, prune_per_node
+from _oracles import (condense_ensemble_per_particle, condense_graphs_per_graph,
+                      dump_graph_csv, dump_graph_per_graph, dump_graphs_per_particle,
+                      graph_of_net, prune_per_graph, prune_per_node,
+                      reconcile_per_graph, remap_opt_state_per_particle,
+                      sort_nodes_per_graph)
 from conftest import random_net
 
 
@@ -54,6 +62,15 @@ class TestPrune:
     def test_negative_epsilon_rejected(self, rng):
         with pytest.raises(DomainError):
             gc.prune(graph_of(random_net(rng)), -1.0)
+
+    def test_nan_epsilon_rejected(self, rng):
+        with pytest.raises(DomainError):
+            gc.prune(graph_of(random_net(rng)), float("nan"))
+
+    def test_nan_epsilon_does_not_turn_pruning_off(self):
+        ens = init_net_ensemble(icnn_template((3, 8, 8, 1)), 3, seed=2)
+        with pytest.raises(DomainError):
+            condense_ensemble(ens, float("nan"))
 
     @settings(max_examples=200, deadline=None)
     @given(widths=st.lists(st.integers(1, 5), min_size=3, max_size=6),
@@ -139,19 +156,19 @@ class TestTemplateAndReconcile:
 
     def test_identical_graphs_template(self, rng):
         graphs = [graph_of(random_net(rng, (2, 4, 1)))] * 3
-        assert gc.common_template(graphs) == (2, 4, 1)
+        assert gc.common_template(gc.NetGraph.stack(graphs)) == (2, 4, 1)
 
     def test_max_active_rule(self, rng):
         graphs = self._ensemble(rng)
         for g, keep in zip(graphs, (3, 5, 4)):
             g.active[1][keep:] = False
-        assert gc.common_template(graphs) == (2, 5, 1)
+        assert gc.common_template(gc.NetGraph.stack(graphs)) == (2, 5, 1)
 
     def test_heterogeneous_layers_rejected(self, rng):
         g1 = graph_of(random_net(rng, (2, 4, 1)))
         g2 = graph_of(random_net(rng, (2, 4, 4, 1)))
         with pytest.raises(ShapeError):
-            gc.common_template([g1, g2])
+            gc.common_template(gc.NetGraph.stack([g1, g2]))
 
     def test_reconcile_pads_inert_nodes(self, rng):
         net = chain([[[0.9], [0.7]], [[1.0, 5.0]]], nonneg=(True, True))
@@ -246,14 +263,14 @@ class TestCondense:
 
     def test_dead_layer_collapses_identity_chain(self):
         net = chain([[[0.0], [0.0]], [[0.0, 0.0]]], acts=("identity", "identity"))
-        graphs, widths = gc.condense_graphs([graph_of(net)], 1e-3)
+        graphs, widths = gc.condense_graphs(gc.NetGraph.stack([graph_of(net)]), 1e-3)
         assert widths == (1, 1)
         assert graphs[0].weights[0].tolist() == [[0.0]]
 
     def test_dead_softplus_layer_aborts(self):
         net = chain([[[0.0], [0.0]], [[0.0, 0.0]]])
         with pytest.raises(CondenseError):
-            gc.condense_graphs([graph_of(net)], 1e-3)
+            gc.condense_graphs(gc.NetGraph.stack([graph_of(net)]), 1e-3)
 
     @settings(max_examples=300, deadline=None)
     @given(widths=st.lists(st.integers(1, 6), min_size=3, max_size=9),
@@ -288,10 +305,10 @@ class TestCondense:
             graphs.append(graph_of(chain(weights, nonneg=nonneg, acts=acts)))
         with mock.patch.object(gc, "common_template", wraps=gc.common_template) as passes:
             try:
-                gc.condense_graphs(graphs, epsilon)
+                gc.condense_graphs(gc.NetGraph.stack(graphs), epsilon)
             except CondenseError:
                 pass                        # a dead softplus layer, named
-        assert passes.call_count <= len(widths) - 1 < 20
+        assert 1 <= passes.call_count <= len(widths) - 1 < 20
 
     def test_bias_networks_rejected(self, rng):
         net = nw.LayeredNet((2, 3, 1),
@@ -300,6 +317,114 @@ class TestCondense:
                             ("softplus", "identity"), (False, False))
         with pytest.raises(CondenseError):
             gc.NetGraph.from_net(net)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def assert_stack_equals(stacked, singles):
+    """A stacked graph holds, particle by particle, the given single graphs."""
+    assert stacked.widths == singles[0].widths
+    assert stacked.activations == singles[0].activations
+    assert stacked.nonneg_mask == singles[0].nonneg_mask
+    for name in ("weights", "active", "provenance"):
+        got = getattr(stacked, name)
+        want = [np.stack(arrays) for arrays in zip(*(getattr(g, name) for g in singles))]
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b) and same_bits(a, b), name
+
+
+def random_stack(widths, n_particles, seed, tie_values, zero_share):
+    """A bias-free template and flat particle rows: random link types and
+    nonneg masks, tie-prone or uniform weights, a share of exact zeros."""
+    rng = np.random.default_rng(seed)
+    n_links = len(widths) - 1
+    acts = tuple(str(a) for a in rng.choice(["identity", "softplus"], size=n_links - 1))
+    nonneg = tuple(bool(x) for x in rng.random(n_links) < 0.5)
+    template = nw.LayeredNet(tuple(widths),
+                             tuple(np.zeros((b, a)) for a, b in zip(widths[:-1], widths[1:])),
+                             (), acts + ("identity",), nonneg)
+    pool = np.array([0.1, 0.2, 0.3, 1 / 3, 0.6, 0.7])   # sums that tie in the last bit
+    P = (rng.choice(pool, size=(n_particles, template.layout.size)) if tie_values
+         else rng.uniform(0.0, 1.0, size=(n_particles, template.layout.size)))
+    signed = ~template.nonneg_flat_mask()
+    P[:, signed] *= rng.choice([-1.0, 1.0], size=(n_particles, int(signed.sum())))
+    P[rng.random(P.shape) < zero_share] = 0.0
+    return template, P
+
+
+class TestStackEquivalence:
+    """The stacked graph path against the one-graph-at-a-time path it
+    replaced (`tests/_oracles.py`), bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(widths=st.lists(st.integers(1, 9), min_size=3, max_size=6),
+           n_particles=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           tie_values=st.booleans(), zero_share=st.floats(0.0, 0.9),
+           epsilon=st.sampled_from([0.0, 0.15, 0.25]) | st.floats(0.0, 1.0))
+    def test_stack_equals_per_graph(self, widths, n_particles, seed, tie_values,
+                                    zero_share, epsilon):
+        template, P = random_stack(widths, n_particles, seed, tie_values, zero_share)
+        stacked = gc.NetGraph.from_net(template, P)
+        singles = [graph_of_net(template.with_values(p)) for p in P]
+        assert_stack_equals(stacked, singles)
+
+        pruned = gc.prune(stacked, epsilon)
+        singles = [prune_per_graph(g, epsilon) for g in singles]
+        assert_stack_equals(pruned, singles)
+        ordered = gc.sort_nodes(pruned)
+        singles = [sort_nodes_per_graph(g) for g in singles]
+        assert_stack_equals(ordered, singles)
+        # one spare slot past the widest particle: padding beyond the graph
+        padded = tuple(w + (0 < k < len(widths) - 1)
+                       for k, w in enumerate(gc.common_template(ordered)))
+        assert_stack_equals(gc.reconcile(ordered, padded),
+                            [reconcile_per_graph(g, padded) for g in singles])
+
+        singles = [graph_of_net(template.with_values(p)) for p in P]
+        try:
+            want, want_widths, want_passes = condense_graphs_per_graph(singles, epsilon)
+        except CondenseError as err:
+            with pytest.raises(CondenseError, match=re.escape(str(err))):
+                gc.condense_graphs(gc.NetGraph.from_net(template, P), epsilon)
+            with pytest.raises(CondenseError, match=re.escape(str(err))):
+                condense_ensemble(Ensemble(P, template, np.random.default_rng(0)), epsilon)
+            return
+        with mock.patch.object(gc, "common_template", wraps=gc.common_template) as passes:
+            got, got_widths = gc.condense_graphs(gc.NetGraph.from_net(template, P), epsilon)
+        assert got_widths == want_widths
+        assert passes.call_count == want_passes
+        assert_stack_equals(got, want)
+
+        ens, index_map = condense_ensemble(Ensemble(P, template, np.random.default_rng(0)),
+                                           epsilon)
+        rows, widths_pp, index_maps = condense_ensemble_per_particle(template, P, epsilon)
+        assert ens.template.layer_widths == widths_pp
+        assert same_bits(ens.particles, rows)
+        opt = np.random.default_rng(seed).random(P.shape)
+        got_opt = _remap_opt_state(opt, index_map)
+        want_opt = remap_opt_state_per_particle(opt, index_maps)
+        if index_maps is None:
+            assert index_map is None and got_opt is None and want_opt is None
+        else:
+            assert same_bits(index_map, np.stack(index_maps))
+            assert same_bits(got_opt, want_opt)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            n = len(P)
+            gc.dump_graph(gc.prune(gc.NetGraph.from_net(template, P), 0.0),
+                          [d / f"stack_{a}.txt" for a in range(n)])
+            dump_graphs_per_particle(template, P, [d / f"single_{a}.txt" for a in range(n)])
+            gc.dump_graph(got, [d / f"stack_condensed_{a}.txt" for a in range(n)])
+            for a, g in enumerate(want):
+                dump_graph_per_graph(g, d / f"single_condensed_{a}.txt")
+            for a in range(n):
+                for kind in ("", "condensed_"):
+                    assert ((d / f"stack_{kind}{a}.txt").read_bytes()
+                            == (d / f"single_{kind}{a}.txt").read_bytes())
 
 
 class TestDistanceMatrix:
@@ -327,6 +452,16 @@ class TestDistanceMatrix:
 
 
 class TestGraphDump:
+    @pytest.mark.parametrize("text", [
+        "", "layer,index,importance,active\r\n0,0,0.0,1\r\n",
+        "edges\r\nfrom_layer,from_index,to_index,weight\r\n"],
+        ids=["empty", "no_section_line", "edges_first"])
+    def test_file_without_nodes_section_rejected(self, tmp_path, text):
+        path = tmp_path / "not_a_dump.txt"
+        path.write_bytes(text.encode())
+        with pytest.raises(ShapeError, match="not_a_dump.txt"):
+            gc.load_graph_dump(path)
+
     def test_round_trip_sections(self, rng, tmp_path):
         net = random_net(rng, (2, 3, 1))
         g = gc.prune(graph_of(net), 0.0)

@@ -342,6 +342,18 @@ class TestAdagrad:
             svgd_step(ens, np.ones((1, 1)), vector_config(adagrad=True))
 
 
+class TestConfigChecks:
+    @pytest.mark.parametrize("epsilon", [-1.0, float("nan")])
+    def test_bad_prune_epsilon_rejected_at_construction(self, epsilon):
+        # before any stage runs: -1 used to fail only in prune after a
+        # whole stage, and NaN used to turn pruning off
+        with pytest.raises(ShapeError, match="prune_epsilon"):
+            vector_config(prune_epsilon=epsilon)
+
+    def test_zero_prune_epsilon_accepted(self):
+        assert vector_config(prune_epsilon=0.0).prune_epsilon == 0.0
+
+
 class TestStagedRun:
     def _net_setup(self, n=3, seed=4):
         template = icnn_template((2, 4, 1))

@@ -11,6 +11,8 @@ from csvgd.experiments import (RunConfig, cmd_condense_inspect, cmd_hyperelastic
                                cmd_mvn, cmd_sweep, default_config, load_config,
                                mvn_ensemble_error, save_config)
 
+from _oracles import dump_graphs_per_particle, inspect_weight_rows
+
 
 def small_mvn_config(tmp_path, **kw):
     base = dict(experiment="mvn", seed=3, out_dir=str(tmp_path / "run"),
@@ -314,6 +316,48 @@ class TestCondenseInspect:
         from csvgd.errors import CheckpointError
         with pytest.raises(CheckpointError):
             cmd_condense_inspect(tmp_path / "none.json", tmp_path / "out")
+
+    def test_files_equal_per_particle_loops(self, tmp_path):
+        """weights_layer{k}.csv equals the rows of four nested loops, and each
+        graph dump the one-network-per-particle dump."""
+        from csvgd.engine import load_checkpoint
+        ckpt = self._checkpoint(tmp_path)
+        out = tmp_path / "inspect"
+        cmd_condense_inspect(ckpt, out)
+        ens = load_checkpoint(ckpt).ensemble
+        for k in range(ens.template.n_links):
+            want = tmp_path / f"loop_layer{k}.csv"
+            experiments._write_csv(want, ("layer", "row", "col", "particle", "value"),
+                                   inspect_weight_rows(ens.template, ens.particles, k))
+            assert (out / f"weights_layer{k}.csv").read_bytes() == want.read_bytes()
+        names = [f"particle_{a:02d}.txt" for a in range(ens.n_particles)]
+        dump_graphs_per_particle(ens.template, ens.particles,
+                                 [tmp_path / name for name in names])
+        for name in names:
+            assert (out / "graphs" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+class TestStageGraphDumps:
+    def test_dumps_equal_per_particle_dumps_of_checkpoints(self, tmp_path):
+        """Every stage's graph dumps equal, byte for byte, the one-network-
+        per-particle dumps of the particles in that stage's checkpoint."""
+        from csvgd.engine import load_checkpoint
+        cfg = small_hyper_config(tmp_path, n_particles=3, num_stages=2,
+                                 schedule="adaptive", polish_iters=10)
+        cmd_hyperelastic(cfg)
+        out = Path(cfg.out_dir)
+        compared = []
+        for ckpt in sorted((out / "checkpoints").glob("stage_*.json")):
+            ens = load_checkpoint(ckpt).ensemble
+            names = [f"{ckpt.stem}_particle_{a:02d}.txt" for a in range(ens.n_particles)]
+            dump_graphs_per_particle(ens.template, ens.particles,
+                                     [tmp_path / name for name in names])
+            for name in names:
+                assert ((out / "graphs" / name).read_bytes()
+                        == (tmp_path / name).read_bytes())
+            compared += names
+        assert sorted(compared) == sorted(p.name for p in (out / "graphs").iterdir())
+        assert len(compared) == 3 * 3          # stages 00, 01 and the polish
 
 
 class TestCli:
