@@ -107,11 +107,13 @@ class SvgdConfig:
     polish_iters: int | None = None    # None -> max_iters (adaptive schedule only)
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ShapeError("step_size must be > 0")
-        if self.axis_mask_threshold < 0 or self.prior_dead_zone < 0:
-            raise ShapeError("thresholds must be >= 0")
-        if not self.prune_epsilon >= 0:     # also rejects NaN
+        # the negated comparisons also reject NaN
+        if not self.step_size > 0:
+            raise ShapeError(f"step_size must be > 0, got {self.step_size!r}")
+        if not (self.axis_mask_threshold >= 0 and self.prior_dead_zone >= 0):
+            raise ShapeError("thresholds must be >= 0, got "
+                             f"{self.axis_mask_threshold!r} and {self.prior_dead_zone!r}")
+        if not self.prune_epsilon >= 0:
             raise ShapeError(f"prune_epsilon must be >= 0, got {self.prune_epsilon!r}")
         if self.schedule not in ("fixed", "adaptive"):
             raise ShapeError(f"unknown schedule {self.schedule!r}")

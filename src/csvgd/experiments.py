@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import condense as gc
+from . import network
 from .engine import (Ensemble, SvgdConfig, active_param_count,
                      ensemble_distances, init_net_ensemble,
                      init_vector_ensemble, load_checkpoint, median_distance,
@@ -53,12 +54,6 @@ MVN_MEAN = np.array([1.0, 2.0, 3.0])
 MVN_PRECISION = np.array([[2.0, 1.0, 0.0],
                           [1.0, 2.0, 0.0],
                           [0.0, 0.0, 0.0025]])
-
-# Particles per test-path prediction.  The ~1000 path points already make a
-# batch; stacking particles on top only adds memory traffic: at N=64 one
-# stacked call took 2.2x as long as 64 single ones (2-core Xeon, one BLAS
-# thread) and its tracemalloc peak was 149 MiB.
-TEST_PATH_BLOCK = 1
 
 METRICS_COLUMNS = ("iteration", "stage", "lambda", "mse", "w1_sum",
                    "bhattacharyya", "active_params", "median_pairwise_distance")
@@ -341,8 +336,8 @@ def _test_path_samples(ensemble: Ensemble, data: HyperelasticData,
                        model: StressRegressionModel) -> np.ndarray:
     """Model pushforward on the test path, (points, 6, n_particles)."""
     features, P = model.prepare(data.test.inputs), ensemble.particles
-    preds = [model.predict(ensemble.template, P[a:a + TEST_PATH_BLOCK], features)
-             for a in range(0, len(P), TEST_PATH_BLOCK)]
+    blocks = network.particle_blocks(ensemble.template, len(P), len(data.test))
+    preds = [model.predict(ensemble.template, P[block], features) for block in blocks]
     return np.transpose(np.concatenate(preds), (1, 2, 0))
 
 

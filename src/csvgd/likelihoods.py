@@ -5,6 +5,8 @@ Every target scores the whole particle stack in the one call the engine makes,
 ``particles`` holds flat parameter rows and ``template`` is the network graph
 they share (None for raw vectors, as in MvnTarget).  ``log_likelihood`` takes
 the same arguments and returns the (N,) values the scores differentiate.
+A regression target evaluates its model on the stack in the particle blocks
+of ``network.particle_blocks``, inside that one call.
 """
 
 from __future__ import annotations
@@ -145,19 +147,24 @@ class RegressionTarget:
         object.__setattr__(self, "_inputs", self.model.prepare(self.dataset.inputs))
 
     def _residuals(self, template, particles):
-        """Residuals (N, n, out) and the model's score as a function of them."""
+        """Per particle block of the stack (``network.particle_blocks``), its
+        residuals (n, rows, out) and the model's score as a function of them."""
         P = np.atleast_2d(np.asarray(particles, dtype=float))
-        pred, score_of = self.model.predict_and_score(template, P, self._inputs)
-        if pred.shape[1:] != self.dataset.outputs.shape:
-            raise ShapeError(f"model output shape {pred.shape[1:]} does not match "
-                             f"data {self.dataset.outputs.shape}")
-        return self.dataset.outputs - pred, score_of
+        for block in network.particle_blocks(template, len(P), len(self.dataset)):
+            pred, score_of = self.model.predict_and_score(template, P[block], self._inputs)
+            if pred.shape[1:] != self.dataset.outputs.shape:
+                raise ShapeError(f"model output shape {pred.shape[1:]} does not match "
+                                 f"data {self.dataset.outputs.shape}")
+            yield self.dataset.outputs - pred, score_of
 
     def log_likelihood(self, template, particles) -> np.ndarray:
-        R, _ = self._residuals(template, particles)
-        return -np.sum((R * R).reshape(len(R), -1), axis=1) / (2.0 * self.noise_var)
+        return np.concatenate([-np.sum((R * R).reshape(len(R), -1), axis=1)
+                               / (2.0 * self.noise_var)
+                               for R, _ in self._residuals(template, particles)])
 
     def score_and_mse_batch(self, template, particles) -> tuple[np.ndarray, np.ndarray]:
-        R, score_of = self._residuals(template, particles)
-        S = score_of(R) / self.noise_var
-        return S, np.mean((R * R).reshape(len(R), -1), axis=1)
+        S, mse = [], []
+        for R, score_of in self._residuals(template, particles):
+            S.append(score_of(R) / self.noise_var)
+            mse.append(np.mean((R * R).reshape(len(R), -1), axis=1))
+        return np.concatenate(S), np.concatenate(mse)

@@ -84,6 +84,16 @@ def wasserstein1(samples_a, samples_b) -> float:
     return float(wasserstein1_batch(np.ravel(samples_a), np.ravel(samples_b)))
 
 
+def _quantile_grid(n: int, m: int) -> np.ndarray:
+    """The sorted integers {k m} | {j n}, k <= n, j <= m, without duplicates.
+
+    ``np.union1d`` gives the same integers, but it imports ``numpy.ma`` on
+    first use (about 14 ms), inside the first logged iteration of a run.
+    """
+    g = np.sort(np.concatenate((np.arange(n + 1) * m, np.arange(m + 1) * n)))
+    return g[np.concatenate(([True], g[1:] != g[:-1]))]
+
+
 def wasserstein1_batch(A, B) -> np.ndarray:
     """Row-wise empirical Wasserstein-1 along the last axis: (..., n) vs (..., m).
 
@@ -107,7 +117,7 @@ def wasserstein1_batch(A, B) -> np.ndarray:
     n, m = A.shape[-1], B.shape[-1]
     if n == 0 or m == 0:
         raise ShapeError("samples must be non-empty")
-    g = np.union1d(np.arange(n + 1) * m, np.arange(m + 1) * n)
+    g = _quantile_grid(n, m)
     gaps = np.abs(np.sort(A, axis=-1)[..., g[:-1] // m]
                   - np.sort(B, axis=-1)[..., g[:-1] // n])
     return gaps @ np.diff(g).astype(float) / (n * m)

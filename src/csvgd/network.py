@@ -20,6 +20,14 @@ Each pass evaluates ``net`` itself or, given ``params`` (N, D) of flat
 parameter rows laid out like ``net``, the N networks of a particle stack at
 once; results then gain a leading particle axis.  Inputs X are shared by all
 particles; a 1-D X is one sample and drops the batch axis.
+
+Callers pass a stack in the particle blocks of ``particle_blocks``, which
+keep each per-link array of a pass within ``PASS_ELEMENTS`` values.  A pass
+makes a few dozen such arrays; at the block size they stay small enough for
+the allocator to reuse their memory from call to call, where a whole N=64
+stack gets fresh pages, and faults them in, on every call.  Blocking changes
+no bit: the stacked products run one matrix product per particle and the
+elementwise steps and reductions are per particle too.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ __all__ = [
     "softplus",
     "ForwardPass",
     "forward_pass",
+    "particle_blocks",
     "param_count",
     "permute_hidden",
     "net_to_dict",
@@ -47,6 +56,14 @@ __all__ = [
 ]
 
 NET_FORMAT_TAG = "layered-net-v1"
+
+# Values per per-link array of a pass over a particle block (512 KiB of
+# float64).  In a seed-0 `hyper_wide` command (N=64, 80 strain rows,
+# 3-30-30-1; 2-core Xeon, one BLAS thread) the 30 score calls took 0.51-0.59 s
+# with 53,000 minor page faults as one stack, and a median 0.47 s with 2,300
+# faults at this budget (27 particles per block).  2**14 and 2**15 took a
+# median 0.55 and 0.51 s; 2**17 took 0.71 s with 92,000 faults.
+PASS_ELEMENTS = 2**16
 
 
 def _softplus_terms(z):
@@ -334,8 +351,9 @@ class ForwardPass:
             gW[k] = bar_z.swapaxes(-1, -2) @ self.H[k] + bar_tz.swapaxes(-1, -2) @ T[k]
             if self.b:
                 gb[k] = bar_z.sum(axis=-2)
-            bar_h = bar_z @ self.W[k]
-            bar_t = bar_tz @ self.W[k]
+            if k > 0:
+                bar_h = bar_z @ self.W[k]
+                bar_t = bar_tz @ self.W[k]
         return self.net.layout.flatten(gW + (gb if self.b else []))
 
 
@@ -354,6 +372,14 @@ def forward_pass(net: LayeredNet, X, params=None) -> ForwardPass:
         D1.append(d1)
         D2.append(d2)
     return ForwardPass(net, W, b, single, H, D1, D2)
+
+
+def particle_blocks(net: LayeredNet, n_particles: int, rows: int) -> list[slice]:
+    """Slices of a stack of ``n_particles`` that keep each per-link array of a
+    pass of ``net`` over ``rows`` input rows within PASS_ELEMENTS values, one
+    particle at least."""
+    step = max(1, PASS_ELEMENTS // (rows * max(net.layer_widths)))
+    return [slice(a, a + step) for a in range(0, n_particles, step)]
 
 
 def param_count(net: LayeredNet, threshold: float = 0.0) -> int:

@@ -6,6 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from csvgd.engine import condense_ensemble, init_net_ensemble
+from csvgd.mechanics import icnn_template
 from csvgd.network import LayeredNet
 
 
@@ -37,3 +39,12 @@ def bias_net(rng, widths=(3, 5, 2)):
         tuple(rng.normal(size=(widths[k + 1], widths[k])) for k in range(n_links)),
         tuple(rng.normal(size=widths[k + 1]) for k in range(n_links)),
         ("softplus",) * (n_links - 1) + ("identity",), (False,) * n_links)
+
+
+def condensed_icnn_ensemble(n_particles=5):
+    """Template and particle rows of a condensed (3, 12, 12, 1) ICNN ensemble."""
+    ens = init_net_ensemble(icnn_template((3, 12, 12, 1)), n_particles, seed=13)
+    ens.particles[np.random.default_rng(5).random(ens.particles.shape) < 0.4] *= 1e-5
+    condensed, _ = condense_ensemble(ens, 1e-3)
+    assert condensed.template.layer_widths != (3, 12, 12, 1)
+    return condensed.template, condensed.particles

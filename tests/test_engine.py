@@ -353,6 +353,21 @@ class TestConfigChecks:
     def test_zero_prune_epsilon_accepted(self):
         assert vector_config(prune_epsilon=0.0).prune_epsilon == 0.0
 
+    def test_nan_step_size_rejected(self):
+        # NaN used to turn every particle NaN, reported one iteration later
+        # as a non-finite gradient
+        with pytest.raises(ShapeError, match="step_size"):
+            vector_config(step_size=float("nan"))
+
+    def test_nan_axis_mask_threshold_rejected(self):
+        # NaN used to turn the axis mask off: |theta| < NaN is False everywhere
+        with pytest.raises(ShapeError, match="thresholds"):
+            vector_config(axis_mask_threshold=float("nan"))
+
+    def test_nan_prior_dead_zone_rejected(self):
+        with pytest.raises(ShapeError, match="thresholds"):
+            vector_config(prior_dead_zone=float("nan"))
+
 
 class TestStagedRun:
     def _net_setup(self, n=3, seed=4):

@@ -1,17 +1,24 @@
 import csv
 import json
+from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from csvgd import experiments
+from csvgd import experiments, network
 from csvgd.cli import main
+from csvgd.engine import Ensemble, init_net_ensemble
 from csvgd.experiments import (RunConfig, cmd_condense_inspect, cmd_hyperelastic,
                                cmd_mvn, cmd_sweep, default_config, load_config,
                                mvn_ensemble_error, save_config)
+from csvgd.mechanics import StressRegressionModel, generate_data, icnn_template
 
 from _oracles import dump_graphs_per_particle, inspect_weight_rows
+from conftest import condensed_icnn_ensemble
 
 
 def small_mvn_config(tmp_path, **kw):
@@ -358,6 +365,37 @@ class TestStageGraphDumps:
             compared += names
         assert sorted(compared) == sorted(p.name for p in (out / "graphs").iterdir())
         assert len(compared) == 3 * 3          # stages 00, 01 and the polish
+
+
+@lru_cache(maxsize=None)
+def _test_path_case(condensed):
+    """Test-path data and a 12-particle ensemble for the particle-block check."""
+    if condensed:
+        template, P = condensed_icnn_ensemble(12)
+    else:
+        ens = init_net_ensemble(icnn_template((3, 8, 8, 1)), 12, seed=2)
+        template, P = ens.template, ens.particles
+    return generate_data(n_train=6, n_test=21, seed=4), template, P
+
+
+class TestTestPathSamples:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 12), per_block=st.integers(1, 12), condensed=st.booleans())
+    @example(n=12, per_block=12, condensed=False)     # 1 block
+    @example(n=12, per_block=6, condensed=True)       # 2 blocks
+    @example(n=11, per_block=3, condensed=False)      # 4, short last
+    def test_blocks_equal_per_particle_predictions(self, n, per_block, condensed):
+        data, template, P = _test_path_case(condensed)
+        ens = Ensemble(P[:n], template, np.random.default_rng(0))
+        model = StressRegressionModel()
+        budget = per_block * len(data.test) * max(template.layer_widths)
+        with mock.patch.object(network, "PASS_ELEMENTS", budget):
+            got = experiments._test_path_samples(ens, data, model)
+        features = model.prepare(data.test.inputs)
+        expected = np.stack([model.predict(template, p[None], features)[0] for p in P[:n]],
+                            axis=-1)
+        assert got.shape == (len(data.test), 6, n)
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestCli:

@@ -1,15 +1,20 @@
+from functools import lru_cache
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from csvgd import network as nw
 from csvgd.errors import ShapeError
-from csvgd.engine import condense_ensemble, init_net_ensemble
+from csvgd.engine import init_net_ensemble
 from csvgd.likelihoods import (Dataset, DirectNetModel, MvnTarget,
                                RegressionTarget, load_dataset, save_dataset)
 from csvgd.mechanics import StressRegressionModel, generate_data, icnn_template
 
 from _oracles import fd_gradient, per_particle_score_and_mse, two_call_score_and_mse
-from conftest import bias_net, random_net
+from conftest import bias_net, condensed_icnn_ensemble, random_net
 
 MEAN = np.array([1.0, 2.0, 3.0])
 PRECISION = np.array([[2.0, 1.0, 0.0],
@@ -140,14 +145,6 @@ def _stress_target(n_train=12, seed=3):
     return RegressionTarget(data.train, 0.7, StressRegressionModel())
 
 
-def _condensed_icnn_ensemble():
-    ens = init_net_ensemble(icnn_template((3, 12, 12, 1)), 5, seed=13)
-    ens.particles[np.random.default_rng(5).random(ens.particles.shape) < 0.4] *= 1e-5
-    condensed, _ = condense_ensemble(ens, 1e-3)
-    assert condensed.template.layer_widths != (3, 12, 12, 1)
-    return condensed.template, condensed.particles
-
-
 class TestBatchedScoreEquivalence:
     """The particle-stacked score equals the per-particle formula, and bit for
     bit the two-call score (predict, then param_score) it replaced."""
@@ -170,7 +167,7 @@ class TestBatchedScoreEquivalence:
 
     @pytest.mark.parametrize("n_particles", [1, 5])
     def test_stress_model_condensed_template(self, n_particles):
-        template, P = _condensed_icnn_ensemble()
+        template, P = condensed_icnn_ensemble()
         self._check(_stress_target(), template, P[:n_particles])
 
     @pytest.mark.parametrize("n_particles", [1, 4])
@@ -182,8 +179,13 @@ class TestBatchedScoreEquivalence:
         self._check(target, nets[0], np.stack([n.flatten() for n in nets]))
 
 
+def _block_budget(target, template, per_block):
+    """A PASS_ELEMENTS that gives ``target`` particle blocks of ``per_block``."""
+    return per_block * len(target.dataset) * max(template.layer_widths)
+
+
 class TestOnePassScore:
-    """A score call makes one forward pass per row set."""
+    """A score call makes one forward pass per row set per particle block."""
 
     @staticmethod
     def _count_passes(monkeypatch):
@@ -211,6 +213,56 @@ class TestOnePassScore:
         rows = self._count_passes(monkeypatch)
         target.score_and_mse_batch(net, net.flatten()[None])
         assert rows == [7]
+
+    def test_stress_score_makes_one_pass_per_row_set_per_block(self, monkeypatch):
+        target = _stress_target(n_train=12)
+        ens = init_net_ensemble(icnn_template((3, 8, 8, 1)), 5, seed=2)
+        monkeypatch.setattr(nw, "PASS_ELEMENTS", _block_budget(target, ens.template, 2))
+        rows = self._count_passes(monkeypatch)
+        S, mse = target.score_and_mse_batch(ens.template, ens.particles)
+        assert rows == [12, 1] * 3          # blocks of 2, 2 and 1 particles
+        assert S.shape == ens.particles.shape and mse.shape == (5,)
+
+
+@lru_cache(maxsize=None)
+def _block_case(model, condensed):
+    """Target, template and 12 particle rows for the particle-block checks."""
+    if condensed:
+        template, P = condensed_icnn_ensemble(12)
+    else:
+        ens = init_net_ensemble(icnn_template((3, 8, 8, 1)), 12, seed=2)
+        template, P = ens.template, ens.particles
+    if model == "stress":
+        return _stress_target(n_train=12), template, P
+    rng = np.random.default_rng(8)
+    data = Dataset(rng.normal(size=(9, 3)), rng.normal(size=(9, 1)))
+    return RegressionTarget(data, 0.4, DirectNetModel()), template, P
+
+
+class TestParticleBlocks:
+    """The score in particle blocks equals the one-block score bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 12), per_block=st.integers(1, 12),
+           model=st.sampled_from(["stress", "direct"]), condensed=st.booleans())
+    @example(n=12, per_block=12, model="stress", condensed=False)    # 1 block
+    @example(n=12, per_block=6, model="stress", condensed=True)      # 2 blocks
+    @example(n=12, per_block=1, model="direct", condensed=True)      # 12 blocks
+    @example(n=11, per_block=3, model="direct", condensed=False)     # 4, short last
+    def test_blocks_equal_one_block(self, n, per_block, model, condensed):
+        target, template, P = _block_case(model, condensed)
+        with mock.patch.object(nw, "PASS_ELEMENTS", 2**62):
+            S_one, m_one = target.score_and_mse_batch(template, P[:n])
+            ll_one = target.log_likelihood(template, P[:n])
+        budget = _block_budget(target, template, per_block)
+        with mock.patch.object(nw, "PASS_ELEMENTS", budget):
+            blocks = nw.particle_blocks(template, n, len(target.dataset))
+            S, m = target.score_and_mse_batch(template, P[:n])
+            ll = target.log_likelihood(template, P[:n])
+        assert len(blocks) == -(-n // per_block)
+        np.testing.assert_array_equal(S, S_one)
+        np.testing.assert_array_equal(m, m_one)
+        np.testing.assert_array_equal(ll, ll_one)
 
 
 class TestDatasetIO:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +11,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from csvgd.errors import DomainError, ShapeError
-from csvgd.metrics import (GaussianSummary, bhattacharyya, moving_average,
-                           pushforward_w1, sparsity_l1, wasserstein1,
+from csvgd.metrics import (GaussianSummary, _quantile_grid, bhattacharyya,
+                           moving_average, pushforward_w1, sparsity_l1, wasserstein1,
                            wasserstein1_batch)
 
 from _oracles import w1_dense_grid, w1_merged_cdf_batch
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestBhattacharyya:
@@ -231,6 +237,27 @@ class TestW1Properties:
         assert np.isnan(got[row])
         keep = np.arange(len(got)) != row
         np.testing.assert_array_equal(got[keep], clean[keep])
+
+
+class TestQuantileGrid:
+    def test_grid_is_the_union_of_both_grids(self):
+        for n in range(1, 41):
+            for m in range(1, 41):
+                expected = np.union1d(np.arange(n + 1) * m, np.arange(m + 1) * n)
+                np.testing.assert_array_equal(_quantile_grid(n, m), expected)
+
+    def test_w1_does_not_import_numpy_ma(self):
+        # numpy.ma costs ~14 ms to import, inside a run's first logged W1
+        code = ("import sys, numpy as np\n"
+                "from csvgd.metrics import wasserstein1_batch\n"
+                "wasserstein1_batch(np.ones((2, 5)), np.zeros((2, 7)))\n"
+                "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestW1EmptySamples:

@@ -232,6 +232,21 @@ class TestParticleStack:
             nw.forward_pass(template, rng.normal(size=(6, 3)), P[:, :-1])
 
 
+class TestParticleBlocks:
+    @staticmethod
+    def _sizes(widths, n_particles, rows):
+        net = random_net(np.random.default_rng(0), widths)
+        return [len(range(n_particles)[b]) for b in nw.particle_blocks(net, n_particles, rows)]
+
+    def test_block_holds_pass_elements_over_rows_times_widest_layer(self):
+        assert self._sizes((3, 30, 30, 1), 64, 80) == [27, 27, 10]
+        assert self._sizes((3, 30, 30, 1), 10, 80) == [10]      # the desk N: one block
+        assert self._sizes((3, 30, 30, 1), 5, 1001) == [2, 2, 1]
+
+    def test_rows_wider_than_the_budget_take_one_particle(self):
+        assert self._sizes((3, 30, 1), 3, nw.PASS_ELEMENTS) == [1, 1, 1]
+
+
 class TestParamCount:
     def test_initial_wide_architecture(self):
         widths = (3, 30, 30, 1)
