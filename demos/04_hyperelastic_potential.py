@@ -19,14 +19,14 @@ from csvgd.metrics import pushforward_w1
 cfg = default_config("hyperelastic")
 cfg.seed = 0
 cfg.num_stages = 5
-data, target, ensemble, ref, econf = hyperelastic_setup(cfg)
+data, target, ensemble, ref, features, econf = hyperelastic_setup(cfg)
 print(f"{len(data.train)} training pairs, noise {cfg.noise:.0%}, "
       f"{ensemble.particles.shape[1]} initial weights, "
       f"{cfg.n_particles} particles")
 
 
 def on_stage(s, ens, rep):
-    _, w1 = pushforward_w1(_test_path_samples(ens, data, target.model), ref)
+    _, w1 = pushforward_w1(_test_path_samples(ens, target.model, features), ref)
     print(f"  stage {s}: {rep.iterations} iterations, mse {rep.final_mse:.4f}, "
           f"{rep.active_params} active weights, test W1 {w1:.1f}")
 
@@ -34,7 +34,7 @@ def on_stage(s, ens, rep):
 ensemble, report = run_csvgd(ensemble, target, econf, on_stage=on_stage)
 
 per_point, w1_sum = pushforward_w1(
-    _test_path_samples(ensemble, data, target.model), ref)
+    _test_path_samples(ensemble, target.model, features), ref)
 mid = int(np.flatnonzero(data.test_delta == 0.0)[0])
 print(f"\nfinal: {report.final_active_params} active weights, "
       f"summed test W1 {w1_sum:.1f}")

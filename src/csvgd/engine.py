@@ -537,29 +537,34 @@ def load_checkpoint(path) -> _RunState:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"{path} is not a checkpoint: its JSON is not an object")
     if doc.get("format") != CHECKPOINT_FORMAT_TAG:
         raise CheckpointError(f"unknown checkpoint format {doc.get('format')!r}")
-    e = doc["ensemble"]
-    rng = np.random.default_rng()
-    rng.bit_generator.state = e["rng_state"]
-    ensemble = Ensemble(np.asarray(e["particles"], dtype=float),
-                        None if e["template"] is None else net_from_dict(e["template"]),
-                        rng,
-                        e["iteration"], e["stage"])
-    opt = doc["opt_state"]
-    return _RunState(
-        ensemble=ensemble,
-        config=_config_from_dict(doc["config"]),
-        lam=doc["lam"],
-        lam0=doc["lam0"],
-        best_mse=doc["best_mse"],
-        next_stage=doc["next_stage"],
-        lambda_trajectory=list(doc["lambda_trajectory"]),
-        stages=[StageReport(**r) for r in doc["stages"]],
-        opt_state=None if opt is None else np.asarray(opt, dtype=float),
-        polished=doc.get("polished", False),
-        degraded=doc.get("degraded", False),
-    )
+    try:
+        e = doc["ensemble"]
+        rng = np.random.default_rng()
+        rng.bit_generator.state = e["rng_state"]
+        ensemble = Ensemble(np.asarray(e["particles"], dtype=float),
+                            None if e["template"] is None else net_from_dict(e["template"]),
+                            rng,
+                            e["iteration"], e["stage"])
+        opt = doc["opt_state"]
+        return _RunState(
+            ensemble=ensemble,
+            config=_config_from_dict(doc["config"]),
+            lam=doc["lam"],
+            lam0=doc["lam0"],
+            best_mse=doc["best_mse"],
+            next_stage=doc["next_stage"],
+            lambda_trajectory=list(doc["lambda_trajectory"]),
+            stages=[StageReport(**r) for r in doc["stages"]],
+            opt_state=None if opt is None else np.asarray(opt, dtype=float),
+            polished=doc.get("polished", False),
+            degraded=doc.get("degraded", False),
+        )
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"malformed checkpoint {path}: {exc!r}") from exc
 
 
 def resume_csvgd(checkpoint_path, target, on_iteration=None, on_stage=None

@@ -2,7 +2,8 @@
 
 Each command owns one output directory and emits deterministic artifacts:
 a config snapshot, metrics.csv with one row per logged iteration, stage
-checkpoints/graph dumps, and a summary.json.  Re-running with the same seed
+checkpoints, and a summary.json.  Graph dumps are derived from a checkpoint
+on demand by ``cmd_condense_inspect``.  Re-running with the same seed
 overwrites byte-identical files (no timestamps anywhere).
 """
 
@@ -112,6 +113,8 @@ class RunConfig:
     def __post_init__(self):
         for name in self._TUPLE_FIELDS:
             setattr(self, name, tuple(getattr(self, name)))
+        if self.metrics_every < 1:
+            raise ValueError(f"metrics_every must be >= 1, got {self.metrics_every}")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -209,24 +212,6 @@ def _run_stub(out_dir, cfg: RunConfig, command_line: str | None) -> None:
     (out / "README.txt").write_text("\n".join(lines) + "\n")
 
 
-def _dump_graphs(ens: Ensemble, paths) -> None:
-    """One graph dump per particle, of its net with dead nodes deactivated."""
-    graph = gc.prune(gc.NetGraph.from_net(ens.template, ens.particles), 0.0)
-    gc.dump_graph(graph, paths)
-
-
-class _MetricsLog:
-    def __init__(self):
-        self.rows = []
-
-    def add(self, iteration, stage, lam, mse, w1_sum, bhatt, active, median_dist):
-        self.rows.append((iteration, stage, lam, mse, w1_sum, bhatt, active,
-                          median_dist))
-
-    def write(self, path):
-        _write_csv(path, METRICS_COLUMNS, self.rows)
-
-
 # ---------------------------------------------------------------------------
 # MVN experiment
 
@@ -257,16 +242,15 @@ def _run_mvn_once(cfg: RunConfig, lam: float, out_dir: Path | None,
     ensemble = init_vector_ensemble(MVN_MEAN.size, cfg.n_particles, cfg.seed,
                                     cfg.init_scale)
     econf = _engine_config(cfg, lam=lam, gamma=gamma, bandwidth_rule=bandwidth_rule)
-    log = _MetricsLog()
-    sparsity_rows = []
+    rows, sparsity_rows = [], []
 
     def on_iteration(ens, info):
         if (ens.iteration - 1) % cfg.metrics_every:
             return
         bh = mvn_ensemble_error(ens.particles)
-        log.add(ens.iteration, ens.stage, info["lam"], info["mse"], None, bh,
-                active_param_count(ens, econf.prune_epsilon),
-                info["median_distance"])
+        rows.append((ens.iteration, ens.stage, info["lam"], info["mse"], None, bh,
+                     active_param_count(ens, econf.prune_epsilon),
+                     info["median_distance"]))
         sparsity_rows.append((ens.iteration, ens.stage, info["lam"],
                               sparsity_l1(ens.particles, [2])))
 
@@ -288,7 +272,7 @@ def _run_mvn_once(cfg: RunConfig, lam: float, out_dir: Path | None,
         "iterations": report.total_iterations,
     }
     if out_dir is not None:
-        log.write(out_dir / "metrics.csv")
+        _write_csv(out_dir / "metrics.csv", METRICS_COLUMNS, rows)
         _write_csv(out_dir / "sparsity.csv",
                    ("iteration", "stage", "lambda", "sparsity_theta3"),
                    sparsity_rows)
@@ -325,18 +309,20 @@ def cmd_mvn(cfg: RunConfig, command_line: str | None = None) -> int:
 
 def _w1_reference(data: HyperelasticData, noise: float, n_replicas: int,
                   seed: int) -> np.ndarray:
-    """Noisy replicas of the truth pushforward on the test path, (points, 6, r)."""
+    """Noisy replicas of the truth pushforward on the test path, (points, 6, r),
+    sorted along the replica axis as ``pushforward_w1`` takes them."""
     rng = np.random.default_rng(seed)
     S = data.test.outputs                       # (points, 6), noiseless
     eta = rng.standard_normal((n_replicas,) + S.shape)
-    return np.transpose(S[None] * (1.0 + noise * eta), (1, 2, 0))
+    return np.sort(np.transpose(S[None] * (1.0 + noise * eta), (1, 2, 0)), axis=-1)
 
 
-def _test_path_samples(ensemble: Ensemble, data: HyperelasticData,
-                       model: StressRegressionModel) -> np.ndarray:
-    """Model pushforward on the test path, (points, 6, n_particles)."""
-    features, P = model.prepare(data.test.inputs), ensemble.particles
-    blocks = network.particle_blocks(ensemble.template, len(P), len(data.test))
+def _test_path_samples(ensemble: Ensemble, model: StressRegressionModel,
+                       features) -> np.ndarray:
+    """Model pushforward on the test path, (points, 6, n_particles), from the
+    path's ``model.prepare`` features."""
+    P = ensemble.particles
+    blocks = network.particle_blocks(ensemble.template, len(P), len(features[0]))
     preds = [model.predict(ensemble.template, P[block], features) for block in blocks]
     return np.transpose(np.concatenate(preds), (1, 2, 0))
 
@@ -354,7 +340,8 @@ def hyperelastic_noise_var(cfg: RunConfig, train_outputs) -> float:
 
 
 def hyperelastic_setup(cfg: RunConfig):
-    """Data, target, initial ensemble, W1 reference cloud, and engine config.
+    """Data, target, initial ensemble, sorted W1 reference cloud, test-path
+    features, and engine config.
 
     Sub-seeds are derived from cfg.seed: data uses seed, initialization
     seed+1, reference noise replicas seed+2.
@@ -368,52 +355,43 @@ def hyperelastic_setup(cfg: RunConfig):
     template = icnn_template(cfg.widths)
     ensemble = init_net_ensemble(template, cfg.n_particles, cfg.seed + 1)
     ref = _w1_reference(data, cfg.noise, cfg.w1_ref_samples, cfg.seed + 2)
-    return data, target, ensemble, ref, _engine_config(cfg)
+    features = model.prepare(data.test.inputs)
+    return data, target, ensemble, ref, features, _engine_config(cfg)
 
 
 def cmd_hyperelastic(cfg: RunConfig, command_line: str | None = None) -> int:
     """Train the convex-potential ensemble on generated stress-strain data."""
     out = Path(cfg.out_dir)
     _run_stub(out, cfg, command_line)
-    data, target, ensemble, ref, econf = hyperelastic_setup(cfg)
+    data, target, ensemble, ref, features, econf = hyperelastic_setup(cfg)
     save_dataset(data.train, out / "data_train.csv")
     save_dataset(data.test, out / "data_test.csv")
     model = target.model
-    log = _MetricsLog()
-
-    def w1_sum_now(ens):
-        _, total = pushforward_w1(_test_path_samples(ens, data, model), ref)
-        return total
+    rows = []
 
     def on_iteration(ens, info):
         if (ens.iteration - 1) % cfg.metrics_every:
             return
-        log.add(ens.iteration, ens.stage, info["lam"], info["mse"],
-                w1_sum_now(ens), None,
-                active_param_count(ens, econf.prune_epsilon),
-                info["median_distance"])
-
-    def on_stage(s, ens, rep):
-        name = "polish" if s < 0 else f"{s:02d}"
-        gdir = out / "graphs"
-        gdir.mkdir(parents=True, exist_ok=True)
-        _dump_graphs(ens, [gdir / f"stage_{name}_particle_{a:02d}.txt"
-                           for a in range(ens.n_particles)])
+        _, w1 = pushforward_w1(_test_path_samples(ens, model, features), ref)
+        rows.append((ens.iteration, ens.stage, info["lam"], info["mse"], w1, None,
+                     active_param_count(ens, econf.prune_epsilon),
+                     info["median_distance"]))
 
     ensemble, report = run_csvgd(ensemble, target, econf,
                                  checkpoint_dir=out / "checkpoints",
-                                 on_iteration=on_iteration, on_stage=on_stage)
+                                 on_iteration=on_iteration)
 
-    per_point, w1_total = pushforward_w1(_test_path_samples(ensemble, data, model), ref)
+    per_point, w1_total = pushforward_w1(_test_path_samples(ensemble, model, features),
+                                         ref)
     _write_csv(out / "w1_per_point.csv",
                ("delta", "f11", "w1", "w1_ma11"),
                zip(data.test_delta, data.test_f11, per_point,
                    moving_average(per_point, 11)))
-    log.add(ensemble.iteration, ensemble.stage,
-            report.stages[-1].lam if report.stages else cfg.prior_lambda,
-            report.stages[-1].final_mse if report.stages else None,
-            w1_total, None, report.final_active_params, median_distance(ensemble))
-    log.write(out / "metrics.csv")
+    rows.append((ensemble.iteration, ensemble.stage,
+                 report.stages[-1].lam if report.stages else cfg.prior_lambda,
+                 report.stages[-1].final_mse if report.stages else None,
+                 w1_total, None, report.final_active_params, median_distance(ensemble)))
+    _write_csv(out / "metrics.csv", METRICS_COLUMNS, rows)
     summary = {
         "w1_sum": w1_total,
         "active_params": report.final_active_params,
@@ -478,8 +456,8 @@ def cmd_sweep(cfg: RunConfig, command_line: str | None = None) -> int:
 # checkpoint inspection
 
 def cmd_condense_inspect(checkpoint_path, out_dir, command_line: str | None = None) -> int:
-    """Emit the ensemble distance matrix, per-layer weight samples, and graph
-    dumps from a saved checkpoint."""
+    """Emit the ensemble distance matrix, per-layer weight samples, and one
+    graph dump per particle (dead nodes deactivated) from any stage checkpoint."""
     state = load_checkpoint(checkpoint_path)
     ens = state.ensemble
     out = Path(out_dir)
@@ -497,7 +475,7 @@ def cmd_condense_inspect(checkpoint_path, out_dir, command_line: str | None = No
                        zip(itertools.repeat(k), i, j, a, w.ravel().tolist()))
         gdir = out / "graphs"
         gdir.mkdir(exist_ok=True)
-        _dump_graphs(ens, [gdir / f"particle_{a:02d}.txt"
-                           for a in range(ens.n_particles)])
+        gc.dump_graph(gc.prune(gc.NetGraph.from_net(ens.template, ens.particles), 0.0),
+                      [gdir / f"particle_{a:02d}.txt" for a in range(ens.n_particles)])
     print(f"condense-inspect: {len(D)} particles -> {out}")
     return 0

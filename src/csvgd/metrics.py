@@ -114,12 +114,16 @@ def wasserstein1_batch(A, B) -> np.ndarray:
         raise ShapeError("samples need a sample axis")
     if A.shape[:-1] != B.shape[:-1]:
         raise ShapeError(f"batch shapes differ: {A.shape[:-1]} vs {B.shape[:-1]}")
-    n, m = A.shape[-1], B.shape[-1]
-    if n == 0 or m == 0:
+    if A.shape[-1] == 0 or B.shape[-1] == 0:
         raise ShapeError("samples must be non-empty")
+    return _w1_sorted(np.sort(A, axis=-1), np.sort(B, axis=-1))
+
+
+def _w1_sorted(A, B) -> np.ndarray:
+    """``wasserstein1_batch`` of non-empty samples sorted along the last axis."""
+    n, m = A.shape[-1], B.shape[-1]
     g = _quantile_grid(n, m)
-    gaps = np.abs(np.sort(A, axis=-1)[..., g[:-1] // m]
-                  - np.sort(B, axis=-1)[..., g[:-1] // n])
+    gaps = np.abs(A[..., g[:-1] // m] - B[..., g[:-1] // n])
     return gaps @ np.diff(g).astype(float) / (n * m)
 
 
@@ -127,14 +131,18 @@ def pushforward_w1(model_samples, reference_samples) -> tuple[np.ndarray, float]
     """Componentwise W1 between pushforward clouds at each evaluation point.
 
     model_samples: (points, components, n_model), reference_samples:
-    (points, components, n_reference).  Per point, the component W1 values
-    are averaged; the scalar score is the sum over points.
+    (points, components, n_reference), sorted along the last axis (a run's
+    reference is fixed, so it is sorted once).  Per point, the component W1
+    values are averaged; the scalar score is the sum over points.
     """
     M = np.asarray(model_samples, dtype=float)
     R = np.asarray(reference_samples, dtype=float)
-    if M.ndim != 3 or R.ndim != 3 or M.shape[:2] != R.shape[:2]:
+    if (M.ndim != 3 or R.ndim != 3 or M.shape[:2] != R.shape[:2]
+            or 0 in (M.shape[-1], R.shape[-1])):
         raise ShapeError(f"incompatible pushforward shapes {M.shape} vs {R.shape}")
-    per_point = wasserstein1_batch(M, R).mean(axis=-1)
+    if np.any(R[..., 1:] < R[..., :-1]):
+        raise DomainError("reference_samples must be sorted along the last axis")
+    per_point = _w1_sorted(np.sort(M, axis=-1), R).mean(axis=-1)
     return per_point, float(per_point.sum())
 
 

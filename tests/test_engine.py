@@ -531,6 +531,34 @@ class TestCheckpointing:
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "missing.json")
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", '"stage_00"', "null"])
+    def test_json_that_is_not_an_object_is_named(self, tmp_path, text):
+        from csvgd.errors import CheckpointError
+        p = tmp_path / "stage_00.json"
+        p.write_text(text)
+        with pytest.raises(CheckpointError, match="not a checkpoint"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("field,value", [("ensemble", "missing"),
+                                             ("config", "missing"),
+                                             ("lam", "missing"),
+                                             ("ensemble", None)])
+    def test_tagged_document_with_a_bad_field_is_named(self, tmp_path, field, value):
+        from csvgd.engine import _RunState
+        from csvgd.errors import CheckpointError
+        path = tmp_path / "stage_00.json"
+        save_checkpoint(path, _RunState(init_vector_ensemble(2, 4, seed=3),
+                                        vector_config(), 0.0, 0.0, float("inf"),
+                                        0, [], [], None))
+        doc = json.loads(path.read_text())
+        if value == "missing":
+            del doc[field]
+        else:
+            doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="malformed checkpoint"):
+            load_checkpoint(path)
+
     def test_interrupted_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         from csvgd.engine import _RunState
         path = tmp_path / "stage_00.json"

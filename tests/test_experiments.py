@@ -136,7 +136,11 @@ class TestHyperelasticCommand:
         assert train.input_names[0] == "E11"
         assert (out / "checkpoints" / "stage_00.json").exists()
         assert (out / "checkpoints" / "stage_01.json").exists()
-        graphs = list((out / "graphs").glob("stage_01_particle_*.txt"))
+        # graph dumps are derived on demand from a stage checkpoint
+        assert not (out / "graphs").exists()
+        inspect = tmp_path / "inspect"
+        assert cmd_condense_inspect(out / "checkpoints" / "stage_01.json", inspect) == 0
+        graphs = list((inspect / "graphs").glob("particle_*.txt"))
         assert len(graphs) == cfg.n_particles
         rows = read_csv(out / "w1_per_point.csv")
         assert rows[0] == ["delta", "f11", "w1", "w1_ma11"]
@@ -174,8 +178,8 @@ class TestHyperelasticCommand:
         assert names == sorted(str(p.relative_to(b)) for p in b.rglob("*") if p.is_file())
         trajectory = [n for n in names
                       if n.startswith(("checkpoints/", "graphs/", "data_"))]
-        # a checkpoint per stage, two data files, a graph per stage and particle
-        assert len(trajectory) == base.num_stages * (1 + base.n_particles) + 2
+        # a checkpoint per stage and two data files
+        assert len(trajectory) == base.num_stages + 2
         for name in trajectory:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
         rows_a, rows_b = read_csv(a / "metrics.csv"), read_csv(b / "metrics.csv")
@@ -346,25 +350,31 @@ class TestCondenseInspect:
 
 class TestStageGraphDumps:
     def test_dumps_equal_per_particle_dumps_of_checkpoints(self, tmp_path):
-        """Every stage's graph dumps equal, byte for byte, the one-network-
-        per-particle dumps of the particles in that stage's checkpoint."""
+        """condense-inspect on every stage checkpoint of a run writes graph
+        dumps equal, byte for byte, to the one-network-per-particle dumps of
+        the particles in that checkpoint; the run itself writes none."""
         from csvgd.engine import load_checkpoint
         cfg = small_hyper_config(tmp_path, n_particles=3, num_stages=2,
                                  schedule="adaptive", polish_iters=10)
         cmd_hyperelastic(cfg)
         out = Path(cfg.out_dir)
+        assert not (out / "graphs").exists()
         compared = []
         for ckpt in sorted((out / "checkpoints").glob("stage_*.json")):
+            inspect = tmp_path / "inspect" / ckpt.stem
+            assert cmd_condense_inspect(ckpt, inspect) == 0
             ens = load_checkpoint(ckpt).ensemble
-            names = [f"{ckpt.stem}_particle_{a:02d}.txt" for a in range(ens.n_particles)]
+            names = [f"particle_{a:02d}.txt" for a in range(ens.n_particles)]
+            oracle = tmp_path / "oracle" / ckpt.stem
+            oracle.mkdir(parents=True)
             dump_graphs_per_particle(ens.template, ens.particles,
-                                     [tmp_path / name for name in names])
+                                     [oracle / name for name in names])
+            assert sorted(names) == sorted(p.name for p in (inspect / "graphs").iterdir())
             for name in names:
-                assert ((out / "graphs" / name).read_bytes()
-                        == (tmp_path / name).read_bytes())
-            compared += names
-        assert sorted(compared) == sorted(p.name for p in (out / "graphs").iterdir())
-        assert len(compared) == 3 * 3          # stages 00, 01 and the polish
+                assert ((inspect / "graphs" / name).read_bytes()
+                        == (oracle / name).read_bytes())
+            compared.append(ckpt.stem)
+        assert compared == ["stage_00", "stage_01", "stage_polish"]
 
 
 @lru_cache(maxsize=None)
@@ -389,9 +399,9 @@ class TestTestPathSamples:
         ens = Ensemble(P[:n], template, np.random.default_rng(0))
         model = StressRegressionModel()
         budget = per_block * len(data.test) * max(template.layer_widths)
-        with mock.patch.object(network, "PASS_ELEMENTS", budget):
-            got = experiments._test_path_samples(ens, data, model)
         features = model.prepare(data.test.inputs)
+        with mock.patch.object(network, "PASS_ELEMENTS", budget):
+            got = experiments._test_path_samples(ens, model, features)
         expected = np.stack([model.predict(template, p[None], features)[0] for p in P[:n]],
                             axis=-1)
         assert got.shape == (len(data.test), 6, n)
@@ -430,6 +440,30 @@ class TestCli:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "checkpoint" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"format": "csvgd-checkpoint-v1"}'])
+    def test_condense_inspect_names_a_file_that_is_not_a_checkpoint(
+            self, tmp_path, capsys, text):
+        path = tmp_path / "stage_00.json"
+        path.write_text(text)
+        rc = main(["condense-inspect", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("csvgd condense-inspect: ")
+        assert str(path) in err
+
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_metrics_every_below_one_exits_1(self, tmp_path, capsys, every):
+        cfg = small_hyper_config(tmp_path)
+        path = tmp_path / "c.json"
+        save_config(cfg, path)
+        doc = json.loads(path.read_text())
+        doc["metrics_every"] = every
+        path.write_text(json.dumps(doc))
+        rc = main(["hyperelastic", "--config", str(path)])
+        assert rc == 1
+        assert "metrics_every" in capsys.readouterr().err
+        assert not (tmp_path / "hyp").exists()
 
     def test_command_recorded_in_readme(self, tmp_path):
         out = tmp_path / "rr"

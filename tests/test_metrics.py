@@ -279,13 +279,13 @@ class TestW1EmptySamples:
 class TestPushforward:
     def test_identical_clouds_zero(self, rng):
         M = rng.normal(size=(5, 2, 8))
-        per_point, total = pushforward_w1(M, M.copy())
+        per_point, total = pushforward_w1(M, np.sort(M, axis=-1))
         assert np.all(per_point == pytest.approx(0.0, abs=1e-15))
         assert total == pytest.approx(0.0, abs=1e-14)
 
     def test_scaling(self, rng):
         M = rng.normal(size=(4, 3, 6))
-        R = rng.normal(size=(4, 3, 9))
+        R = np.sort(rng.normal(size=(4, 3, 9)), axis=-1)
         _, t1 = pushforward_w1(M, R)
         _, t2 = pushforward_w1(2.0 * M, 2.0 * R)
         assert t2 == pytest.approx(2.0 * t1, rel=1e-12)
@@ -293,6 +293,25 @@ class TestPushforward:
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeError):
             pushforward_w1(rng.normal(size=(4, 3, 6)), rng.normal(size=(4, 2, 6)))
+
+    def test_unsorted_reference_rejected_by_name(self):
+        R = np.zeros((2, 3, 4))
+        R[1, 2, 1] = -1.0                  # one descent in one row
+        with pytest.raises(DomainError, match="reference_samples"):
+            pushforward_w1(np.zeros((2, 3, 5)), R)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), points=st.integers(1, 3), comps=st.integers(1, 3),
+           n=st.integers(1, 9), m=st.integers(1, 9))
+    def test_sorted_reference_equals_batch_w1_bit_for_bit(self, data, points, comps,
+                                                          n, m):
+        values = st.one_of(st.sampled_from(TIE_POOL), st.floats(-1e3, 1e3))
+        M = data.draw(arrays(float, (points, comps, n), elements=values))
+        R = data.draw(arrays(float, (points, comps, m), elements=values))
+        per_point, total = pushforward_w1(M, np.sort(R, axis=-1))
+        want = wasserstein1_batch(M, R).mean(axis=-1)
+        np.testing.assert_array_equal(per_point, want)
+        assert total == float(want.sum())
 
 
 class TestSparsity:
