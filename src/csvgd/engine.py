@@ -117,6 +117,10 @@ class SvgdConfig:
             raise ShapeError(f"prune_epsilon must be >= 0, got {self.prune_epsilon!r}")
         if self.schedule not in ("fixed", "adaptive"):
             raise ShapeError(f"unknown schedule {self.schedule!r}")
+        for name in ("max_iters", "num_stages", "polish_iters"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ShapeError(f"{name} must be >= 0, got {value!r}")
 
 
 @dataclass

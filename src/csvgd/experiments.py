@@ -113,8 +113,9 @@ class RunConfig:
     def __post_init__(self):
         for name in self._TUPLE_FIELDS:
             setattr(self, name, tuple(getattr(self, name)))
-        if self.metrics_every < 1:
-            raise ValueError(f"metrics_every must be >= 1, got {self.metrics_every}")
+        for name in ("n_particles", "metrics_every", "w1_ref_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)

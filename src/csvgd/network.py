@@ -8,13 +8,18 @@ parameter gradient of an input-directional derivative (reverse-over-forward),
 which is what stress-style models built on input gradients need.
 
 Every pass builds on one forward pass, ``forward_pass``: it evaluates each
-link's activation once, its value and first two derivatives from one
-evaluation, and keeps them in a ``ForwardPass``.  The output, the input
-Jacobian, the parameter gradient and the reverse-over-forward gradient are
-methods that read that pass, so a model that needs a prediction and its score
-makes one forward pass for both: ``forward_pass(net, X).output()`` evaluates
-a network, and ``.grad_input()``, ``.grad_params(upstream)``, ``.dirderiv(u)``
-and ``.grad_params_dirderiv(u, upstream)`` read the same pass.
+link's activation once, its value and first derivative from one evaluation,
+and keeps them in a ``ForwardPass``.  The second derivative is formed from
+the first by the one pass that reads it, so a prediction-only pass never
+forms it.  The output, the input Jacobian, the parameter gradient and the
+reverse-over-forward gradient are methods that read that pass, so a model
+that needs a prediction and its score makes one forward pass for both:
+``forward_pass(net, X).output()`` evaluates a network, and
+``.grad_input()``, ``.grad_params(upstream)``, ``.dirderiv(u)`` and
+``.grad_params_dirderiv(u, upstream)`` read the same pass.  The passes skip
+work whose result is known exactly (zero adjoints and the unit derivative of
+the identity output link, products over an inner dimension of 1) and keep
+the bits of the full formulas.
 
 Each pass evaluates ``net`` itself or, given ``params`` (N, D) of flat
 parameter rows laid out like ``net``, the N networks of a particle stack at
@@ -33,6 +38,7 @@ elementwise steps and reductions are per particle too.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -67,27 +73,47 @@ PASS_ELEMENTS = 2**16
 
 
 def _softplus_terms(z):
-    """softplus(z), sigmoid(z) and sigmoid(z) * (1 - sigmoid(z)) from one exp(-|z|).
+    """softplus(z) and its derivative sigmoid(z), from one e = exp(-|z|).
 
-    The value is the overflow-safe max(z, 0) + log1p(exp(-|z|)); the sigmoid
-    is 1 / (1 + e) for z >= 0 and e / (1 + e) otherwise, with e = exp(-|z|).
+    The value is the overflow-safe max(z, 0) + log1p(e); the sigmoid is
+    1 / (1 + e) for z >= 0 and e / (1 + e) otherwise.  Since 0 <= e <= 1, its
+    numerator is max(e, [z >= 0]) without a branch (a NaN e stays NaN).  The
+    three temporaries are reused in place.
     """
-    e = np.exp(-np.abs(z))
-    s = np.where(z >= 0, 1.0, e) / (1.0 + e)
-    return np.maximum(z, 0.0) + np.log1p(e), s, s * (1.0 - s)
+    e = np.empty_like(z)
+    np.abs(z, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    s = np.greater_equal(z, 0.0, out=np.empty_like(z))
+    np.maximum(e, s, out=s)
+    t = np.add(1.0, e, out=np.empty_like(z))
+    np.divide(s, t, out=s)
+    np.log1p(e, out=t)
+    np.maximum(z, 0.0, out=e)
+    np.add(e, t, out=e)
+    return e, s
+
+
+def _sigmoid_slope(s):
+    """softplus'' = s * (1 - s) from softplus' = s."""
+    d2 = np.subtract(1.0, s)
+    np.multiply(s, d2, out=d2)
+    return d2
 
 
 def _identity_terms(z):
-    return z, np.ones_like(z), np.zeros_like(z)
+    return z, np.ones_like(z)
 
 
-# tag -> function of z giving (value, first derivative, second derivative)
-_ACTIVATIONS = {"softplus": _softplus_terms, "identity": _identity_terms}
+# tag -> (function of z giving the value and the first derivative, function
+# of the first derivative giving the second)
+_ACTIVATIONS = {"softplus": (_softplus_terms, _sigmoid_slope),
+                "identity": (_identity_terms, np.zeros_like)}
 
 
 def softplus(x):
     """Overflow-safe softplus: max(x,0) + log1p(exp(-|x|))."""
-    return _softplus_terms(np.asarray(x, dtype=float))[0]
+    return _softplus_terms(np.asarray(x, dtype=float))[0][()]
 
 
 def _frozen(a):
@@ -104,7 +130,7 @@ class Layout:
 
     @property
     def size(self) -> int:
-        return sum(int(np.prod(shape)) for _, shape in self.entries)
+        return sum(math.prod(shape) for _, shape in self.entries)
 
     def flatten(self, arrays) -> np.ndarray:
         """One flat vector, or one flat row per particle for stacked arrays."""
@@ -117,7 +143,7 @@ class Layout:
             if k < 0 or a.shape[k:] != shape or lead not in (None, a.shape[:k]):
                 raise ShapeError(f"{name}: expected shape {shape}, got {a.shape}")
             lead = a.shape[:k]
-            parts.append(a.reshape(lead + (int(np.prod(shape)),)))
+            parts.append(a.reshape(lead + (math.prod(shape),)))
         return np.concatenate(parts, axis=-1) if parts else np.zeros(0)
 
     def unflatten(self, flat) -> list[np.ndarray]:
@@ -129,7 +155,7 @@ class Layout:
         lead = flat.shape[:-1]
         out, off = [], 0
         for _, shape in self.entries:
-            n = int(np.prod(shape))
+            n = math.prod(shape)
             out.append(flat[..., off:off + n].reshape(lead + shape))
             off += n
         return out
@@ -253,6 +279,19 @@ def _params(net, params):
     return arrays[:net.n_links], arrays[net.n_links:]
 
 
+def _matmul(a, b):
+    """a @ b bit for bit; over an inner dimension of 1 as a broadcast product.
+
+    The matrix product sums from +0.0, so the broadcast product adds 0.0 once:
+    that turns -0.0 into +0.0 and changes no other value.
+    """
+    if a.shape[-1] != 1:
+        return a @ b
+    c = a * b
+    c += 0.0
+    return c
+
+
 @dataclass(frozen=True, eq=False)
 class ForwardPass:
     """One evaluation of a network on the rows of X, kept for every pass that
@@ -260,9 +299,16 @@ class ForwardPass:
 
     ``W`` and ``b`` are the weights and biases (with the particle axis for a
     particle stack).  Per link k, ``H[k + 1]`` holds the post-activations
-    (``H[0]`` is X) and ``D1[k]``, ``D2[k]`` the activation's first and second
-    derivatives at the pre-activations.  ``single`` marks a 1-D X, whose
-    results drop the batch axis.
+    (``H[0]`` is X) and ``D1[k]`` the activation's first derivative at the
+    pre-activations.  The second derivative is formed from ``D1[k]`` by the
+    one pass that reads it, ``grad_params_dirderiv``.  ``single`` marks a 1-D
+    X, whose results drop the batch axis.
+
+    The passes skip work whose result is known exactly: the output link is
+    identity, with a unit first and a zero second derivative.  Where a
+    skipped term is an exact zero of a sum (which numpy starts from +0.0),
+    the pass adds 0.0 once instead, so every result has the bits of the full
+    formulas, signed zeros included.
     """
 
     net: LayeredNet
@@ -271,20 +317,22 @@ class ForwardPass:
     single: bool
     H: list
     D1: list
-    D2: list
 
     def output(self) -> np.ndarray:
         """Network outputs, shape (batch, out)."""
         return self.H[-1][..., 0, :] if self.single else self.H[-1]
 
     def grad_input(self) -> np.ndarray:
-        """Jacobian d net(X[b]) / d X[b] for every row, shape (batch, out, in)."""
-        out = self.net.layer_widths[-1]
-        J = np.broadcast_to(np.eye(out), self.H[-1].shape + (out,))
-        for k in range(self.net.n_links - 1, -1, -1):
-            J = J @ self.W[k][..., None, :, :]
-            if k > 0:
-                J = J * self.D1[k - 1][..., None, :]
+        """Jacobian d net(X[b]) / d X[b] for every row, shape (batch, out, in).
+
+        The chain starts from the output weights (+ 0.0, the bits of
+        eye(out) @ W), since the output link is identity.
+        """
+        J = (self.W[-1] + 0.0)[..., None, :, :]
+        if self.net.n_links == 1:
+            J = np.broadcast_to(J, self.H[-1].shape + J.shape[-1:]).copy()
+        for k in range(self.net.n_links - 2, -1, -1):
+            J = _matmul(J * self.D1[k][..., None, :], self.W[k][..., None, :, :])
         return J[..., 0, :, :] if self.single else J
 
     def grad_params(self, upstream) -> np.ndarray:
@@ -297,27 +345,28 @@ class ForwardPass:
         gb = [None] * n_links
         bar = np.broadcast_to(U, self.H[-1].shape)  # output activation is identity
         for k in range(n_links - 1, -1, -1):
-            gW[k] = bar.swapaxes(-1, -2) @ self.H[k]
+            gW[k] = _matmul(bar.swapaxes(-1, -2), self.H[k])
             if self.b:
                 gb[k] = bar.sum(axis=-2)
             if k > 0:
-                bar = (bar @ self.W[k]) * self.D1[k - 1]
+                bar = _matmul(bar, self.W[k]) * self.D1[k - 1]
         return self.net.layout.flatten(gW + (gb if self.b else []))
 
-    def _tangents(self, u):
-        """Forward tangent pass along input directions u: per link the tangent
-        pre-activations TZ[k] = T[k] W_k' and T[k + 1] = act'(z) * TZ[k]."""
+    def _tangents(self, u, links):
+        """Forward tangent pass along input directions u over the first
+        ``links`` links: per link the tangent pre-activations
+        TZ[k] = T[k] W_k' and T[k + 1] = act'(z) * TZ[k]."""
         T = [_check_rows("direction", u, self.single, self.H[0].shape)]
         TZ = []
-        for k in range(self.net.n_links):
-            tz = T[-1] @ self.W[k].swapaxes(-1, -2)
+        for k in range(links):
+            tz = _matmul(T[-1], self.W[k].swapaxes(-1, -2))
             TZ.append(tz)
             T.append(self.D1[k] * tz)
         return T, TZ
 
     def dirderiv(self, u) -> np.ndarray:
         """Directional derivatives J(X[b]) @ u[b] via the tangent pass."""
-        T, _ = self._tangents(u)
+        T, _ = self._tangents(u, self.net.n_links)
         return T[-1][..., 0, :] if self.single else T[-1]
 
     def grad_params_dirderiv(self, u, upstream) -> np.ndarray:
@@ -335,25 +384,43 @@ class ForwardPass:
         which yields the exact mixed second derivative d/dtheta of the
         input-directional derivative.  ``u`` and ``upstream`` may carry the
         particle axis.
+
+        On the identity output link bar_h' = 0 and act'' = 0, so its bar_z is
+        zero and its bar_tz is the upstream; the link below it starts from
+        bar_h' = 0.  So the tangent pass stops before the output link.
         """
         n_links = self.net.n_links
         Up = _check_rows("upstream", upstream, self.single,
                          (len(self.H[0]), self.net.layer_widths[-1]))
-        T, TZ = self._tangents(u)
+        # bar_tz of the output link, shaped and laid out as act'(z) * Up
+        bar_tz = np.broadcast_to(np.ascontiguousarray(Up),
+                                 np.broadcast_shapes(self.H[-1].shape, Up.shape))
+        T, TZ = self._tangents(u, n_links - 1)
         gW = [None] * n_links
         gb = [None] * n_links
-        bar_h = np.zeros_like(self.H[-1])
-        bar_t = Up
-        for k in range(n_links - 1, -1, -1):
+        k = n_links - 1
+        gW[k] = _matmul(bar_tz.swapaxes(-1, -2), T[k])
+        gW[k] += 0.0  # the skipped outer(0, h)
+        if self.b:
+            gb[k] = np.zeros(gW[k].shape[:-1])
+        bar_h = None  # zero below the output link
+        if k > 0:
+            bar_t = _matmul(bar_tz, self.W[k])
+        for k in range(n_links - 2, -1, -1):
             d1 = self.D1[k]
-            bar_z = d1 * bar_h + self.D2[k] * TZ[k] * bar_t
+            bar_z = _ACTIVATIONS[self.net.activations[k]][1](d1) * TZ[k] * bar_t
+            if bar_h is None:
+                bar_z += 0.0  # the skipped act'(z) * 0
+            else:
+                bar_z = d1 * bar_h + bar_z
             bar_tz = d1 * bar_t
-            gW[k] = bar_z.swapaxes(-1, -2) @ self.H[k] + bar_tz.swapaxes(-1, -2) @ T[k]
+            gW[k] = (_matmul(bar_z.swapaxes(-1, -2), self.H[k])
+                     + _matmul(bar_tz.swapaxes(-1, -2), T[k]))
             if self.b:
                 gb[k] = bar_z.sum(axis=-2)
             if k > 0:
-                bar_h = bar_z @ self.W[k]
-                bar_t = bar_tz @ self.W[k]
+                bar_h = _matmul(bar_z, self.W[k])
+                bar_t = _matmul(bar_tz, self.W[k])
         return self.net.layout.flatten(gW + (gb if self.b else []))
 
 
@@ -362,16 +429,15 @@ def forward_pass(net: LayeredNet, X, params=None) -> ForwardPass:
     stack of flat ``params`` rows, on the rows of X (a 1-D X is one sample)."""
     X, single = _check_input(net, X)
     W, b = _params(net, params)
-    H, D1, D2 = [X], [], []
+    H, D1 = [X], []
     for k in range(net.n_links):
-        z = H[-1] @ W[k].swapaxes(-1, -2)
+        z = _matmul(H[-1], W[k].swapaxes(-1, -2))
         if b:
             z = z + b[k][..., None, :]
-        h, d1, d2 = _ACTIVATIONS[net.activations[k]](z)
+        h, d1 = _ACTIVATIONS[net.activations[k]][0](z)
         H.append(h)
         D1.append(d1)
-        D2.append(d2)
-    return ForwardPass(net, W, b, single, H, D1, D2)
+    return ForwardPass(net, W, b, single, H, D1)
 
 
 def particle_blocks(net: LayeredNet, n_particles: int, rows: int) -> list[slice]:

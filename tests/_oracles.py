@@ -4,8 +4,8 @@ Everything here is deliberately naive (finite differences, dense-grid
 quadrature, straight-line gradient ascent) and shares no code with the
 implementations under test.  The exceptions are the references for rewritten
 code paths (the merged-CDF W1, the per-particle and two-call scores, the
-per-node prune, the row-by-row graph dump, the one-graph-at-a-time
-condensation and dumps): each keeps the replaced code as it was and says which
+network passes before their lean rewrite, the per-node prune, the row-by-row
+graph dump, the one-graph-at-a-time condensation and dumps): each keeps the replaced code as it was and says which
 library pieces it reuses.
 """
 
@@ -304,6 +304,105 @@ def two_call_score_and_mse(target, template, particles):
         R = target.dataset.outputs - _two_call_forward(template, W, b, X)[1][-1]
         s = _two_call_grad_params(template, W, b, X, R)
     return s / target.noise_var, np.mean((R * R).reshape(len(R), -1), axis=1)
+
+
+# ---------------------------------------------------------------------------
+# The network passes as they were before they skipped exactly known work: the
+# forward pass kept each activation's value and first two derivatives (the
+# sigmoid numerator picked by `np.where`), the input Jacobian started from
+# eye(out) @ W, and the reverse-over-forward pass started at the output link
+# from zero adjoints after a full tangent pass.  The lean `network.ForwardPass`
+# is held to it bit for bit; it reuses the library's input checks and flat
+# parameter layout.
+
+def softplus_terms_where(z):
+    """softplus, sigmoid and sigmoid * (1 - sigmoid) from one exp(-|z|)."""
+    e = np.exp(-np.abs(z))
+    s = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(z, 0.0) + np.log1p(e), s, s * (1.0 - s)
+
+
+_PASS_TERMS = {"softplus": softplus_terms_where,
+               "identity": lambda z: (z, np.ones_like(z), np.zeros_like(z))}
+
+
+class FormulaPass:
+    """`network.forward_pass(net, X, params)` and the passes that read it."""
+
+    def __init__(self, net, X, params=None):
+        from csvgd import network as nw
+
+        self.net, self._check_rows = net, nw._check_rows
+        X, self.single = nw._check_input(net, X)
+        self.W, self.b = nw._params(net, params)
+        self.H, self.D1, self.D2 = [X], [], []
+        for k in range(net.n_links):
+            z = self.H[-1] @ self.W[k].swapaxes(-1, -2)
+            if self.b:
+                z = z + self.b[k][..., None, :]
+            h, d1, d2 = _PASS_TERMS[net.activations[k]](z)
+            self.H.append(h)
+            self.D1.append(d1)
+            self.D2.append(d2)
+
+    def output(self):
+        return self.H[-1][..., 0, :] if self.single else self.H[-1]
+
+    def grad_input(self):
+        out = self.net.layer_widths[-1]
+        J = np.broadcast_to(np.eye(out), self.H[-1].shape + (out,))
+        for k in range(self.net.n_links - 1, -1, -1):
+            J = J @ self.W[k][..., None, :, :]
+            if k > 0:
+                J = J * self.D1[k - 1][..., None, :]
+        return J[..., 0, :, :] if self.single else J
+
+    def grad_params(self, upstream):
+        n_links = self.net.n_links
+        U = self._check_rows("upstream", upstream, self.single,
+                             (len(self.H[0]), self.net.layer_widths[-1]))
+        gW, gb = [None] * n_links, [None] * n_links
+        bar = np.broadcast_to(U, self.H[-1].shape)
+        for k in range(n_links - 1, -1, -1):
+            gW[k] = bar.swapaxes(-1, -2) @ self.H[k]
+            if self.b:
+                gb[k] = bar.sum(axis=-2)
+            if k > 0:
+                bar = (bar @ self.W[k]) * self.D1[k - 1]
+        return self.net.layout.flatten(gW + (gb if self.b else []))
+
+    def _tangents(self, u):
+        T = [self._check_rows("direction", u, self.single, self.H[0].shape)]
+        TZ = []
+        for k in range(self.net.n_links):
+            tz = T[-1] @ self.W[k].swapaxes(-1, -2)
+            TZ.append(tz)
+            T.append(self.D1[k] * tz)
+        return T, TZ
+
+    def dirderiv(self, u):
+        T, _ = self._tangents(u)
+        return T[-1][..., 0, :] if self.single else T[-1]
+
+    def grad_params_dirderiv(self, u, upstream):
+        n_links = self.net.n_links
+        Up = self._check_rows("upstream", upstream, self.single,
+                              (len(self.H[0]), self.net.layer_widths[-1]))
+        T, TZ = self._tangents(u)
+        gW, gb = [None] * n_links, [None] * n_links
+        bar_h = np.zeros_like(self.H[-1])
+        bar_t = Up
+        for k in range(n_links - 1, -1, -1):
+            d1 = self.D1[k]
+            bar_z = d1 * bar_h + self.D2[k] * TZ[k] * bar_t
+            bar_tz = d1 * bar_t
+            gW[k] = bar_z.swapaxes(-1, -2) @ self.H[k] + bar_tz.swapaxes(-1, -2) @ T[k]
+            if self.b:
+                gb[k] = bar_z.sum(axis=-2)
+            if k > 0:
+                bar_h = bar_z @ self.W[k]
+                bar_t = bar_tz @ self.W[k]
+        return self.net.layout.flatten(gW + (gb if self.b else []))
 
 
 def prune_per_node(graph, epsilon):

@@ -353,6 +353,16 @@ class TestConfigChecks:
     def test_zero_prune_epsilon_accepted(self):
         assert vector_config(prune_epsilon=0.0).prune_epsilon == 0.0
 
+    @pytest.mark.parametrize("field", ["max_iters", "num_stages", "polish_iters"])
+    def test_negative_counts_rejected(self, field):
+        # a negative count used to run nothing without a word
+        with pytest.raises(ShapeError, match=field):
+            vector_config(**{field: -1})
+
+    @pytest.mark.parametrize("field", ["max_iters", "num_stages", "polish_iters"])
+    def test_zero_counts_accepted(self, field):
+        assert getattr(vector_config(**{field: 0}), field) == 0
+
     def test_nan_step_size_rejected(self):
         # NaN used to turn every particle NaN, reported one iteration later
         # as a non-finite gradient

@@ -465,6 +465,36 @@ class TestCli:
         assert "metrics_every" in capsys.readouterr().err
         assert not (tmp_path / "hyp").exists()
 
+    @pytest.mark.parametrize("field, flags", [
+        ("n_particles", ["--particles", "0"]),
+        ("n_particles", ["--particles", "-3"]),
+        ("max_iters", ["--iters", "-1"]),
+        ("num_stages", ["--stages", "-1"])])
+    def test_impossible_flag_values_name_their_field(self, tmp_path, capsys, field, flags):
+        # --particles 0 used to fail in the score with numpy's "need at least
+        # one array to concatenate"; --iters -1 ran stages of no iterations
+        rc = main(["hyperelastic", "--out", str(tmp_path / "hyp")] + flags)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("csvgd hyperelastic: ") and field in err
+
+    @pytest.mark.parametrize("field, value", [("w1_ref_samples", 0),
+                                              ("polish_iters", -1)])
+    def test_impossible_config_values_name_their_field(self, tmp_path, capsys,
+                                                       field, value):
+        # w1_ref_samples 0 used to fail after one iteration with
+        # "incompatible pushforward shapes"; polish_iters -1 skipped the polish
+        cfg = small_hyper_config(tmp_path, schedule="adaptive")
+        path = tmp_path / "c.json"
+        save_config(cfg, path)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        rc = main(["hyperelastic", "--config", str(path)])
+        assert rc == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "hyp" / "metrics.csv").exists()
+
     def test_command_recorded_in_readme(self, tmp_path):
         out = tmp_path / "rr"
         main(["mvn", "--out", str(out), "--iters", "30", "--particles", "8",

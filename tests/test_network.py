@@ -2,12 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from csvgd import network as nw
-from csvgd.errors import ShapeError
+from csvgd.engine import Ensemble, KernelSpec, SvgdConfig, svgd_step
+from csvgd.errors import NonFiniteGradientError, ShapeError
 
-from _oracles import (fd_gradient, sigmoid_deriv_formula, sigmoid_formula,
-                      softplus_formula)
+from _oracles import (FormulaPass, fd_gradient, sigmoid_deriv_formula,
+                      sigmoid_formula, softplus_formula)
 from conftest import bias_net, random_net
 
 
@@ -54,16 +58,25 @@ class TestForward:
 
 
 class TestActivationTerms:
-    """One evaluation gives every activation term, bit for bit the separate formulas."""
+    """One evaluation gives the value and first derivative, and the second
+    derivative follows from the first, bit for bit the separate formulas."""
 
-    Z = np.array([0.0, -0.0, 1e-300, -1e-300, 37.0, -37.0, 700.0, -700.0, np.nan])
+    # at -800, exp(-|z|) underflows to 0
+    Z = np.array([0.0, -0.0, 1e-300, -1e-300, 37.0, -37.0, 700.0, -700.0, -800.0, np.nan])
 
     @staticmethod
     def bits(a):
         return np.asarray(a, dtype=float).view(np.uint64)
 
+    @staticmethod
+    def terms(tag, z):
+        """Value, first and second derivative, as the network passes form them."""
+        value_and_slope, second = nw._ACTIVATIONS[tag]
+        value, d1 = value_and_slope(z)
+        return value, d1, second(d1)
+
     def test_softplus_terms_equal_separate_formulas(self):
-        value, d1, d2 = nw._ACTIVATIONS["softplus"](self.Z)
+        value, d1, d2 = self.terms("softplus", self.Z)
         for got, want in ((value, softplus_formula(self.Z)), (d1, sigmoid_formula(self.Z)),
                           (d2, sigmoid_deriv_formula(self.Z))):
             np.testing.assert_array_equal(self.bits(got), self.bits(want))
@@ -71,7 +84,7 @@ class TestActivationTerms:
                                       self.bits(softplus_formula(self.Z)))
 
     def test_identity_terms(self):
-        value, d1, d2 = nw._ACTIVATIONS["identity"](self.Z)
+        value, d1, d2 = self.terms("identity", self.Z)
         np.testing.assert_array_equal(self.bits(value), self.bits(self.Z))
         assert d1.tolist() == [1.0] * self.Z.size and d2.tolist() == [0.0] * self.Z.size
 
@@ -230,6 +243,92 @@ class TestParticleStack:
         template, P, _ = stack
         with pytest.raises(ShapeError):
             nw.forward_pass(template, rng.normal(size=(6, 3)), P[:, :-1])
+
+
+# finite values, -0.0 drawn on its own so that signed zeros show up often
+_values = st.one_of(st.just(-0.0), st.just(0.0), st.floats(-4.0, 4.0))
+
+
+@st.composite
+def lean_pass_cases(draw, min_links=1):
+    """A net (hidden identity links, biases and -0.0 weights allowed), its
+    flat rows as one net or a particle stack, inputs as rows or one 1-D
+    sample, and tangent directions and upstreams shared or per particle."""
+    n_links = draw(st.integers(min_links, 3))
+    widths = (tuple(draw(st.lists(st.integers(1, 4), min_size=n_links, max_size=n_links)))
+              + (draw(st.sampled_from([1, 2])),))
+    acts = tuple(draw(st.lists(st.sampled_from(["softplus", "identity"]),
+                               min_size=n_links - 1, max_size=n_links - 1))) + ("identity",)
+    biased = draw(st.booleans())
+    weights = tuple(draw(arrays(float, (widths[k + 1], widths[k]), elements=_values))
+                    for k in range(n_links))
+    biases = tuple(draw(arrays(float, (widths[k + 1],), elements=_values))
+                   for k in range(n_links)) if biased else ()
+    net = nw.LayeredNet(widths, weights, biases, acts, (False,) * n_links)
+    stack = draw(st.sampled_from([None, 1, 3]))
+    params = None if stack is None else draw(arrays(float, (stack, net.layout.size),
+                                                    elements=_values))
+    rows = draw(st.sampled_from([None, 1, 4]))    # None: one 1-D sample
+    lead = () if rows is None else (rows,)
+    X = draw(arrays(float, lead + (widths[0],), elements=_values))
+    own = () if stack is None else (stack,)
+    u = draw(arrays(float, draw(st.sampled_from([(), own])) + lead + (widths[0],),
+                    elements=_values))
+    up = draw(arrays(float, draw(st.sampled_from([(), own])) + lead + (widths[-1],),
+                     elements=_values))
+    return net, params, X, u, up
+
+
+class TestLeanPasses:
+    """The passes skip exactly known work (zero adjoints, the unit Jacobian of
+    the output link, unread second derivatives) and still give the replaced
+    formulas' bits, signed zeros included."""
+
+    @staticmethod
+    def bits(a):
+        return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=lean_pass_cases())
+    def test_every_pass_equals_the_replaced_formulas_bit_for_bit(self, case):
+        net, params, X, u, up = case
+        lean, formulas = nw.forward_pass(net, X, params), FormulaPass(net, X, params)
+        for got, want in ((lean.output(), formulas.output()),
+                          (lean.grad_input(), formulas.grad_input()),
+                          (lean.dirderiv(u), formulas.dirderiv(u)),
+                          (lean.grad_params(up), formulas.grad_params(up)),
+                          (lean.grad_params_dirderiv(u, up),
+                           formulas.grad_params_dirderiv(u, up))):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(self.bits(got), self.bits(want))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=lean_pass_cases(min_links=2), data=st.data())
+    def test_a_non_finite_weight_or_input_still_stops_the_step(self, case, data):
+        # No dropped term hides a non-finite value: where the replaced
+        # formulas give a non-finite gradient, so does the lean pass.  (A
+        # one-link net is left out: its gradient, outer(upstream, u), reads
+        # neither W nor X, and only the replaced zero adjoint times W u
+        # turned a NaN there into a NaN gradient.)
+        net, params, X, u, up = case
+        P = np.atleast_2d(net.flatten() if params is None else params).copy()
+        bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        if data.draw(st.booleans()):
+            X = X.copy()
+            X.flat[data.draw(st.integers(0, X.size - 1))] = bad
+        else:
+            weights = np.flatnonzero(net.weight_flat_mask())
+            P[data.draw(st.integers(0, len(P) - 1)), data.draw(st.sampled_from(weights))] = bad
+        params = P if params is not None else P[0]
+        with np.errstate(invalid="ignore", over="ignore"):
+            g = nw.forward_pass(net, X, params).grad_params_dirderiv(u, up)
+            want = FormulaPass(net, X, params).grad_params_dirderiv(u, up)
+        assert np.isfinite(g).all() == np.isfinite(want).all()
+        if not np.isfinite(want).all():
+            config = SvgdConfig(step_size=0.1, max_iters=1, kernel=KernelSpec(2, 1.0))
+            with pytest.raises(NonFiniteGradientError):
+                svgd_step(Ensemble(P, net, np.random.default_rng(0)),
+                          np.broadcast_to(g, P.shape), config)
 
 
 class TestParticleBlocks:
