@@ -116,6 +116,9 @@ class RunConfig:
         for name in ("n_particles", "metrics_every", "w1_ref_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("noise", "noise_floor"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -237,12 +240,11 @@ def mvn_ensemble_error(particles, dims=None) -> float:
     return bhattacharyya(GaussianSummary.from_samples(P), _mvn_moments(dims))
 
 
-def _run_mvn_once(cfg: RunConfig, lam: float, out_dir: Path | None,
-                  gamma: float | None = None, bandwidth_rule: str | None = None):
+def _run_mvn_once(cfg: RunConfig, lam: float, econf: SvgdConfig,
+                  out_dir: Path | None):
     target = MvnTarget(MVN_MEAN, MVN_PRECISION)
     ensemble = init_vector_ensemble(MVN_MEAN.size, cfg.n_particles, cfg.seed,
                                     cfg.init_scale)
-    econf = _engine_config(cfg, lam=lam, gamma=gamma, bandwidth_rule=bandwidth_rule)
     rows, sparsity_rows = [], []
 
     def on_iteration(ens, info):
@@ -287,13 +289,14 @@ def _run_mvn_once(cfg: RunConfig, lam: float, out_dir: Path | None,
 def cmd_mvn(cfg: RunConfig, command_line: str | None = None) -> int:
     """Stein flow on the 3-D MVN illustration target; optional lambda grid."""
     out = Path(cfg.out_dir)
-    _run_stub(out, cfg, command_line)
     lambdas = cfg.lambda_grid or (cfg.prior_lambda,)
+    econfs = [_engine_config(cfg, lam=lam) for lam in lambdas]
+    _run_stub(out, cfg, command_line)
     summaries = []
-    for lam in lambdas:
+    for lam, econf in zip(lambdas, econfs):
         sub = out if len(lambdas) == 1 else out / f"lam_{lam:g}"
         sub.mkdir(parents=True, exist_ok=True)
-        _, _, summary = _run_mvn_once(cfg, lam, sub)
+        _, _, summary = _run_mvn_once(cfg, lam, econf, sub)
         summaries.append(summary)
         print(f"mvn lambda={lam:g}: bhattacharyya={summary['bhattacharyya']:.6g} "
               f"sparsity_theta3={summary['sparsity_theta3']:.6g}")
@@ -363,8 +366,8 @@ def hyperelastic_setup(cfg: RunConfig):
 def cmd_hyperelastic(cfg: RunConfig, command_line: str | None = None) -> int:
     """Train the convex-potential ensemble on generated stress-strain data."""
     out = Path(cfg.out_dir)
-    _run_stub(out, cfg, command_line)
     data, target, ensemble, ref, features, econf = hyperelastic_setup(cfg)
+    _run_stub(out, cfg, command_line)
     save_dataset(data.train, out / "data_train.csv")
     save_dataset(data.test, out / "data_test.csv")
     model = target.model
@@ -418,14 +421,19 @@ def cmd_sweep(cfg: RunConfig, command_line: str | None = None) -> int:
     Resumable: existing rows in cells.csv are reused.  The file is rewritten
     whole, in grid order, after every computed cell and at the end, each time
     through a temporary file, so an interrupted write never leaves a partial
-    row behind.
+    row behind.  Every cell's engine config is built first, so a rejected
+    cell writes nothing.
     """
     out = Path(cfg.out_dir)
+    cells = []
+    for alpha, beta, lam, gamma in itertools.product(
+            cfg.sweep_alphas or (cfg.alpha,), cfg.sweep_betas or (cfg.beta,),
+            cfg.sweep_lambdas or (cfg.prior_lambda,), cfg.sweep_gammas or (cfg.gamma,)):
+        cell_cfg = dataclasses.replace(cfg, alpha=alpha, beta=int(beta))
+        cells.append((tuple(_fmt(v) for v in (alpha, beta, lam, gamma)), cell_cfg, lam,
+                      _engine_config(cell_cfg, lam=lam, gamma=gamma,
+                                     bandwidth_rule="fixed")))
     _run_stub(out, cfg, command_line)
-    alphas = cfg.sweep_alphas or (cfg.alpha,)
-    betas = cfg.sweep_betas or (cfg.beta,)
-    lambdas = cfg.sweep_lambdas or (cfg.prior_lambda,)
-    gammas = cfg.sweep_gammas or (cfg.gamma,)
     path = out / "cells.csv"
     header = ("alpha", "beta", "lambda", "gamma", "bhattacharyya", "sparsity_theta3")
     done = {}
@@ -434,20 +442,13 @@ def cmd_sweep(cfg: RunConfig, command_line: str | None = None) -> int:
             for row in list(csv.reader(fh))[1:]:
                 done[tuple(row[:4])] = row
     rows = []
-    for alpha in alphas:
-        for beta in betas:
-            for lam in lambdas:
-                for gamma in gammas:
-                    key = tuple(_fmt(v) for v in (alpha, beta, lam, gamma))
-                    if key in done:
-                        rows.append(done[key])
-                        continue
-                    cell_cfg = dataclasses.replace(cfg, alpha=alpha, beta=int(beta))
-                    _, _, s = _run_mvn_once(cell_cfg, lam, None, gamma=gamma,
-                                            bandwidth_rule="fixed")
-                    row = key + (_fmt(s["bhattacharyya"]), _fmt(s["sparsity_theta3"]))
-                    rows.append(row)
-                    _write_csv(path, header, rows)
+    for key, cell_cfg, lam, econf in cells:
+        if key in done:
+            rows.append(done[key])
+            continue
+        _, _, s = _run_mvn_once(cell_cfg, lam, econf, None)
+        rows.append(key + (_fmt(s["bhattacharyya"]), _fmt(s["sparsity_theta3"])))
+        _write_csv(path, header, rows)
     _write_csv(path, header, rows)
     print(f"sweep: {len(rows)} cells -> {path}")
     return 0

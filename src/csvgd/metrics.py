@@ -14,6 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, ShapeError
+from .network import PASS_ELEMENTS
 
 __all__ = [
     "GaussianSummary",
@@ -120,11 +121,46 @@ def wasserstein1_batch(A, B) -> np.ndarray:
 
 
 def _w1_sorted(A, B) -> np.ndarray:
-    """``wasserstein1_batch`` of non-empty samples sorted along the last axis."""
+    """``wasserstein1_batch`` of non-empty samples sorted along the last axis.
+
+    With two or more lead axes, (points..., rows, n), the gaps are formed one
+    block of points at a time in one reused buffer of about PASS_ELEMENTS
+    values, where the grid gathers of whole clouds would take (points, rows,
+    cells) copies each: 8 MB apiece for a (1001, 6, 64) pushforward.
+    """
     n, m = A.shape[-1], B.shape[-1]
     g = _quantile_grid(n, m)
-    gaps = np.abs(A[..., g[:-1] // m] - B[..., g[:-1] // n])
-    return gaps @ np.diff(g).astype(float) / (n * m)
+    ia, ib, w = g[:-1] // m, g[:-1] // n, np.diff(g).astype(float)
+    # The gap layout carries the bits.  ``A[..., ia]`` puts the grid axis
+    # outermost, so each point's (rows, cells) @ (cells,) product is one BLAS
+    # gemv (a dot for one row) on a strided operand; a block keeps that call
+    # by building its gaps as (cells, points, rows).  A C-contiguous block
+    # rounds differently, and so does a gemv over a different row count, so
+    # only the lead axes before the rows are blocked: an input with fewer than
+    # two lead axes keeps the one product, and so does an empty one.
+    if A.ndim < 3 or A.size == 0:
+        return np.abs(A[..., ia] - B[..., ib]) @ w / (n * m)
+    lead, rows = A.shape[:-1], A.shape[-2]
+    A, B = A.reshape(-1, rows, n), B.reshape(-1, rows, m)
+    points = len(A)
+    step = max(2, PASS_ELEMENTS // (len(w) * rows))
+    buf = np.empty(len(w) * min(step, points) * rows)
+    out = np.empty((points, rows))
+    for start in range(0, points, step):
+        # a block holds two points at least: a lone point's gaps are
+        # contiguous, which numpy and OpenBLAS also round differently, so a
+        # last block of one point starts a point early and recomputes its bits
+        block = slice(max(0, min(start, points - 2)), start + step)
+        a, b = np.moveaxis(A[block], -1, 0), np.moveaxis(B[block], -1, 0)
+        gaps = buf[:len(w) * a.shape[1] * rows].reshape(len(w), -1, rows)
+        # the indices are in range, so "clip" changes none of them; unlike
+        # "raise" it writes into ``out`` without a temporary copy
+        np.take(a, ia, axis=0, out=gaps, mode="clip")
+        gaps -= b[ib]
+        np.abs(gaps, out=gaps)
+        np.matmul(np.moveaxis(gaps, 0, -1), w, out=out[block])
+    out /= n * m
+    return out.reshape(lead)
 
 
 def pushforward_w1(model_samples, reference_samples) -> tuple[np.ndarray, float]:

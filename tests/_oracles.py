@@ -3,7 +3,7 @@
 Everything here is deliberately naive (finite differences, dense-grid
 quadrature, straight-line gradient ascent) and shares no code with the
 implementations under test.  The exceptions are the references for rewritten
-code paths (the merged-CDF W1, the per-particle and two-call scores, the
+code paths (the merged-CDF W1, the one-product W1 gap sum, the per-particle and two-call scores, the
 network passes before their lean rewrite, the per-node prune, the row-by-row
 graph dump, the one-graph-at-a-time condensation and dumps): each keeps the replaced code as it was and says which
 library pieces it reuses.
@@ -84,6 +84,18 @@ def w1_merged_cdf_batch(A, B):
     cb = np.cumsum(~from_a, axis=-1) * n
     dv = np.diff(v_sorted, axis=-1)
     return np.sum(np.abs(ca[..., :-1] - cb[..., :-1]) * dv, axis=-1) / (n * m)
+
+
+def w1_sorted_one_product(A, B):
+    """`metrics._w1_sorted` as it was before the point blocks: both sorted
+    clouds gathered onto the quantile grid whole, (..., cells) copies each, and
+    one matrix product of their gaps with the cell widths.  Reuses
+    `metrics._quantile_grid`."""
+    from csvgd.metrics import _quantile_grid
+    n, m = A.shape[-1], B.shape[-1]
+    g = _quantile_grid(n, m)
+    gaps = np.abs(A[..., g[:-1] // m] - B[..., g[:-1] // n])
+    return gaps @ np.diff(g).astype(float) / (n * m)
 
 
 def stress_cycle_integral(stress_batch_fn, A, B, n_steps=10_000):

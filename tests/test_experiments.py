@@ -68,6 +68,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             default_config("nope")
 
+    @pytest.mark.parametrize("field", ["noise", "noise_floor"])
+    @pytest.mark.parametrize("value", [-1.0, -5e-324, float("nan")])
+    def test_negative_or_nan_noise_rejected_by_name(self, field, value):
+        # noise -1 drew the data and the W1 reference at level -1 while the
+        # likelihood used max(-1, 0.05); a NaN noise ended mid-run in
+        # NonFiniteGradientError
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0"):
+            RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["noise", "noise_floor"])
+    def test_zero_noise_accepted(self, field):
+        assert getattr(RunConfig(**{field: 0.0}), field) == 0.0
+
 
 class TestMvnCommand:
     def test_smoke_artifacts_and_exit_code(self, tmp_path, capsys):
@@ -494,6 +507,35 @@ class TestCli:
         assert rc == 1
         assert field in capsys.readouterr().err
         assert not (tmp_path / "hyp" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("command, flags, field", [
+        ("hyperelastic", ["--iters", "-1"], "max_iters"),
+        ("hyperelastic", ["--noise", "-1"], "noise"),
+        ("mvn", ["--iters", "-1"], "max_iters"),
+        ("mvn", ["--gamma", "-1"], "gamma")])
+    def test_rejected_config_writes_nothing(self, tmp_path, capsys, command, flags,
+                                            field):
+        # README.txt and config.json used to be written before the engine
+        # config was built, leaving the directory of a run that never started
+        out = tmp_path / "run"
+        rc = main([command, "--out", str(out)] + flags)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"csvgd {command}: ") and field in err
+        assert not out.exists()
+
+    def test_rejected_sweep_cell_writes_nothing(self, tmp_path, capsys):
+        # a bad gamma used to fail at its own cell, after the cells before it
+        # had been computed and written
+        cfg = RunConfig(experiment="sweep", seed=5, out_dir=str(tmp_path / "sw"),
+                        n_particles=8, max_iters=20, bandwidth_rule="fixed",
+                        sweep_lambdas=(0.1, 1.0), sweep_gammas=(0.5, -1.0))
+        path = tmp_path / "c.json"
+        save_config(cfg, path)
+        rc = main(["sweep", "--config", str(path)])
+        assert rc == 1
+        assert "gamma" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
 
     def test_command_recorded_in_readme(self, tmp_path):
         out = tmp_path / "rr"

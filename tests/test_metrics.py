@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,9 @@ from csvgd.errors import DomainError, ShapeError
 from csvgd.metrics import (GaussianSummary, _quantile_grid, bhattacharyya,
                            moving_average, pushforward_w1, sparsity_l1, wasserstein1,
                            wasserstein1_batch)
+from csvgd.network import PASS_ELEMENTS
 
-from _oracles import w1_dense_grid, w1_merged_cdf_batch
+from _oracles import w1_dense_grid, w1_merged_cdf_batch, w1_sorted_one_product
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -312,6 +314,102 @@ class TestPushforward:
         want = wasserstein1_batch(M, R).mean(axis=-1)
         np.testing.assert_array_equal(per_point, want)
         assert total == float(want.sum())
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# ties, signed zeros, and gaps of one or two subnormal steps
+BITS_POOL = np.array([-0.0, 0.0, 0.5, -1.5, 2.0, -7.25, 5e-324, -5e-324, 1e-323,
+                      np.finfo(float).tiny])
+
+
+def sample_cloud(rng, shape, nan_rows):
+    """Normal draws, about half of them replaced by BITS_POOL values, with one
+    NaN sample in each of ``nan_rows`` rows."""
+    x = rng.standard_normal(shape)
+    pick = rng.random(shape) < 0.5
+    x[pick] = rng.choice(BITS_POOL, size=int(pick.sum()))
+    rows = x.reshape(-1, shape[-1])
+    for r in rng.choice(len(rows), size=min(nan_rows, len(rows)), replace=False):
+        rows[r, rng.integers(shape[-1])] = np.nan
+    return x
+
+
+def assert_blocks_match_one_product(A, B):
+    """`wasserstein1_batch` and, for 3-D clouds, `pushforward_w1` give the
+    one-product gap sum's bits."""
+    want = w1_sorted_one_product(np.sort(A, axis=-1), np.sort(B, axis=-1))
+    assert_same_bits(wasserstein1_batch(A, B), want)
+    if A.ndim == 3:
+        per_point, total = pushforward_w1(A, np.sort(B, axis=-1))
+        assert_same_bits(per_point, want.mean(axis=-1))
+        assert_same_bits(total, float(want.mean(axis=-1).sum()))
+
+
+class TestW1PointBlocks:
+    """Clouds with two or more lead axes are walked in blocks of points; the
+    gaps must keep the one-product form's bits, NaN rows included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.sampled_from([1, 2, 6]), n=st.integers(1, 12), m=st.integers(1, 12),
+           blocks=st.integers(1, 2), offset=st.integers(-1, 1),
+           nan_rows=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    def test_point_counts_at_the_block_edges(self, rows, n, m, blocks, offset,
+                                             nan_rows, seed):
+        cells = len(_quantile_grid(n, m)) - 1
+        per_block = max(2, PASS_ELEMENTS // (cells * rows))
+        points = max(1, blocks * per_block + offset)
+        rng = np.random.default_rng(seed)
+        assert_blocks_match_one_product(sample_cloud(rng, (points, rows, n), nan_rows),
+                                        sample_cloud(rng, (points, rows, m), nan_rows))
+
+    @settings(max_examples=12, deadline=None)
+    @given(rows=st.sampled_from([1, 2, 6]), points=st.integers(1, 5),
+           extra=st.integers(1, 50), counts=st.sampled_from(["1m", "n1", "nn", "n(n+1)"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_points_that_fill_a_block_alone(self, rows, points, extra, counts, seed):
+        # one point's gaps take over half a block: a lone point's gaps are
+        # contiguous and round differently, so blocks hold two points at least
+        big = PASS_ELEMENTS // (2 * rows) + extra
+        n, m = {"1m": (1, big), "n1": (big, 1), "nn": (big, big),
+                "n(n+1)": (big, big + 1)}[counts]
+        rng = np.random.default_rng(seed)
+        assert_blocks_match_one_product(sample_cloud(rng, (points, rows, n), 1),
+                                        sample_cloud(rng, (points, rows, m), 1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.one_of(st.none(), st.integers(1, 20), st.integers(1001, 1500)),
+           n=st.integers(1, 12), m=st.integers(1, 110), nan_rows=st.integers(0, 2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_and_two_dimensional_inputs(self, rows, n, m, nan_rows, seed):
+        # one gemv over all rows: blocking the rows changes its row count,
+        # which moved the last bit of 2-356 rows per call at 1001 rows and up
+        lead = () if rows is None else (rows,)
+        rng = np.random.default_rng(seed)
+        assert_blocks_match_one_product(sample_cloud(rng, lead + (n,), nan_rows),
+                                        sample_cloud(rng, lead + (m,), nan_rows))
+
+    @pytest.mark.parametrize("shape", [(0, 6), (4, 0), (3, 4, 5), (2, 0, 3)])
+    def test_empty_and_deeper_lead_shapes(self, rng, shape):
+        A = np.sort(rng.standard_normal(shape + (7,)), axis=-1)
+        B = np.sort(rng.standard_normal(shape + (10,)), axis=-1)
+        assert_same_bits(wasserstein1_batch(A, B), w1_sorted_one_product(A, B))
+
+    def test_pushforward_peak_memory_bounded(self, rng):
+        # the whole-cloud grid gathers peaked at 24.9 MiB
+        M = rng.standard_normal((1001, 6, 64))
+        R = np.sort(rng.standard_normal((1001, 6, 100)), axis=-1)
+        tracemalloc.start()
+        try:
+            pushforward_w1(M, R)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestSparsity:
