@@ -193,9 +193,10 @@ def _distance_pass(ensemble: Ensemble, out: np.ndarray | None = None
     beta=2 kernel's, written into ``out`` when given), from one pass over the
     rows with their weights first."""
     P, m = ensemble.particles, _weight_mask(ensemble)
-    head_sq, all_sq = pairwise_square_sums(
-        np.concatenate([P[:, m], P[:, ~m]], axis=1), int(m.sum()), out=out)
-    return median_pair_distance(head_sq), all_sq
+    if not m.all():
+        P = np.concatenate([P[:, m], P[:, ~m]], axis=1)
+    pairs, all_sq = pairwise_square_sums(P, int(m.sum()), out=out)
+    return median_pair_distance(pairs), all_sq
 
 
 def ensemble_distances(ensemble: Ensemble) -> np.ndarray:

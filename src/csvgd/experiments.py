@@ -113,6 +113,12 @@ class RunConfig:
     def __post_init__(self):
         for name in self._TUPLE_FIELDS:
             setattr(self, name, tuple(getattr(self, name)))
+        self.validate()
+
+    def validate(self) -> None:
+        """Check the fields; ValueError naming the first bad one.  Runs on
+        construction, and again in every command before it writes a file,
+        since fields may be assigned after construction."""
         for name in ("n_particles", "metrics_every", "w1_ref_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -288,6 +294,7 @@ def _run_mvn_once(cfg: RunConfig, lam: float, econf: SvgdConfig,
 
 def cmd_mvn(cfg: RunConfig, command_line: str | None = None) -> int:
     """Stein flow on the 3-D MVN illustration target; optional lambda grid."""
+    cfg.validate()
     out = Path(cfg.out_dir)
     lambdas = cfg.lambda_grid or (cfg.prior_lambda,)
     econfs = [_engine_config(cfg, lam=lam) for lam in lambdas]
@@ -365,6 +372,7 @@ def hyperelastic_setup(cfg: RunConfig):
 
 def cmd_hyperelastic(cfg: RunConfig, command_line: str | None = None) -> int:
     """Train the convex-potential ensemble on generated stress-strain data."""
+    cfg.validate()
     out = Path(cfg.out_dir)
     data, target, ensemble, ref, features, econf = hyperelastic_setup(cfg)
     _run_stub(out, cfg, command_line)
@@ -424,6 +432,7 @@ def cmd_sweep(cfg: RunConfig, command_line: str | None = None) -> int:
     row behind.  Every cell's engine config is built first, so a rejected
     cell writes nothing.
     """
+    cfg.validate()
     out = Path(cfg.out_dir)
     cells = []
     for alpha, beta, lam, gamma in itertools.product(

@@ -9,23 +9,24 @@ the kernel matrix is formed.  Pairwise differences are only ever formed in
 row blocks of at most ``BLOCK_ELEMENTS`` values, so memory stays bounded
 for any N and D.
 
-The power sums take one of two layouts, by row width.  Rows of
-``PAIRWISE_SUM_MIN`` coordinates or more form (rows, cols, D) differences
-and sum them along the row.  Narrower rows (the MVN example's D=3) form one
-(rows, cols) coordinate plane at a time from a coordinate-major copy and add
-the planes from the left, so no numpy inner loop runs over a handful of
-coordinates per pair.  Both give the same bits: numpy sums fewer than 8
-contiguous values from the left too.
+The power sums take one of two layouts, by row width, and both take
+``BLOCK_ELEMENTS // (N * D)`` rows per block against N rows of D
+coordinates.  Rows of ``PAIRWISE_SUM_MIN`` coordinates or more form (rows,
+cols, D) differences and sum them along the row.  Narrower rows (the MVN
+example's D=3) form one (rows, cols) coordinate plane at a time from a
+coordinate-major copy and add the planes from the left, so no numpy inner
+loop runs over a handful of coordinates per pair.  Both give the same bits:
+numpy sums fewer than 8 contiguous values from the left too.
 
-A beta=2 Stein iteration makes one pairwise pass: ``pairwise_square_sums``
-gives the squared distances over the weight coordinates (the median
-bandwidth's) and over all coordinates (the kernel's) together, as symmetric
-(n, n) matrices filled from the pairs a <= b only, into a buffer the caller
-may recycle; with no bias coordinates the two are one matrix.
-``median_pair_distance`` selects the median from it with one single-point
-partition, and the beta=2 direction forms its kernel matrix in place over
-it.  beta=1 needs absolute differences, so it forms its kernel rows inside
-the sign pass of its repulsion, in the row-major layout at every width: its
+A beta=2 Stein iteration makes one pairwise pass over the pairs a <= b:
+``pairwise_square_sums`` gives the squared distances over the weight
+coordinates (the median bandwidth's) as the n(n-1)/2 pairs packed in a 1-D
+array, and over all coordinates (the kernel's) as a symmetric (n, n) matrix
+in a buffer the caller may recycle.  ``median_pair_distance`` selects the
+median from the packed pairs with one single-point partition in place, and
+the beta=2 direction forms its kernel matrix in place over the matrix.
+beta=1 needs absolute differences, so it forms its kernel rows inside the
+sign pass of its repulsion, in the row-major layout at every width: its
 repulsion sums over the particles, not the coordinates.
 """
 
@@ -54,9 +55,11 @@ BANDWIDTH_FLOOR = 1e-6
 # Most differences held at once by a pairwise pass: 2**18 float64 values,
 # 2 MiB, which fits a core's 2 MiB L2 share on a 2-core Xeon.  There, with
 # one BLAS thread, the N=200, D=1020 distance pass took 60 ms per call at
-# 2**18, 65 ms at 2**20 and 140 ms unblocked.  Narrow rows hold one
-# coordinate plane of this size at a time: the N=512, D=3 squared-distance
-# pass took 2.7 ms per call in planes, against 11.4 ms row-major.
+# 2**18, 65 ms at 2**20 and 140 ms unblocked.  Narrow rows take as many
+# rows per block, so a coordinate plane holds BLOCK_ELEMENTS / D values: the
+# N=512, D=3 pass with its median took 1.7-2.0 ms per call at 64-170 rows
+# per block (170 is this rule's), 2.3 ms at 256, 2.7-2.8 ms at 384 and
+# 4.4-4.7 ms at 512, where the block's own square is the whole matrix.
 BLOCK_ELEMENTS = 2**18
 
 # numpy's add.reduce adds fewer than 8 contiguous values one by one from the
@@ -88,6 +91,13 @@ class KernelSpec:
             raise DomainError(f"unknown bandwidth rule {self.bandwidth_rule!r}")
 
 
+def _block_rows(B) -> int:
+    """Rows of A per block of a pairwise pass of A against B: as many as keep
+    a block's values against every row of B within BLOCK_ELEMENTS, one at
+    least.  The same rule for both layouts."""
+    return max(1, BLOCK_ELEMENTS // max(1, B.size))
+
+
 def _difference_blocks(A, B, upper: bool = False):
     """(rows, A[rows, None, :] - B[None, :, :]) over row blocks of A; with
     ``upper``, only against the rows of B from the block's first row on.
@@ -99,10 +109,10 @@ def _difference_blocks(A, B, upper: bool = False):
     bandwidth by 1e-9 relative, enough to break its pinned sqrt-scaling
     property in a 3000-example run that the differences pass.
     """
-    step = max(1, BLOCK_ELEMENTS // max(1, B.size))
+    step = _block_rows(B)
     buf = np.empty(min(step, len(A)) * B.size)
     for start in range(0, len(A), step):
-        rows = slice(start, start + step)
+        rows = slice(start, min(start + step, len(A)))
         a, b = A[rows], (B[start:] if upper else B)
         diff = buf[:a.shape[0] * b.size].reshape(a.shape[0], *b.shape)
         np.subtract(a[:, None, :], b[None, :, :], out=diff)
@@ -114,13 +124,13 @@ def _plane_blocks(A, B, upper: bool = False):
     plane) over row blocks of A, where a and b hold the coordinates of the
     block's rows of A and of the rows of B (with ``upper``, from the block's
     first row on) as C-contiguous coordinate rows, and plane is a (rows,
-    cols) buffer of at most BLOCK_ELEMENTS values (one row at least) that
-    the next block reuses."""
+    cols) buffer of at most BLOCK_ELEMENTS / D values (one row at least)
+    that the next block reuses."""
     AT, BT = np.ascontiguousarray(A.T), np.ascontiguousarray(B.T)
-    step = max(1, BLOCK_ELEMENTS // max(1, len(B)))
+    step = _block_rows(B)
     buf = np.empty(min(step, len(A)) * len(B))
     for start in range(0, len(A), step):
-        rows = slice(start, start + step)
+        rows = slice(start, min(start + step, len(A)))
         a, b = AT[:, rows], (BT[:, start:] if upper else BT)
         yield rows, a, b, buf[:a.shape[1] * b.shape[1]].reshape(a.shape[1], -1)
 
@@ -163,47 +173,76 @@ def pairwise_power_sum(A, B, beta: int) -> np.ndarray:
 
 
 def _upper_square_sums(P):
-    """Over row blocks of P: (rows, square_sum), where square_sum(cols, out)
-    writes the squared distances over the coordinates ``cols`` from the
-    block's rows to the rows from its first row on into ``out`` and returns
-    it."""
+    """Over row blocks of P: (rows, square_sum), where square_sum(cols, span,
+    out) writes the squared distances over the coordinates ``cols`` from the
+    block's rows to the rows ``span`` of those from its first row on into
+    ``out`` and returns it."""
     if P.shape[1] < PAIRWISE_SUM_MIN:
         for rows, a, b, plane in _plane_blocks(P, P, upper=True):
-            yield rows, lambda cols, out: _plane_power_sum(a[cols], b[cols], 2,
-                                                           out, plane)
+            def square_sum(cols, span, out):
+                scratch = plane.reshape(-1)[:out.size].reshape(out.shape)
+                return _plane_power_sum(a[cols], b[cols, span], 2, out, scratch)
+            yield rows, square_sum
         return
     for rows, diff in _difference_blocks(P, P, upper=True):
         np.square(diff, out=diff)
-        yield rows, lambda cols, out: diff[..., cols].sum(axis=-1, out=out)
+        yield rows, lambda cols, span, out: diff[:, span, cols].sum(axis=-1, out=out)
 
 
 def pairwise_square_sums(P, head: int, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Squared distances between particle rows over their first ``head``
-    coordinates and over all coordinates: (head_sq, all_sq), both symmetric
-    (n, n) matrices with a zero diagonal.  With no other coordinates
-    (head == D) the two sums are the same and ``head_sq is all_sq``.
-    ``all_sq`` is written into ``out`` when one is given.
+    coordinates and over all coordinates: (pairs, all_sq).  ``pairs`` is a
+    fresh 1-D array of the n(n-1)/2 particle pairs, packed block by block
+    (the caller may reorder it); ``all_sq`` is the symmetric (n, n) matrix,
+    written into ``out`` when one is given.
 
     One difference pass over the pairs a <= b, in either layout (see the
-    module docstring): a - b and b - a square to the same values, so the
-    lower triangle mirrors the upper one bit for bit.  ``head_sq`` equals
-    ``pairwise_power_sum(P[:, :head], P[:, :head], 2)`` bit for bit, and
-    ``all_sq`` is the head sum plus the sum over the other coordinates.
+    module docstring).  A row block against the rows from its first row on
+    splits in two: the block's own square, computed whole, whose strict
+    upper triangle gives its pairs, and the rectangle of the rows past the
+    block, all of them pairs, which is formed in ``pairs`` and copied into
+    ``all_sq`` and its mirror (a - b and b - a square to the same values).
+    Sorted, ``pairs`` equals the upper triangle of ``pairwise_power_sum(
+    P[:, :head], P[:, :head], 2)`` bit for bit, and ``all_sq`` is the head
+    sum plus the sum over the other coordinates (just the head sum when
+    head == D).
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     n, d = P.shape
     if out is not None and out.shape != (n, n):
         raise ShapeError(f"out has shape {out.shape}, need {(n, n)}")
     all_sq = np.empty((n, n)) if out is None else out
-    head_sq = all_sq if head == d else np.empty((n, n))
+    pairs = np.empty(n * (n - 1) // 2)
+    head_cols, rest_cols = slice(head), slice(head, None)
+    split = head < d
+    upper = head_buf = None
+    at = 0
     for rows, square_sum in _upper_square_sums(P):
-        head_block = square_sum(slice(head), head_sq[rows, rows.start:])
-        if head_sq is not all_sq:
-            block = square_sum(slice(head, None), all_sq[rows, rows.start:])
-            block += head_block
-            head_sq[rows.stop:, rows] = head_sq[rows, rows.stop:].T
-        all_sq[rows.stop:, rows] = all_sq[rows, rows.stop:].T
-    return head_sq, all_sq
+        r, past = rows.stop - rows.start, slice(rows.stop, None)
+        if upper is None:  # the first block is the largest
+            upper = np.less.outer(np.arange(r), np.arange(r))  # i < j
+            head_buf = np.empty((r, r)) if split else None
+        own = slice(0, r)
+        square = all_sq[rows, rows]
+        if split:
+            head_square = square_sum(head_cols, own, head_buf[:r, :r])
+            square_sum(rest_cols, own, square)
+            square += head_square
+        else:
+            head_square = square_sum(head_cols, own, square)
+        tri = r * (r - 1) // 2
+        pairs[at:at + tri] = head_square[upper[:r, :r]]
+        at += tri
+        rect = pairs[at:at + r * (n - rows.stop)].reshape(r, -1)
+        at += rect.size
+        square_sum(head_cols, slice(r, None), rect)
+        if not split:
+            all_sq[rows, past] = block = rect
+        else:
+            block = square_sum(rest_cols, slice(r, None), all_sq[rows, past])
+            block += rect
+        all_sq[past, rows] = block.T
+    return pairs, all_sq
 
 
 def _kernel(power_sum, gamma: float, beta: int) -> np.ndarray:
@@ -279,31 +318,31 @@ def median_bandwidth(median_distance: float, n_particles: int,
     return max(g, floor)
 
 
-def median_pair_distance(sq) -> float:
-    """The median pairwise distance from a symmetric (n, n) matrix of squared
-    distances with a zero diagonal: ``np.median(np.sqrt(sq[np.triu_indices(n,
-    1)]))`` bit for bit.  NaN with fewer than two rows or any NaN.
+def median_pair_distance(pairs) -> float:
+    """The median pairwise distance from the 1-D array of squared pair
+    distances ``pairs`` (in any order), which it reorders in place:
+    ``np.median(np.sqrt(pairs))`` bit for bit.  NaN without pairs or with
+    any NaN.
 
-    A flat copy holds the n diagonal zeros, which sort first, and each of
-    the m = n(n-1)/2 pairs twice, so the pairs' order statistic k sits at
-    index n + 2k.  One single-point partition at k = m // 2 finds the upper
+    One single-point partition at k = m // 2 of the m pairs finds the upper
     middle pair; for even m the lower one is the largest value below it.
     sqrt is monotone, so their roots are the middle distances, averaged as
     ``np.median`` averages them.
     """
-    sq = np.asarray(sq, dtype=float)
-    n = len(sq)
-    m = n * (n - 1) // 2
+    pairs = np.asarray(pairs, dtype=float)
+    if pairs.ndim != 1:
+        raise ShapeError(f"pairs must be 1-D, got shape {pairs.shape}")
+    m = len(pairs)
     if not m:
         return float("nan")
-    k = n + 2 * (m // 2)
-    part = np.partition(sq, k, axis=None)
-    if np.isnan(part[k:].max()):
+    k = m // 2
+    pairs.partition(k)
+    if np.isnan(pairs[k:].max()):
         return float("nan")
-    upper = np.sqrt(part[k])
+    upper = np.sqrt(pairs[k])
     if m % 2:
         return float(upper)
-    return float((np.sqrt(part[:k].max()) + upper) / 2)
+    return float((np.sqrt(pairs[:k].max()) + upper) / 2)
 
 
 def silverman_bandwidth(particles) -> float:

@@ -81,6 +81,20 @@ class TestConfig:
     def test_zero_noise_accepted(self, field):
         assert getattr(RunConfig(**{field: 0.0}), field) == 0.0
 
+    @pytest.mark.parametrize("experiment", ["mvn", "hyperelastic", "sweep"])
+    def test_field_assigned_after_construction_rejected_before_any_file(
+            self, tmp_path, experiment):
+        # the construction check alone let cmd_hyperelastic draw its data at
+        # noise -1
+        cfg = default_config(experiment)
+        cfg.out_dir = str(tmp_path / "out")
+        cfg.noise = -1.0
+        command = {"mvn": cmd_mvn, "hyperelastic": cmd_hyperelastic,
+                   "sweep": cmd_sweep}[experiment]
+        with pytest.raises(ValueError, match="^noise must be >= 0"):
+            command(cfg)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestMvnCommand:
     def test_smoke_artifacts_and_exit_code(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from csvgd import kernels
 from csvgd.condense import distance_matrix
-from csvgd.engine import Ensemble, SvgdConfig, _resolve_gamma, stein_gradient
+from csvgd.engine import (Ensemble, SvgdConfig, _resolve_gamma, median_distance,
+                          stein_gradient)
 from csvgd.errors import DomainError, ShapeError
 from csvgd.kernels import (BANDWIDTH_FLOOR, BLOCK_ELEMENTS, PAIRWISE_SUM_MIN,
                            KernelSpec, _kernel, median_bandwidth,
@@ -175,57 +178,81 @@ SQ_POOL = [0.0, 5e-324, 1e-323, 2.2250738585072014e-308, 1e-300, 0.25, 1.0,
 
 
 @st.composite
-def square_distance_matrices(draw, n=st.integers(0, 40)):
-    """Symmetric (n, n) matrices with a zero diagonal, pairs from SQ_POOL or
-    any non-negative float."""
+def pair_arrays(draw, n=st.integers(0, 40)):
+    """The n(n-1)/2 squared pair distances of n particles, each from SQ_POOL
+    or any non-negative float, one of them NaN now and then."""
     n = draw(n)
-    iu = np.triu_indices(n, 1)
-    pairs = draw(arrays(float, len(iu[0]), elements=st.one_of(
+    pairs = draw(arrays(float, n * (n - 1) // 2, elements=st.one_of(
         st.sampled_from(SQ_POOL), st.floats(0.0, 1e6))))
-    sq = np.zeros((n, n))
-    sq[iu] = pairs
-    sq.T[iu] = pairs
-    return sq
+    if len(pairs) and draw(st.integers(0, 9)) == 0:
+        pairs[draw(st.integers(0, len(pairs) - 1))] = np.nan
+    return pairs
 
 
-def _median_of_pairs(sq):
-    return np.median(np.sqrt(sq[np.triu_indices(len(sq), 1)]))
+def _median_of_pairs(pairs):
+    return np.median(np.sqrt(pairs))
+
+
+def _same_float(got, expect):
+    return np.float64(got).tobytes() == np.float64(expect).tobytes()
 
 
 class TestMedianPairDistance:
     @settings(max_examples=300, deadline=None)
-    @given(sq=square_distance_matrices())
-    def test_equals_median_of_the_pairs_bit_for_bit(self, sq):
-        got = median_pair_distance(sq)
+    @given(pairs=pair_arrays())
+    def test_equals_median_of_the_pairs_bit_for_bit(self, pairs):
+        expect = _median_of_pairs(pairs) if len(pairs) else np.nan
+        got = median_pair_distance(pairs.copy())
         assert isinstance(got, float)
-        if len(sq) < 2:
+        if np.isnan(expect):
             assert np.isnan(got)
-            return
-        assert np.float64(got).tobytes() == np.float64(_median_of_pairs(sq)).tobytes()
+        else:
+            assert _same_float(got, expect)
 
     @pytest.mark.parametrize("n", [50, 101, 200, 512])
     def test_equals_median_of_the_pairs_on_particle_clouds(self, rng, n):
         # large enough that the partition leaves the part below its index
         # unordered, so the lower middle is not simply the entry next to it
         for _ in range(5):
-            sq = pairwise_square_sums(rng.normal(size=(n, 3)), 3)[1]
-            assert median_pair_distance(sq) == _median_of_pairs(sq)
+            P = rng.normal(size=(n, 3))
+            expect = _median_of_pairs(pairwise_power_sum(P, P, 2)[np.triu_indices(n, 1)])
+            assert median_pair_distance(pairwise_square_sums(P, 3)[0]) == expect
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_odd_and_even_pair_counts_with_ties(self, n):
         # 1, 3, 6 and 10 pairs; every pair value repeats
-        sq = np.zeros((n, n))
-        iu = np.triu_indices(n, 1)
-        sq[iu] = sq.T[iu] = np.resize([4.0, 1.0, 1.0, 9.0], len(iu[0]))
-        assert median_pair_distance(sq) == _median_of_pairs(sq)
+        pairs = np.resize([4.0, 1.0, 1.0, 9.0], n * (n - 1) // 2)
+        assert median_pair_distance(pairs.copy()) == _median_of_pairs(pairs)
+
+    def test_reorders_the_pairs_in_place(self):
+        pairs = np.array([9.0, 1.0, 4.0, 16.0, 0.25])
+        assert median_pair_distance(pairs) == 2.0
+        assert pairs[2] == 4.0 and sorted(pairs) == [0.25, 1.0, 4.0, 9.0, 16.0]
 
     @pytest.mark.parametrize("where", [(0, 1), (2, 3)])
     def test_nan_pair_gives_nan(self, where):
         sq = np.array([[0.0, 1.0, 4.0, 9.0], [1.0, 0.0, 1.0, 4.0],
                        [4.0, 1.0, 0.0, 1.0], [9.0, 4.0, 1.0, 0.0]])
         sq[where] = sq[where[::-1]] = np.nan
-        assert np.isnan(_median_of_pairs(sq))
-        assert np.isnan(median_pair_distance(sq))
+        pairs = sq[np.triu_indices(4, 1)]
+        assert np.isnan(_median_of_pairs(pairs))
+        assert np.isnan(median_pair_distance(pairs))
+
+    def test_a_matrix_is_rejected(self):
+        with pytest.raises(ShapeError):
+            median_pair_distance(np.zeros((3, 3)))
+
+    def test_infinite_coordinate_leaves_the_pairs_finite_median(self):
+        # the particle at inf is inf away from the others (4 of 10 pairs);
+        # only its distance to itself, inf - inf, is NaN, and it is no pair
+        P = np.array([[0.0, 0, 0], [1, 0, 0], [3, 0, 0], [np.inf, 0, 0], [5, 0, 0]])
+        with np.errstate(invalid="ignore"):
+            pairs, _ = pairwise_square_sums(P, 3)
+            oracle = broadcast_power_sum(P, 2)[np.triu_indices(5, 1)]
+            ens = Ensemble(P, None, np.random.default_rng(0))
+            assert median_distance(ens) == 4.5
+        assert np.array_equal(np.sort(pairs), np.sort(oracle))
+        assert _median_of_pairs(oracle) == median_pair_distance(pairs) == 4.5
 
 
 class TestSpecValidation:
@@ -253,7 +280,7 @@ class TestPairwiseLayer:
     """The blocked pairwise passes against the (N, N, D) broadcast formulas."""
 
     # 53 rows of 1000 coordinates come in blocks of 4 rows and 600 rows of 3
-    # in coordinate planes of 436 rows, the last block of each short
+    # in coordinate planes of 145 rows, the last block of each short
     SHAPES = [(53, 1000), (1, 4), (6, 3), (600, 3)]
 
     def _cloud(self, rng, n, d):
@@ -269,7 +296,7 @@ class TestPairwiseLayer:
 
     def test_narrow_shape_covers_a_short_last_plane_block(self):
         n, d = self.SHAPES[-1]
-        rows = BLOCK_ELEMENTS // n
+        rows = BLOCK_ELEMENTS // (n * d)
         assert d < PAIRWISE_SUM_MIN and 1 < rows < n and n % rows
 
     @pytest.mark.parametrize("n,d", SHAPES)
@@ -285,14 +312,15 @@ class TestPairwiseLayer:
     def test_split_square_sums(self, rng, n, d):
         P, _ = self._cloud(rng, n, d)
         full = broadcast_power_sum(P, 2)
+        iu = np.triu_indices(n, 1)
         for head in (d, d // 2, 0):
-            head_sq, all_sq = pairwise_square_sums(P, head)
+            pairs, all_sq = pairwise_square_sums(P, head)
             H = np.ascontiguousarray(P[:, :head])
-            assert np.array_equal(head_sq, pairwise_power_sum(H, H, 2))
-            assert (head_sq is all_sq) == (head == d)
-            for M in (head_sq, all_sq):
-                assert np.array_equal(M, M.T)
-                assert np.all(np.diag(M) == 0.0)
+            assert pairs.shape == (len(iu[0]),)
+            assert np.array_equal(np.sort(pairs),
+                                  np.sort(pairwise_power_sum(H, H, 2)[iu]))
+            assert np.array_equal(all_sq, all_sq.T)
+            assert np.all(np.diag(all_sq) == 0.0)
             if head == d:
                 assert np.array_equal(all_sq, full)
             assert np.abs(all_sq - full).max() <= 1e-12 * full.max()
@@ -308,6 +336,38 @@ class TestPairwiseLayer:
             assert all(np.array_equal(g, e) for g, e in zip(got, expect))
         with pytest.raises(ShapeError):
             pairwise_square_sums(P, d, out=np.empty((n + 1, n + 1)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 30),
+           d=st.sampled_from([0, 1, 2, 3, 5, PAIRWISE_SUM_MIN, 11]),
+           block=st.integers(1, 400))
+    def test_square_sums_equal_broadcast_over_any_blocks(self, data, n, d, block):
+        # a small BLOCK_ELEMENTS splits a few rows into many blocks, down to
+        # one row each, the last one mostly short
+        P = data.draw(arrays(float, (n, d), elements=st.floats(-1e6, 1e6)))
+        with mock.patch.object(kernels, "BLOCK_ELEMENTS", block):
+            for head in sorted({0, d // 2, d}):
+                pairs = _check_square_sums(P, head)
+                expect = (_median_of_pairs(broadcast_power_sum(P[:, :head], 2)[
+                    np.triu_indices(n, 1)]) if len(pairs) else np.nan)
+                got = median_pair_distance(pairs)
+                assert np.isnan(got) if np.isnan(expect) else _same_float(got, expect)
+
+    def test_narrow_pass_forms_little_more_than_the_upper_triangle(self, rng,
+                                                                   monkeypatch):
+        # a single full (n, n) block forms n^2 plane values per coordinate
+        n, d = 512, 3
+        rows = BLOCK_ELEMENTS // (n * d)
+        formed = []
+        plane_power_sum = kernels._plane_power_sum
+
+        def spy(a, b, beta, out, plane):
+            formed.append(out.size)
+            return plane_power_sum(a, b, beta, out, plane)
+
+        monkeypatch.setattr(kernels, "_plane_power_sum", spy)
+        pairwise_square_sums(rng.normal(size=(n, d)), d)
+        assert sum(formed) <= n * (n + 1) // 2 + rows * n < n * n
 
     @pytest.mark.parametrize("threshold", [0.0, 1e-2])
     def test_beta1_direction_equals_broadcast_at_coincident_particles(self, rng,
@@ -380,6 +440,16 @@ class TestPairwiseLayer:
         assert peak < 32 * 2**20
 
 
+def _check_square_sums(P, head):
+    """``pairwise_square_sums`` against the broadcast sums: the sorted pairs
+    against the sorted upper triangle, the matrix whole.  Returns the pairs."""
+    pairs, all_sq = pairwise_square_sums(P, head)
+    expect = broadcast_power_sum(P[:, :head], 2)
+    assert np.array_equal(np.sort(pairs), np.sort(expect[np.triu_indices(len(P), 1)]))
+    assert np.array_equal(all_sq, broadcast_power_sum(P[:, head:], 2) + expect)
+    return pairs
+
+
 def _sequential_sum(values):
     total = 0.0
     for v in values:
@@ -408,14 +478,14 @@ class TestNarrowRows:
             assert np.array_equal(pairwise_power_sum(P, P, beta),
                                   broadcast_power_sum(P, beta))
         for head in range(d + 1):
-            self._check_square_sums(P, head)
+            _check_square_sums(P, head)
 
     @pytest.mark.parametrize("head", [0, 1, 2, 3])
     def test_square_sums_over_several_blocks(self, rng, head):
-        # 1100 rows come in planes of 238 rows, the last block 148 rows
+        # 1100 rows come in planes of 79 rows, the last block 73 rows
         P = rng.normal(size=(1100, 3)) * rng.lognormal(0.0, 3.0, size=(1100, 3))
-        assert 1100 % (BLOCK_ELEMENTS // 1100) == 148
-        self._check_square_sums(P, head)
+        assert BLOCK_ELEMENTS // (1100 * 3) == 79 and 1100 % 79 == 73
+        _check_square_sums(P, head)
 
     @pytest.mark.parametrize("beta", [1, 2])
     def test_power_sum_over_several_blocks(self, rng, beta):
@@ -427,14 +497,6 @@ class TestNarrowRows:
         # coordinate planes would pair up only the shorter rows' coordinates
         with pytest.raises(ShapeError):
             pairwise_power_sum(np.zeros((2, 3)), np.zeros((4, 5)), 2)
-
-    @staticmethod
-    def _check_square_sums(P, head):
-        head_sq, all_sq = pairwise_square_sums(P, head)
-        expect = broadcast_power_sum(P[:, :head], 2)
-        assert np.array_equal(head_sq, expect)
-        assert np.array_equal(all_sq, broadcast_power_sum(P[:, head:], 2) + expect)
-        assert (head_sq is all_sq) == (head == P.shape[1])
 
     @pytest.mark.parametrize("call", ["power_sum", "square_sums_all",
                                       "square_sums_split", "square_sums_out"])
@@ -448,15 +510,15 @@ class TestNarrowRows:
             def run():
                 pairwise_power_sum(P, P, 2)
         elif call == "square_sums_out":
-            # a recycled output: no new (n, n) memory at all
-            out_bytes = 0
+            # a recycled output: no new (n, n) memory, only the packed pairs
+            out_bytes = n * (n - 1) // 2 * 8
             out = np.empty((n, n))
 
             def run():
                 pairwise_square_sums(P, d, out=out)
         else:
-            # one (n, n) matrix when the head is every coordinate, else two
-            out_bytes = (1 if call == "square_sums_all" else 2) * n * n * 8
+            # one (n, n) matrix and the packed pairs, whatever the head
+            out_bytes = n * n * 8 + n * (n - 1) // 2 * 8
 
             def run():
                 pairwise_square_sums(P, d if call == "square_sums_all" else 1)
@@ -466,5 +528,5 @@ class TestNarrowRows:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # blocks: a plane and the mirrored rows' copy
+        # blocks: a plane and a copy of the mirrored rows (split head)
         assert peak <= out_bytes + 5 * BLOCK_ELEMENTS * 8
