@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CondenseError, DomainError, ShapeError
+from .files import write_text_atomically
 from .kernels import pairwise_power_sum
 from .network import LayeredNet
 
@@ -293,8 +294,7 @@ def dump_graph(graph: NetGraph, paths) -> None:
         lines += ["edges", "from_layer,from_index,to_index,weight"]
         lines += [p + repr(v) for p, v in zip(edge_prefix, row[n_nodes:]) if v != 0.0]
         # the csv module's line terminator, which load_graph_dump reads back
-        with open(path, "w", newline="") as fh:
-            fh.write("\r\n".join(lines) + "\r\n")
+        write_text_atomically(path, "\r\n".join(lines) + "\r\n")
 
 
 def load_graph_dump(path) -> tuple[list[tuple], list[tuple]]:

@@ -14,7 +14,6 @@ deterministic under a fixed seed.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field, replace, asdict
 from pathlib import Path
 
@@ -22,6 +21,7 @@ import numpy as np
 
 from . import condense as gc
 from .errors import CheckpointError, NonFiniteGradientError, ShapeError
+from .files import json_pieces, write_text_atomically
 from .kernels import (KernelSpec, median_bandwidth, median_pair_distance,
                       pairwise_square_sums, stein_direction)
 from .network import LayeredNet, net_from_dict, net_to_dict
@@ -45,7 +45,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "resume_csvgd",
-    "write_text_atomically",
 ]
 
 CHECKPOINT_FORMAT_TAG = "csvgd-checkpoint-v1"
@@ -495,9 +494,11 @@ def _config_from_dict(d: dict) -> SvgdConfig:
     return SvgdConfig(**d)
 
 
-def save_checkpoint(path, state: _RunState) -> None:
+def _checkpoint_doc(state: _RunState) -> dict:
+    """The v1 checkpoint document, with the particle stack and the AdaGrad
+    state left as arrays for ``json_pieces`` to write row by row."""
     ens = state.ensemble
-    doc = {
+    return {
         "format": CHECKPOINT_FORMAT_TAG,
         "config": _config_to_dict(state.config),
         "lam": state.lam,
@@ -508,30 +509,21 @@ def save_checkpoint(path, state: _RunState) -> None:
         "degraded": state.degraded,
         "lambda_trajectory": state.lambda_trajectory,
         "stages": [asdict(r) for r in state.stages],
-        "opt_state": None if state.opt_state is None else state.opt_state.tolist(),
+        "opt_state": state.opt_state,
         "ensemble": {
-            "particles": ens.particles.tolist(),
+            "particles": ens.particles,
             "template": None if ens.template is None else net_to_dict(ens.template),
             "iteration": ens.iteration,
             "stage": ens.stage,
             "rng_state": ens.rng.bit_generator.state,
         },
     }
-    write_text_atomically(path, json.dumps(doc))
 
 
-def write_text_atomically(path, text: str) -> None:
-    """Write ``text`` to ``<name>.tmp`` beside ``path``, then rename it over
-    ``path``: an interrupted write leaves the previous file whole."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text, newline="")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+def save_checkpoint(path, state: _RunState) -> None:
+    """Write ``state`` as a v1 checkpoint: the bytes of ``json.dumps`` of the
+    document, streamed one particle row at a time."""
+    write_text_atomically(path, json_pieces(_checkpoint_doc(state)))
 
 
 def load_checkpoint(path) -> _RunState:

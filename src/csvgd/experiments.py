@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import io
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,7 +23,8 @@ from . import network
 from .engine import (Ensemble, SvgdConfig, active_param_count,
                      ensemble_distances, init_net_ensemble,
                      init_vector_ensemble, load_checkpoint, median_distance,
-                     run_csvgd, write_text_atomically)
+                     run_csvgd)
+from .files import write_csv_atomically, write_text_atomically
 from .kernels import KernelSpec
 from .likelihoods import MvnTarget, RegressionTarget, save_dataset
 from .mechanics import (HyperelasticData, StressRegressionModel, TruthParams,
@@ -160,7 +159,7 @@ def default_config(experiment: str) -> RunConfig:
 
 
 def save_config(cfg: RunConfig, path) -> None:
-    Path(path).write_text(json.dumps(cfg.to_dict(), indent=1))
+    write_text_atomically(path, json.dumps(cfg.to_dict(), indent=1))
 
 
 def load_config(path) -> RunConfig:
@@ -194,17 +193,12 @@ def _fmt(v) -> str:
         return v
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    v = float(v)
-    return repr(v) if math.isfinite(v) else ("nan" if math.isnan(v) else repr(v))
+    return repr(float(v))
 
 
 def _write_csv(path, header, rows) -> None:
-    buf = io.StringIO(newline="")
-    w = csv.writer(buf)
-    w.writerow(header)
-    for row in rows:
-        w.writerow([_fmt(v) for v in row])
-    write_text_atomically(path, buf.getvalue())
+    write_csv_atomically(path, itertools.chain(
+        [header], ([_fmt(v) for v in row] for row in rows)))
 
 
 def _write_json(path, doc) -> None:
@@ -219,7 +213,7 @@ def _run_stub(out_dir, cfg: RunConfig, command_line: str | None) -> None:
     if command_line:
         lines.append(f"command: {command_line}")
     lines.append("config snapshot: config.json")
-    (out / "README.txt").write_text("\n".join(lines) + "\n")
+    write_text_atomically(out / "README.txt", "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import network
 from .errors import ShapeError
+from .files import write_csv_atomically
 
 __all__ = [
     "MvnTarget",
@@ -89,11 +90,10 @@ class Dataset:
 
 def save_dataset(data: Dataset, path) -> None:
     """Delimited text, one row per sample: input columns then output columns."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(list(data.input_names) + list(data.output_names))
-        for x, y in zip(data.inputs, data.outputs):
-            w.writerow([repr(float(v)) for v in x] + [repr(float(v)) for v in y])
+    header = list(data.input_names) + list(data.output_names)
+    write_csv_atomically(path, [header] + [
+        [repr(float(v)) for v in x] + [repr(float(v)) for v in y]
+        for x, y in zip(data.inputs, data.outputs)])
 
 
 def load_dataset(path, n_inputs: int) -> Dataset:

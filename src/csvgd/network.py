@@ -45,6 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ShapeError
+from .files import write_text_atomically
 
 __all__ = [
     "LayeredNet",
@@ -500,7 +501,7 @@ def net_from_dict(d: dict) -> LayeredNet:
 def save_net(net: LayeredNet, path) -> None:
     """Write a network as structured text (JSON) with a format tag."""
     doc = {"format": NET_FORMAT_TAG, **net_to_dict(net)}
-    Path(path).write_text(json.dumps(doc, indent=1))
+    write_text_atomically(path, json.dumps(doc, indent=1))
 
 
 def load_net(path) -> LayeredNet:

@@ -1,3 +1,5 @@
+import contextlib
+import errno
 import sys
 from pathlib import Path
 
@@ -14,6 +16,46 @@ from csvgd.network import LayeredNet
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+class _FullDisk:
+    """A text file that takes ``budget`` characters, then fails like a full disk."""
+
+    def __init__(self, fh, budget):
+        self.fh, self.room = fh, budget
+
+    def write(self, text):
+        self.fh.write(text[:self.room])
+        self.room -= len(text)
+        if self.room < 0:
+            raise OSError(errno.ENOSPC, "no space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """``with full_disk(path, budget):`` makes the atomic writer's write to
+    ``path`` fail once ``budget`` characters of it have landed."""
+    import csvgd.files
+
+    @contextlib.contextmanager
+    def arm(path, budget):
+        tmp_name = Path(path).name + ".tmp"
+
+        def opener(file, *args, **kwargs):
+            fh = open(file, *args, **kwargs)
+            return _FullDisk(fh, budget) if Path(file).name == tmp_name else fh
+
+        with monkeypatch.context() as m:
+            m.setattr(csvgd.files, "open", opener, raising=False)
+            yield
+
+    return arm
 
 
 def random_net(rng, widths=(3, 4, 1), nonneg=None, low=0.05, high=0.6):

@@ -1,0 +1,75 @@
+"""Acceptance criteria 7-10 over many seeds: pass or fail and the margins.
+
+    PYTHONPATH=src python tests/criteria_seeds.py --seeds 0-9
+
+Each criterion rests on staged hyperelastic runs from one seed, and the
+acceptance suite checks seed 0 only.  A change that moves the last bits of
+those runs acts like a new seed there, so it is judged by this runner: seed 0
+must still pass, and the pass count over the seeds must not fall.  The runner
+calls the same functions as the acceptance tests (``_criteria.py``) and prints
+one line per seed and criterion, with the slack of each condition, then the
+pass count.  At about a minute per seed on one core, 10 seeds take about six
+minutes on two workers.  It is not collected by pytest.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+from multiprocessing import get_context
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")   # before numpy loads
+
+from _criteria import CRITERIA  # noqa: E402
+
+MAX_WORKERS = 2
+
+
+def seed_range(text: str) -> list[int]:
+    """'0-9' or '0,3,5' (or a mix) as a list of seeds."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
+
+
+def run_seed(seed: int) -> list[tuple]:
+    """(seed, criterion, passed, margins, detail) for each criterion."""
+    rows = []
+    for number, criterion in CRITERIA.items():
+        verdict = criterion(seed)
+        rows.append((seed, number, verdict.passed, verdict.margins, verdict.detail))
+    return rows
+
+
+def format_row(seed, number, passed, margins, detail) -> str:
+    slack = ", ".join(f"{name} {value:.4g}" for name, value in margins.items())
+    return (f"seed {seed:3d}  criterion {number:2d}  {'PASS' if passed else 'FAIL'}"
+            f"  margins: {slack}  ({detail})")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--seeds", default="0-9", type=seed_range,
+                        help="seeds as ranges and lists, e.g. 0-9 or 0,4-6")
+    args = parser.parse_args(argv)
+    rows = []
+    with get_context("spawn").Pool(min(MAX_WORKERS, len(args.seeds))) as pool:
+        for seed_rows in pool.imap(run_seed, args.seeds):
+            for row in seed_rows:
+                print(format_row(*row), flush=True)
+            rows += seed_rows
+    passed = sum(row[2] for row in rows)
+    print(f"passed {passed} of {len(rows)}")
+    for number in CRITERIA:
+        seeds = [row[0] for row in rows if row[1] == number and row[2]]
+        print(f"criterion {number:2d}: passes at seeds {seeds}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with  pytest -s tests/test_acceptance.py  to see the lines as they
-complete.  The hyperelastic criteria share a cache of staged runs; the full
-suite takes a few minutes on one core.
+complete.  The hyperelastic criteria 7-10 live in ``_criteria.py`` and share
+its cache of staged runs; ``criteria_seeds.py`` runs them over many seeds.
+The full suite takes a few minutes on one core.
 """
 
 import time
@@ -16,15 +17,15 @@ from csvgd.engine import (SvgdConfig, active_param_count, condense_ensemble,
                           init_net_ensemble, init_vector_ensemble, run_csvgd)
 from csvgd.experiments import (MVN_MEAN, MVN_PRECISION, RunConfig,
                                cmd_hyperelastic, cmd_mvn, default_config,
-                               hyperelastic_setup, mvn_ensemble_error,
-                               _test_path_samples)
+                               mvn_ensemble_error)
 from csvgd.kernels import KernelSpec
 from csvgd.likelihoods import MvnTarget
 from csvgd.mechanics import (StressRegressionModel, TruthParams, icnn_template,
                              sym_to_voigt, truth_stress, voigt_to_sym)
-from csvgd.metrics import pushforward_w1, sparsity_l1
+from csvgd.metrics import sparsity_l1
 from csvgd.priors import PriorSpec, log_prior_density, prior_score
 
+from _criteria import criterion_07, criterion_08, criterion_09, criterion_10
 from _oracles import fd_gradient, fd_strain_gradient, trapezoid_integral
 from conftest import random_net
 
@@ -33,47 +34,6 @@ def report(criterion, passed, detail):
     line = f"ACCEPTANCE {criterion}: {'PASS' if passed else 'FAIL'} ({detail})"
     print(line)
     assert passed, line
-
-
-# ---------------------------------------------------------------------------
-# shared hyperelastic runs (criteria 7-10)
-
-_HYPER_CACHE = {}
-
-
-def hyper_run(alpha=0.5, noise=0.1, lam=0.05, schedule="fixed", num_stages=8,
-              seed=0):
-    key = (alpha, noise, lam, schedule, num_stages, seed)
-    if key in _HYPER_CACHE:
-        return _HYPER_CACHE[key]
-    cfg = default_config("hyperelastic")
-    cfg.alpha = alpha
-    cfg.noise = noise
-    cfg.prior_lambda = lam
-    cfg.schedule = schedule
-    cfg.num_stages = num_stages
-    cfg.seed = seed
-    data, target, ensemble, ref, features, econf = hyperelastic_setup(cfg)
-    model = target.model
-    stage_w1 = []
-
-    def on_stage(s, ens, rep):
-        _, total = pushforward_w1(_test_path_samples(ens, model, features), ref)
-        stage_w1.append(total)
-
-    ensemble, run_report = run_csvgd(ensemble, target, econf, on_stage=on_stage)
-    per_point, w1_sum = pushforward_w1(_test_path_samples(ensemble, model, features),
-                                       ref)
-    result = {
-        "active": run_report.final_active_params,
-        "w1_sum": w1_sum,
-        "stage_w1": stage_w1,
-        "per_point": per_point,
-        "delta": data.test_delta,
-        "lambda_trajectory": run_report.lambda_trajectory,
-    }
-    _HYPER_CACHE[key] = result
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -238,46 +198,25 @@ def test_criterion_06_zero_stress_reference_and_truth_consistency():
 
 def test_criterion_07_desk_scale_hyperelastic_run():
     """N_r=10, 1020 parameters, alpha=0.5, lambda=0.05, noise 0.1."""
-    t0 = time.time()
     assert nw.param_count(icnn_template((3, 30, 30, 1)).with_values(
         np.ones(1020)), 0.0) == 1020
-    res = hyper_run(alpha=0.5, noise=0.1, lam=0.05, num_stages=5)
-    elapsed = time.time() - t0
-    w1 = res["stage_w1"]
-    decreasing = np.isfinite(res["w1_sum"]) and w1[-1] < w1[-2]
-    ok = res["active"] < 60 and decreasing and elapsed < 1800.0
-    report(7, ok, f"active {res['active']} < 60, stage W1 {w1[-2]:.2f} -> "
-                  f"{w1[-1]:.2f} decreasing, {elapsed:.0f}s < 1800s")
+    verdict = criterion_07()
+    report(7, verdict.passed, verdict.detail)
 
 
 def test_criterion_08_alpha_ordering():
-    counts = {a: hyper_run(alpha=a)["active"] for a in (0.25, 1.0, 2.0)}
-    ok = counts[0.25] <= counts[1.0] < counts[2.0]
-    report(8, ok, f"active counts {counts[0.25]} <= {counts[1.0]} < {counts[2.0]} "
-                  f"for alpha 0.25/1/2")
+    verdict = criterion_08()
+    report(8, verdict.passed, verdict.detail)
 
 
 def test_criterion_09_noise_monotonicity():
-    runs = {nz: hyper_run(noise=nz) for nz in (0.0, 0.1, 0.2)}
-    w1s = [runs[nz]["w1_sum"] for nz in (0.0, 0.1, 0.2)]
-    increasing = w1s[0] < w1s[1] < w1s[2]
-    ref_idx = int(np.flatnonzero(runs[0.1]["delta"] == 0.0)[0])
-    ref_w1 = max(runs[nz]["per_point"][ref_idx] for nz in (0.0, 0.1, 0.2))
-    ok = increasing and ref_w1 < 1e-8
-    report(9, ok, f"W1 {w1s[0]:.2f} < {w1s[1]:.2f} < {w1s[2]:.2f} across noise "
-                  f"0/0.1/0.2, reference-point W1 {ref_w1:.1e} < 1e-8")
+    verdict = criterion_09()
+    report(9, verdict.passed, verdict.detail)
 
 
 def test_criterion_10_adaptive_penalty_dominance():
-    fixed = {lam: hyper_run(lam=lam) for lam in (0.01, 0.05, 0.1)}
-    adaptive = hyper_run(lam=0.01, schedule="adaptive")
-    best_w1 = min(r["w1_sum"] for r in fixed.values())
-    worst_active = max(r["active"] for r in fixed.values())
-    ok = (adaptive["w1_sum"] <= 1.5 * best_w1
-          and adaptive["active"] <= worst_active)
-    report(10, ok, f"adaptive W1 {adaptive['w1_sum']:.2f} <= 1.5 x {best_w1:.2f}, "
-                   f"active {adaptive['active']} <= {worst_active}; lambda "
-                   f"trajectory {[round(l, 3) for l in adaptive['lambda_trajectory']]}")
+    verdict = criterion_10()
+    report(10, verdict.passed, verdict.detail)
 
 
 def test_criterion_11_determinism(tmp_path):

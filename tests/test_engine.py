@@ -569,7 +569,7 @@ class TestCheckpointing:
         with pytest.raises(CheckpointError, match="malformed checkpoint"):
             load_checkpoint(path)
 
-    def test_interrupted_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+    def test_interrupted_write_keeps_previous_checkpoint(self, tmp_path, full_disk):
         from csvgd.engine import _RunState
         path = tmp_path / "stage_00.json"
         state = _RunState(init_vector_ensemble(2, 4, seed=3), vector_config(),
@@ -577,15 +577,9 @@ class TestCheckpointing:
         save_checkpoint(path, state)
         before = path.read_bytes()
 
-        def half_then_fail(self, data, *args, **kwargs):
-            # a full disk: half of the bytes land, then the write fails
-            with open(self, "w") as fh:
-                fh.write(data[:len(data) // 2])
-            raise OSError("no space left on device")
-
         state.next_stage = 1
-        with monkeypatch.context() as m:
-            m.setattr(Path, "write_text", half_then_fail)
+        # a full disk: half of the streamed bytes land, then the write fails
+        with full_disk(path, len(before) // 2):
             with pytest.raises(OSError):
                 save_checkpoint(path, state)
         assert path.read_bytes() == before

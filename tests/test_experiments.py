@@ -48,6 +48,16 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+class TestFmt:
+    @pytest.mark.parametrize("value,text", [
+        (float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf"),
+        (-0.0, "-0.0"), (5e-324, "5e-324"), (np.float64("nan"), "nan"),
+        (np.float64("-inf"), "-inf"), (np.float32(0.5), "0.5"), (0.1, "0.1"),
+        (np.int64(-3), "-3"), (True, "1"), (None, ""), ("x", "x")])
+    def test_strings(self, value, text):
+        assert experiments._fmt(value) == text
+
+
 class TestConfig:
     def test_round_trip_lossless(self, tmp_path):
         cfg = default_config("hyperelastic")
