@@ -13,8 +13,7 @@ and its gradient in a is (1/gamma) |b - a|^(beta-1) sign(b - a) kappa(a, b).
 import numpy as np
 
 from csvgd.condense import distance_matrix
-from csvgd.kernels import (median_bandwidth, pairwise_power_sum,
-                           silverman_bandwidth)
+from csvgd.kernels import median_bandwidth, pairwise_power_sum
 from csvgd.priors import PriorSpec, prior_constants, prior_score
 
 print("=== prior constants ===")
@@ -46,4 +45,3 @@ D = distance_matrix(cloud)
 med = float(np.median(D[np.triu_indices(30, 1)]))
 print(f"median pairwise distance  {med:.3f}")
 print(f"median-rule bandwidth     {median_bandwidth(med, 30):.3f}")
-print(f"silverman bandwidth       {silverman_bandwidth(cloud):.3f}")

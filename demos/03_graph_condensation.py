@@ -44,7 +44,7 @@ shift0 = max(np.max(np.abs(b - nw.forward_pass(net, X).output()))
              for b, net in zip(before_outputs, lossless.nets()))
 print(f"with epsilon = 0 (sort and pad only): {shift0:.2e}")
 
-print("\npairwise distances (weights only) before:")
+print("\npairwise distances before:")
 print(np.array2string(ensemble_distances(ens), precision=2))
 print("after condensation (aligned layouts, same metric):")
 print(np.array2string(ensemble_distances(condensed), precision=2))

@@ -12,7 +12,7 @@ from .engine import (Ensemble, RunReport, StageReport, SvgdConfig,
                      stein_gradient, svgd_step)
 from .errors import (CheckpointError, CondenseError, DomainError,
                      NonFiniteGradientError, ShapeError)
-from .kernels import KernelSpec, median_bandwidth, silverman_bandwidth
+from .kernels import KernelSpec, median_bandwidth
 from .likelihoods import (Dataset, DirectNetModel, MvnTarget, RegressionTarget,
                           load_dataset, save_dataset)
 from .metrics import (GaussianSummary, bhattacharyya, moving_average,

@@ -4,7 +4,8 @@ importance, and embed every ensemble member into a shared padded template.
 Node sorting permutes rows of the incoming weight matrix and columns of the
 outgoing one, so each member's input-output map is preserved; pruning changes
 it by at most the threshold times the local fan-in.  Input and output layers
-are never pruned or permuted.  Bias-carrying networks are out of scope here.
+are never pruned or permuted.  Networks carry weights only, so every
+parameter is an edge.
 
 A ``NetGraph`` is one network or, like the particle stack ``network`` passes
 take, the whole ensemble at once: its arrays then carry a leading particle
@@ -12,9 +13,10 @@ axis, weights (N, out, in) and active flags and provenance (N, width).  Every
 step below acts on either form, each particle on its own, so one call
 condenses or dumps the whole stack; reductions run over the last two axes.
 
-``distance_matrix`` is the graph metric over flat weight rows; the pairwise
-pass behind it, with its bounded memory, belongs to ``kernels``, which owns
-distances, the kernel matrix and the Stein direction.
+``distance_matrix`` is the graph metric over flat particle rows, which hold
+every edge weight and nothing else; the pairwise pass behind it, with its
+bounded memory, belongs to ``kernels``, which owns distances, the kernel
+matrix and the Stein direction.
 """
 
 from __future__ import annotations
@@ -58,8 +60,6 @@ class NetGraph:
     def from_net(cls, net: LayeredNet, params=None) -> "NetGraph":
         """The graph of ``net`` or, given ``params`` (N, D) of flat rows laid
         out like it, the stacked graph of those N networks."""
-        if net.biases:
-            raise CondenseError("condensation supports bias-free networks only")
         weights = net.weights if params is None else net.layout.unflatten(params)
         lead = weights[0].shape[:-2]
         return cls(
@@ -94,7 +94,7 @@ class NetGraph:
                         self.activations, self.nonneg_mask)
 
     def to_net(self) -> LayeredNet:
-        return LayeredNet(self.widths, tuple(np.array(w) for w in self.weights), (),
+        return LayeredNet(self.widths, tuple(np.array(w) for w in self.weights),
                           self.activations, self.nonneg_mask)
 
     def copy(self) -> "NetGraph":

@@ -153,7 +153,7 @@ def init_net_ensemble(template: LayeredNet, n_particles: int, seed: int) -> Ense
     """Network particles with per-matrix uniform fan-in/out initialization.
 
     Each matrix draws from U[-r, r] with r = sqrt(6/(fan_in + fan_out));
-    nonnegativity-constrained matrices draw from [0, r].  Biases start at 0.
+    nonnegativity-constrained matrices draw from [0, r].
     """
     rng = np.random.default_rng(seed)
     particles = np.empty((n_particles, template.layout.size))
@@ -164,43 +164,22 @@ def init_net_ensemble(template: LayeredNet, n_particles: int, seed: int) -> Ense
             r = np.sqrt(6.0 / (rows + cols))
             lo = 0.0 if nonneg else -r
             parts.append(rng.uniform(lo, r, size=w.size))
-        for b in template.biases:
-            parts.append(np.zeros(b.size))
         particles[a] = np.concatenate(parts)
     return Ensemble(particles, template, rng)
 
 
-def _weight_mask(ensemble: Ensemble) -> np.ndarray:
-    """Weight (non-bias) coordinates; all of them for raw-vector particles."""
-    if ensemble.template is None:
-        return np.ones(ensemble.particles.shape[1], dtype=bool)
-    return ensemble.template.weight_flat_mask()
-
-
-def _weight_columns(ensemble: Ensemble) -> np.ndarray:
-    """C-contiguous particle rows restricted to weight coordinates.
-
-    Contiguous rows give every distance over them the summation order that
-    ``pairwise_square_sums`` uses in the run."""
-    return np.ascontiguousarray(ensemble.particles[:, _weight_mask(ensemble)])
-
-
 def _distance_pass(ensemble: Ensemble, out: np.ndarray | None = None
                    ) -> tuple[float, np.ndarray]:
-    """The median pairwise distance over the weight coordinates (NaN without
-    pairs) and the pairwise squared distances over all coordinates (the
-    beta=2 kernel's, written into ``out`` when given), from one pass over the
-    rows with their weights first."""
-    P, m = ensemble.particles, _weight_mask(ensemble)
-    if not m.all():
-        P = np.concatenate([P[:, m], P[:, ~m]], axis=1)
-    pairs, all_sq = pairwise_square_sums(P, int(m.sum()), out=out)
+    """The median pairwise particle distance (NaN without pairs) and the
+    pairwise squared distances (the beta=2 kernel's, written into ``out``
+    when given), from one pass over the particle rows."""
+    pairs, all_sq = pairwise_square_sums(ensemble.particles, out=out)
     return median_pair_distance(pairs), all_sq
 
 
 def ensemble_distances(ensemble: Ensemble) -> np.ndarray:
-    """Pairwise particle distance matrix (weights only, per the graph metric)."""
-    return gc.distance_matrix(_weight_columns(ensemble))
+    """Pairwise particle distance matrix; for nets, the graph metric."""
+    return gc.distance_matrix(ensemble.particles)
 
 
 def median_distance(ensemble: Ensemble) -> float:
@@ -226,8 +205,8 @@ def stein_gradient(ensemble: Ensemble, scores, config: SvgdConfig,
     ``scores`` are the likelihood scores, one row per particle; the prior
     score (with its dead zone) is added here, and the kernel repulsion is
     zeroed per coordinate whenever both particles lie inside the axis band.
-    ``sq_dists`` are the pairwise squared distances over all coordinates,
-    which ``run_stage`` takes from the pass that gives it the median; the
+    ``sq_dists`` are the pairwise squared particle distances, which
+    ``run_stage`` takes from the pass that gives it the median; the
     pass runs here when the median is needed (no ``gamma``) or the beta=2
     kernel is (no ``sq_dists``).  beta=2 overwrites ``sq_dists`` with its
     kernel matrix.
@@ -286,9 +265,8 @@ def _particle_scores(ensemble: Ensemble, target):
 
 
 def active_param_count(ensemble: Ensemble, threshold: float) -> int:
-    """Number of weight coordinates exceeding the threshold in any particle."""
-    W = _weight_columns(ensemble)
-    return int((np.abs(W).max(axis=0) > threshold).sum())
+    """Number of coordinates exceeding the threshold in any particle."""
+    return int((np.abs(ensemble.particles).max(axis=0) > threshold).sum())
 
 
 def run_stage(ensemble: Ensemble, target, config: SvgdConfig,
@@ -357,7 +335,7 @@ def condense_ensemble(ensemble: Ensemble, epsilon: float
     graph, widths = gc.condense_graphs(
         gc.NetGraph.from_net(template, ensemble.particles), epsilon)
     new_template = LayeredNet(widths, tuple(np.zeros(w.shape[1:]) for w in graph.weights),
-                              (), graph.activations, graph.nonneg_mask)
+                              graph.activations, graph.nonneg_mask)
     new_ens = Ensemble(new_template.layout.flatten(graph.weights), new_template,
                        ensemble.rng, ensemble.iteration, ensemble.stage)
     if len(widths) != len(template.layer_widths):
@@ -560,7 +538,7 @@ def load_checkpoint(path) -> _RunState:
             polished=doc.get("polished", False),
             degraded=doc.get("degraded", False),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc!r}") from exc
 
 

@@ -19,12 +19,12 @@ loop runs over a handful of coordinates per pair.  Both give the same bits:
 numpy sums fewer than 8 contiguous values from the left too.
 
 A beta=2 Stein iteration makes one pairwise pass over the pairs a <= b:
-``pairwise_square_sums`` gives the squared distances over the weight
-coordinates (the median bandwidth's) as the n(n-1)/2 pairs packed in a 1-D
-array, and over all coordinates (the kernel's) as a symmetric (n, n) matrix
-in a buffer the caller may recycle.  ``median_pair_distance`` selects the
-median from the packed pairs with one single-point partition in place, and
-the beta=2 direction forms its kernel matrix in place over the matrix.
+``pairwise_square_sums`` gives the squared distances both as the n(n-1)/2
+pairs packed in a 1-D array (the median bandwidth's) and as a symmetric
+(n, n) matrix (the kernel's) in a buffer the caller may recycle; the two
+hold the same sums.  ``median_pair_distance`` selects the median from the
+packed pairs with one single-point partition in place, and the beta=2
+direction forms its kernel matrix in place over the matrix.
 beta=1 needs absolute differences, so it forms its kernel rows inside the
 sign pass of its repulsion, in the row-major layout at every width: its
 repulsion sums over the particles, not the coordinates.
@@ -45,7 +45,6 @@ __all__ = [
     "stein_direction",
     "median_bandwidth",
     "median_pair_distance",
-    "silverman_bandwidth",
     "BANDWIDTH_FLOOR",
 ]
 
@@ -173,28 +172,26 @@ def pairwise_power_sum(A, B, beta: int) -> np.ndarray:
 
 
 def _upper_square_sums(P):
-    """Over row blocks of P: (rows, square_sum), where square_sum(cols, span,
-    out) writes the squared distances over the coordinates ``cols`` from the
-    block's rows to the rows ``span`` of those from its first row on into
-    ``out`` and returns it."""
+    """Over row blocks of P: (rows, square_sum), where square_sum(span, out)
+    writes the squared distances from the block's rows to the rows ``span``
+    of those from its first row on into ``out`` and returns it."""
     if P.shape[1] < PAIRWISE_SUM_MIN:
         for rows, a, b, plane in _plane_blocks(P, P, upper=True):
-            def square_sum(cols, span, out):
+            def square_sum(span, out):
                 scratch = plane.reshape(-1)[:out.size].reshape(out.shape)
-                return _plane_power_sum(a[cols], b[cols, span], 2, out, scratch)
+                return _plane_power_sum(a, b[:, span], 2, out, scratch)
             yield rows, square_sum
         return
     for rows, diff in _difference_blocks(P, P, upper=True):
         np.square(diff, out=diff)
-        yield rows, lambda cols, span, out: diff[:, span, cols].sum(axis=-1, out=out)
+        yield rows, lambda span, out: diff[:, span].sum(axis=-1, out=out)
 
 
-def pairwise_square_sums(P, head: int, out=None) -> tuple[np.ndarray, np.ndarray]:
-    """Squared distances between particle rows over their first ``head``
-    coordinates and over all coordinates: (pairs, all_sq).  ``pairs`` is a
-    fresh 1-D array of the n(n-1)/2 particle pairs, packed block by block
-    (the caller may reorder it); ``all_sq`` is the symmetric (n, n) matrix,
-    written into ``out`` when one is given.
+def pairwise_square_sums(P, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distances between particle rows: (pairs, all_sq).  ``pairs``
+    is a fresh 1-D array of the n(n-1)/2 particle pairs, packed block by
+    block (the caller may reorder it); ``all_sq`` is the symmetric (n, n)
+    matrix, written into ``out`` when one is given.
 
     One difference pass over the pairs a <= b, in either layout (see the
     module docstring).  A row block against the rows from its first row on
@@ -202,46 +199,29 @@ def pairwise_square_sums(P, head: int, out=None) -> tuple[np.ndarray, np.ndarray
     upper triangle gives its pairs, and the rectangle of the rows past the
     block, all of them pairs, which is formed in ``pairs`` and copied into
     ``all_sq`` and its mirror (a - b and b - a square to the same values).
-    Sorted, ``pairs`` equals the upper triangle of ``pairwise_power_sum(
-    P[:, :head], P[:, :head], 2)`` bit for bit, and ``all_sq`` is the head
-    sum plus the sum over the other coordinates (just the head sum when
-    head == D).
+    Sorted, ``pairs`` equals the sorted upper triangle of ``all_sq`` and of
+    ``pairwise_power_sum(P, P, 2)`` bit for bit.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    n, d = P.shape
+    n = len(P)
     if out is not None and out.shape != (n, n):
         raise ShapeError(f"out has shape {out.shape}, need {(n, n)}")
     all_sq = np.empty((n, n)) if out is None else out
     pairs = np.empty(n * (n - 1) // 2)
-    head_cols, rest_cols = slice(head), slice(head, None)
-    split = head < d
-    upper = head_buf = None
+    upper = None
     at = 0
     for rows, square_sum in _upper_square_sums(P):
         r, past = rows.stop - rows.start, slice(rows.stop, None)
         if upper is None:  # the first block is the largest
             upper = np.less.outer(np.arange(r), np.arange(r))  # i < j
-            head_buf = np.empty((r, r)) if split else None
-        own = slice(0, r)
-        square = all_sq[rows, rows]
-        if split:
-            head_square = square_sum(head_cols, own, head_buf[:r, :r])
-            square_sum(rest_cols, own, square)
-            square += head_square
-        else:
-            head_square = square_sum(head_cols, own, square)
+        square = square_sum(slice(0, r), all_sq[rows, rows])
         tri = r * (r - 1) // 2
-        pairs[at:at + tri] = head_square[upper[:r, :r]]
+        pairs[at:at + tri] = square[upper[:r, :r]]
         at += tri
         rect = pairs[at:at + r * (n - rows.stop)].reshape(r, -1)
         at += rect.size
-        square_sum(head_cols, slice(r, None), rect)
-        if not split:
-            all_sq[rows, past] = block = rect
-        else:
-            block = square_sum(rest_cols, slice(r, None), all_sq[rows, past])
-            block += rect
-        all_sq[past, rows] = block.T
+        all_sq[rows, past] = square_sum(slice(r, None), rect)
+        all_sq[past, rows] = rect.T
     return pairs, all_sq
 
 
@@ -264,13 +244,13 @@ def stein_direction(spec: KernelSpec, particles, scores, gamma: float,
     like the particles) on that coordinate.
 
     beta=2 forms its kernel matrix in place over ``sq_dists``, the pairwise
-    squared distances over all coordinates, which it overwrites.  It uses
-    matrix products with K0, that matrix without its diagonal (a particle
-    does not repel itself), and far = 1 - near: a near coordinate is
-    repelled only by the particles that are far on it, a far one by all.
-    Coordinates near for every particle get exactly zero.  beta=1 ignores
-    ``sq_dists``: each row block of its one difference pass gives the kernel
-    rows (from |diff|) and then the signed repulsion of those rows.
+    squared distances, which it overwrites.  It uses matrix products with
+    K0, that matrix without its diagonal (a particle does not repel itself),
+    and far = 1 - near: a near coordinate is repelled only by the particles
+    that are far on it, a far one by all.  Coordinates near for every
+    particle get exactly zero.  beta=1 ignores ``sq_dists``: each row block
+    of its one difference pass gives the kernel rows (from |diff|) and then
+    the signed repulsion of those rows.
     """
     P = np.atleast_2d(np.asarray(particles, dtype=float))
     S = np.atleast_2d(np.asarray(scores, dtype=float))
@@ -343,19 +323,3 @@ def median_pair_distance(pairs) -> float:
     if m % 2:
         return float(upper)
     return float((np.sqrt(pairs[:k].max()) + upper) / 2)
-
-
-def silverman_bandwidth(particles) -> float:
-    """Silverman's rule-of-thumb bandwidth for a particle cloud.
-
-    (4/(d+2))^(1/(d+4)) * n^(-1/(d+4)) * sigma_hat, where sigma_hat is the
-    mean per-coordinate sample standard deviation.  Offered as a fixed-gamma
-    helper; not used by default.
-    """
-    P = np.asarray(particles, dtype=float)
-    n, d = P.shape
-    if n < 2:
-        return BANDWIDTH_FLOOR
-    sigma = float(P.std(axis=0, ddof=1).mean())
-    g = (4.0 / (d + 2.0)) ** (1.0 / (d + 4.0)) * n ** (-1.0 / (d + 4.0)) * sigma
-    return max(g, BANDWIDTH_FLOOR)

@@ -167,15 +167,16 @@ class LayeredNet:
     """Immutable chain network.
 
     weights[k] maps layer k to layer k+1 and has shape
-    (layer_widths[k+1], layer_widths[k]).  ``biases`` is the empty tuple for
-    bias-free architectures.  ``activations`` holds one tag per link; the
-    last one must be "identity".  ``nonneg_mask[k]`` marks weight matrices
-    constrained to be elementwise >= 0.
+    (layer_widths[k+1], layer_widths[k]).  The weights are the only
+    parameters: condensation reconciles networks through their edges, so a
+    flat parameter row is every edge weight and nothing else.
+    ``activations`` holds one tag per link; the last one must be "identity".
+    ``nonneg_mask[k]`` marks weight matrices constrained to be elementwise
+    >= 0.
     """
 
     layer_widths: tuple[int, ...]
     weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
     activations: tuple[str, ...]
     nonneg_mask: tuple[bool, ...]
 
@@ -199,18 +200,6 @@ class LayeredNet:
                 raise ShapeError(f"W{k} is flagged nonnegative but has negative entries")
             ws.append(w)
         object.__setattr__(self, "weights", tuple(ws))
-        if self.biases:
-            if len(self.biases) != n_links:
-                raise ShapeError(f"expected {n_links} bias vectors, got {len(self.biases)}")
-            bs = []
-            for k, b in enumerate(self.biases):
-                b = _frozen(b)
-                if b.shape != (widths[k + 1],):
-                    raise ShapeError(f"b{k}: expected shape {(widths[k + 1],)}, got {b.shape}")
-                bs.append(b)
-            object.__setattr__(self, "biases", tuple(bs))
-        else:
-            object.__setattr__(self, "biases", ())
         for tag in self.activations:
             if tag not in _ACTIVATIONS:
                 raise ShapeError(f"unknown activation tag {tag!r}")
@@ -225,30 +214,18 @@ class LayeredNet:
 
     @property
     def layout(self) -> Layout:
-        entries = [(f"W{k}", w.shape) for k, w in enumerate(self.weights)]
-        entries += [(f"b{k}", b.shape) for k, b in enumerate(self.biases)]
-        return Layout(tuple(entries))
+        return Layout(tuple((f"W{k}", w.shape) for k, w in enumerate(self.weights)))
 
     def flatten(self) -> np.ndarray:
-        return self.layout.flatten(list(self.weights) + list(self.biases))
+        return self.layout.flatten(self.weights)
 
     def with_values(self, flat) -> "LayeredNet":
-        arrays = self.layout.unflatten(flat)
-        nw = len(self.weights)
-        return replace(self, weights=tuple(arrays[:nw]), biases=tuple(arrays[nw:]))
+        return replace(self, weights=tuple(self.layout.unflatten(flat)))
 
     def nonneg_flat_mask(self) -> np.ndarray:
         """Boolean mask over the flat vector marking nonneg-constrained coords."""
-        parts = [np.full(w.size, m, dtype=bool)
-                 for w, m in zip(self.weights, self.nonneg_mask)]
-        parts += [np.zeros(b.size, dtype=bool) for b in self.biases]
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=bool)
-
-    def weight_flat_mask(self) -> np.ndarray:
-        """Boolean mask selecting weight (non-bias) coordinates of the flat vector."""
-        parts = [np.ones(w.size, dtype=bool) for w in self.weights]
-        parts += [np.zeros(b.size, dtype=bool) for b in self.biases]
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=bool)
+        return np.concatenate([np.full(w.size, m, dtype=bool)
+                               for w, m in zip(self.weights, self.nonneg_mask)])
 
 
 def _check_input(net, X):
@@ -273,11 +250,8 @@ def _check_rows(name, A, single, shape):
 
 
 def _params(net, params):
-    """Weights and biases of ``net``, or views of flat ``params`` laid out like it."""
-    if params is None:
-        return net.weights, net.biases
-    arrays = net.layout.unflatten(params)
-    return arrays[:net.n_links], arrays[net.n_links:]
+    """Weights of ``net``, or views of flat ``params`` laid out like it."""
+    return net.weights if params is None else net.layout.unflatten(params)
 
 
 def _matmul(a, b):
@@ -298,8 +272,7 @@ class ForwardPass:
     """One evaluation of a network on the rows of X, kept for every pass that
     reads it, so each activation is evaluated once per link.
 
-    ``W`` and ``b`` are the weights and biases (with the particle axis for a
-    particle stack).  Per link k, ``H[k + 1]`` holds the post-activations
+    ``W`` are the weights (with the particle axis for a particle stack).  Per link k, ``H[k + 1]`` holds the post-activations
     (``H[0]`` is X) and ``D1[k]`` the activation's first derivative at the
     pre-activations.  The second derivative is formed from ``D1[k]`` by the
     one pass that reads it, ``grad_params_dirderiv``.  ``single`` marks a 1-D
@@ -314,7 +287,6 @@ class ForwardPass:
 
     net: LayeredNet
     W: tuple
-    b: tuple
     single: bool
     H: list
     D1: list
@@ -343,15 +315,12 @@ class ForwardPass:
         U = _check_rows("upstream", upstream, self.single,
                         (len(self.H[0]), self.net.layer_widths[-1]))
         gW = [None] * n_links
-        gb = [None] * n_links
         bar = np.broadcast_to(U, self.H[-1].shape)  # output activation is identity
         for k in range(n_links - 1, -1, -1):
             gW[k] = _matmul(bar.swapaxes(-1, -2), self.H[k])
-            if self.b:
-                gb[k] = bar.sum(axis=-2)
             if k > 0:
                 bar = _matmul(bar, self.W[k]) * self.D1[k - 1]
-        return self.net.layout.flatten(gW + (gb if self.b else []))
+        return self.net.layout.flatten(gW)
 
     def _tangents(self, u, links):
         """Forward tangent pass along input directions u over the first
@@ -374,13 +343,12 @@ class ForwardPass:
         """Flat parameter gradient of sum_b upstream[b] . (J(X[b]) @ u[b]).
 
         Reverse pass over the tangent-augmented forward computation.  For each
-        link k with z = W h + b, tz = W t, h' = act(z), t' = act'(z) * tz, the
+        link k with z = W h, tz = W t, h' = act(z), t' = act'(z) * tz, the
         adjoints are
 
             bar_z  = act'(z) * bar_h' + act''(z) * tz * bar_t'
             bar_tz = act'(z) * bar_t'
             dW    += outer(bar_z, h) + outer(bar_tz, t)
-            db    += bar_z
 
         which yields the exact mixed second derivative d/dtheta of the
         input-directional derivative.  ``u`` and ``upstream`` may carry the
@@ -398,12 +366,9 @@ class ForwardPass:
                                  np.broadcast_shapes(self.H[-1].shape, Up.shape))
         T, TZ = self._tangents(u, n_links - 1)
         gW = [None] * n_links
-        gb = [None] * n_links
         k = n_links - 1
         gW[k] = _matmul(bar_tz.swapaxes(-1, -2), T[k])
         gW[k] += 0.0  # the skipped outer(0, h)
-        if self.b:
-            gb[k] = np.zeros(gW[k].shape[:-1])
         bar_h = None  # zero below the output link
         if k > 0:
             bar_t = _matmul(bar_tz, self.W[k])
@@ -417,28 +382,24 @@ class ForwardPass:
             bar_tz = d1 * bar_t
             gW[k] = (_matmul(bar_z.swapaxes(-1, -2), self.H[k])
                      + _matmul(bar_tz.swapaxes(-1, -2), T[k]))
-            if self.b:
-                gb[k] = bar_z.sum(axis=-2)
             if k > 0:
                 bar_h = _matmul(bar_z, self.W[k])
                 bar_t = _matmul(bar_tz, self.W[k])
-        return self.net.layout.flatten(gW + (gb if self.b else []))
+        return self.net.layout.flatten(gW)
 
 
 def forward_pass(net: LayeredNet, X, params=None) -> ForwardPass:
     """The forward pass every other pass builds on: ``net``, or the particle
     stack of flat ``params`` rows, on the rows of X (a 1-D X is one sample)."""
     X, single = _check_input(net, X)
-    W, b = _params(net, params)
+    W = _params(net, params)
     H, D1 = [X], []
     for k in range(net.n_links):
         z = _matmul(H[-1], W[k].swapaxes(-1, -2))
-        if b:
-            z = z + b[k][..., None, :]
         h, d1 = _ACTIVATIONS[net.activations[k]][0](z)
         H.append(h)
         D1.append(d1)
-    return ForwardPass(net, W, b, single, H, D1)
+    return ForwardPass(net, W, single, H, D1)
 
 
 def particle_blocks(net: LayeredNet, n_particles: int, rows: int) -> list[slice]:
@@ -460,7 +421,7 @@ def permute_hidden(net: LayeredNet, layer: int, perm) -> LayeredNet:
     """Reorder the nodes of a hidden layer; the network output is unchanged.
 
     Permutes the rows of the incoming matrix and the columns of the outgoing
-    matrix (and the layer's bias if present) by the same permutation.
+    matrix by the same permutation.
     """
     if not 0 < layer < len(net.layer_widths) - 1:
         raise ShapeError("only hidden layers can be permuted")
@@ -470,18 +431,16 @@ def permute_hidden(net: LayeredNet, layer: int, perm) -> LayeredNet:
     ws = list(net.weights)
     ws[layer - 1] = ws[layer - 1][perm, :]
     ws[layer] = ws[layer][:, perm]
-    bs = list(net.biases)
-    if bs:
-        bs[layer - 1] = bs[layer - 1][perm]
-    return replace(net, weights=tuple(ws), biases=tuple(bs))
+    return replace(net, weights=tuple(ws))
 
 
 def net_to_dict(net: LayeredNet) -> dict:
-    """Plain JSON-ready form of a network; floats round-trip exactly."""
+    """Plain JSON-ready form of a network; floats round-trip exactly.  The
+    v1 format's ``biases`` key is always the empty list."""
     return {
         "layer_widths": list(net.layer_widths),
         "weights": [w.tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
+        "biases": [],
         "activations": list(net.activations),
         "nonneg_mask": list(net.nonneg_mask),
     }
@@ -489,10 +448,11 @@ def net_to_dict(net: LayeredNet) -> dict:
 
 def net_from_dict(d: dict) -> LayeredNet:
     """Inverse of net_to_dict; keys other than the network's are ignored."""
+    if d["biases"]:
+        raise ShapeError("networks are bias-free: the biases must be the empty list")
     return LayeredNet(
         layer_widths=tuple(d["layer_widths"]),
         weights=tuple(np.asarray(w, dtype=float) for w in d["weights"]),
-        biases=tuple(np.asarray(b, dtype=float) for b in d["biases"]),
         activations=tuple(d["activations"]),
         nonneg_mask=tuple(d["nonneg_mask"]),
     )
@@ -506,6 +466,8 @@ def save_net(net: LayeredNet, path) -> None:
 
 def load_net(path) -> LayeredNet:
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ShapeError(f"{path} is not a network file: its JSON is not an object")
     if doc.get("format") != NET_FORMAT_TAG:
         raise ShapeError(f"unknown network format tag {doc.get('format')!r}")
     return net_from_dict(doc)

@@ -227,24 +227,21 @@ _FORMULAS = {
 }
 
 
-def _two_call_forward(net, W, b, X):
+def _two_call_forward(net, W, X):
     H, Z = [X], []
     for k in range(net.n_links):
         z = H[-1] @ W[k].swapaxes(-1, -2)
-        if b:
-            z = z + b[k][..., None, :]
         Z.append(z)
         H.append(_FORMULAS[net.activations[k]][0](z))
     return Z, H
 
 
-def _flat(gW, gb):
-    return np.concatenate([g.reshape(g.shape[:-2] + (-1,)) for g in gW]
-                          + [g.reshape(g.shape[:-1] + (-1,)) for g in gb], axis=-1)
+def _flat(gW):
+    return np.concatenate([g.reshape(g.shape[:-2] + (-1,)) for g in gW], axis=-1)
 
 
-def _two_call_grad_input(net, W, b, X):
-    Z, _ = _two_call_forward(net, W, b, X)
+def _two_call_grad_input(net, W, X):
+    Z, _ = _two_call_forward(net, W, X)
     out = net.layer_widths[-1]
     J = np.broadcast_to(np.eye(out), Z[-1].shape + (out,))
     for k in range(net.n_links - 1, -1, -1):
@@ -254,27 +251,25 @@ def _two_call_grad_input(net, W, b, X):
     return J
 
 
-def _two_call_grad_params(net, W, b, X, U):
-    Z, H = _two_call_forward(net, W, b, X)
-    gW, gb = [None] * net.n_links, [None] * net.n_links
+def _two_call_grad_params(net, W, X, U):
+    Z, H = _two_call_forward(net, W, X)
+    gW = [None] * net.n_links
     bar = np.broadcast_to(U, H[-1].shape)
     for k in range(net.n_links - 1, -1, -1):
         gW[k] = bar.swapaxes(-1, -2) @ H[k]
-        if b:
-            gb[k] = bar.sum(axis=-2)
         if k > 0:
             bar = (bar @ W[k]) * _FORMULAS[net.activations[k - 1]][1](Z[k - 1])
-    return _flat(gW, gb if b else [])
+    return _flat(gW)
 
 
-def _two_call_grad_params_dirderiv(net, W, b, X, Udir, Up):
-    Z, H = _two_call_forward(net, W, b, X)
+def _two_call_grad_params_dirderiv(net, W, X, Udir, Up):
+    Z, H = _two_call_forward(net, W, X)
     T, TZ = [Udir], []
     for k in range(net.n_links):
         tz = T[-1] @ W[k].swapaxes(-1, -2)
         TZ.append(tz)
         T.append(_FORMULAS[net.activations[k]][1](Z[k]) * tz)
-    gW, gb = [None] * net.n_links, [None] * net.n_links
+    gW = [None] * net.n_links
     bar_h, bar_t = np.zeros_like(H[-1]), Up
     for k in range(net.n_links - 1, -1, -1):
         d1 = _FORMULAS[net.activations[k]][1](Z[k])
@@ -282,10 +277,8 @@ def _two_call_grad_params_dirderiv(net, W, b, X, Udir, Up):
         bar_z = d1 * bar_h + d2 * TZ[k] * bar_t
         bar_tz = d1 * bar_t
         gW[k] = bar_z.swapaxes(-1, -2) @ H[k] + bar_tz.swapaxes(-1, -2) @ T[k]
-        if b:
-            gb[k] = bar_z.sum(axis=-2)
         bar_h, bar_t = bar_z @ W[k], bar_tz @ W[k]
-    return _flat(gW, gb if b else [])
+    return _flat(gW)
 
 
 def two_call_score_and_mse(target, template, particles):
@@ -293,28 +286,27 @@ def two_call_score_and_mse(target, template, particles):
     from csvgd import mechanics as mech
 
     P = np.atleast_2d(np.asarray(particles, dtype=float))
-    arrays = template.layout.unflatten(P)
-    W, b = arrays[:template.n_links], arrays[template.n_links:]
+    W = template.layout.unflatten(P)
     X = target.model.prepare(target.dataset.inputs)
     if isinstance(target.model, mech.StressRegressionModel):
         inv, dI = X
         ref = np.array([[3.0, 3.0, 1.0]])
         # predict: two forward passes
-        g_ref = _two_call_grad_input(template, W, b, ref)[..., 0, :][..., 0, :]
+        g_ref = _two_call_grad_input(template, W, ref)[..., 0, :][..., 0, :]
         slope = 2.0 * g_ref[..., 0] + 4.0 * g_ref[..., 1] + 2.0 * g_ref[..., 2]
-        g = np.array(_two_call_grad_input(template, W, b, inv)[..., 0, :])
+        g = np.array(_two_call_grad_input(template, W, inv)[..., 0, :])
         g[..., 2] -= 0.5 * slope[..., None] / np.sqrt(inv[:, 2])
         R = target.dataset.outputs - np.einsum("...ni,nik->...nk", g, dI)
         # param_score: the same two forward passes again
         u = np.einsum("...nk,nik->...ni", R, dI)
-        s = _two_call_grad_params_dirderiv(template, W, b, inv, u, np.ones((len(inv), 1)))
+        s = _two_call_grad_params_dirderiv(template, W, inv, u, np.ones((len(inv), 1)))
         w_ref = np.sum(u[..., 2] / (2.0 * np.sqrt(inv[:, 2])), axis=-1)
         s_ref = _two_call_grad_params_dirderiv(
-            template, W, b, ref, np.array([[2.0, 4.0, 2.0]]), np.array([[1.0]]))
+            template, W, ref, np.array([[2.0, 4.0, 2.0]]), np.array([[1.0]]))
         s = s - w_ref[..., None] * s_ref
     else:
-        R = target.dataset.outputs - _two_call_forward(template, W, b, X)[1][-1]
-        s = _two_call_grad_params(template, W, b, X, R)
+        R = target.dataset.outputs - _two_call_forward(template, W, X)[1][-1]
+        s = _two_call_grad_params(template, W, X, R)
     return s / target.noise_var, np.mean((R * R).reshape(len(R), -1), axis=1)
 
 
@@ -346,12 +338,10 @@ class FormulaPass:
 
         self.net, self._check_rows = net, nw._check_rows
         X, self.single = nw._check_input(net, X)
-        self.W, self.b = nw._params(net, params)
+        self.W = nw._params(net, params)
         self.H, self.D1, self.D2 = [X], [], []
         for k in range(net.n_links):
             z = self.H[-1] @ self.W[k].swapaxes(-1, -2)
-            if self.b:
-                z = z + self.b[k][..., None, :]
             h, d1, d2 = _PASS_TERMS[net.activations[k]](z)
             self.H.append(h)
             self.D1.append(d1)
@@ -373,15 +363,13 @@ class FormulaPass:
         n_links = self.net.n_links
         U = self._check_rows("upstream", upstream, self.single,
                              (len(self.H[0]), self.net.layer_widths[-1]))
-        gW, gb = [None] * n_links, [None] * n_links
+        gW = [None] * n_links
         bar = np.broadcast_to(U, self.H[-1].shape)
         for k in range(n_links - 1, -1, -1):
             gW[k] = bar.swapaxes(-1, -2) @ self.H[k]
-            if self.b:
-                gb[k] = bar.sum(axis=-2)
             if k > 0:
                 bar = (bar @ self.W[k]) * self.D1[k - 1]
-        return self.net.layout.flatten(gW + (gb if self.b else []))
+        return self.net.layout.flatten(gW)
 
     def _tangents(self, u):
         T = [self._check_rows("direction", u, self.single, self.H[0].shape)]
@@ -401,7 +389,7 @@ class FormulaPass:
         Up = self._check_rows("upstream", upstream, self.single,
                               (len(self.H[0]), self.net.layer_widths[-1]))
         T, TZ = self._tangents(u)
-        gW, gb = [None] * n_links, [None] * n_links
+        gW = [None] * n_links
         bar_h = np.zeros_like(self.H[-1])
         bar_t = Up
         for k in range(n_links - 1, -1, -1):
@@ -409,12 +397,10 @@ class FormulaPass:
             bar_z = d1 * bar_h + self.D2[k] * TZ[k] * bar_t
             bar_tz = d1 * bar_t
             gW[k] = bar_z.swapaxes(-1, -2) @ self.H[k] + bar_tz.swapaxes(-1, -2) @ T[k]
-            if self.b:
-                gb[k] = bar_z.sum(axis=-2)
             if k > 0:
                 bar_h = bar_z @ self.W[k]
                 bar_t = bar_tz @ self.W[k]
-        return self.net.layout.flatten(gW + (gb if self.b else []))
+        return self.net.layout.flatten(gW)
 
 
 def prune_per_node(graph, epsilon):

@@ -70,17 +70,7 @@ def random_net(rng, widths=(3, 4, 1), nonneg=None, low=0.05, high=0.6):
             w *= rng.choice([-1.0, 1.0], size=w.shape)
         weights.append(w)
     acts = ("softplus",) * (n_links - 1) + ("identity",)
-    return LayeredNet(tuple(widths), tuple(weights), (), acts, tuple(nonneg))
-
-
-def bias_net(rng, widths=(3, 5, 2)):
-    """Softplus chain with normal weights and biases."""
-    n_links = len(widths) - 1
-    return LayeredNet(
-        tuple(widths),
-        tuple(rng.normal(size=(widths[k + 1], widths[k])) for k in range(n_links)),
-        tuple(rng.normal(size=widths[k + 1]) for k in range(n_links)),
-        ("softplus",) * (n_links - 1) + ("identity",), (False,) * n_links)
+    return LayeredNet(tuple(widths), tuple(weights), acts, tuple(nonneg))
 
 
 def condensed_icnn_ensemble(n_particles=5):

@@ -33,7 +33,7 @@ def chain(weights, nonneg=None, acts=None):
     n = len(weights)
     nonneg = nonneg or (False,) * n
     acts = acts or ("softplus",) * (n - 1) + ("identity",)
-    return nw.LayeredNet(tuple(widths), tuple(weights), (), acts, tuple(nonneg))
+    return nw.LayeredNet(tuple(widths), tuple(weights), acts, tuple(nonneg))
 
 
 class TestPrune:
@@ -311,12 +311,13 @@ class TestCondense:
         assert 1 <= passes.call_count <= len(widths) - 1 < 20
 
     def test_bias_networks_rejected(self, rng):
-        net = nw.LayeredNet((2, 3, 1),
-                            (rng.normal(size=(3, 2)), rng.normal(size=(1, 3))),
-                            (rng.normal(size=3), rng.normal(size=1)),
-                            ("softplus", "identity"), (False, False))
-        with pytest.raises(CondenseError):
-            gc.NetGraph.from_net(net)
+        # condensation reconciles edges only, and a LayeredNet has no biases;
+        # a network document that carries some is refused where it is read
+        doc = nw.net_to_dict(random_net(rng, (2, 3, 1)))
+        assert doc["biases"] == []
+        doc["biases"] = [rng.normal(size=3).tolist(), rng.normal(size=1).tolist()]
+        with pytest.raises(ShapeError, match="bias-free"):
+            nw.net_from_dict(doc)
 
 
 def same_bits(a, b):
@@ -345,7 +346,7 @@ def random_stack(widths, n_particles, seed, tie_values, zero_share):
     nonneg = tuple(bool(x) for x in rng.random(n_links) < 0.5)
     template = nw.LayeredNet(tuple(widths),
                              tuple(np.zeros((b, a)) for a, b in zip(widths[:-1], widths[1:])),
-                             (), acts + ("identity",), nonneg)
+                             acts + ("identity",), nonneg)
     pool = np.array([0.1, 0.2, 0.3, 1 / 3, 0.6, 0.7])   # sums that tie in the last bit
     P = (rng.choice(pool, size=(n_particles, template.layout.size)) if tie_values
          else rng.uniform(0.0, 1.0, size=(n_particles, template.layout.size)))

@@ -22,7 +22,7 @@ from csvgd.priors import PriorSpec, prior_score
 
 from _oracles import (broadcast_distance_matrix, broadcast_stein_direction,
                       gradient_ascent)
-from conftest import bias_net
+from conftest import condensed_icnn_ensemble, random_net
 
 
 def vector_config(**kw):
@@ -98,27 +98,23 @@ class TestSteinGradient:
 
 
 class TestSharedPairwisePass:
-    """One pairwise pass per iteration feeds both the median bandwidth
-    (weights only) and the beta=2 kernel (all coordinates)."""
-
-    def _bias_ensemble(self, rng, n=7):
-        template = bias_net(rng)
-        P = rng.normal(size=(n, template.layout.size))
-        return Ensemble(P, template, np.random.default_rng(0))
+    """One pairwise pass per iteration feeds both the median bandwidth and
+    the beta=2 kernel."""
 
     def test_weight_rows_sum_like_the_particle_rows(self):
-        # bias-free: the weight rows are the particle rows, so the distances
-        # must agree bit for bit (a column-major copy summed in another order)
-        ens = init_net_ensemble(icnn_template((3, 8, 8, 1)), 6, seed=1)
-        assert np.array_equal(ensemble_distances(ens),
-                              distance_matrix(ens.particles))
+        # the graph metric and the run's pass sum each pair's coordinates in
+        # one order, in either layout (rows of 96 and of 4 weights)
+        for widths in ((3, 8, 8, 1), (1, 2, 1)):
+            ens = init_net_ensemble(icnn_template(widths), 6, seed=1)
+            D = ensemble_distances(ens)
+            assert np.array_equal(D, distance_matrix(ens.particles))
+            assert np.array_equal(D, np.sqrt(engine._distance_pass(ens)[1]))
 
     @pytest.mark.parametrize("beta", [1, 2])
-    def test_bias_carrying_template_matches_broadcast(self, rng, beta):
-        ens = self._bias_ensemble(rng)
+    def test_icnn_template_matches_broadcast(self, rng, beta):
+        ens = init_net_ensemble(icnn_template((3, 5, 4, 1)), 7, seed=4)
         P = ens.particles
-        W = P[:, ens.template.weight_flat_mask()]
-        D_old = broadcast_distance_matrix(W)
+        D_old = broadcast_distance_matrix(P)
         med_old = float(np.median(D_old[np.triu_indices(len(P), k=1)]))
         assert ensemble_distances(ens) == pytest.approx(D_old, rel=0,
                                                         abs=1e-12 * D_old.max())
@@ -130,17 +126,13 @@ class TestSharedPairwisePass:
         new = stein_gradient(ens, S, cfg)
         assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
 
-    @pytest.mark.parametrize("widths", [(3, 5, 2), (1, 1, 1)])
-    def test_bias_template_median_is_the_weight_median_bit_for_bit(self, rng,
-                                                                   widths):
-        # rows of 32 and of 4 coordinates, weights first: both layouts split
-        template = bias_net(rng, widths)
-        ens = Ensemble(rng.normal(size=(9, template.layout.size)), template,
-                       np.random.default_rng(0))
-        W = ens.particles[:, template.weight_flat_mask()]
-        assert 0 < W.shape[1] < ens.particles.shape[1]
-        W = np.ascontiguousarray(W)
-        sq = pairwise_power_sum(W, W, 2)
+    @pytest.mark.parametrize("widths", [(3, 5, 2), (1, 2, 1)], ids=["wide", "narrow"])
+    def test_net_median_equals_the_pairwise_median(self, rng, widths):
+        # bit for bit, on rows of 25 and of 4 weights: both layouts
+        template = random_net(rng, widths)
+        P = rng.normal(size=(9, template.layout.size))
+        ens = Ensemble(P, template, np.random.default_rng(0))
+        sq = pairwise_power_sum(P, P, 2)
         assert median_distance(ens) == np.median(np.sqrt(sq[np.triu_indices(9, 1)]))
 
     @pytest.mark.parametrize("d", [3, 12])
@@ -203,11 +195,12 @@ class TestSharedPairwisePass:
         assert report.median_distance_trace == [median_distance(e) for e in seen[:k]]
         return k, made
 
-    @pytest.mark.parametrize("biases", [False, True])
-    def test_beta2_iteration_makes_one_difference_pass(self, rng, monkeypatch,
-                                                       biases):
-        if biases:
-            ens = self._bias_ensemble(rng)
+    @pytest.mark.parametrize("condensed", [False, True])
+    def test_beta2_iteration_makes_one_difference_pass(self, monkeypatch,
+                                                       condensed):
+        if condensed:
+            template, P = condensed_icnn_ensemble()
+            ens = Ensemble(P, template, np.random.default_rng(0))
         else:
             ens = init_net_ensemble(icnn_template((2, 4, 1)), 5, seed=3)
         assert ens.particles.shape[1] >= kernels.PAIRWISE_SUM_MIN
@@ -567,6 +560,33 @@ class TestCheckpointing:
             doc[field] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match="malformed checkpoint"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("mutation", [
+        "template_biases", "template_weight_shape", "unknown_activation",
+        "particle_row_width", "negative_step_size", "beta_3", "ragged_rows"])
+    def test_malformed_field_values_are_named(self, tmp_path, mutation):
+        from csvgd.errors import CheckpointError
+        doc = json.loads(json.dumps(LEGACY_CHECKPOINT))
+        template, ens = doc["ensemble"]["template"], doc["ensemble"]
+        if mutation == "template_biases":
+            template["biases"] = [[0.5, -0.5], [1.0]]
+        elif mutation == "template_weight_shape":
+            template["weights"][0] = [[0.0, 0.0], [0.0, 0.0]]
+        elif mutation == "unknown_activation":
+            template["activations"][0] = "tanh"
+        elif mutation == "particle_row_width":
+            ens["particles"] = [row + [0.0] for row in ens["particles"]]
+        elif mutation == "negative_step_size":
+            doc["config"]["step_size"] = -0.1
+        elif mutation == "beta_3":
+            doc["config"]["kernel"]["beta"] = 3
+        else:
+            ens["particles"][1] = ens["particles"][1][:3]
+        path = tmp_path / "stage_00.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError,
+                           match=r"malformed checkpoint .*stage_00\.json"):
             load_checkpoint(path)
 
     def test_interrupted_write_keeps_previous_checkpoint(self, tmp_path, full_disk):

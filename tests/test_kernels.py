@@ -15,8 +15,7 @@ from csvgd.errors import DomainError, ShapeError
 from csvgd.kernels import (BANDWIDTH_FLOOR, BLOCK_ELEMENTS, PAIRWISE_SUM_MIN,
                            KernelSpec, _kernel, median_bandwidth,
                            median_pair_distance, pairwise_power_sum,
-                           pairwise_square_sums, silverman_bandwidth,
-                           stein_direction)
+                           pairwise_square_sums, stein_direction)
 
 from _oracles import (broadcast_distance_matrix, broadcast_kernel_matrix,
                       broadcast_power_sum, broadcast_stein_direction, fd_gradient)
@@ -31,7 +30,7 @@ def kappa(spec, a, b):
 def stein(spec, P, S, near):
     """``stein_direction`` at the spec's gamma, given the distances it needs."""
     P = np.asarray(P, dtype=float)
-    sq = pairwise_square_sums(P, P.shape[1])[1] if spec.beta == 2 else None
+    sq = pairwise_square_sums(P)[1] if spec.beta == 2 else None
     return stein_direction(spec, P, S, spec.gamma, near, sq)
 
 
@@ -163,13 +162,6 @@ class TestBandwidth:
         assume(g > 1e-3)
         assert gamma(c * P) == pytest.approx(np.sqrt(c) * g, rel=1e-9)
 
-    def test_silverman_positive_and_scales(self, rng):
-        P = rng.normal(size=(50, 4))
-        g1 = silverman_bandwidth(P)
-        g2 = silverman_bandwidth(3.0 * P)
-        assert g1 > 0
-        assert g2 == pytest.approx(3.0 * g1, rel=1e-12)
-
 
 # Squared distances that tie, underflow and overflow: zero, subnormals, the
 # smallest normal number, ordinary values and inf.
@@ -216,7 +208,7 @@ class TestMedianPairDistance:
         for _ in range(5):
             P = rng.normal(size=(n, 3))
             expect = _median_of_pairs(pairwise_power_sum(P, P, 2)[np.triu_indices(n, 1)])
-            assert median_pair_distance(pairwise_square_sums(P, 3)[0]) == expect
+            assert median_pair_distance(pairwise_square_sums(P)[0]) == expect
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_odd_and_even_pair_counts_with_ties(self, n):
@@ -247,7 +239,7 @@ class TestMedianPairDistance:
         # only its distance to itself, inf - inf, is NaN, and it is no pair
         P = np.array([[0.0, 0, 0], [1, 0, 0], [3, 0, 0], [np.inf, 0, 0], [5, 0, 0]])
         with np.errstate(invalid="ignore"):
-            pairs, _ = pairwise_square_sums(P, 3)
+            pairs, _ = pairwise_square_sums(P)
             oracle = broadcast_power_sum(P, 2)[np.triu_indices(5, 1)]
             ens = Ensemble(P, None, np.random.default_rng(0))
             assert median_distance(ens) == 4.5
@@ -310,32 +302,27 @@ class TestPairwiseLayer:
 
     @pytest.mark.parametrize("n,d", SHAPES)
     def test_split_square_sums(self, rng, n, d):
+        # each row block splits into its own square and the rectangle past
+        # it; the packed pairs and the matrix hold the same sums
         P, _ = self._cloud(rng, n, d)
-        full = broadcast_power_sum(P, 2)
-        iu = np.triu_indices(n, 1)
-        for head in (d, d // 2, 0):
-            pairs, all_sq = pairwise_square_sums(P, head)
-            H = np.ascontiguousarray(P[:, :head])
-            assert pairs.shape == (len(iu[0]),)
-            assert np.array_equal(np.sort(pairs),
-                                  np.sort(pairwise_power_sum(H, H, 2)[iu]))
-            assert np.array_equal(all_sq, all_sq.T)
-            assert np.all(np.diag(all_sq) == 0.0)
-            if head == d:
-                assert np.array_equal(all_sq, full)
-            assert np.abs(all_sq - full).max() <= 1e-12 * full.max()
+        pairs, all_sq = pairwise_square_sums(P)
+        assert pairs.shape == (n * (n - 1) // 2,)
+        assert np.array_equal(all_sq, all_sq.T)
+        assert np.all(np.diag(all_sq) == 0.0)
+        assert np.array_equal(all_sq, pairwise_power_sum(P, P, 2))
+        _check_square_sums(P)
 
     @pytest.mark.parametrize("n,d", SHAPES)
     def test_square_sums_write_into_out(self, rng, n, d):
         P, _ = self._cloud(rng, n, d)
-        for head in (d, d // 2):
-            expect = pairwise_square_sums(P, head)
-            out = np.full((n, n), np.nan)
-            got = pairwise_square_sums(P, head, out=out)
-            assert got[1] is out
-            assert all(np.array_equal(g, e) for g, e in zip(got, expect))
+        expect = pairwise_square_sums(P)
+        out = np.full((n, n), np.nan)
+        got = pairwise_square_sums(P, out=out)
+        assert got[1] is out
+        assert all(np.array_equal(g, e) for g, e in zip(got, expect))
+        assert np.array_equal(np.sort(got[0]), np.sort(out[np.triu_indices(n, 1)]))
         with pytest.raises(ShapeError):
-            pairwise_square_sums(P, d, out=np.empty((n + 1, n + 1)))
+            pairwise_square_sums(P, out=np.empty((n + 1, n + 1)))
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(0, 30),
@@ -346,12 +333,11 @@ class TestPairwiseLayer:
         # one row each, the last one mostly short
         P = data.draw(arrays(float, (n, d), elements=st.floats(-1e6, 1e6)))
         with mock.patch.object(kernels, "BLOCK_ELEMENTS", block):
-            for head in sorted({0, d // 2, d}):
-                pairs = _check_square_sums(P, head)
-                expect = (_median_of_pairs(broadcast_power_sum(P[:, :head], 2)[
-                    np.triu_indices(n, 1)]) if len(pairs) else np.nan)
-                got = median_pair_distance(pairs)
-                assert np.isnan(got) if np.isnan(expect) else _same_float(got, expect)
+            pairs = _check_square_sums(P)
+        expect = (_median_of_pairs(broadcast_power_sum(P, 2)[np.triu_indices(n, 1)])
+                  if len(pairs) else np.nan)
+        got = median_pair_distance(pairs)
+        assert np.isnan(got) if np.isnan(expect) else _same_float(got, expect)
 
     def test_narrow_pass_forms_little_more_than_the_upper_triangle(self, rng,
                                                                    monkeypatch):
@@ -366,7 +352,7 @@ class TestPairwiseLayer:
             return plane_power_sum(a, b, beta, out, plane)
 
         monkeypatch.setattr(kernels, "_plane_power_sum", spy)
-        pairwise_square_sums(rng.normal(size=(n, d)), d)
+        pairwise_square_sums(rng.normal(size=(n, d)))
         assert sum(formed) <= n * (n + 1) // 2 + rows * n < n * n
 
     @pytest.mark.parametrize("threshold", [0.0, 1e-2])
@@ -440,13 +426,16 @@ class TestPairwiseLayer:
         assert peak < 32 * 2**20
 
 
-def _check_square_sums(P, head):
-    """``pairwise_square_sums`` against the broadcast sums: the sorted pairs
-    against the sorted upper triangle, the matrix whole.  Returns the pairs."""
-    pairs, all_sq = pairwise_square_sums(P, head)
-    expect = broadcast_power_sum(P[:, :head], 2)
-    assert np.array_equal(np.sort(pairs), np.sort(expect[np.triu_indices(len(P), 1)]))
-    assert np.array_equal(all_sq, broadcast_power_sum(P[:, head:], 2) + expect)
+def _check_square_sums(P):
+    """``pairwise_square_sums`` against the broadcast sums, the matrix whole,
+    and the sorted pairs against the sorted upper triangle of both: the median
+    and the kernel read the same sums.  Returns the pairs."""
+    pairs, all_sq = pairwise_square_sums(P)
+    expect = broadcast_power_sum(P, 2)
+    assert np.array_equal(all_sq, expect)
+    upper = np.triu_indices(len(P), 1)
+    assert np.array_equal(np.sort(pairs), np.sort(expect[upper]))
+    assert np.array_equal(np.sort(pairs), np.sort(all_sq[upper]))
     return pairs
 
 
@@ -477,15 +466,15 @@ class TestNarrowRows:
         for beta in (1, 2):
             assert np.array_equal(pairwise_power_sum(P, P, beta),
                                   broadcast_power_sum(P, beta))
-        for head in range(d + 1):
-            _check_square_sums(P, head)
+        _check_square_sums(P)
 
-    @pytest.mark.parametrize("head", [0, 1, 2, 3])
-    def test_square_sums_over_several_blocks(self, rng, head):
-        # 1100 rows come in planes of 79 rows, the last block 73 rows
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_square_sums_over_several_blocks(self, rng, d):
+        # 1100 rows of 3, 2 and 1 coordinates come in planes of 79, 119 and
+        # 238 rows, the last block short; rows of none take one block
         P = rng.normal(size=(1100, 3)) * rng.lognormal(0.0, 3.0, size=(1100, 3))
         assert BLOCK_ELEMENTS // (1100 * 3) == 79 and 1100 % 79 == 73
-        _check_square_sums(P, head)
+        _check_square_sums(np.ascontiguousarray(P[:, :d]))
 
     @pytest.mark.parametrize("beta", [1, 2])
     def test_power_sum_over_several_blocks(self, rng, beta):
@@ -499,7 +488,7 @@ class TestNarrowRows:
             pairwise_power_sum(np.zeros((2, 3)), np.zeros((4, 5)), 2)
 
     @pytest.mark.parametrize("call", ["power_sum", "square_sums_all",
-                                      "square_sums_split", "square_sums_out"])
+                                      "square_sums_out"])
     def test_peak_memory_is_the_output_plus_a_few_blocks(self, rng, call):
         # an (N, N, D) difference tensor would take 96 MB on its own
         n, d = 2000, 3
@@ -515,18 +504,18 @@ class TestNarrowRows:
             out = np.empty((n, n))
 
             def run():
-                pairwise_square_sums(P, d, out=out)
+                pairwise_square_sums(P, out=out)
         else:
-            # one (n, n) matrix and the packed pairs, whatever the head
+            # one (n, n) matrix and the packed pairs
             out_bytes = n * n * 8 + n * (n - 1) // 2 * 8
 
             def run():
-                pairwise_square_sums(P, d if call == "square_sums_all" else 1)
+                pairwise_square_sums(P)
         tracemalloc.start()
         try:
             run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # blocks: a plane and a copy of the mirrored rows (split head)
+        # blocks: the coordinate-major copies and one plane
         assert peak <= out_bytes + 5 * BLOCK_ELEMENTS * 8

@@ -14,7 +14,7 @@ from csvgd.likelihoods import (Dataset, DirectNetModel, MvnTarget,
 from csvgd.mechanics import StressRegressionModel, generate_data, icnn_template
 
 from _oracles import fd_gradient, per_particle_score_and_mse, two_call_score_and_mse
-from conftest import bias_net, condensed_icnn_ensemble, random_net
+from conftest import condensed_icnn_ensemble, random_net
 
 MEAN = np.array([1.0, 2.0, 3.0])
 PRECISION = np.array([[2.0, 1.0, 0.0],
@@ -95,7 +95,7 @@ class TestRegression:
 
     def test_single_residual_value(self):
         # one scalar datum with residual 2 and unit variance -> -2
-        net = nw.LayeredNet((1, 1), (np.array([[1.0]]),), (), ("identity",), (False,))
+        net = nw.LayeredNet((1, 1), (np.array([[1.0]]),), ("identity",), (False,))
         target = RegressionTarget(Dataset([[1.0]], [[3.0]]), 1.0, DirectNetModel())
         assert log_lik(target, net) == pytest.approx(-2.0)
 
@@ -107,7 +107,7 @@ class TestRegression:
     def test_linear_model_score(self):
         # y = a * theta with one datum: score = residual / sigma^2 * a
         a = 1.7
-        net = nw.LayeredNet((1, 1), (np.array([[0.4]]),), (), ("identity",), (False,))
+        net = nw.LayeredNet((1, 1), (np.array([[0.4]]),), ("identity",), (False,))
         target = RegressionTarget(Dataset([[a]], [[2.0]]), 0.5, DirectNetModel())
         residual = 2.0 - 0.4 * a
         assert score_of(target, net) == pytest.approx([residual / 0.5 * a])
@@ -171,8 +171,8 @@ class TestBatchedScoreEquivalence:
         self._check(_stress_target(), template, P[:n_particles])
 
     @pytest.mark.parametrize("n_particles", [1, 4])
-    def test_direct_model_with_biases(self, rng, n_particles):
-        nets = [bias_net(rng, (3, 5, 4, 2)) for _ in range(n_particles)]
+    def test_direct_model_two_outputs(self, rng, n_particles):
+        nets = [random_net(rng, (3, 5, 4, 2)) for _ in range(n_particles)]
         X = rng.normal(size=(9, 3))
         target = RegressionTarget(Dataset(X, rng.normal(size=(9, 2))), 0.4,
                                   DirectNetModel())
@@ -207,7 +207,7 @@ class TestOnePassScore:
         assert sorted(rows) == [1, 12]      # the reference row and the data rows
 
     def test_direct_score_makes_one_pass(self, rng, monkeypatch):
-        net = bias_net(rng, (3, 5, 2))
+        net = random_net(rng, (3, 5, 2))
         target = RegressionTarget(Dataset(rng.normal(size=(7, 3)), rng.normal(size=(7, 2))),
                                   1.0, DirectNetModel())
         rows = self._count_passes(monkeypatch)

@@ -12,17 +12,16 @@ from csvgd.errors import NonFiniteGradientError, ShapeError
 
 from _oracles import (FormulaPass, fd_gradient, sigmoid_deriv_formula,
                       sigmoid_formula, softplus_formula)
-from conftest import bias_net, random_net
+from conftest import random_net
 
 
 def single_layer(w, activation="identity"):
     w = np.atleast_2d(np.asarray(w, dtype=float))
     if activation == "softplus":
         return nw.LayeredNet((w.shape[1], w.shape[0], 1),
-                             (w, np.ones((1, w.shape[0]))), (),
+                             (w, np.ones((1, w.shape[0]))),
                              ("softplus", "identity"), (False, False))
-    return nw.LayeredNet((w.shape[1], w.shape[0]), (w,), (),
-                         ("identity",), (False,))
+    return nw.LayeredNet((w.shape[1], w.shape[0]), (w,), ("identity",), (False,))
 
 
 class TestForward:
@@ -39,7 +38,7 @@ class TestForward:
         widths = (3, 30, 30, 1)
         net = nw.LayeredNet(widths,
                             tuple(np.zeros((widths[k + 1], widths[k])) for k in range(3)),
-                            (), ("softplus", "softplus", "identity"),
+                            ("softplus", "softplus", "identity"),
                             (False, True, True))
         assert nw.forward_pass(net, [0.3, -1.0, 2.0]).output() == pytest.approx([0.0])
 
@@ -119,20 +118,6 @@ class TestGradParams:
         parts = sum(nw.forward_pass(net, X[b]).grad_params(U[b]) for b in range(4))
         assert total == pytest.approx(parts, abs=1e-12)
 
-    def test_bias_gradients(self, rng):
-        widths = (2, 3, 1)
-        net = nw.LayeredNet(
-            widths,
-            (rng.normal(size=(3, 2)), rng.normal(size=(1, 3))),
-            (rng.normal(size=3), rng.normal(size=1)),
-            ("softplus", "identity"), (False, False))
-        x = rng.normal(size=2)
-        g = nw.forward_pass(net, x).grad_params([1.0])
-        oracle = fd_gradient(
-            lambda t: float(nw.forward_pass(net.with_values(t), x).output()[0]),
-            net.flatten())
-        assert g == pytest.approx(oracle, rel=1e-5)
-
 
 class TestGradInput:
     def test_identity_single_layer(self):
@@ -179,12 +164,9 @@ class TestDirectionalSecondOrder:
 class TestParticleStack:
     """Every pass on flat parameter rows equals the pass on each row's net."""
 
-    @pytest.fixture(params=["no-bias", "bias"])
-    def stack(self, request, rng):
-        if request.param == "bias":
-            nets = [bias_net(rng) for _ in range(4)]
-        else:
-            nets = [random_net(rng, (3, 5, 2)) for _ in range(4)]
+    @pytest.fixture
+    def stack(self, rng):
+        nets = [random_net(rng, (3, 5, 2)) for _ in range(4)]
         return nets[0], np.stack([n.flatten() for n in nets]), nets
 
     def test_forward(self, stack, rng):
@@ -251,7 +233,7 @@ _values = st.one_of(st.just(-0.0), st.just(0.0), st.floats(-4.0, 4.0))
 
 @st.composite
 def lean_pass_cases(draw, min_links=1):
-    """A net (hidden identity links, biases and -0.0 weights allowed), its
+    """A net (hidden identity links and -0.0 weights allowed), its
     flat rows as one net or a particle stack, inputs as rows or one 1-D
     sample, and tangent directions and upstreams shared or per particle."""
     n_links = draw(st.integers(min_links, 3))
@@ -259,12 +241,9 @@ def lean_pass_cases(draw, min_links=1):
               + (draw(st.sampled_from([1, 2])),))
     acts = tuple(draw(st.lists(st.sampled_from(["softplus", "identity"]),
                                min_size=n_links - 1, max_size=n_links - 1))) + ("identity",)
-    biased = draw(st.booleans())
     weights = tuple(draw(arrays(float, (widths[k + 1], widths[k]), elements=_values))
                     for k in range(n_links))
-    biases = tuple(draw(arrays(float, (widths[k + 1],), elements=_values))
-                   for k in range(n_links)) if biased else ()
-    net = nw.LayeredNet(widths, weights, biases, acts, (False,) * n_links)
+    net = nw.LayeredNet(widths, weights, acts, (False,) * n_links)
     stack = draw(st.sampled_from([None, 1, 3]))
     params = None if stack is None else draw(arrays(float, (stack, net.layout.size),
                                                     elements=_values))
@@ -317,8 +296,8 @@ class TestLeanPasses:
             X = X.copy()
             X.flat[data.draw(st.integers(0, X.size - 1))] = bad
         else:
-            weights = np.flatnonzero(net.weight_flat_mask())
-            P[data.draw(st.integers(0, len(P) - 1)), data.draw(st.sampled_from(weights))] = bad
+            P[data.draw(st.integers(0, len(P) - 1)),
+              data.draw(st.integers(0, P.shape[1] - 1))] = bad
         params = P if params is not None else P[0]
         with np.errstate(invalid="ignore", over="ignore"):
             g = nw.forward_pass(net, X, params).grad_params_dirderiv(u, up)
@@ -351,7 +330,7 @@ class TestParamCount:
         widths = (3, 30, 30, 1)
         net = nw.LayeredNet(widths,
                             tuple(np.ones((widths[k + 1], widths[k])) for k in range(3)),
-                            (), ("softplus", "softplus", "identity"),
+                            ("softplus", "softplus", "identity"),
                             (False, True, True))
         assert nw.param_count(net, 0.0) == 1020
 
@@ -360,8 +339,8 @@ class TestParamCount:
         assert nw.param_count(net, 0.0) == 0
 
     def test_threshold_is_strict(self):
-        net = nw.LayeredNet((3, 1), (np.array([[0.5, 5e-4, -2e-3]]),), (),
-                            ("identity",), (False,))
+        net = nw.LayeredNet((3, 1), (np.array([[0.5, 5e-4, -2e-3]]),), ("identity",),
+                            (False,))
         assert nw.param_count(net, 1e-3) == 2
 
 
@@ -390,35 +369,25 @@ class TestLayoutAndSerialization:
         assert net.with_values(flat).flatten().tolist() == flat.tolist()
         assert flat.size == net.layout.size
 
-    def test_round_trip_with_biases(self, rng):
-        net = nw.LayeredNet((2, 3, 1),
-                            (rng.normal(size=(3, 2)), rng.normal(size=(1, 3))),
-                            (rng.normal(size=3), rng.normal(size=1)),
-                            ("softplus", "identity"), (False, False))
-        flat = net.flatten()
-        again = net.with_values(flat)
-        assert again.flatten().tolist() == flat.tolist()
-        assert [b.tolist() for b in again.biases] == [b.tolist() for b in net.biases]
-
     def test_stacked_round_trip_exact(self, rng):
-        nets = [bias_net(rng, (2, 3, 1)) for _ in range(3)]
+        nets = [random_net(rng, (2, 3, 1)) for _ in range(3)]
         P = np.stack([n.flatten() for n in nets])
         arrays = nets[0].layout.unflatten(P)
-        assert [a.shape for a in arrays] == [(3, 3, 2), (3, 1, 3), (3, 3), (3, 1)]
+        assert [a.shape for a in arrays] == [(3, 3, 2), (3, 1, 3)]
         for a, net in enumerate(nets):
             assert arrays[0][a].tolist() == net.weights[0].tolist()
-            assert arrays[3][a].tolist() == net.biases[1].tolist()
+            assert arrays[1][a].tolist() == net.weights[1].tolist()
         assert nets[0].layout.flatten(arrays).tolist() == P.tolist()
 
     def test_stacked_leading_axes_must_agree(self, rng):
-        layout = bias_net(rng, (2, 3, 1)).layout
+        layout = random_net(rng, (2, 3, 1)).layout
         arrays = layout.unflatten(np.zeros((3, layout.size)))
         arrays[1] = arrays[1][:2]
         with pytest.raises(ShapeError):
             layout.flatten(arrays)
 
     def test_dict_round_trip_exact(self, rng):
-        net = bias_net(rng, (2, 3, 1))
+        net = random_net(rng, (2, 3, 1))
         again = nw.net_from_dict(json.loads(json.dumps(nw.net_to_dict(net))))
         assert again.flatten().tolist() == net.flatten().tolist()
         assert (again.layer_widths, again.activations, again.nonneg_mask) == \
@@ -427,13 +396,12 @@ class TestLayoutAndSerialization:
     def test_file_format_unchanged(self, tmp_path):
         net = nw.LayeredNet((2, 2, 1),
                             (np.array([[0.5, -1.25], [0.1, 2.0]]), np.array([[3.0, 0.0]])),
-                            (np.array([0.25, -0.5]), np.array([1.5])),
                             ("softplus", "identity"), (False, True))
         path = tmp_path / "net.json"
         nw.save_net(net, path)
         expected = {"format": "layered-net-v1", "layer_widths": [2, 2, 1],
                     "weights": [[[0.5, -1.25], [0.1, 2.0]], [[3.0, 0.0]]],
-                    "biases": [[0.25, -0.5], [1.5]],
+                    "biases": [],
                     "activations": ["softplus", "identity"],
                     "nonneg_mask": [False, True]}
         assert path.read_text() == json.dumps(expected, indent=1)
@@ -449,10 +417,17 @@ class TestLayoutAndSerialization:
         for a, b in zip(loaded.weights, net.weights):
             assert a.tolist() == b.tolist()
 
+    @pytest.mark.parametrize("doc", ["[1, 2]", "3", "null", '"net"'])
+    def test_json_that_is_not_an_object_is_named(self, tmp_path, doc):
+        path = tmp_path / "net.json"
+        path.write_text(doc)
+        with pytest.raises(ShapeError, match="net.json is not a network file"):
+            nw.load_net(path)
+
     def test_nonneg_invariant_enforced(self):
         with pytest.raises(ShapeError):
-            nw.LayeredNet((1, 1), (np.array([[-0.1]]),), (), ("identity",), (True,))
+            nw.LayeredNet((1, 1), (np.array([[-0.1]]),), ("identity",), (True,))
 
     def test_output_activation_must_be_identity(self):
         with pytest.raises(ShapeError):
-            nw.LayeredNet((1, 1), (np.array([[1.0]]),), (), ("softplus",), (False,))
+            nw.LayeredNet((1, 1), (np.array([[1.0]]),), ("softplus",), (False,))
