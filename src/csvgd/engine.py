@@ -243,18 +243,18 @@ def svgd_step(ensemble: Ensemble, gradients, config: SvgdConfig,
         raise NonFiniteGradientError(
             f"non-finite gradient at iteration {ensemble.iteration}: "
             f"particle {a}, coordinate {j}")
+    # the step and the new particles, each operation in place in one new array
+    P = np.multiply(config.step_size, g)
     if config.adagrad:
         if opt_state is None:
             raise ShapeError("adagrad enabled but no opt_state provided")
         opt_state += g * g
-        step = config.step_size * g / np.sqrt(opt_state + config.adagrad_offset)
-    else:
-        step = config.step_size * g
-    P = ensemble.particles + step
+        denom = np.add(opt_state, config.adagrad_offset)
+        np.sqrt(denom, out=denom)
+        P /= denom
+    P += ensemble.particles
     if ensemble.template is not None:
-        mask = ensemble.template.nonneg_flat_mask()
-        if mask.any():
-            P[:, mask] = np.maximum(P[:, mask], 0.0)
+        np.maximum(P, 0.0, out=P, where=ensemble.template.nonneg_flat_mask())
     return Ensemble(P, ensemble.template, ensemble.rng,
                     ensemble.iteration + 1, ensemble.stage)
 

@@ -6,7 +6,8 @@ Every target scores the whole particle stack in the one call the engine makes,
 they share (None for raw vectors, as in MvnTarget).  ``log_likelihood`` takes
 the same arguments and returns the (N,) values the scores differentiate.
 A regression target evaluates its model on the stack in the particle blocks
-of ``network.particle_blocks``, inside that one call.
+of ``network.particle_blocks``, inside that one call; a stack that fits one
+block is evaluated whole.
 """
 
 from __future__ import annotations
@@ -146,25 +147,34 @@ class RegressionTarget:
             raise ShapeError(f"noise_var must be > 0, got {self.noise_var}")
         object.__setattr__(self, "_inputs", self.model.prepare(self.dataset.inputs))
 
-    def _residuals(self, template, particles):
-        """Per particle block of the stack (``network.particle_blocks``), its
-        residuals (n, rows, out) and the model's score as a function of them."""
+    def _block_residuals(self, template, P):
+        """One particle block's residuals (n, rows, out) and the model's score
+        as a function of them."""
+        pred, score_of = self.model.predict_and_score(template, P, self._inputs)
+        if pred.shape[1:] != self.dataset.outputs.shape:
+            raise ShapeError(f"model output shape {pred.shape[1:]} does not match "
+                             f"data {self.dataset.outputs.shape}")
+        return self.dataset.outputs - pred, score_of
+
+    def _per_block(self, template, particles, f):
+        """The arrays of ``f(residuals, score_of)`` per particle block of the
+        stack (``network.particle_blocks``), each joined along the particle
+        axis; a one-block stack is passed whole, with nothing to join."""
         P = np.atleast_2d(np.asarray(particles, dtype=float))
-        for block in network.particle_blocks(template, len(P), len(self.dataset)):
-            pred, score_of = self.model.predict_and_score(template, P[block], self._inputs)
-            if pred.shape[1:] != self.dataset.outputs.shape:
-                raise ShapeError(f"model output shape {pred.shape[1:]} does not match "
-                                 f"data {self.dataset.outputs.shape}")
-            yield self.dataset.outputs - pred, score_of
+        blocks = network.particle_blocks(template, len(P), len(self.dataset))
+        if len(blocks) == 1:
+            return f(*self._block_residuals(template, P))
+        parts = [f(*self._block_residuals(template, P[block])) for block in blocks]
+        return tuple(np.concatenate(p) for p in zip(*parts))
 
     def log_likelihood(self, template, particles) -> np.ndarray:
-        return np.concatenate([-np.sum((R * R).reshape(len(R), -1), axis=1)
-                               / (2.0 * self.noise_var)
-                               for R, _ in self._residuals(template, particles)])
+        return self._per_block(template, particles, lambda R, _: (
+            -np.sum((R * R).reshape(len(R), -1), axis=1) / (2.0 * self.noise_var),))[0]
 
     def score_and_mse_batch(self, template, particles) -> tuple[np.ndarray, np.ndarray]:
-        S, mse = [], []
-        for R, score_of in self._residuals(template, particles):
-            S.append(score_of(R) / self.noise_var)
-            mse.append(np.mean((R * R).reshape(len(R), -1), axis=1))
-        return np.concatenate(S), np.concatenate(mse)
+        def score_and_mse(R, score_of):
+            S = score_of(R)
+            S /= self.noise_var
+            return S, np.mean((R * R).reshape(len(R), -1), axis=1)
+
+        return self._per_block(template, particles, score_and_mse)

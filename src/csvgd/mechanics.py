@@ -43,6 +43,11 @@ __all__ = [
 VOIGT_PAIRS = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
 VOIGT_NAMES = ("11", "22", "33", "23", "13", "12")
 REFERENCE_INVARIANTS = (3.0, 3.0, 1.0)
+_REFERENCE_ROW = np.array([REFERENCE_INVARIANTS])
+_REFERENCE_ROW.flags.writeable = False
+# (2, 4, 2): the diagonal scales of dI_i/dE at E = 0, the direction of n(theta)
+_REFERENCE_SLOPE = np.array([[2.0, 4.0, 2.0]])
+_REFERENCE_SLOPE.flags.writeable = False
 
 
 def sym_to_voigt(M) -> np.ndarray:
@@ -153,11 +158,21 @@ def _pinned_stress(g, g_ref, inv, dI) -> np.ndarray:
     (..., 3) may carry a particle axis.  The reference gradient comes from its own
     one-row evaluation: inside the batch of the other rows it would round
     differently.
+
+    The sum over i runs in order of i from +0.0, the order of the einsum
+    ``"...ni,nik->...nk"``, whose bits the trajectories rest on.  It is
+    formed as (..., 6, rows), so that each product runs along the rows
+    rather than along the 6 components.
     """
     slope = 2.0 * g_ref[..., 0] + 4.0 * g_ref[..., 1] + 2.0 * g_ref[..., 2]
-    g = np.array(g, dtype=float)
-    g[..., 2] -= 0.5 * slope[..., None] / np.sqrt(inv[:, 2])
-    return np.einsum("...ni,nik->...nk", g, dI)
+    g = np.asarray(g, dtype=float).swapaxes(-1, -2)        # (..., 3, rows)
+    dI = np.ascontiguousarray(np.moveaxis(dI, 0, -1))      # (3, 6, rows)
+    g3 = g[..., 2, :] - 0.5 * slope[..., None] / np.sqrt(inv[:, 2])
+    S = g[..., 0, None, :] * dI[0]
+    S += 0.0
+    S += g[..., 1, None, :] * dI[1]
+    S += g3[..., None, :] * dI[2]
+    return np.ascontiguousarray(S.swapaxes(-1, -2))
 
 
 def truth_stress(E_voigt, params: TruthParams | None = None) -> np.ndarray:
@@ -166,7 +181,7 @@ def truth_stress(E_voigt, params: TruthParams | None = None) -> np.ndarray:
     params = params or TruthParams()
     E = np.atleast_2d(np.asarray(E_voigt, dtype=float))
     inv = invariants_batch(E)
-    g_ref = _truth_gradient(params, np.array([REFERENCE_INVARIANTS]))[0]
+    g_ref = _truth_gradient(params, _REFERENCE_ROW)[0]
     return _pinned_stress(_truth_gradient(params, inv), g_ref, inv,
                           invariant_derivatives_batch(E))
 
@@ -258,17 +273,19 @@ class StressRegressionModel:
         """
         inv, dI = features
         rows = network.forward_pass(template, inv, particles)
-        ref = network.forward_pass(template, np.array([REFERENCE_INVARIANTS]), particles)
+        ref = network.forward_pass(template, _REFERENCE_ROW, particles)
         pred = _pinned_stress(rows.grad_input()[..., 0, :],
                               ref.grad_input()[..., 0, 0, :], inv, dI)
 
         def score_of(residuals) -> np.ndarray:
             u = np.einsum("...nk,nik->...ni", residuals, dI)
-            g = rows.grad_params_dirderiv(u, np.ones((len(inv), 1)))
+            g = rows.grad_params_dirderiv(u)  # the potential's unit upstream
             # d/dtheta of the n(theta) * (sqrt(I3) - 1) correction
             w_ref = np.sum(u[..., 2] / (2.0 * np.sqrt(inv[:, 2])), axis=-1)
-            g_ref = ref.grad_params_dirderiv([[2.0, 4.0, 2.0]], [[1.0]])
-            return g - w_ref[..., None] * g_ref
+            g_ref = ref.grad_params_dirderiv(_REFERENCE_SLOPE)
+            g_ref *= w_ref[..., None]
+            g -= g_ref
+            return g
 
         return pred, score_of
 

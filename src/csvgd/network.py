@@ -8,18 +8,27 @@ parameter gradient of an input-directional derivative (reverse-over-forward),
 which is what stress-style models built on input gradients need.
 
 Every pass builds on one forward pass, ``forward_pass``: it evaluates each
-link's activation once, its value and first derivative from one evaluation,
-and keeps them in a ``ForwardPass``.  The second derivative is formed from
-the first by the one pass that reads it, so a prediction-only pass never
-forms it.  The output, the input Jacobian, the parameter gradient and the
-reverse-over-forward gradient are methods that read that pass, so a model
-that needs a prediction and its score makes one forward pass for both:
-``forward_pass(net, X).output()`` evaluates a network, and
-``.grad_input()``, ``.grad_params(upstream)``, ``.dirderiv(u)`` and
-``.grad_params_dirderiv(u, upstream)`` read the same pass.  The passes skip
-work whose result is known exactly (zero adjoints and the unit derivative of
-the identity output link, products over an inner dimension of 1) and keep
-the bits of the full formulas.
+hidden link's activation once, its value and first derivative from one
+evaluation, and keeps them in a ``ForwardPass``.  The output, the input
+Jacobian, the parameter gradient and the reverse-over-forward gradient are
+methods that read that pass, so a model that needs a prediction and its
+score makes one forward pass for both: ``forward_pass(net, X).output()``
+evaluates a network, and ``.grad_input()``, ``.grad_params(upstream)``,
+``.dirderiv(u)`` and ``.grad_params_dirderiv(u, upstream)`` read the same
+pass.
+
+A value is formed only by a pass that reads it.  The forward pass keeps
+each hidden link's first derivative, and the values of every hidden link
+but the last.  The last hidden link's value and the output link's product
+feed only ``output`` and ``grad_params``, so those two form them on demand
+from the kept input of that link, by the same operations and with the same
+bits; the input Jacobian and the reverse-over-forward gradient, which a
+stress model reads, never form them.  The second derivative is formed from
+the first by ``grad_params_dirderiv``, the one pass that reads it.  The
+passes also skip work whose result is known exactly (zero adjoints and the
+unit derivative of the identity output link, products over an inner
+dimension of 1) and keep the bits of the full formulas.  The parameter
+gradients are written link by link into one flat output row per particle.
 
 Each pass evaluates ``net`` itself or, given ``params`` (N, D) of flat
 parameter rows laid out like ``net``, the N networks of a particle stack at
@@ -40,6 +49,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -73,8 +83,9 @@ NET_FORMAT_TAG = "layered-net-v1"
 PASS_ELEMENTS = 2**16
 
 
-def _softplus_terms(z):
-    """softplus(z) and its derivative sigmoid(z), from one e = exp(-|z|).
+def _softplus_terms(z, value=True):
+    """softplus(z) and its derivative sigmoid(z), from one e = exp(-|z|);
+    the value is None when ``value`` is false.
 
     The value is the overflow-safe max(z, 0) + log1p(e); the sigmoid is
     1 / (1 + e) for z >= 0 and e / (1 + e) otherwise.  Since 0 <= e <= 1, its
@@ -89,6 +100,8 @@ def _softplus_terms(z):
     np.maximum(e, s, out=s)
     t = np.add(1.0, e, out=np.empty_like(z))
     np.divide(s, t, out=s)
+    if not value:
+        return None, s
     np.log1p(e, out=t)
     np.maximum(z, 0.0, out=e)
     np.add(e, t, out=e)
@@ -102,12 +115,12 @@ def _sigmoid_slope(s):
     return d2
 
 
-def _identity_terms(z):
+def _identity_terms(z, value=True):
     return z, np.ones_like(z)
 
 
-# tag -> (function of z giving the value and the first derivative, function
-# of the first derivative giving the second)
+# tag -> (function of z giving the value (unless told not to) and the first
+# derivative, function of the first derivative giving the second)
 _ACTIVATIONS = {"softplus": (_softplus_terms, _sigmoid_slope),
                 "identity": (_identity_terms, np.zeros_like)}
 
@@ -129,9 +142,18 @@ class Layout:
 
     entries: tuple[tuple[str, tuple[int, ...]], ...]
 
-    @property
+    @cached_property
     def size(self) -> int:
         return sum(math.prod(shape) for _, shape in self.entries)
+
+    @cached_property
+    def bounds(self) -> tuple[tuple[int, int], ...]:
+        """(start, stop) of each entry in the flat vector."""
+        out, off = [], 0
+        for _, shape in self.entries:
+            out.append((off, off + math.prod(shape)))
+            off = out[-1][1]
+        return tuple(out)
 
     def flatten(self, arrays) -> np.ndarray:
         """One flat vector, or one flat row per particle for stacked arrays."""
@@ -153,13 +175,14 @@ class Layout:
         if flat.ndim not in (1, 2) or flat.shape[-1] != self.size:
             raise ShapeError(f"flat vector has shape {flat.shape}, layout needs "
                              f"({self.size},) or (N, {self.size})")
+        return self.views(flat)
+
+    def views(self, flat) -> list[np.ndarray]:
+        """``unflatten`` without its checks: views of the flat rows of a float
+        array whose last axis has ``size`` entries, any leading axes kept."""
         lead = flat.shape[:-1]
-        out, off = [], 0
-        for _, shape in self.entries:
-            n = math.prod(shape)
-            out.append(flat[..., off:off + n].reshape(lead + shape))
-            off += n
-        return out
+        return [flat[..., a:b].reshape(lead + shape)
+                for (a, b), (_, shape) in zip(self.bounds, self.entries)]
 
 
 @dataclass(frozen=True)
@@ -212,7 +235,8 @@ class LayeredNet:
     def n_links(self) -> int:
         return len(self.weights)
 
-    @property
+    # The template's constants are computed once per (frozen) network.
+    @cached_property
     def layout(self) -> Layout:
         return Layout(tuple((f"W{k}", w.shape) for k, w in enumerate(self.weights)))
 
@@ -222,10 +246,17 @@ class LayeredNet:
     def with_values(self, flat) -> "LayeredNet":
         return replace(self, weights=tuple(self.layout.unflatten(flat)))
 
-    def nonneg_flat_mask(self) -> np.ndarray:
-        """Boolean mask over the flat vector marking nonneg-constrained coords."""
-        return np.concatenate([np.full(w.size, m, dtype=bool)
+    @cached_property
+    def _nonneg_flat(self) -> np.ndarray:
+        mask = np.concatenate([np.full(w.size, m, dtype=bool)
                                for w, m in zip(self.weights, self.nonneg_mask)])
+        mask.flags.writeable = False
+        return mask
+
+    def nonneg_flat_mask(self) -> np.ndarray:
+        """Boolean mask over the flat vector marking nonneg-constrained coords
+        (read-only)."""
+        return self._nonneg_flat
 
 
 def _check_input(net, X):
@@ -254,17 +285,27 @@ def _params(net, params):
     return net.weights if params is None else net.layout.unflatten(params)
 
 
-def _matmul(a, b):
-    """a @ b bit for bit; over an inner dimension of 1 as a broadcast product.
+def _matmul(a, b, out=None):
+    """a @ b bit for bit, written into ``out`` when given; over an inner
+    dimension of 1 as a broadcast product.
 
     The matrix product sums from +0.0, so the broadcast product adds 0.0 once:
     that turns -0.0 into +0.0 and changes no other value.
     """
     if a.shape[-1] != 1:
-        return a @ b
-    c = a * b
+        return np.matmul(a, b, out=out)
+    c = np.multiply(a, b, out=out)
     c += 0.0
     return c
+
+
+@lru_cache(maxsize=16)
+def _unit_upstream(rows: int) -> np.ndarray:
+    """The (1, rows) transpose of a ones column, read-only: the unit upstream
+    laid out as the swapped (rows, 1) upstream of a scalar-output net."""
+    ones = np.ones((rows, 1))
+    ones.flags.writeable = False
+    return ones.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,11 +313,16 @@ class ForwardPass:
     """One evaluation of a network on the rows of X, kept for every pass that
     reads it, so each activation is evaluated once per link.
 
-    ``W`` are the weights (with the particle axis for a particle stack).  Per link k, ``H[k + 1]`` holds the post-activations
-    (``H[0]`` is X) and ``D1[k]`` the activation's first derivative at the
-    pre-activations.  The second derivative is formed from ``D1[k]`` by the
-    one pass that reads it, ``grad_params_dirderiv``.  ``single`` marks a 1-D
-    X, whose results drop the batch axis.
+    ``W`` are the weights (with the particle axis for a particle stack).
+    ``H[k]`` is the input of hidden link k (``H[0]`` is X).  The input of
+    the output link (the last hidden link's value) and the output link's
+    product are not formed: only ``output`` and ``grad_params`` read them,
+    and they form them on demand by the same operations, so with the same
+    bits.  ``D1[k]`` holds the first derivative of hidden link k's
+    activation at its pre-activations; the identity output link's is one.
+    The second derivative is formed from ``D1[k]`` by the one pass that
+    reads it, ``grad_params_dirderiv``.  ``single`` marks a 1-D X, whose
+    results drop the batch axis.
 
     The passes skip work whose result is known exactly: the output link is
     identity, with a unit first and a zero second derivative.  Where a
@@ -291,9 +337,40 @@ class ForwardPass:
     H: list
     D1: list
 
+    @property
+    def _lead(self) -> tuple:
+        """The particle axis of a particle stack, or ()."""
+        return self.W[0].shape[:-2]
+
+    @property
+    def _out_shape(self) -> tuple:
+        return self._lead + (len(self.H[0]), self.net.layer_widths[-1])
+
+    @cached_property
+    def _top(self) -> np.ndarray:
+        """(W_out + 0.0) * act'(z) of the last hidden link, (..., rows, out,
+        width): the input Jacobian's first step, and with a unit upstream the
+        last hidden link's bar_tz in ``grad_params_dirderiv``."""
+        return (self.W[-1] + 0.0)[..., None, :, :] * self.D1[-1][..., None, :]
+
+    def _last_input(self) -> np.ndarray:
+        """The output link's input: X for a one-link net, otherwise the last
+        hidden link's value, formed as the forward pass forms a value."""
+        k = self.net.n_links - 2
+        if k < 0:
+            return self.H[0]
+        z = _matmul(self.H[k], self.W[k].swapaxes(-1, -2))
+        return _ACTIVATIONS[self.net.activations[k]][0](z)[0]
+
+    def _gradient_rows(self, lead):
+        """Flat gradient rows (lead..., size) and each link's view into them."""
+        flat = np.empty(lead + (self.net.layout.size,))
+        return flat, self.net.layout.views(flat)
+
     def output(self) -> np.ndarray:
         """Network outputs, shape (batch, out)."""
-        return self.H[-1][..., 0, :] if self.single else self.H[-1]
+        y = _matmul(self._last_input(), self.W[-1].swapaxes(-1, -2))  # identity link
+        return y[..., 0, :] if self.single else y
 
     def grad_input(self) -> np.ndarray:
         """Jacobian d net(X[b]) / d X[b] for every row, shape (batch, out, in).
@@ -301,11 +378,13 @@ class ForwardPass:
         The chain starts from the output weights (+ 0.0, the bits of
         eye(out) @ W), since the output link is identity.
         """
-        J = (self.W[-1] + 0.0)[..., None, :, :]
         if self.net.n_links == 1:
-            J = np.broadcast_to(J, self.H[-1].shape + J.shape[-1:]).copy()
-        for k in range(self.net.n_links - 2, -1, -1):
-            J = _matmul(J * self.D1[k][..., None, :], self.W[k][..., None, :, :])
+            J = (self.W[-1] + 0.0)[..., None, :, :]
+            J = np.broadcast_to(J, self._out_shape + J.shape[-1:]).copy()
+        else:
+            J = _matmul(self._top, self.W[-2][..., None, :, :])
+            for k in range(self.net.n_links - 3, -1, -1):
+                J = _matmul(J * self.D1[k][..., None, :], self.W[k][..., None, :, :])
         return J[..., 0, :, :] if self.single else J
 
     def grad_params(self, upstream) -> np.ndarray:
@@ -314,24 +393,26 @@ class ForwardPass:
         n_links = self.net.n_links
         U = _check_rows("upstream", upstream, self.single,
                         (len(self.H[0]), self.net.layer_widths[-1]))
-        gW = [None] * n_links
-        bar = np.broadcast_to(U, self.H[-1].shape)  # output activation is identity
+        bar = np.broadcast_to(U, self._out_shape)  # output activation is identity
+        H = self.H[:n_links - 1] + [self._last_input()]
+        flat, gW = self._gradient_rows(self._lead)
         for k in range(n_links - 1, -1, -1):
-            gW[k] = _matmul(bar.swapaxes(-1, -2), self.H[k])
+            _matmul(bar.swapaxes(-1, -2), H[k], out=gW[k])
             if k > 0:
                 bar = _matmul(bar, self.W[k]) * self.D1[k - 1]
-        return self.net.layout.flatten(gW)
+        return flat
 
     def _tangents(self, u, links):
         """Forward tangent pass along input directions u over the first
         ``links`` links: per link the tangent pre-activations
-        TZ[k] = T[k] W_k' and T[k + 1] = act'(z) * TZ[k]."""
+        TZ[k] = T[k] W_k' and T[k + 1] = act'(z) * TZ[k] (TZ[k] itself on the
+        identity output link, the bits of 1.0 * TZ[k])."""
         T = [_check_rows("direction", u, self.single, self.H[0].shape)]
         TZ = []
         for k in range(links):
             tz = _matmul(T[-1], self.W[k].swapaxes(-1, -2))
             TZ.append(tz)
-            T.append(self.D1[k] * tz)
+            T.append(self.D1[k] * tz if k < len(self.D1) else tz)
         return T, TZ
 
     def dirderiv(self, u) -> np.ndarray:
@@ -339,7 +420,7 @@ class ForwardPass:
         T, _ = self._tangents(u, self.net.n_links)
         return T[-1][..., 0, :] if self.single else T[-1]
 
-    def grad_params_dirderiv(self, u, upstream) -> np.ndarray:
+    def grad_params_dirderiv(self, u, upstream=None) -> np.ndarray:
         """Flat parameter gradient of sum_b upstream[b] . (J(X[b]) @ u[b]).
 
         Reverse pass over the tangent-augmented forward computation.  For each
@@ -352,52 +433,71 @@ class ForwardPass:
 
         which yields the exact mixed second derivative d/dtheta of the
         input-directional derivative.  ``u`` and ``upstream`` may carry the
-        particle axis.
+        particle axis.  ``upstream`` None is the unit upstream of a
+        scalar-output net (the bits of a ones column): the gradient of
+        sum_b J(X[b]) @ u[b].
 
         On the identity output link bar_h' = 0 and act'' = 0, so its bar_z is
         zero and its bar_tz is the upstream; the link below it starts from
-        bar_h' = 0.  So the tangent pass stops before the output link.
+        bar_h' = 0.  So the tangent pass stops before the output link.  With
+        the unit upstream, that link's bar_t is W_out + 0.0 and its bar_tz
+        the product ``grad_input`` starts from, which the two share.
         """
         n_links = self.net.n_links
-        Up = _check_rows("upstream", upstream, self.single,
-                         (len(self.H[0]), self.net.layer_widths[-1]))
-        # bar_tz of the output link, shaped and laid out as act'(z) * Up
-        bar_tz = np.broadcast_to(np.ascontiguousarray(Up),
-                                 np.broadcast_shapes(self.H[-1].shape, Up.shape))
+        if upstream is None:
+            if self.net.layer_widths[-1] != 1:
+                raise ShapeError("the unit upstream needs a scalar-output net")
+            Up = _unit_upstream(len(self.H[0]))
+            lead = self._lead
+        else:
+            Up = _check_rows("upstream", upstream, self.single,
+                             (len(self.H[0]), self.net.layer_widths[-1]))
+            # bar_tz of the output link, shaped and laid out as act'(z) * Up
+            bar_tz = np.broadcast_to(np.ascontiguousarray(Up),
+                                     np.broadcast_shapes(self._out_shape, Up.shape))
+            lead = bar_tz.shape[:-2]
+            Up = bar_tz.swapaxes(-1, -2)
         T, TZ = self._tangents(u, n_links - 1)
-        gW = [None] * n_links
+        flat, gW = self._gradient_rows(np.broadcast_shapes(lead, T[0].shape[:-2]))
         k = n_links - 1
-        gW[k] = _matmul(bar_tz.swapaxes(-1, -2), T[k])
+        _matmul(Up, T[k], out=gW[k])
         gW[k] += 0.0  # the skipped outer(0, h)
+        if k == 0:
+            return flat
+        bar_t = self.W[k] + 0.0 if upstream is None else _matmul(bar_tz, self.W[k])
         bar_h = None  # zero below the output link
-        if k > 0:
-            bar_t = _matmul(bar_tz, self.W[k])
         for k in range(n_links - 2, -1, -1):
             d1 = self.D1[k]
             bar_z = _ACTIVATIONS[self.net.activations[k]][1](d1) * TZ[k] * bar_t
             if bar_h is None:
                 bar_z += 0.0  # the skipped act'(z) * 0
             else:
-                bar_z = d1 * bar_h + bar_z
-            bar_tz = d1 * bar_t
-            gW[k] = (_matmul(bar_z.swapaxes(-1, -2), self.H[k])
-                     + _matmul(bar_tz.swapaxes(-1, -2), T[k]))
+                bar_z += d1 * bar_h
+            if upstream is None and k == n_links - 2:
+                bar_tz = self._top[..., 0, :]
+            else:
+                bar_tz = d1 * bar_t
+            _matmul(bar_z.swapaxes(-1, -2), self.H[k], out=gW[k])
+            gW[k] += _matmul(bar_tz.swapaxes(-1, -2), T[k])
             if k > 0:
                 bar_h = _matmul(bar_z, self.W[k])
                 bar_t = _matmul(bar_tz, self.W[k])
-        return self.net.layout.flatten(gW)
+        return flat
 
 
 def forward_pass(net: LayeredNet, X, params=None) -> ForwardPass:
     """The forward pass every other pass builds on: ``net``, or the particle
-    stack of flat ``params`` rows, on the rows of X (a 1-D X is one sample)."""
+    stack of flat ``params`` rows, on the rows of X (a 1-D X is one sample).
+    It evaluates the hidden links only, and forms no value of the last."""
     X, single = _check_input(net, X)
     W = _params(net, params)
     H, D1 = [X], []
-    for k in range(net.n_links):
+    last = net.n_links - 2
+    for k in range(last + 1):
         z = _matmul(H[-1], W[k].swapaxes(-1, -2))
-        h, d1 = _ACTIVATIONS[net.activations[k]][0](z)
-        H.append(h)
+        h, d1 = _ACTIVATIONS[net.activations[k]][0](z, value=k < last)
+        if k < last:
+            H.append(h)
         D1.append(d1)
     return ForwardPass(net, W, single, H, D1)
 
@@ -465,9 +565,17 @@ def save_net(net: LayeredNet, path) -> None:
 
 
 def load_net(path) -> LayeredNet:
-    doc = json.loads(Path(path).read_text())
+    """The network ``save_net`` wrote to ``path``; a file that does not hold
+    one raises a ShapeError naming the path."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ShapeError(f"corrupt network file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ShapeError(f"{path} is not a network file: its JSON is not an object")
     if doc.get("format") != NET_FORMAT_TAG:
-        raise ShapeError(f"unknown network format tag {doc.get('format')!r}")
-    return net_from_dict(doc)
+        raise ShapeError(f"{path}: unknown network format tag {doc.get('format')!r}")
+    try:
+        return net_from_dict(doc)
+    except (KeyError, TypeError, ValueError, ShapeError) as exc:
+        raise ShapeError(f"malformed network file {path}: {exc!r}") from exc

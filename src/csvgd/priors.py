@@ -63,10 +63,13 @@ def prior_score(spec: PriorSpec, theta, dead_zone: float = 0.0) -> np.ndarray:
     scale = spec.lam ** spec.alpha * c2 * spec.alpha
     a = np.abs(theta)
     live = a > dead_zone
-    out = np.zeros_like(theta)
-    # |t|^(alpha-1) only where live, so alpha < 1 never divides by zero
-    np.place(out, live, -scale * a[live] ** (spec.alpha - 1.0) * np.sign(theta[live]))
-    return out
+    # every coordinate is scored, the dead ones at |t| = 1 (so alpha < 1
+    # never divides by zero) and then dropped: no gather, no scatter
+    a = np.where(live, a, 1.0)
+    a **= spec.alpha - 1.0
+    a *= -scale
+    a *= np.sign(theta)
+    return np.where(live, a, 0.0)
 
 
 def log_prior_density(spec: PriorSpec, theta) -> float:

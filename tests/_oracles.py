@@ -5,8 +5,9 @@ quadrature, straight-line gradient ascent) and shares no code with the
 implementations under test.  The exceptions are the references for rewritten
 code paths (the merged-CDF W1, the one-product W1 gap sum, the per-particle and two-call scores, the
 network passes before their lean rewrite, the per-node prune, the row-by-row
-graph dump, the one-graph-at-a-time condensation and dumps): each keeps the replaced code as it was and says which
-library pieces it reuses.
+graph dump, the one-graph-at-a-time condensation and dumps, the einsum pinned
+stress, the gathered prior score, the out-of-place step): each keeps the
+replaced code as it was and says which library pieces it reuses.
 """
 
 import numpy as np
@@ -162,6 +163,47 @@ def per_particle_score_and_mse(target, template, particles):
         scores.append(s / target.noise_var)
         mses.append(float(np.mean(r * r)))
     return np.stack(scores), np.array(mses)
+
+
+def pinned_stress_einsum(g, g_ref, inv, dI):
+    """`mechanics._pinned_stress` as one einsum, as it was before it became a
+    sequential broadcast multiply-add."""
+    slope = 2.0 * g_ref[..., 0] + 4.0 * g_ref[..., 1] + 2.0 * g_ref[..., 2]
+    g = np.array(g, dtype=float)
+    g[..., 2] -= 0.5 * slope[..., None] / np.sqrt(inv[:, 2])
+    return np.einsum("...ni,nik->...nk", g, dI)
+
+
+def prior_score_gathered(alpha, lam, theta, dead_zone=0.0):
+    """`priors.prior_score` as it was: the live coordinates gathered, scored
+    and placed back.  Reuses `priors.prior_constants`."""
+    from csvgd.priors import prior_constants
+
+    theta = np.asarray(theta, dtype=float)
+    _, c2 = prior_constants(alpha)
+    scale = lam ** alpha * c2 * alpha
+    a = np.abs(theta)
+    live = a > dead_zone
+    out = np.zeros_like(theta)
+    np.place(out, live, -scale * a[live] ** (alpha - 1.0) * np.sign(theta[live]))
+    return out
+
+
+def svgd_step_out_of_place(particles, g, step_size, mask=None, opt_state=None,
+                           adagrad_offset=1e-8):
+    """`engine.svgd_step`'s arithmetic as it was, one new array per operation:
+    the new particles, and the AdaGrad accumulator (updated in place, as
+    before) when ``opt_state`` is given; ``mask`` marks the projected
+    coordinates."""
+    if opt_state is not None:
+        opt_state += g * g
+        step = step_size * g / np.sqrt(opt_state + adagrad_offset)
+    else:
+        step = step_size * g
+    P = particles + step
+    if mask is not None and mask.any():
+        P[:, mask] = np.maximum(P[:, mask], 0.0)
+    return P
 
 
 def broadcast_power_sum(P, beta):

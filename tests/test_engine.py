@@ -5,6 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from csvgd import engine, kernels
 from csvgd.condense import distance_matrix
@@ -18,10 +21,11 @@ from csvgd.errors import NonFiniteGradientError, ShapeError
 from csvgd.kernels import KernelSpec, median_bandwidth, pairwise_power_sum
 from csvgd.likelihoods import MvnTarget
 from csvgd.mechanics import icnn_template
+from csvgd.network import LayeredNet
 from csvgd.priors import PriorSpec, prior_score
 
 from _oracles import (broadcast_distance_matrix, broadcast_stein_direction,
-                      gradient_ascent)
+                      gradient_ascent, svgd_step_out_of_place)
 from conftest import condensed_icnn_ensemble, random_net
 
 
@@ -333,6 +337,61 @@ class TestAdagrad:
         ens = make_ensemble([[1.0]])
         with pytest.raises(ShapeError):
             svgd_step(ens, np.ones((1, 1)), vector_config(adagrad=True))
+
+
+def coordinate_net(mask):
+    """A chain of 1 x 1 links, one flat coordinate each, flagged nonnegative
+    by ``mask``: a template for any projection mask."""
+    n = len(mask)
+    return LayeredNet((1,) * (n + 1), tuple(np.zeros((1, 1)) for _ in range(n)),
+                      ("identity",) * n, tuple(mask))
+
+
+# signed zeros drawn on their own so that -0.0 coordinates show up often
+_step_values = st.one_of(st.just(-0.0), st.just(0.0), st.floats(-10.0, 10.0))
+
+
+class TestStepFormulas:
+    """The in-place step gives the bits of the out-of-place AdaGrad step and
+    projection it replaced (``_oracles.svgd_step_out_of_place``)."""
+
+    @staticmethod
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    def _check(self, P, g, mask, adagrad, opt0=None):
+        template = None if mask is None else coordinate_net(mask)
+        cfg = vector_config(step_size=0.3, adagrad=adagrad)
+        ens = Ensemble(P.copy(), template, np.random.default_rng(0))
+        opt = None if opt0 is None else opt0.copy()
+        opt_want = None if opt0 is None else opt0.copy()
+        out = svgd_step(ens, g, cfg, opt)
+        want = svgd_step_out_of_place(P, g, 0.3, None if mask is None else np.array(mask),
+                                      opt_want, cfg.adagrad_offset)
+        np.testing.assert_array_equal(self.bits(out.particles), self.bits(want))
+        if opt0 is not None:
+            np.testing.assert_array_equal(self.bits(opt), self.bits(opt_want))
+        np.testing.assert_array_equal(self.bits(ens.particles), self.bits(P))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 3), mask=st.one_of(st.none(), st.lists(st.booleans(),
+                                                                     min_size=1, max_size=6)),
+           adagrad=st.booleans(), data=st.data())
+    def test_equals_the_out_of_place_formulas_bit_for_bit(self, n, mask, adagrad, data):
+        d = len(mask) if mask is not None else data.draw(st.integers(1, 6))
+        P = data.draw(arrays(float, (n, d), elements=_step_values))
+        g = data.draw(arrays(float, (n, d), elements=_step_values))
+        opt = (data.draw(arrays(float, (n, d), elements=st.floats(0.0, 10.0)))
+               if adagrad else None)
+        self._check(P, g, mask, adagrad, opt)
+
+    @pytest.mark.parametrize("adagrad", [False, True])
+    @pytest.mark.parametrize("mask", [[False] * 4, [True] * 4, [False, True, True, False]])
+    def test_negative_zero_coordinates(self, mask, adagrad):
+        # -0.0 + -0.0 stays -0.0 where nothing projects it
+        P = np.array([[-0.0, -0.0, 0.0, -1.0], [-0.0, 2.0, -0.0, -0.0]])
+        g = np.array([[-0.0, 0.0, -0.0, -0.0], [-0.0, -1.0, -0.0, 3.0]])
+        self._check(P, g, mask, adagrad, np.zeros_like(P) if adagrad else None)
 
 
 class TestConfigChecks:

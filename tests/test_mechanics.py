@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from csvgd import mechanics as mech
 from csvgd import network as nw
@@ -7,7 +10,8 @@ from csvgd.errors import DomainError
 from csvgd.likelihoods import RegressionTarget
 
 from _oracles import (fd_gradient, fd_strain_gradient, invariants_3x3, net_potential,
-                      reference_normalized, strain_energy, truth_potential)
+                      pinned_stress_einsum, reference_normalized, strain_energy,
+                      truth_potential)
 from conftest import random_net
 
 
@@ -246,3 +250,54 @@ class TestVoigt:
     def test_component_order(self):
         M = np.array([[1.0, 6.0, 5.0], [6.0, 2.0, 4.0], [5.0, 4.0, 3.0]])
         assert mech.sym_to_voigt(M).tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
+
+# signed zeros and NaN drawn on their own so that they show up often
+_pinned_values = st.one_of(st.just(-0.0), st.just(0.0), st.just(np.nan),
+                           st.floats(-1e3, 1e3))
+
+
+@st.composite
+def pinned_cases(draw):
+    """Gradients at the rows and at the reference (with or without a particle
+    axis), invariant rows and dI/dE, with signed zeros and NaN anywhere."""
+    rows = draw(st.integers(1, 5))
+    lead = draw(st.sampled_from([(), (1,), (3,)]))
+    g = draw(arrays(float, lead + (rows, 3), elements=_pinned_values))
+    g_ref = draw(arrays(float, lead + (3,), elements=_pinned_values))
+    inv = draw(arrays(float, (rows, 3),
+                      elements=st.one_of(_pinned_values, st.floats(1e-3, 10.0))))
+    dI = draw(arrays(float, (rows, 3, 6), elements=_pinned_values))
+    return g, g_ref, inv, dI
+
+
+class TestPinnedStressForm:
+    """The broadcast multiply-add gives the einsum's bits, signed zeros
+    included, and its NaNs at the same places.  (Which of two NaNs meeting
+    in a sum carries on, and so the sign of a NaN, rests on the operand order
+    the compiler picked for the einsum's loop; every NaN reads as one here.)"""
+
+    @staticmethod
+    def bits(a):
+        return np.where(np.isnan(a), np.nan, a).view(np.uint64)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=pinned_cases())
+    def test_equals_the_einsum_bit_for_bit(self, case):
+        with np.errstate(all="ignore"):
+            got, want = mech._pinned_stress(*case), pinned_stress_einsum(*case)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(self.bits(got), self.bits(want))
+
+    @pytest.mark.parametrize("n, rows", [(10, 80), (2, 1001), (27, 80)])
+    def test_equals_the_einsum_at_the_run_shapes(self, n, rows):
+        # the score's stack at desk and wide N, and a test-path block
+        rng = np.random.default_rng(n * rows)
+        g, g_ref = rng.normal(size=(n, rows, 3)), rng.normal(size=(n, 3))
+        E = rng.normal(scale=0.05, size=(rows, 6))
+        inv, dI = mech.invariants_batch(E), mech.invariant_derivatives_batch(E)
+        g.flat[::7] = -0.0
+        dI = dI.copy()
+        dI.flat[::5] = -0.0
+        np.testing.assert_array_equal(self.bits(mech._pinned_stress(g, g_ref, inv, dI)),
+                                      self.bits(pinned_stress_einsum(g, g_ref, inv, dI)))

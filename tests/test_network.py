@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from csvgd import network as nw
-from csvgd.engine import Ensemble, KernelSpec, SvgdConfig, svgd_step
+from csvgd.engine import Ensemble, KernelSpec, SvgdConfig, init_net_ensemble, svgd_step
 from csvgd.errors import NonFiniteGradientError, ShapeError
+from csvgd.likelihoods import RegressionTarget
+from csvgd.mechanics import StressRegressionModel, generate_data, icnn_template
 
 from _oracles import (FormulaPass, fd_gradient, sigmoid_deriv_formula,
                       sigmoid_formula, softplus_formula)
@@ -280,6 +282,15 @@ class TestLeanPasses:
                            formulas.grad_params_dirderiv(u, up))):
             assert got.shape == want.shape
             np.testing.assert_array_equal(self.bits(got), self.bits(want))
+        if net.layer_widths[-1] == 1:
+            # the unit upstream, after grad_input (sharing its first product)
+            # and on a pass that has not formed it yet
+            ones = np.ones(np.shape(X)[:-1] + (1,))
+            want = formulas.grad_params_dirderiv(u, ones)
+            for got in (lean.grad_params_dirderiv(u),
+                        nw.forward_pass(net, X, params).grad_params_dirderiv(u)):
+                assert got.shape == want.shape
+                np.testing.assert_array_equal(self.bits(got), self.bits(want))
 
     @settings(max_examples=300, deadline=None)
     @given(case=lean_pass_cases(min_links=2), data=st.data())
@@ -308,6 +319,33 @@ class TestLeanPasses:
             with pytest.raises(NonFiniteGradientError):
                 svgd_step(Ensemble(P, net, np.random.default_rng(0)),
                           np.broadcast_to(g, P.shape), config)
+
+
+    def test_a_score_call_forms_no_last_hidden_value(self, monkeypatch):
+        # softplus values come from log1p: a stress score reads the first
+        # hidden link's values (width 5) and never forms the last one's (7)
+        template = icnn_template((3, 5, 7, 1))
+        P = init_net_ensemble(template, 3, seed=1).particles
+        data = generate_data(n_train=6, seed=0, n_test=5)
+        target = RegressionTarget(data.train, 1.0, StressRegressionModel())
+        widths, log1p = [], np.log1p
+
+        def spy(x, *args, **kwargs):
+            widths.append(np.shape(x)[-1])
+            return log1p(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "log1p", spy)
+        target.score_and_mse_batch(template, P)
+        assert widths == [5, 5]         # the data rows and the reference row
+        widths.clear()
+        nw.forward_pass(template, data.train.inputs[:, :3], P).output()
+        assert widths == [5, 7]         # an output forms it on demand
+
+    def test_the_unit_upstream_needs_a_scalar_output(self, rng):
+        net = random_net(rng, (3, 4, 2))
+        with pytest.raises(ShapeError, match="scalar-output"):
+            nw.forward_pass(net, rng.normal(size=(5, 3))).grad_params_dirderiv(
+                rng.normal(size=(5, 3)))
 
 
 class TestParticleBlocks:
@@ -422,6 +460,22 @@ class TestLayoutAndSerialization:
         path = tmp_path / "net.json"
         path.write_text(doc)
         with pytest.raises(ShapeError, match="net.json is not a network file"):
+            nw.load_net(path)
+
+    @pytest.mark.parametrize("text", [
+        '{"format": "layered-net-v1", "layer_widths": [1, 1]}',          # no weights
+        '{"format": "layered-net-v1", "layer_widths": [2, 1], "weights": [[[1.0]]],'
+        ' "biases": [], "activations": ["identity"], "nonneg_mask": [false]}',
+        '{"format": "layered-net-v1", "layer_widths": [1, 1], "weights": "w",'
+        ' "biases": [], "activations": ["identity"], "nonneg_mask": [false]}',
+        '{"format": "layered-net-v1", "layer_w',                          # cut short
+        '{"format": "layered-net-v0"}',
+    ], ids=["missing-field", "mis-shaped-weight", "non-numeric-weight", "corrupt",
+            "unknown-tag"])
+    def test_every_malformed_file_is_named(self, tmp_path, text):
+        path = tmp_path / "net.json"
+        path.write_text(text)
+        with pytest.raises(ShapeError, match=r"net\.json"):
             nw.load_net(path)
 
     def test_nonneg_invariant_enforced(self):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from csvgd.errors import DomainError
 from csvgd.priors import PriorSpec, log_prior_density, prior_constants, prior_score
 
-from _oracles import fd_gradient, trapezoid_integral
+from _oracles import fd_gradient, prior_score_gathered, trapezoid_integral
 
 
 class TestConstants:
@@ -85,6 +88,26 @@ class TestScore:
         S = prior_score(spec, P)
         for a in range(4):
             assert S[a] == pytest.approx(prior_score(spec, P[a]), abs=1e-15)
+
+
+class TestScoreForm:
+    """Scoring every coordinate and keeping the live ones gives the bits of
+    gathering the live ones (``_oracles.prior_score_gathered``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=st.one_of(st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+                           st.floats(0.01, 2.0)),
+           lam=st.floats(1e-3, 1e3),
+           dead_zone=st.sampled_from([0.0, 1e-3]),
+           theta=arrays(float, st.sampled_from([(3,), (2, 5), (4, 1)]),
+                        elements=st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -1e-3,
+                                                            np.inf, -np.inf, np.nan]),
+                                           st.floats(-1e3, 1e3))))
+    def test_equals_the_gathered_score_bit_for_bit(self, alpha, lam, dead_zone, theta):
+        with np.errstate(all="ignore"):
+            got = prior_score(PriorSpec(alpha, lam), theta, dead_zone)
+            want = prior_score_gathered(alpha, lam, theta, dead_zone)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestSpecValidation:
