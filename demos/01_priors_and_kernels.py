@@ -12,8 +12,7 @@ and its gradient in a is (1/gamma) |b - a|^(beta-1) sign(b - a) kappa(a, b).
 
 import numpy as np
 
-from csvgd.condense import distance_matrix
-from csvgd.kernels import median_bandwidth, pairwise_power_sum
+from csvgd.kernels import median_bandwidth, median_pair_distance, pairwise_square_sums
 from csvgd.priors import PriorSpec, prior_constants, prior_score
 
 print("=== prior constants ===")
@@ -34,14 +33,15 @@ gamma = 1.0
 for beta in (1, 2):
     for d in (0.1, 1.0, 3.0):
         b = np.array([d, 0.0])
-        k = float(np.exp(-pairwise_power_sum(a, b, beta)[0, 0] / (gamma * beta)))
+        k = float(np.exp(-np.sum(np.abs(b - a) ** beta) / (gamma * beta)))
         g = np.abs(b - a) ** (beta - 1) * np.sign(b - a) * k / gamma
         print(f"beta={beta} |d|={d:<4} kappa={k:.4f}  grad_a={g}")
 
 print("\n=== bandwidth selection ===")
 rng = np.random.default_rng(0)
 cloud = rng.normal(size=(30, 5))
-D = distance_matrix(cloud)
-med = float(np.median(D[np.triu_indices(30, 1)]))
+# the run's one distance pass: squared distances of the 435 particle pairs
+pairs, _ = pairwise_square_sums(cloud)
+med = median_pair_distance(pairs)
 print(f"median pairwise distance  {med:.3f}")
 print(f"median-rule bandwidth     {median_bandwidth(med, 30):.3f}")

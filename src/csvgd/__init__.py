@@ -6,19 +6,19 @@ uncertainty estimates.  See README.md for the experiment CLI.
 """
 
 from .engine import (Ensemble, RunReport, StageReport, SvgdConfig,
-                     active_param_count, condense_ensemble, ensemble_distances,
-                     init_net_ensemble, init_vector_ensemble, load_checkpoint,
-                     resume_csvgd, run_csvgd, run_stage, save_checkpoint,
-                     stein_gradient, svgd_step)
+                     active_param_count, condense_ensemble, init_net_ensemble,
+                     init_vector_ensemble, load_checkpoint, resume_csvgd,
+                     run_csvgd, run_stage, save_checkpoint, stein_gradient,
+                     svgd_step)
 from .errors import (CheckpointError, CondenseError, DomainError,
                      NonFiniteGradientError, ShapeError)
 from .kernels import KernelSpec, median_bandwidth
 from .likelihoods import (Dataset, DirectNetModel, MvnTarget, RegressionTarget,
-                          load_dataset, save_dataset)
+                          save_dataset)
 from .metrics import (GaussianSummary, bhattacharyya, moving_average,
-                      pushforward_w1, sparsity_l1, wasserstein1)
-from .network import (LayeredNet, Layout, forward_pass, load_net, param_count,
+                      pushforward_w1, sparsity_l1)
+from .network import (LayeredNet, Layout, forward_pass, load_net,
                       permute_hidden, save_net)
-from .priors import PriorSpec, log_prior_density, prior_constants, prior_score
+from .priors import PriorSpec, prior_constants, prior_score
 
 __version__ = "0.1.0"

@@ -14,21 +14,22 @@ step below acts on either form, each particle on its own, so one call
 condenses or dumps the whole stack; reductions run over the last two axes.
 
 ``distance_matrix`` is the graph metric over flat particle rows, which hold
-every edge weight and nothing else; the pairwise pass behind it, with its
+every edge weight and nothing else: the square root of the run's one
+distance pass, ``kernels.pairwise_square_sums``, whose squared distances
+also set the median bandwidth and the beta=2 kernel.  That pass, with its
 bounded memory, belongs to ``kernels``, which owns distances, the kernel
 matrix and the Stein direction.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CondenseError, DomainError, ShapeError
 from .files import write_text_atomically
-from .kernels import pairwise_power_sum
+from .kernels import pairwise_square_sums
 from .network import LayeredNet
 
 __all__ = [
@@ -92,10 +93,6 @@ class NetGraph:
                         [a[index] for a in self.active],
                         [p[index] for p in self.provenance],
                         self.activations, self.nonneg_mask)
-
-    def to_net(self) -> LayeredNet:
-        return LayeredNet(self.widths, tuple(np.array(w) for w in self.weights),
-                          self.activations, self.nonneg_mask)
 
     def copy(self) -> "NetGraph":
         return NetGraph(self.widths, [w.copy() for w in self.weights],
@@ -254,13 +251,10 @@ def condense_graphs(graph: NetGraph, epsilon: float,
 
 
 def distance_matrix(particle_weights) -> np.ndarray:
-    """Pairwise distances sqrt(sum_l ||W_la - W_lb||_F^2) from flat weight rows.
-
-    The square root of ``kernels.pairwise_power_sum`` at beta=2, which bounds
-    the working memory; see that module.
-    """
-    P = np.atleast_2d(np.asarray(particle_weights, dtype=float))
-    return np.sqrt(pairwise_power_sum(P, P, 2))
+    """Pairwise distances sqrt(sum_l ||W_la - W_lb||_F^2) from flat weight rows:
+    the square root of the squared distances that ``kernels`` forms for the
+    median bandwidth, bit for bit."""
+    return np.sqrt(pairwise_square_sums(particle_weights)[1])
 
 
 def dump_graph(graph: NetGraph, paths) -> None:
@@ -293,27 +287,5 @@ def dump_graph(graph: NetGraph, paths) -> None:
         lines += [f"{p}{v!r},{int(a)}" for p, v, a in zip(node_prefix, row[:n_nodes], act)]
         lines += ["edges", "from_layer,from_index,to_index,weight"]
         lines += [p + repr(v) for p, v in zip(edge_prefix, row[n_nodes:]) if v != 0.0]
-        # the csv module's line terminator, which load_graph_dump reads back
+        # the csv module's line terminator
         write_text_atomically(path, "\r\n".join(lines) + "\r\n")
-
-
-def load_graph_dump(path) -> tuple[list[tuple], list[tuple]]:
-    """Parse a dump_graph file back into (node rows, edge rows)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if rows[:1] != [["nodes"]]:
-        raise ShapeError(f"{path} is not a graph dump: it does not open with "
-                         f"a 'nodes' section")
-    nodes, edges, section, skip = [], [], None, False
-    for row in rows:
-        if row in (["nodes"], ["edges"]):
-            section, skip = row[0], True
-            continue
-        if skip:
-            skip = False
-            continue
-        if section == "nodes":
-            nodes.append((int(row[0]), int(row[1]), float(row[2]), bool(int(row[3]))))
-        else:
-            edges.append((int(row[0]), int(row[1]), int(row[2]), float(row[3])))
-    return nodes, edges

@@ -40,7 +40,6 @@ __all__ = [
     "run_csvgd",
     "condense_ensemble",
     "active_param_count",
-    "ensemble_distances",
     "median_distance",
     "save_checkpoint",
     "load_checkpoint",
@@ -75,11 +74,6 @@ class Ensemble:
     @property
     def n_particles(self) -> int:
         return len(self.particles)
-
-    def nets(self) -> list[LayeredNet]:
-        if self.template is None:
-            raise ShapeError("raw-vector ensemble has no network template")
-        return [self.template.with_values(p) for p in self.particles]
 
 
 @dataclass
@@ -177,13 +171,9 @@ def _distance_pass(ensemble: Ensemble, out: np.ndarray | None = None
     return median_pair_distance(pairs), all_sq
 
 
-def ensemble_distances(ensemble: Ensemble) -> np.ndarray:
-    """Pairwise particle distance matrix; for nets, the graph metric."""
-    return gc.distance_matrix(ensemble.particles)
-
-
 def median_distance(ensemble: Ensemble) -> float:
-    """Median of ``ensemble_distances`` over particle pairs; NaN without pairs."""
+    """Median pairwise particle distance (for nets, of the graph metric
+    ``condense.distance_matrix``); NaN without pairs."""
     return _distance_pass(ensemble)[0]
 
 
@@ -356,11 +346,14 @@ def _flat_index_map(graph: gc.NetGraph, old_widths: tuple[int, ...]) -> np.ndarr
     return np.concatenate(maps, axis=-1)
 
 
-def _remap_opt_state(opt_state, index_map) -> np.ndarray | None:
+def _remap_opt_state(opt_state, index_map, shape) -> np.ndarray | None:
+    """The AdaGrad accumulator carried into the condensed layout of
+    ``shape``: each new coordinate takes its old coordinate's sum, padding
+    starts at zero."""
     if opt_state is None:
         return None
     if index_map is None:
-        return None  # collapsed layout: start the accumulator fresh
+        return np.zeros(shape)  # collapsed layout: start the accumulator fresh
     old = np.take_along_axis(opt_state, np.maximum(index_map, 0), axis=1)
     return np.where(index_map >= 0, old, 0.0)
 
@@ -412,7 +405,8 @@ def _run_from_state(state: _RunState, target, checkpoint_dir=None,
         state.stages.append(report)
         if ensemble.template is not None and config.condense_enabled:
             ensemble, index_map = condense_ensemble(ensemble, config.prune_epsilon)
-            state.opt_state = _remap_opt_state(state.opt_state, index_map)
+            state.opt_state = _remap_opt_state(state.opt_state, index_map,
+                                               ensemble.particles.shape)
         ensemble.stage += 1
         state.ensemble = ensemble
         state.next_stage = s + 1
@@ -524,17 +518,27 @@ def load_checkpoint(path) -> _RunState:
                             None if e["template"] is None else net_from_dict(e["template"]),
                             rng,
                             e["iteration"], e["stage"])
+        config = _config_from_dict(doc["config"])
         opt = doc["opt_state"]
+        if opt is not None:
+            opt = np.asarray(opt, dtype=float)
+            if opt.shape != ensemble.particles.shape:
+                raise CheckpointError(
+                    f"malformed checkpoint {path}: opt_state has shape {opt.shape}, "
+                    f"the particles {ensemble.particles.shape}")
+        elif config.adagrad:
+            raise CheckpointError(f"malformed checkpoint {path}: adagrad is on "
+                                  f"but opt_state is null")
         return _RunState(
             ensemble=ensemble,
-            config=_config_from_dict(doc["config"]),
+            config=config,
             lam=doc["lam"],
             lam0=doc["lam0"],
             best_mse=doc["best_mse"],
             next_stage=doc["next_stage"],
             lambda_trajectory=list(doc["lambda_trajectory"]),
             stages=[StageReport(**r) for r in doc["stages"]],
-            opt_state=None if opt is None else np.asarray(opt, dtype=float),
+            opt_state=opt,
             polished=doc.get("polished", False),
             degraded=doc.get("degraded", False),
         )

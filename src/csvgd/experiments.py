@@ -21,9 +21,8 @@ import numpy as np
 from . import condense as gc
 from . import network
 from .engine import (Ensemble, SvgdConfig, active_param_count,
-                     ensemble_distances, init_net_ensemble,
-                     init_vector_ensemble, load_checkpoint, median_distance,
-                     run_csvgd)
+                     init_net_ensemble, init_vector_ensemble, load_checkpoint,
+                     median_distance, run_csvgd)
 from .files import write_csv_atomically, write_text_atomically
 from .kernels import KernelSpec
 from .likelihoods import MvnTarget, RegressionTarget, save_dataset
@@ -467,7 +466,7 @@ def cmd_condense_inspect(checkpoint_path, out_dir, command_line: str | None = No
     ens = state.ensemble
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    D = ensemble_distances(ens)
+    D = gc.distance_matrix(ens.particles)
     _write_csv(out / "distance_matrix.csv",
                [f"p{a}" for a in range(len(D))], D)
     if ens.template is not None:

@@ -3,28 +3,29 @@ direction, and bandwidth selection.
 
 kappa(a, b) = exp(-(1/(gamma*beta)) * sum_i |a_i - b_i|^beta),  beta in {1, 2}.
 
-This module owns every pairwise pass over particles: the power sum behind
-the kernel and the distance matrix, and the Stein direction, the one place
-the kernel matrix is formed.  Pairwise differences are only ever formed in
-row blocks of at most ``BLOCK_ELEMENTS`` values, so memory stays bounded
-for any N and D.
+This module owns every pairwise pass over particles: the one distance pass,
+``pairwise_square_sums``, and the Stein direction, the one place the kernel
+matrix is formed.  Pairwise differences are only ever formed in row blocks
+of at most ``BLOCK_ELEMENTS`` values, so memory stays bounded for any N and
+D.
 
-The power sums take one of two layouts, by row width, and both take
+The distance pass runs over the pairs a <= b.  It gives the squared
+distances both as the n(n-1)/2 pairs packed in a 1-D array (the median
+bandwidth's) and as a symmetric (n, n) matrix (the beta=2 kernel's, and the
+square of ``condense.distance_matrix``) in a buffer the caller may recycle;
+the two hold the same sums.  ``median_pair_distance`` selects the median
+from the packed pairs with one single-point partition in place, and the
+beta=2 direction forms its kernel matrix in place over the matrix.
+
+The pass takes one of two layouts, by row width, and both take
 ``BLOCK_ELEMENTS // (N * D)`` rows per block against N rows of D
 coordinates.  Rows of ``PAIRWISE_SUM_MIN`` coordinates or more form (rows,
-cols, D) differences and sum them along the row.  Narrower rows (the MVN
-example's D=3) form one (rows, cols) coordinate plane at a time from a
-coordinate-major copy and add the planes from the left, so no numpy inner
-loop runs over a handful of coordinates per pair.  Both give the same bits:
-numpy sums fewer than 8 contiguous values from the left too.
+cols, D) differences and sum their squares along the row.  Narrower rows
+(the MVN example's D=3) form one (rows, cols) coordinate plane at a time
+from a coordinate-major copy and add the squared planes from the left, so
+no numpy inner loop runs over a handful of coordinates per pair.  Both give
+the same bits: numpy sums fewer than 8 contiguous values from the left too.
 
-A beta=2 Stein iteration makes one pairwise pass over the pairs a <= b:
-``pairwise_square_sums`` gives the squared distances both as the n(n-1)/2
-pairs packed in a 1-D array (the median bandwidth's) and as a symmetric
-(n, n) matrix (the kernel's) in a buffer the caller may recycle; the two
-hold the same sums.  ``median_pair_distance`` selects the median from the
-packed pairs with one single-point partition in place, and the beta=2
-direction forms its kernel matrix in place over the matrix.
 beta=1 needs absolute differences, so it forms its kernel rows inside the
 sign pass of its repulsion, in the row-major layout at every width: its
 repulsion sums over the particles, not the coordinates.
@@ -40,7 +41,6 @@ from .errors import DomainError, ShapeError
 
 __all__ = [
     "KernelSpec",
-    "pairwise_power_sum",
     "pairwise_square_sums",
     "stein_direction",
     "median_bandwidth",
@@ -90,16 +90,16 @@ class KernelSpec:
             raise DomainError(f"unknown bandwidth rule {self.bandwidth_rule!r}")
 
 
-def _block_rows(B) -> int:
-    """Rows of A per block of a pairwise pass of A against B: as many as keep
-    a block's values against every row of B within BLOCK_ELEMENTS, one at
-    least.  The same rule for both layouts."""
-    return max(1, BLOCK_ELEMENTS // max(1, B.size))
+def _block_rows(P) -> int:
+    """Rows per block of a pairwise pass over the particle rows P: as many as
+    keep a block's values against every row of P within BLOCK_ELEMENTS, one
+    at least.  The same rule for both layouts."""
+    return max(1, BLOCK_ELEMENTS // max(1, P.size))
 
 
-def _difference_blocks(A, B, upper: bool = False):
-    """(rows, A[rows, None, :] - B[None, :, :]) over row blocks of A; with
-    ``upper``, only against the rows of B from the block's first row on.
+def _difference_blocks(P, upper: bool = False):
+    """(rows, P[rows, None, :] - P[None, :, :]) over row blocks of P; with
+    ``upper``, only against the rows from the block's first row on.
 
     Each block is a C-contiguous view of one buffer of at most BLOCK_ELEMENTS
     values (one row at least), which the next block overwrites and the
@@ -108,66 +108,44 @@ def _difference_blocks(A, B, upper: bool = False):
     bandwidth by 1e-9 relative, enough to break its pinned sqrt-scaling
     property in a 3000-example run that the differences pass.
     """
-    step = _block_rows(B)
-    buf = np.empty(min(step, len(A)) * B.size)
-    for start in range(0, len(A), step):
-        rows = slice(start, min(start + step, len(A)))
-        a, b = A[rows], (B[start:] if upper else B)
+    step = _block_rows(P)
+    buf = np.empty(min(step, len(P)) * P.size)
+    for start in range(0, len(P), step):
+        rows = slice(start, min(start + step, len(P)))
+        a, b = P[rows], (P[start:] if upper else P)
         diff = buf[:a.shape[0] * b.size].reshape(a.shape[0], *b.shape)
         np.subtract(a[:, None, :], b[None, :, :], out=diff)
         yield rows, diff
 
 
-def _plane_blocks(A, B, upper: bool = False):
-    """The narrow rows' counterpart of ``_difference_blocks``: (rows, a, b,
-    plane) over row blocks of A, where a and b hold the coordinates of the
-    block's rows of A and of the rows of B (with ``upper``, from the block's
-    first row on) as C-contiguous coordinate rows, and plane is a (rows,
-    cols) buffer of at most BLOCK_ELEMENTS / D values (one row at least)
-    that the next block reuses."""
-    AT, BT = np.ascontiguousarray(A.T), np.ascontiguousarray(B.T)
-    step = _block_rows(B)
-    buf = np.empty(min(step, len(A)) * len(B))
-    for start in range(0, len(A), step):
-        rows = slice(start, min(start + step, len(A)))
-        a, b = AT[:, rows], (BT[:, start:] if upper else BT)
+def _plane_blocks(P):
+    """The narrow rows' counterpart of ``_difference_blocks`` with ``upper``:
+    (rows, a, b, plane) over row blocks of P, where a and b hold the
+    coordinates of the block's rows and of the rows from its first row on as
+    C-contiguous coordinate rows, and plane is a (rows, cols) buffer of at
+    most BLOCK_ELEMENTS / D values (one row at least) that the next block
+    reuses."""
+    PT = np.ascontiguousarray(P.T)
+    step = _block_rows(P)
+    buf = np.empty(min(step, len(P)) * len(P))
+    for start in range(0, len(P), step):
+        rows = slice(start, min(start + step, len(P)))
+        a, b = PT[:, rows], PT[:, start:]
         yield rows, a, b, buf[:a.shape[1] * b.shape[1]].reshape(a.shape[1], -1)
 
 
-def _plane_power_sum(a, b, beta: int, out, plane):
-    """out[i, j] = sum_k |a[k, i] - b[k, j]|^beta, the coordinate planes added
+def _plane_square_sum(a, b, out, plane):
+    """out[i, j] = sum_k (a[k, i] - b[k, j])^2, the coordinate planes added
     from the left: bit for bit what add.reduce gives along rows narrower
     than PAIRWISE_SUM_MIN.  ``plane`` is scratch shaped like ``out``."""
-    power = np.square if beta == 2 else np.abs
     if not len(a):
         out.fill(0.0)
     for k in range(len(a)):
         term = plane if k else out
         np.subtract(a[k, :, None], b[k, None, :], out=term)
-        power(term, out=term)
+        np.square(term, out=term)
         if k:
             out += term
-    return out
-
-
-def pairwise_power_sum(A, B, beta: int) -> np.ndarray:
-    """sum_i |a_i - b_i|^beta, beta in {1, 2}, for every row a of A and row b
-    of B."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if A.shape[1] != B.shape[1]:
-        raise ShapeError(f"row lengths differ: {A.shape[1]} vs {B.shape[1]}")
-    out = np.empty((len(A), len(B)))
-    if A.shape[1] < PAIRWISE_SUM_MIN:
-        for rows, a, b, plane in _plane_blocks(A, B):
-            _plane_power_sum(a, b, beta, out[rows], plane)
-        return out
-    for rows, diff in _difference_blocks(A, B):
-        if beta == 2:
-            np.square(diff, out=diff)
-        else:
-            np.abs(diff, out=diff)
-        diff.sum(axis=-1, out=out[rows])
     return out
 
 
@@ -176,13 +154,13 @@ def _upper_square_sums(P):
     writes the squared distances from the block's rows to the rows ``span``
     of those from its first row on into ``out`` and returns it."""
     if P.shape[1] < PAIRWISE_SUM_MIN:
-        for rows, a, b, plane in _plane_blocks(P, P, upper=True):
+        for rows, a, b, plane in _plane_blocks(P):
             def square_sum(span, out):
                 scratch = plane.reshape(-1)[:out.size].reshape(out.shape)
-                return _plane_power_sum(a, b[:, span], 2, out, scratch)
+                return _plane_square_sum(a, b[:, span], out, scratch)
             yield rows, square_sum
         return
-    for rows, diff in _difference_blocks(P, P, upper=True):
+    for rows, diff in _difference_blocks(P, upper=True):
         np.square(diff, out=diff)
         yield rows, lambda span, out: diff[:, span].sum(axis=-1, out=out)
 
@@ -199,8 +177,9 @@ def pairwise_square_sums(P, out=None) -> tuple[np.ndarray, np.ndarray]:
     upper triangle gives its pairs, and the rectangle of the rows past the
     block, all of them pairs, which is formed in ``pairs`` and copied into
     ``all_sq`` and its mirror (a - b and b - a square to the same values).
-    Sorted, ``pairs`` equals the sorted upper triangle of ``all_sq`` and of
-    ``pairwise_power_sum(P, P, 2)`` bit for bit.
+    Sorted, ``pairs`` equals the sorted upper triangle of ``all_sq`` bit for
+    bit, and ``all_sq`` equals the sums of the whole (n, n, D) squared
+    difference tensor along its rows.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     n = len(P)
@@ -267,7 +246,7 @@ def stein_direction(spec: KernelSpec, particles, scores, gamma: float,
         K = np.empty((n, n))
         rep = np.empty_like(P)
         far = ~near
-        for rows, diff in _difference_blocks(P, P):
+        for rows, diff in _difference_blocks(P):
             K[rows] = _kernel(np.abs(diff).sum(axis=-1), gamma, 1)
             # sign(diff) * K without the slow np.sign: +-K, then 0 where diff
             # is 0 or both particles are near.  A masked -K gives -0.0, not

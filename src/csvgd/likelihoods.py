@@ -1,18 +1,17 @@
-"""Log-likelihoods and scores for the two experiment targets.
+"""Likelihood scores for the two experiment targets, and the dataset they fit.
 
 Every target scores the whole particle stack in the one call the engine makes,
 ``score_and_mse_batch(template, particles) -> (S (N, D), mse (N,))``, where
 ``particles`` holds flat parameter rows and ``template`` is the network graph
-they share (None for raw vectors, as in MvnTarget).  ``log_likelihood`` takes
-the same arguments and returns the (N,) values the scores differentiate.
-A regression target evaluates its model on the stack in the particle blocks
-of ``network.particle_blocks``, inside that one call; a stack that fits one
+they share (None for raw vectors, as in MvnTarget).  The scores are the
+gradients of the log-likelihoods each class docstring states.  A regression
+target evaluates its model on the stack in the particle blocks of
+``network.particle_blocks``, inside that one call; a stack that fits one
 block is evaluated whole.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,13 +26,13 @@ __all__ = [
     "RegressionTarget",
     "DirectNetModel",
     "save_dataset",
-    "load_dataset",
 ]
 
 
 @dataclass(frozen=True)
 class MvnTarget:
-    """Multivariate normal log-likelihood with mean and precision matrix."""
+    """Multivariate normal log-likelihood with mean and precision matrix,
+    -(1/2) (theta - mu)' P (theta - mu)."""
 
     mean: np.ndarray
     precision: np.ndarray
@@ -47,10 +46,6 @@ class MvnTarget:
             raise ShapeError("precision matrix must be symmetric")
         object.__setattr__(self, "mean", m)
         object.__setattr__(self, "precision", p)
-
-    def log_likelihood(self, template, particles) -> np.ndarray:
-        D = np.atleast_2d(np.asarray(particles, dtype=float)) - self.mean
-        return -0.5 * np.einsum("ni,ij,nj->n", D, self.precision, D)
 
     def score_and_mse_batch(self, template, particles) -> tuple[np.ndarray, np.ndarray]:
         """Scores -P (theta - mu) and the quadratic forms (theta-mu)' P (theta-mu),
@@ -97,19 +92,6 @@ def save_dataset(data: Dataset, path) -> None:
         for x, y in zip(data.inputs, data.outputs)])
 
 
-def load_dataset(path, n_inputs: int) -> Dataset:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
-    vals = np.array([[float(v) for v in row] for row in body])
-    return Dataset(
-        inputs=vals[:, :n_inputs],
-        outputs=vals[:, n_inputs:],
-        input_names=tuple(header[:n_inputs]),
-        output_names=tuple(header[n_inputs:]),
-    )
-
-
 class DirectNetModel:
     """Pushforward map that is just the network output itself, for a particle
     stack: ``template`` is the shared graph, ``particles`` (N, D) its flat rows."""
@@ -147,34 +129,25 @@ class RegressionTarget:
             raise ShapeError(f"noise_var must be > 0, got {self.noise_var}")
         object.__setattr__(self, "_inputs", self.model.prepare(self.dataset.inputs))
 
-    def _block_residuals(self, template, P):
-        """One particle block's residuals (n, rows, out) and the model's score
-        as a function of them."""
+    def _block_score_and_mse(self, template, P):
+        """Scores and per-particle MSEs of one particle block, from one call
+        of the model."""
         pred, score_of = self.model.predict_and_score(template, P, self._inputs)
         if pred.shape[1:] != self.dataset.outputs.shape:
             raise ShapeError(f"model output shape {pred.shape[1:]} does not match "
                              f"data {self.dataset.outputs.shape}")
-        return self.dataset.outputs - pred, score_of
+        R = self.dataset.outputs - pred
+        S = score_of(R)
+        S /= self.noise_var
+        return S, np.mean((R * R).reshape(len(R), -1), axis=1)
 
-    def _per_block(self, template, particles, f):
-        """The arrays of ``f(residuals, score_of)`` per particle block of the
-        stack (``network.particle_blocks``), each joined along the particle
-        axis; a one-block stack is passed whole, with nothing to join."""
+    def score_and_mse_batch(self, template, particles) -> tuple[np.ndarray, np.ndarray]:
+        """Scores and MSEs per particle block of the stack
+        (``network.particle_blocks``), joined along the particle axis; a
+        one-block stack is scored whole, with nothing to join."""
         P = np.atleast_2d(np.asarray(particles, dtype=float))
         blocks = network.particle_blocks(template, len(P), len(self.dataset))
         if len(blocks) == 1:
-            return f(*self._block_residuals(template, P))
-        parts = [f(*self._block_residuals(template, P[block])) for block in blocks]
+            return self._block_score_and_mse(template, P)
+        parts = [self._block_score_and_mse(template, P[block]) for block in blocks]
         return tuple(np.concatenate(p) for p in zip(*parts))
-
-    def log_likelihood(self, template, particles) -> np.ndarray:
-        return self._per_block(template, particles, lambda R, _: (
-            -np.sum((R * R).reshape(len(R), -1), axis=1) / (2.0 * self.noise_var),))[0]
-
-    def score_and_mse_batch(self, template, particles) -> tuple[np.ndarray, np.ndarray]:
-        def score_and_mse(R, score_of):
-            S = score_of(R)
-            S /= self.noise_var
-            return S, np.mean((R * R).reshape(len(R), -1), axis=1)
-
-        return self._per_block(template, particles, score_and_mse)

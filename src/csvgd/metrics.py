@@ -3,7 +3,8 @@ pushforward comparisons, and ensemble sparsity.
 
 The 1-D Wasserstein-1 distance is the L1 distance between the two empirical
 quantile functions, summed over the fixed grid {k/n} | {j/m} of their
-breakpoints; see ``wasserstein1_batch``.
+breakpoints; see ``wasserstein1_sorted``.  Its samples come sorted: a run's
+reference cloud is sorted once, and ``pushforward_w1`` sorts only the model's.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from .network import PASS_ELEMENTS
 __all__ = [
     "GaussianSummary",
     "bhattacharyya",
-    "wasserstein1",
-    "wasserstein1_batch",
+    "wasserstein1_sorted",
     "pushforward_w1",
     "sparsity_l1",
     "moving_average",
@@ -79,12 +79,6 @@ def bhattacharyya(g1: GaussianSummary, g2: GaussianSummary,
     return 0.125 * quad + 0.5 * (logdet_bar - 0.5 * (logdet1 + logdet2))
 
 
-def wasserstein1(samples_a, samples_b) -> float:
-    """Empirical 1-D Wasserstein-1 distance of two flattened samples; see
-    ``wasserstein1_batch``."""
-    return float(wasserstein1_batch(np.ravel(samples_a), np.ravel(samples_b)))
-
-
 def _quantile_grid(n: int, m: int) -> np.ndarray:
     """The sorted integers {k m} | {j n}, k <= n, j <= m, without duplicates.
 
@@ -95,8 +89,9 @@ def _quantile_grid(n: int, m: int) -> np.ndarray:
     return g[np.concatenate(([True], g[1:] != g[:-1]))]
 
 
-def wasserstein1_batch(A, B) -> np.ndarray:
-    """Row-wise empirical Wasserstein-1 along the last axis: (..., n) vs (..., m).
+def wasserstein1_sorted(A, B) -> np.ndarray:
+    """Row-wise empirical Wasserstein-1 along the last axis of samples sorted
+    along it: (..., n) vs (..., m).
 
     In 1-D, W1 is the L1 distance between the two quantile functions.  With n
     and m samples both are step functions whose breakpoints lie on the grid
@@ -108,6 +103,11 @@ def wasserstein1_batch(A, B) -> np.ndarray:
     by the integer widths and the sum divided by n m once: a gap times a
     fractional width would underflow for subnormal gaps, and W1 of two
     different laws could read 0.
+
+    With two or more lead axes, (points..., rows, n), the gaps are formed one
+    block of points at a time in one reused buffer of about PASS_ELEMENTS
+    values, where the grid gathers of whole clouds would take (points, rows,
+    cells) copies each: 8 MB apiece for a (1001, 6, 64) pushforward.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -117,17 +117,6 @@ def wasserstein1_batch(A, B) -> np.ndarray:
         raise ShapeError(f"batch shapes differ: {A.shape[:-1]} vs {B.shape[:-1]}")
     if A.shape[-1] == 0 or B.shape[-1] == 0:
         raise ShapeError("samples must be non-empty")
-    return _w1_sorted(np.sort(A, axis=-1), np.sort(B, axis=-1))
-
-
-def _w1_sorted(A, B) -> np.ndarray:
-    """``wasserstein1_batch`` of non-empty samples sorted along the last axis.
-
-    With two or more lead axes, (points..., rows, n), the gaps are formed one
-    block of points at a time in one reused buffer of about PASS_ELEMENTS
-    values, where the grid gathers of whole clouds would take (points, rows,
-    cells) copies each: 8 MB apiece for a (1001, 6, 64) pushforward.
-    """
     n, m = A.shape[-1], B.shape[-1]
     g = _quantile_grid(n, m)
     ia, ib, w = g[:-1] // m, g[:-1] // n, np.diff(g).astype(float)
@@ -178,7 +167,7 @@ def pushforward_w1(model_samples, reference_samples) -> tuple[np.ndarray, float]
         raise ShapeError(f"incompatible pushforward shapes {M.shape} vs {R.shape}")
     if np.any(R[..., 1:] < R[..., :-1]):
         raise DomainError("reference_samples must be sorted along the last axis")
-    per_point = _w1_sorted(np.sort(M, axis=-1), R).mean(axis=-1)
+    per_point = wasserstein1_sorted(np.sort(M, axis=-1), R).mean(axis=-1)
     return per_point, float(per_point.sum())
 
 

@@ -13,9 +13,8 @@ evaluation, and keeps them in a ``ForwardPass``.  The output, the input
 Jacobian, the parameter gradient and the reverse-over-forward gradient are
 methods that read that pass, so a model that needs a prediction and its
 score makes one forward pass for both: ``forward_pass(net, X).output()``
-evaluates a network, and ``.grad_input()``, ``.grad_params(upstream)``,
-``.dirderiv(u)`` and ``.grad_params_dirderiv(u, upstream)`` read the same
-pass.
+evaluates a network, and ``.grad_input()``, ``.grad_params(upstream)`` and
+``.grad_params_dirderiv(u, upstream)`` read the same pass.
 
 A value is formed only by a pass that reads it.  The forward pass keeps
 each hidden link's first derivative, and the values of every hidden link
@@ -60,11 +59,9 @@ from .files import write_text_atomically
 __all__ = [
     "LayeredNet",
     "Layout",
-    "softplus",
     "ForwardPass",
     "forward_pass",
     "particle_blocks",
-    "param_count",
     "permute_hidden",
     "net_to_dict",
     "net_from_dict",
@@ -123,11 +120,6 @@ def _identity_terms(z, value=True):
 # derivative, function of the first derivative giving the second)
 _ACTIVATIONS = {"softplus": (_softplus_terms, _sigmoid_slope),
                 "identity": (_identity_terms, np.zeros_like)}
-
-
-def softplus(x):
-    """Overflow-safe softplus: max(x,0) + log1p(exp(-|x|))."""
-    return _softplus_terms(np.asarray(x, dtype=float))[0][()]
 
 
 def _frozen(a):
@@ -402,23 +394,17 @@ class ForwardPass:
                 bar = _matmul(bar, self.W[k]) * self.D1[k - 1]
         return flat
 
-    def _tangents(self, u, links):
-        """Forward tangent pass along input directions u over the first
-        ``links`` links: per link the tangent pre-activations
-        TZ[k] = T[k] W_k' and T[k + 1] = act'(z) * TZ[k] (TZ[k] itself on the
-        identity output link, the bits of 1.0 * TZ[k])."""
+    def _tangents(self, u):
+        """Forward tangent pass along input directions u over the hidden
+        links: per link the tangent pre-activations TZ[k] = T[k] W_k' and
+        T[k + 1] = act'(z) * TZ[k]."""
         T = [_check_rows("direction", u, self.single, self.H[0].shape)]
         TZ = []
-        for k in range(links):
+        for k, d1 in enumerate(self.D1):
             tz = _matmul(T[-1], self.W[k].swapaxes(-1, -2))
             TZ.append(tz)
-            T.append(self.D1[k] * tz if k < len(self.D1) else tz)
+            T.append(d1 * tz)
         return T, TZ
-
-    def dirderiv(self, u) -> np.ndarray:
-        """Directional derivatives J(X[b]) @ u[b] via the tangent pass."""
-        T, _ = self._tangents(u, self.net.n_links)
-        return T[-1][..., 0, :] if self.single else T[-1]
 
     def grad_params_dirderiv(self, u, upstream=None) -> np.ndarray:
         """Flat parameter gradient of sum_b upstream[b] . (J(X[b]) @ u[b]).
@@ -457,7 +443,7 @@ class ForwardPass:
                                      np.broadcast_shapes(self._out_shape, Up.shape))
             lead = bar_tz.shape[:-2]
             Up = bar_tz.swapaxes(-1, -2)
-        T, TZ = self._tangents(u, n_links - 1)
+        T, TZ = self._tangents(u)
         flat, gW = self._gradient_rows(np.broadcast_shapes(lead, T[0].shape[:-2]))
         k = n_links - 1
         _matmul(Up, T[k], out=gW[k])
@@ -508,13 +494,6 @@ def particle_blocks(net: LayeredNet, n_particles: int, rows: int) -> list[slice]
     particle at least."""
     step = max(1, PASS_ELEMENTS // (rows * max(net.layer_widths)))
     return [slice(a, a + step) for a in range(0, n_particles, step)]
-
-
-def param_count(net: LayeredNet, threshold: float = 0.0) -> int:
-    """Number of weight entries with |w| strictly above threshold."""
-    if threshold < 0:
-        raise ShapeError("threshold must be >= 0")
-    return int(sum((np.abs(w) > threshold).sum() for w in net.weights))
 
 
 def permute_hidden(net: LayeredNet, layer: int, perm) -> LayeredNet:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["PriorSpec", "prior_constants", "prior_score", "log_prior_density"]
+__all__ = ["PriorSpec", "prior_constants", "prior_score"]
 
 
 @dataclass(frozen=True)
@@ -70,12 +70,3 @@ def prior_score(spec: PriorSpec, theta, dead_zone: float = 0.0) -> np.ndarray:
     a *= -scale
     a *= np.sign(theta)
     return np.where(live, a, 0.0)
-
-
-def log_prior_density(spec: PriorSpec, theta) -> float:
-    """Log of the fully normalized prior density at theta (sum over coordinates)."""
-    theta = np.asarray(theta, dtype=float)
-    c1, c2 = prior_constants(spec.alpha)
-    n = theta.size
-    return float(n * math.log(spec.lam * c1)
-                 - spec.lam ** spec.alpha * c2 * np.sum(np.abs(theta) ** spec.alpha))

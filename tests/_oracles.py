@@ -7,8 +7,13 @@ code paths (the merged-CDF W1, the one-product W1 gap sum, the per-particle and 
 network passes before their lean rewrite, the per-node prune, the row-by-row
 graph dump, the one-graph-at-a-time condensation and dumps, the einsum pinned
 stress, the gathered prior score, the out-of-place step): each keeps the
-replaced code as it was and says which library pieces it reuses.
+replaced code as it was and says which library pieces it reuses.  So do the
+references that left the library because only tests called them (the
+log-densities the scores differentiate, the readers of the files a run
+writes, per-network views of a particle stack, W1 of unsorted samples).
 """
+
+import csv
 
 import numpy as np
 
@@ -70,7 +75,7 @@ def w1_dense_grid(a, b, n_grid=100_000):
 
 
 def w1_merged_cdf_batch(A, B):
-    """`metrics.wasserstein1_batch` as the integral of |CDF_a - CDF_b|: both
+    """Row-wise empirical W1 as the integral of |CDF_a - CDF_b|: both
     samples merged by one stable argsort per row, the two CDFs as cumsums of
     counts.  The CDF gap is kept in integer units of 1/(n m) and the integral
     divided by n m once, so a subnormal step does not round to 0."""
@@ -88,7 +93,7 @@ def w1_merged_cdf_batch(A, B):
 
 
 def w1_sorted_one_product(A, B):
-    """`metrics._w1_sorted` as it was before the point blocks: both sorted
+    """`metrics.wasserstein1_sorted` as it was before the point blocks: both sorted
     clouds gathered onto the quantile grid whole, (..., cells) copies each, and
     one matrix product of their gaps with the cell widths.  Reuses
     `metrics._quantile_grid`."""
@@ -775,3 +780,94 @@ def reference_normalized(potential, h=1e-3):
 def strain_energy(potential):
     """A potential of invariants as a function of the 3x3 strain tensor."""
     return lambda E: potential(invariants_3x3(E))
+
+
+# ---------------------------------------------------------------------------
+# References that only tests call, kept out of the library: the log-densities
+# whose gradients the library's scores are, readers of the files it writes,
+# and per-network views of a particle stack.
+
+def mvn_log_likelihood(target, particles):
+    """-(1/2) (theta - mu)' P (theta - mu) per particle row of an MvnTarget."""
+    D = np.atleast_2d(np.asarray(particles, dtype=float)) - target.mean
+    return -0.5 * np.einsum("ni,ij,nj->n", D, target.precision, D)
+
+
+def regression_log_likelihood(target, template, particles):
+    """-(1/(2 sigma^2)) sum_i |y_i - yhat(x_i; theta)|^2 per particle row of a
+    RegressionTarget; the predictions come from the target's model."""
+    P = np.atleast_2d(np.asarray(particles, dtype=float))
+    features = target.model.prepare(target.dataset.inputs)
+    pred, _ = target.model.predict_and_score(template, P, features)
+    R = target.dataset.outputs - pred
+    return -np.sum((R * R).reshape(len(R), -1), axis=1) / (2.0 * target.noise_var)
+
+
+def log_prior_density(spec, theta):
+    """Log of the fully normalized prior density at theta (sum over
+    coordinates); reuses `priors.prior_constants`."""
+    from csvgd.priors import prior_constants
+
+    theta = np.asarray(theta, dtype=float)
+    c1, c2 = prior_constants(spec.alpha)
+    return float(theta.size * np.log(spec.lam * c1)
+                 - spec.lam ** spec.alpha * c2 * np.sum(np.abs(theta) ** spec.alpha))
+
+
+def load_dataset(path, n_inputs):
+    """The `likelihoods.Dataset` that `save_dataset` wrote to ``path``."""
+    from csvgd.likelihoods import Dataset
+
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    header, body = rows[0], rows[1:]
+    vals = np.array([[float(v) for v in row] for row in body])
+    return Dataset(vals[:, :n_inputs], vals[:, n_inputs:],
+                   tuple(header[:n_inputs]), tuple(header[n_inputs:]))
+
+
+def load_graph_dump(path):
+    """Parse a `condense.dump_graph` file back into (node rows, edge rows).
+    A file that does not open with its ``nodes`` section is rejected, so a
+    changed format fails the tests that read dumps instead of parsing empty."""
+    from csvgd.errors import ShapeError
+
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if rows[:1] != [["nodes"]]:
+        raise ShapeError(f"{path} is not a graph dump: it does not open with "
+                         f"a 'nodes' section")
+    nodes, edges, section, skip = [], [], None, False
+    for row in rows:
+        if row in (["nodes"], ["edges"]):
+            section, skip = row[0], True
+            continue
+        if skip:
+            skip = False
+            continue
+        if section == "nodes":
+            nodes.append((int(row[0]), int(row[1]), float(row[2]), bool(int(row[3]))))
+        else:
+            edges.append((int(row[0]), int(row[1]), int(row[2]), float(row[3])))
+    return nodes, edges
+
+
+def nets_of(ensemble):
+    """One network per particle of a network ensemble, on its template."""
+    return [ensemble.template.with_values(p) for p in ensemble.particles]
+
+
+def net_of_graph(graph):
+    """The network of one (unstacked) `condense.NetGraph`."""
+    from csvgd.network import LayeredNet
+
+    return LayeredNet(graph.widths, tuple(np.array(w) for w in graph.weights),
+                      graph.activations, graph.nonneg_mask)
+
+
+def wasserstein1_batch(A, B):
+    """Row-wise empirical W1 along the last axis of unsorted samples: each
+    sorted along it, then `metrics.wasserstein1_sorted`."""
+    from csvgd.metrics import wasserstein1_sorted
+
+    return wasserstein1_sorted(np.sort(A, axis=-1), np.sort(B, axis=-1))

@@ -1,13 +1,25 @@
 """One sha256 per artifact of the benchmark's seed-0 commands, of a default
 desk run and of ``condense-inspect`` on every stage checkpoint they write.
 
-    python tests/artifact_digests.py [--src DIR] [--keep DIR] > digests.txt
+    python tests/artifact_digests.py [--src DIR] [--keep DIR] > MANIFEST
+    python tests/artifact_digests.py --check MANIFEST [--src DIR] [--keep DIR]
 
-A change that claims to move no floating-point result is checked by running
-this on the parent tree and on the change (``--src`` picks the ``src/`` whose
-``csvgd`` runs) and diffing the two outputs.  The commands are the three
-workloads of ``bench/workloads.py`` at seed 0 (their configs are read from
-there, not copied), then ``csvgd hyperelastic`` with its defaults; each stage
+The first form prints a manifest: a header naming the build that made it
+(numpy's version, the BLAS numpy was built against and its version, and the
+CPU model), then one ``<sha256>  <path>`` line per artifact.  The second
+remakes the artifacts and compares them with a manifest: it names every
+file whose bytes moved, every added and every missing file, and exits 0
+when all are byte-identical and 1 otherwise.  Floating-point bits may
+differ between numpy builds, BLAS builds and CPUs, so a manifest from
+another build is not compared: ``--check`` then exits 2 and says so.
+
+A change that claims to move no floating-point result is checked against
+``tests/artifact_manifest.txt``, the manifest of the parent commit on the
+build that it names; a change that moves results on purpose updates it.
+``--src`` picks the ``src/`` whose ``csvgd`` runs, so a manifest of another
+tree can be taken from this checkout.  The commands are the three workloads
+of ``bench/workloads.py`` at seed 0 (their configs are read from there, not
+copied), then ``csvgd hyperelastic`` with its defaults; each stage
 checkpoint of these runs is then inspected.  Every command runs in its own
 process with one BLAS thread.  The work directory's path, which
 ``README.txt`` and ``config.json`` record, is masked as ``<root>`` before
@@ -21,6 +33,7 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -32,6 +45,55 @@ sys.path.insert(0, str(ROOT / "bench"))
 from workloads import WORKLOADS  # noqa: E402
 
 MASKED = ("README.txt", "config.json")
+MANIFEST = Path(__file__).resolve().parent / "artifact_manifest.txt"
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def build_header() -> list[str]:
+    """The manifest header of the running build: the lines that must match
+    for two manifests' digests to be compared."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return [f"# numpy {np.__version__}",
+            f"# blas {blas.get('name')} {blas.get('version')}",
+            f"# cpu {cpu_model()}"]
+
+
+def read_manifest(path: Path) -> tuple[list[str], dict[str, str]]:
+    """(header lines, {path: sha256}) of a manifest file."""
+    header, digests_by_path = [], {}
+    for line in path.read_text().splitlines():
+        if line.startswith("#"):
+            header.append(line)
+        elif line.strip():
+            digest, name = line.split("  ", 1)
+            digests_by_path[name] = digest
+    return header, digests_by_path
+
+
+def compare(expected: dict[str, str], rows: list[tuple[str, str]]) -> list[str]:
+    """One line per moved, added or missing artifact, in path order."""
+    got = {name: digest for digest, name in rows}
+    lines = []
+    for name in sorted(set(expected) | set(got)):
+        if name not in got:
+            lines.append(f"missing: {name}")
+        elif name not in expected:
+            lines.append(f"added:   {name}")
+        elif got[name] != expected[name]:
+            lines.append(f"moved:   {name}")
+    return lines
 
 
 def run_csvgd(src: Path, argv: list[str]) -> None:
@@ -77,7 +139,18 @@ def main(argv=None) -> int:
     parser.add_argument("--keep", type=Path,
                         help="write the artifacts here (an empty or new directory) "
                              "and keep them")
+    parser.add_argument("--check", type=Path, metavar="MANIFEST",
+                        help=f"compare with a manifest (e.g. {MANIFEST.relative_to(ROOT)}) "
+                             "instead of printing one")
     args = parser.parse_args(argv)
+    header = build_header()
+    if args.check is not None:
+        want_header, expected = read_manifest(args.check)
+        if want_header != header:
+            print(f"{args.check} was taken on another build, so its digests "
+                  f"cannot be compared:\n  manifest: {' | '.join(want_header)}"
+                  f"\n  running:  {' | '.join(header)}", file=sys.stderr)
+            return 2
     src = args.src.resolve()
     if args.keep is not None:
         work = args.keep.resolve()
@@ -91,10 +164,16 @@ def main(argv=None) -> int:
             work = Path(tmp).resolve()
             produce(src, work)
             rows = digests(work)
-    for digest, path in rows:
-        print(f"{digest}  {path}")
-    print(f"{len(rows)} artifacts", file=sys.stderr)
-    return 0
+    if args.check is None:
+        print("\n".join(header))
+        for digest, path in rows:
+            print(f"{digest}  {path}")
+        print(f"{len(rows)} artifacts", file=sys.stderr)
+        return 0
+    differences = compare(expected, rows)
+    print("\n".join(differences) if differences else
+          f"all {len(rows)} artifacts byte-identical to {args.check}")
+    return 1 if differences else 0
 
 
 if __name__ == "__main__":

@@ -17,8 +17,9 @@ from csvgd.mechanics import icnn_template
 
 from _oracles import (condense_ensemble_per_particle, condense_graphs_per_graph,
                       dump_graph_csv, dump_graph_per_graph, dump_graphs_per_particle,
-                      graph_of_net, prune_per_graph, prune_per_node,
-                      reconcile_per_graph, remap_opt_state_per_particle,
+                      graph_of_net, load_graph_dump, net_of_graph, nets_of,
+                      prune_per_graph, prune_per_node, reconcile_per_graph,
+                      remap_opt_state_per_particle, softplus_formula,
                       sort_nodes_per_graph)
 from conftest import random_net
 
@@ -134,7 +135,7 @@ class TestSortNodes:
         assert g.provenance[1].tolist() == [1, 0]
         x = rng.normal(size=(10, 1))
         before = nw.forward_pass(net, x).output()
-        after = nw.forward_pass(g.to_net(), x).output()
+        after = nw.forward_pass(net_of_graph(g), x).output()
         assert np.max(np.abs(before - after)) <= 1e-12
 
     def test_ties_keep_original_order(self):
@@ -178,7 +179,7 @@ class TestTemplateAndReconcile:
         assert padded.provenance[1].tolist()[-1] == -1
         x = rng.normal(size=(10, 1))
         assert np.max(np.abs(nw.forward_pass(net, x).output()
-                             - nw.forward_pass(padded.to_net(), x).output())) <= 1e-12
+                             - nw.forward_pass(net_of_graph(padded), x).output())) <= 1e-12
 
     def test_reconcile_on_own_template_is_identity(self, rng):
         net = random_net(rng, (2, 3, 1))
@@ -206,9 +207,9 @@ class TestCondense:
     def test_outputs_preserved_at_zero_epsilon(self, rng):
         ens = self._noisy_ensemble(rng)
         X = rng.normal(size=(100, 3))
-        before = [nw.forward_pass(net, X).output() for net in ens.nets()]
+        before = [nw.forward_pass(net, X).output() for net in nets_of(ens)]
         out, _ = condense_ensemble(ens, 0.0)
-        after = [nw.forward_pass(net, X).output() for net in out.nets()]
+        after = [nw.forward_pass(net, X).output() for net in nets_of(out)]
         for b, a in zip(before, after):
             assert np.max(np.abs(b - a)) <= 1e-12
 
@@ -242,9 +243,9 @@ class TestCondense:
         eps = 1e-3
         ens = self._noisy_ensemble(rng)
         X = rng.uniform(-1.0, 1.0, size=(50, 3))
-        before = [nw.forward_pass(net, X).output() for net in ens.nets()]
+        before = [nw.forward_pass(net, X).output() for net in nets_of(ens)]
         bounds = []
-        for net in ens.nets():
+        for net in nets_of(ens):
             pruned = gc.prune(gc.NetGraph.from_net(net), eps)
             h = X
             dh = np.zeros(X.shape[1])
@@ -253,11 +254,11 @@ class TestCondense:
                 dW = np.abs(net.weights[k] - pruned.weights[k])
                 dz = dW @ level + np.abs(pruned.weights[k]) @ dh
                 z = h @ net.weights[k].T
-                h = z if net.activations[k] == "identity" else nw.softplus(z)
+                h = z if net.activations[k] == "identity" else softplus_formula(z)
                 dh = dz
             bounds.append(dh.max())
         out, _ = condense_ensemble(ens, eps)
-        after = [nw.forward_pass(net, X).output() for net in out.nets()]
+        after = [nw.forward_pass(net, X).output() for net in nets_of(out)]
         for b, a, bound in zip(before, after, bounds):
             assert np.max(np.abs(b - a)) <= bound + 1e-9
 
@@ -405,10 +406,12 @@ class TestStackEquivalence:
         assert ens.template.layer_widths == widths_pp
         assert same_bits(ens.particles, rows)
         opt = np.random.default_rng(seed).random(P.shape)
-        got_opt = _remap_opt_state(opt, index_map)
+        got_opt = _remap_opt_state(opt, index_map, ens.particles.shape)
         want_opt = remap_opt_state_per_particle(opt, index_maps)
         if index_maps is None:
-            assert index_map is None and got_opt is None and want_opt is None
+            # a collapsed layout starts the accumulator fresh
+            assert index_map is None and want_opt is None
+            assert same_bits(got_opt, np.zeros(ens.particles.shape))
         else:
             assert same_bits(index_map, np.stack(index_maps))
             assert same_bits(got_opt, want_opt)
@@ -442,9 +445,8 @@ class TestDistanceMatrix:
     def test_matches_frobenius_sum(self, rng):
         template = icnn_template((3, 4, 1))
         ens = init_net_ensemble(template, 3, seed=9)
-        from csvgd.engine import ensemble_distances
-        D = ensemble_distances(ens)
-        nets = ens.nets()
+        D = gc.distance_matrix(ens.particles)
+        nets = nets_of(ens)
         for a in range(3):
             for b in range(3):
                 expected = np.sqrt(sum(np.sum((wa - wb) ** 2) for wa, wb in
@@ -461,14 +463,14 @@ class TestGraphDump:
         path = tmp_path / "not_a_dump.txt"
         path.write_bytes(text.encode())
         with pytest.raises(ShapeError, match="not_a_dump.txt"):
-            gc.load_graph_dump(path)
+            load_graph_dump(path)
 
     def test_round_trip_sections(self, rng, tmp_path):
         net = random_net(rng, (2, 3, 1))
         g = gc.prune(graph_of(net), 0.0)
         path = tmp_path / "graph.txt"
         gc.dump_graph(g, path)
-        nodes, edges = gc.load_graph_dump(path)
+        nodes, edges = load_graph_dump(path)
         assert len(nodes) == sum(net.layer_widths)
         assert len(edges) == sum(int(np.count_nonzero(w)) for w in net.weights)
         # edge weights survive exactly

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -12,20 +13,20 @@ from hypothesis.extra.numpy import arrays
 from csvgd import engine, kernels
 from csvgd.condense import distance_matrix
 from csvgd.engine import (Ensemble, SvgdConfig, active_param_count,
-                          condense_ensemble, ensemble_distances,
-                          init_net_ensemble, init_vector_ensemble,
-                          load_checkpoint, median_distance, resume_csvgd,
-                          run_csvgd, run_stage, save_checkpoint, stein_gradient,
-                          svgd_step)
+                          condense_ensemble, init_net_ensemble,
+                          init_vector_ensemble, load_checkpoint,
+                          median_distance, resume_csvgd, run_csvgd, run_stage,
+                          save_checkpoint, stein_gradient, svgd_step)
 from csvgd.errors import NonFiniteGradientError, ShapeError
-from csvgd.kernels import KernelSpec, median_bandwidth, pairwise_power_sum
+from csvgd.kernels import KernelSpec, median_bandwidth
 from csvgd.likelihoods import MvnTarget
 from csvgd.mechanics import icnn_template
 from csvgd.network import LayeredNet
 from csvgd.priors import PriorSpec, prior_score
 
-from _oracles import (broadcast_distance_matrix, broadcast_stein_direction,
-                      gradient_ascent, svgd_step_out_of_place)
+from _oracles import (broadcast_distance_matrix, broadcast_power_sum,
+                      broadcast_stein_direction, gradient_ascent,
+                      svgd_step_out_of_place)
 from conftest import condensed_icnn_ensemble, random_net
 
 
@@ -106,13 +107,14 @@ class TestSharedPairwisePass:
     the beta=2 kernel."""
 
     def test_weight_rows_sum_like_the_particle_rows(self):
-        # the graph metric and the run's pass sum each pair's coordinates in
-        # one order, in either layout (rows of 96 and of 4 weights)
+        # the graph metric is the square root of the run's pass, which sums
+        # each pair's coordinates in the broadcast's order in either layout
+        # (rows of 96 and of 4 weights)
         for widths in ((3, 8, 8, 1), (1, 2, 1)):
             ens = init_net_ensemble(icnn_template(widths), 6, seed=1)
-            D = ensemble_distances(ens)
-            assert np.array_equal(D, distance_matrix(ens.particles))
+            D = distance_matrix(ens.particles)
             assert np.array_equal(D, np.sqrt(engine._distance_pass(ens)[1]))
+            assert np.array_equal(D, broadcast_distance_matrix(ens.particles))
 
     @pytest.mark.parametrize("beta", [1, 2])
     def test_icnn_template_matches_broadcast(self, rng, beta):
@@ -120,8 +122,8 @@ class TestSharedPairwisePass:
         P = ens.particles
         D_old = broadcast_distance_matrix(P)
         med_old = float(np.median(D_old[np.triu_indices(len(P), k=1)]))
-        assert ensemble_distances(ens) == pytest.approx(D_old, rel=0,
-                                                        abs=1e-12 * D_old.max())
+        assert distance_matrix(P) == pytest.approx(D_old, rel=0,
+                                                   abs=1e-12 * D_old.max())
         assert abs(median_distance(ens) - med_old) <= 1e-12 * med_old
         S = rng.normal(size=P.shape)
         cfg = vector_config(kernel=KernelSpec(beta, 1.0, "median"))
@@ -136,7 +138,7 @@ class TestSharedPairwisePass:
         template = random_net(rng, widths)
         P = rng.normal(size=(9, template.layout.size))
         ens = Ensemble(P, template, np.random.default_rng(0))
-        sq = pairwise_power_sum(P, P, 2)
+        sq = broadcast_power_sum(P, 2)
         assert median_distance(ens) == np.median(np.sqrt(sq[np.triu_indices(9, 1)]))
 
     @pytest.mark.parametrize("d", [3, 12])
@@ -179,9 +181,9 @@ class TestSharedPairwisePass:
         passes = {"rows": 0, "planes": 0}
 
         def counted(blocks, layout):
-            def wrapped(A, B, **kw):
+            def wrapped(*args, **kw):
                 passes[layout] += 1
-                return blocks(A, B, **kw)
+                return blocks(*args, **kw)
             return wrapped
 
         monkeypatch.setattr(kernels, "_difference_blocks",
@@ -337,6 +339,19 @@ class TestAdagrad:
         ens = make_ensemble([[1.0]])
         with pytest.raises(ShapeError):
             svgd_step(ens, np.ones((1, 1)), vector_config(adagrad=True))
+
+    def test_accumulator_restarts_after_a_collapsed_condensation(self):
+        # every weight of a 2-2-1 identity net under the prune threshold: the
+        # hidden layer dies in every particle and condensation composes
+        # through it, so no per-coordinate map carries the accumulator over
+        template = LayeredNet((2, 2, 1), (np.zeros((2, 2)), np.zeros((1, 2))),
+                              ("identity", "identity"), (False, False))
+        P = np.random.default_rng(3).uniform(-1e-4, 1e-4, size=(4, 6))
+        cfg = vector_config(max_iters=3, tol=0.0, grad_norm_tol=0.0, adagrad=True,
+                            condense_enabled=True, num_stages=2, prune_epsilon=1e-3)
+        out, rep = run_csvgd(make_ensemble(P, template), FlatTarget(), cfg)
+        assert out.template.layer_widths == (2, 1)
+        assert [r.iterations for r in rep.stages] == [3, 3]
 
 
 def coordinate_net(mask):
@@ -647,6 +662,30 @@ class TestCheckpointing:
         with pytest.raises(CheckpointError,
                            match=r"malformed checkpoint .*stage_00\.json"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("mutation", ["row_dropped", "one_row_kept",
+                                          "short_rows", "null_with_adagrad"])
+    def test_opt_state_that_does_not_fit_the_particles_is_named(self, tmp_path,
+                                                                mutation):
+        from csvgd.errors import CheckpointError
+        cfg = dataclasses.replace(self._three_stage_config(), adagrad=True,
+                                  num_stages=1)
+        run_csvgd(init_net_ensemble(icnn_template((2, 4, 1)), 4, seed=7),
+                  PullDown(2.0), cfg, checkpoint_dir=tmp_path)
+        path = tmp_path / "stage_00.json"
+        assert load_checkpoint(path).opt_state.shape[0] == 4
+        doc = json.loads(path.read_text())
+        opt = doc["opt_state"]
+        bad = {"row_dropped": opt[:-1], "one_row_kept": opt[:1],
+               "short_rows": [row[:-1] for row in opt], "null_with_adagrad": None}[mutation]
+        doc["opt_state"] = bad
+        path.write_text(json.dumps(doc))
+        named = ("adagrad is on but opt_state is null" if bad is None else re.escape(
+            f"opt_state has shape {np.shape(bad)}, the particles {np.shape(opt)}"))
+        # resuming used to fail inside the first step, on a numpy broadcast
+        with pytest.raises(CheckpointError,
+                           match=r"malformed checkpoint .*stage_00\.json: " + named):
+            resume_csvgd(path, PullDown(2.0))
 
     def test_interrupted_write_keeps_previous_checkpoint(self, tmp_path, full_disk):
         from csvgd.engine import _RunState

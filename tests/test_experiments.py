@@ -17,7 +17,7 @@ from csvgd.experiments import (RunConfig, cmd_condense_inspect, cmd_hyperelastic
                                mvn_ensemble_error, save_config)
 from csvgd.mechanics import StressRegressionModel, generate_data, icnn_template
 
-from _oracles import dump_graphs_per_particle, inspect_weight_rows
+from _oracles import dump_graphs_per_particle, inspect_weight_rows, load_dataset
 from conftest import condensed_icnn_ensemble
 
 
@@ -167,7 +167,6 @@ class TestHyperelasticCommand:
         out = Path(cfg.out_dir)
         assert (out / "metrics.csv").exists()
         assert (out / "w1_per_point.csv").exists()
-        from csvgd.likelihoods import load_dataset
         train = load_dataset(out / "data_train.csv", n_inputs=6)
         assert len(train) == cfg.n_train
         assert train.input_names[0] == "E11"
@@ -347,16 +346,17 @@ class TestCondenseInspect:
         assert list((out / "graphs").glob("particle_*.txt"))
 
     def test_fresh_ensemble_equidistant_then_contracts(self, tmp_path):
-        from csvgd.engine import ensemble_distances, init_net_ensemble
+        from csvgd.condense import distance_matrix
+        from csvgd.engine import init_net_ensemble
         from csvgd.mechanics import icnn_template
         ens = init_net_ensemble(icnn_template((3, 30, 30, 1)), 10, seed=0)
-        D0 = ensemble_distances(ens)
+        D0 = distance_matrix(ens.particles)
         off = D0[np.triu_indices(10, 1)]
         assert off.std() / off.mean() < 0.05      # effectively equidistant
         ckpt = self._checkpoint(tmp_path)
         from csvgd.engine import load_checkpoint
         ens_after = load_checkpoint(ckpt).ensemble
-        D1 = ensemble_distances(ens_after)
+        D1 = distance_matrix(ens_after.particles)
         off1 = D1[np.triu_indices(len(D1), 1)]
         assert off1.min() < off.min()             # some particles grew closer
 

@@ -14,17 +14,18 @@ from csvgd.engine import (Ensemble, SvgdConfig, _resolve_gamma, median_distance,
 from csvgd.errors import DomainError, ShapeError
 from csvgd.kernels import (BANDWIDTH_FLOOR, BLOCK_ELEMENTS, PAIRWISE_SUM_MIN,
                            KernelSpec, _kernel, median_bandwidth,
-                           median_pair_distance, pairwise_power_sum,
-                           pairwise_square_sums, stein_direction)
+                           median_pair_distance, pairwise_square_sums,
+                           stein_direction)
 
 from _oracles import (broadcast_distance_matrix, broadcast_kernel_matrix,
                       broadcast_power_sum, broadcast_stein_direction, fd_gradient)
 
 
 def kappa(spec, a, b):
-    """The library's kernel value: its one kernel formula over the pairwise
-    power sum, as the Stein direction forms it."""
-    return float(_kernel(pairwise_power_sum(a, b, spec.beta), spec.gamma, spec.beta)[0, 0])
+    """The library's kernel formula, as the Stein direction forms it, over
+    the pairwise power sum of a and b."""
+    power_sum = broadcast_power_sum(np.stack([a, b]), spec.beta)[:1, 1:]
+    return float(_kernel(power_sum, spec.gamma, spec.beta)[0, 0])
 
 
 def stein(spec, P, S, near):
@@ -71,10 +72,6 @@ class TestEval:
                 assert k1 == k2
                 assert 0.0 < k1 <= 1.0
                 assert (k1 == 1.0) == bool(np.all(a == b))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            kappa(KernelSpec(2, 1.0), np.zeros(2), np.zeros(3))
 
     def test_matrix_agrees_with_pairwise(self, rng):
         # every coordinate near: no repulsion, so unit scores give the drive K / n
@@ -207,7 +204,7 @@ class TestMedianPairDistance:
         # unordered, so the lower middle is not simply the entry next to it
         for _ in range(5):
             P = rng.normal(size=(n, 3))
-            expect = _median_of_pairs(pairwise_power_sum(P, P, 2)[np.triu_indices(n, 1)])
+            expect = _median_of_pairs(broadcast_power_sum(P, 2)[np.triu_indices(n, 1)])
             assert median_pair_distance(pairwise_square_sums(P)[0]) == expect
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -293,12 +290,13 @@ class TestPairwiseLayer:
 
     @pytest.mark.parametrize("n,d", SHAPES)
     def test_distances_and_kernel_matrix_equal_broadcast(self, rng, n, d):
+        # the beta=1 kernel is formed inside its direction, which
+        # test_beta1_direction_equals_broadcast holds to the broadcast bits
         P, _ = self._cloud(rng, n, d)
         assert np.array_equal(distance_matrix(P), broadcast_distance_matrix(P))
-        for beta in (1, 2):
-            gamma = 0.3 * d
-            assert np.array_equal(_kernel(pairwise_power_sum(P, P, beta), gamma, beta),
-                                  broadcast_kernel_matrix(P, beta, gamma))
+        gamma = 0.3 * d
+        assert np.array_equal(_kernel(pairwise_square_sums(P)[1], gamma, 2),
+                              broadcast_kernel_matrix(P, 2, gamma))
 
     @pytest.mark.parametrize("n,d", SHAPES)
     def test_split_square_sums(self, rng, n, d):
@@ -309,7 +307,6 @@ class TestPairwiseLayer:
         assert pairs.shape == (n * (n - 1) // 2,)
         assert np.array_equal(all_sq, all_sq.T)
         assert np.all(np.diag(all_sq) == 0.0)
-        assert np.array_equal(all_sq, pairwise_power_sum(P, P, 2))
         _check_square_sums(P)
 
     @pytest.mark.parametrize("n,d", SHAPES)
@@ -345,13 +342,13 @@ class TestPairwiseLayer:
         n, d = 512, 3
         rows = BLOCK_ELEMENTS // (n * d)
         formed = []
-        plane_power_sum = kernels._plane_power_sum
+        plane_square_sum = kernels._plane_square_sum
 
-        def spy(a, b, beta, out, plane):
+        def spy(a, b, out, plane):
             formed.append(out.size)
-            return plane_power_sum(a, b, beta, out, plane)
+            return plane_square_sum(a, b, out, plane)
 
-        monkeypatch.setattr(kernels, "_plane_power_sum", spy)
+        monkeypatch.setattr(kernels, "_plane_square_sum", spy)
         pairwise_square_sums(rng.normal(size=(n, d)))
         assert sum(formed) <= n * (n + 1) // 2 + rows * n < n * n
 
@@ -463,9 +460,6 @@ class TestNarrowRows:
            d=st.integers(0, PAIRWISE_SUM_MIN - 1))
     def test_sums_equal_broadcast_bit_for_bit(self, data, n, d):
         P = data.draw(arrays(float, (n, d), elements=st.floats(-1e6, 1e6)))
-        for beta in (1, 2):
-            assert np.array_equal(pairwise_power_sum(P, P, beta),
-                                  broadcast_power_sum(P, beta))
         _check_square_sums(P)
 
     @pytest.mark.parametrize("d", [0, 1, 2, 3])
@@ -476,29 +470,12 @@ class TestNarrowRows:
         assert BLOCK_ELEMENTS // (1100 * 3) == 79 and 1100 % 79 == 73
         _check_square_sums(np.ascontiguousarray(P[:, :d]))
 
-    @pytest.mark.parametrize("beta", [1, 2])
-    def test_power_sum_over_several_blocks(self, rng, beta):
-        P = rng.normal(size=(1100, 3)) * rng.lognormal(0.0, 3.0, size=(1100, 3))
-        assert np.array_equal(pairwise_power_sum(P, P, beta),
-                              broadcast_power_sum(P, beta))
-
-    def test_row_length_mismatch_rejected(self):
-        # coordinate planes would pair up only the shorter rows' coordinates
-        with pytest.raises(ShapeError):
-            pairwise_power_sum(np.zeros((2, 3)), np.zeros((4, 5)), 2)
-
-    @pytest.mark.parametrize("call", ["power_sum", "square_sums_all",
-                                      "square_sums_out"])
+    @pytest.mark.parametrize("call", ["square_sums_all", "square_sums_out"])
     def test_peak_memory_is_the_output_plus_a_few_blocks(self, rng, call):
         # an (N, N, D) difference tensor would take 96 MB on its own
         n, d = 2000, 3
         P = rng.standard_normal((n, d))
-        if call == "power_sum":
-            out_bytes = n * n * 8
-
-            def run():
-                pairwise_power_sum(P, P, 2)
-        elif call == "square_sums_out":
+        if call == "square_sums_out":
             # a recycled output: no new (n, n) memory, only the packed pairs
             out_bytes = n * (n - 1) // 2 * 8
             out = np.empty((n, n))

@@ -10,8 +10,8 @@ from csvgd.errors import DomainError
 from csvgd.likelihoods import RegressionTarget
 
 from _oracles import (fd_gradient, fd_strain_gradient, invariants_3x3, net_potential,
-                      pinned_stress_einsum, reference_normalized, strain_energy,
-                      truth_potential)
+                      pinned_stress_einsum, reference_normalized,
+                      regression_log_likelihood, strain_energy, truth_potential)
 from conftest import random_net
 
 
@@ -217,7 +217,7 @@ class TestStressModelScore:
         data = mech.generate_data(n_train=6, seed=3, n_test=11)
         target = RegressionTarget(data.train, 0.5, mech.StressRegressionModel())
         S, _ = target.score_and_mse_batch(net, net.flatten()[None])
-        oracle = fd_gradient(lambda t: target.log_likelihood(net, t[None])[0],
+        oracle = fd_gradient(lambda t: regression_log_likelihood(target, net, t[None])[0],
                              net.flatten())
         rel = np.abs(S[0] - oracle) / np.maximum(np.abs(oracle), 1e-6)
         assert rel.max() < 1e-5

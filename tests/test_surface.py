@@ -1,0 +1,95 @@
+"""The library has no test-only surface: every function, class and method
+defined in ``src/csvgd`` is named by some library code other than its own
+definition, its module's ``__all__`` and the package ``__init__``.
+
+A name counts as used where it appears as an identifier (a name or an
+attribute) in any module of the package outside its own ``def`` or
+``class``.  The scan has no types, so a method counts as used wherever any
+attribute of its name is read: ``LayeredNet.flatten`` passes on the calls
+of ``Layout.flatten``.  Code that only tests or demos call belongs in
+``tests/_oracles.py`` or the demo, not in ``src/``.  ``ALLOWED`` exempts a
+name only with the reason it stays.
+"""
+
+import ast
+from pathlib import Path
+
+import csvgd
+
+PACKAGE = Path(csvgd.__file__).resolve().parent
+
+ALLOWED = {
+    "resume_csvgd": "the public way to continue a run from a stage checkpoint; "
+                    "no command resumes yet",
+    "save_net": "the network file format, the tool that writes a net out",
+    "load_net": "the network file format, the tool that reads a net back",
+    "permute_hidden": "the node-permutation tool of the planned uncertainty "
+                      "output (parameter alignment across particles)",
+    "LayeredNet.with_values": "the benchmark's probe imports it and its span "
+                              "tracer patches it; it goes with that benchmark "
+                              "change",
+}
+
+
+def _definitions(tree):
+    """(qualified name, bare name, node) of every module-level function and
+    class and every non-dunder method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def _identifiers(node, skip):
+    """Names and attribute names under ``node``, except under ``skip``."""
+    if node is skip:
+        return
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _identifiers(child, skip)
+
+
+def _unused_names(package=PACKAGE):
+    modules = {p.name: ast.parse(p.read_text(), str(p))
+               for p in sorted(package.glob("*.py"))}
+    # ``__all__`` is a list of strings, so it names nothing here
+    library = [tree for name, tree in modules.items() if name != "__init__.py"]
+    unused = []
+    for tree in library:
+        for qualified, bare, node in _definitions(tree):
+            if not any(bare in set(_identifiers(other, node)) for other in library):
+                unused.append(qualified)
+    return sorted(unused)
+
+
+def test_every_definition_has_a_library_caller():
+    unused = set(_unused_names())
+    assert unused - set(ALLOWED) == set(), (
+        "defined in src/csvgd but named by no library code; give it a library "
+        "caller or move it to tests/_oracles.py")
+
+
+def test_allowlist_is_short_and_current():
+    assert len(ALLOWED) <= 5
+    assert all(reason.strip() for reason in ALLOWED.values())
+    # an exempt name that gained a library caller leaves the list
+    assert set(ALLOWED) <= set(_unused_names())
+
+
+def test_scan_sees_a_name_used_only_in_its_own_body(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def f(n):\n    return f(n - 1) if n else 0\n\n"
+        "def g():\n    return h()\n\n"
+        "def h():\n    return 1\n\n"
+        "class C:\n    def used(self):\n        return self.spare\n\n"
+        "    def spare(self):\n        return 0\n\n"
+        "    def orphan(self):\n        return 0\n\n"
+        "    def __len__(self):\n        return 0\n")
+    assert _unused_names(tmp_path) == ["C", "C.orphan", "C.used", "f", "g"]
