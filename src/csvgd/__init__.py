@@ -17,8 +17,7 @@ from .likelihoods import (Dataset, DirectNetModel, MvnTarget, RegressionTarget,
                           save_dataset)
 from .metrics import (GaussianSummary, bhattacharyya, moving_average,
                       pushforward_w1, sparsity_l1)
-from .network import (LayeredNet, Layout, forward_pass, load_net,
-                      permute_hidden, save_net)
+from .network import LayeredNet, Layout, forward_pass, permute_hidden
 from .priors import PriorSpec, prior_constants, prior_score
 
 __version__ = "0.1.0"

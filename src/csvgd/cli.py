@@ -66,7 +66,7 @@ def main(argv=None) -> int:
     command_line = " ".join(["csvgd"] + argv)
     try:
         if args.command == "condense-inspect":
-            return cmd_condense_inspect(args.checkpoint, args.out_dir, command_line)
+            return cmd_condense_inspect(args.checkpoint, args.out_dir)
         cfg = _build_config(args)
         runner = {"mvn": cmd_mvn, "hyperelastic": cmd_hyperelastic,
                   "sweep": cmd_sweep}[args.command]

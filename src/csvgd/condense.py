@@ -44,6 +44,9 @@ __all__ = [
     "dump_graph",
 ]
 
+# Passes after which condense_graphs stops even short of a fixpoint.
+MAX_PASSES = 20
+
 
 @dataclass
 class NetGraph:
@@ -231,13 +234,12 @@ def _collapse_dead_layers(graph: NetGraph,
     return graph, widths
 
 
-def condense_graphs(graph: NetGraph, epsilon: float,
-                    max_passes: int = 20) -> tuple[NetGraph, tuple[int, ...]]:
+def condense_graphs(graph: NetGraph, epsilon: float) -> tuple[NetGraph, tuple[int, ...]]:
     """Iterate prune -> sort -> template -> reconcile on a stacked graph until
     the template and every member's active edge set stop changing."""
     signature = None
     widths = graph.widths
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         graph = sort_nodes(prune(graph, epsilon))
         widths = common_template(graph)
         if 0 in widths[1:-1]:

@@ -177,11 +177,8 @@ def median_distance(ensemble: Ensemble) -> float:
     return _distance_pass(ensemble)[0]
 
 
-def _resolve_gamma(config: SvgdConfig, ensemble: Ensemble,
-                   median: float | None = None) -> float:
+def _resolve_gamma(config: SvgdConfig, ensemble: Ensemble, median: float) -> float:
     if config.kernel.bandwidth_rule == "median":
-        if median is None:
-            median = median_distance(ensemble)
         return median_bandwidth(median, ensemble.n_particles)
     return config.kernel.gamma
 

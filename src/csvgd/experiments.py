@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,6 +57,26 @@ MVN_PRECISION = np.array([[2.0, 1.0, 0.0],
 
 METRICS_COLUMNS = ("iteration", "stage", "lambda", "mse", "w1_sum",
                    "bhattacharyya", "active_params", "median_pairwise_distance")
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+# annotation of a RunConfig field -> (test of a value, what the test asks for)
+_FIELD_KINDS = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "int": (_is_integer, "an integer"),
+    "int | None": (lambda v: v is None or _is_integer(v), "an integer or null"),
+    "float": (_is_number, "a number"),
+    "tuple": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
+              "a list of numbers"),
+}
 
 
 @dataclass
@@ -109,14 +130,19 @@ class RunConfig:
                      "sweep_alphas", "sweep_betas")
 
     def __post_init__(self):
+        self.validate()
         for name in self._TUPLE_FIELDS:
             setattr(self, name, tuple(getattr(self, name)))
-        self.validate()
 
     def validate(self) -> None:
         """Check the fields; ValueError naming the first bad one.  Runs on
         construction, and again in every command before it writes a file,
         since fields may be assigned after construction."""
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kind, what = _FIELD_KINDS[f.type]
+            if not kind(value):
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
         for name in ("n_particles", "metrics_every", "w1_ref_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -162,7 +188,10 @@ def save_config(cfg: RunConfig, path) -> None:
 
 
 def load_config(path) -> RunConfig:
-    return RunConfig.from_dict(json.loads(Path(path).read_text()))
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} is not a config file: its JSON is not an object")
+    return RunConfig.from_dict(doc)
 
 
 def _engine_config(cfg: RunConfig, lam: float | None = None,
@@ -419,10 +448,11 @@ def cmd_hyperelastic(cfg: RunConfig, command_line: str | None = None) -> int:
 def cmd_sweep(cfg: RunConfig, command_line: str | None = None) -> int:
     """Cartesian grid over (alpha, beta, lambda, gamma); one CSV row per cell.
 
-    Resumable: existing rows in cells.csv are reused.  The file is rewritten
-    whole, in grid order, after every computed cell and at the end, each time
-    through a temporary file, so an interrupted write never leaves a partial
-    row behind.  Every cell's engine config is built first, so a rejected
+    Resumable: existing rows in cells.csv that hold every column are reused,
+    and a cell whose row is missing or cut short is computed.  The file is
+    rewritten whole, in grid order, after every computed cell and at the end,
+    each time through a temporary file, so an interrupted write never leaves
+    a partial row behind.  Every cell's engine config is built first, so a rejected
     cell writes nothing.
     """
     cfg.validate()
@@ -442,7 +472,8 @@ def cmd_sweep(cfg: RunConfig, command_line: str | None = None) -> int:
     if path.exists():
         with open(path, newline="") as fh:
             for row in list(csv.reader(fh))[1:]:
-                done[tuple(row[:4])] = row
+                if len(row) == len(header):
+                    done[tuple(row[:4])] = row
     rows = []
     for key, cell_cfg, lam, econf in cells:
         if key in done:
@@ -459,7 +490,7 @@ def cmd_sweep(cfg: RunConfig, command_line: str | None = None) -> int:
 # ---------------------------------------------------------------------------
 # checkpoint inspection
 
-def cmd_condense_inspect(checkpoint_path, out_dir, command_line: str | None = None) -> int:
+def cmd_condense_inspect(checkpoint_path, out_dir) -> int:
     """Emit the ensemble distance matrix, per-layer weight samples, and one
     graph dump per particle (dead nodes deactivated) from any stage checkpoint."""
     state = load_checkpoint(checkpoint_path)
@@ -470,8 +501,7 @@ def cmd_condense_inspect(checkpoint_path, out_dir, command_line: str | None = No
     _write_csv(out / "distance_matrix.csv",
                [f"p{a}" for a in range(len(D))], D)
     if ens.template is not None:
-        weights = ens.template.layout.unflatten(ens.particles)[:ens.template.n_links]
-        for k, w in enumerate(weights):
+        for k, w in enumerate(ens.template.layout.unflatten(ens.particles)):
             # rows in (particle, row, col) order
             a, i, j = (x.ravel().tolist() for x in np.indices(w.shape))
             _write_csv(out / f"weights_layer{k}.csv",

@@ -259,8 +259,7 @@ def stein_direction(spec: KernelSpec, particles, scores, gamma: float,
     return drive + rep / (n * gamma)
 
 
-def median_bandwidth(median_distance: float, n_particles: int,
-                     floor: float = BANDWIDTH_FLOOR) -> float:
+def median_bandwidth(median_distance: float, n_particles: int) -> float:
     """Adaptive bandwidth sqrt(0.5 * median_distance / log(n+1)), clamped below.
 
     ``median_distance`` is the median pairwise inter-particle distance; an
@@ -271,10 +270,10 @@ def median_bandwidth(median_distance: float, n_particles: int,
     """
     if n_particles < 1:
         raise DomainError("need at least one particle")
-    if median_distance is None or not np.isfinite(median_distance):
-        return floor
+    if not np.isfinite(median_distance):
+        return BANDWIDTH_FLOOR
     g = float(np.sqrt(0.5 * max(median_distance, 0.0) / np.log(n_particles + 1.0)))
-    return max(g, floor)
+    return max(g, BANDWIDTH_FLOOR)
 
 
 def median_pair_distance(pairs) -> float:

@@ -56,13 +56,12 @@ class MvnTarget:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Input-output sample pairs plus noise metadata."""
+    """Input-output sample pairs with their column names."""
 
     inputs: np.ndarray          # (n, d_in)
     outputs: np.ndarray         # (n, d_out)
     input_names: tuple[str, ...] = ()
     output_names: tuple[str, ...] = ()
-    noise_level: float = 0.0
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.inputs, dtype=float))

@@ -48,6 +48,8 @@ _REFERENCE_ROW.flags.writeable = False
 # (2, 4, 2): the diagonal scales of dI_i/dE at E = 0, the direction of n(theta)
 _REFERENCE_SLOPE = np.array([[2.0, 4.0, 2.0]])
 _REFERENCE_SLOPE.flags.writeable = False
+# draws of a training deformation F before generate_data gives up on det F > 0
+MAX_RETRIES = 100
 
 
 def sym_to_voigt(M) -> np.ndarray:
@@ -193,8 +195,6 @@ class HyperelasticData:
     train: Dataset
     test: Dataset
     test_delta: np.ndarray    # path parameter, F = diag(1+d, sqrt(1+d), sqrt(1+d))
-    noise_level: float
-    seed: int
 
     @property
     def test_f11(self) -> np.ndarray:
@@ -203,13 +203,12 @@ class HyperelasticData:
 
 def generate_data(params: TruthParams | None = None, n_train: int = 80,
                   delta: float = 0.2, noise_level: float = 0.1, seed: int = 0,
-                  n_test: int = 1001, test_range: float = 0.4,
-                  max_retries: int = 100) -> HyperelasticData:
+                  n_test: int = 1001, test_range: float = 0.4) -> HyperelasticData:
     """Sample strain-stress pairs from the reference-normalized truth model.
 
     Training inputs come from F = I + H with H_ij ~ U[-delta, delta]
-    (resampled while det F <= 0); outputs carry multiplicative noise
-    S * (1 + noise_level * eta) per Voigt component. The test path is the
+    (resampled while det F <= 0, MAX_RETRIES times at most); outputs carry
+    multiplicative noise S * (1 + noise_level * eta) per Voigt component. The test path is the
     uniaxial family F = diag(1+d, sqrt(1+d), sqrt(1+d)) on a uniform d-grid;
     test targets are noiseless.
     """
@@ -218,12 +217,12 @@ def generate_data(params: TruthParams | None = None, n_train: int = 80,
 
     E_rows = np.empty((n_train, 6))
     for i in range(n_train):
-        for attempt in range(max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             F = np.eye(3) + rng.uniform(-delta, delta, size=(3, 3))
             if np.linalg.det(F) > 0.0:
                 break
         else:
-            raise DomainError(f"no positive-determinant F after {max_retries} retries")
+            raise DomainError(f"no positive-determinant F after {MAX_RETRIES} retries")
         E_rows[i] = sym_to_voigt(0.5 * (F.T @ F - np.eye(3)))
     S_rows = truth_stress(E_rows, params)
     S_noisy = S_rows * (1.0 + noise_level * rng.standard_normal(S_rows.shape))
@@ -239,11 +238,9 @@ def generate_data(params: TruthParams | None = None, n_train: int = 80,
     names_e = tuple(f"E{n}" for n in VOIGT_NAMES)
     names_s = tuple(f"S{n}" for n in VOIGT_NAMES)
     return HyperelasticData(
-        train=Dataset(E_rows, S_noisy, names_e, names_s, noise_level),
-        test=Dataset(E_test, S_test, names_e, names_s, 0.0),
+        train=Dataset(E_rows, S_noisy, names_e, names_s),
+        test=Dataset(E_test, S_test, names_e, names_s),
         test_delta=d_grid,
-        noise_level=noise_level,
-        seed=seed,
     )
 
 

@@ -53,19 +53,18 @@ class GaussianSummary:
         return cls(S.mean(axis=0), cov)
 
 
-def bhattacharyya(g1: GaussianSummary, g2: GaussianSummary,
-                  reg: float = COV_REGULARIZATION) -> float:
+def bhattacharyya(g1: GaussianSummary, g2: GaussianSummary) -> float:
     """Bhattacharyya distance between two Gaussian summaries.
 
     (1/8) dm' Sbar^-1 dm + (1/2) log(det Sbar / sqrt(det S1 det S2)) with
-    Sbar = (S1 + S2)/2.  All three covariances get +reg*I before determinants
-    and the inversion.
+    Sbar = (S1 + S2)/2.  All three covariances get +COV_REGULARIZATION * I
+    before determinants and the inversion.
     """
     if g1.mean.size != g2.mean.size:
         raise ShapeError("summaries have different dimensions")
     eye = np.eye(g1.mean.size)
-    s1 = g1.cov + reg * eye
-    s2 = g2.cov + reg * eye
+    s1 = g1.cov + COV_REGULARIZATION * eye
+    s2 = g2.cov + COV_REGULARIZATION * eye
     sbar = 0.5 * (s1 + s2)
     sign, logdet_bar = np.linalg.slogdet(sbar)
     if sign <= 0:

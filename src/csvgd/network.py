@@ -14,7 +14,8 @@ Jacobian, the parameter gradient and the reverse-over-forward gradient are
 methods that read that pass, so a model that needs a prediction and its
 score makes one forward pass for both: ``forward_pass(net, X).output()``
 evaluates a network, and ``.grad_input()``, ``.grad_params(upstream)`` and
-``.grad_params_dirderiv(u, upstream)`` read the same pass.
+``.grad_params_dirderiv(u)`` (with the unit upstream of a scalar-output net)
+read the same pass.
 
 A value is formed only by a pass that reads it.  The forward pass keeps
 each hidden link's first derivative, and the values of every hidden link
@@ -45,16 +46,13 @@ elementwise steps and reductions are per particle too.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ShapeError
-from .files import write_text_atomically
 
 __all__ = [
     "LayeredNet",
@@ -65,11 +63,7 @@ __all__ = [
     "permute_hidden",
     "net_to_dict",
     "net_from_dict",
-    "save_net",
-    "load_net",
 ]
-
-NET_FORMAT_TAG = "layered-net-v1"
 
 # Values per per-link array of a pass over a particle block (512 KiB of
 # float64).  In a seed-0 `hyper_wide` command (N=64, 80 strain rows,
@@ -231,9 +225,6 @@ class LayeredNet:
     @cached_property
     def layout(self) -> Layout:
         return Layout(tuple((f"W{k}", w.shape) for k, w in enumerate(self.weights)))
-
-    def flatten(self) -> np.ndarray:
-        return self.layout.flatten(self.weights)
 
     def with_values(self, flat) -> "LayeredNet":
         return replace(self, weights=tuple(self.layout.unflatten(flat)))
@@ -406,8 +397,9 @@ class ForwardPass:
             T.append(d1 * tz)
         return T, TZ
 
-    def grad_params_dirderiv(self, u, upstream=None) -> np.ndarray:
-        """Flat parameter gradient of sum_b upstream[b] . (J(X[b]) @ u[b]).
+    def grad_params_dirderiv(self, u) -> np.ndarray:
+        """Flat parameter gradient of sum_b J(X[b]) @ u[b], the unit upstream
+        of a scalar-output net.
 
         Reverse pass over the tangent-augmented forward computation.  For each
         link k with z = W h, tz = W t, h' = act(z), t' = act'(z) * tz, the
@@ -418,39 +410,26 @@ class ForwardPass:
             dW    += outer(bar_z, h) + outer(bar_tz, t)
 
         which yields the exact mixed second derivative d/dtheta of the
-        input-directional derivative.  ``u`` and ``upstream`` may carry the
-        particle axis.  ``upstream`` None is the unit upstream of a
-        scalar-output net (the bits of a ones column): the gradient of
-        sum_b J(X[b]) @ u[b].
+        input-directional derivative.  ``u`` may carry the particle axis.
 
         On the identity output link bar_h' = 0 and act'' = 0, so its bar_z is
-        zero and its bar_tz is the upstream; the link below it starts from
-        bar_h' = 0.  So the tangent pass stops before the output link.  With
-        the unit upstream, that link's bar_t is W_out + 0.0 and its bar_tz
-        the product ``grad_input`` starts from, which the two share.
+        zero and its bar_tz is the upstream, laid out as the swapped ones
+        column; the link below it starts from bar_h' = 0.  So the tangent
+        pass stops before the output link.  That link's bar_t is W_out + 0.0
+        and its bar_tz the product ``grad_input`` starts from, which the two
+        share.
         """
+        if self.net.layer_widths[-1] != 1:
+            raise ShapeError("the unit upstream needs a scalar-output net")
         n_links = self.net.n_links
-        if upstream is None:
-            if self.net.layer_widths[-1] != 1:
-                raise ShapeError("the unit upstream needs a scalar-output net")
-            Up = _unit_upstream(len(self.H[0]))
-            lead = self._lead
-        else:
-            Up = _check_rows("upstream", upstream, self.single,
-                             (len(self.H[0]), self.net.layer_widths[-1]))
-            # bar_tz of the output link, shaped and laid out as act'(z) * Up
-            bar_tz = np.broadcast_to(np.ascontiguousarray(Up),
-                                     np.broadcast_shapes(self._out_shape, Up.shape))
-            lead = bar_tz.shape[:-2]
-            Up = bar_tz.swapaxes(-1, -2)
         T, TZ = self._tangents(u)
-        flat, gW = self._gradient_rows(np.broadcast_shapes(lead, T[0].shape[:-2]))
+        flat, gW = self._gradient_rows(np.broadcast_shapes(self._lead, T[0].shape[:-2]))
         k = n_links - 1
-        _matmul(Up, T[k], out=gW[k])
+        _matmul(_unit_upstream(len(self.H[0])), T[k], out=gW[k])
         gW[k] += 0.0  # the skipped outer(0, h)
         if k == 0:
             return flat
-        bar_t = self.W[k] + 0.0 if upstream is None else _matmul(bar_tz, self.W[k])
+        bar_t = self.W[k] + 0.0
         bar_h = None  # zero below the output link
         for k in range(n_links - 2, -1, -1):
             d1 = self.D1[k]
@@ -459,10 +438,7 @@ class ForwardPass:
                 bar_z += 0.0  # the skipped act'(z) * 0
             else:
                 bar_z += d1 * bar_h
-            if upstream is None and k == n_links - 2:
-                bar_tz = self._top[..., 0, :]
-            else:
-                bar_tz = d1 * bar_t
+            bar_tz = self._top[..., 0, :] if k == n_links - 2 else d1 * bar_t
             _matmul(bar_z.swapaxes(-1, -2), self.H[k], out=gW[k])
             gW[k] += _matmul(bar_tz.swapaxes(-1, -2), T[k])
             if k > 0:
@@ -535,26 +511,3 @@ def net_from_dict(d: dict) -> LayeredNet:
         activations=tuple(d["activations"]),
         nonneg_mask=tuple(d["nonneg_mask"]),
     )
-
-
-def save_net(net: LayeredNet, path) -> None:
-    """Write a network as structured text (JSON) with a format tag."""
-    doc = {"format": NET_FORMAT_TAG, **net_to_dict(net)}
-    write_text_atomically(path, json.dumps(doc, indent=1))
-
-
-def load_net(path) -> LayeredNet:
-    """The network ``save_net`` wrote to ``path``; a file that does not hold
-    one raises a ShapeError naming the path."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ShapeError(f"corrupt network file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ShapeError(f"{path} is not a network file: its JSON is not an object")
-    if doc.get("format") != NET_FORMAT_TAG:
-        raise ShapeError(f"{path}: unknown network format tag {doc.get('format')!r}")
-    try:
-        return net_from_dict(doc)
-    except (KeyError, TypeError, ValueError, ShapeError) as exc:
-        raise ShapeError(f"malformed network file {path}: {exc!r}") from exc

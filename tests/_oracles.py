@@ -137,7 +137,9 @@ def per_particle_score_and_mse(target, template, particles):
 
     Unlike the rest of this module it reuses library pieces: one network per
     particle, rebuilt from its row and evaluated by the single-network passes.
-    It is the reference for the particle-stacked evaluation.
+    The reference row's directional gradient comes from the independent
+    `FormulaPass`.  It is the reference for the particle-stacked
+    evaluation.
     """
     from csvgd import mechanics as mech
     from csvgd import network as nw
@@ -157,9 +159,9 @@ def per_particle_score_and_mse(target, template, particles):
             g[:, 2] -= 0.5 * n / np.sqrt(inv[:, 2])
             r = Y - np.einsum("ni,nik->nk", g, dI)
             u = np.einsum("nk,nik->ni", r, dI)
-            s = rows.grad_params_dirderiv(u, np.ones((len(X), 1)))
+            s = rows.grad_params_dirderiv(u)
             w_ref = float(np.sum(u[:, 2] / (2.0 * np.sqrt(inv[:, 2]))))
-            s = s - w_ref * nw.forward_pass(net, ref[0]).grad_params_dirderiv(
+            s = s - w_ref * FormulaPass(net, ref[0]).grad_params_dirderiv(
                 np.array([2.0, 4.0, 2.0]), np.array([1.0]))
         else:
             rows = nw.forward_pass(net, X)

@@ -86,7 +86,7 @@ def test_criterion_03_gradient_correctness():
     for _ in range(6):
         net = random_net(rng, (3, 8, 8, 1))
         x = rng.normal(size=3)
-        theta = net.flatten()
+        theta = net.layout.flatten(net.weights)
         g = nw.forward_pass(net, x).grad_params(np.array([1.0]))
         fd = fd_gradient(
             lambda t: float(nw.forward_pass(net.with_values(t), x).output()[0]), theta)
@@ -167,7 +167,7 @@ def test_criterion_06_zero_stress_reference_and_truth_consistency():
     for _ in range(100):
         widths = (3, int(rng.integers(3, 12)), 1)
         net = random_net(rng, widths, nonneg=(False, True))
-        S0 = model.predict(net, net.flatten()[None], at_reference)[0, 0]
+        S0 = model.predict(net, net.layout.flatten(net.weights)[None], at_reference)[0, 0]
         worst_s0 = max(worst_s0, np.linalg.norm(voigt_to_sym(S0)))
 
     params = TruthParams()
@@ -184,9 +184,10 @@ def test_criterion_06_zero_stress_reference_and_truth_consistency():
     A = 0.04 * np.array([[1.0, 0.3, 0.0], [0.3, -0.5, 0.1], [0.0, 0.1, 0.2]])
     B = 0.04 * np.array([[0.2, -0.1, 0.4], [-0.1, 0.8, 0.0], [0.4, 0.0, -0.3]])
     net = random_net(rng, (3, 6, 1), nonneg=(False, True))
+    theta = net.layout.flatten(net.weights)
 
     def net_stress(E):
-        return model.predict(net, net.flatten()[None], model.prepare(E))[0]
+        return model.predict(net, theta[None], model.prepare(E))[0]
 
     cycle = max(abs(stress_cycle_integral(stress, A, B))
                 for stress in (lambda E: truth_stress(E, params), net_stress))

@@ -280,7 +280,7 @@ class TestCondense:
            epsilon=st.sampled_from([0.0, 0.15, 0.25]) | st.floats(0.0, 1.0))
     def test_fixpoint_within_one_pass_per_hidden_layer(
             self, widths, n_graphs, seed, tie_values, zero_share, epsilon):
-        """Passes <= hidden layers + 1, far below max_passes = 20.
+        """Passes <= hidden layers + 1, far below MAX_PASSES = 20.
 
         Pruning and collapsing are final after the first pass.  A layer's
         importance sums its outgoing columns in the row order the next layer

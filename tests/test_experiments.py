@@ -288,6 +288,20 @@ class TestSweepCommand:
         cmd_sweep(cfg)
         assert path.read_bytes() == first
 
+    def test_truncated_row_is_recomputed(self, tmp_path):
+        cfg = RunConfig(experiment="sweep", seed=5, out_dir=str(tmp_path / "sw"),
+                        n_particles=12, max_iters=60, bandwidth_rule="fixed",
+                        sweep_lambdas=(0.1, 1.0), sweep_gammas=(0.5,))
+        cmd_sweep(cfg)
+        path = Path(cfg.out_dir) / "cells.csv"
+        first = path.read_bytes()
+        # the last cell's row keeps its key but loses its two values
+        rows = read_csv(path)
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows[:-1] + [rows[-1][:4]])
+        cmd_sweep(cfg)
+        assert path.read_bytes() == first
+
     def test_interrupted_cell_write_then_resume_matches_uninterrupted(
             self, tmp_path, monkeypatch):
         def sweep_cfg(name):
@@ -471,6 +485,21 @@ class TestCli:
         rc = main(["mvn", "--config", str(path)])
         assert rc == 1
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, named", [
+        ([], "c.json is not a config file"),
+        ({"n_particles": "ten"}, "n_particles"),
+        ({"widths": 5}, "widths")], ids=["array", "text-count", "scalar-widths"])
+    def test_config_of_the_wrong_shape_names_the_fault(self, tmp_path, capsys, doc,
+                                                       named):
+        # each used to end in a TypeError traceback
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["mvn", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("csvgd mvn: ") and named in err
+        assert not (tmp_path / "r").exists()
 
     def test_condense_inspect_missing_checkpoint(self, tmp_path, capsys):
         rc = main(["condense-inspect", str(tmp_path / "nope.json"),

@@ -17,7 +17,6 @@ from csvgd.experiments import _run_stub, default_config, save_config
 from csvgd.files import json_pieces
 from csvgd.kernels import KernelSpec
 from csvgd.likelihoods import Dataset, save_dataset
-from csvgd.network import save_net
 
 from conftest import random_net
 
@@ -107,9 +106,6 @@ WRITERS = {
                                         d / "config.json")),
     "readme": ("README.txt",
                lambda d, v: _run_stub(d, default_config("mvn"), f"csvgd mvn --seed {v}")),
-    "net": ("net.json",
-            lambda d, v: save_net(random_net(np.random.default_rng(int(v))),
-                                  d / "net.json")),
     "graph dump": ("graph.txt", lambda d, v: gc.dump_graph(_graph(v), d / "graph.txt")),
 }
 

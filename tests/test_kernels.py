@@ -152,8 +152,8 @@ class TestBandwidth:
                             kernel=KernelSpec(2, 1.0, "median"))
 
         def gamma(particles):
-            return _resolve_gamma(config, Ensemble(particles, None,
-                                                   np.random.default_rng(0)))
+            ens = Ensemble(particles, None, np.random.default_rng(0))
+            return _resolve_gamma(config, ens, median_distance(ens))
 
         g = gamma(P)
         assume(g > 1e-3)

@@ -71,12 +71,12 @@ class TestMvn:
 
 
 def score_of(target, net):
-    S, _ = target.score_and_mse_batch(net, net.flatten()[None])
+    S, _ = target.score_and_mse_batch(net, net.layout.flatten(net.weights)[None])
     return S[0]
 
 
 def log_lik(target, net, theta=None):
-    theta = net.flatten() if theta is None else theta
+    theta = net.layout.flatten(net.weights) if theta is None else theta
     return float(regression_log_likelihood(target, net, theta[None])[0])
 
 
@@ -116,14 +116,15 @@ class TestRegression:
 
     def test_score_matches_finite_differences(self, rng):
         net, target = self._target(rng, noise_var=0.3)
-        oracle = fd_gradient(lambda t: log_lik(target, net, t), net.flatten())
+        oracle = fd_gradient(lambda t: log_lik(target, net, t),
+                             net.layout.flatten(net.weights))
         score = score_of(target, net)
         rel = np.abs(score - oracle) / np.maximum(np.abs(oracle), 1e-8)
         assert rel.max() < 1e-5
 
     def test_score_and_mse_consistent(self, rng):
         net, target = self._target(rng)
-        _, m = target.score_and_mse_batch(net, net.flatten()[None])
+        _, m = target.score_and_mse_batch(net, net.layout.flatten(net.weights)[None])
         r = target.dataset.outputs - nw.forward_pass(net, target.dataset.inputs).output()
         assert m[0] == pytest.approx(np.mean(r * r), rel=1e-14)
         assert log_lik(target, net) == pytest.approx(
@@ -134,7 +135,7 @@ class TestRegression:
         target = RegressionTarget(Dataset(rng.normal(size=(4, 2)), np.zeros((4, 2))),
                                   1.0, DirectNetModel())
         with pytest.raises(ShapeError):
-            target.score_and_mse_batch(net, net.flatten()[None])
+            target.score_and_mse_batch(net, net.layout.flatten(net.weights)[None])
 
     def test_noise_var_must_be_positive(self, rng):
         net, target = self._target(rng)
@@ -178,7 +179,7 @@ class TestBatchedScoreEquivalence:
         X = rng.normal(size=(9, 3))
         target = RegressionTarget(Dataset(X, rng.normal(size=(9, 2))), 0.4,
                                   DirectNetModel())
-        self._check(target, nets[0], np.stack([n.flatten() for n in nets]))
+        self._check(target, nets[0], np.stack([n.layout.flatten(n.weights) for n in nets]))
 
 
 def _block_budget(target, template, per_block):
@@ -213,7 +214,7 @@ class TestOnePassScore:
         target = RegressionTarget(Dataset(rng.normal(size=(7, 3)), rng.normal(size=(7, 2))),
                                   1.0, DirectNetModel())
         rows = self._count_passes(monkeypatch)
-        target.score_and_mse_batch(net, net.flatten()[None])
+        target.score_and_mse_batch(net, net.layout.flatten(net.weights)[None])
         assert rows == [7]
 
     def test_stress_score_makes_one_pass_per_row_set_per_block(self, monkeypatch):

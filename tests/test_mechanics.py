@@ -27,7 +27,8 @@ def random_icnn(rng, widths=(3, 4, 1)):
 def predict_one(net, E_voigt):
     """Voigt stress rows of one network through the stress model."""
     model = mech.StressRegressionModel()
-    return model.predict(net, net.flatten()[None], model.prepare(E_voigt))[0]
+    theta = net.layout.flatten(net.weights)
+    return model.predict(net, theta[None], model.prepare(E_voigt))[0]
 
 
 def voigt_fd_stress(potential, E):
@@ -216,16 +217,17 @@ class TestStressModelScore:
         net = random_icnn(rng, (3, 4, 1))
         data = mech.generate_data(n_train=6, seed=3, n_test=11)
         target = RegressionTarget(data.train, 0.5, mech.StressRegressionModel())
-        S, _ = target.score_and_mse_batch(net, net.flatten()[None])
+        S, _ = target.score_and_mse_batch(net, net.layout.flatten(net.weights)[None])
         oracle = fd_gradient(lambda t: regression_log_likelihood(target, net, t[None])[0],
-                             net.flatten())
+                             net.layout.flatten(net.weights))
         rel = np.abs(S[0] - oracle) / np.maximum(np.abs(oracle), 1e-6)
         assert rel.max() < 1e-5
 
     def test_predict_zero_at_reference(self, rng):
         net = random_icnn(rng)
         model = mech.StressRegressionModel()
-        S = model.predict(net, net.flatten()[None], model.prepare(np.zeros((1, 6))))
+        S = model.predict(net, net.layout.flatten(net.weights)[None],
+                          model.prepare(np.zeros((1, 6))))
         assert np.linalg.norm(S) < 1e-8
 
     def test_predict_matches_stress_batch(self, rng):
@@ -234,7 +236,7 @@ class TestStressModelScore:
         nets = [random_icnn(rng) for _ in range(3)]
         E = 0.05 * rng.normal(size=(7, 6))
         model = mech.StressRegressionModel()
-        S = model.predict(nets[0], np.stack([n.flatten() for n in nets]),
+        S = model.predict(nets[0], np.stack([n.layout.flatten(n.weights) for n in nets]),
                           model.prepare(E))
         for a, net in enumerate(nets):
             pinned = reference_normalized(net_potential(net))

@@ -4,14 +4,16 @@ definition, its module's ``__all__`` and the package ``__init__``.
 
 A name counts as used where it appears as an identifier (a name or an
 attribute) in any module of the package outside its own ``def`` or
-``class``.  The scan has no types, so a method counts as used wherever any
-attribute of its name is read: ``LayeredNet.flatten`` passes on the calls
-of ``Layout.flatten``.  Code that only tests or demos call belongs in
+``class``.  The scan has no types, so a method would count as used wherever
+any attribute of its name is read.  So no two library definitions share a
+bare name, except the methods of a protocol that the library calls through
+it (``PROTOCOL``).  Code that only tests or demos call belongs in
 ``tests/_oracles.py`` or the demo, not in ``src/``.  ``ALLOWED`` exempts a
 name only with the reason it stays.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import csvgd
@@ -21,13 +23,22 @@ PACKAGE = Path(csvgd.__file__).resolve().parent
 ALLOWED = {
     "resume_csvgd": "the public way to continue a run from a stage checkpoint; "
                     "no command resumes yet",
-    "save_net": "the network file format, the tool that writes a net out",
-    "load_net": "the network file format, the tool that reads a net back",
     "permute_hidden": "the node-permutation tool of the planned uncertainty "
                       "output (parameter alignment across particles)",
     "LayeredNet.with_values": "the benchmark's probe imports it and its span "
                               "tracer patches it; it goes with that benchmark "
                               "change",
+}
+
+# Bare names that several classes define, each the method of a protocol that
+# the library calls without knowing the class.
+PROTOCOL = {
+    "score_and_mse_batch": "the target protocol: the engine scores every "
+                           "target (MvnTarget, RegressionTarget) through it",
+    "prepare": "the model protocol: RegressionTarget prepares its inputs "
+               "through it for either model",
+    "predict_and_score": "the model protocol: RegressionTarget predicts and "
+                         "scores through it for either model",
 }
 
 
@@ -56,11 +67,21 @@ def _identifiers(node, skip):
         yield from _identifiers(child, skip)
 
 
+def _library(package):
+    # ``__all__`` is a list of strings, so the package ``__init__`` names nothing
+    return [ast.parse(p.read_text(), str(p)) for p in sorted(package.glob("*.py"))
+            if p.name != "__init__.py"]
+
+
+def _shared_names(package=PACKAGE):
+    """Bare names that two or more library definitions share."""
+    counts = Counter(bare for tree in _library(package)
+                     for _, bare, _ in _definitions(tree))
+    return sorted(name for name, n in counts.items() if n > 1)
+
+
 def _unused_names(package=PACKAGE):
-    modules = {p.name: ast.parse(p.read_text(), str(p))
-               for p in sorted(package.glob("*.py"))}
-    # ``__all__`` is a list of strings, so it names nothing here
-    library = [tree for name, tree in modules.items() if name != "__init__.py"]
+    library = _library(package)
     unused = []
     for tree in library:
         for qualified, bare, node in _definitions(tree):
@@ -76,8 +97,16 @@ def test_every_definition_has_a_library_caller():
         "caller or move it to tests/_oracles.py")
 
 
+def test_no_two_definitions_share_a_name():
+    assert all(reason.strip() for reason in PROTOCOL.values())
+    # a protocol name that only one class still defines leaves the list
+    assert set(_shared_names()) == set(PROTOCOL), (
+        "two library definitions share a bare name, so the name scan cannot "
+        "tell their callers apart; rename one or delete the one without a caller")
+
+
 def test_allowlist_is_short_and_current():
-    assert len(ALLOWED) <= 5
+    assert len(ALLOWED) <= 3
     assert all(reason.strip() for reason in ALLOWED.values())
     # an exempt name that gained a library caller leaves the list
     assert set(ALLOWED) <= set(_unused_names())
@@ -93,3 +122,13 @@ def test_scan_sees_a_name_used_only_in_its_own_body(tmp_path):
         "    def orphan(self):\n        return 0\n\n"
         "    def __len__(self):\n        return 0\n")
     assert _unused_names(tmp_path) == ["C", "C.orphan", "C.used", "f", "g"]
+
+
+def test_scan_sees_a_name_two_classes_define(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class A:\n    def flatten(self):\n        return 0\n\n"
+        "def flatten(x):\n    return x\n")
+    (tmp_path / "b.py").write_text(
+        "class B:\n    def flatten(self):\n        return A().flatten()\n\n"
+        "    def only(self):\n        return 1\n")
+    assert _shared_names(tmp_path) == ["flatten"]
