@@ -7,11 +7,11 @@ it by at most the threshold times the local fan-in.  Input and output layers
 are never pruned or permuted.  Networks carry weights only, so every
 parameter is an edge.
 
-A ``NetGraph`` is one network or, like the particle stack ``network`` passes
-take, the whole ensemble at once: its arrays then carry a leading particle
-axis, weights (N, out, in) and active flags and provenance (N, width).  Every
-step below acts on either form, each particle on its own, so one call
-condenses or dumps the whole stack; reductions run over the last two axes.
+A ``NetGraph`` is, like the particle stack ``network`` passes take, the
+whole ensemble at once: its arrays carry a leading particle axis, weights
+(N, out, in) and active flags and provenance (N, width).  Every step below
+acts on each particle on its own, so one call condenses or dumps the whole
+stack; reductions run over the last two axes.
 
 ``distance_matrix`` is the graph metric over flat particle rows, which hold
 every edge weight and nothing else: the square root of the run's one
@@ -23,6 +23,7 @@ matrix and the Stein direction.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ import numpy as np
 from .errors import CondenseError, DomainError, ShapeError
 from .files import write_text_atomically
 from .kernels import pairwise_square_sums
-from .network import LayeredNet
+from .network import LayeredNet, stack_weights
 
 __all__ = [
     "NetGraph",
@@ -50,21 +51,21 @@ MAX_PASSES = 20
 
 @dataclass
 class NetGraph:
-    """Directed-graph view of a network, or of a particle stack of networks:
-    weights plus activity/provenance, with an optional leading particle axis."""
+    """Directed-graph view of a particle stack of networks: weights plus
+    activity/provenance, each with a leading particle axis."""
 
     widths: tuple[int, ...]
-    weights: list[np.ndarray]       # (..., out, in) per link
-    active: list[np.ndarray]        # bool (..., width); ends are always fully active
+    weights: list[np.ndarray]       # (N, out, in) per link
+    active: list[np.ndarray]        # bool (N, width); ends are always fully active
     provenance: list[np.ndarray]    # original node index per slot, -1 for padding
     activations: tuple[str, ...]
     nonneg_mask: tuple[bool, ...]
 
     @classmethod
-    def from_net(cls, net: LayeredNet, params=None) -> "NetGraph":
-        """The graph of ``net`` or, given ``params`` (N, D) of flat rows laid
-        out like it, the stacked graph of those N networks."""
-        weights = net.weights if params is None else net.layout.unflatten(params)
+    def from_net(cls, net: LayeredNet, params) -> "NetGraph":
+        """The stacked graph of the N networks whose flat rows ``params`` (N, D)
+        are laid out like ``net``."""
+        weights = stack_weights(net, params)
         lead = weights[0].shape[:-2]
         return cls(
             widths=net.layer_widths,
@@ -75,27 +76,6 @@ class NetGraph:
             activations=net.activations,
             nonneg_mask=net.nonneg_mask,
         )
-
-    @classmethod
-    def stack(cls, graphs) -> "NetGraph":
-        """One stacked graph from single graphs of one architecture."""
-        first = graphs[0]
-        for g in graphs[1:]:
-            if (g.widths, g.activations, g.nonneg_mask) != \
-                    (first.widths, first.activations, first.nonneg_mask):
-                raise ShapeError("graphs disagree on layer widths or link types")
-        return cls(first.widths,
-                   [np.stack(ws) for ws in zip(*(g.weights for g in graphs))],
-                   [np.stack(a) for a in zip(*(g.active for g in graphs))],
-                   [np.stack(p) for p in zip(*(g.provenance for g in graphs))],
-                   first.activations, first.nonneg_mask)
-
-    def __getitem__(self, index) -> "NetGraph":
-        """The graph of one particle (or a sub-stack) of a stacked graph."""
-        return NetGraph(self.widths, [w[index] for w in self.weights],
-                        [a[index] for a in self.active],
-                        [p[index] for p in self.provenance],
-                        self.activations, self.nonneg_mask)
 
     def copy(self) -> "NetGraph":
         return NetGraph(self.widths, [w.copy() for w in self.weights],
@@ -260,15 +240,15 @@ def distance_matrix(particle_weights) -> np.ndarray:
 
 
 def dump_graph(graph: NetGraph, paths) -> None:
-    """Delimited node and edge lists for external plotting: one file for a
-    single graph, or one file per particle of a stacked graph.
+    """Delimited node and edge lists for external plotting, one file per
+    particle of a stacked graph.
 
     A ``nodes`` section (layer, index, importance, active) followed by an
     ``edges`` section (from_layer, from_index, to_index, weight); zero-weight
-    edges are omitted.  ``paths`` is one path, or one path per particle.
+    edges are omitted.  ``paths`` holds one path per particle.
     """
-    if graph.active[0].ndim == 1:
-        graph, paths = NetGraph.stack([graph]), [paths]
+    if isinstance(paths, (str, os.PathLike)):
+        raise ShapeError(f"paths must hold one path per particle, got the one path {paths!r}")
     n = len(graph.active[0])
     if len(paths) != n:
         raise ShapeError(f"{len(paths)} paths for a stack of {n} graphs")

@@ -149,6 +149,16 @@ class RunConfig:
         for name in ("noise", "noise_floor"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not all(_is_integer(w) and w >= 1 for w in self.widths):
+            raise ValueError(f"widths must be integers >= 1, got {self.widths!r}")
+        if not all(_is_integer(b) and b in (1, 2) for b in self.sweep_betas):
+            raise ValueError(f"sweep_betas must be the integers 1 or 2, "
+                             f"got {self.sweep_betas!r}")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            values = value if f.type == "tuple" else (value,)
+            if f.type in ("float", "tuple") and any(v != v for v in values):
+                raise ValueError(f"{f.name} must not be NaN, got {value!r}")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -356,7 +366,8 @@ def _test_path_samples(ensemble: Ensemble, model: StressRegressionModel,
     path's ``model.prepare`` features."""
     P = ensemble.particles
     blocks = network.particle_blocks(ensemble.template, len(P), len(features[0]))
-    preds = [model.predict(ensemble.template, P[block], features) for block in blocks]
+    preds = [model.predict_and_score(ensemble.template, P[block], features)[0]
+             for block in blocks]
     return np.transpose(np.concatenate(preds), (1, 2, 0))
 
 
@@ -461,7 +472,7 @@ def cmd_sweep(cfg: RunConfig, command_line: str | None = None) -> int:
     for alpha, beta, lam, gamma in itertools.product(
             cfg.sweep_alphas or (cfg.alpha,), cfg.sweep_betas or (cfg.beta,),
             cfg.sweep_lambdas or (cfg.prior_lambda,), cfg.sweep_gammas or (cfg.gamma,)):
-        cell_cfg = dataclasses.replace(cfg, alpha=alpha, beta=int(beta))
+        cell_cfg = dataclasses.replace(cfg, alpha=alpha, beta=beta)
         cells.append((tuple(_fmt(v) for v in (alpha, beta, lam, gamma)), cell_cfg, lam,
                       _engine_config(cell_cfg, lam=lam, gamma=gamma,
                                      bandwidth_rule="fixed")))

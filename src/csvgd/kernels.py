@@ -84,7 +84,7 @@ class KernelSpec:
     def __post_init__(self):
         if self.beta not in (1, 2):
             raise DomainError(f"beta must be 1 or 2, got {self.beta}")
-        if self.gamma <= 0.0:
+        if not self.gamma > 0.0:
             raise DomainError(f"gamma must be > 0, got {self.gamma}")
         if self.bandwidth_rule not in ("fixed", "median"):
             raise DomainError(f"unknown bandwidth rule {self.bandwidth_rule!r}")

@@ -286,10 +286,6 @@ class StressRegressionModel:
 
         return pred, score_of
 
-    def predict(self, template, particles, features) -> np.ndarray:
-        """Voigt stress rows of every particle, shape (N, n, 6)."""
-        return self.predict_and_score(template, particles, features)[0]
-
 
 def icnn_template(widths=(3, 30, 30, 1)) -> network.LayeredNet:
     """Zero-weight convex-potential chain: softplus hidden layers, identity

@@ -12,10 +12,10 @@ hidden link's activation once, its value and first derivative from one
 evaluation, and keeps them in a ``ForwardPass``.  The output, the input
 Jacobian, the parameter gradient and the reverse-over-forward gradient are
 methods that read that pass, so a model that needs a prediction and its
-score makes one forward pass for both: ``forward_pass(net, X).output()``
-evaluates a network, and ``.grad_input()``, ``.grad_params(upstream)`` and
-``.grad_params_dirderiv(u)`` (with the unit upstream of a scalar-output net)
-read the same pass.
+score makes one forward pass for both: ``forward_pass(net, X,
+params).output()`` evaluates a particle stack, and ``.grad_input()``,
+``.grad_params(upstream)`` and ``.grad_params_dirderiv(u)`` (with the unit
+upstream of a scalar-output net) read the same pass.
 
 A value is formed only by a pass that reads it.  The forward pass keeps
 each hidden link's first derivative, and the values of every hidden link
@@ -30,10 +30,10 @@ unit derivative of the identity output link, products over an inner
 dimension of 1) and keep the bits of the full formulas.  The parameter
 gradients are written link by link into one flat output row per particle.
 
-Each pass evaluates ``net`` itself or, given ``params`` (N, D) of flat
-parameter rows laid out like ``net``, the N networks of a particle stack at
-once; results then gain a leading particle axis.  Inputs X are shared by all
-particles; a 1-D X is one sample and drops the batch axis.
+Each pass evaluates a particle stack: ``params`` (N, D) holds the flat
+parameter rows of N networks laid out like the template ``net``, and every
+result carries a leading particle axis.  The input rows X (batch, in) are
+shared by all particles; one network is a one-row stack.
 
 Callers pass a stack in the particle blocks of ``particle_blocks``, which
 keep each per-link array of a pass within ``PASS_ELEMENTS`` values.  A pass
@@ -60,6 +60,7 @@ __all__ = [
     "ForwardPass",
     "forward_pass",
     "particle_blocks",
+    "stack_weights",
     "permute_hidden",
     "net_to_dict",
     "net_from_dict",
@@ -243,29 +244,29 @@ class LayeredNet:
 
 
 def _check_input(net, X):
+    """Input rows (batch, in) as a float array."""
     X = np.asarray(X, dtype=float)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
     if X.ndim != 2 or X.shape[1] != net.layer_widths[0]:
-        raise ShapeError(
-            f"input width {X.shape[-1]} does not match layer width {net.layer_widths[0]}")
-    return X, single
+        raise ShapeError(f"input shape {X.shape} is not rows (batch, "
+                         f"{net.layer_widths[0]}) of the input layer")
+    return X
 
 
-def _check_rows(name, A, single, shape):
-    """Per-sample rows (..., batch, width); a single sample gains its batch axis."""
+def _check_rows(name, A, shape):
+    """Per-sample rows (..., batch, width)."""
     A = np.asarray(A, dtype=float)
-    if single:
-        A = A[..., None, :]
     if A.shape[-2:] != shape:
         raise ShapeError(f"{name} shape {A.shape} does not match {shape}")
     return A
 
 
-def _params(net, params):
-    """Weights of ``net``, or views of flat ``params`` laid out like it."""
-    return net.weights if params is None else net.layout.unflatten(params)
+def stack_weights(net: LayeredNet, params) -> list[np.ndarray]:
+    """Views (N, out, in) per link of the flat particle rows ``params`` (N, D)
+    laid out like ``net``."""
+    if np.ndim(params) != 2:
+        raise ShapeError(f"params shape {np.shape(params)} is not a particle stack "
+                         f"(N, {net.layout.size})")
+    return net.layout.unflatten(params)
 
 
 def _matmul(a, b, out=None):
@@ -296,7 +297,7 @@ class ForwardPass:
     """One evaluation of a network on the rows of X, kept for every pass that
     reads it, so each activation is evaluated once per link.
 
-    ``W`` are the weights (with the particle axis for a particle stack).
+    ``W`` are the weights of the particle stack, (N, out, in) per link.
     ``H[k]`` is the input of hidden link k (``H[0]`` is X).  The input of
     the output link (the last hidden link's value) and the output link's
     product are not formed: only ``output`` and ``grad_params`` read them,
@@ -304,8 +305,7 @@ class ForwardPass:
     bits.  ``D1[k]`` holds the first derivative of hidden link k's
     activation at its pre-activations; the identity output link's is one.
     The second derivative is formed from ``D1[k]`` by the one pass that
-    reads it, ``grad_params_dirderiv``.  ``single`` marks a 1-D X, whose
-    results drop the batch axis.
+    reads it, ``grad_params_dirderiv``.
 
     The passes skip work whose result is known exactly: the output link is
     identity, with a unit first and a zero second derivative.  Where a
@@ -316,13 +316,12 @@ class ForwardPass:
 
     net: LayeredNet
     W: tuple
-    single: bool
     H: list
     D1: list
 
     @property
     def _lead(self) -> tuple:
-        """The particle axis of a particle stack, or ()."""
+        """The particle axis, (N,)."""
         return self.W[0].shape[:-2]
 
     @property
@@ -345,18 +344,17 @@ class ForwardPass:
         z = _matmul(self.H[k], self.W[k].swapaxes(-1, -2))
         return _ACTIVATIONS[self.net.activations[k]][0](z)[0]
 
-    def _gradient_rows(self, lead):
-        """Flat gradient rows (lead..., size) and each link's view into them."""
-        flat = np.empty(lead + (self.net.layout.size,))
+    def _gradient_rows(self):
+        """Flat gradient rows (N, size) and each link's view into them."""
+        flat = np.empty(self._lead + (self.net.layout.size,))
         return flat, self.net.layout.views(flat)
 
     def output(self) -> np.ndarray:
-        """Network outputs, shape (batch, out)."""
-        y = _matmul(self._last_input(), self.W[-1].swapaxes(-1, -2))  # identity link
-        return y[..., 0, :] if self.single else y
+        """Network outputs, shape (N, batch, out)."""
+        return _matmul(self._last_input(), self.W[-1].swapaxes(-1, -2))  # identity link
 
     def grad_input(self) -> np.ndarray:
-        """Jacobian d net(X[b]) / d X[b] for every row, shape (batch, out, in).
+        """Jacobian d net(X[b]) / d X[b] for every row, shape (N, batch, out, in).
 
         The chain starts from the output weights (+ 0.0, the bits of
         eye(out) @ W), since the output link is identity.
@@ -368,17 +366,16 @@ class ForwardPass:
             J = _matmul(self._top, self.W[-2][..., None, :, :])
             for k in range(self.net.n_links - 3, -1, -1):
                 J = _matmul(J * self.D1[k][..., None, :], self.W[k][..., None, :, :])
-        return J[..., 0, :, :] if self.single else J
+        return J
 
     def grad_params(self, upstream) -> np.ndarray:
-        """Flat gradient of sum_b upstream[b] . net(X[b]) with respect to all
-        parameters; ``upstream`` may carry the particle axis."""
+        """Flat gradient rows (N, D) of sum_b upstream[b] . net(X[b]) with
+        respect to all parameters; ``upstream`` may carry the particle axis."""
         n_links = self.net.n_links
-        U = _check_rows("upstream", upstream, self.single,
-                        (len(self.H[0]), self.net.layer_widths[-1]))
+        U = _check_rows("upstream", upstream, (len(self.H[0]), self.net.layer_widths[-1]))
         bar = np.broadcast_to(U, self._out_shape)  # output activation is identity
         H = self.H[:n_links - 1] + [self._last_input()]
-        flat, gW = self._gradient_rows(self._lead)
+        flat, gW = self._gradient_rows()
         for k in range(n_links - 1, -1, -1):
             _matmul(bar.swapaxes(-1, -2), H[k], out=gW[k])
             if k > 0:
@@ -389,7 +386,7 @@ class ForwardPass:
         """Forward tangent pass along input directions u over the hidden
         links: per link the tangent pre-activations TZ[k] = T[k] W_k' and
         T[k + 1] = act'(z) * TZ[k]."""
-        T = [_check_rows("direction", u, self.single, self.H[0].shape)]
+        T = [_check_rows("direction", u, self.H[0].shape)]
         TZ = []
         for k, d1 in enumerate(self.D1):
             tz = _matmul(T[-1], self.W[k].swapaxes(-1, -2))
@@ -423,7 +420,7 @@ class ForwardPass:
             raise ShapeError("the unit upstream needs a scalar-output net")
         n_links = self.net.n_links
         T, TZ = self._tangents(u)
-        flat, gW = self._gradient_rows(np.broadcast_shapes(self._lead, T[0].shape[:-2]))
+        flat, gW = self._gradient_rows()
         k = n_links - 1
         _matmul(_unit_upstream(len(self.H[0])), T[k], out=gW[k])
         gW[k] += 0.0  # the skipped outer(0, h)
@@ -447,12 +444,12 @@ class ForwardPass:
         return flat
 
 
-def forward_pass(net: LayeredNet, X, params=None) -> ForwardPass:
-    """The forward pass every other pass builds on: ``net``, or the particle
-    stack of flat ``params`` rows, on the rows of X (a 1-D X is one sample).
-    It evaluates the hidden links only, and forms no value of the last."""
-    X, single = _check_input(net, X)
-    W = _params(net, params)
+def forward_pass(net: LayeredNet, X, params) -> ForwardPass:
+    """The forward pass every other pass builds on: the particle stack of flat
+    ``params`` rows (N, D), laid out like ``net``, on the input rows X (batch,
+    in).  It evaluates the hidden links only, and forms no value of the last."""
+    X = _check_input(net, X)
+    W = stack_weights(net, params)
     H, D1 = [X], []
     last = net.n_links - 2
     for k in range(last + 1):
@@ -461,7 +458,7 @@ def forward_pass(net: LayeredNet, X, params=None) -> ForwardPass:
         if k < last:
             H.append(h)
         D1.append(d1)
-    return ForwardPass(net, W, single, H, D1)
+    return ForwardPass(net, W, H, D1)
 
 
 def particle_blocks(net: LayeredNet, n_particles: int, rows: int) -> list[slice]:

@@ -28,7 +28,7 @@ class PriorSpec:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
             raise DomainError(f"alpha must be in (0, 2], got {self.alpha}")
-        if self.lam <= 0.0:
+        if not self.lam > 0.0:
             raise DomainError(f"lam must be > 0, got {self.lam}")
 
 

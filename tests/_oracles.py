@@ -135,9 +135,9 @@ def gradient_ascent(score, theta0, step, n_iters):
 def per_particle_score_and_mse(target, template, particles):
     """The per-particle regression score the batched path replaced.
 
-    Unlike the rest of this module it reuses library pieces: one network per
-    particle, rebuilt from its row and evaluated by the single-network passes.
-    The reference row's directional gradient comes from the independent
+    Unlike the rest of this module it reuses library pieces: each particle is
+    evaluated on its own, as a one-row stack of the network passes.  The
+    reference row's directional gradient comes from the independent
     `FormulaPass`.  It is the reference for the particle-stacked
     evaluation.
     """
@@ -147,26 +147,26 @@ def per_particle_score_and_mse(target, template, particles):
     X, Y = target.dataset.inputs, target.dataset.outputs
     scores, mses = [], []
     for theta in np.atleast_2d(particles):
-        net = template.with_values(theta)
+        P = theta[None]
         if isinstance(target.model, mech.StressRegressionModel):
             inv = mech.invariants_batch(X)
             dI = mech.invariant_derivatives_batch(X)
             ref = np.array([[3.0, 3.0, 1.0]])
-            rows = nw.forward_pass(net, inv)
-            g = rows.grad_input()[:, 0, :]
-            g_ref = nw.forward_pass(net, ref).grad_input()[0, 0]
+            rows = nw.forward_pass(template, inv, P)
+            g = rows.grad_input()[0, :, 0, :]
+            g_ref = nw.forward_pass(template, ref, P).grad_input()[0, 0, 0]
             n = 2.0 * g_ref[0] + 4.0 * g_ref[1] + 2.0 * g_ref[2]
             g[:, 2] -= 0.5 * n / np.sqrt(inv[:, 2])
             r = Y - np.einsum("ni,nik->nk", g, dI)
             u = np.einsum("nk,nik->ni", r, dI)
-            s = rows.grad_params_dirderiv(u)
+            s = rows.grad_params_dirderiv(u)[0]
             w_ref = float(np.sum(u[:, 2] / (2.0 * np.sqrt(inv[:, 2]))))
-            s = s - w_ref * FormulaPass(net, ref[0]).grad_params_dirderiv(
-                np.array([2.0, 4.0, 2.0]), np.array([1.0]))
+            s = s - w_ref * FormulaPass(template, ref, P).grad_params_dirderiv(
+                np.array([[2.0, 4.0, 2.0]]), np.array([[1.0]]))[0]
         else:
-            rows = nw.forward_pass(net, X)
-            r = Y - rows.output()
-            s = rows.grad_params(r)
+            rows = nw.forward_pass(template, X, P)
+            r = Y - rows.output()[0]
+            s = rows.grad_params(r)[0]
         scores.append(s / target.noise_var)
         mses.append(float(np.mean(r * r)))
     return np.stack(scores), np.array(mses)
@@ -382,12 +382,12 @@ _PASS_TERMS = {"softplus": softplus_terms_where,
 class FormulaPass:
     """`network.forward_pass(net, X, params)` and the passes that read it."""
 
-    def __init__(self, net, X, params=None):
+    def __init__(self, net, X, params):
         from csvgd import network as nw
 
         self.net, self._check_rows = net, nw._check_rows
-        X, self.single = nw._check_input(net, X)
-        self.W = nw._params(net, params)
+        X = nw._check_input(net, X)
+        self.W = nw.stack_weights(net, params)
         self.H, self.D1, self.D2 = [X], [], []
         for k in range(net.n_links):
             z = self.H[-1] @ self.W[k].swapaxes(-1, -2)
@@ -397,7 +397,7 @@ class FormulaPass:
             self.D2.append(d2)
 
     def output(self):
-        return self.H[-1][..., 0, :] if self.single else self.H[-1]
+        return self.H[-1]
 
     def grad_input(self):
         out = self.net.layer_widths[-1]
@@ -406,11 +406,11 @@ class FormulaPass:
             J = J @ self.W[k][..., None, :, :]
             if k > 0:
                 J = J * self.D1[k - 1][..., None, :]
-        return J[..., 0, :, :] if self.single else J
+        return J
 
     def grad_params(self, upstream):
         n_links = self.net.n_links
-        U = self._check_rows("upstream", upstream, self.single,
+        U = self._check_rows("upstream", upstream,
                              (len(self.H[0]), self.net.layer_widths[-1]))
         gW = [None] * n_links
         bar = np.broadcast_to(U, self.H[-1].shape)
@@ -421,7 +421,7 @@ class FormulaPass:
         return self.net.layout.flatten(gW)
 
     def _tangents(self, u):
-        T = [self._check_rows("direction", u, self.single, self.H[0].shape)]
+        T = [self._check_rows("direction", u, self.H[0].shape)]
         TZ = []
         for k in range(self.net.n_links):
             tz = T[-1] @ self.W[k].swapaxes(-1, -2)
@@ -431,11 +431,11 @@ class FormulaPass:
 
     def dirderiv(self, u):
         T, _ = self._tangents(u)
-        return T[-1][..., 0, :] if self.single else T[-1]
+        return T[-1]
 
     def grad_params_dirderiv(self, u, upstream):
         n_links = self.net.n_links
-        Up = self._check_rows("upstream", upstream, self.single,
+        Up = self._check_rows("upstream", upstream,
                               (len(self.H[0]), self.net.layer_widths[-1]))
         T, TZ = self._tangents(u)
         gW = [None] * n_links
@@ -472,28 +472,32 @@ def prune_per_node(graph, epsilon):
     return g
 
 
-def dump_graph_csv(graph, path):
-    """`condense.dump_graph` written row by row through `csv.writer`."""
+def dump_graph_csv(graph, paths):
+    """`condense.dump_graph` written row by row through `csv.writer`, one file
+    per particle of a stacked graph."""
     import csv
 
     from csvgd.condense import importance
 
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["nodes"])
-        w.writerow(["layer", "index", "importance", "active"])
-        for layer in range(graph.n_layers):
-            if 0 < layer < graph.n_layers - 1:
-                imp = importance(graph, layer)
-            else:
-                imp = np.zeros(graph.widths[layer])
-            for j in range(graph.widths[layer]):
-                w.writerow([layer, j, repr(float(imp[j])), int(graph.active[layer][j])])
-        w.writerow(["edges"])
-        w.writerow(["from_layer", "from_index", "to_index", "weight"])
-        for k, mat in enumerate(graph.weights):
-            for i, j in zip(*np.nonzero(mat)):
-                w.writerow([k, int(j), int(i), repr(float(mat[i, j]))])
+    for a, path in enumerate(paths):
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["nodes"])
+            w.writerow(["layer", "index", "importance", "active"])
+            for layer in range(graph.n_layers):
+                if 0 < layer < graph.n_layers - 1:
+                    imp = importance(graph, layer)[a]
+                else:
+                    imp = np.zeros(graph.widths[layer])
+                for j in range(graph.widths[layer]):
+                    w.writerow([layer, j, repr(float(imp[j])),
+                                int(graph.active[layer][a, j])])
+            w.writerow(["edges"])
+            w.writerow(["from_layer", "from_index", "to_index", "weight"])
+            for k, mat in enumerate(graph.weights):
+                mat = mat[a]
+                for i, j in zip(*np.nonzero(mat)):
+                    w.writerow([k, int(j), int(i), repr(float(mat[i, j]))])
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +768,8 @@ def net_potential(net):
     """A scalar-output network as a potential of one invariant triple."""
     from csvgd import network as nw
 
-    return lambda inv: float(nw.forward_pass(net, inv).output()[0])
+    P = net.layout.flatten(net.weights)[None]
+    return lambda inv: float(nw.forward_pass(net, np.reshape(inv, (1, -1)), P).output()[0, 0, 0])
 
 
 def reference_normalized(potential, h=1e-3):
@@ -859,12 +864,14 @@ def nets_of(ensemble):
     return [ensemble.template.with_values(p) for p in ensemble.particles]
 
 
-def net_of_graph(graph):
-    """The network of one (unstacked) `condense.NetGraph`."""
+def net_stack_of_graph(graph):
+    """The template network and flat particle rows (N, D) of a stacked
+    `condense.NetGraph`."""
     from csvgd.network import LayeredNet
 
-    return LayeredNet(graph.widths, tuple(np.array(w) for w in graph.weights),
-                      graph.activations, graph.nonneg_mask)
+    template = LayeredNet(graph.widths, tuple(np.zeros(w.shape[1:]) for w in graph.weights),
+                          graph.activations, graph.nonneg_mask)
+    return template, np.concatenate([w.reshape(len(w), -1) for w in graph.weights], axis=1)
 
 
 def wasserstein1_batch(A, B):

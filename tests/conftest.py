@@ -73,6 +73,11 @@ def random_net(rng, widths=(3, 4, 1), nonneg=None, low=0.05, high=0.6):
     return LayeredNet(tuple(widths), tuple(weights), acts, tuple(nonneg))
 
 
+def one_row(net):
+    """The flat weights of ``net`` as a one-particle stack, shape (1, D)."""
+    return net.layout.flatten(net.weights)[None]
+
+
 def condensed_icnn_ensemble(n_particles=5):
     """Template and particle rows of a condensed (3, 12, 12, 1) ICNN ensemble."""
     ens = init_net_ensemble(icnn_template((3, 12, 12, 1)), n_particles, seed=13)

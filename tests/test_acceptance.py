@@ -87,14 +87,15 @@ def test_criterion_03_gradient_correctness():
         net = random_net(rng, (3, 8, 8, 1))
         x = rng.normal(size=3)
         theta = net.layout.flatten(net.weights)
-        g = nw.forward_pass(net, x).grad_params(np.array([1.0]))
+        g = nw.forward_pass(net, x[None], theta[None]).grad_params(np.array([[1.0]]))[0]
         fd = fd_gradient(
-            lambda t: float(nw.forward_pass(net.with_values(t), x).output()[0]), theta)
+            lambda t: float(nw.forward_pass(net, x[None], t[None]).output()[0, 0, 0]), theta)
         rel = np.abs(g - fd) / np.maximum(np.abs(fd), 1e-8)
         worst = max(worst, rel.max())
         n_checked += theta.size
-        gi = nw.forward_pass(net, x).grad_input()[0]
-        fdi = fd_gradient(lambda xv: float(nw.forward_pass(net, xv).output()[0]), x)
+        gi = nw.forward_pass(net, x[None], theta[None]).grad_input()[0, 0, 0]
+        fdi = fd_gradient(
+            lambda xv: float(nw.forward_pass(net, xv[None], theta[None]).output()[0, 0, 0]), x)
         rel_i = np.abs(gi - fdi) / np.maximum(np.abs(fdi), 1e-8)
         worst = max(worst, rel_i.max())
         n_checked += x.size
@@ -123,11 +124,11 @@ def test_criterion_05_condensation_correctness():
     ens = init_net_ensemble(template, 6, seed=13)
     ens.particles[rng.random(ens.particles.shape) < 0.4] *= 1e-5
     X = rng.uniform(-1.0, 1.0, size=(100, 3))
-    before = [nw.forward_pass(net, X).output() for net in nets_of(ens)]
+    before = nw.forward_pass(ens.template, X, ens.particles).output()
 
     exact, _ = condense_ensemble(ens, 0.0)
     preserved = max(np.max(np.abs(b - a)) for b, a in
-                    zip(before, [nw.forward_pass(n, X).output() for n in nets_of(exact)]))
+                    zip(before, nw.forward_pass(exact.template, X, exact.particles).output()))
 
     once, _ = condense_ensemble(ens, 1e-3)
     twice, _ = condense_ensemble(once, 1e-3)
@@ -138,14 +139,14 @@ def test_criterion_05_condensation_correctness():
     # computed fan-in bound on the pruning perturbation
     from csvgd import condense as gc
     within_bound = True
-    after = [nw.forward_pass(net, X).output() for net in nets_of(once)]
-    for net, b, a in zip(nets_of(ens), before, after):
-        pruned = gc.prune(gc.NetGraph.from_net(net), 1e-3)
+    after = nw.forward_pass(once.template, X, once.particles).output()
+    pruned = gc.prune(gc.NetGraph.from_net(ens.template, ens.particles), 1e-3)
+    for i, (net, b, a) in enumerate(zip(nets_of(ens), before, after)):
         h, dh = X, np.zeros(X.shape[1])
         for k in range(net.n_links):
             level = np.abs(h).max(axis=0)
-            dz = (np.abs(net.weights[k] - pruned.weights[k]) @ level
-                  + np.abs(pruned.weights[k]) @ dh)
+            dz = (np.abs(net.weights[k] - pruned.weights[k][i]) @ level
+                  + np.abs(pruned.weights[k][i]) @ dh)
             z = h @ net.weights[k].T
             h = z if net.activations[k] == "identity" else softplus_formula(z)
             dh = dz
@@ -167,7 +168,8 @@ def test_criterion_06_zero_stress_reference_and_truth_consistency():
     for _ in range(100):
         widths = (3, int(rng.integers(3, 12)), 1)
         net = random_net(rng, widths, nonneg=(False, True))
-        S0 = model.predict(net, net.layout.flatten(net.weights)[None], at_reference)[0, 0]
+        S0 = model.predict_and_score(net, net.layout.flatten(net.weights)[None],
+                                     at_reference)[0][0, 0]
         worst_s0 = max(worst_s0, np.linalg.norm(voigt_to_sym(S0)))
 
     params = TruthParams()
@@ -187,7 +189,7 @@ def test_criterion_06_zero_stress_reference_and_truth_consistency():
     theta = net.layout.flatten(net.weights)
 
     def net_stress(E):
-        return model.predict(net, theta[None], model.prepare(E))[0]
+        return model.predict_and_score(net, theta[None], model.prepare(E))[0][0]
 
     cycle = max(abs(stress_cycle_integral(stress, A, B))
                 for stress in (lambda E: truth_stress(E, params), net_stress))

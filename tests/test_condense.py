@@ -17,15 +17,22 @@ from csvgd.mechanics import icnn_template
 
 from _oracles import (condense_ensemble_per_particle, condense_graphs_per_graph,
                       dump_graph_csv, dump_graph_per_graph, dump_graphs_per_particle,
-                      graph_of_net, load_graph_dump, net_of_graph, nets_of,
+                      graph_of_net, load_graph_dump, net_stack_of_graph, nets_of,
                       prune_per_graph, prune_per_node, reconcile_per_graph,
                       remap_opt_state_per_particle, softplus_formula,
                       sort_nodes_per_graph)
-from conftest import random_net
+from conftest import one_row, random_net
 
 
 def graph_of(net):
-    return gc.NetGraph.from_net(net)
+    """The one-particle stacked graph of ``net``."""
+    return gc.NetGraph.from_net(net, one_row(net))
+
+
+def outputs_of(graph, X):
+    """Network outputs (N, batch, out) of every particle of a stacked graph."""
+    template, P = net_stack_of_graph(graph)
+    return nw.forward_pass(template, X, P).output()
 
 
 def chain(weights, nonneg=None, acts=None):
@@ -48,17 +55,15 @@ class TestPrune:
     def test_small_edge_removed(self):
         net = chain([[[5e-4, 0.5]], [[1.0]]])
         pruned = gc.prune(graph_of(net), 1e-3)
-        assert pruned.weights[0][0, 0] == 0.0
-        assert pruned.weights[0][0, 1] == 0.5
+        assert pruned.weights[0].tolist() == [[[0.0, 0.5]]]
 
     def test_orphan_cascade_on_1_2_1(self):
         # kill one hidden node's outgoing edge: the node and its incoming edge go
         net = chain([[[0.4], [0.3]], [[5e-4, 0.8]]])
         pruned = gc.prune(graph_of(net), 1e-3)
-        assert not pruned.active[1][0]
-        assert pruned.active[1][1]
-        assert pruned.weights[0][0, 0] == 0.0          # incoming edge removed
-        assert pruned.weights[1][0, 0] == 0.0
+        assert pruned.active[1].tolist() == [[False, True]]
+        assert pruned.weights[0][0, 0, 0] == 0.0       # incoming edge removed
+        assert pruned.weights[1][0, 0, 0] == 0.0
 
     def test_negative_epsilon_rejected(self, rng):
         with pytest.raises(DomainError):
@@ -84,12 +89,14 @@ class TestPrune:
             w = rng.uniform(-1.0, 1.0, size=(b, a))
             w[rng.random(w.shape) < zero_share] = 0.0
             weights.append(w)
-        g = graph_of(chain(weights))
+        net = chain(weights)
+        g, single = graph_of(net), graph_of_net(net)
         for layer in range(1, len(widths) - 1):       # padding-like inactive slots
-            g.active[layer] &= rng.random(widths[layer]) < 0.8
-        got, want = gc.prune(g, epsilon), prune_per_node(g, epsilon)
+            single.active[layer] &= rng.random(widths[layer]) < 0.8
+            g.active[layer][0] = single.active[layer]
+        got, want = gc.prune(g, epsilon), prune_per_node(single, epsilon)
         for a, b in zip(got.weights + got.active, want.weights + want.active):
-            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a[0], b)
 
 
 class TestImportance:
@@ -98,22 +105,22 @@ class TestImportance:
         net = chain([[[1.0, 1.0], [1.0, 1.0]], [[1.0, 2.0], [3.0, 4.0]]],
                     nonneg=(True, True))
         g = graph_of(net)
-        assert gc.importance(g, 1).tolist() == [4.0, 6.0]
+        assert gc.importance(g, 1).tolist() == [[4.0, 6.0]]
 
     def test_zero_outgoing(self):
         net = chain([[[1.0], [1.0]], [[0.0, 0.0]]])
         g = graph_of(net)
-        assert gc.importance(g, 1).tolist() == [0.0, 0.0]
+        assert gc.importance(g, 1).tolist() == [[0.0, 0.0]]
 
     def test_unconstrained_uses_absolute_values(self):
         net = chain([[[1.0], [1.0]], [[-3.0, 2.0]]], nonneg=(False, False))
         g = graph_of(net)
-        assert gc.importance(g, 1).tolist() == [3.0, 2.0]
+        assert gc.importance(g, 1).tolist() == [[3.0, 2.0]]
 
     def test_nonneg_matches_l1_ordering(self, rng):
         net = random_net(rng, (3, 6, 2), nonneg=(True, True))
         g = graph_of(net)
-        s = gc.importance(g, 1)
+        s = gc.importance(g, 1)[0]
         l1 = np.abs(net.weights[1]).sum(axis=0)
         assert np.argsort(-s).tolist() == np.argsort(-l1).tolist()
 
@@ -127,21 +134,20 @@ class TestSortNodes:
     def test_sorted_graph_unchanged(self):
         net = chain([[[1.0], [1.0]], [[5.0, 1.0]]], nonneg=(True, True))
         g = gc.sort_nodes(graph_of(net))
-        assert g.provenance[1].tolist() == [0, 1]
+        assert g.provenance[1].tolist() == [[0, 1]]
 
     def test_swap_by_importance_preserves_forward(self, rng):
         net = chain([[[0.9], [0.7]], [[1.0, 5.0]]], nonneg=(True, True))
         g = gc.sort_nodes(graph_of(net))
-        assert g.provenance[1].tolist() == [1, 0]
+        assert g.provenance[1].tolist() == [[1, 0]]
         x = rng.normal(size=(10, 1))
-        before = nw.forward_pass(net, x).output()
-        after = nw.forward_pass(net_of_graph(g), x).output()
-        assert np.max(np.abs(before - after)) <= 1e-12
+        before = nw.forward_pass(net, x, one_row(net)).output()
+        assert np.max(np.abs(before - outputs_of(g, x))) <= 1e-12
 
     def test_ties_keep_original_order(self):
         net = chain([[[1.0], [1.0], [1.0]], [[2.0, 2.0, 2.0]]], nonneg=(True, True))
         g = gc.sort_nodes(graph_of(net))
-        assert g.provenance[1].tolist() == [0, 1, 2]
+        assert g.provenance[1].tolist() == [[0, 1, 2]]
 
     def test_weight_multiset_preserved(self, rng):
         net = random_net(rng, (3, 7, 2), nonneg=(True, True))
@@ -152,34 +158,36 @@ class TestSortNodes:
 
 class TestTemplateAndReconcile:
     def _ensemble(self, rng, n=3, widths=(2, 5, 1)):
-        return [graph_of(random_net(rng, widths, nonneg=(True,) * (len(widths) - 1)))
+        nets = [random_net(rng, widths, nonneg=(True,) * (len(widths) - 1))
                 for _ in range(n)]
+        return gc.NetGraph.from_net(nets[0], np.concatenate([one_row(n) for n in nets]))
 
     def test_identical_graphs_template(self, rng):
-        graphs = [graph_of(random_net(rng, (2, 4, 1)))] * 3
-        assert gc.common_template(gc.NetGraph.stack(graphs)) == (2, 4, 1)
+        net = random_net(rng, (2, 4, 1))
+        g = gc.NetGraph.from_net(net, np.repeat(one_row(net), 3, axis=0))
+        assert gc.common_template(g) == (2, 4, 1)
 
     def test_max_active_rule(self, rng):
-        graphs = self._ensemble(rng)
-        for g, keep in zip(graphs, (3, 5, 4)):
-            g.active[1][keep:] = False
-        assert gc.common_template(gc.NetGraph.stack(graphs)) == (2, 5, 1)
+        g = self._ensemble(rng)
+        for a, keep in enumerate((3, 5, 4)):
+            g.active[1][a, keep:] = False
+        assert gc.common_template(g) == (2, 5, 1)
 
     def test_heterogeneous_layers_rejected(self, rng):
-        g1 = graph_of(random_net(rng, (2, 4, 1)))
-        g2 = graph_of(random_net(rng, (2, 4, 4, 1)))
+        # rows laid out for another architecture do not make a stack
+        deeper = random_net(rng, (2, 4, 4, 1))
         with pytest.raises(ShapeError):
-            gc.common_template(gc.NetGraph.stack([g1, g2]))
+            gc.NetGraph.from_net(random_net(rng, (2, 4, 1)), one_row(deeper))
 
     def test_reconcile_pads_inert_nodes(self, rng):
         net = chain([[[0.9], [0.7]], [[1.0, 5.0]]], nonneg=(True, True))
         g = gc.sort_nodes(gc.prune(graph_of(net), 0.0))
         padded = gc.reconcile(g, (1, 3, 1))
         assert padded.widths == (1, 3, 1)
-        assert padded.provenance[1].tolist()[-1] == -1
+        assert padded.provenance[1].tolist()[0][-1] == -1
         x = rng.normal(size=(10, 1))
-        assert np.max(np.abs(nw.forward_pass(net, x).output()
-                             - nw.forward_pass(net_of_graph(padded), x).output())) <= 1e-12
+        assert np.max(np.abs(nw.forward_pass(net, x, one_row(net)).output()
+                             - outputs_of(padded, x))) <= 1e-12
 
     def test_reconcile_on_own_template_is_identity(self, rng):
         net = random_net(rng, (2, 3, 1))
@@ -207,9 +215,9 @@ class TestCondense:
     def test_outputs_preserved_at_zero_epsilon(self, rng):
         ens = self._noisy_ensemble(rng)
         X = rng.normal(size=(100, 3))
-        before = [nw.forward_pass(net, X).output() for net in nets_of(ens)]
+        before = nw.forward_pass(ens.template, X, ens.particles).output()
         out, _ = condense_ensemble(ens, 0.0)
-        after = [nw.forward_pass(net, X).output() for net in nets_of(out)]
+        after = nw.forward_pass(out.template, X, out.particles).output()
         for b, a in zip(before, after):
             assert np.max(np.abs(b - a)) <= 1e-12
 
@@ -243,35 +251,35 @@ class TestCondense:
         eps = 1e-3
         ens = self._noisy_ensemble(rng)
         X = rng.uniform(-1.0, 1.0, size=(50, 3))
-        before = [nw.forward_pass(net, X).output() for net in nets_of(ens)]
+        before = nw.forward_pass(ens.template, X, ens.particles).output()
         bounds = []
-        for net in nets_of(ens):
-            pruned = gc.prune(gc.NetGraph.from_net(net), eps)
+        pruned = gc.prune(gc.NetGraph.from_net(ens.template, ens.particles), eps)
+        for a, net in enumerate(nets_of(ens)):
             h = X
             dh = np.zeros(X.shape[1])
             for k in range(net.n_links):
                 level = np.abs(h).max(axis=0)
-                dW = np.abs(net.weights[k] - pruned.weights[k])
-                dz = dW @ level + np.abs(pruned.weights[k]) @ dh
+                dW = np.abs(net.weights[k] - pruned.weights[k][a])
+                dz = dW @ level + np.abs(pruned.weights[k][a]) @ dh
                 z = h @ net.weights[k].T
                 h = z if net.activations[k] == "identity" else softplus_formula(z)
                 dh = dz
             bounds.append(dh.max())
         out, _ = condense_ensemble(ens, eps)
-        after = [nw.forward_pass(net, X).output() for net in nets_of(out)]
+        after = nw.forward_pass(out.template, X, out.particles).output()
         for b, a, bound in zip(before, after, bounds):
             assert np.max(np.abs(b - a)) <= bound + 1e-9
 
     def test_dead_layer_collapses_identity_chain(self):
         net = chain([[[0.0], [0.0]], [[0.0, 0.0]]], acts=("identity", "identity"))
-        graphs, widths = gc.condense_graphs(gc.NetGraph.stack([graph_of(net)]), 1e-3)
+        graph, widths = gc.condense_graphs(graph_of(net), 1e-3)
         assert widths == (1, 1)
-        assert graphs[0].weights[0].tolist() == [[0.0]]
+        assert graph.weights[0].tolist() == [[[0.0]]]
 
     def test_dead_softplus_layer_aborts(self):
         net = chain([[[0.0], [0.0]], [[0.0, 0.0]]])
         with pytest.raises(CondenseError):
-            gc.condense_graphs(gc.NetGraph.stack([graph_of(net)]), 1e-3)
+            gc.condense_graphs(graph_of(net), 1e-3)
 
     @settings(max_examples=300, deadline=None)
     @given(widths=st.lists(st.integers(1, 6), min_size=3, max_size=9),
@@ -293,7 +301,7 @@ class TestCondense:
         acts = tuple(rng.choice(["identity", "softplus"], size=n_links - 1)) + ("identity",)
         nonneg = tuple(bool(x) for x in rng.random(n_links) < 0.5)
         pool = np.array([0.1, 0.2, 0.3, 1 / 3, 0.6, 0.7])   # sums that tie in the last bit
-        graphs = []
+        rows = []
         for _ in range(n_graphs):
             weights = []
             for k, (a, b) in enumerate(zip(widths[:-1], widths[1:])):
@@ -303,10 +311,12 @@ class TestCondense:
                     w *= rng.choice([-1.0, 1.0], size=w.shape)
                 w[rng.random(w.shape) < zero_share] = 0.0
                 weights.append(w)
-            graphs.append(graph_of(chain(weights, nonneg=nonneg, acts=acts)))
+            net = chain(weights, nonneg=nonneg, acts=acts)
+            rows.append(one_row(net))
+        graph = gc.NetGraph.from_net(net, np.concatenate(rows))
         with mock.patch.object(gc, "common_template", wraps=gc.common_template) as passes:
             try:
-                gc.condense_graphs(gc.NetGraph.stack(graphs), epsilon)
+                gc.condense_graphs(graph, epsilon)
             except CondenseError:
                 pass                        # a dead softplus layer, named
         assert 1 <= passes.call_count <= len(widths) - 1 < 20
@@ -469,7 +479,7 @@ class TestGraphDump:
         net = random_net(rng, (2, 3, 1))
         g = gc.prune(graph_of(net), 0.0)
         path = tmp_path / "graph.txt"
-        gc.dump_graph(g, path)
+        gc.dump_graph(g, [path])
         nodes, edges = load_graph_dump(path)
         assert len(nodes) == sum(net.layer_widths)
         assert len(edges) == sum(int(np.count_nonzero(w)) for w in net.weights)
@@ -477,12 +487,31 @@ class TestGraphDump:
         k, j, i, w = edges[0]
         assert net.weights[k][i, j] == w
 
+    def test_one_path_per_particle(self, rng, tmp_path):
+        net = random_net(rng, (2, 3, 1))
+        g = gc.NetGraph.from_net(net, np.repeat(one_row(net), 3, axis=0))
+        with pytest.raises(ShapeError, match="2 paths for a stack of 3 graphs"):
+            gc.dump_graph(g, [tmp_path / "a.txt", tmp_path / "b.txt"])
+        # one path is not a list of paths: a 3-character name would have
+        # written one file per character
+        for path in (tmp_path / "abc", str(tmp_path / "abc"), "abc"):
+            with pytest.raises(ShapeError, match="one path per particle"):
+                gc.dump_graph(g, path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_from_net_takes_a_required_particle_stack(self, rng):
+        net = random_net(rng, (2, 3, 1))
+        with pytest.raises(TypeError, match="params"):
+            gc.NetGraph.from_net(net)
+        with pytest.raises(ShapeError, match=r"\(9,\) is not a particle stack \(N, 9\)"):
+            gc.NetGraph.from_net(net, one_row(net)[0])
+
     def test_bytes_equal_csv_writer_rows(self, rng, tmp_path):
         net = random_net(rng, (3, 6, 5, 1), nonneg=(False, True, True))
         g = graph_of(net)
-        g.weights[1][2, :] = 0.0
+        g.weights[1][0, 2, :] = 0.0
         g = gc.reconcile(gc.sort_nodes(gc.prune(g, 0.1)), (3, 7, 5, 1))
-        gc.dump_graph(g, tmp_path / "one_write.txt")
-        dump_graph_csv(g, tmp_path / "rows.txt")
+        gc.dump_graph(g, [tmp_path / "one_write.txt"])
+        dump_graph_csv(g, [tmp_path / "rows.txt"])
         one_write = (tmp_path / "one_write.txt").read_bytes()
         assert one_write == (tmp_path / "rows.txt").read_bytes()

@@ -87,6 +87,25 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must be >= 0"):
             RunConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("widths", (3, 30.7, 1), "widths must be integers >= 1"),
+        ("widths", (3, 0, 1), "widths must be integers >= 1"),
+        ("sweep_betas", (2.5,), "sweep_betas must be the integers 1 or 2"),
+        ("sweep_betas", (3,), "sweep_betas must be the integers 1 or 2")],
+        ids=["fractional-width", "zero-width", "fractional-beta", "beta-3"])
+    def test_integer_tuple_entries_rejected_by_name(self, field, value, message):
+        # widths (3, 30.7, 1) trained a 3-30-1 net; sweep_betas (2.5,) ran the
+        # beta=2 kernel under a row labelled 2.5
+        with pytest.raises(ValueError, match=f"^{message}"):
+            RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("prior_lambda", float("nan")), ("gamma", float("nan")),
+        ("sweep_lambdas", (0.1, float("nan")))])
+    def test_nan_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must not be NaN"):
+            RunConfig(**{field: value})
+
     @pytest.mark.parametrize("field", ["noise", "noise_floor"])
     def test_zero_noise_accepted(self, field):
         assert getattr(RunConfig(**{field: 0.0}), field) == 0.0
@@ -453,8 +472,8 @@ class TestTestPathSamples:
         features = model.prepare(data.test.inputs)
         with mock.patch.object(network, "PASS_ELEMENTS", budget):
             got = experiments._test_path_samples(ens, model, features)
-        expected = np.stack([model.predict(template, p[None], features)[0] for p in P[:n]],
-                            axis=-1)
+        expected = np.stack([model.predict_and_score(template, p[None], features)[0][0]
+                             for p in P[:n]], axis=-1)
         assert got.shape == (len(data.test), 6, n)
         np.testing.assert_array_equal(got, expected)
 
@@ -560,6 +579,15 @@ class TestCli:
         assert rc == 1
         assert field in capsys.readouterr().err
         assert not (tmp_path / "hyp" / "metrics.csv").exists()
+
+    def test_nan_lambda_flag_exits_1(self, tmp_path, capsys):
+        # it used to run with no prior and exit 0: lam > 0 is false for NaN
+        out = tmp_path / "run"
+        rc = main(["mvn", "--out", str(out), "--lambda", "nan"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("csvgd mvn: ") and "prior_lambda" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, flags, field", [
         ("hyperelastic", ["--iters", "-1"], "max_iters"),

@@ -93,7 +93,7 @@ def _dataset(v):
 
 def _graph(v):
     net = random_net(np.random.default_rng(int(v)), (3, 4, 1))
-    return gc.prune(gc.NetGraph.from_net(net), 0.0)
+    return gc.prune(gc.NetGraph.from_net(net, net.layout.flatten(net.weights)[None]), 0.0)
 
 
 # The artifact writers that once wrote in place: the file each writes under a
@@ -106,7 +106,7 @@ WRITERS = {
                                         d / "config.json")),
     "readme": ("README.txt",
                lambda d, v: _run_stub(d, default_config("mvn"), f"csvgd mvn --seed {v}")),
-    "graph dump": ("graph.txt", lambda d, v: gc.dump_graph(_graph(v), d / "graph.txt")),
+    "graph dump": ("graph.txt", lambda d, v: gc.dump_graph(_graph(v), [d / "graph.txt"])),
 }
 
 

@@ -253,6 +253,10 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             KernelSpec(2, 0.0)
 
+    def test_nan_gamma_rejected(self):
+        with pytest.raises(DomainError, match="gamma must be > 0, got nan"):
+            KernelSpec(2, float("nan"))
+
     def test_bandwidth_rule_names(self):
         with pytest.raises(DomainError):
             KernelSpec(2, 1.0, "adaptive-ish")

@@ -16,7 +16,7 @@ from csvgd.mechanics import StressRegressionModel, generate_data, icnn_template
 from _oracles import (fd_gradient, load_dataset, mvn_log_likelihood,
                       per_particle_score_and_mse, regression_log_likelihood,
                       two_call_score_and_mse)
-from conftest import condensed_icnn_ensemble, random_net
+from conftest import condensed_icnn_ensemble, one_row, random_net
 
 MEAN = np.array([1.0, 2.0, 3.0])
 PRECISION = np.array([[2.0, 1.0, 0.0],
@@ -84,14 +84,15 @@ class TestRegression:
     def _target(self, rng, noise_var=1.0, n=5, widths=(2, 4, 1)):
         net = random_net(rng, widths)
         X = rng.normal(size=(n, widths[0]))
-        Y = nw.forward_pass(net, X).output() + 0.1 * rng.normal(size=(n, widths[-1]))
+        Y = nw.forward_pass(net, X, one_row(net)).output()[0] + 0.1 * rng.normal(
+            size=(n, widths[-1]))
         return net, RegressionTarget(Dataset(X, Y), noise_var, DirectNetModel())
 
     def test_perfect_fit_is_zero(self, rng):
         net = random_net(rng, (2, 3, 1))
         X = rng.normal(size=(4, 2))
-        target = RegressionTarget(Dataset(X, nw.forward_pass(net, X).output()), 1.0,
-                                  DirectNetModel())
+        target = RegressionTarget(Dataset(X, nw.forward_pass(net, X, one_row(net)).output()[0]),
+                                  1.0, DirectNetModel())
         assert log_lik(target, net) == 0.0
         assert np.all(score_of(target, net) == 0.0)
 
@@ -124,8 +125,9 @@ class TestRegression:
 
     def test_score_and_mse_consistent(self, rng):
         net, target = self._target(rng)
-        _, m = target.score_and_mse_batch(net, net.layout.flatten(net.weights)[None])
-        r = target.dataset.outputs - nw.forward_pass(net, target.dataset.inputs).output()
+        _, m = target.score_and_mse_batch(net, one_row(net))
+        r = target.dataset.outputs - nw.forward_pass(
+            net, target.dataset.inputs, one_row(net)).output()[0]
         assert m[0] == pytest.approx(np.mean(r * r), rel=1e-14)
         assert log_lik(target, net) == pytest.approx(
             -np.sum(r * r) / (2.0 * target.noise_var), rel=1e-14)
@@ -195,7 +197,7 @@ class TestOnePassScore:
         rows = []
         forward_pass = nw.forward_pass
 
-        def counted(net, X, params=None):
+        def counted(net, X, params):
             rows.append(len(np.atleast_2d(X)))
             return forward_pass(net, X, params)
 

@@ -28,7 +28,7 @@ def predict_one(net, E_voigt):
     """Voigt stress rows of one network through the stress model."""
     model = mech.StressRegressionModel()
     theta = net.layout.flatten(net.weights)
-    return model.predict(net, theta[None], model.prepare(E_voigt))[0]
+    return model.predict_and_score(net, theta[None], model.prepare(E_voigt))[0][0]
 
 
 def voigt_fd_stress(potential, E):
@@ -168,7 +168,8 @@ class TestNormalization:
         E = np.stack([mech.sym_to_voigt(random_strain(rng)) for _ in range(5)])
         inv, dI = mech.StressRegressionModel().prepare(E)
         raw = np.einsum("ni,nik->nk",
-                        nw.forward_pass(net, inv).grad_input()[:, 0, :], dI)
+                        nw.forward_pass(net, inv, net.layout.flatten(net.weights)[None])
+                        .grad_input()[0, :, 0, :], dI)
         shift = predict_one(net, E) - raw
         c = np.sum(shift * dI[:, 2], axis=1) / np.sum(dI[:, 2] ** 2, axis=1)
         assert shift == pytest.approx(c[:, None] * dI[:, 2], rel=1e-9, abs=1e-15)
@@ -226,8 +227,8 @@ class TestStressModelScore:
     def test_predict_zero_at_reference(self, rng):
         net = random_icnn(rng)
         model = mech.StressRegressionModel()
-        S = model.predict(net, net.layout.flatten(net.weights)[None],
-                          model.prepare(np.zeros((1, 6))))
+        S, _ = model.predict_and_score(net, net.layout.flatten(net.weights)[None],
+                                       model.prepare(np.zeros((1, 6))))
         assert np.linalg.norm(S) < 1e-8
 
     def test_predict_matches_stress_batch(self, rng):
@@ -236,8 +237,8 @@ class TestStressModelScore:
         nets = [random_icnn(rng) for _ in range(3)]
         E = 0.05 * rng.normal(size=(7, 6))
         model = mech.StressRegressionModel()
-        S = model.predict(nets[0], np.stack([n.layout.flatten(n.weights) for n in nets]),
-                          model.prepare(E))
+        S, _ = model.predict_and_score(
+            nets[0], np.stack([n.layout.flatten(n.weights) for n in nets]), model.prepare(E))
         for a, net in enumerate(nets):
             pinned = reference_normalized(net_potential(net))
             expect = [voigt_fd_stress(pinned, mech.voigt_to_sym(row)) for row in E]

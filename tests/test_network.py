@@ -15,7 +15,7 @@ from csvgd.mechanics import StressRegressionModel, generate_data, icnn_template
 
 from _oracles import (FormulaPass, fd_gradient, sigmoid_deriv_formula,
                       sigmoid_formula, softplus_formula)
-from conftest import random_net
+from conftest import one_row, random_net
 
 
 def single_layer(w, activation="identity"):
@@ -30,12 +30,12 @@ def single_layer(w, activation="identity"):
 class TestForward:
     def test_identity_single_layer(self):
         net = single_layer([[1.0]])
-        assert nw.forward_pass(net, [2.0]).output() == pytest.approx([2.0])
+        assert nw.forward_pass(net, [[2.0]], one_row(net)).output().ravel() == pytest.approx([2.0])
 
     def test_softplus_at_zero(self):
         net = single_layer([[1.0]], "softplus")
-        assert nw.forward_pass(net, [0.0]).output() == pytest.approx([np.log(2.0)],
-                                                                     abs=1e-15)
+        assert nw.forward_pass(net, [[0.0]], one_row(net)).output().ravel() == pytest.approx(
+            [np.log(2.0)], abs=1e-15)
 
     def test_zero_weights_give_zero_output(self):
         widths = (3, 30, 30, 1)
@@ -43,20 +43,34 @@ class TestForward:
                             tuple(np.zeros((widths[k + 1], widths[k])) for k in range(3)),
                             ("softplus", "softplus", "identity"),
                             (False, True, True))
-        assert nw.forward_pass(net, [0.3, -1.0, 2.0]).output() == pytest.approx([0.0])
+        out = nw.forward_pass(net, [[0.3, -1.0, 2.0]], one_row(net)).output()
+        assert out.ravel() == pytest.approx([0.0])
 
     def test_dimension_mismatch(self):
         net = single_layer([[1.0]])
         with pytest.raises(ShapeError):
-            nw.forward_pass(net, [1.0, 2.0])
+            nw.forward_pass(net, [[1.0, 2.0]], one_row(net))
+
+    def test_one_sample_input_is_named(self):
+        net = single_layer([[1.0, 2.0, 3.0]])
+        with pytest.raises(ShapeError, match=r"input shape \(3,\) is not rows"):
+            nw.forward_pass(net, [1.0, 2.0, 3.0], one_row(net))
+
+    def test_params_are_a_required_particle_stack(self, rng):
+        net = random_net(rng, (3, 4, 1))
+        X = rng.normal(size=(5, 3))
+        with pytest.raises(TypeError, match="params"):
+            nw.forward_pass(net, X)
+        with pytest.raises(ShapeError, match=r"\(16,\) is not a particle stack \(N, 16\)"):
+            nw.forward_pass(net, X, one_row(net)[0])
 
     def test_batch_matches_single(self, rng):
         net = random_net(rng, (3, 5, 2))
         X = rng.normal(size=(7, 3))
-        batch = nw.forward_pass(net, X).output()
+        batch = nw.forward_pass(net, X, one_row(net)).output()
         for b in range(7):
-            assert batch[b] == pytest.approx(nw.forward_pass(net, X[b]).output(),
-                                             abs=1e-14)
+            assert batch[0, b] == pytest.approx(
+                nw.forward_pass(net, X[b:b + 1], one_row(net)).output()[0, 0], abs=1e-14)
 
 
 class TestActivationTerms:
@@ -92,22 +106,21 @@ class TestActivationTerms:
 class TestGradParams:
     def test_linear_map(self):
         net = single_layer([[0.7]])
-        g = nw.forward_pass(net, [3.0]).grad_params([1.0])
-        assert g == pytest.approx([3.0])
+        g = nw.forward_pass(net, [[3.0]], one_row(net)).grad_params([[1.0]])
+        assert g.ravel() == pytest.approx([3.0])
 
     def test_zero_upstream(self, rng):
         net = random_net(rng, (3, 4, 2))
-        g = nw.forward_pass(net, rng.normal(size=3)).grad_params(np.zeros(2))
+        g = nw.forward_pass(net, rng.normal(size=(1, 3)), one_row(net)).grad_params(
+            np.zeros((1, 2)))
         assert np.all(g == 0.0)
 
     def test_matches_finite_differences(self, rng):
         net = random_net(rng, (3, 4, 1))
-        x = rng.normal(size=3)
-        up = np.array([1.0])
-        g = nw.forward_pass(net, x).grad_params(up)
-        oracle = fd_gradient(
-            lambda t: float(up @ nw.forward_pass(net.with_values(t), x).output()),
-            net.layout.flatten(net.weights))
+        x = rng.normal(size=(1, 3))
+        g = nw.forward_pass(net, x, one_row(net)).grad_params([[1.0]])[0]
+        oracle = fd_gradient(lambda t: float(nw.forward_pass(net, x, t[None]).output()[0, 0, 0]),
+                             net.layout.flatten(net.weights))
         rel = np.abs(g - oracle) / np.maximum(np.abs(oracle), 1e-10)
         assert rel.max() < 1e-5
 
@@ -115,27 +128,33 @@ class TestGradParams:
         net = random_net(rng, (2, 3, 2))
         X = rng.normal(size=(4, 2))
         U = rng.normal(size=(4, 2))
-        total = nw.forward_pass(net, X).grad_params(U)
-        parts = sum(nw.forward_pass(net, X[b]).grad_params(U[b]) for b in range(4))
+        P = one_row(net)
+        total = nw.forward_pass(net, X, P).grad_params(U)
+        parts = sum(nw.forward_pass(net, X[b:b + 1], P).grad_params(U[b:b + 1])
+                    for b in range(4))
         assert total == pytest.approx(parts, abs=1e-12)
 
 
 class TestGradInput:
     def test_identity_single_layer(self):
         net = single_layer([[2.0]])
-        assert nw.forward_pass(net, [1.0]).grad_input().ravel() == pytest.approx([2.0])
+        J = nw.forward_pass(net, [[1.0]], one_row(net)).grad_input()
+        assert J.ravel() == pytest.approx([2.0])
 
     def test_softplus_slope_at_zero(self):
         net = single_layer([[1.0]], "softplus")
         # softplus' = logistic, logistic(0) = 1/2
-        assert nw.forward_pass(net, [0.0]).grad_input().ravel() == pytest.approx([0.5])
+        J = nw.forward_pass(net, [[0.0]], one_row(net)).grad_input()
+        assert J.ravel() == pytest.approx([0.5])
 
     def test_matches_finite_differences(self, rng):
         net = random_net(rng, (3, 5, 1))
+        P = one_row(net)
         x = rng.normal(size=3)
-        J = nw.forward_pass(net, x).grad_input()
-        oracle = fd_gradient(lambda xv: float(nw.forward_pass(net, xv).output()[0]), x)
-        rel = np.abs(J[0] - oracle) / np.maximum(np.abs(oracle), 1e-10)
+        J = nw.forward_pass(net, x[None], P).grad_input()[0, 0, 0]
+        oracle = fd_gradient(
+            lambda xv: float(nw.forward_pass(net, xv[None], P).output()[0, 0, 0]), x)
+        rel = np.abs(J - oracle) / np.maximum(np.abs(oracle), 1e-10)
         assert rel.max() < 1e-5
 
 
@@ -143,19 +162,20 @@ class TestDirectionalSecondOrder:
     def test_dirderiv_is_jacobian_product(self, rng):
         # the reference the reverse-over-forward gradient is checked through
         net = random_net(rng, (3, 6, 2))
-        x = rng.normal(size=3)
-        u = rng.normal(size=3)
-        J = nw.forward_pass(net, x).grad_input()
-        assert FormulaPass(net, x).dirderiv(u) == pytest.approx(J @ u, abs=1e-12)
+        P = one_row(net)
+        x = rng.normal(size=(1, 3))
+        u = rng.normal(size=(1, 3))
+        J = nw.forward_pass(net, x, P).grad_input()
+        assert FormulaPass(net, x, P).dirderiv(u) == pytest.approx(J @ u[0], abs=1e-12)
 
     def test_grad_params_dirderiv_matches_fd(self, rng):
         net = random_net(rng, (3, 4, 1))
-        x = rng.normal(size=3)
-        u = rng.normal(size=3)
-        g = nw.forward_pass(net, x).grad_params_dirderiv(u)
+        x = rng.normal(size=(1, 3))
+        u = rng.normal(size=(1, 3))
+        g = nw.forward_pass(net, x, one_row(net)).grad_params_dirderiv(u)[0]
 
         def phi(t):
-            return float(FormulaPass(net.with_values(t), x).dirderiv(u)[0])
+            return float(FormulaPass(net, x, t[None]).dirderiv(u)[0, 0, 0])
 
         oracle = fd_gradient(phi, net.layout.flatten(net.weights))
         rel = np.abs(g - oracle) / np.maximum(np.abs(oracle), 1e-8)
@@ -163,70 +183,71 @@ class TestDirectionalSecondOrder:
 
 
 class TestParticleStack:
-    """Every pass on flat parameter rows equals the pass on each row's net."""
+    """Every pass on a stack of flat parameter rows equals, row by row, the
+    pass on a one-row stack of that row."""
 
     @staticmethod
     def _stack(rng, widths):
         nets = [random_net(rng, widths) for _ in range(4)]
-        return nets[0], np.stack([n.layout.flatten(n.weights) for n in nets]), nets
+        return nets[0], np.stack([n.layout.flatten(n.weights) for n in nets])
 
     @pytest.fixture
     def stack(self, rng):
         return self._stack(rng, (3, 5, 2))
 
     def test_forward(self, stack, rng):
-        template, P, nets = stack
+        template, P = stack
         X = rng.normal(size=(6, 3))
         out = nw.forward_pass(template, X, P).output()
         assert out.shape == (4, 6, 2)
-        for a, net in enumerate(nets):
-            assert out[a] == pytest.approx(nw.forward_pass(net, X).output(),
-                                           rel=1e-14, abs=1e-15)
-        single = nw.forward_pass(template, X[0], P).output()
-        assert single.shape == (4, 2)
-        assert single == pytest.approx(out[:, 0], rel=1e-14, abs=1e-15)
+        for a in range(4):
+            assert out[a] == pytest.approx(
+                nw.forward_pass(template, X, P[a:a + 1]).output()[0], rel=1e-14, abs=1e-15)
 
     def test_grad_params_per_particle_upstream(self, stack, rng):
-        template, P, nets = stack
+        template, P = stack
         X = rng.normal(size=(6, 3))
         U = rng.normal(size=(4, 6, 2))
         g = nw.forward_pass(template, X, P).grad_params(U)
         assert g.shape == P.shape
-        for a, net in enumerate(nets):
-            assert g[a] == pytest.approx(nw.forward_pass(net, X).grad_params(U[a]),
-                                         rel=1e-13, abs=1e-14)
+        for a in range(4):
+            assert g[a] == pytest.approx(
+                nw.forward_pass(template, X, P[a:a + 1]).grad_params(U[a])[0],
+                rel=1e-13, abs=1e-14)
 
     def test_grad_params_shared_upstream(self, stack, rng):
-        template, P, nets = stack
+        template, P = stack
         X = rng.normal(size=(6, 3))
         U = rng.normal(size=(6, 2))
         g = nw.forward_pass(template, X, P).grad_params(U)
-        for a, net in enumerate(nets):
-            assert g[a] == pytest.approx(nw.forward_pass(net, X).grad_params(U),
-                                         rel=1e-13, abs=1e-14)
+        for a in range(4):
+            assert g[a] == pytest.approx(
+                nw.forward_pass(template, X, P[a:a + 1]).grad_params(U)[0],
+                rel=1e-13, abs=1e-14)
 
     def test_grad_input(self, stack, rng):
-        template, P, nets = stack
+        template, P = stack
         X = rng.normal(size=(6, 3))
         J = nw.forward_pass(template, X, P).grad_input()
         assert J.shape == (4, 6, 2, 3)
-        for a, net in enumerate(nets):
-            assert J[a] == pytest.approx(nw.forward_pass(net, X).grad_input(),
-                                         rel=1e-14, abs=1e-15)
+        for a in range(4):
+            assert J[a] == pytest.approx(
+                nw.forward_pass(template, X, P[a:a + 1]).grad_input()[0], rel=1e-14, abs=1e-15)
 
     def test_grad_params_dirderiv(self, rng):
         # the unit upstream, so the nets have one output
-        template, P, nets = self._stack(rng, (3, 5, 1))
+        template, P = self._stack(rng, (3, 5, 1))
         X = rng.normal(size=(6, 3))
         u = rng.normal(size=(4, 6, 3))
         g = nw.forward_pass(template, X, P).grad_params_dirderiv(u)
         assert g.shape == P.shape
-        for a, net in enumerate(nets):
-            assert g[a] == pytest.approx(nw.forward_pass(net, X).grad_params_dirderiv(u[a]),
-                                         rel=1e-13, abs=1e-14)
+        for a in range(4):
+            assert g[a] == pytest.approx(
+                nw.forward_pass(template, X, P[a:a + 1]).grad_params_dirderiv(u[a])[0],
+                rel=1e-13, abs=1e-14)
 
     def test_wrong_row_width_rejected(self, stack, rng):
-        template, P, _ = stack
+        template, P = stack
         with pytest.raises(ShapeError):
             nw.forward_pass(template, rng.normal(size=(6, 3)), P[:, :-1])
 
@@ -238,9 +259,9 @@ _values = st.one_of(st.just(-0.0), st.just(0.0), st.floats(-4.0, 4.0))
 @st.composite
 def lean_pass_cases(draw, min_links=1, outputs=(1, 2)):
     """A net (hidden identity links and -0.0 weights allowed) with an output
-    width from ``outputs``, its flat rows as one net or a particle stack,
-    inputs as rows or one 1-D sample, and tangent directions and upstreams
-    shared or per particle."""
+    width from ``outputs``, a particle stack of one or three flat rows, one or
+    four input rows, and tangent directions and upstreams shared or per
+    particle."""
     n_links = draw(st.integers(min_links, 3))
     widths = (tuple(draw(st.lists(st.integers(1, 4), min_size=n_links, max_size=n_links)))
               + (draw(st.sampled_from(outputs)),))
@@ -249,16 +270,13 @@ def lean_pass_cases(draw, min_links=1, outputs=(1, 2)):
     weights = tuple(draw(arrays(float, (widths[k + 1], widths[k]), elements=_values))
                     for k in range(n_links))
     net = nw.LayeredNet(widths, weights, acts, (False,) * n_links)
-    stack = draw(st.sampled_from([None, 1, 3]))
-    params = None if stack is None else draw(arrays(float, (stack, net.layout.size),
-                                                    elements=_values))
-    rows = draw(st.sampled_from([None, 1, 4]))    # None: one 1-D sample
-    lead = () if rows is None else (rows,)
-    X = draw(arrays(float, lead + (widths[0],), elements=_values))
-    own = () if stack is None else (stack,)
-    u = draw(arrays(float, draw(st.sampled_from([(), own])) + lead + (widths[0],),
+    stack = draw(st.sampled_from([1, 3]))
+    params = draw(arrays(float, (stack, net.layout.size), elements=_values))
+    rows = draw(st.sampled_from([1, 4]))
+    X = draw(arrays(float, (rows, widths[0]), elements=_values))
+    u = draw(arrays(float, draw(st.sampled_from([(), (stack,)])) + (rows, widths[0]),
                     elements=_values))
-    up = draw(arrays(float, draw(st.sampled_from([(), own])) + lead + (widths[-1],),
+    up = draw(arrays(float, draw(st.sampled_from([(), (stack,)])) + (rows, widths[-1]),
                      elements=_values))
     return net, params, X, u, up
 
@@ -300,9 +318,8 @@ class TestLeanPasses:
         # one-link net is left out: its gradient, outer(upstream, u), reads
         # neither W nor X, and only the replaced zero adjoint times W u
         # turned a NaN there into a NaN gradient.)
-        net, params, X, u, _ = case
-        flat = net.layout.flatten(net.weights) if params is None else params
-        P = np.atleast_2d(flat).copy()
+        net, P, X, u, _ = case
+        P = P.copy()
         bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
         if data.draw(st.booleans()):
             X = X.copy()
@@ -310,17 +327,15 @@ class TestLeanPasses:
         else:
             P[data.draw(st.integers(0, len(P) - 1)),
               data.draw(st.integers(0, P.shape[1] - 1))] = bad
-        params = P if params is not None else P[0]
         ones = np.ones(np.shape(X)[:-1] + (1,))
         with np.errstate(invalid="ignore", over="ignore"):
-            g = nw.forward_pass(net, X, params).grad_params_dirderiv(u)
-            want = FormulaPass(net, X, params).grad_params_dirderiv(u, ones)
+            g = nw.forward_pass(net, X, P).grad_params_dirderiv(u)
+            want = FormulaPass(net, X, P).grad_params_dirderiv(u, ones)
         assert np.isfinite(g).all() == np.isfinite(want).all()
         if not np.isfinite(want).all():
             config = SvgdConfig(step_size=0.1, max_iters=1, kernel=KernelSpec(2, 1.0))
             with pytest.raises(NonFiniteGradientError):
-                svgd_step(Ensemble(P, net, np.random.default_rng(0)),
-                          np.broadcast_to(g, P.shape), config)
+                svgd_step(Ensemble(P, net, np.random.default_rng(0)), g, config)
 
 
     def test_a_score_call_forms_no_last_hidden_value(self, monkeypatch):
@@ -346,7 +361,7 @@ class TestLeanPasses:
     def test_the_unit_upstream_needs_a_scalar_output(self, rng):
         net = random_net(rng, (3, 4, 2))
         with pytest.raises(ShapeError, match="scalar-output"):
-            nw.forward_pass(net, rng.normal(size=(5, 3))).grad_params_dirderiv(
+            nw.forward_pass(net, rng.normal(size=(5, 3)), one_row(net)).grad_params_dirderiv(
                 rng.normal(size=(5, 3)))
 
 
@@ -394,11 +409,12 @@ class TestPermutationSymmetry:
     def test_hidden_permutation_preserves_output(self, rng):
         net = random_net(rng, (3, 8, 8, 1))
         x = rng.normal(size=(20, 3))
-        base = nw.forward_pass(net, x).output()
+        base = nw.forward_pass(net, x, one_row(net)).output()
         for layer in (1, 2):
             perm = rng.permutation(8)
             permuted = nw.permute_hidden(net, layer, perm)
-            assert np.max(np.abs(nw.forward_pass(permuted, x).output() - base)) <= 1e-12
+            out = nw.forward_pass(permuted, x, one_row(permuted)).output()
+            assert np.max(np.abs(out - base)) <= 1e-12
 
     def test_input_output_layers_rejected(self, rng):
         net = random_net(rng, (3, 4, 1))

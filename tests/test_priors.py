@@ -121,3 +121,7 @@ class TestSpecValidation:
     def test_lambda_positive(self):
         with pytest.raises(DomainError):
             PriorSpec(1.0, 0.0)
+
+    def test_nan_lambda_rejected(self):
+        with pytest.raises(DomainError, match="lam must be > 0, got nan"):
+            PriorSpec(1.0, float("nan"))

@@ -10,6 +10,11 @@ bare name, except the methods of a protocol that the library calls through
 it (``PROTOCOL``).  Code that only tests or demos call belongs in
 ``tests/_oracles.py`` or the demo, not in ``src/``.  ``ALLOWED`` exempts a
 name only with the reason it stays.
+
+A special method is called through syntax, not by its name, so the scan
+cannot see its callers.  Every one but ``__post_init__`` (which a dataclass
+calls on construction) is listed in ``DUNDERS`` with the library use that
+needs it.
 """
 
 import ast
@@ -41,6 +46,12 @@ PROTOCOL = {
                          "scores through it for either model",
 }
 
+# Special methods of library classes, each with the library code that calls it.
+DUNDERS = {
+    "Dataset.__len__": "len(self.dataset) sizes RegressionTarget's particle "
+                       "blocks",
+}
+
 
 def _definitions(tree):
     """(qualified name, bare name, node) of every module-level function and
@@ -65,6 +76,17 @@ def _identifiers(node, skip):
         yield node.attr
     for child in ast.iter_child_nodes(node):
         yield from _identifiers(child, skip)
+
+
+def _dunders(tree):
+    """Qualified names of the special methods of module-level classes, but
+    ``__post_init__``."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef) and item.name != "__post_init__"
+                        and item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}"
 
 
 def _library(package):
@@ -105,6 +127,15 @@ def test_no_two_definitions_share_a_name():
         "tell their callers apart; rename one or delete the one without a caller")
 
 
+def test_every_special_method_has_a_listed_library_use():
+    assert all(reason.strip() for reason in DUNDERS.values())
+    # a special method that left the library leaves the list
+    found = sorted(q for tree in _library(PACKAGE) for q in _dunders(tree))
+    assert found == sorted(DUNDERS), (
+        "a special method of a library class is not in DUNDERS; name the library "
+        "code that calls it, or delete it")
+
+
 def test_allowlist_is_short_and_current():
     assert len(ALLOWED) <= 3
     assert all(reason.strip() for reason in ALLOWED.values())
@@ -120,8 +151,10 @@ def test_scan_sees_a_name_used_only_in_its_own_body(tmp_path):
         "class C:\n    def used(self):\n        return self.spare\n\n"
         "    def spare(self):\n        return 0\n\n"
         "    def orphan(self):\n        return 0\n\n"
-        "    def __len__(self):\n        return 0\n")
+        "    def __len__(self):\n        return 0\n\n"
+        "    def __post_init__(self):\n        pass\n")
     assert _unused_names(tmp_path) == ["C", "C.orphan", "C.used", "f", "g"]
+    assert list(_dunders(_library(tmp_path)[0])) == ["C.__len__"]
 
 
 def test_scan_sees_a_name_two_classes_define(tmp_path):
