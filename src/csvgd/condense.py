@@ -5,7 +5,11 @@ Node sorting permutes rows of the incoming weight matrix and columns of the
 outgoing one, so each member's input-output map is preserved; pruning changes
 it by at most the threshold times the local fan-in.  Input and output layers
 are never pruned or permuted.  Networks carry weights only, so every
-parameter is an edge.
+parameter is an edge, and every network is the one chain ``network`` defines:
+softplus hidden links and an identity output link.  A softplus layer cannot
+be composed away, so a hidden layer that dies in every particle ends
+condensation with a named ``CondenseError``; otherwise the layer count never
+changes.
 
 A ``NetGraph`` is, like the particle stack ``network`` passes take, the
 whole ensemble at once: its arrays carry a leading particle axis, weights
@@ -58,7 +62,6 @@ class NetGraph:
     weights: list[np.ndarray]       # (N, out, in) per link
     active: list[np.ndarray]        # bool (N, width); ends are always fully active
     provenance: list[np.ndarray]    # original node index per slot, -1 for padding
-    activations: tuple[str, ...]
     nonneg_mask: tuple[bool, ...]
 
     @classmethod
@@ -73,15 +76,13 @@ class NetGraph:
             active=[np.ones(lead + (w,), dtype=bool) for w in net.layer_widths],
             provenance=[np.broadcast_to(np.arange(w), lead + (w,)).copy()
                         for w in net.layer_widths],
-            activations=net.activations,
             nonneg_mask=net.nonneg_mask,
         )
 
     def copy(self) -> "NetGraph":
         return NetGraph(self.widths, [w.copy() for w in self.weights],
                         [a.copy() for a in self.active],
-                        [p.copy() for p in self.provenance],
-                        self.activations, self.nonneg_mask)
+                        [p.copy() for p in self.provenance], self.nonneg_mask)
 
     @property
     def n_layers(self) -> int:
@@ -186,44 +187,23 @@ def reconcile(graph: NetGraph, template_widths: tuple[int, ...]) -> NetGraph:
                                 w, 0.0))
     prov = [np.where(a, np.take_along_axis(p, o, axis=-1), -1)
             for p, o, a in zip(graph.provenance, order, live)]
-    return NetGraph(tuple(template_widths), weights, live, prov,
-                    graph.activations, graph.nonneg_mask)
-
-
-def _collapse_dead_layers(graph: NetGraph,
-                          widths: tuple[int, ...]) -> tuple[NetGraph, tuple[int, ...]]:
-    """Remove zero-width hidden layers by composing the adjacent affine maps.
-
-    Only defined when the dead layer's activation is the identity; softplus
-    cannot be composed through and aborts with a diagnostic.
-    """
-    while 0 in widths[1:-1]:
-        layer = next(i for i in range(1, len(widths) - 1) if widths[i] == 0)
-        if graph.activations[layer - 1] != "identity":
-            raise CondenseError(
-                f"hidden layer {layer} died in every particle and its activation "
-                f"is {graph.activations[layer - 1]!r}; cannot compose through it")
-        w, m = graph.weights, graph.nonneg_mask
-        graph = NetGraph(graph.widths[:layer] + graph.widths[layer + 1:],
-                         w[:layer - 1] + [w[layer] @ w[layer - 1]] + w[layer + 1:],
-                         graph.active[:layer] + graph.active[layer + 1:],
-                         graph.provenance[:layer] + graph.provenance[layer + 1:],
-                         graph.activations[:layer - 1] + graph.activations[layer:],
-                         m[:layer - 1] + (m[layer - 1] and m[layer],) + m[layer + 1:])
-        widths = widths[:layer] + widths[layer + 1:]
-    return graph, widths
+    return NetGraph(tuple(template_widths), weights, live, prov, graph.nonneg_mask)
 
 
 def condense_graphs(graph: NetGraph, epsilon: float) -> tuple[NetGraph, tuple[int, ...]]:
     """Iterate prune -> sort -> template -> reconcile on a stacked graph until
-    the template and every member's active edge set stop changing."""
+    the template and every member's active edge set stop changing.
+
+    Raises ``CondenseError`` naming the first hidden layer that died in every
+    particle: its softplus cannot be composed through."""
     signature = None
     widths = graph.widths
     for _ in range(MAX_PASSES):
         graph = sort_nodes(prune(graph, epsilon))
         widths = common_template(graph)
         if 0 in widths[1:-1]:
-            graph, widths = _collapse_dead_layers(graph, widths)
+            raise CondenseError(f"hidden layer {widths.index(0, 1)} died in every "
+                                f"particle; a softplus layer cannot be composed through")
         graph = reconcile(graph, widths)
         sig = (widths, tuple((w != 0.0).tobytes() for w in graph.weights))
         if sig == signature:

@@ -53,9 +53,10 @@ CHECKPOINT_FORMAT_TAG = "csvgd-checkpoint-v1"
 class Ensemble:
     """Particle stack sharing one layout, plus iteration bookkeeping.
 
-    ``template`` is the common network graph (None for raw-vector targets
-    such as the MVN demo, where no condensation applies).  The engine is the
-    single logical writer during a run.
+    ``particles`` is the (N, D) stack, one flat row per particle; this is the
+    engine's one check of it.  ``template`` is the common network graph (None
+    for raw-vector targets such as the MVN demo, where no condensation
+    applies).  The engine is the single logical writer during a run.
     """
 
     particles: np.ndarray
@@ -65,7 +66,9 @@ class Ensemble:
     stage: int = 0
 
     def __post_init__(self):
-        P = np.atleast_2d(np.asarray(self.particles, dtype=float))
+        P = np.asarray(self.particles, dtype=float)
+        if P.ndim != 2:
+            raise ShapeError(f"particles shape {P.shape} is not a particle stack (N, D)")
         if self.template is not None and P.shape[1] != self.template.layout.size:
             raise ShapeError(f"particle dim {P.shape[1]} does not match template "
                              f"layout size {self.template.layout.size}")
@@ -199,7 +202,7 @@ def stein_gradient(ensemble: Ensemble, scores, config: SvgdConfig,
     kernel matrix.
     """
     P = ensemble.particles
-    S = np.atleast_2d(np.asarray(scores, dtype=float))
+    S = np.asarray(scores, dtype=float)
     if S.shape != P.shape:
         raise ShapeError(f"scores shape {S.shape} does not match particles {P.shape}")
     if prior is None:
@@ -307,14 +310,14 @@ def run_stage(ensemble: Ensemble, target, config: SvgdConfig,
     return ensemble, report
 
 
-def condense_ensemble(ensemble: Ensemble, epsilon: float
-                      ) -> tuple[Ensemble, np.ndarray | None]:
+def condense_ensemble(ensemble: Ensemble, epsilon: float) -> tuple[Ensemble, np.ndarray]:
     """Run graph condensation and rebuild the ensemble on the common template.
 
     Also returns, per particle, the old flat index feeding each new flat
     coordinate (-1 for padding), one (N, D_new) array, so optimizer state can
-    be carried across the relayout; None when layers collapsed and no
-    per-coordinate map exists.
+    be carried across the relayout.  Condensation keeps the layer count, so
+    this map exists for every input; a hidden layer that dies in every
+    particle raises ``CondenseError`` instead (``condense.condense_graphs``).
     """
     if ensemble.template is None:
         raise ShapeError("condensation requires a network template")
@@ -322,11 +325,9 @@ def condense_ensemble(ensemble: Ensemble, epsilon: float
     graph, widths = gc.condense_graphs(
         gc.NetGraph.from_net(template, ensemble.particles), epsilon)
     new_template = LayeredNet(widths, tuple(np.zeros(w.shape[1:]) for w in graph.weights),
-                              graph.activations, graph.nonneg_mask)
+                              graph.nonneg_mask)
     new_ens = Ensemble(new_template.layout.flatten(graph.weights), new_template,
                        ensemble.rng, ensemble.iteration, ensemble.stage)
-    if len(widths) != len(template.layer_widths):
-        return new_ens, None
     return new_ens, _flat_index_map(graph, template.layer_widths)
 
 
@@ -343,14 +344,13 @@ def _flat_index_map(graph: gc.NetGraph, old_widths: tuple[int, ...]) -> np.ndarr
     return np.concatenate(maps, axis=-1)
 
 
-def _remap_opt_state(opt_state, index_map, shape) -> np.ndarray | None:
-    """The AdaGrad accumulator carried into the condensed layout of
-    ``shape``: each new coordinate takes its old coordinate's sum, padding
+def _remap_opt_state(opt_state, index_map) -> np.ndarray | None:
+    """The AdaGrad accumulator carried into the condensed layout through
+    ``condense_ensemble``'s per-coordinate map, which every condensation
+    returns: each new coordinate takes its old coordinate's sum, padding
     starts at zero."""
     if opt_state is None:
         return None
-    if index_map is None:
-        return np.zeros(shape)  # collapsed layout: start the accumulator fresh
     old = np.take_along_axis(opt_state, np.maximum(index_map, 0), axis=1)
     return np.where(index_map >= 0, old, 0.0)
 
@@ -402,8 +402,7 @@ def _run_from_state(state: _RunState, target, checkpoint_dir=None,
         state.stages.append(report)
         if ensemble.template is not None and config.condense_enabled:
             ensemble, index_map = condense_ensemble(ensemble, config.prune_epsilon)
-            state.opt_state = _remap_opt_state(state.opt_state, index_map,
-                                               ensemble.particles.shape)
+            state.opt_state = _remap_opt_state(state.opt_state, index_map)
         ensemble.stage += 1
         state.ensemble = ensemble
         state.next_stage = s + 1

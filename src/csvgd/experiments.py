@@ -270,7 +270,7 @@ def mvn_ensemble_error(particles, dims=None) -> float:
 
     NaN for a single particle (no sample covariance).
     """
-    P = np.atleast_2d(np.asarray(particles, dtype=float))
+    P = np.asarray(particles, dtype=float)
     if len(P) < 2:
         return float("nan")
     if dims is not None:

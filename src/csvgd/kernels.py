@@ -181,7 +181,7 @@ def pairwise_square_sums(P, out=None) -> tuple[np.ndarray, np.ndarray]:
     bit, and ``all_sq`` equals the sums of the whole (n, n, D) squared
     difference tensor along its rows.
     """
-    P = np.atleast_2d(np.asarray(P, dtype=float))
+    P = np.asarray(P, dtype=float)
     n = len(P)
     if out is not None and out.shape != (n, n):
         raise ShapeError(f"out has shape {out.shape}, need {(n, n)}")
@@ -231,8 +231,8 @@ def stein_direction(spec: KernelSpec, particles, scores, gamma: float,
     of its one difference pass gives the kernel rows (from |diff|) and then
     the signed repulsion of those rows.
     """
-    P = np.atleast_2d(np.asarray(particles, dtype=float))
-    S = np.atleast_2d(np.asarray(scores, dtype=float))
+    P = np.asarray(particles, dtype=float)
+    S = np.asarray(scores, dtype=float)
     n = len(P)
     if spec.beta == 2:
         K = _kernel(sq_dists, gamma, 2)

@@ -50,7 +50,7 @@ class MvnTarget:
     def score_and_mse_batch(self, template, particles) -> tuple[np.ndarray, np.ndarray]:
         """Scores -P (theta - mu) and the quadratic forms (theta-mu)' P (theta-mu),
         the fit error the engine tracks, for particle rows."""
-        D = np.atleast_2d(np.asarray(particles, dtype=float)) - self.mean
+        D = np.asarray(particles, dtype=float) - self.mean
         return -D @ self.precision, np.einsum("ni,ij,nj->n", D, self.precision, D)
 
 
@@ -64,8 +64,11 @@ class Dataset:
     output_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        X = np.atleast_2d(np.asarray(self.inputs, dtype=float))
-        Y = np.atleast_2d(np.asarray(self.outputs, dtype=float))
+        X = np.asarray(self.inputs, dtype=float)
+        Y = np.asarray(self.outputs, dtype=float)
+        if X.ndim != 2 or Y.ndim != 2:
+            raise ShapeError(f"inputs {X.shape} and outputs {Y.shape} must be sample "
+                             f"rows (n, width)")
         if len(X) != len(Y):
             raise ShapeError(f"{len(X)} inputs vs {len(Y)} outputs")
         if len(X) == 0:
@@ -144,7 +147,7 @@ class RegressionTarget:
         """Scores and MSEs per particle block of the stack
         (``network.particle_blocks``), joined along the particle axis; a
         one-block stack is scored whole, with nothing to join."""
-        P = np.atleast_2d(np.asarray(particles, dtype=float))
+        P = np.asarray(particles, dtype=float)
         blocks = network.particle_blocks(template, len(P), len(self.dataset))
         if len(blocks) == 1:
             return self._block_score_and_mse(template, P)

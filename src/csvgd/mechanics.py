@@ -293,6 +293,5 @@ def icnn_template(widths=(3, 30, 30, 1)) -> network.LayeredNet:
     widths = tuple(int(w) for w in widths)
     n_links = len(widths) - 1
     weights = tuple(np.zeros((widths[k + 1], widths[k])) for k in range(n_links))
-    activations = tuple(["softplus"] * (n_links - 1) + ["identity"])
     nonneg = tuple([False] + [True] * (n_links - 1))
-    return network.LayeredNet(widths, weights, activations, nonneg)
+    return network.LayeredNet(widths, weights, nonneg)

@@ -48,7 +48,10 @@ class GaussianSummary:
 
     @classmethod
     def from_samples(cls, samples) -> "GaussianSummary":
-        S = np.atleast_2d(np.asarray(samples, dtype=float))
+        S = np.asarray(samples, dtype=float)
+        if S.ndim != 2:
+            raise ShapeError(f"samples shape {S.shape} is not sample rows (n, dim)")
+        # one column gives a 0-d covariance
         cov = np.atleast_2d(np.cov(S, rowvar=False, ddof=1))
         return cls(S.mean(axis=0), cov)
 
@@ -172,7 +175,7 @@ def pushforward_w1(model_samples, reference_samples) -> tuple[np.ndarray, float]
 
 def sparsity_l1(particles, coords) -> float:
     """Mean over particles of sum over the selected coordinates of |theta|."""
-    P = np.atleast_2d(np.asarray(particles, dtype=float))
+    P = np.asarray(particles, dtype=float)
     coords = np.asarray(coords, dtype=int)
     if coords.size and (coords.min() < 0 or coords.max() >= P.shape[1]):
         raise ShapeError(f"coordinate index out of range for dim {P.shape[1]}")

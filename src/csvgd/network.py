@@ -1,6 +1,8 @@
 """Layered feed-forward networks with closed-form forward and reverse passes.
 
-A network is a plain chain of affine maps and elementwise activations.
+A network is a chain of weight matrices, each followed by its link's
+activation: softplus on every hidden link and identity on the output link,
+the chain of ``mechanics.icnn_template`` that every run builds.
 Everything here is a pure function of immutable value objects, so results
 are reproducible bit-for-bit and safe to evaluate from multiple threads.
 Besides the usual parameter/input gradients, the module provides the
@@ -8,7 +10,7 @@ parameter gradient of an input-directional derivative (reverse-over-forward),
 which is what stress-style models built on input gradients need.
 
 Every pass builds on one forward pass, ``forward_pass``: it evaluates each
-hidden link's activation once, its value and first derivative from one
+hidden link's softplus once, its value and first derivative from one
 evaluation, and keeps them in a ``ForwardPass``.  The output, the input
 Jacobian, the parameter gradient and the reverse-over-forward gradient are
 methods that read that pass, so a model that needs a prediction and its
@@ -107,16 +109,6 @@ def _sigmoid_slope(s):
     return d2
 
 
-def _identity_terms(z, value=True):
-    return z, np.ones_like(z)
-
-
-# tag -> (function of z giving the value (unless told not to) and the first
-# derivative, function of the first derivative giving the second)
-_ACTIVATIONS = {"softplus": (_softplus_terms, _sigmoid_slope),
-                "identity": (_identity_terms, np.zeros_like)}
-
-
 def _frozen(a):
     a = np.array(a, dtype=float)
     a.flags.writeable = False
@@ -174,20 +166,18 @@ class Layout:
 
 @dataclass(frozen=True)
 class LayeredNet:
-    """Immutable chain network.
+    """Immutable chain network: softplus hidden links, an identity output link.
 
     weights[k] maps layer k to layer k+1 and has shape
     (layer_widths[k+1], layer_widths[k]).  The weights are the only
     parameters: condensation reconciles networks through their edges, so a
     flat parameter row is every edge weight and nothing else.
-    ``activations`` holds one tag per link; the last one must be "identity".
     ``nonneg_mask[k]`` marks weight matrices constrained to be elementwise
     >= 0.
     """
 
     layer_widths: tuple[int, ...]
     weights: tuple[np.ndarray, ...]
-    activations: tuple[str, ...]
     nonneg_mask: tuple[bool, ...]
 
     def __post_init__(self):
@@ -198,8 +188,8 @@ class LayeredNet:
         n_links = len(widths) - 1
         if len(self.weights) != n_links:
             raise ShapeError(f"expected {n_links} weight matrices, got {len(self.weights)}")
-        if len(self.activations) != n_links or len(self.nonneg_mask) != n_links:
-            raise ShapeError("activations and nonneg_mask must have one entry per link")
+        if len(self.nonneg_mask) != n_links:
+            raise ShapeError("nonneg_mask must have one entry per link")
         ws = []
         for k, w in enumerate(self.weights):
             w = _frozen(w)
@@ -210,12 +200,6 @@ class LayeredNet:
                 raise ShapeError(f"W{k} is flagged nonnegative but has negative entries")
             ws.append(w)
         object.__setattr__(self, "weights", tuple(ws))
-        for tag in self.activations:
-            if tag not in _ACTIVATIONS:
-                raise ShapeError(f"unknown activation tag {tag!r}")
-        if self.activations[-1] != "identity":
-            raise ShapeError("output layer activation must be identity")
-        object.__setattr__(self, "activations", tuple(self.activations))
         object.__setattr__(self, "nonneg_mask", tuple(bool(m) for m in self.nonneg_mask))
 
     @property
@@ -295,7 +279,7 @@ def _unit_upstream(rows: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class ForwardPass:
     """One evaluation of a network on the rows of X, kept for every pass that
-    reads it, so each activation is evaluated once per link.
+    reads it, so each softplus is evaluated once per link.
 
     ``W`` are the weights of the particle stack, (N, out, in) per link.
     ``H[k]`` is the input of hidden link k (``H[0]`` is X).  The input of
@@ -303,12 +287,12 @@ class ForwardPass:
     product are not formed: only ``output`` and ``grad_params`` read them,
     and they form them on demand by the same operations, so with the same
     bits.  ``D1[k]`` holds the first derivative of hidden link k's
-    activation at its pre-activations; the identity output link's is one.
+    softplus at its pre-activations; the identity output link's is one.
     The second derivative is formed from ``D1[k]`` by the one pass that
     reads it, ``grad_params_dirderiv``.
 
-    The passes skip work whose result is known exactly: the output link is
-    identity, with a unit first and a zero second derivative.  Where a
+    The passes skip work whose result is known exactly: the identity output
+    link has a unit first and a zero second derivative.  Where a
     skipped term is an exact zero of a sum (which numpy starts from +0.0),
     the pass adds 0.0 once instead, so every result has the bits of the full
     formulas, signed zeros included.
@@ -342,7 +326,7 @@ class ForwardPass:
         if k < 0:
             return self.H[0]
         z = _matmul(self.H[k], self.W[k].swapaxes(-1, -2))
-        return _ACTIVATIONS[self.net.activations[k]][0](z)[0]
+        return _softplus_terms(z)[0]
 
     def _gradient_rows(self):
         """Flat gradient rows (N, size) and each link's view into them."""
@@ -373,7 +357,7 @@ class ForwardPass:
         respect to all parameters; ``upstream`` may carry the particle axis."""
         n_links = self.net.n_links
         U = _check_rows("upstream", upstream, (len(self.H[0]), self.net.layer_widths[-1]))
-        bar = np.broadcast_to(U, self._out_shape)  # output activation is identity
+        bar = np.broadcast_to(U, self._out_shape)  # identity output link
         H = self.H[:n_links - 1] + [self._last_input()]
         flat, gW = self._gradient_rows()
         for k in range(n_links - 1, -1, -1):
@@ -385,7 +369,7 @@ class ForwardPass:
     def _tangents(self, u):
         """Forward tangent pass along input directions u over the hidden
         links: per link the tangent pre-activations TZ[k] = T[k] W_k' and
-        T[k + 1] = act'(z) * TZ[k]."""
+        T[k + 1] = softplus'(z) * TZ[k]."""
         T = [_check_rows("direction", u, self.H[0].shape)]
         TZ = []
         for k, d1 in enumerate(self.D1):
@@ -430,7 +414,7 @@ class ForwardPass:
         bar_h = None  # zero below the output link
         for k in range(n_links - 2, -1, -1):
             d1 = self.D1[k]
-            bar_z = _ACTIVATIONS[self.net.activations[k]][1](d1) * TZ[k] * bar_t
+            bar_z = _sigmoid_slope(d1) * TZ[k] * bar_t
             if bar_h is None:
                 bar_z += 0.0  # the skipped act'(z) * 0
             else:
@@ -454,7 +438,7 @@ def forward_pass(net: LayeredNet, X, params) -> ForwardPass:
     last = net.n_links - 2
     for k in range(last + 1):
         z = _matmul(H[-1], W[k].swapaxes(-1, -2))
-        h, d1 = _ACTIVATIONS[net.activations[k]][0](z, value=k < last)
+        h, d1 = _softplus_terms(z, value=k < last)
         if k < last:
             H.append(h)
         D1.append(d1)
@@ -486,14 +470,21 @@ def permute_hidden(net: LayeredNet, layer: int, perm) -> LayeredNet:
     return replace(net, weights=tuple(ws))
 
 
+def _link_tags(net: LayeredNet) -> list[str]:
+    """The v1 format's per-link activation list, which the chain fixes."""
+    return ["softplus"] * (net.n_links - 1) + ["identity"]
+
+
 def net_to_dict(net: LayeredNet) -> dict:
     """Plain JSON-ready form of a network; floats round-trip exactly.  The
-    v1 format's ``biases`` key is always the empty list."""
+    v1 format's ``biases`` key is always the empty list, and its
+    ``activations`` list names the softplus hidden links and the identity
+    output link."""
     return {
         "layer_widths": list(net.layer_widths),
         "weights": [w.tolist() for w in net.weights],
         "biases": [],
-        "activations": list(net.activations),
+        "activations": _link_tags(net),
         "nonneg_mask": list(net.nonneg_mask),
     }
 
@@ -502,9 +493,12 @@ def net_from_dict(d: dict) -> LayeredNet:
     """Inverse of net_to_dict; keys other than the network's are ignored."""
     if d["biases"]:
         raise ShapeError("networks are bias-free: the biases must be the empty list")
-    return LayeredNet(
+    net = LayeredNet(
         layer_widths=tuple(d["layer_widths"]),
         weights=tuple(np.asarray(w, dtype=float) for w in d["weights"]),
-        activations=tuple(d["activations"]),
         nonneg_mask=tuple(d["nonneg_mask"]),
     )
+    if list(d["activations"]) != _link_tags(net):
+        raise ShapeError(f"activations {d['activations']!r} are not {_link_tags(net)!r}: "
+                         f"hidden links are softplus, the output link identity")
+    return net

@@ -270,10 +270,14 @@ def sigmoid_deriv_formula(x):
     return s * (1.0 - s)
 
 
-_FORMULAS = {
-    "softplus": (softplus_formula, sigmoid_formula, sigmoid_deriv_formula),
-    "identity": (lambda x: x, lambda x: np.ones_like(x), lambda x: np.zeros_like(x)),
-}
+_SOFTPLUS = (softplus_formula, sigmoid_formula, sigmoid_deriv_formula)
+_IDENTITY = (lambda x: x, lambda x: np.ones_like(x), lambda x: np.zeros_like(x))
+
+
+def _formulas(net, k):
+    """Value, first and second derivative of link k of the chain: softplus
+    hidden links, an identity output link."""
+    return _IDENTITY if k == net.n_links - 1 else _SOFTPLUS
 
 
 def _two_call_forward(net, W, X):
@@ -281,7 +285,7 @@ def _two_call_forward(net, W, X):
     for k in range(net.n_links):
         z = H[-1] @ W[k].swapaxes(-1, -2)
         Z.append(z)
-        H.append(_FORMULAS[net.activations[k]][0](z))
+        H.append(_formulas(net, k)[0](z))
     return Z, H
 
 
@@ -296,7 +300,7 @@ def _two_call_grad_input(net, W, X):
     for k in range(net.n_links - 1, -1, -1):
         J = J @ W[k][..., None, :, :]
         if k > 0:
-            J = J * _FORMULAS[net.activations[k - 1]][1](Z[k - 1])[..., None, :]
+            J = J * sigmoid_formula(Z[k - 1])[..., None, :]
     return J
 
 
@@ -307,7 +311,7 @@ def _two_call_grad_params(net, W, X, U):
     for k in range(net.n_links - 1, -1, -1):
         gW[k] = bar.swapaxes(-1, -2) @ H[k]
         if k > 0:
-            bar = (bar @ W[k]) * _FORMULAS[net.activations[k - 1]][1](Z[k - 1])
+            bar = (bar @ W[k]) * sigmoid_formula(Z[k - 1])
     return _flat(gW)
 
 
@@ -317,12 +321,12 @@ def _two_call_grad_params_dirderiv(net, W, X, Udir, Up):
     for k in range(net.n_links):
         tz = T[-1] @ W[k].swapaxes(-1, -2)
         TZ.append(tz)
-        T.append(_FORMULAS[net.activations[k]][1](Z[k]) * tz)
+        T.append(_formulas(net, k)[1](Z[k]) * tz)
     gW = [None] * net.n_links
     bar_h, bar_t = np.zeros_like(H[-1]), Up
     for k in range(net.n_links - 1, -1, -1):
-        d1 = _FORMULAS[net.activations[k]][1](Z[k])
-        d2 = _FORMULAS[net.activations[k]][2](Z[k])
+        d1 = _formulas(net, k)[1](Z[k])
+        d2 = _formulas(net, k)[2](Z[k])
         bar_z = d1 * bar_h + d2 * TZ[k] * bar_t
         bar_tz = d1 * bar_t
         gW[k] = bar_z.swapaxes(-1, -2) @ H[k] + bar_tz.swapaxes(-1, -2) @ T[k]
@@ -375,10 +379,6 @@ def softplus_terms_where(z):
     return np.maximum(z, 0.0) + np.log1p(e), s, s * (1.0 - s)
 
 
-_PASS_TERMS = {"softplus": softplus_terms_where,
-               "identity": lambda z: (z, np.ones_like(z), np.zeros_like(z))}
-
-
 class FormulaPass:
     """`network.forward_pass(net, X, params)` and the passes that read it."""
 
@@ -391,7 +391,8 @@ class FormulaPass:
         self.H, self.D1, self.D2 = [X], [], []
         for k in range(net.n_links):
             z = self.H[-1] @ self.W[k].swapaxes(-1, -2)
-            h, d1, d2 = _PASS_TERMS[net.activations[k]](z)
+            h, d1, d2 = (softplus_terms_where(z) if k < net.n_links - 1
+                         else (z, np.ones_like(z), np.zeros_like(z)))
             self.H.append(h)
             self.D1.append(d1)
             self.D2.append(d2)
@@ -594,41 +595,14 @@ def reconcile_per_graph(graph, template_widths):
             w[:n_act, :idx[layer - 1].size] = \
                 graph.weights[layer - 1][np.ix_(idx[layer], idx[layer - 1])]
             weights.append(w)
-    return NetGraph(tuple(template_widths), weights, active, prov,
-                    graph.activations, graph.nonneg_mask)
-
-
-def collapse_dead_layers_per_graph(graphs, widths):
-    """`condense._collapse_dead_layers` over a list of graphs."""
-    from csvgd.condense import NetGraph
-    from csvgd.errors import CondenseError
-
-    while 0 in widths[1:-1]:
-        layer = next(i for i in range(1, len(widths) - 1) if widths[i] == 0)
-        if graphs[0].activations[layer - 1] != "identity":
-            raise CondenseError(
-                f"hidden layer {layer} died in every particle and its activation "
-                f"is {graphs[0].activations[layer - 1]!r}; cannot compose through it")
-        new = []
-        for g in graphs:
-            w_merged = g.weights[layer] @ g.weights[layer - 1]
-            weights = g.weights[:layer - 1] + [w_merged] + g.weights[layer + 1:]
-            acts = g.activations[:layer - 1] + g.activations[layer:]
-            mask = (g.nonneg_mask[:layer - 1]
-                    + (g.nonneg_mask[layer - 1] and g.nonneg_mask[layer],)
-                    + g.nonneg_mask[layer + 1:])
-            new.append(NetGraph(g.widths[:layer] + g.widths[layer + 1:], weights,
-                                g.active[:layer] + g.active[layer + 1:],
-                                g.provenance[:layer] + g.provenance[layer + 1:],
-                                acts, mask))
-        graphs = new
-        widths = widths[:layer] + widths[layer + 1:]
-    return graphs, widths
+    return NetGraph(tuple(template_widths), weights, active, prov, graph.nonneg_mask)
 
 
 def condense_graphs_per_graph(graphs, epsilon, max_passes=20):
     """`condense.condense_graphs` over a list of graphs; also returns the
     number of passes it ran."""
+    from csvgd.errors import CondenseError
+
     signature = None
     widths = graphs[0].widths
     passes = 0
@@ -636,8 +610,10 @@ def condense_graphs_per_graph(graphs, epsilon, max_passes=20):
         passes += 1
         graphs = [sort_nodes_per_graph(prune_per_graph(g, epsilon)) for g in graphs]
         widths = common_template_per_graph(graphs)
-        if 0 in widths[1:-1]:
-            graphs, widths = collapse_dead_layers_per_graph(graphs, widths)
+        dead = [layer for layer in range(1, len(widths) - 1) if widths[layer] == 0]
+        if dead:
+            raise CondenseError(f"hidden layer {dead[0]} died in every particle; "
+                                f"a softplus layer cannot be composed through")
         graphs = [reconcile_per_graph(g, widths) for g in graphs]
         sig = (widths, tuple((w != 0.0).tobytes() for g in graphs for w in g.weights))
         if sig == signature:
@@ -668,8 +644,6 @@ def remap_opt_state_per_particle(opt_state, index_maps):
     """`engine._remap_opt_state` from one index map per particle."""
     if opt_state is None:
         return None
-    if index_maps is None:
-        return None
     out = np.zeros((opt_state.shape[0], index_maps[0].size))
     for a, m in enumerate(index_maps):
         valid = m >= 0
@@ -685,17 +659,15 @@ def graph_of_net(net):
                     weights=[np.array(w) for w in net.weights],
                     active=[np.ones(w, dtype=bool) for w in net.layer_widths],
                     provenance=[np.arange(w) for w in net.layer_widths],
-                    activations=net.activations, nonneg_mask=net.nonneg_mask)
+                    nonneg_mask=net.nonneg_mask)
 
 
 def condense_ensemble_per_particle(template, particles, epsilon):
     """`engine.condense_ensemble` through one network and one graph per
-    particle: (new flat rows, template widths, index maps or None)."""
+    particle: (new flat rows, template widths, index maps)."""
     graphs = [graph_of_net(template.with_values(p)) for p in particles]
     graphs, widths, _ = condense_graphs_per_graph(graphs, epsilon)
     rows = np.stack([np.concatenate([w.ravel() for w in g.weights]) for g in graphs])
-    if len(widths) != len(template.layer_widths):
-        return rows, widths, None
     return rows, widths, [flat_index_map_per_graph(g, template.layer_widths)
                           for g in graphs]
 
@@ -870,7 +842,7 @@ def net_stack_of_graph(graph):
     from csvgd.network import LayeredNet
 
     template = LayeredNet(graph.widths, tuple(np.zeros(w.shape[1:]) for w in graph.weights),
-                          graph.activations, graph.nonneg_mask)
+                          graph.nonneg_mask)
     return template, np.concatenate([w.reshape(len(w), -1) for w in graph.weights], axis=1)
 
 

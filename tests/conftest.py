@@ -69,8 +69,7 @@ def random_net(rng, widths=(3, 4, 1), nonneg=None, low=0.05, high=0.6):
         if not nonneg[k]:
             w *= rng.choice([-1.0, 1.0], size=w.shape)
         weights.append(w)
-    acts = ("softplus",) * (n_links - 1) + ("identity",)
-    return LayeredNet(tuple(widths), tuple(weights), acts, tuple(nonneg))
+    return LayeredNet(tuple(widths), tuple(weights), tuple(nonneg))
 
 
 def one_row(net):

@@ -148,7 +148,7 @@ def test_criterion_05_condensation_correctness():
             dz = (np.abs(net.weights[k] - pruned.weights[k][i]) @ level
                   + np.abs(pruned.weights[k][i]) @ dh)
             z = h @ net.weights[k].T
-            h = z if net.activations[k] == "identity" else softplus_formula(z)
+            h = z if k == net.n_links - 1 else softplus_formula(z)
             dh = dz
         if np.max(np.abs(b - a)) > dh.max() + 1e-9:
             within_bound = False

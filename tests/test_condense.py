@@ -35,13 +35,11 @@ def outputs_of(graph, X):
     return nw.forward_pass(template, X, P).output()
 
 
-def chain(weights, nonneg=None, acts=None):
+def chain(weights, nonneg=None):
     weights = [np.atleast_2d(np.asarray(w, dtype=float)) for w in weights]
     widths = [weights[0].shape[1]] + [w.shape[0] for w in weights]
-    n = len(weights)
-    nonneg = nonneg or (False,) * n
-    acts = acts or ("softplus",) * (n - 1) + ("identity",)
-    return nw.LayeredNet(tuple(widths), tuple(weights), acts, tuple(nonneg))
+    nonneg = nonneg or (False,) * len(weights)
+    return nw.LayeredNet(tuple(widths), tuple(weights), tuple(nonneg))
 
 
 class TestPrune:
@@ -262,7 +260,7 @@ class TestCondense:
                 dW = np.abs(net.weights[k] - pruned.weights[k][a])
                 dz = dW @ level + np.abs(pruned.weights[k][a]) @ dh
                 z = h @ net.weights[k].T
-                h = z if net.activations[k] == "identity" else softplus_formula(z)
+                h = z if k == net.n_links - 1 else softplus_formula(z)
                 dh = dz
             bounds.append(dh.max())
         out, _ = condense_ensemble(ens, eps)
@@ -270,15 +268,9 @@ class TestCondense:
         for b, a, bound in zip(before, after, bounds):
             assert np.max(np.abs(b - a)) <= bound + 1e-9
 
-    def test_dead_layer_collapses_identity_chain(self):
-        net = chain([[[0.0], [0.0]], [[0.0, 0.0]]], acts=("identity", "identity"))
-        graph, widths = gc.condense_graphs(graph_of(net), 1e-3)
-        assert widths == (1, 1)
-        assert graph.weights[0].tolist() == [[[0.0]]]
-
     def test_dead_softplus_layer_aborts(self):
         net = chain([[[0.0], [0.0]], [[0.0, 0.0]]])
-        with pytest.raises(CondenseError):
+        with pytest.raises(CondenseError, match="hidden layer 1 died in every particle"):
             gc.condense_graphs(graph_of(net), 1e-3)
 
     @settings(max_examples=300, deadline=None)
@@ -290,15 +282,15 @@ class TestCondense:
             self, widths, n_graphs, seed, tie_values, zero_share, epsilon):
         """Passes <= hidden layers + 1, far below MAX_PASSES = 20.
 
-        Pruning and collapsing are final after the first pass.  A layer's
-        importance sums its outgoing columns in the row order the next layer
-        had when it was sorted, so a last-bit tie can reorder it one pass
-        later: the last hidden layer is final after pass 1, the one before it
-        after pass 2, and so on, and one more pass sees no change.
+        Pruning is final after the first pass, and a layer dead in every
+        particle ends it.  A layer's importance sums its outgoing columns in
+        the row order the next layer had when it was sorted, so a last-bit
+        tie can reorder it one pass later: the last hidden layer is final
+        after pass 1, the one before it after pass 2, and so on, and one more
+        pass sees no change.
         """
         rng = np.random.default_rng(seed)
         n_links = len(widths) - 1
-        acts = tuple(rng.choice(["identity", "softplus"], size=n_links - 1)) + ("identity",)
         nonneg = tuple(bool(x) for x in rng.random(n_links) < 0.5)
         pool = np.array([0.1, 0.2, 0.3, 1 / 3, 0.6, 0.7])   # sums that tie in the last bit
         rows = []
@@ -311,7 +303,7 @@ class TestCondense:
                     w *= rng.choice([-1.0, 1.0], size=w.shape)
                 w[rng.random(w.shape) < zero_share] = 0.0
                 weights.append(w)
-            net = chain(weights, nonneg=nonneg, acts=acts)
+            net = chain(weights, nonneg=nonneg)
             rows.append(one_row(net))
         graph = gc.NetGraph.from_net(net, np.concatenate(rows))
         with mock.patch.object(gc, "common_template", wraps=gc.common_template) as passes:
@@ -338,7 +330,6 @@ def same_bits(a, b):
 def assert_stack_equals(stacked, singles):
     """A stacked graph holds, particle by particle, the given single graphs."""
     assert stacked.widths == singles[0].widths
-    assert stacked.activations == singles[0].activations
     assert stacked.nonneg_mask == singles[0].nonneg_mask
     for name in ("weights", "active", "provenance"):
         got = getattr(stacked, name)
@@ -349,15 +340,14 @@ def assert_stack_equals(stacked, singles):
 
 
 def random_stack(widths, n_particles, seed, tie_values, zero_share):
-    """A bias-free template and flat particle rows: random link types and
-    nonneg masks, tie-prone or uniform weights, a share of exact zeros."""
+    """A bias-free template and flat particle rows: random nonneg masks,
+    tie-prone or uniform weights, a share of exact zeros."""
     rng = np.random.default_rng(seed)
     n_links = len(widths) - 1
-    acts = tuple(str(a) for a in rng.choice(["identity", "softplus"], size=n_links - 1))
     nonneg = tuple(bool(x) for x in rng.random(n_links) < 0.5)
     template = nw.LayeredNet(tuple(widths),
                              tuple(np.zeros((b, a)) for a, b in zip(widths[:-1], widths[1:])),
-                             acts + ("identity",), nonneg)
+                             nonneg)
     pool = np.array([0.1, 0.2, 0.3, 1 / 3, 0.6, 0.7])   # sums that tie in the last bit
     P = (rng.choice(pool, size=(n_particles, template.layout.size)) if tie_values
          else rng.uniform(0.0, 1.0, size=(n_particles, template.layout.size)))
@@ -416,15 +406,9 @@ class TestStackEquivalence:
         assert ens.template.layer_widths == widths_pp
         assert same_bits(ens.particles, rows)
         opt = np.random.default_rng(seed).random(P.shape)
-        got_opt = _remap_opt_state(opt, index_map, ens.particles.shape)
-        want_opt = remap_opt_state_per_particle(opt, index_maps)
-        if index_maps is None:
-            # a collapsed layout starts the accumulator fresh
-            assert index_map is None and want_opt is None
-            assert same_bits(got_opt, np.zeros(ens.particles.shape))
-        else:
-            assert same_bits(index_map, np.stack(index_maps))
-            assert same_bits(got_opt, want_opt)
+        assert same_bits(index_map, np.stack(index_maps))
+        assert same_bits(_remap_opt_state(opt, index_map),
+                         remap_opt_state_per_particle(opt, index_maps))
 
         with tempfile.TemporaryDirectory() as tmp:
             d = Path(tmp)

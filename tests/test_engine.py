@@ -340,26 +340,12 @@ class TestAdagrad:
         with pytest.raises(ShapeError):
             svgd_step(ens, np.ones((1, 1)), vector_config(adagrad=True))
 
-    def test_accumulator_restarts_after_a_collapsed_condensation(self):
-        # every weight of a 2-2-1 identity net under the prune threshold: the
-        # hidden layer dies in every particle and condensation composes
-        # through it, so no per-coordinate map carries the accumulator over
-        template = LayeredNet((2, 2, 1), (np.zeros((2, 2)), np.zeros((1, 2))),
-                              ("identity", "identity"), (False, False))
-        P = np.random.default_rng(3).uniform(-1e-4, 1e-4, size=(4, 6))
-        cfg = vector_config(max_iters=3, tol=0.0, grad_norm_tol=0.0, adagrad=True,
-                            condense_enabled=True, num_stages=2, prune_epsilon=1e-3)
-        out, rep = run_csvgd(make_ensemble(P, template), FlatTarget(), cfg)
-        assert out.template.layer_widths == (2, 1)
-        assert [r.iterations for r in rep.stages] == [3, 3]
-
 
 def coordinate_net(mask):
     """A chain of 1 x 1 links, one flat coordinate each, flagged nonnegative
     by ``mask``: a template for any projection mask."""
     n = len(mask)
-    return LayeredNet((1,) * (n + 1), tuple(np.zeros((1, 1)) for _ in range(n)),
-                      ("identity",) * n, tuple(mask))
+    return LayeredNet((1,) * (n + 1), tuple(np.zeros((1, 1)) for _ in range(n)), tuple(mask))
 
 
 # signed zeros drawn on their own so that -0.0 coordinates show up often
@@ -638,7 +624,8 @@ class TestCheckpointing:
 
     @pytest.mark.parametrize("mutation", [
         "template_biases", "template_weight_shape", "unknown_activation",
-        "particle_row_width", "negative_step_size", "beta_3", "ragged_rows"])
+        "identity_hidden_link", "particle_row_width", "negative_step_size", "beta_3",
+        "ragged_rows"])
     def test_malformed_field_values_are_named(self, tmp_path, mutation):
         from csvgd.errors import CheckpointError
         doc = json.loads(json.dumps(LEGACY_CHECKPOINT))
@@ -649,6 +636,8 @@ class TestCheckpointing:
             template["weights"][0] = [[0.0, 0.0], [0.0, 0.0]]
         elif mutation == "unknown_activation":
             template["activations"][0] = "tanh"
+        elif mutation == "identity_hidden_link":
+            template["activations"][0] = "identity"
         elif mutation == "particle_row_width":
             ens["particles"] = [row + [0.0] for row in ens["particles"]]
         elif mutation == "negative_step_size":
@@ -745,3 +734,11 @@ class TestEnsembleInit:
         P[1, 1] = 0.5
         ens = Ensemble(P, template, np.random.default_rng(0))
         assert active_param_count(ens, 1e-3) == 2
+
+    @pytest.mark.parametrize("template", [None, icnn_template((3, 4, 1))],
+                             ids=["vectors", "networks"])
+    @pytest.mark.parametrize("shape", [(16,), (), (1, 2, 16)])
+    def test_particles_that_are_not_a_stack_are_named(self, template, shape):
+        # a 1-D vector used to become a one-particle stack
+        with pytest.raises(ShapeError, match=r"is not a particle stack \(N, D\)"):
+            Ensemble(np.zeros(shape), template, np.random.default_rng(0))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from functools import lru_cache
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from csvgd import experiments, network
 from csvgd.cli import main
 from csvgd.engine import Ensemble, init_net_ensemble
+from csvgd.errors import CondenseError
 from csvgd.experiments import (RunConfig, cmd_condense_inspect, cmd_hyperelastic,
                                cmd_mvn, cmd_sweep, default_config, load_config,
                                mvn_ensemble_error, save_config)
@@ -549,6 +551,25 @@ class TestCli:
         assert rc == 1
         assert "metrics_every" in capsys.readouterr().err
         assert not (tmp_path / "hyp").exists()
+
+    def test_a_layer_dead_in_every_particle_exits_1_by_name(self, tmp_path, capsys):
+        # a strong prior kills hidden layer 1 in every particle during stage 0;
+        # its softplus cannot be composed through, so the run ends there
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"widths": [3, 4, 4, 1], "prior_lambda": 1000,
+                                    "schedule": "adaptive", "num_stages": 3,
+                                    "max_iters": 100}))
+        with pytest.raises(CondenseError, match="^hidden layer 1 died in every particle") as err:
+            cmd_hyperelastic(dataclasses.replace(load_config(path),
+                                                 out_dir=str(tmp_path / "lib")))
+        out = tmp_path / "cli"
+        rc = main(["hyperelastic", "--config", str(path), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"csvgd hyperelastic: {err.value}\n"
+        for run in (tmp_path / "lib", out):
+            assert (run / "config.json").exists()
+            assert not (run / "summary.json").exists()
+            assert not list(run.glob("checkpoints/*"))
 
     @pytest.mark.parametrize("field, flags", [
         ("n_particles", ["--particles", "0"]),

@@ -25,7 +25,8 @@ PRECISION = np.array([[2.0, 1.0, 0.0],
 
 
 def mvn_score(theta):
-    S, _ = MvnTarget(MEAN, PRECISION).score_and_mse_batch(None, theta)
+    """The score of one particle, scored as a one-row stack."""
+    S, _ = MvnTarget(MEAN, PRECISION).score_and_mse_batch(None, np.asarray(theta)[None])
     return S[0]
 
 
@@ -98,7 +99,7 @@ class TestRegression:
 
     def test_single_residual_value(self):
         # one scalar datum with residual 2 and unit variance -> -2
-        net = nw.LayeredNet((1, 1), (np.array([[1.0]]),), ("identity",), (False,))
+        net = nw.LayeredNet((1, 1), (np.array([[1.0]]),), (False,))
         target = RegressionTarget(Dataset([[1.0]], [[3.0]]), 1.0, DirectNetModel())
         assert log_lik(target, net) == pytest.approx(-2.0)
 
@@ -110,7 +111,7 @@ class TestRegression:
     def test_linear_model_score(self):
         # y = a * theta with one datum: score = residual / sigma^2 * a
         a = 1.7
-        net = nw.LayeredNet((1, 1), (np.array([[0.4]]),), ("identity",), (False,))
+        net = nw.LayeredNet((1, 1), (np.array([[0.4]]),), (False,))
         target = RegressionTarget(Dataset([[a]], [[2.0]]), 0.5, DirectNetModel())
         residual = 2.0 - 0.4 * a
         assert score_of(target, net) == pytest.approx([residual / 0.5 * a])
@@ -282,3 +283,13 @@ class TestDatasetIO:
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
             Dataset(np.zeros((0, 2)), np.zeros((0, 1)))
+
+    @pytest.mark.parametrize("inputs, outputs", [
+        (np.arange(5.0), 2.0 * np.arange(5.0)),
+        (np.arange(5.0)[:, None], 2.0 * np.arange(5.0)),
+        (np.arange(5.0), 2.0 * np.arange(5.0)[:, None])],
+        ids=["both_1d", "outputs_1d", "inputs_1d"])
+    def test_one_dimensional_samples_are_named(self, inputs, outputs):
+        # five 1-D samples used to become one sample of five features
+        with pytest.raises(ShapeError, match=r"must be sample rows \(n, width\)"):
+            Dataset(inputs, outputs)

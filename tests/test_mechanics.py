@@ -129,15 +129,13 @@ class TestStressFromPotential:
     def test_constant_potential_gives_zero(self, rng):
         net = random_icnn(rng)
         W0, W1 = net.weights
-        constant = nw.LayeredNet(net.layer_widths, (W0, np.zeros_like(W1)),
-                                 net.activations, net.nonneg_mask)
+        constant = nw.LayeredNet(net.layer_widths, (W0, np.zeros_like(W1)), net.nonneg_mask)
         S = predict_one(constant, mech.sym_to_voigt(random_strain(rng))[None])
         assert np.all(S == 0.0)
 
     def test_first_invariant_potential(self, rng):
         # Phi = I1 has n = 2, so S = 2I - (1/sqrt(I3)) dI3/dE = 2I - 2 sqrt(I3) C^-1
-        net = nw.LayeredNet((3, 1), (np.array([[1.0, 0.0, 0.0]]),), ("identity",),
-                            (False,))
+        net = nw.LayeredNet((3, 1), (np.array([[1.0, 0.0, 0.0]]),), (False,))
         E = random_strain(rng)
         C = 2.0 * E + np.eye(3)
         S = predict_one(net, mech.sym_to_voigt(E)[None])[0]

@@ -59,6 +59,14 @@ class TestBhattacharyya:
         g = GaussianSummary.from_samples(S)
         assert g.cov[0, 0] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("samples", [np.arange(5.0), 3.0, np.zeros((2, 2, 2))],
+                             ids=["1d", "scalar", "3d"])
+    def test_samples_that_are_not_rows_are_named(self, samples):
+        # a 1-D array used to end in "covariance must be symmetric", from a
+        # NaN covariance of one sample
+        with pytest.raises(ShapeError, match=r"is not sample rows \(n, dim\)"):
+            GaussianSummary.from_samples(samples)
+
 
 def wasserstein1(a, b):
     """W1 of two samples, each flattened."""

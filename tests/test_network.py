@@ -18,13 +18,14 @@ from _oracles import (FormulaPass, fd_gradient, sigmoid_deriv_formula,
 from conftest import one_row, random_net
 
 
-def single_layer(w, activation="identity"):
+def single_layer(w, hidden=False):
+    """The one-link (identity) net of ``w``; with ``hidden``, ``w`` feeds a
+    softplus layer summed by a ones row."""
     w = np.atleast_2d(np.asarray(w, dtype=float))
-    if activation == "softplus":
+    if hidden:
         return nw.LayeredNet((w.shape[1], w.shape[0], 1),
-                             (w, np.ones((1, w.shape[0]))),
-                             ("softplus", "identity"), (False, False))
-    return nw.LayeredNet((w.shape[1], w.shape[0]), (w,), ("identity",), (False,))
+                             (w, np.ones((1, w.shape[0]))), (False, False))
+    return nw.LayeredNet((w.shape[1], w.shape[0]), (w,), (False,))
 
 
 class TestForward:
@@ -33,7 +34,7 @@ class TestForward:
         assert nw.forward_pass(net, [[2.0]], one_row(net)).output().ravel() == pytest.approx([2.0])
 
     def test_softplus_at_zero(self):
-        net = single_layer([[1.0]], "softplus")
+        net = single_layer([[1.0]], hidden=True)
         assert nw.forward_pass(net, [[0.0]], one_row(net)).output().ravel() == pytest.approx(
             [np.log(2.0)], abs=1e-15)
 
@@ -41,7 +42,6 @@ class TestForward:
         widths = (3, 30, 30, 1)
         net = nw.LayeredNet(widths,
                             tuple(np.zeros((widths[k + 1], widths[k])) for k in range(3)),
-                            ("softplus", "softplus", "identity"),
                             (False, True, True))
         out = nw.forward_pass(net, [[0.3, -1.0, 2.0]], one_row(net)).output()
         assert out.ravel() == pytest.approx([0.0])
@@ -74,7 +74,7 @@ class TestForward:
 
 
 class TestActivationTerms:
-    """One evaluation gives the value and first derivative, and the second
+    """One evaluation gives softplus and its first derivative, and the second
     derivative follows from the first, bit for bit the separate formulas."""
 
     # at -800, exp(-|z|) underflows to 0
@@ -84,23 +84,13 @@ class TestActivationTerms:
     def bits(a):
         return np.asarray(a, dtype=float).view(np.uint64)
 
-    @staticmethod
-    def terms(tag, z):
-        """Value, first and second derivative, as the network passes form them."""
-        value_and_slope, second = nw._ACTIVATIONS[tag]
-        value, d1 = value_and_slope(z)
-        return value, d1, second(d1)
-
     def test_softplus_terms_equal_separate_formulas(self):
-        value, d1, d2 = self.terms("softplus", self.Z)
+        # value, first and second derivative, as the network passes form them
+        value, d1 = nw._softplus_terms(self.Z)
+        d2 = nw._sigmoid_slope(d1)
         for got, want in ((value, softplus_formula(self.Z)), (d1, sigmoid_formula(self.Z)),
                           (d2, sigmoid_deriv_formula(self.Z))):
             np.testing.assert_array_equal(self.bits(got), self.bits(want))
-
-    def test_identity_terms(self):
-        value, d1, d2 = self.terms("identity", self.Z)
-        np.testing.assert_array_equal(self.bits(value), self.bits(self.Z))
-        assert d1.tolist() == [1.0] * self.Z.size and d2.tolist() == [0.0] * self.Z.size
 
 
 class TestGradParams:
@@ -142,7 +132,7 @@ class TestGradInput:
         assert J.ravel() == pytest.approx([2.0])
 
     def test_softplus_slope_at_zero(self):
-        net = single_layer([[1.0]], "softplus")
+        net = single_layer([[1.0]], hidden=True)
         # softplus' = logistic, logistic(0) = 1/2
         J = nw.forward_pass(net, [[0.0]], one_row(net)).grad_input()
         assert J.ravel() == pytest.approx([0.5])
@@ -258,18 +248,15 @@ _values = st.one_of(st.just(-0.0), st.just(0.0), st.floats(-4.0, 4.0))
 
 @st.composite
 def lean_pass_cases(draw, min_links=1, outputs=(1, 2)):
-    """A net (hidden identity links and -0.0 weights allowed) with an output
-    width from ``outputs``, a particle stack of one or three flat rows, one or
-    four input rows, and tangent directions and upstreams shared or per
-    particle."""
+    """A net (-0.0 weights allowed) with an output width from ``outputs``, a
+    particle stack of one or three flat rows, one or four input rows, and
+    tangent directions and upstreams shared or per particle."""
     n_links = draw(st.integers(min_links, 3))
     widths = (tuple(draw(st.lists(st.integers(1, 4), min_size=n_links, max_size=n_links)))
               + (draw(st.sampled_from(outputs)),))
-    acts = tuple(draw(st.lists(st.sampled_from(["softplus", "identity"]),
-                               min_size=n_links - 1, max_size=n_links - 1))) + ("identity",)
     weights = tuple(draw(arrays(float, (widths[k + 1], widths[k]), elements=_values))
                     for k in range(n_links))
-    net = nw.LayeredNet(widths, weights, acts, (False,) * n_links)
+    net = nw.LayeredNet(widths, weights, (False,) * n_links)
     stack = draw(st.sampled_from([1, 3]))
     params = draw(arrays(float, (stack, net.layout.size), elements=_values))
     rows = draw(st.sampled_from([1, 4]))
@@ -391,7 +378,6 @@ class TestParamCount:
         widths = (3, 30, 30, 1)
         net = nw.LayeredNet(widths,
                             tuple(np.ones((widths[k + 1], widths[k])) for k in range(3)),
-                            ("softplus", "softplus", "identity"),
                             (False, True, True))
         assert param_count(net, 0.0) == 1020
 
@@ -400,8 +386,7 @@ class TestParamCount:
         assert param_count(net, 0.0) == 0
 
     def test_threshold_is_strict(self):
-        net = nw.LayeredNet((3, 1), (np.array([[0.5, 5e-4, -2e-3]]),), ("identity",),
-                            (False,))
+        net = nw.LayeredNet((3, 1), (np.array([[0.5, 5e-4, -2e-3]]),), (False,))
         assert param_count(net, 1e-3) == 2
 
 
@@ -452,13 +437,15 @@ class TestLayoutAndSerialization:
         net = random_net(rng, (2, 3, 1))
         again = nw.net_from_dict(json.loads(json.dumps(nw.net_to_dict(net))))
         assert [w.tolist() for w in again.weights] == [w.tolist() for w in net.weights]
-        assert (again.layer_widths, again.activations, again.nonneg_mask) == \
-            (net.layer_widths, net.activations, net.nonneg_mask)
+        assert (again.layer_widths, again.nonneg_mask) == (net.layer_widths, net.nonneg_mask)
 
     def test_nonneg_invariant_enforced(self):
         with pytest.raises(ShapeError):
-            nw.LayeredNet((1, 1), (np.array([[-0.1]]),), ("identity",), (True,))
+            nw.LayeredNet((1, 1), (np.array([[-0.1]]),), (True,))
 
     def test_output_activation_must_be_identity(self):
-        with pytest.raises(ShapeError):
-            nw.LayeredNet((1, 1), (np.array([[1.0]]),), ("softplus",), (False,))
+        doc = nw.net_to_dict(nw.LayeredNet((1, 1), (np.array([[1.0]]),), (False,)))
+        assert doc["activations"] == ["identity"]
+        doc["activations"] = ["softplus"]
+        with pytest.raises(ShapeError, match=r"\['softplus'\] are not \['identity'\]"):
+            nw.net_from_dict(doc)
