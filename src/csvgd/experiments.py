@@ -353,22 +353,39 @@ def cmd_mvn(cfg: RunConfig, command_line: str | None = None) -> int:
 def _w1_reference(data: HyperelasticData, noise: float, n_replicas: int,
                   seed: int) -> np.ndarray:
     """Noisy replicas of the truth pushforward on the test path, (points, 6, r),
-    sorted along the replica axis as ``pushforward_w1`` takes them."""
+    sorted along the replica axis as ``pushforward_w1`` takes them.
+
+    The replicas S * (1 + noise * eta) are formed in the draws' own array,
+    by the same products and sum with the same bits, so the function holds
+    two reference-sized arrays at most: the draws and the sorted copy.  The
+    draws (4.8 MB for 100 replicas of 1001 points) are freed on return, and
+    that free of an mmapped chunk is what raises glibc's dynamic mmap
+    threshold above the 512 KiB pass and W1 arrays of the run, so they come
+    from the heap and are reused from call to call (ROADMAP, setup
+    transients).
+    """
     rng = np.random.default_rng(seed)
     S = data.test.outputs                       # (points, 6), noiseless
     eta = rng.standard_normal((n_replicas,) + S.shape)
-    return np.sort(np.transpose(S[None] * (1.0 + noise * eta), (1, 2, 0)), axis=-1)
+    eta *= noise
+    eta += 1.0
+    eta *= S
+    return np.sort(np.transpose(eta, (1, 2, 0)), axis=-1)
 
 
 def _test_path_samples(ensemble: Ensemble, model: StressRegressionModel,
                        features) -> np.ndarray:
     """Model pushforward on the test path, (points, 6, n_particles), from the
-    path's ``model.prepare`` features."""
+    path's ``model.prepare`` features, sorted along the particle axis as
+    ``pushforward_w1`` takes it.  Each particle block's prediction is written
+    into the one cloud, which is sorted in place."""
     P = ensemble.particles
-    blocks = network.particle_blocks(ensemble.template, len(P), len(features[0]))
-    preds = [model.predict_and_score(ensemble.template, P[block], features)[0]
-             for block in blocks]
-    return np.transpose(np.concatenate(preds), (1, 2, 0))
+    cloud = np.empty((len(features[0]), 6, len(P)))
+    for block in network.particle_blocks(ensemble.template, len(P), len(features[0])):
+        pred = model.predict_and_score(ensemble.template, P[block], features)[0]
+        cloud[..., block] = np.moveaxis(pred, 0, -1)
+    cloud.sort(axis=-1)
+    return cloud
 
 
 def hyperelastic_noise_var(cfg: RunConfig, train_outputs) -> float:

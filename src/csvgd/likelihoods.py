@@ -99,7 +99,10 @@ class DirectNetModel:
     stack: ``template`` is the shared graph, ``particles`` (N, D) its flat rows."""
 
     def prepare(self, X) -> np.ndarray:
-        return np.atleast_2d(np.asarray(X, dtype=float))
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise ShapeError(f"inputs {X.shape} must be sample rows (n, width)")
+        return X
 
     def predict_and_score(self, template, particles, X):
         """Outputs (N, n, out) and ``score_of``: residuals -> flat gradients

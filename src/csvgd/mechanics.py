@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network
-from .errors import DomainError
+from .errors import DomainError, ShapeError
 from .likelihoods import Dataset
 
 __all__ = [
@@ -177,11 +177,20 @@ def _pinned_stress(g, g_ref, inv, dI) -> np.ndarray:
     return np.ascontiguousarray(S.swapaxes(-1, -2))
 
 
+def _strain_rows(E_voigt) -> np.ndarray:
+    """Voigt strain rows (n, 6) as a float array; one strain is a one-row
+    stack, and anything else is a ShapeError."""
+    E = np.asarray(E_voigt, dtype=float)
+    if E.ndim != 2 or E.shape[1] != 6:
+        raise ShapeError(f"strain shape {E.shape} is not Voigt rows (n, 6)")
+    return E
+
+
 def truth_stress(E_voigt, params: TruthParams | None = None) -> np.ndarray:
     """Voigt stress rows of the reference-pinned truth model at Voigt strain
     rows, shape (n, 6) -> (n, 6)."""
     params = params or TruthParams()
-    E = np.atleast_2d(np.asarray(E_voigt, dtype=float))
+    E = _strain_rows(E_voigt)
     inv = invariants_batch(E)
     g_ref = _truth_gradient(params, _REFERENCE_ROW)[0]
     return _pinned_stress(_truth_gradient(params, inv), g_ref, inv,
@@ -254,7 +263,7 @@ class StressRegressionModel:
     """
 
     def prepare(self, E_voigt) -> tuple[np.ndarray, np.ndarray]:
-        E = np.atleast_2d(np.asarray(E_voigt, dtype=float))
+        E = _strain_rows(E_voigt)
         return invariants_batch(E), invariant_derivatives_batch(E)
 
     def predict_and_score(self, template, particles, features):

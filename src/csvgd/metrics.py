@@ -4,7 +4,8 @@ pushforward comparisons, and ensemble sparsity.
 The 1-D Wasserstein-1 distance is the L1 distance between the two empirical
 quantile functions, summed over the fixed grid {k/n} | {j/m} of their
 breakpoints; see ``wasserstein1_sorted``.  Its samples come sorted: a run's
-reference cloud is sorted once, and ``pushforward_w1`` sorts only the model's.
+reference cloud is sorted once, and its model cloud is sorted in place where
+it is formed, so ``pushforward_w1`` sorts neither.
 """
 
 from __future__ import annotations
@@ -158,18 +159,20 @@ def pushforward_w1(model_samples, reference_samples) -> tuple[np.ndarray, float]
     """Componentwise W1 between pushforward clouds at each evaluation point.
 
     model_samples: (points, components, n_model), reference_samples:
-    (points, components, n_reference), sorted along the last axis (a run's
-    reference is fixed, so it is sorted once).  Per point, the component W1
-    values are averaged; the scalar score is the sum over points.
+    (points, components, n_reference), both sorted along the last axis (a
+    run's reference is fixed, so it is sorted once, and its model cloud is
+    sorted where it is formed).  Per point, the component W1 values are
+    averaged; the scalar score is the sum over points.
     """
     M = np.asarray(model_samples, dtype=float)
     R = np.asarray(reference_samples, dtype=float)
     if (M.ndim != 3 or R.ndim != 3 or M.shape[:2] != R.shape[:2]
             or 0 in (M.shape[-1], R.shape[-1])):
         raise ShapeError(f"incompatible pushforward shapes {M.shape} vs {R.shape}")
-    if np.any(R[..., 1:] < R[..., :-1]):
-        raise DomainError("reference_samples must be sorted along the last axis")
-    per_point = wasserstein1_sorted(np.sort(M, axis=-1), R).mean(axis=-1)
+    for name, samples in (("model_samples", M), ("reference_samples", R)):
+        if np.any(samples[..., 1:] < samples[..., :-1]):
+            raise DomainError(f"{name} must be sorted along the last axis")
+    per_point = wasserstein1_sorted(M, R).mean(axis=-1)
     return per_point, float(per_point.sum())
 
 

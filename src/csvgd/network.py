@@ -38,12 +38,21 @@ result carries a leading particle axis.  The input rows X (batch, in) are
 shared by all particles; one network is a one-row stack.
 
 Callers pass a stack in the particle blocks of ``particle_blocks``, which
-keep each per-link array of a pass within ``PASS_ELEMENTS`` values.  A pass
-makes a few dozen such arrays; at the block size they stay small enough for
-the allocator to reuse their memory from call to call, where a whole N=64
-stack gets fresh pages, and faults them in, on every call.  Blocking changes
-no bit: the stacked products run one matrix product per particle and the
-elementwise steps and reductions are per particle too.
+keep each per-link array of a pass within ``PASS_ELEMENTS`` values.  At the
+block size they stay small enough for the allocator to reuse their memory
+from call to call, where a whole N=64 stack gets fresh pages, and faults them
+in, on every call.  Blocking changes no bit: the stacked products run one
+matrix product per particle and the elementwise steps and reductions are
+per particle too.
+
+A pass holds only the arrays it reads again.  The running products of the
+backward passes are scaled in place, each adjoint is formed in its own
+array, and the reverse-over-forward pass drops each tangent and adjoint
+after its last read.  An in-place step applies the same ufunc to the same
+operands (IEEE + and x commute bit for bit), so it keeps every bit, and no
+pass writes into the forward pass's arrays or the caller's.  One stress
+score of a 27-particle block over 80 strain rows at 3-30-30-1 peaks at
+about 9 per-link arrays (4.5 MiB traced).
 """
 
 from __future__ import annotations
@@ -349,7 +358,8 @@ class ForwardPass:
         else:
             J = _matmul(self._top, self.W[-2][..., None, :, :])
             for k in range(self.net.n_links - 3, -1, -1):
-                J = _matmul(J * self.D1[k][..., None, :], self.W[k][..., None, :, :])
+                J *= self.D1[k][..., None, :]
+                J = _matmul(J, self.W[k][..., None, :, :])
         return J
 
     def grad_params(self, upstream) -> np.ndarray:
@@ -363,7 +373,8 @@ class ForwardPass:
         for k in range(n_links - 1, -1, -1):
             _matmul(bar.swapaxes(-1, -2), H[k], out=gW[k])
             if k > 0:
-                bar = _matmul(bar, self.W[k]) * self.D1[k - 1]
+                bar = _matmul(bar, self.W[k])
+                bar *= self.D1[k - 1]
         return flat
 
     def _tangents(self, u):
@@ -410,21 +421,34 @@ class ForwardPass:
         gW[k] += 0.0  # the skipped outer(0, h)
         if k == 0:
             return flat
+        T[k] = None
         bar_t = self.W[k] + 0.0
         bar_h = None  # zero below the output link
         for k in range(n_links - 2, -1, -1):
             d1 = self.D1[k]
-            bar_z = _sigmoid_slope(d1) * TZ[k] * bar_t
+            bar_z = _sigmoid_slope(d1)
+            bar_z *= TZ[k]
+            bar_z *= bar_t
+            TZ[k] = None
             if bar_h is None:
                 bar_z += 0.0  # the skipped act'(z) * 0
             else:
-                bar_z += d1 * bar_h
-            bar_tz = self._top[..., 0, :] if k == n_links - 2 else d1 * bar_t
+                bar_h *= d1
+                bar_z += bar_h
+                bar_h = None
+            if k == n_links - 2:
+                bar_tz = self._top[..., 0, :]
+            else:
+                bar_t *= d1
+                bar_tz = bar_t
             _matmul(bar_z.swapaxes(-1, -2), self.H[k], out=gW[k])
             gW[k] += _matmul(bar_tz.swapaxes(-1, -2), T[k])
+            T[k] = None
             if k > 0:
                 bar_h = _matmul(bar_z, self.W[k])
+                del bar_z
                 bar_t = _matmul(bar_tz, self.W[k])
+                del bar_tz
         return flat
 
 

@@ -178,7 +178,7 @@ def test_criterion_06_zero_stress_reference_and_truth_consistency():
     for _ in range(100):
         E = 0.05 * rng.normal(size=(3, 3))
         E = 0.5 * (E + E.T)
-        S = voigt_to_sym(truth_stress(sym_to_voigt(E), params)[0])
+        S = voigt_to_sym(truth_stress(sym_to_voigt(E)[None], params)[0])
         fd = fd_strain_gradient(energy, E)
         rel = np.abs(S - fd) / np.maximum(np.abs(fd), 1e-8)
         worst_fd = max(worst_fd, rel.max())

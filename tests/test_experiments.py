@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 from unittest import mock
@@ -460,6 +461,31 @@ def _test_path_case(condensed):
     return generate_data(n_train=6, n_test=21, seed=4), template, P
 
 
+class TestW1Reference:
+    @pytest.mark.parametrize("noise, replicas", [(0.1, 100), (0.0, 7), (0.3, 1)])
+    def test_equals_the_out_of_place_formula_bit_for_bit(self, noise, replicas):
+        data = generate_data(n_train=6, n_test=21, seed=4)
+        eta = np.random.default_rng(9).standard_normal((replicas,) + data.test.outputs.shape)
+        want = np.sort(np.transpose(data.test.outputs[None] * (1.0 + noise * eta),
+                                    (1, 2, 0)), axis=-1)
+        got = experiments._w1_reference(data, noise, replicas, 9)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_peak_is_two_reference_sizes(self):
+        # the out-of-place replicas held three 4.8 MB arrays (13.75 MiB) for
+        # a 4.58 MiB result: the draws and the sorted copy are all it needs
+        data = generate_data(seed=0)
+        experiments._w1_reference(data, 0.1, 100, 2)
+        tracemalloc.start()
+        try:
+            ref = experiments._w1_reference(data, 0.1, 100, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ref.shape == (1001, 6, 100)
+        assert peak < 2 * ref.nbytes + 2**20
+
+
 class TestTestPathSamples:
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 12), per_block=st.integers(1, 12), condensed=st.booleans())
@@ -474,8 +500,8 @@ class TestTestPathSamples:
         features = model.prepare(data.test.inputs)
         with mock.patch.object(network, "PASS_ELEMENTS", budget):
             got = experiments._test_path_samples(ens, model, features)
-        expected = np.stack([model.predict_and_score(template, p[None], features)[0][0]
-                             for p in P[:n]], axis=-1)
+        expected = np.sort(np.stack([model.predict_and_score(template, p[None], features)[0][0]
+                                     for p in P[:n]], axis=-1), axis=-1)
         assert got.shape == (len(data.test), 6, n)
         np.testing.assert_array_equal(got, expected)
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache
 from unittest import mock
 
@@ -267,6 +268,24 @@ class TestParticleBlocks:
         np.testing.assert_array_equal(S, S_one)
         np.testing.assert_array_equal(m, m_one)
 
+    def test_a_score_block_holds_under_eleven_block_arrays(self):
+        # one hyper_wide block: 27 particles x 80 strain rows at 3-30-30-1.
+        # The score held about 13 per-link arrays (6.5-6.7 MiB) when its
+        # reverse pass kept each adjoint and tangent past its last read.
+        template = icnn_template((3, 30, 30, 1))
+        target = _stress_target(n_train=80)
+        P = init_net_ensemble(template, 27, seed=1).particles
+        assert len(nw.particle_blocks(template, len(P), len(target.dataset))) == 1
+        target.score_and_mse_batch(template, P)      # the template's caches
+        tracemalloc.start()
+        try:
+            target.score_and_mse_batch(template, P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block_array = 27 * 80 * 30 * 8                # one per-link array, bytes
+        assert peak < 11 * block_array
+
 
 class TestDatasetIO:
     def test_round_trip(self, rng, tmp_path):
@@ -293,3 +312,8 @@ class TestDatasetIO:
         # five 1-D samples used to become one sample of five features
         with pytest.raises(ShapeError, match=r"must be sample rows \(n, width\)"):
             Dataset(inputs, outputs)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 4, 3)], ids=["one_sample", "three_axes"])
+    def test_model_inputs_that_are_not_rows_are_named(self, shape):
+        with pytest.raises(ShapeError, match=r"must be sample rows \(n, width\)"):
+            DirectNetModel().prepare(np.zeros(shape))

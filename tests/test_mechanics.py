@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from csvgd import mechanics as mech
 from csvgd import network as nw
-from csvgd.errors import DomainError
+from csvgd.errors import DomainError, ShapeError
 from csvgd.likelihoods import RegressionTarget
 
 from _oracles import (fd_gradient, fd_strain_gradient, invariants_3x3, net_potential,
@@ -105,6 +105,14 @@ class TestTruthModel:
         with pytest.raises(DomainError):
             mech.truth_stress([[p.j_m, 0.0, 0.0, 0.0, 0.0, 0.0]], p)
 
+    @pytest.mark.parametrize("shape", [(6,), (2, 1, 6), (3, 5)],
+                             ids=["one_strain", "three_axes", "five_components"])
+    def test_strain_that_is_not_voigt_rows_is_named(self, shape):
+        # a 1-D strain used to become one row
+        for rows_of in (mech.truth_stress, mech.StressRegressionModel().prepare):
+            with pytest.raises(ShapeError, match=r"is not Voigt rows \(n, 6\)"):
+                rows_of(np.zeros(shape))
+
     def test_gradient_matches_fd(self, rng):
         p = mech.TruthParams()
         inv = np.array([[3.4, 3.2, 1.1]])
@@ -117,7 +125,7 @@ class TestTruthModel:
         pinned = reference_normalized(lambda inv: truth_potential(p, inv))
         for _ in range(5):
             E = random_strain(rng)
-            S = mech.truth_stress(mech.sym_to_voigt(E), p)[0]
+            S = mech.truth_stress(mech.sym_to_voigt(E)[None], p)[0]
             oracle = voigt_fd_stress(pinned, E)
             rel = np.abs(S - oracle) / np.maximum(np.abs(oracle), 1e-8)
             assert rel.max() < 1e-6

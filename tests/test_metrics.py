@@ -294,13 +294,13 @@ class TestW1EmptySamples:
 
 class TestPushforward:
     def test_identical_clouds_zero(self, rng):
-        M = rng.normal(size=(5, 2, 8))
-        per_point, total = pushforward_w1(M, np.sort(M, axis=-1))
+        M = np.sort(rng.normal(size=(5, 2, 8)), axis=-1)
+        per_point, total = pushforward_w1(M, M)
         assert np.all(per_point == pytest.approx(0.0, abs=1e-15))
         assert total == pytest.approx(0.0, abs=1e-14)
 
     def test_scaling(self, rng):
-        M = rng.normal(size=(4, 3, 6))
+        M = np.sort(rng.normal(size=(4, 3, 6)), axis=-1)
         R = np.sort(rng.normal(size=(4, 3, 9)), axis=-1)
         _, t1 = pushforward_w1(M, R)
         _, t2 = pushforward_w1(2.0 * M, 2.0 * R)
@@ -316,6 +316,12 @@ class TestPushforward:
         with pytest.raises(DomainError, match="reference_samples"):
             pushforward_w1(np.zeros((2, 3, 5)), R)
 
+    def test_unsorted_model_rejected_by_name(self):
+        M = np.zeros((2, 3, 5))
+        M[0, 1, 3] = -1.0                  # one descent in one row
+        with pytest.raises(DomainError, match="model_samples"):
+            pushforward_w1(M, np.zeros((2, 3, 4)))
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), points=st.integers(1, 3), comps=st.integers(1, 3),
            n=st.integers(1, 9), m=st.integers(1, 9))
@@ -324,7 +330,7 @@ class TestPushforward:
         values = st.one_of(st.sampled_from(TIE_POOL), st.floats(-1e3, 1e3))
         M = data.draw(arrays(float, (points, comps, n), elements=values))
         R = data.draw(arrays(float, (points, comps, m), elements=values))
-        per_point, total = pushforward_w1(M, np.sort(R, axis=-1))
+        per_point, total = pushforward_w1(np.sort(M, axis=-1), np.sort(R, axis=-1))
         want = wasserstein1_batch(M, R).mean(axis=-1)
         np.testing.assert_array_equal(per_point, want)
         assert total == float(want.sum())
@@ -359,7 +365,7 @@ def assert_blocks_match_one_product(A, B):
     want = w1_sorted_one_product(np.sort(A, axis=-1), np.sort(B, axis=-1))
     assert_same_bits(wasserstein1_batch(A, B), want)
     if A.ndim == 3:
-        per_point, total = pushforward_w1(A, np.sort(B, axis=-1))
+        per_point, total = pushforward_w1(np.sort(A, axis=-1), np.sort(B, axis=-1))
         assert_same_bits(per_point, want.mean(axis=-1))
         assert_same_bits(total, float(want.mean(axis=-1).sum()))
 
@@ -415,7 +421,7 @@ class TestW1PointBlocks:
 
     def test_pushforward_peak_memory_bounded(self, rng):
         # the whole-cloud grid gathers peaked at 24.9 MiB
-        M = rng.standard_normal((1001, 6, 64))
+        M = np.sort(rng.standard_normal((1001, 6, 64)), axis=-1)
         R = np.sort(rng.standard_normal((1001, 6, 100)), axis=-1)
         tracemalloc.start()
         try:
