@@ -4,10 +4,10 @@
 Each member network gets half of its weights pushed below the prune
 threshold.  Condensation zeroes those edges, drops dead nodes, sorts the
 survivors by importance, and pads everyone onto a common template.  Sorting
-and padding preserve outputs exactly; the pruning itself moves them, and a
-softplus node whose inputs all died contributes its resting level
-softplus(0) times its outgoing weights, so dropping it can shift the raw
-output visibly (the zero-at-reference stress normalization is what makes
+and padding preserve outputs up to the rounding of reordered sums (about
+1e-15 here); the pruning itself moves them, and a softplus node whose
+inputs all died contributes its resting level softplus(0) times its
+outgoing weights, so dropping it can shift the raw output visibly (the zero-at-reference stress normalization is what makes
 such constants harmless in the mechanics pipeline).
 """
 
@@ -20,8 +20,13 @@ from csvgd.mechanics import icnn_template
 
 
 def outputs(ensemble, X):
-    """Every member's outputs on X, (members, rows, 1), from one stacked pass."""
-    return nw.forward_pass(ensemble.template, X, ensemble.particles).output()
+    """Every member's outputs on X, (members, rows, 1): softplus hidden
+    links, then the identity output link."""
+    *hidden, last = nw.stack_weights(ensemble.template, ensemble.particles)
+    h = X
+    for W in hidden:
+        h = np.logaddexp(0.0, h @ W.swapaxes(-1, -2))
+    return h @ last.swapaxes(-1, -2)
 
 
 rng = np.random.default_rng(7)

@@ -26,15 +26,14 @@ print(f"{len(data.train)} training pairs, noise {cfg.noise:.0%}, "
 
 
 def on_stage(s, ens, rep):
-    _, w1 = pushforward_w1(_test_path_samples(ens, target.model, features), ref)
+    _, w1 = pushforward_w1(_test_path_samples(ens, features), ref)
     print(f"  stage {s}: {rep.iterations} iterations, mse {rep.final_mse:.4f}, "
           f"{rep.active_params} active weights, test W1 {w1:.1f}")
 
 
 ensemble, report = run_csvgd(ensemble, target, econf, on_stage=on_stage)
 
-per_point, w1_sum = pushforward_w1(
-    _test_path_samples(ensemble, target.model, features), ref)
+per_point, w1_sum = pushforward_w1(_test_path_samples(ensemble, features), ref)
 mid = int(np.flatnonzero(data.test_delta == 0.0)[0])
 print(f"\nfinal: {report.final_active_params} active weights, "
       f"summed test W1 {w1_sum:.1f}")

@@ -13,8 +13,8 @@ from .engine import (Ensemble, RunReport, StageReport, SvgdConfig,
 from .errors import (CheckpointError, CondenseError, DomainError,
                      NonFiniteGradientError, ShapeError)
 from .kernels import KernelSpec, median_bandwidth
-from .likelihoods import (Dataset, DirectNetModel, MvnTarget, RegressionTarget,
-                          save_dataset)
+from .likelihoods import MvnTarget, RegressionTarget
+from .mechanics import Dataset, save_dataset
 from .metrics import (GaussianSummary, bhattacharyya, moving_average,
                       pushforward_w1, sparsity_l1)
 from .network import LayeredNet, Layout, forward_pass, permute_hidden

@@ -26,9 +26,9 @@ from .engine import (Ensemble, SvgdConfig, active_param_count,
                      median_distance, run_csvgd)
 from .files import write_csv_atomically, write_text_atomically
 from .kernels import KernelSpec
-from .likelihoods import MvnTarget, RegressionTarget, save_dataset
-from .mechanics import (HyperelasticData, StressRegressionModel, TruthParams,
-                        generate_data, icnn_template)
+from .likelihoods import MvnTarget, RegressionTarget
+from .mechanics import (HyperelasticData, TruthParams, generate_data, icnn_template,
+                        potential_stress, save_dataset, strain_features)
 from .metrics import (GaussianSummary, bhattacharyya, moving_average,
                       pushforward_w1, sparsity_l1)
 from .priors import PriorSpec
@@ -373,16 +373,15 @@ def _w1_reference(data: HyperelasticData, noise: float, n_replicas: int,
     return np.sort(np.transpose(eta, (1, 2, 0)), axis=-1)
 
 
-def _test_path_samples(ensemble: Ensemble, model: StressRegressionModel,
-                       features) -> np.ndarray:
-    """Model pushforward on the test path, (points, 6, n_particles), from the
-    path's ``model.prepare`` features, sorted along the particle axis as
+def _test_path_samples(ensemble: Ensemble, features) -> np.ndarray:
+    """Stress pushforward on the test path, (points, 6, n_particles), from the
+    path's ``strain_features``, sorted along the particle axis as
     ``pushforward_w1`` takes it.  Each particle block's prediction is written
     into the one cloud, which is sorted in place."""
     P = ensemble.particles
     cloud = np.empty((len(features[0]), 6, len(P)))
     for block in network.particle_blocks(ensemble.template, len(P), len(features[0])):
-        pred = model.predict_and_score(ensemble.template, P[block], features)[0]
+        pred = potential_stress(ensemble.template, P[block], features)[0]
         cloud[..., block] = np.moveaxis(pred, 0, -1)
     cloud.sort(axis=-1)
     return cloud
@@ -410,13 +409,11 @@ def hyperelastic_setup(cfg: RunConfig):
     data = generate_data(TruthParams(), n_train=cfg.n_train, delta=cfg.train_delta,
                          noise_level=cfg.noise, seed=cfg.seed, n_test=cfg.n_test,
                          test_range=cfg.test_range)
-    model = StressRegressionModel()
-    target = RegressionTarget(data.train, hyperelastic_noise_var(cfg, data.train.outputs),
-                              model)
+    target = RegressionTarget(data.train, hyperelastic_noise_var(cfg, data.train.outputs))
     template = icnn_template(cfg.widths)
     ensemble = init_net_ensemble(template, cfg.n_particles, cfg.seed + 1)
     ref = _w1_reference(data, cfg.noise, cfg.w1_ref_samples, cfg.seed + 2)
-    features = model.prepare(data.test.inputs)
+    features = strain_features(data.test.inputs)
     return data, target, ensemble, ref, features, _engine_config(cfg)
 
 
@@ -428,13 +425,12 @@ def cmd_hyperelastic(cfg: RunConfig, command_line: str | None = None) -> int:
     _run_stub(out, cfg, command_line)
     save_dataset(data.train, out / "data_train.csv")
     save_dataset(data.test, out / "data_test.csv")
-    model = target.model
     rows = []
 
     def on_iteration(ens, info):
         if (ens.iteration - 1) % cfg.metrics_every:
             return
-        _, w1 = pushforward_w1(_test_path_samples(ens, model, features), ref)
+        _, w1 = pushforward_w1(_test_path_samples(ens, features), ref)
         rows.append((ens.iteration, ens.stage, info["lam"], info["mse"], w1, None,
                      active_param_count(ens, econf.prune_epsilon),
                      info["median_distance"]))
@@ -443,8 +439,7 @@ def cmd_hyperelastic(cfg: RunConfig, command_line: str | None = None) -> int:
                                  checkpoint_dir=out / "checkpoints",
                                  on_iteration=on_iteration)
 
-    per_point, w1_total = pushforward_w1(_test_path_samples(ensemble, model, features),
-                                         ref)
+    per_point, w1_total = pushforward_w1(_test_path_samples(ensemble, features), ref)
     _write_csv(out / "w1_per_point.csv",
                ("delta", "f11", "w1", "w1_ma11"),
                zip(data.test_delta, data.test_f11, per_point,

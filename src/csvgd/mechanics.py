@@ -1,5 +1,6 @@
-"""Hyperelastic physics: strain invariants, the truth model, stress, data
-generation, and the stress regression model.
+"""Hyperelastic physics: strain invariants, the truth model, stress, the
+strain-stress dataset and its generation, and the stress of a particle stack
+of potential networks.
 
 Strain lives in Lagrange form E = (F'F - I)/2; invariants are taken of
 C = 2E + I.  Stress is the potential derivative S = dPhi/dE expanded through
@@ -10,9 +11,9 @@ Every stress goes through one function, ``_pinned_stress``: from a
 potential's invariant gradient at the strain rows and at the reference
 invariants (3, 3, 1) it forms the stress of that potential pinned to zero
 stress at E = 0.  ``truth_stress`` feeds it the Gent-type truth model's
-gradient (the data ``generate_data`` samples), and
-``StressRegressionModel`` the input gradients of a particle stack of
-potential networks.
+gradient (the data ``generate_data`` samples), and ``potential_stress`` the
+input gradients of a particle stack of potential networks, from the strain
+rows' ``strain_features``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import network
 from .errors import DomainError, ShapeError
-from .likelihoods import Dataset
+from .files import write_csv_atomically
 
 __all__ = [
     "VOIGT_PAIRS",
@@ -34,9 +35,12 @@ __all__ = [
     "invariant_derivatives_batch",
     "TruthParams",
     "truth_stress",
+    "strain_features",
+    "potential_stress",
+    "Dataset",
+    "save_dataset",
     "generate_data",
     "HyperelasticData",
-    "StressRegressionModel",
     "icnn_template",
 ]
 
@@ -197,6 +201,84 @@ def truth_stress(E_voigt, params: TruthParams | None = None) -> np.ndarray:
                           invariant_derivatives_batch(E))
 
 
+def strain_features(E_voigt) -> tuple[np.ndarray, np.ndarray]:
+    """The strain-only inputs of ``potential_stress`` at Voigt strain rows
+    (n, 6): the invariant rows (n, 3) and their dI/dE, (n, 3, 6)."""
+    E = _strain_rows(E_voigt)
+    return invariants_batch(E), invariant_derivatives_batch(E)
+
+
+def potential_stress(template, particles, features):
+    """Voigt stress rows of every potential network of a particle stack at
+    the strain rows of ``features``, shape (N, n, 6), and ``score_of``:
+    residuals (N, n, 6) -> flat gradients (N, D) of
+    sum_b residuals[a, b] . S(E[b]; theta_a).
+
+    ``template`` is the shared graph and ``particles`` (N, D) its flat
+    parameter rows.  Both read one forward pass over the strain rows and one
+    over the reference row.  With u_i = r . voigt(dI_i/dE) the score reduces
+    to the parameter gradient of the input-directional derivative
+    u . grad_I NN, minus the residual-weighted gradient of the normalization
+    constant n(theta) = (2, 4, 2) . grad_I NN(3, 3, 1).
+    """
+    inv, dI = features
+    rows = network.forward_pass(template, inv, particles)
+    ref = network.forward_pass(template, _REFERENCE_ROW, particles)
+    pred = _pinned_stress(rows.grad_input()[..., 0, :],
+                          ref.grad_input()[..., 0, 0, :], inv, dI)
+
+    def score_of(residuals) -> np.ndarray:
+        u = np.einsum("...nk,nik->...ni", residuals, dI)
+        g = rows.grad_params_dirderiv(u)  # the potential's unit upstream
+        # d/dtheta of the n(theta) * (sqrt(I3) - 1) correction
+        w_ref = np.sum(u[..., 2] / (2.0 * np.sqrt(inv[:, 2])), axis=-1)
+        g_ref = ref.grad_params_dirderiv(_REFERENCE_SLOPE)
+        g_ref *= w_ref[..., None]
+        g -= g_ref
+        return g
+
+    return pred, score_of
+
+
+@dataclass(frozen=True)
+class Dataset:
+    """Input-output sample pairs with their column names."""
+
+    inputs: np.ndarray          # (n, d_in)
+    outputs: np.ndarray         # (n, d_out)
+    input_names: tuple[str, ...] = ()
+    output_names: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        X = np.asarray(self.inputs, dtype=float)
+        Y = np.asarray(self.outputs, dtype=float)
+        if X.ndim != 2 or Y.ndim != 2:
+            raise ShapeError(f"inputs {X.shape} and outputs {Y.shape} must be sample "
+                             f"rows (n, width)")
+        if len(X) != len(Y):
+            raise ShapeError(f"{len(X)} inputs vs {len(Y)} outputs")
+        if len(X) == 0:
+            raise ShapeError("dataset must be non-empty")
+        object.__setattr__(self, "inputs", X)
+        object.__setattr__(self, "outputs", Y)
+        if not self.input_names:
+            object.__setattr__(self, "input_names",
+                               tuple(f"x{i}" for i in range(X.shape[1])))
+        if not self.output_names:
+            object.__setattr__(self, "output_names",
+                               tuple(f"y{i}" for i in range(Y.shape[1])))
+
+    def __len__(self):
+        return len(self.inputs)
+
+
+def save_dataset(data: Dataset, path) -> None:
+    """Delimited text, one row per sample: input columns then output columns."""
+    header = list(data.input_names) + list(data.output_names)
+    rows = np.concatenate((data.inputs, data.outputs), axis=1).tolist()
+    write_csv_atomically(path, [header] + [map(repr, row) for row in rows])
+
+
 @dataclass(frozen=True)
 class HyperelasticData:
     """Training and test sets plus the test-path parameterization."""
@@ -251,49 +333,6 @@ def generate_data(params: TruthParams | None = None, n_train: int = 80,
         test=Dataset(E_test, S_test, names_e, names_s),
         test_delta=d_grid,
     )
-
-
-class StressRegressionModel:
-    """Pushforward map from Voigt strain rows to Voigt stress rows through a
-    reference-normalized network potential, with its exact parameter score.
-
-    Both act on a particle stack: ``template`` is the shared graph and
-    ``particles`` (N, D) its flat parameter rows.  The strain-only inputs,
-    invariants and dI/dE, come from ``prepare`` once per strain set.
-    """
-
-    def prepare(self, E_voigt) -> tuple[np.ndarray, np.ndarray]:
-        E = _strain_rows(E_voigt)
-        return invariants_batch(E), invariant_derivatives_batch(E)
-
-    def predict_and_score(self, template, particles, features):
-        """Voigt stress rows of every particle, shape (N, n, 6), and
-        ``score_of``: residuals (N, n, 6) -> flat gradients (N, D) of
-        sum_b residuals[a, b] . S(E[b]; theta_a).
-
-        Both read one forward pass over the strain rows and one over the
-        reference row.  With u_i = r . voigt(dI_i/dE) the score reduces to the
-        parameter gradient of the input-directional derivative u . grad_I NN,
-        minus the residual-weighted gradient of the normalization constant
-        n(theta) = (2, 4, 2) . grad_I NN(3, 3, 1).
-        """
-        inv, dI = features
-        rows = network.forward_pass(template, inv, particles)
-        ref = network.forward_pass(template, _REFERENCE_ROW, particles)
-        pred = _pinned_stress(rows.grad_input()[..., 0, :],
-                              ref.grad_input()[..., 0, 0, :], inv, dI)
-
-        def score_of(residuals) -> np.ndarray:
-            u = np.einsum("...nk,nik->...ni", residuals, dI)
-            g = rows.grad_params_dirderiv(u)  # the potential's unit upstream
-            # d/dtheta of the n(theta) * (sqrt(I3) - 1) correction
-            w_ref = np.sum(u[..., 2] / (2.0 * np.sqrt(inv[:, 2])), axis=-1)
-            g_ref = ref.grad_params_dirderiv(_REFERENCE_SLOPE)
-            g_ref *= w_ref[..., None]
-            g -= g_ref
-            return g
-
-        return pred, score_of
 
 
 def icnn_template(widths=(3, 30, 30, 1)) -> network.LayeredNet:

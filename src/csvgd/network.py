@@ -11,21 +11,17 @@ which is what stress-style models built on input gradients need.
 
 Every pass builds on one forward pass, ``forward_pass``: it evaluates each
 hidden link's softplus once, its value and first derivative from one
-evaluation, and keeps them in a ``ForwardPass``.  The output, the input
-Jacobian, the parameter gradient and the reverse-over-forward gradient are
-methods that read that pass, so a model that needs a prediction and its
-score makes one forward pass for both: ``forward_pass(net, X,
-params).output()`` evaluates a particle stack, and ``.grad_input()``,
-``.grad_params(upstream)`` and ``.grad_params_dirderiv(u)`` (with the unit
-upstream of a scalar-output net) read the same pass.
+evaluation, and keeps them in a ``ForwardPass``.  The input Jacobian and the
+reverse-over-forward gradient are methods that read that pass, so the
+stress of a potential and its score make one forward pass for both:
+``forward_pass(net, X, params).grad_input()`` and
+``.grad_params_dirderiv(u)`` (with the unit upstream of a scalar-output net)
+read the same pass.
 
 A value is formed only by a pass that reads it.  The forward pass keeps
 each hidden link's first derivative, and the values of every hidden link
-but the last.  The last hidden link's value and the output link's product
-feed only ``output`` and ``grad_params``, so those two form them on demand
-from the kept input of that link, by the same operations and with the same
-bits; the input Jacobian and the reverse-over-forward gradient, which a
-stress model reads, never form them.  The second derivative is formed from
+but the last, which neither pass reads; nor do they read the output link's
+product, the potential's value.  The second derivative is formed from
 the first by ``grad_params_dirderiv``, the one pass that reads it.  The
 passes also skip work whose result is known exactly (zero adjoints and the
 unit derivative of the identity output link, products over an inner
@@ -293,12 +289,10 @@ class ForwardPass:
     ``W`` are the weights of the particle stack, (N, out, in) per link.
     ``H[k]`` is the input of hidden link k (``H[0]`` is X).  The input of
     the output link (the last hidden link's value) and the output link's
-    product are not formed: only ``output`` and ``grad_params`` read them,
-    and they form them on demand by the same operations, so with the same
-    bits.  ``D1[k]`` holds the first derivative of hidden link k's
-    softplus at its pre-activations; the identity output link's is one.
-    The second derivative is formed from ``D1[k]`` by the one pass that
-    reads it, ``grad_params_dirderiv``.
+    product are not formed: no pass reads them.  ``D1[k]`` holds the first
+    derivative of hidden link k's softplus at its pre-activations; the
+    identity output link's is one.  The second derivative is formed from
+    ``D1[k]`` by the one pass that reads it, ``grad_params_dirderiv``.
 
     The passes skip work whose result is known exactly: the identity output
     link has a unit first and a zero second derivative.  Where a
@@ -328,23 +322,10 @@ class ForwardPass:
         last hidden link's bar_tz in ``grad_params_dirderiv``."""
         return (self.W[-1] + 0.0)[..., None, :, :] * self.D1[-1][..., None, :]
 
-    def _last_input(self) -> np.ndarray:
-        """The output link's input: X for a one-link net, otherwise the last
-        hidden link's value, formed as the forward pass forms a value."""
-        k = self.net.n_links - 2
-        if k < 0:
-            return self.H[0]
-        z = _matmul(self.H[k], self.W[k].swapaxes(-1, -2))
-        return _softplus_terms(z)[0]
-
     def _gradient_rows(self):
         """Flat gradient rows (N, size) and each link's view into them."""
         flat = np.empty(self._lead + (self.net.layout.size,))
         return flat, self.net.layout.views(flat)
-
-    def output(self) -> np.ndarray:
-        """Network outputs, shape (N, batch, out)."""
-        return _matmul(self._last_input(), self.W[-1].swapaxes(-1, -2))  # identity link
 
     def grad_input(self) -> np.ndarray:
         """Jacobian d net(X[b]) / d X[b] for every row, shape (N, batch, out, in).
@@ -361,21 +342,6 @@ class ForwardPass:
                 J *= self.D1[k][..., None, :]
                 J = _matmul(J, self.W[k][..., None, :, :])
         return J
-
-    def grad_params(self, upstream) -> np.ndarray:
-        """Flat gradient rows (N, D) of sum_b upstream[b] . net(X[b]) with
-        respect to all parameters; ``upstream`` may carry the particle axis."""
-        n_links = self.net.n_links
-        U = _check_rows("upstream", upstream, (len(self.H[0]), self.net.layer_widths[-1]))
-        bar = np.broadcast_to(U, self._out_shape)  # identity output link
-        H = self.H[:n_links - 1] + [self._last_input()]
-        flat, gW = self._gradient_rows()
-        for k in range(n_links - 1, -1, -1):
-            _matmul(bar.swapaxes(-1, -2), H[k], out=gW[k])
-            if k > 0:
-                bar = _matmul(bar, self.W[k])
-                bar *= self.D1[k - 1]
-        return flat
 
     def _tangents(self, u):
         """Forward tangent pass along input directions u over the hidden

@@ -35,16 +35,14 @@ def hyper_run(alpha=0.5, noise=0.1, lam=0.05, schedule="fixed", num_stages=8,
     cfg.num_stages = num_stages
     cfg.seed = seed
     data, target, ensemble, ref, features, econf = hyperelastic_setup(cfg)
-    model = target.model
     stage_w1 = []
 
     def on_stage(s, ens, rep):
-        _, total = pushforward_w1(_test_path_samples(ens, model, features), ref)
+        _, total = pushforward_w1(_test_path_samples(ens, features), ref)
         stage_w1.append(total)
 
     ensemble, run_report = run_csvgd(ensemble, target, econf, on_stage=on_stage)
-    per_point, w1_sum = pushforward_w1(_test_path_samples(ensemble, model, features),
-                                       ref)
+    per_point, w1_sum = pushforward_w1(_test_path_samples(ensemble, features), ref)
     result = {
         "active": run_report.final_active_params,
         "w1_sum": w1_sum,

@@ -133,7 +133,7 @@ def gradient_ascent(score, theta0, step, n_iters):
 
 
 def per_particle_score_and_mse(target, template, particles):
-    """The per-particle regression score the batched path replaced.
+    """The per-particle stress regression score the batched path replaced.
 
     Unlike the rest of this module it reuses library pieces: each particle is
     evaluated on its own, as a one-row stack of the network passes.  The
@@ -146,27 +146,22 @@ def per_particle_score_and_mse(target, template, particles):
 
     X, Y = target.dataset.inputs, target.dataset.outputs
     scores, mses = [], []
+    inv = mech.invariants_batch(X)
+    dI = mech.invariant_derivatives_batch(X)
+    ref = np.array([[3.0, 3.0, 1.0]])
     for theta in np.atleast_2d(particles):
         P = theta[None]
-        if isinstance(target.model, mech.StressRegressionModel):
-            inv = mech.invariants_batch(X)
-            dI = mech.invariant_derivatives_batch(X)
-            ref = np.array([[3.0, 3.0, 1.0]])
-            rows = nw.forward_pass(template, inv, P)
-            g = rows.grad_input()[0, :, 0, :]
-            g_ref = nw.forward_pass(template, ref, P).grad_input()[0, 0, 0]
-            n = 2.0 * g_ref[0] + 4.0 * g_ref[1] + 2.0 * g_ref[2]
-            g[:, 2] -= 0.5 * n / np.sqrt(inv[:, 2])
-            r = Y - np.einsum("ni,nik->nk", g, dI)
-            u = np.einsum("nk,nik->ni", r, dI)
-            s = rows.grad_params_dirderiv(u)[0]
-            w_ref = float(np.sum(u[:, 2] / (2.0 * np.sqrt(inv[:, 2]))))
-            s = s - w_ref * FormulaPass(template, ref, P).grad_params_dirderiv(
-                np.array([[2.0, 4.0, 2.0]]), np.array([[1.0]]))[0]
-        else:
-            rows = nw.forward_pass(template, X, P)
-            r = Y - rows.output()[0]
-            s = rows.grad_params(r)[0]
+        rows = nw.forward_pass(template, inv, P)
+        g = rows.grad_input()[0, :, 0, :]
+        g_ref = nw.forward_pass(template, ref, P).grad_input()[0, 0, 0]
+        n = 2.0 * g_ref[0] + 4.0 * g_ref[1] + 2.0 * g_ref[2]
+        g[:, 2] -= 0.5 * n / np.sqrt(inv[:, 2])
+        r = Y - np.einsum("ni,nik->nk", g, dI)
+        u = np.einsum("nk,nik->ni", r, dI)
+        s = rows.grad_params_dirderiv(u)[0]
+        w_ref = float(np.sum(u[:, 2] / (2.0 * np.sqrt(inv[:, 2]))))
+        s = s - w_ref * FormulaPass(template, ref, P).grad_params_dirderiv(
+            np.array([[2.0, 4.0, 2.0]]), np.array([[1.0]]))[0]
         scores.append(s / target.noise_var)
         mses.append(float(np.mean(r * r)))
     return np.stack(scores), np.array(mses)
@@ -247,12 +242,13 @@ def broadcast_stein_direction(P, S, beta, gamma, threshold):
 
 
 # ---------------------------------------------------------------------------
-# The two-call regression score that the one-pass `predict_and_score`
-# replaced: `predict` made one forward pass over the data rows and one over the
-# (3, 3, 1) reference row, then `param_score` made both passes again.  It keeps
-# its own copies of the activation functions and network passes, written the
-# way they were, so the one-pass score can be held to it bit for bit; it reuses
-# only the flat parameter layout and the model's input preparation.
+# The two-call stress regression score that the one-pass
+# `mechanics.potential_stress` replaced: `predict` made one forward pass over
+# the data rows and one over the (3, 3, 1) reference row, then `param_score`
+# made both passes again.  It keeps its own copies of the activation functions
+# and network passes, written the way they were, so the one-pass score can be
+# held to it bit for bit; it reuses only the flat parameter layout and
+# `mechanics.strain_features`.
 
 def softplus_formula(x):
     x = np.asarray(x, dtype=float)
@@ -304,17 +300,6 @@ def _two_call_grad_input(net, W, X):
     return J
 
 
-def _two_call_grad_params(net, W, X, U):
-    Z, H = _two_call_forward(net, W, X)
-    gW = [None] * net.n_links
-    bar = np.broadcast_to(U, H[-1].shape)
-    for k in range(net.n_links - 1, -1, -1):
-        gW[k] = bar.swapaxes(-1, -2) @ H[k]
-        if k > 0:
-            bar = (bar @ W[k]) * sigmoid_formula(Z[k - 1])
-    return _flat(gW)
-
-
 def _two_call_grad_params_dirderiv(net, W, X, Udir, Up):
     Z, H = _two_call_forward(net, W, X)
     T, TZ = [Udir], []
@@ -340,26 +325,21 @@ def two_call_score_and_mse(target, template, particles):
 
     P = np.atleast_2d(np.asarray(particles, dtype=float))
     W = template.layout.unflatten(P)
-    X = target.model.prepare(target.dataset.inputs)
-    if isinstance(target.model, mech.StressRegressionModel):
-        inv, dI = X
-        ref = np.array([[3.0, 3.0, 1.0]])
-        # predict: two forward passes
-        g_ref = _two_call_grad_input(template, W, ref)[..., 0, :][..., 0, :]
-        slope = 2.0 * g_ref[..., 0] + 4.0 * g_ref[..., 1] + 2.0 * g_ref[..., 2]
-        g = np.array(_two_call_grad_input(template, W, inv)[..., 0, :])
-        g[..., 2] -= 0.5 * slope[..., None] / np.sqrt(inv[:, 2])
-        R = target.dataset.outputs - np.einsum("...ni,nik->...nk", g, dI)
-        # param_score: the same two forward passes again
-        u = np.einsum("...nk,nik->...ni", R, dI)
-        s = _two_call_grad_params_dirderiv(template, W, inv, u, np.ones((len(inv), 1)))
-        w_ref = np.sum(u[..., 2] / (2.0 * np.sqrt(inv[:, 2])), axis=-1)
-        s_ref = _two_call_grad_params_dirderiv(
-            template, W, ref, np.array([[2.0, 4.0, 2.0]]), np.array([[1.0]]))
-        s = s - w_ref[..., None] * s_ref
-    else:
-        R = target.dataset.outputs - _two_call_forward(template, W, X)[1][-1]
-        s = _two_call_grad_params(template, W, X, R)
+    inv, dI = mech.strain_features(target.dataset.inputs)
+    ref = np.array([[3.0, 3.0, 1.0]])
+    # predict: two forward passes
+    g_ref = _two_call_grad_input(template, W, ref)[..., 0, :][..., 0, :]
+    slope = 2.0 * g_ref[..., 0] + 4.0 * g_ref[..., 1] + 2.0 * g_ref[..., 2]
+    g = np.array(_two_call_grad_input(template, W, inv)[..., 0, :])
+    g[..., 2] -= 0.5 * slope[..., None] / np.sqrt(inv[:, 2])
+    R = target.dataset.outputs - np.einsum("...ni,nik->...nk", g, dI)
+    # param_score: the same two forward passes again
+    u = np.einsum("...nk,nik->...ni", R, dI)
+    s = _two_call_grad_params_dirderiv(template, W, inv, u, np.ones((len(inv), 1)))
+    w_ref = np.sum(u[..., 2] / (2.0 * np.sqrt(inv[:, 2])), axis=-1)
+    s_ref = _two_call_grad_params_dirderiv(
+        template, W, ref, np.array([[2.0, 4.0, 2.0]]), np.array([[1.0]]))
+    s = s - w_ref[..., None] * s_ref
     return s / target.noise_var, np.mean((R * R).reshape(len(R), -1), axis=1)
 
 
@@ -741,7 +721,8 @@ def net_potential(net):
     from csvgd import network as nw
 
     P = net.layout.flatten(net.weights)[None]
-    return lambda inv: float(nw.forward_pass(net, np.reshape(inv, (1, -1)), P).output()[0, 0, 0])
+    return lambda inv: float(
+        pass_output(nw.forward_pass(net, np.reshape(inv, (1, -1)), P))[0, 0, 0])
 
 
 def reference_normalized(potential, h=1e-3):
@@ -762,6 +743,53 @@ def strain_energy(potential):
 
 
 # ---------------------------------------------------------------------------
+# The network output and its parameter gradient, which left
+# `network.ForwardPass` with the one regression model that read them: the
+# stress of a potential reads only the input Jacobian and the
+# reverse-over-forward gradient.  They read a library `ForwardPass` as its
+# methods did, forming the output link's input on demand by the forward pass's
+# own operations, so they keep those methods' bits; they reuse the pass's
+# arrays and flat gradient rows and `network`'s private helpers.
+
+def _last_input(rows):
+    """The output link's input: X for a one-link net, otherwise the last
+    hidden link's value, formed as the forward pass forms a value."""
+    from csvgd import network as nw
+
+    k = rows.net.n_links - 2
+    if k < 0:
+        return rows.H[0]
+    z = nw._matmul(rows.H[k], rows.W[k].swapaxes(-1, -2))
+    return nw._softplus_terms(z)[0]
+
+
+def pass_output(rows):
+    """Network outputs (N, batch, out) of a `network.ForwardPass`."""
+    from csvgd import network as nw
+
+    return nw._matmul(_last_input(rows), rows.W[-1].swapaxes(-1, -2))  # identity link
+
+
+def pass_grad_params(rows, upstream):
+    """Flat gradient rows (N, D) of sum_b upstream[b] . net(X[b]) of a
+    `network.ForwardPass` with respect to all parameters; ``upstream`` may
+    carry the particle axis."""
+    from csvgd import network as nw
+
+    n_links = rows.net.n_links
+    U = nw._check_rows("upstream", upstream, (len(rows.H[0]), rows.net.layer_widths[-1]))
+    bar = np.broadcast_to(U, rows._out_shape)  # identity output link
+    H = rows.H[:n_links - 1] + [_last_input(rows)]
+    flat, gW = rows._gradient_rows()
+    for k in range(n_links - 1, -1, -1):
+        nw._matmul(bar.swapaxes(-1, -2), H[k], out=gW[k])
+        if k > 0:
+            bar = nw._matmul(bar, rows.W[k])
+            bar *= rows.D1[k - 1]
+    return flat
+
+
+# ---------------------------------------------------------------------------
 # References that only tests call, kept out of the library: the log-densities
 # whose gradients the library's scores are, readers of the files it writes,
 # and per-network views of a particle stack.
@@ -773,11 +801,12 @@ def mvn_log_likelihood(target, particles):
 
 
 def regression_log_likelihood(target, template, particles):
-    """-(1/(2 sigma^2)) sum_i |y_i - yhat(x_i; theta)|^2 per particle row of a
-    RegressionTarget; the predictions come from the target's model."""
+    """-(1/(2 sigma^2)) sum_i |S_i - S(E_i; theta)|^2 per particle row of a
+    RegressionTarget; the stresses come from `mechanics.potential_stress`."""
+    from csvgd import mechanics as mech
+
     P = np.atleast_2d(np.asarray(particles, dtype=float))
-    features = target.model.prepare(target.dataset.inputs)
-    pred, _ = target.model.predict_and_score(template, P, features)
+    pred, _ = mech.potential_stress(template, P, mech.strain_features(target.dataset.inputs))
     R = target.dataset.outputs - pred
     return -np.sum((R * R).reshape(len(R), -1), axis=1) / (2.0 * target.noise_var)
 
@@ -794,8 +823,8 @@ def log_prior_density(spec, theta):
 
 
 def load_dataset(path, n_inputs):
-    """The `likelihoods.Dataset` that `save_dataset` wrote to ``path``."""
-    from csvgd.likelihoods import Dataset
+    """The `mechanics.Dataset` that `save_dataset` wrote to ``path``."""
+    from csvgd.mechanics import Dataset
 
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))

@@ -20,14 +20,15 @@ from csvgd.experiments import (MVN_MEAN, MVN_PRECISION, RunConfig,
                                mvn_ensemble_error)
 from csvgd.kernels import KernelSpec
 from csvgd.likelihoods import MvnTarget
-from csvgd.mechanics import (StressRegressionModel, TruthParams, icnn_template,
+from csvgd.mechanics import (TruthParams, icnn_template, potential_stress, strain_features,
                              sym_to_voigt, truth_stress, voigt_to_sym)
 from csvgd.metrics import sparsity_l1
 from csvgd.priors import PriorSpec, prior_score
 
 from _criteria import criterion_07, criterion_08, criterion_09, criterion_10
 from _oracles import (fd_gradient, fd_strain_gradient, log_prior_density, nets_of,
-                      softplus_formula, trapezoid_integral)
+                      pass_grad_params, pass_output, softplus_formula,
+                      trapezoid_integral)
 from conftest import random_net
 
 
@@ -87,15 +88,15 @@ def test_criterion_03_gradient_correctness():
         net = random_net(rng, (3, 8, 8, 1))
         x = rng.normal(size=3)
         theta = net.layout.flatten(net.weights)
-        g = nw.forward_pass(net, x[None], theta[None]).grad_params(np.array([[1.0]]))[0]
+        g = pass_grad_params(nw.forward_pass(net, x[None], theta[None]), np.array([[1.0]]))[0]
         fd = fd_gradient(
-            lambda t: float(nw.forward_pass(net, x[None], t[None]).output()[0, 0, 0]), theta)
+            lambda t: float(pass_output(nw.forward_pass(net, x[None], t[None]))[0, 0, 0]), theta)
         rel = np.abs(g - fd) / np.maximum(np.abs(fd), 1e-8)
         worst = max(worst, rel.max())
         n_checked += theta.size
         gi = nw.forward_pass(net, x[None], theta[None]).grad_input()[0, 0, 0]
         fdi = fd_gradient(
-            lambda xv: float(nw.forward_pass(net, xv[None], theta[None]).output()[0, 0, 0]), x)
+            lambda xv: float(pass_output(nw.forward_pass(net, xv[None], theta[None]))[0, 0, 0]), x)
         rel_i = np.abs(gi - fdi) / np.maximum(np.abs(fdi), 1e-8)
         worst = max(worst, rel_i.max())
         n_checked += x.size
@@ -124,11 +125,11 @@ def test_criterion_05_condensation_correctness():
     ens = init_net_ensemble(template, 6, seed=13)
     ens.particles[rng.random(ens.particles.shape) < 0.4] *= 1e-5
     X = rng.uniform(-1.0, 1.0, size=(100, 3))
-    before = nw.forward_pass(ens.template, X, ens.particles).output()
+    before = pass_output(nw.forward_pass(ens.template, X, ens.particles))
 
     exact, _ = condense_ensemble(ens, 0.0)
     preserved = max(np.max(np.abs(b - a)) for b, a in
-                    zip(before, nw.forward_pass(exact.template, X, exact.particles).output()))
+                    zip(before, pass_output(nw.forward_pass(exact.template, X, exact.particles))))
 
     once, _ = condense_ensemble(ens, 1e-3)
     twice, _ = condense_ensemble(once, 1e-3)
@@ -139,7 +140,7 @@ def test_criterion_05_condensation_correctness():
     # computed fan-in bound on the pruning perturbation
     from csvgd import condense as gc
     within_bound = True
-    after = nw.forward_pass(once.template, X, once.particles).output()
+    after = pass_output(nw.forward_pass(once.template, X, once.particles))
     pruned = gc.prune(gc.NetGraph.from_net(ens.template, ens.particles), 1e-3)
     for i, (net, b, a) in enumerate(zip(nets_of(ens), before, after)):
         h, dh = X, np.zeros(X.shape[1])
@@ -162,14 +163,13 @@ def test_criterion_06_zero_stress_reference_and_truth_consistency():
                           truth_potential)
 
     rng = np.random.default_rng(6)
-    model = StressRegressionModel()
-    at_reference = model.prepare(np.zeros((1, 6)))
+    at_reference = strain_features(np.zeros((1, 6)))
     worst_s0 = 0.0
     for _ in range(100):
         widths = (3, int(rng.integers(3, 12)), 1)
         net = random_net(rng, widths, nonneg=(False, True))
-        S0 = model.predict_and_score(net, net.layout.flatten(net.weights)[None],
-                                     at_reference)[0][0, 0]
+        S0 = potential_stress(net, net.layout.flatten(net.weights)[None],
+                              at_reference)[0][0, 0]
         worst_s0 = max(worst_s0, np.linalg.norm(voigt_to_sym(S0)))
 
     params = TruthParams()
@@ -189,7 +189,7 @@ def test_criterion_06_zero_stress_reference_and_truth_consistency():
     theta = net.layout.flatten(net.weights)
 
     def net_stress(E):
-        return model.predict_and_score(net, theta[None], model.prepare(E))[0][0]
+        return potential_stress(net, theta[None], strain_features(E))[0][0]
 
     cycle = max(abs(stress_cycle_integral(stress, A, B))
                 for stress in (lambda E: truth_stress(E, params), net_stress))

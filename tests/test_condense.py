@@ -19,7 +19,7 @@ from _oracles import (condense_ensemble_per_particle, condense_graphs_per_graph,
                       dump_graph_csv, dump_graph_per_graph, dump_graphs_per_particle,
                       graph_of_net, load_graph_dump, net_stack_of_graph, nets_of,
                       prune_per_graph, prune_per_node, reconcile_per_graph,
-                      remap_opt_state_per_particle, softplus_formula,
+                      pass_output, remap_opt_state_per_particle, softplus_formula,
                       sort_nodes_per_graph)
 from conftest import one_row, random_net
 
@@ -32,7 +32,7 @@ def graph_of(net):
 def outputs_of(graph, X):
     """Network outputs (N, batch, out) of every particle of a stacked graph."""
     template, P = net_stack_of_graph(graph)
-    return nw.forward_pass(template, X, P).output()
+    return pass_output(nw.forward_pass(template, X, P))
 
 
 def chain(weights, nonneg=None):
@@ -139,7 +139,7 @@ class TestSortNodes:
         g = gc.sort_nodes(graph_of(net))
         assert g.provenance[1].tolist() == [[1, 0]]
         x = rng.normal(size=(10, 1))
-        before = nw.forward_pass(net, x, one_row(net)).output()
+        before = pass_output(nw.forward_pass(net, x, one_row(net)))
         assert np.max(np.abs(before - outputs_of(g, x))) <= 1e-12
 
     def test_ties_keep_original_order(self):
@@ -184,7 +184,7 @@ class TestTemplateAndReconcile:
         assert padded.widths == (1, 3, 1)
         assert padded.provenance[1].tolist()[0][-1] == -1
         x = rng.normal(size=(10, 1))
-        assert np.max(np.abs(nw.forward_pass(net, x, one_row(net)).output()
+        assert np.max(np.abs(pass_output(nw.forward_pass(net, x, one_row(net)))
                              - outputs_of(padded, x))) <= 1e-12
 
     def test_reconcile_on_own_template_is_identity(self, rng):
@@ -213,9 +213,9 @@ class TestCondense:
     def test_outputs_preserved_at_zero_epsilon(self, rng):
         ens = self._noisy_ensemble(rng)
         X = rng.normal(size=(100, 3))
-        before = nw.forward_pass(ens.template, X, ens.particles).output()
+        before = pass_output(nw.forward_pass(ens.template, X, ens.particles))
         out, _ = condense_ensemble(ens, 0.0)
-        after = nw.forward_pass(out.template, X, out.particles).output()
+        after = pass_output(nw.forward_pass(out.template, X, out.particles))
         for b, a in zip(before, after):
             assert np.max(np.abs(b - a)) <= 1e-12
 
@@ -249,7 +249,7 @@ class TestCondense:
         eps = 1e-3
         ens = self._noisy_ensemble(rng)
         X = rng.uniform(-1.0, 1.0, size=(50, 3))
-        before = nw.forward_pass(ens.template, X, ens.particles).output()
+        before = pass_output(nw.forward_pass(ens.template, X, ens.particles))
         bounds = []
         pruned = gc.prune(gc.NetGraph.from_net(ens.template, ens.particles), eps)
         for a, net in enumerate(nets_of(ens)):
@@ -264,7 +264,7 @@ class TestCondense:
                 dh = dz
             bounds.append(dh.max())
         out, _ = condense_ensemble(ens, eps)
-        after = nw.forward_pass(out.template, X, out.particles).output()
+        after = pass_output(nw.forward_pass(out.template, X, out.particles))
         for b, a, bound in zip(before, after, bounds):
             assert np.max(np.abs(b - a)) <= bound + 1e-9
 

@@ -18,7 +18,8 @@ from csvgd.errors import CondenseError
 from csvgd.experiments import (RunConfig, cmd_condense_inspect, cmd_hyperelastic,
                                cmd_mvn, cmd_sweep, default_config, load_config,
                                mvn_ensemble_error, save_config)
-from csvgd.mechanics import StressRegressionModel, generate_data, icnn_template
+from csvgd.mechanics import (generate_data, icnn_template, potential_stress,
+                             strain_features)
 
 from _oracles import dump_graphs_per_particle, inspect_weight_rows, load_dataset
 from conftest import condensed_icnn_ensemble
@@ -495,12 +496,11 @@ class TestTestPathSamples:
     def test_blocks_equal_per_particle_predictions(self, n, per_block, condensed):
         data, template, P = _test_path_case(condensed)
         ens = Ensemble(P[:n], template, np.random.default_rng(0))
-        model = StressRegressionModel()
         budget = per_block * len(data.test) * max(template.layer_widths)
-        features = model.prepare(data.test.inputs)
+        features = strain_features(data.test.inputs)
         with mock.patch.object(network, "PASS_ELEMENTS", budget):
-            got = experiments._test_path_samples(ens, model, features)
-        expected = np.sort(np.stack([model.predict_and_score(template, p[None], features)[0][0]
+            got = experiments._test_path_samples(ens, features)
+        expected = np.sort(np.stack([potential_stress(template, p[None], features)[0][0]
                                      for p in P[:n]], axis=-1), axis=-1)
         assert got.shape == (len(data.test), 6, n)
         np.testing.assert_array_equal(got, expected)

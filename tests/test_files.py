@@ -16,7 +16,7 @@ from csvgd.engine import (Ensemble, SvgdConfig, _checkpoint_doc, _RunState,
 from csvgd.experiments import _run_stub, default_config, save_config
 from csvgd.files import json_pieces
 from csvgd.kernels import KernelSpec
-from csvgd.likelihoods import Dataset, save_dataset
+from csvgd.mechanics import Dataset, save_dataset
 
 from conftest import random_net
 

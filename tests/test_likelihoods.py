@@ -7,12 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from csvgd import mechanics as mech
 from csvgd import network as nw
 from csvgd.errors import ShapeError
 from csvgd.engine import init_net_ensemble
-from csvgd.likelihoods import (Dataset, DirectNetModel, MvnTarget,
-                               RegressionTarget, save_dataset)
-from csvgd.mechanics import StressRegressionModel, generate_data, icnn_template
+from csvgd.likelihoods import MvnTarget, RegressionTarget
+from csvgd.mechanics import Dataset, generate_data, icnn_template, save_dataset
 
 from _oracles import (fd_gradient, load_dataset, mvn_log_likelihood,
                       per_particle_score_and_mse, regression_log_likelihood,
@@ -71,6 +71,16 @@ class TestMvn:
         with pytest.raises(ShapeError):
             MvnTarget(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    def test_a_one_dimensional_stack_is_named(self):
+        # one particle as a bare vector, not a one-row stack
+        with pytest.raises(ShapeError, match=r"is not a particle stack \(N, 3\)"):
+            MvnTarget(MEAN, PRECISION).score_and_mse_batch(None, MEAN)
+
+    def test_a_stack_of_the_wrong_width_is_named(self):
+        # rows of 4 coordinates against a 3-D mean
+        with pytest.raises(ShapeError, match=r"is not a particle stack \(N, 3\)"):
+            MvnTarget(MEAN, PRECISION).score_and_mse_batch(None, np.zeros((2, 4)))
+
 
 def score_of(target, net):
     S, _ = target.score_and_mse_batch(net, net.layout.flatten(net.weights)[None])
@@ -82,40 +92,51 @@ def log_lik(target, net, theta=None):
     return float(regression_log_likelihood(target, net, theta[None])[0])
 
 
+def stress_of(net, E):
+    """Voigt stress rows of one potential network at Voigt strain rows E."""
+    return mech.potential_stress(net, one_row(net), mech.strain_features(E))[0][0]
+
+
 class TestRegression:
-    def _target(self, rng, noise_var=1.0, n=5, widths=(2, 4, 1)):
+    def _target(self, rng, noise_var=1.0, n=5, widths=(3, 4, 1)):
         net = random_net(rng, widths)
-        X = rng.normal(size=(n, widths[0]))
-        Y = nw.forward_pass(net, X, one_row(net)).output()[0] + 0.1 * rng.normal(
-            size=(n, widths[-1]))
-        return net, RegressionTarget(Dataset(X, Y), noise_var, DirectNetModel())
+        E = 0.05 * rng.normal(size=(n, 6))
+        Y = stress_of(net, E) + 0.1 * rng.normal(size=(n, 6))
+        return net, RegressionTarget(Dataset(E, Y), noise_var)
 
     def test_perfect_fit_is_zero(self, rng):
-        net = random_net(rng, (2, 3, 1))
-        X = rng.normal(size=(4, 2))
-        target = RegressionTarget(Dataset(X, nw.forward_pass(net, X, one_row(net)).output()[0]),
-                                  1.0, DirectNetModel())
+        net = random_net(rng, (3, 3, 1))
+        E = 0.05 * rng.normal(size=(4, 6))
+        target = RegressionTarget(Dataset(E, stress_of(net, E)), 1.0)
         assert log_lik(target, net) == 0.0
         assert np.all(score_of(target, net) == 0.0)
 
     def test_single_residual_value(self):
-        # one scalar datum with residual 2 and unit variance -> -2
-        net = nw.LayeredNet((1, 1), (np.array([[1.0]]),), (False,))
-        target = RegressionTarget(Dataset([[1.0]], [[3.0]]), 1.0, DirectNetModel())
+        # a zero-weight potential has zero stress: one strain datum with
+        # residual 2 in one component and unit variance -> -2
+        net = icnn_template((3, 4, 1))
+        target = RegressionTarget(Dataset([[0.01, 0.0, 0.0, 0.0, 0.0, 0.0]],
+                                          [[0.0, 2.0, 0.0, 0.0, 0.0, 0.0]]), 1.0)
         assert log_lik(target, net) == pytest.approx(-2.0)
 
     def test_doubling_variance_halves_magnitude(self, rng):
         net, t1 = self._target(rng)
-        t2 = RegressionTarget(t1.dataset, 2.0, t1.model)
+        t2 = RegressionTarget(t1.dataset, 2.0)
         assert log_lik(t2, net) == pytest.approx(0.5 * log_lik(t1, net))
 
     def test_linear_model_score(self):
-        # y = a * theta with one datum: score = residual / sigma^2 * a
-        a = 1.7
-        net = nw.LayeredNet((1, 1), (np.array([[0.4]]),), (False,))
-        target = RegressionTarget(Dataset([[a]], [[2.0]]), 0.5, DirectNetModel())
-        residual = 2.0 - 0.4 * a
-        assert score_of(target, net) == pytest.approx([residual / 0.5 * a])
+        # the potential w . I on one strain row has a stress linear in w,
+        # dS/dw_i = dI_i/dE - c_i dI_3/dE / (2 sqrt(I3)) with c = (2, 4, 2),
+        # so score = J r / sigma^2 for J = dS/dw (3, 6) and residual r
+        w = np.array([[0.4, -0.2, 0.3]])
+        net = nw.LayeredNet((3, 1), (w,), (False,))
+        E = np.array([[0.02, -0.01, 0.03, 0.005, 0.0, -0.01]])
+        inv, dI = mech.strain_features(E)
+        J = dI[0] - np.outer([2.0, 4.0, 2.0], dI[0, 2]) / (2.0 * np.sqrt(inv[0, 2]))
+        Y = np.array([[1.0, 0.5, -0.3, 0.2, 0.1, 0.0]])
+        target = RegressionTarget(Dataset(E, Y), 0.5)
+        residual = Y[0] - w[0] @ J
+        assert score_of(target, net) == pytest.approx(J @ residual / 0.5, rel=1e-12)
 
     def test_score_matches_finite_differences(self, rng):
         net, target = self._target(rng, noise_var=0.3)
@@ -128,33 +149,35 @@ class TestRegression:
     def test_score_and_mse_consistent(self, rng):
         net, target = self._target(rng)
         _, m = target.score_and_mse_batch(net, one_row(net))
-        r = target.dataset.outputs - nw.forward_pass(
-            net, target.dataset.inputs, one_row(net)).output()[0]
+        r = target.dataset.outputs - stress_of(net, target.dataset.inputs)
         assert m[0] == pytest.approx(np.mean(r * r), rel=1e-14)
         assert log_lik(target, net) == pytest.approx(
             -np.sum(r * r) / (2.0 * target.noise_var), rel=1e-14)
 
     def test_wrong_output_width_rejected(self, rng):
-        net = random_net(rng, (2, 3, 1))
-        target = RegressionTarget(Dataset(rng.normal(size=(4, 2)), np.zeros((4, 2))),
-                                  1.0, DirectNetModel())
-        with pytest.raises(ShapeError):
-            target.score_and_mse_batch(net, net.layout.flatten(net.weights)[None])
+        with pytest.raises(ShapeError, match=r"are not Voigt stress rows \(n, 6\)"):
+            RegressionTarget(Dataset(0.05 * rng.normal(size=(4, 6)), np.zeros((4, 2))), 1.0)
 
     def test_noise_var_must_be_positive(self, rng):
         net, target = self._target(rng)
         with pytest.raises(ShapeError):
-            RegressionTarget(target.dataset, 0.0, target.model)
+            RegressionTarget(target.dataset, 0.0)
+
+    def test_a_stack_without_its_template_is_named(self, rng):
+        # a network stack scored as raw vectors, as MvnTarget takes them
+        net, target = self._target(rng)
+        with pytest.raises(ShapeError, match="needs its template graph"):
+            target.score_and_mse_batch(None, one_row(net))
 
 
 def _stress_target(n_train=12, seed=3):
     data = generate_data(n_train=n_train, seed=seed, n_test=11)
-    return RegressionTarget(data.train, 0.7, StressRegressionModel())
+    return RegressionTarget(data.train, 0.7)
 
 
 class TestBatchedScoreEquivalence:
-    """The particle-stacked score equals the per-particle formula, and bit for
-    bit the two-call score (predict, then param_score) it replaced."""
+    """The particle-stacked stress score equals the per-particle formula, and
+    bit for bit the two-call score (predict, then param_score) it replaced."""
 
     def _check(self, target, template, particles):
         S, m = target.score_and_mse_batch(template, particles)
@@ -176,14 +199,6 @@ class TestBatchedScoreEquivalence:
     def test_stress_model_condensed_template(self, n_particles):
         template, P = condensed_icnn_ensemble()
         self._check(_stress_target(), template, P[:n_particles])
-
-    @pytest.mark.parametrize("n_particles", [1, 4])
-    def test_direct_model_two_outputs(self, rng, n_particles):
-        nets = [random_net(rng, (3, 5, 4, 2)) for _ in range(n_particles)]
-        X = rng.normal(size=(9, 3))
-        target = RegressionTarget(Dataset(X, rng.normal(size=(9, 2))), 0.4,
-                                  DirectNetModel())
-        self._check(target, nets[0], np.stack([n.layout.flatten(n.weights) for n in nets]))
 
 
 def _block_budget(target, template, per_block):
@@ -213,14 +228,6 @@ class TestOnePassScore:
         target.score_and_mse_batch(ens.template, ens.particles)
         assert sorted(rows) == [1, 12]      # the reference row and the data rows
 
-    def test_direct_score_makes_one_pass(self, rng, monkeypatch):
-        net = random_net(rng, (3, 5, 2))
-        target = RegressionTarget(Dataset(rng.normal(size=(7, 3)), rng.normal(size=(7, 2))),
-                                  1.0, DirectNetModel())
-        rows = self._count_passes(monkeypatch)
-        target.score_and_mse_batch(net, net.layout.flatten(net.weights)[None])
-        assert rows == [7]
-
     def test_stress_score_makes_one_pass_per_row_set_per_block(self, monkeypatch):
         target = _stress_target(n_train=12)
         ens = init_net_ensemble(icnn_template((3, 8, 8, 1)), 5, seed=2)
@@ -232,32 +239,35 @@ class TestOnePassScore:
 
 
 @lru_cache(maxsize=None)
-def _block_case(model, condensed):
+def _block_case(condensed):
     """Target, template and 12 particle rows for the particle-block checks."""
     if condensed:
         template, P = condensed_icnn_ensemble(12)
     else:
         ens = init_net_ensemble(icnn_template((3, 8, 8, 1)), 12, seed=2)
         template, P = ens.template, ens.particles
-    if model == "stress":
-        return _stress_target(n_train=12), template, P
-    rng = np.random.default_rng(8)
-    data = Dataset(rng.normal(size=(9, 3)), rng.normal(size=(9, 1)))
-    return RegressionTarget(data, 0.4, DirectNetModel()), template, P
+    return _stress_target(n_train=12), template, P
+
+
+@lru_cache(maxsize=None)
+def _wide_case():
+    """Target, template and 60 particle rows at the block size of a
+    hyper_wide score: 80 strain rows at 3-30-30-1, 27 particles a block."""
+    template = icnn_template((3, 30, 30, 1))
+    return _stress_target(n_train=80), template, init_net_ensemble(template, 60, seed=1).particles
 
 
 class TestParticleBlocks:
     """The score in particle blocks equals the one-block score bit for bit."""
 
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 12), per_block=st.integers(1, 12),
-           model=st.sampled_from(["stress", "direct"]), condensed=st.booleans())
-    @example(n=12, per_block=12, model="stress", condensed=False)    # 1 block
-    @example(n=12, per_block=6, model="stress", condensed=True)      # 2 blocks
-    @example(n=12, per_block=1, model="direct", condensed=True)      # 12 blocks
-    @example(n=11, per_block=3, model="direct", condensed=False)     # 4, short last
-    def test_blocks_equal_one_block(self, n, per_block, model, condensed):
-        target, template, P = _block_case(model, condensed)
+    @given(n=st.integers(1, 12), per_block=st.integers(1, 12), condensed=st.booleans())
+    @example(n=12, per_block=12, condensed=False)    # 1 block
+    @example(n=12, per_block=6, condensed=True)      # 2 blocks
+    @example(n=12, per_block=1, condensed=True)      # 12 blocks
+    @example(n=11, per_block=3, condensed=False)     # 4, short last
+    def test_blocks_equal_one_block(self, n, per_block, condensed):
+        target, template, P = _block_case(condensed)
         with mock.patch.object(nw, "PASS_ELEMENTS", 2**62):
             S_one, m_one = target.score_and_mse_batch(template, P[:n])
         budget = _block_budget(target, template, per_block)
@@ -267,6 +277,21 @@ class TestParticleBlocks:
         assert len(blocks) == -(-n // per_block)
         np.testing.assert_array_equal(S, S_one)
         np.testing.assert_array_equal(m, m_one)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+    @example(n=40, seed=0)      # 27 + 13
+    @example(n=60, seed=1)      # 27 + 27 + 6
+    def test_a_permuted_stack_gives_permuted_scores(self, n, seed):
+        # a particle's score depends on its own row, whatever its place and
+        # block in the stack
+        target, template, P = _wide_case()
+        perm = np.random.default_rng(seed).permutation(n)
+        assert len(nw.particle_blocks(template, n, len(target.dataset))) == -(-n // 27)
+        S, m = target.score_and_mse_batch(template, P[:n])
+        S_perm, m_perm = target.score_and_mse_batch(template, P[:n][perm])
+        np.testing.assert_array_equal(S_perm, S[perm])
+        np.testing.assert_array_equal(m_perm, m[perm])
 
     def test_a_score_block_holds_under_eleven_block_arrays(self):
         # one hyper_wide block: 27 particles x 80 strain rows at 3-30-30-1.
@@ -313,7 +338,8 @@ class TestDatasetIO:
         with pytest.raises(ShapeError, match=r"must be sample rows \(n, width\)"):
             Dataset(inputs, outputs)
 
-    @pytest.mark.parametrize("shape", [(3,), (2, 4, 3)], ids=["one_sample", "three_axes"])
+    @pytest.mark.parametrize("shape", [(6,), (2, 4, 6)], ids=["one_sample", "three_axes"])
     def test_model_inputs_that_are_not_rows_are_named(self, shape):
-        with pytest.raises(ShapeError, match=r"must be sample rows \(n, width\)"):
-            DirectNetModel().prepare(np.zeros(shape))
+        # the strain features the stress target prepares from its inputs
+        with pytest.raises(ShapeError, match=r"is not Voigt rows \(n, 6\)"):
+            mech.strain_features(np.zeros(shape))

@@ -25,10 +25,9 @@ def random_icnn(rng, widths=(3, 4, 1)):
 
 
 def predict_one(net, E_voigt):
-    """Voigt stress rows of one network through the stress model."""
-    model = mech.StressRegressionModel()
+    """Voigt stress rows of one potential network at Voigt strain rows."""
     theta = net.layout.flatten(net.weights)
-    return model.predict_and_score(net, theta[None], model.prepare(E_voigt))[0][0]
+    return mech.potential_stress(net, theta[None], mech.strain_features(E_voigt))[0][0]
 
 
 def voigt_fd_stress(potential, E):
@@ -109,7 +108,7 @@ class TestTruthModel:
                              ids=["one_strain", "three_axes", "five_components"])
     def test_strain_that_is_not_voigt_rows_is_named(self, shape):
         # a 1-D strain used to become one row
-        for rows_of in (mech.truth_stress, mech.StressRegressionModel().prepare):
+        for rows_of in (mech.truth_stress, mech.strain_features):
             with pytest.raises(ShapeError, match=r"is not Voigt rows \(n, 6\)"):
                 rows_of(np.zeros(shape))
 
@@ -172,7 +171,7 @@ class TestNormalization:
         every row: the stress moves along dI3/dE alone."""
         net = random_icnn(rng)
         E = np.stack([mech.sym_to_voigt(random_strain(rng)) for _ in range(5)])
-        inv, dI = mech.StressRegressionModel().prepare(E)
+        inv, dI = mech.strain_features(E)
         raw = np.einsum("ni,nik->nk",
                         nw.forward_pass(net, inv, net.layout.flatten(net.weights)[None])
                         .grad_input()[0, :, 0, :], dI)
@@ -223,7 +222,7 @@ class TestStressModelScore:
     def test_score_matches_finite_differences(self, rng):
         net = random_icnn(rng, (3, 4, 1))
         data = mech.generate_data(n_train=6, seed=3, n_test=11)
-        target = RegressionTarget(data.train, 0.5, mech.StressRegressionModel())
+        target = RegressionTarget(data.train, 0.5)
         S, _ = target.score_and_mse_batch(net, net.layout.flatten(net.weights)[None])
         oracle = fd_gradient(lambda t: regression_log_likelihood(target, net, t[None])[0],
                              net.layout.flatten(net.weights))
@@ -232,9 +231,8 @@ class TestStressModelScore:
 
     def test_predict_zero_at_reference(self, rng):
         net = random_icnn(rng)
-        model = mech.StressRegressionModel()
-        S, _ = model.predict_and_score(net, net.layout.flatten(net.weights)[None],
-                                       model.prepare(np.zeros((1, 6))))
+        S, _ = mech.potential_stress(net, net.layout.flatten(net.weights)[None],
+                                     mech.strain_features(np.zeros((1, 6))))
         assert np.linalg.norm(S) < 1e-8
 
     def test_predict_matches_stress_batch(self, rng):
@@ -242,9 +240,9 @@ class TestStressModelScore:
         reference-normalized potential."""
         nets = [random_icnn(rng) for _ in range(3)]
         E = 0.05 * rng.normal(size=(7, 6))
-        model = mech.StressRegressionModel()
-        S, _ = model.predict_and_score(
-            nets[0], np.stack([n.layout.flatten(n.weights) for n in nets]), model.prepare(E))
+        S, _ = mech.potential_stress(
+            nets[0], np.stack([n.layout.flatten(n.weights) for n in nets]),
+            mech.strain_features(E))
         for a, net in enumerate(nets):
             pinned = reference_normalized(net_potential(net))
             expect = [voigt_fd_stress(pinned, mech.voigt_to_sym(row)) for row in E]

@@ -11,10 +11,10 @@ from csvgd.engine import (Ensemble, KernelSpec, SvgdConfig, active_param_count,
                           init_net_ensemble, svgd_step)
 from csvgd.errors import NonFiniteGradientError, ShapeError
 from csvgd.likelihoods import RegressionTarget
-from csvgd.mechanics import StressRegressionModel, generate_data, icnn_template
+from csvgd.mechanics import generate_data, icnn_template
 
-from _oracles import (FormulaPass, fd_gradient, sigmoid_deriv_formula,
-                      sigmoid_formula, softplus_formula)
+from _oracles import (FormulaPass, fd_gradient, pass_grad_params, pass_output,
+                      sigmoid_deriv_formula, sigmoid_formula, softplus_formula)
 from conftest import one_row, random_net
 
 
@@ -31,19 +31,20 @@ def single_layer(w, hidden=False):
 class TestForward:
     def test_identity_single_layer(self):
         net = single_layer([[1.0]])
-        assert nw.forward_pass(net, [[2.0]], one_row(net)).output().ravel() == pytest.approx([2.0])
+        out = pass_output(nw.forward_pass(net, [[2.0]], one_row(net)))
+        assert out.ravel() == pytest.approx([2.0])
 
     def test_softplus_at_zero(self):
         net = single_layer([[1.0]], hidden=True)
-        assert nw.forward_pass(net, [[0.0]], one_row(net)).output().ravel() == pytest.approx(
-            [np.log(2.0)], abs=1e-15)
+        out = pass_output(nw.forward_pass(net, [[0.0]], one_row(net)))
+        assert out.ravel() == pytest.approx([np.log(2.0)], abs=1e-15)
 
     def test_zero_weights_give_zero_output(self):
         widths = (3, 30, 30, 1)
         net = nw.LayeredNet(widths,
                             tuple(np.zeros((widths[k + 1], widths[k])) for k in range(3)),
                             (False, True, True))
-        out = nw.forward_pass(net, [[0.3, -1.0, 2.0]], one_row(net)).output()
+        out = pass_output(nw.forward_pass(net, [[0.3, -1.0, 2.0]], one_row(net)))
         assert out.ravel() == pytest.approx([0.0])
 
     def test_dimension_mismatch(self):
@@ -67,10 +68,10 @@ class TestForward:
     def test_batch_matches_single(self, rng):
         net = random_net(rng, (3, 5, 2))
         X = rng.normal(size=(7, 3))
-        batch = nw.forward_pass(net, X, one_row(net)).output()
+        batch = pass_output(nw.forward_pass(net, X, one_row(net)))
         for b in range(7):
             assert batch[0, b] == pytest.approx(
-                nw.forward_pass(net, X[b:b + 1], one_row(net)).output()[0, 0], abs=1e-14)
+                pass_output(nw.forward_pass(net, X[b:b + 1], one_row(net)))[0, 0], abs=1e-14)
 
 
 class TestActivationTerms:
@@ -96,21 +97,22 @@ class TestActivationTerms:
 class TestGradParams:
     def test_linear_map(self):
         net = single_layer([[0.7]])
-        g = nw.forward_pass(net, [[3.0]], one_row(net)).grad_params([[1.0]])
+        g = pass_grad_params(nw.forward_pass(net, [[3.0]], one_row(net)), [[1.0]])
         assert g.ravel() == pytest.approx([3.0])
 
     def test_zero_upstream(self, rng):
         net = random_net(rng, (3, 4, 2))
-        g = nw.forward_pass(net, rng.normal(size=(1, 3)), one_row(net)).grad_params(
-            np.zeros((1, 2)))
+        g = pass_grad_params(nw.forward_pass(net, rng.normal(size=(1, 3)), one_row(net)),
+                             np.zeros((1, 2)))
         assert np.all(g == 0.0)
 
     def test_matches_finite_differences(self, rng):
         net = random_net(rng, (3, 4, 1))
         x = rng.normal(size=(1, 3))
-        g = nw.forward_pass(net, x, one_row(net)).grad_params([[1.0]])[0]
-        oracle = fd_gradient(lambda t: float(nw.forward_pass(net, x, t[None]).output()[0, 0, 0]),
-                             net.layout.flatten(net.weights))
+        g = pass_grad_params(nw.forward_pass(net, x, one_row(net)), [[1.0]])[0]
+        oracle = fd_gradient(
+            lambda t: float(pass_output(nw.forward_pass(net, x, t[None]))[0, 0, 0]),
+            net.layout.flatten(net.weights))
         rel = np.abs(g - oracle) / np.maximum(np.abs(oracle), 1e-10)
         assert rel.max() < 1e-5
 
@@ -119,8 +121,8 @@ class TestGradParams:
         X = rng.normal(size=(4, 2))
         U = rng.normal(size=(4, 2))
         P = one_row(net)
-        total = nw.forward_pass(net, X, P).grad_params(U)
-        parts = sum(nw.forward_pass(net, X[b:b + 1], P).grad_params(U[b:b + 1])
+        total = pass_grad_params(nw.forward_pass(net, X, P), U)
+        parts = sum(pass_grad_params(nw.forward_pass(net, X[b:b + 1], P), U[b:b + 1])
                     for b in range(4))
         assert total == pytest.approx(parts, abs=1e-12)
 
@@ -143,7 +145,7 @@ class TestGradInput:
         x = rng.normal(size=3)
         J = nw.forward_pass(net, x[None], P).grad_input()[0, 0, 0]
         oracle = fd_gradient(
-            lambda xv: float(nw.forward_pass(net, xv[None], P).output()[0, 0, 0]), x)
+            lambda xv: float(pass_output(nw.forward_pass(net, xv[None], P))[0, 0, 0]), x)
         rel = np.abs(J - oracle) / np.maximum(np.abs(oracle), 1e-10)
         assert rel.max() < 1e-5
 
@@ -188,31 +190,31 @@ class TestParticleStack:
     def test_forward(self, stack, rng):
         template, P = stack
         X = rng.normal(size=(6, 3))
-        out = nw.forward_pass(template, X, P).output()
+        out = pass_output(nw.forward_pass(template, X, P))
         assert out.shape == (4, 6, 2)
         for a in range(4):
             assert out[a] == pytest.approx(
-                nw.forward_pass(template, X, P[a:a + 1]).output()[0], rel=1e-14, abs=1e-15)
+                pass_output(nw.forward_pass(template, X, P[a:a + 1]))[0], rel=1e-14, abs=1e-15)
 
     def test_grad_params_per_particle_upstream(self, stack, rng):
         template, P = stack
         X = rng.normal(size=(6, 3))
         U = rng.normal(size=(4, 6, 2))
-        g = nw.forward_pass(template, X, P).grad_params(U)
+        g = pass_grad_params(nw.forward_pass(template, X, P), U)
         assert g.shape == P.shape
         for a in range(4):
             assert g[a] == pytest.approx(
-                nw.forward_pass(template, X, P[a:a + 1]).grad_params(U[a])[0],
+                pass_grad_params(nw.forward_pass(template, X, P[a:a + 1]), U[a])[0],
                 rel=1e-13, abs=1e-14)
 
     def test_grad_params_shared_upstream(self, stack, rng):
         template, P = stack
         X = rng.normal(size=(6, 3))
         U = rng.normal(size=(6, 2))
-        g = nw.forward_pass(template, X, P).grad_params(U)
+        g = pass_grad_params(nw.forward_pass(template, X, P), U)
         for a in range(4):
             assert g[a] == pytest.approx(
-                nw.forward_pass(template, X, P[a:a + 1]).grad_params(U)[0],
+                pass_grad_params(nw.forward_pass(template, X, P[a:a + 1]), U)[0],
                 rel=1e-13, abs=1e-14)
 
     def test_grad_input(self, stack, rng):
@@ -288,9 +290,9 @@ class TestLeanPasses:
         for a in (list(lean.W) + lean.H + lean.D1 + [u, up]
                   + ([lean._top] if net.n_links > 1 else [])):
             a.flags.writeable = False
-        for got, want in ((lean.output(), formulas.output()),
+        for got, want in ((pass_output(lean), formulas.output()),
                           (lean.grad_input(), formulas.grad_input()),
-                          (lean.grad_params(up), formulas.grad_params(up))):
+                          (pass_grad_params(lean, up), formulas.grad_params(up))):
             assert got.shape == want.shape
             np.testing.assert_array_equal(self.bits(got), self.bits(want))
         if net.layer_widths[-1] == 1:
@@ -337,7 +339,7 @@ class TestLeanPasses:
         template = icnn_template((3, 5, 7, 1))
         P = init_net_ensemble(template, 3, seed=1).particles
         data = generate_data(n_train=6, seed=0, n_test=5)
-        target = RegressionTarget(data.train, 1.0, StressRegressionModel())
+        target = RegressionTarget(data.train, 1.0)
         widths, log1p = [], np.log1p
 
         def spy(x, *args, **kwargs):
@@ -348,7 +350,7 @@ class TestLeanPasses:
         target.score_and_mse_batch(template, P)
         assert widths == [5, 5]         # the data rows and the reference row
         widths.clear()
-        nw.forward_pass(template, data.train.inputs[:, :3], P).output()
+        pass_output(nw.forward_pass(template, data.train.inputs[:, :3], P))
         assert widths == [5, 7]         # an output forms it on demand
 
     def test_the_unit_upstream_needs_a_scalar_output(self, rng):
@@ -400,11 +402,11 @@ class TestPermutationSymmetry:
     def test_hidden_permutation_preserves_output(self, rng):
         net = random_net(rng, (3, 8, 8, 1))
         x = rng.normal(size=(20, 3))
-        base = nw.forward_pass(net, x, one_row(net)).output()
+        base = pass_output(nw.forward_pass(net, x, one_row(net)))
         for layer in (1, 2):
             perm = rng.permutation(8)
             permuted = nw.permute_hidden(net, layer, perm)
-            out = nw.forward_pass(permuted, x, one_row(permuted)).output()
+            out = pass_output(nw.forward_pass(permuted, x, one_row(permuted)))
             assert np.max(np.abs(out - base)) <= 1e-12
 
     def test_input_output_layers_rejected(self, rng):

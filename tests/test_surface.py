@@ -4,7 +4,10 @@ definition, its module's ``__all__`` and the package ``__init__``.
 
 A name counts as used where it appears as an identifier (a name or an
 attribute) in any module of the package outside its own ``def`` or
-``class``.  The scan has no types, so a method would count as used wherever
+``class``.  A default is no use: a name that library code gives only as a
+parameter default or as a dataclass ``field(default_factory=...)`` is
+never called unless a caller leaves that default in place, which no library
+code may be the only one to do.  The scan has no types, so a method would count as used wherever
 any attribute of its name is read.  So no two library definitions share a
 bare name, except the methods of a protocol that the library calls through
 it (``PROTOCOL``).  Code that only tests or demos call belongs in
@@ -40,16 +43,12 @@ ALLOWED = {
 PROTOCOL = {
     "score_and_mse_batch": "the target protocol: the engine scores every "
                            "target (MvnTarget, RegressionTarget) through it",
-    "prepare": "the model protocol: RegressionTarget prepares its inputs "
-               "through it for either model",
-    "predict_and_score": "the model protocol: RegressionTarget predicts and "
-                         "scores through it for either model",
 }
 
 # Special methods of library classes, each with the library code that calls it.
 DUNDERS = {
-    "Dataset.__len__": "len(self.dataset) sizes RegressionTarget's particle "
-                       "blocks",
+    "Dataset.__len__": "RegressionTarget.score_and_mse_batch sizes its particle "
+                       "blocks by the strain rows, len(self.dataset)",
 }
 
 
@@ -66,8 +65,17 @@ def _definitions(tree):
                     yield f"{node.name}.{item.name}", item.name, item
 
 
+def _is_default(node, child):
+    """Whether ``child`` of ``node`` is a parameter default or the value of a
+    ``default_factory`` keyword."""
+    if isinstance(node, ast.arguments):
+        return any(child is d for d in node.defaults + node.kw_defaults)
+    return isinstance(node, ast.keyword) and node.arg == "default_factory"
+
+
 def _identifiers(node, skip):
-    """Names and attribute names under ``node``, except under ``skip``."""
+    """Names and attribute names under ``node``, except under ``skip`` and in
+    defaults."""
     if node is skip:
         return
     if isinstance(node, ast.Name):
@@ -75,7 +83,8 @@ def _identifiers(node, skip):
     elif isinstance(node, ast.Attribute):
         yield node.attr
     for child in ast.iter_child_nodes(node):
-        yield from _identifiers(child, skip)
+        if not _is_default(node, child):
+            yield from _identifiers(child, skip)
 
 
 def _dunders(tree):
@@ -155,6 +164,18 @@ def test_scan_sees_a_name_used_only_in_its_own_body(tmp_path):
         "    def __post_init__(self):\n        pass\n")
     assert _unused_names(tmp_path) == ["C", "C.orphan", "C.used", "f", "g"]
     assert list(_dunders(_library(tmp_path)[0])) == ["C.__len__"]
+
+
+def test_scan_counts_a_default_as_no_use(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from dataclasses import dataclass, field\n\n"
+        "class Factory:\n    pass\n\n"
+        "def fallback():\n    return 0\n\n"
+        "def keyword_fallback():\n    return 0\n\n"
+        "@dataclass\nclass Holder:\n    made: object = field(default_factory=Factory)\n\n"
+        "def user(a=fallback, *, b=keyword_fallback):\n"
+        "    return Holder(), a, b\n")
+    assert _unused_names(tmp_path) == ["Factory", "fallback", "keyword_fallback", "user"]
 
 
 def test_scan_sees_a_name_two_classes_define(tmp_path):
