@@ -1,5 +1,9 @@
 """Graph condensation: prune insignificant edges and dead nodes, sort nodes by
 importance, and embed every ensemble member into a shared padded template.
+A node's importance does not depend on the order of the next layer's nodes,
+so sorting one layer never reorders another, and one prune -> sort ->
+template -> reconcile pass is final: condensing its result again returns it
+bit for bit.
 
 Node sorting permutes rows of the incoming weight matrix and columns of the
 outgoing one, so each member's input-output map is preserved; pruning changes
@@ -48,10 +52,6 @@ __all__ = [
     "distance_matrix",
     "dump_graph",
 ]
-
-# Passes after which condense_graphs stops even short of a fixpoint.
-MAX_PASSES = 20
-
 
 @dataclass
 class NetGraph:
@@ -120,14 +120,16 @@ def importance(graph: NetGraph, layer: int) -> np.ndarray:
 
     Signed sums follow the definition on nonnegativity-constrained matrices;
     on sign-unconstrained matrices absolute values are summed instead, since
-    signed weights can cancel and make the ordering arbitrary.  Inactive
-    nodes score zero.
+    signed weights can cancel and make the ordering arbitrary.  Each column
+    is summed in ascending order of its values, so the sum, to the last bit,
+    does not depend on the order of the next layer's nodes.  Inactive nodes
+    score zero.
     """
     if not 0 < layer < graph.n_layers - 1:
         raise DomainError("importance is defined for hidden layers only")
     w = graph.weights[layer]
-    s = w.sum(axis=-2) if graph.nonneg_mask[layer] else np.abs(w).sum(axis=-2)
-    return np.where(graph.active[layer], s, 0.0)
+    v = w if graph.nonneg_mask[layer] else np.abs(w)
+    return np.where(graph.active[layer], np.sort(v, axis=-2).sum(axis=-2), 0.0)
 
 
 def sort_nodes(graph: NetGraph) -> NetGraph:
@@ -191,25 +193,17 @@ def reconcile(graph: NetGraph, template_widths: tuple[int, ...]) -> NetGraph:
 
 
 def condense_graphs(graph: NetGraph, epsilon: float) -> tuple[NetGraph, tuple[int, ...]]:
-    """Iterate prune -> sort -> template -> reconcile on a stacked graph until
-    the template and every member's active edge set stop changing.
+    """One prune -> sort -> template -> reconcile pass on a stacked graph;
+    its result is a fixpoint of the pass.
 
     Raises ``CondenseError`` naming the first hidden layer that died in every
     particle: its softplus cannot be composed through."""
-    signature = None
-    widths = graph.widths
-    for _ in range(MAX_PASSES):
-        graph = sort_nodes(prune(graph, epsilon))
-        widths = common_template(graph)
-        if 0 in widths[1:-1]:
-            raise CondenseError(f"hidden layer {widths.index(0, 1)} died in every "
-                                f"particle; a softplus layer cannot be composed through")
-        graph = reconcile(graph, widths)
-        sig = (widths, tuple((w != 0.0).tobytes() for w in graph.weights))
-        if sig == signature:
-            break
-        signature = sig
-    return graph, widths
+    graph = sort_nodes(prune(graph, epsilon))
+    widths = common_template(graph)
+    if 0 in widths[1:-1]:
+        raise CondenseError(f"hidden layer {widths.index(0, 1)} died in every "
+                            f"particle; a softplus layer cannot be composed through")
+    return reconcile(graph, widths), widths
 
 
 def distance_matrix(particle_weights) -> np.ndarray:

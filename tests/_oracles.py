@@ -512,10 +512,11 @@ def prune_per_graph(graph, epsilon):
 
 
 def importance_per_graph(graph, layer):
-    """`condense.importance` of one graph's hidden layer."""
+    """`condense.importance` of one graph's hidden layer: each column summed
+    over its sorted values."""
     w = graph.weights[layer]
-    s = w.sum(axis=0) if graph.nonneg_mask[layer] else np.abs(w).sum(axis=0)
-    return np.where(graph.active[layer], s, 0.0)
+    v = w if graph.nonneg_mask[layer] else np.abs(w)
+    return np.where(graph.active[layer], np.sort(v, axis=0).sum(axis=0), 0.0)
 
 
 def sort_nodes_per_graph(graph):
@@ -578,28 +579,17 @@ def reconcile_per_graph(graph, template_widths):
     return NetGraph(tuple(template_widths), weights, active, prov, graph.nonneg_mask)
 
 
-def condense_graphs_per_graph(graphs, epsilon, max_passes=20):
-    """`condense.condense_graphs` over a list of graphs; also returns the
-    number of passes it ran."""
+def condense_graphs_per_graph(graphs, epsilon):
+    """`condense.condense_graphs` over a list of graphs: one pass."""
     from csvgd.errors import CondenseError
 
-    signature = None
-    widths = graphs[0].widths
-    passes = 0
-    for _ in range(max_passes):
-        passes += 1
-        graphs = [sort_nodes_per_graph(prune_per_graph(g, epsilon)) for g in graphs]
-        widths = common_template_per_graph(graphs)
-        dead = [layer for layer in range(1, len(widths) - 1) if widths[layer] == 0]
-        if dead:
-            raise CondenseError(f"hidden layer {dead[0]} died in every particle; "
-                                f"a softplus layer cannot be composed through")
-        graphs = [reconcile_per_graph(g, widths) for g in graphs]
-        sig = (widths, tuple((w != 0.0).tobytes() for g in graphs for w in g.weights))
-        if sig == signature:
-            break
-        signature = sig
-    return graphs, widths, passes
+    graphs = [sort_nodes_per_graph(prune_per_graph(g, epsilon)) for g in graphs]
+    widths = common_template_per_graph(graphs)
+    dead = [layer for layer in range(1, len(widths) - 1) if widths[layer] == 0]
+    if dead:
+        raise CondenseError(f"hidden layer {dead[0]} died in every particle; "
+                            f"a softplus layer cannot be composed through")
+    return [reconcile_per_graph(g, widths) for g in graphs], widths
 
 
 def flat_index_map_per_graph(graph, old_widths):
@@ -646,7 +636,7 @@ def condense_ensemble_per_particle(template, particles, epsilon):
     """`engine.condense_ensemble` through one network and one graph per
     particle: (new flat rows, template widths, index maps)."""
     graphs = [graph_of_net(template.with_values(p)) for p in particles]
-    graphs, widths, _ = condense_graphs_per_graph(graphs, epsilon)
+    graphs, widths = condense_graphs_per_graph(graphs, epsilon)
     rows = np.stack([np.concatenate([w.ravel() for w in g.weights]) for g in graphs])
     return rows, widths, [flat_index_map_per_graph(g, template.layer_widths)
                           for g in graphs]
