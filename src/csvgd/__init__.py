@@ -15,8 +15,8 @@ from .errors import (CheckpointError, CondenseError, DomainError,
 from .kernels import KernelSpec, median_bandwidth
 from .likelihoods import MvnTarget, RegressionTarget
 from .mechanics import Dataset, save_dataset
-from .metrics import (GaussianSummary, bhattacharyya, moving_average,
-                      pushforward_w1, sparsity_l1)
+from .metrics import (GaussianSummary, PushforwardReference, bhattacharyya,
+                      moving_average, pushforward_w1, sparsity_l1)
 from .network import LayeredNet, Layout, forward_pass, permute_hidden
 from .priors import PriorSpec, prior_constants, prior_score
 

@@ -28,9 +28,9 @@ from .files import write_csv_atomically, write_text_atomically
 from .kernels import KernelSpec
 from .likelihoods import MvnTarget, RegressionTarget
 from .mechanics import (HyperelasticData, TruthParams, generate_data, icnn_template,
-                        potential_stress, save_dataset, strain_features)
-from .metrics import (GaussianSummary, bhattacharyya, moving_average,
-                      pushforward_w1, sparsity_l1)
+                        potential_stress_blocks, save_dataset, strain_features)
+from .metrics import (GaussianSummary, PushforwardReference, bhattacharyya,
+                      moving_average, pushforward_w1, sparsity_l1)
 from .priors import PriorSpec
 
 __all__ = [
@@ -54,6 +54,18 @@ MVN_MEAN = np.array([1.0, 2.0, 3.0])
 MVN_PRECISION = np.array([[2.0, 1.0, 0.0],
                           [1.0, 2.0, 0.0],
                           [0.0, 0.0, 0.0025]])
+
+# Values per per-link array of a test-path prediction's particle block.  Over
+# the 1001 path points a `network.PASS_ELEMENTS` block of a 3-30-30-1 net holds
+# 2 particles, whose 480 KB arrays made the N=10 prediction peak at 3.30 MiB
+# traced, above the 1.71 MiB of the score over 80 training rows; the first
+# logged iteration then grew the heap by about 1.6 MB that the run never
+# reused.  Half the budget gives one particle a block at widths 17-30 (1.91
+# MiB) and 2-8 at the narrow widths of later stages.  One particle a block at
+# every width saves the same memory but is slower on condensed nets, where
+# per-call overhead dominates: an N=64 prediction took 32.9 against 28.3 ms
+# at 3-8-8-1 and 22.2 against 15.8 ms at 3-4-4-1 (one BLAS thread).
+TEST_PATH_ELEMENTS = network.PASS_ELEMENTS // 2
 
 METRICS_COLUMNS = ("iteration", "stage", "lambda", "mse", "w1_sum",
                    "bhattacharyya", "active_params", "median_pairwise_distance")
@@ -151,6 +163,11 @@ class RunConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not all(_is_integer(w) and w >= 1 for w in self.widths):
             raise ValueError(f"widths must be integers >= 1, got {self.widths!r}")
+        if self.experiment == "hyperelastic" and (
+                len(self.widths) < 2 or self.widths[0] != 3 or self.widths[-1] != 1):
+            raise ValueError(f"widths must start at 3 (the strain invariants) and end "
+                             f"at 1 (the potential) in a hyperelastic run, got "
+                             f"{list(self.widths)!r}")
         if not all(_is_integer(b) and b in (1, 2) for b in self.sweep_betas):
             raise ValueError(f"sweep_betas must be the integers 1 or 2, "
                              f"got {self.sweep_betas!r}")
@@ -353,7 +370,7 @@ def cmd_mvn(cfg: RunConfig, command_line: str | None = None) -> int:
 def _w1_reference(data: HyperelasticData, noise: float, n_replicas: int,
                   seed: int) -> np.ndarray:
     """Noisy replicas of the truth pushforward on the test path, (points, 6, r),
-    sorted along the replica axis as ``pushforward_w1`` takes them.
+    sorted along the replica axis as a ``PushforwardReference`` holds them.
 
     The replicas S * (1 + noise * eta) are formed in the draws' own array,
     by the same products and sum with the same bits, so the function holds
@@ -377,11 +394,15 @@ def _test_path_samples(ensemble: Ensemble, features) -> np.ndarray:
     """Stress pushforward on the test path, (points, 6, n_particles), from the
     path's ``strain_features``, sorted along the particle axis as
     ``pushforward_w1`` takes it.  Each particle block's prediction is written
-    into the one cloud, which is sorted in place."""
+    into the one cloud, which is sorted in place.
+
+    The blocks keep each per-link array within ``TEST_PATH_ELEMENTS``, half
+    the score's budget, so that a logged prediction over the path's many
+    rows stays within the score's working set (see the constant)."""
     P = ensemble.particles
     cloud = np.empty((len(features[0]), 6, len(P)))
-    for block in network.particle_blocks(ensemble.template, len(P), len(features[0])):
-        pred = potential_stress(ensemble.template, P[block], features)[0]
+    for block, pred in potential_stress_blocks(ensemble.template, P, features,
+                                               TEST_PATH_ELEMENTS):
         cloud[..., block] = np.moveaxis(pred, 0, -1)
     cloud.sort(axis=-1)
     return cloud
@@ -400,8 +421,9 @@ def hyperelastic_noise_var(cfg: RunConfig, train_outputs) -> float:
 
 
 def hyperelastic_setup(cfg: RunConfig):
-    """Data, target, initial ensemble, sorted W1 reference cloud, test-path
-    features, and engine config.
+    """Data, target, initial ensemble, W1 reference (a
+    ``PushforwardReference``, checked once here), test-path features, and
+    engine config.
 
     Sub-seeds are derived from cfg.seed: data uses seed, initialization
     seed+1, reference noise replicas seed+2.
@@ -412,7 +434,8 @@ def hyperelastic_setup(cfg: RunConfig):
     target = RegressionTarget(data.train, hyperelastic_noise_var(cfg, data.train.outputs))
     template = icnn_template(cfg.widths)
     ensemble = init_net_ensemble(template, cfg.n_particles, cfg.seed + 1)
-    ref = _w1_reference(data, cfg.noise, cfg.w1_ref_samples, cfg.seed + 2)
+    ref = PushforwardReference(_w1_reference(data, cfg.noise, cfg.w1_ref_samples,
+                                             cfg.seed + 2))
     features = strain_features(data.test.inputs)
     return data, target, ensemble, ref, features, _engine_config(cfg)
 

@@ -89,13 +89,15 @@ class RegressionTarget:
 
     def score_and_mse_batch(self, template, particles) -> tuple[np.ndarray, np.ndarray]:
         """Scores and MSEs per particle block of the stack
-        (``network.particle_blocks``), joined along the particle axis; a
-        one-block stack is scored whole, with nothing to join."""
+        (``network.particle_blocks`` at ``network.PASS_ELEMENTS``), joined
+        along the particle axis; a one-block stack is scored whole, with
+        nothing to join."""
         if not isinstance(template, network.LayeredNet):
             raise ShapeError(f"a particle stack of networks needs its template "
                              f"graph, got {template!r}")
         P = np.asarray(particles, dtype=float)
-        blocks = network.particle_blocks(template, len(P), len(self.dataset))
+        blocks = network.particle_blocks(template, len(P), len(self.dataset),
+                                         network.PASS_ELEMENTS)
         if len(blocks) == 1:
             return self._block_score_and_mse(template, P)
         parts = [self._block_score_and_mse(template, P[block]) for block in blocks]

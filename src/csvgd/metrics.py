@@ -4,8 +4,9 @@ pushforward comparisons, and ensemble sparsity.
 The 1-D Wasserstein-1 distance is the L1 distance between the two empirical
 quantile functions, summed over the fixed grid {k/n} | {j/m} of their
 breakpoints; see ``wasserstein1_sorted``.  Its samples come sorted: a run's
-reference cloud is sorted once, and its model cloud is sorted in place where
-it is formed, so ``pushforward_w1`` sorts neither.
+reference cloud is sorted once and checked once, as a
+``PushforwardReference``, and its model cloud is sorted in place where it is
+formed, so ``pushforward_w1`` sorts neither and checks only the model cloud.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "GaussianSummary",
     "bhattacharyya",
     "wasserstein1_sorted",
+    "PushforwardReference",
     "pushforward_w1",
     "sparsity_l1",
     "moving_average",
@@ -155,23 +157,47 @@ def wasserstein1_sorted(A, B) -> np.ndarray:
     return out.reshape(lead)
 
 
-def pushforward_w1(model_samples, reference_samples) -> tuple[np.ndarray, float]:
+@dataclass(frozen=True, eq=False)
+class PushforwardReference:
+    """The fixed reference cloud of ``pushforward_w1``: samples (points,
+    components, n_reference), sorted along the last axis.
+
+    A run compares every logged model cloud with the one reference, so its
+    shape and sort order are checked here, once, and not on every call.  The
+    samples are held as a read-only view of the given array, not a copy.
+    """
+
+    samples: np.ndarray
+
+    def __post_init__(self):
+        R = np.asarray(self.samples, dtype=float).view()
+        if R.ndim != 3 or R.shape[-1] == 0:
+            raise ShapeError(f"reference_samples shape {R.shape} is not a cloud "
+                             f"(points, components, n_reference > 0)")
+        if np.any(R[..., 1:] < R[..., :-1]):
+            raise DomainError("reference_samples must be sorted along the last axis")
+        R.flags.writeable = False
+        object.__setattr__(self, "samples", R)
+
+
+def pushforward_w1(model_samples, reference: PushforwardReference
+                   ) -> tuple[np.ndarray, float]:
     """Componentwise W1 between pushforward clouds at each evaluation point.
 
-    model_samples: (points, components, n_model), reference_samples:
-    (points, components, n_reference), both sorted along the last axis (a
-    run's reference is fixed, so it is sorted once, and its model cloud is
-    sorted where it is formed).  Per point, the component W1 values are
+    model_samples: (points, components, n_model), sorted along the last axis
+    (a run's model cloud is sorted where it is formed); ``reference`` was
+    checked when it was made.  Per point, the component W1 values are
     averaged; the scalar score is the sum over points.
     """
+    if not isinstance(reference, PushforwardReference):
+        raise TypeError(f"reference must be a PushforwardReference, got "
+                        f"{type(reference).__name__}")
     M = np.asarray(model_samples, dtype=float)
-    R = np.asarray(reference_samples, dtype=float)
-    if (M.ndim != 3 or R.ndim != 3 or M.shape[:2] != R.shape[:2]
-            or 0 in (M.shape[-1], R.shape[-1])):
+    R = reference.samples
+    if M.ndim != 3 or M.shape[:2] != R.shape[:2] or M.shape[-1] == 0:
         raise ShapeError(f"incompatible pushforward shapes {M.shape} vs {R.shape}")
-    for name, samples in (("model_samples", M), ("reference_samples", R)):
-        if np.any(samples[..., 1:] < samples[..., :-1]):
-            raise DomainError(f"{name} must be sorted along the last axis")
+    if np.any(M[..., 1:] < M[..., :-1]):
+        raise DomainError("model_samples must be sorted along the last axis")
     per_point = wasserstein1_sorted(M, R).mean(axis=-1)
     return per_point, float(per_point.sum())
 

@@ -34,12 +34,17 @@ result carries a leading particle axis.  The input rows X (batch, in) are
 shared by all particles; one network is a one-row stack.
 
 Callers pass a stack in the particle blocks of ``particle_blocks``, which
-keep each per-link array of a pass within ``PASS_ELEMENTS`` values.  At the
-block size they stay small enough for the allocator to reuse their memory
+keep each per-link array of a pass within the caller's budget of values.  At
+the block size they stay small enough for the allocator to reuse their memory
 from call to call, where a whole N=64 stack gets fresh pages, and faults them
 in, on every call.  Blocking changes no bit: the stacked products run one
 matrix product per particle and the elementwise steps and reductions are
-per particle too.
+per particle too.  There are two budgets.  The score passes
+``PASS_ELEMENTS``, the size measured fastest for it.  The test-path
+prediction of a logged iteration passes half of it
+(``experiments.TEST_PATH_ELEMENTS``): over its 1001 strain rows a
+``PASS_ELEMENTS`` block of a wide net grew past the score's working set and
+so set the run's peak heap.
 
 A pass holds only the arrays it reads again.  The running products of the
 backward passes are scaled in place, each adjoint is formed in its own
@@ -73,7 +78,7 @@ __all__ = [
     "net_from_dict",
 ]
 
-# Values per per-link array of a pass over a particle block (512 KiB of
+# Values per per-link array of a score pass over a particle block (512 KiB of
 # float64).  In a seed-0 `hyper_wide` command (N=64, 80 strain rows,
 # 3-30-30-1; 2-core Xeon, one BLAS thread) the 30 score calls took 0.51-0.59 s
 # with 53,000 minor page faults as one stack, and a median 0.47 s with 2,300
@@ -435,11 +440,15 @@ def forward_pass(net: LayeredNet, X, params) -> ForwardPass:
     return ForwardPass(net, W, H, D1)
 
 
-def particle_blocks(net: LayeredNet, n_particles: int, rows: int) -> list[slice]:
+def particle_blocks(net: LayeredNet, n_particles: int, rows: int,
+                    budget: int) -> list[slice]:
     """Slices of a stack of ``n_particles`` that keep each per-link array of a
-    pass of ``net`` over ``rows`` input rows within PASS_ELEMENTS values, one
-    particle at least."""
-    step = max(1, PASS_ELEMENTS // (rows * max(net.layer_widths)))
+    pass of ``net`` over ``rows`` input rows within ``budget`` values, one
+    particle at least.
+
+    Each caller passes its own budget: the score ``PASS_ELEMENTS``, the
+    test-path prediction half of it (see the module docstring)."""
+    step = max(1, budget // (rows * max(net.layer_widths)))
     return [slice(a, a + step) for a in range(0, n_particles, step)]
 
 

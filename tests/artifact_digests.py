@@ -21,7 +21,10 @@ tree can be taken from this checkout.  The commands are the three workloads
 of ``bench/workloads.py`` at seed 0 (their configs are read from there, not
 copied), then ``csvgd hyperelastic`` with its defaults; each stage
 checkpoint of these runs is then inspected.  Every command runs in its own
-process with one BLAS thread.  The work directory's path, which
+process with one BLAS thread, and its peak resident set (``ru_maxrss``, in
+MB of 2**20 bytes) and minor page faults, read from the process's own
+``os.wait4`` resource usage, are printed to standard error, one line per
+command; they never enter the manifest.  The work directory's path, which
 ``README.txt`` and ``config.json`` record, is masked as ``<root>`` before
 those two are hashed; every other file is hashed as written.  The default
 desk run makes this take about 15 s.  It is not collected by pytest.
@@ -97,12 +100,23 @@ def compare(expected: dict[str, str], rows: list[tuple[str, str]]) -> list[str]:
 
 
 def run_csvgd(src: Path, argv: list[str]) -> None:
+    """Run one csvgd command in its own process; print its peak RSS and
+    minor faults to standard error."""
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-m", "csvgd.cli", *argv], env=env,
-                          capture_output=True, text=True)
+    proc = subprocess.Popen([sys.executable, "-m", "csvgd.cli", *argv], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                            text=True)
+    with proc.stderr:
+        err = proc.stderr.read()
+    # wait4 reaps the child and returns its resource usage alone; the status
+    # is stored on ``proc``, so Popen does not wait for the child again
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    print(f"{usage.ru_maxrss / 1024:8.2f} MB maxrss {usage.ru_minflt:8d} minor faults"
+          f"  csvgd {' '.join(argv)}", file=sys.stderr)
     if proc.returncode != 0:
-        raise SystemExit(f"csvgd {' '.join(argv)} failed:\n{proc.stderr}")
+        raise SystemExit(f"csvgd {' '.join(argv)} failed:\n{err}")
 
 
 def digests(work: Path) -> list[tuple[str, str]]:

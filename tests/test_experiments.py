@@ -18,6 +18,7 @@ from csvgd.errors import CondenseError
 from csvgd.experiments import (RunConfig, cmd_condense_inspect, cmd_hyperelastic,
                                cmd_mvn, cmd_sweep, default_config, load_config,
                                mvn_ensemble_error, save_config)
+from csvgd.likelihoods import RegressionTarget
 from csvgd.mechanics import (generate_data, icnn_template, potential_stress,
                              strain_features)
 
@@ -102,6 +103,13 @@ class TestConfig:
         # beta=2 kernel under a row labelled 2.5
         with pytest.raises(ValueError, match=f"^{message}"):
             RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("widths", [(4, 30, 1), (3, 30, 30, 2), (3,)])
+    def test_hyperelastic_widths_run_from_invariants_to_a_potential(self, widths):
+        with pytest.raises(ValueError, match=r"^widths must start at 3 \(the strain "
+                                             r"invariants\) and end at 1"):
+            RunConfig(experiment="hyperelastic", widths=widths)
+        assert RunConfig(experiment="mvn", widths=widths).widths == widths
 
     @pytest.mark.parametrize("field, value", [
         ("prior_lambda", float("nan")), ("gamma", float("nan")),
@@ -226,8 +234,8 @@ class TestHyperelasticCommand:
         doubled.out_dir = str(tmp_path / "hyp_w1x2")
         real = experiments.pushforward_w1
 
-        def twice(model_samples, reference_samples):
-            per_point, total = real(model_samples, reference_samples)
+        def twice(model_samples, reference):
+            per_point, total = real(model_samples, reference)
             return 2.0 * per_point, 2.0 * total
 
         monkeypatch.setattr(experiments, "pushforward_w1", twice)
@@ -487,6 +495,24 @@ class TestW1Reference:
         assert peak < 2 * ref.nbytes + 2**20
 
 
+def _per_particle_cloud(template, P, features):
+    """The sorted test-path cloud from one prediction per particle."""
+    return np.sort(np.stack([potential_stress(template, p[None], features)[0][0]
+                             for p in P], axis=-1), axis=-1)
+
+
+def _traced_peak(f):
+    """tracemalloc's peak over a second call of ``f``, after a first has
+    filled the caches."""
+    f()
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestTestPathSamples:
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 12), per_block=st.integers(1, 12), condensed=st.booleans())
@@ -498,12 +524,57 @@ class TestTestPathSamples:
         ens = Ensemble(P[:n], template, np.random.default_rng(0))
         budget = per_block * len(data.test) * max(template.layer_widths)
         features = strain_features(data.test.inputs)
-        with mock.patch.object(network, "PASS_ELEMENTS", budget):
+        with mock.patch.object(experiments, "TEST_PATH_ELEMENTS", budget):
             got = experiments._test_path_samples(ens, features)
-        expected = np.sort(np.stack([potential_stress(template, p[None], features)[0][0]
-                                     for p in P[:n]], axis=-1), axis=-1)
         assert got.shape == (len(data.test), 6, n)
-        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(got, _per_particle_cloud(template, P[:n], features))
+
+    def test_one_reference_pass_serves_every_block(self, monkeypatch):
+        # a reference-row pass per block was a fixed cost that the small
+        # blocks of the test path paid again and again
+        data, template, P = _test_path_case(False)
+        calls, forward_pass = [], network.forward_pass
+
+        def counted(net, X, params):
+            calls.append((len(X), len(params)))
+            return forward_pass(net, X, params)
+
+        monkeypatch.setattr(network, "forward_pass", counted)
+        monkeypatch.setattr(experiments, "TEST_PATH_ELEMENTS",
+                            3 * len(data.test) * max(template.layer_widths))
+        experiments._test_path_samples(Ensemble(P[:7], template, np.random.default_rng(0)),
+                                       strain_features(data.test.inputs))
+        assert calls == [(1, 7), (21, 3), (21, 3), (21, 1)]
+
+    def test_a_condensed_narrow_template_takes_several_particles_a_block(self):
+        # on the 1001-point path the budget gives a 3-30-30-1 net one particle
+        # a block, and a condensed net of width 12 or less two or more
+        data = generate_data(n_train=6, seed=4)
+        template, P = condensed_icnn_ensemble(12)
+        P = P[:11]
+        blocks = network.particle_blocks(template, len(P), len(data.test),
+                                         experiments.TEST_PATH_ELEMENTS)
+        sizes = [len(range(len(P))[b]) for b in blocks]
+        assert len(data.test) == 1001 and sizes[0] >= 2 and sizes[-1] < sizes[0]
+        features = strain_features(data.test.inputs)
+        got = experiments._test_path_samples(Ensemble(P, template, np.random.default_rng(0)),
+                                             features)
+        np.testing.assert_array_equal(got, _per_particle_cloud(template, P, features))
+
+    def test_a_logged_prediction_stays_within_the_score_working_set(self):
+        # N=10 at 3-30-30-1: in blocks of the score's budget (2 particles, 480
+        # KB per-link arrays) the prediction over the 1001-point path peaked
+        # at 3.30 MiB traced, 1.93 x the score over the 80 training rows, and
+        # the first logged iteration grew the run's heap by about 1.6 MB
+        data = generate_data(seed=0)
+        template = icnn_template((3, 30, 30, 1))
+        ens = init_net_ensemble(template, 10, seed=1)
+        target = RegressionTarget(data.train, 1.0)
+        features = strain_features(data.test.inputs)
+        assert (len(data.train), len(data.test)) == (80, 1001)
+        score = _traced_peak(lambda: target.score_and_mse_batch(template, ens.particles))
+        path = _traced_peak(lambda: experiments._test_path_samples(ens, features))
+        assert path <= 1.25 * score
 
 
 class TestCli:
@@ -547,6 +618,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("csvgd mvn: ") and named in err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"experiment": "hyperelastic", "widths": [4, 30, 1]},
+        {"experiment": "hyperelastic", "widths": [3, 30, 30, 2]},
+        {"widths": [3]}], ids=["four-inputs", "two-outputs", "one-layer"])
+    def test_hyperelastic_widths_named_before_any_file(self, tmp_path, capsys, doc):
+        # [4, 30, 1] wrote config.json, README.txt and both data CSVs, then
+        # ended in "input shape (80, 3) is not rows (batch, 4) of the input
+        # layer"; [3, 30, 30, 2] in "the unit upstream needs a scalar-output net"
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "r"
+        rc = main(["hyperelastic", "--config", str(path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("csvgd hyperelastic: widths must start at 3")
+        assert str(doc["widths"]) in err
+        assert not out.exists()
 
     def test_condense_inspect_missing_checkpoint(self, tmp_path, capsys):
         rc = main(["condense-inspect", str(tmp_path / "nope.json"),

@@ -272,7 +272,7 @@ class TestParticleBlocks:
             S_one, m_one = target.score_and_mse_batch(template, P[:n])
         budget = _block_budget(target, template, per_block)
         with mock.patch.object(nw, "PASS_ELEMENTS", budget):
-            blocks = nw.particle_blocks(template, n, len(target.dataset))
+            blocks = nw.particle_blocks(template, n, len(target.dataset), nw.PASS_ELEMENTS)
             S, m = target.score_and_mse_batch(template, P[:n])
         assert len(blocks) == -(-n // per_block)
         np.testing.assert_array_equal(S, S_one)
@@ -287,7 +287,8 @@ class TestParticleBlocks:
         # block in the stack
         target, template, P = _wide_case()
         perm = np.random.default_rng(seed).permutation(n)
-        assert len(nw.particle_blocks(template, n, len(target.dataset))) == -(-n // 27)
+        blocks = nw.particle_blocks(template, n, len(target.dataset), nw.PASS_ELEMENTS)
+        assert len(blocks) == -(-n // 27)
         S, m = target.score_and_mse_batch(template, P[:n])
         S_perm, m_perm = target.score_and_mse_batch(template, P[:n][perm])
         np.testing.assert_array_equal(S_perm, S[perm])
@@ -300,7 +301,8 @@ class TestParticleBlocks:
         template = icnn_template((3, 30, 30, 1))
         target = _stress_target(n_train=80)
         P = init_net_ensemble(template, 27, seed=1).particles
-        assert len(nw.particle_blocks(template, len(P), len(target.dataset))) == 1
+        assert len(nw.particle_blocks(template, len(P), len(target.dataset),
+                                      nw.PASS_ELEMENTS)) == 1
         target.score_and_mse_batch(template, P)      # the template's caches
         tracemalloc.start()
         try:

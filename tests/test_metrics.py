@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from csvgd.errors import DomainError, ShapeError
-from csvgd.metrics import (GaussianSummary, _quantile_grid, bhattacharyya,
-                           moving_average, pushforward_w1, sparsity_l1,
-                           wasserstein1_sorted)
+from csvgd.metrics import (GaussianSummary, PushforwardReference, _quantile_grid,
+                           bhattacharyya, moving_average, pushforward_w1,
+                           sparsity_l1, wasserstein1_sorted)
 from csvgd.network import PASS_ELEMENTS
 
 from _oracles import (w1_dense_grid, w1_merged_cdf_batch, w1_sorted_one_product,
@@ -285,7 +285,13 @@ class TestW1EmptySamples:
 
     def test_pushforward_rejects_zero_model_samples(self, rng):
         with pytest.raises(ShapeError):
-            pushforward_w1(np.zeros((5, 6, 0)), rng.normal(size=(5, 6, 10)))
+            pushforward_w1(np.zeros((5, 6, 0)),
+                           PushforwardReference(np.sort(rng.normal(size=(5, 6, 10)))))
+
+    @pytest.mark.parametrize("shape", [(5, 6, 0), (5, 6), (6, 10)])
+    def test_reference_rejects_a_shape_that_is_no_cloud(self, shape):
+        with pytest.raises(ShapeError, match="reference_samples"):
+            PushforwardReference(np.zeros(shape))
 
     def test_scalar_samples_rejected(self):
         with pytest.raises(ShapeError):
@@ -295,32 +301,45 @@ class TestW1EmptySamples:
 class TestPushforward:
     def test_identical_clouds_zero(self, rng):
         M = np.sort(rng.normal(size=(5, 2, 8)), axis=-1)
-        per_point, total = pushforward_w1(M, M)
+        per_point, total = pushforward_w1(M, PushforwardReference(M))
         assert np.all(per_point == pytest.approx(0.0, abs=1e-15))
         assert total == pytest.approx(0.0, abs=1e-14)
 
     def test_scaling(self, rng):
         M = np.sort(rng.normal(size=(4, 3, 6)), axis=-1)
         R = np.sort(rng.normal(size=(4, 3, 9)), axis=-1)
-        _, t1 = pushforward_w1(M, R)
-        _, t2 = pushforward_w1(2.0 * M, 2.0 * R)
+        _, t1 = pushforward_w1(M, PushforwardReference(R))
+        _, t2 = pushforward_w1(2.0 * M, PushforwardReference(2.0 * R))
         assert t2 == pytest.approx(2.0 * t1, rel=1e-12)
 
-    def test_shape_mismatch(self, rng):
+    def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            pushforward_w1(rng.normal(size=(4, 3, 6)), rng.normal(size=(4, 2, 6)))
+            pushforward_w1(np.zeros((4, 3, 6)), PushforwardReference(np.zeros((4, 2, 6))))
+
+    def test_a_bare_reference_array_is_refused(self):
+        # the reference is checked once, when a PushforwardReference is made
+        with pytest.raises(TypeError, match="PushforwardReference"):
+            pushforward_w1(np.zeros((2, 3, 5)), np.zeros((2, 3, 4)))
 
     def test_unsorted_reference_rejected_by_name(self):
         R = np.zeros((2, 3, 4))
         R[1, 2, 1] = -1.0                  # one descent in one row
         with pytest.raises(DomainError, match="reference_samples"):
-            pushforward_w1(np.zeros((2, 3, 5)), R)
+            PushforwardReference(R)
+
+    def test_reference_holds_its_samples_read_only_without_a_copy(self, rng):
+        R = np.sort(rng.normal(size=(3, 2, 5)), axis=-1)
+        ref = PushforwardReference(R)
+        assert np.shares_memory(ref.samples, R) and R.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ref.samples[0, 0, 0] = 1.0
+        np.testing.assert_array_equal(ref.samples, R)
 
     def test_unsorted_model_rejected_by_name(self):
         M = np.zeros((2, 3, 5))
         M[0, 1, 3] = -1.0                  # one descent in one row
         with pytest.raises(DomainError, match="model_samples"):
-            pushforward_w1(M, np.zeros((2, 3, 4)))
+            pushforward_w1(M, PushforwardReference(np.zeros((2, 3, 4))))
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), points=st.integers(1, 3), comps=st.integers(1, 3),
@@ -330,7 +349,8 @@ class TestPushforward:
         values = st.one_of(st.sampled_from(TIE_POOL), st.floats(-1e3, 1e3))
         M = data.draw(arrays(float, (points, comps, n), elements=values))
         R = data.draw(arrays(float, (points, comps, m), elements=values))
-        per_point, total = pushforward_w1(np.sort(M, axis=-1), np.sort(R, axis=-1))
+        per_point, total = pushforward_w1(np.sort(M, axis=-1),
+                                          PushforwardReference(np.sort(R, axis=-1)))
         want = wasserstein1_batch(M, R).mean(axis=-1)
         np.testing.assert_array_equal(per_point, want)
         assert total == float(want.sum())
@@ -365,7 +385,8 @@ def assert_blocks_match_one_product(A, B):
     want = w1_sorted_one_product(np.sort(A, axis=-1), np.sort(B, axis=-1))
     assert_same_bits(wasserstein1_batch(A, B), want)
     if A.ndim == 3:
-        per_point, total = pushforward_w1(np.sort(A, axis=-1), np.sort(B, axis=-1))
+        per_point, total = pushforward_w1(np.sort(A, axis=-1),
+                                          PushforwardReference(np.sort(B, axis=-1)))
         assert_same_bits(per_point, want.mean(axis=-1))
         assert_same_bits(total, float(want.mean(axis=-1).sum()))
 
@@ -422,7 +443,7 @@ class TestW1PointBlocks:
     def test_pushforward_peak_memory_bounded(self, rng):
         # the whole-cloud grid gathers peaked at 24.9 MiB
         M = np.sort(rng.standard_normal((1001, 6, 64)), axis=-1)
-        R = np.sort(rng.standard_normal((1001, 6, 100)), axis=-1)
+        R = PushforwardReference(np.sort(rng.standard_normal((1001, 6, 100)), axis=-1))
         tracemalloc.start()
         try:
             pushforward_w1(M, R)

@@ -362,14 +362,22 @@ class TestLeanPasses:
 
 class TestParticleBlocks:
     @staticmethod
-    def _sizes(widths, n_particles, rows):
+    def _sizes(widths, n_particles, rows, budget=nw.PASS_ELEMENTS):
         net = random_net(np.random.default_rng(0), widths)
-        return [len(range(n_particles)[b]) for b in nw.particle_blocks(net, n_particles, rows)]
+        return [len(range(n_particles)[b])
+                for b in nw.particle_blocks(net, n_particles, rows, budget)]
 
     def test_block_holds_pass_elements_over_rows_times_widest_layer(self):
         assert self._sizes((3, 30, 30, 1), 64, 80) == [27, 27, 10]
         assert self._sizes((3, 30, 30, 1), 10, 80) == [10]      # the desk N: one block
         assert self._sizes((3, 30, 30, 1), 5, 1001) == [2, 2, 1]
+
+    def test_the_test_path_budget_on_the_path(self):
+        half = nw.PASS_ELEMENTS // 2
+        assert self._sizes((3, 30, 30, 1), 3, 1001, half) == [1, 1, 1]
+        assert self._sizes((3, 17, 12, 1), 2, 1001, half) == [1, 1]
+        assert self._sizes((3, 16, 9, 1), 5, 1001, half) == [2, 2, 1]
+        assert self._sizes((3, 4, 4, 1), 10, 1001, half) == [8, 2]
 
     def test_rows_wider_than_the_budget_take_one_particle(self):
         assert self._sizes((3, 30, 1), 3, nw.PASS_ELEMENTS) == [1, 1, 1]
