@@ -11,7 +11,7 @@ from .engine import (Ensemble, RunReport, StageReport, SvgdConfig,
                      run_csvgd, run_stage, save_checkpoint, stein_gradient,
                      svgd_step)
 from .errors import (CheckpointError, CondenseError, DomainError,
-                     NonFiniteGradientError, ShapeError)
+                     NonFiniteGradientError, ShapeError, StaleBlockError)
 from .kernels import KernelSpec, median_bandwidth
 from .likelihoods import MvnTarget, RegressionTarget
 from .mechanics import Dataset, save_dataset

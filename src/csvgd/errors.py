@@ -19,3 +19,7 @@ class NonFiniteGradientError(RuntimeError):
 
 class CheckpointError(RuntimeError):
     """Checkpoint file is missing, corrupt, or has an unknown format tag."""
+
+
+class StaleBlockError(RuntimeError):
+    """A particle block's score was asked for after its pass was dropped."""

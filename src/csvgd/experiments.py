@@ -28,7 +28,7 @@ from .files import write_csv_atomically, write_text_atomically
 from .kernels import KernelSpec
 from .likelihoods import MvnTarget, RegressionTarget
 from .mechanics import (HyperelasticData, TruthParams, generate_data, icnn_template,
-                        potential_stress_blocks, save_dataset, strain_features)
+                        potential_stress, save_dataset, strain_features)
 from .metrics import (GaussianSummary, PushforwardReference, bhattacharyya,
                       moving_average, pushforward_w1, sparsity_l1)
 from .priors import PriorSpec
@@ -55,7 +55,7 @@ MVN_PRECISION = np.array([[2.0, 1.0, 0.0],
                           [1.0, 2.0, 0.0],
                           [0.0, 0.0, 0.0025]])
 
-# Values per per-link array of a test-path prediction's particle block.  Over
+# Values per per-link array of a test-path block of `mechanics.potential_stress`.  Over
 # the 1001 path points a `network.PASS_ELEMENTS` block of a 3-30-30-1 net holds
 # 2 particles, whose 480 KB arrays made the N=10 prediction peak at 3.30 MiB
 # traced, above the 1.71 MiB of the score over 80 training rows; the first
@@ -393,16 +393,16 @@ def _w1_reference(data: HyperelasticData, noise: float, n_replicas: int,
 def _test_path_samples(ensemble: Ensemble, features) -> np.ndarray:
     """Stress pushforward on the test path, (points, 6, n_particles), from the
     path's ``strain_features``, sorted along the particle axis as
-    ``pushforward_w1`` takes it.  Each particle block's prediction is written
-    into the one cloud, which is sorted in place.
+    ``pushforward_w1`` takes it.  Each block of ``mechanics.potential_stress``
+    is written into the one cloud, which is sorted in place.
 
     The blocks keep each per-link array within ``TEST_PATH_ELEMENTS``, half
     the score's budget, so that a logged prediction over the path's many
     rows stays within the score's working set (see the constant)."""
     P = ensemble.particles
     cloud = np.empty((len(features[0]), 6, len(P)))
-    for block, pred in potential_stress_blocks(ensemble.template, P, features,
-                                               TEST_PATH_ELEMENTS):
+    for block, pred, _ in potential_stress(ensemble.template, P, features,
+                                           TEST_PATH_ELEMENTS):
         cloud[..., block] = np.moveaxis(pred, 0, -1)
     cloud.sort(axis=-1)
     return cloud

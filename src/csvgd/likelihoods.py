@@ -5,9 +5,8 @@ Every target scores the whole particle stack in the one call the engine makes,
 ``particles`` holds flat parameter rows and ``template`` is the network graph
 they share (None for raw vectors, as in MvnTarget).  The scores are the
 gradients of the log-likelihoods each class docstring states.  The stress
-target evaluates its potential networks on the stack in the particle blocks
-of ``network.particle_blocks``, inside that one call; a stack that fits one
-block is evaluated whole.
+target walks the particle blocks of ``mechanics.potential_stress`` inside
+that one call and joins the blocks' scores and MSEs along the particle axis.
 """
 
 from __future__ import annotations
@@ -63,7 +62,8 @@ class RegressionTarget:
     log-likelihood (up to theta-independent constants):
         -(1/(2 sigma^2)) * sum_i |S_i - S(E_i; theta)|^2
 
-    The strain features, invariants and dI/dE, are prepared once, here.
+    The strain features (``mechanics.strain_features``) are prepared once,
+    here.
     """
 
     dataset: Dataset
@@ -78,27 +78,20 @@ class RegressionTarget:
                              f"stress rows (n, 6)")
         object.__setattr__(self, "_features", strain_features(self.dataset.inputs))
 
-    def _block_score_and_mse(self, template, P):
-        """Scores and per-particle MSEs of one particle block, from the
-        forward passes that its stress prediction shares with its score."""
-        pred, score_of = potential_stress(template, P, self._features)
-        R = self.dataset.outputs - pred
-        S = score_of(R)
-        S /= self.noise_var
-        return S, np.mean((R * R).reshape(len(R), -1), axis=1)
-
     def score_and_mse_batch(self, template, particles) -> tuple[np.ndarray, np.ndarray]:
-        """Scores and MSEs per particle block of the stack
-        (``network.particle_blocks`` at ``network.PASS_ELEMENTS``), joined
-        along the particle axis; a one-block stack is scored whole, with
-        nothing to join."""
+        """Scores and MSEs of the particle blocks of
+        ``mechanics.potential_stress`` at ``network.PASS_ELEMENTS``, joined
+        along the particle axis: an (N, D) array made up front would sit under
+        every block's pass (N=64 traced peak 5.04 against 4.75 MiB)."""
         if not isinstance(template, network.LayeredNet):
             raise ShapeError(f"a particle stack of networks needs its template "
                              f"graph, got {template!r}")
         P = np.asarray(particles, dtype=float)
-        blocks = network.particle_blocks(template, len(P), len(self.dataset),
-                                         network.PASS_ELEMENTS)
-        if len(blocks) == 1:
-            return self._block_score_and_mse(template, P)
-        parts = [self._block_score_and_mse(template, P[block]) for block in blocks]
+        parts = []
+        for _, pred, score_of in potential_stress(template, P, self._features,
+                                                  network.PASS_ELEMENTS):
+            R = self.dataset.outputs - pred
+            S = score_of(R)
+            S /= self.noise_var
+            parts.append((S, np.mean((R * R).reshape(len(R), -1), axis=1)))
         return tuple(np.concatenate(p) for p in zip(*parts))

@@ -10,21 +10,24 @@ in the order (11, 22, 33, 23, 13, 12).
 Every stress goes through one function, ``_pinned_stress``: from a
 potential's invariant gradient at the strain rows and at the reference
 invariants (3, 3, 1) it forms the stress of that potential pinned to zero
-stress at E = 0.  ``truth_stress`` feeds it the Gent-type truth model's
-gradient (the data ``generate_data`` samples), and ``potential_stress`` the
-input gradients of a particle stack of potential networks, from the strain
-rows' ``strain_features``; ``potential_stress_blocks`` gives the same stress
-rows of a stack, block by block, where no score is needed.
+stress at E = 0, reading the strain operands that ``strain_features`` forms
+once per set of strain rows.  ``truth_stress`` feeds it the Gent-type truth
+model's gradient (the data ``generate_data`` samples).  ``potential_stress``
+feeds it the input gradients of a particle stack of potential networks: a
+generator over the stack's particle blocks that makes one reference-row pass
+for the whole stack and yields each block's stress rows with the score that
+reads the block's pass.  The score and the test-path prediction both walk it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import network
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, StaleBlockError
 from .files import write_csv_atomically
 
 __all__ = [
@@ -38,7 +41,6 @@ __all__ = [
     "truth_stress",
     "strain_features",
     "potential_stress",
-    "potential_stress_blocks",
     "Dataset",
     "save_dataset",
     "generate_data",
@@ -152,7 +154,7 @@ def _truth_gradient(params: TruthParams, inv) -> np.ndarray:
     return np.stack([g1, g2, g3], axis=-1)
 
 
-def _pinned_stress(g, g_ref, inv, dI) -> np.ndarray:
+def _pinned_stress(g, g_ref, features) -> np.ndarray:
     """Voigt stress rows S = sum_i dPhi_hat/dI_i * dI_i/dE of a potential
     pinned to zero stress at the reference state,
 
@@ -161,21 +163,21 @@ def _pinned_stress(g, g_ref, inv, dI) -> np.ndarray:
 
     where (d1, d2, d3) = ``g_ref`` is Phi's invariant gradient at (3,3,1) and
     (2, 4, 2) are the diagonal scales of dI_i/dE at E = 0, so S(E=0) = 0 by
-    construction.  ``g`` (..., rows, 3) is Phi's gradient at the invariant
-    rows ``inv`` and ``dI`` (rows, 3, 6) their dI/dE; ``g`` and ``g_ref``
-    (..., 3) may carry a particle axis.  The reference gradient comes from its own
-    one-row evaluation: inside the batch of the other rows it would round
-    differently.
+    construction.  ``g`` (..., rows, 3) is Phi's gradient at the strain rows
+    of ``features`` (``strain_features``), whose component-major dI/dE and
+    sqrt(I3) it reads; ``g`` and ``g_ref`` (..., 3) may carry a particle
+    axis.  The reference gradient comes from its own one-row evaluation:
+    inside the batch of the other rows it would round differently.
 
     The sum over i runs in order of i from +0.0, the order of the einsum
     ``"...ni,nik->...nk"``, whose bits the trajectories rest on.  It is
     formed as (..., 6, rows), so that each product runs along the rows
     rather than along the 6 components.
     """
+    _, _, dI, root_i3 = features                           # dI: (3, 6, rows)
     slope = 2.0 * g_ref[..., 0] + 4.0 * g_ref[..., 1] + 2.0 * g_ref[..., 2]
     g = np.asarray(g, dtype=float).swapaxes(-1, -2)        # (..., 3, rows)
-    dI = np.ascontiguousarray(np.moveaxis(dI, 0, -1))      # (3, 6, rows)
-    g3 = g[..., 2, :] - 0.5 * slope[..., None] / np.sqrt(inv[:, 2])
+    g3 = g[..., 2, :] - 0.5 * slope[..., None] / root_i3
     S = g[..., 0, None, :] * dI[0]
     S += 0.0
     S += g[..., 1, None, :] * dI[1]
@@ -183,83 +185,74 @@ def _pinned_stress(g, g_ref, inv, dI) -> np.ndarray:
     return np.ascontiguousarray(S.swapaxes(-1, -2))
 
 
-def _strain_rows(E_voigt) -> np.ndarray:
-    """Voigt strain rows (n, 6) as a float array; one strain is a one-row
-    stack, and anything else is a ShapeError."""
-    E = np.asarray(E_voigt, dtype=float)
-    if E.ndim != 2 or E.shape[1] != 6:
-        raise ShapeError(f"strain shape {E.shape} is not Voigt rows (n, 6)")
-    return E
-
-
 def truth_stress(E_voigt, params: TruthParams | None = None) -> np.ndarray:
     """Voigt stress rows of the reference-pinned truth model at Voigt strain
     rows, shape (n, 6) -> (n, 6)."""
     params = params or TruthParams()
-    E = _strain_rows(E_voigt)
-    inv = invariants_batch(E)
+    features = strain_features(E_voigt)
     g_ref = _truth_gradient(params, _REFERENCE_ROW)[0]
-    return _pinned_stress(_truth_gradient(params, inv), g_ref, inv,
-                          invariant_derivatives_batch(E))
+    return _pinned_stress(_truth_gradient(params, features[0]), g_ref, features)
 
 
-def strain_features(E_voigt) -> tuple[np.ndarray, np.ndarray]:
-    """The strain-only inputs of ``potential_stress`` at Voigt strain rows
-    (n, 6): the invariant rows (n, 3) and their dI/dE, (n, 3, 6)."""
-    E = _strain_rows(E_voigt)
-    return invariants_batch(E), invariant_derivatives_batch(E)
+def strain_features(E_voigt) -> tuple[np.ndarray, ...]:
+    """The strain-only operands of a stress at Voigt strain rows (n, 6): the
+    invariant rows (n, 3), their dI/dE (n, 3, 6), the same component-major
+    (3, 6, n), and sqrt(I3) (n,).  One strain is a one-row stack, and
+    anything else is a ShapeError."""
+    E = np.asarray(E_voigt, dtype=float)
+    if E.ndim != 2 or E.shape[1] != 6:
+        raise ShapeError(f"strain shape {E.shape} is not Voigt rows (n, 6)")
+    inv, dI = invariants_batch(E), invariant_derivatives_batch(E)
+    return inv, dI, np.ascontiguousarray(np.moveaxis(dI, 0, -1)), np.sqrt(inv[:, 2])
 
 
-def potential_stress(template, particles, features):
-    """Voigt stress rows of every potential network of a particle stack at
-    the strain rows of ``features``, shape (N, n, 6), and ``score_of``:
-    residuals (N, n, 6) -> flat gradients (N, D) of
-    sum_b residuals[a, b] . S(E[b]; theta_a).
+def potential_stress(template, particles, features, budget):
+    """For each particle block of a stack of potential networks
+    (``network.particle_blocks`` at ``budget``): the block, the Voigt stress
+    rows (b, n, 6) at the strain rows of ``features``, and ``score_of``:
+    residuals (b, n, 6) -> flat gradients (b, D) of
+    sum_r residuals[a, r] . S(E[r]; theta_a).
 
     ``template`` is the shared graph and ``particles`` (N, D) its flat
-    parameter rows.  Both read one forward pass over the strain rows and one
-    over the reference row.  With u_i = r . voigt(dI_i/dE) the score reduces
-    to the parameter gradient of the input-directional derivative
-    u . grad_I NN, minus the residual-weighted gradient of the normalization
-    constant n(theta) = (2, 4, 2) . grad_I NN(3, 3, 1).
-    """
-    inv, dI = features
-    rows = network.forward_pass(template, inv, particles)
-    ref = network.forward_pass(template, _REFERENCE_ROW, particles)
-    pred = _pinned_stress(rows.grad_input()[..., 0, :],
-                          ref.grad_input()[..., 0, 0, :], inv, dI)
+    parameter rows.  One forward pass over the reference row serves the
+    whole stack: its input gradient pins every block, and a block's score
+    forms the block's parameter gradient from it (a whole (N, D) one, held
+    beside the caller's scores, raised a wide run's peak memory).  Each
+    block makes one forward pass over the strain rows, which its stress and
+    its score read; it is dropped before the next block's is formed, so a
+    ``score_of`` kept past its block raises ``StaleBlockError``.
 
-    def score_of(residuals) -> np.ndarray:
+    With u_i = r . voigt(dI_i/dE) the score reduces to the parameter
+    gradient of the input-directional derivative u . grad_I NN, minus the
+    residual-weighted gradient of the normalization constant
+    n(theta) = (2, 4, 2) . grad_I NN(3, 3, 1).
+    """
+    inv, dI, _, root_i3 = features
+    ref = network.forward_pass(template, _REFERENCE_ROW, particles)
+    d_ref = ref.grad_input()[:, 0, 0]   # (d1, d2, d3) of every particle
+    live = {}           # the forward pass of the block last yielded, by index
+
+    def score_of(i, block, residuals) -> np.ndarray:
+        if i not in live:
+            raise StaleBlockError(f"the score of particle block {i} was asked for "
+                                  f"after its forward pass was dropped")
         u = np.einsum("...nk,nik->...ni", residuals, dI)
-        g = rows.grad_params_dirderiv(u)  # the potential's unit upstream
+        g = live[i].grad_params_dirderiv(u)  # the potential's unit upstream
         # d/dtheta of the n(theta) * (sqrt(I3) - 1) correction
-        w_ref = np.sum(u[..., 2] / (2.0 * np.sqrt(inv[:, 2])), axis=-1)
-        g_ref = ref.grad_params_dirderiv(_REFERENCE_SLOPE)
+        w_ref = np.sum(u[..., 2] / (2.0 * root_i3), axis=-1)
+        g_ref = ref.block(block).grad_params_dirderiv(_REFERENCE_SLOPE)
         g_ref *= w_ref[..., None]
         g -= g_ref
         return g
 
-    return pred, score_of
-
-
-def potential_stress_blocks(template, particles, features, budget):
-    """The stress rows of ``potential_stress``, without its score, for each
-    particle block of the stack (``network.particle_blocks`` at ``budget``):
-    pairs (block, stress rows (b, n, 6)), bit for bit the rows
-    ``potential_stress`` gives.
-
-    The one-row reference pass is made once for the whole stack (its arrays
-    hold one row per particle), not once per block: about 55 us of a 450 us
-    one-particle block over 1001 rows at 3-4-4-1, which small blocks would
-    pay again and again.
-    """
-    inv, dI = features
-    g_ref = network.forward_pass(template, _REFERENCE_ROW, particles).grad_input()
-    for block in network.particle_blocks(template, len(particles), len(inv), budget):
-        # the block's forward pass is freed before its rows are yielded, so no
-        # two blocks' passes are alive at once
-        J = network.forward_pass(template, inv, particles[block]).grad_input()
-        yield block, _pinned_stress(J[..., 0, :], g_ref[block, 0, 0], inv, dI)
+    blocks = network.particle_blocks(template, len(particles), len(inv), budget)
+    for i, block in enumerate(blocks):
+        live.clear()    # no two blocks' passes are alive at once
+        rows = live[i] = network.forward_pass(template, inv, particles[block])
+        pred = _pinned_stress(rows.grad_input()[..., 0, :], d_ref[block], features)
+        del rows        # so that ``live`` holds the pass alone
+        yield block, pred, partial(score_of, i, block)
+    live.clear()
 
 
 @dataclass(frozen=True)

@@ -327,6 +327,13 @@ class ForwardPass:
         last hidden link's bar_tz in ``grad_params_dirderiv``."""
         return (self.W[-1] + 0.0)[..., None, :, :] * self.D1[-1][..., None, :]
 
+    def block(self, particles: slice) -> "ForwardPass":
+        """The pass of a block of the stack's particles, viewing this pass's
+        arrays, with the bits of a pass made for the block."""
+        return ForwardPass(self.net, tuple(w[particles] for w in self.W),
+                           self.H[:1] + [h[particles] for h in self.H[1:]],
+                           [d1[particles] for d1 in self.D1])
+
     def _gradient_rows(self):
         """Flat gradient rows (N, size) and each link's view into them."""
         flat = np.empty(self._lead + (self.net.layout.size,))

@@ -325,7 +325,7 @@ def two_call_score_and_mse(target, template, particles):
 
     P = np.atleast_2d(np.asarray(particles, dtype=float))
     W = template.layout.unflatten(P)
-    inv, dI = mech.strain_features(target.dataset.inputs)
+    inv, dI = mech.strain_features(target.dataset.inputs)[:2]
     ref = np.array([[3.0, 3.0, 1.0]])
     # predict: two forward passes
     g_ref = _two_call_grad_input(template, W, ref)[..., 0, :][..., 0, :]
@@ -792,13 +792,24 @@ def mvn_log_likelihood(target, particles):
 
 def regression_log_likelihood(target, template, particles):
     """-(1/(2 sigma^2)) sum_i |S_i - S(E_i; theta)|^2 per particle row of a
-    RegressionTarget; the stresses come from `mechanics.potential_stress`."""
+    RegressionTarget; the stresses come from `stack_stress`."""
     from csvgd import mechanics as mech
 
     P = np.atleast_2d(np.asarray(particles, dtype=float))
-    pred, _ = mech.potential_stress(template, P, mech.strain_features(target.dataset.inputs))
-    R = target.dataset.outputs - pred
+    R = target.dataset.outputs - stack_stress(template, P,
+                                              mech.strain_features(target.dataset.inputs))
     return -np.sum((R * R).reshape(len(R), -1), axis=1) / (2.0 * target.noise_var)
+
+
+def stack_stress(template, particles, features):
+    """Voigt stress rows (N, n, 6) of a particle stack of potential networks
+    at the strain rows of ``features``: the stress rows of every particle
+    block of `mechanics.potential_stress` at the score's budget, joined."""
+    from csvgd import mechanics as mech
+    from csvgd import network as nw
+
+    return np.concatenate([pred for _, pred, _ in mech.potential_stress(
+        template, particles, features, nw.PASS_ELEMENTS)])
 
 
 def log_prior_density(spec, theta):

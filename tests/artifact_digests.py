@@ -27,7 +27,10 @@ MB of 2**20 bytes) and minor page faults, read from the process's own
 command; they never enter the manifest.  The work directory's path, which
 ``README.txt`` and ``config.json`` record, is masked as ``<root>`` before
 those two are hashed; every other file is hashed as written.  The default
-desk run makes this take about 15 s.  It is not collected by pytest.
+desk run makes this take about 12 s.  The script is not collected by
+pytest; ``tests/test_artifacts.py`` runs its ``--check`` form against
+``tests/artifact_manifest.txt`` in the tier-1 suite, and skips where the
+manifest names another build.
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ from csvgd.experiments import (MVN_MEAN, MVN_PRECISION, RunConfig,
                                mvn_ensemble_error)
 from csvgd.kernels import KernelSpec
 from csvgd.likelihoods import MvnTarget
-from csvgd.mechanics import (TruthParams, icnn_template, potential_stress, strain_features,
-                             sym_to_voigt, truth_stress, voigt_to_sym)
+from csvgd.mechanics import (TruthParams, icnn_template, strain_features, sym_to_voigt,
+                             truth_stress, voigt_to_sym)
 from csvgd.metrics import sparsity_l1
 from csvgd.priors import PriorSpec, prior_score
 
@@ -159,8 +159,8 @@ def test_criterion_05_condensation_correctness():
 
 
 def test_criterion_06_zero_stress_reference_and_truth_consistency():
-    from _oracles import (reference_normalized, strain_energy, stress_cycle_integral,
-                          truth_potential)
+    from _oracles import (reference_normalized, stack_stress, strain_energy,
+                          stress_cycle_integral, truth_potential)
 
     rng = np.random.default_rng(6)
     at_reference = strain_features(np.zeros((1, 6)))
@@ -168,8 +168,7 @@ def test_criterion_06_zero_stress_reference_and_truth_consistency():
     for _ in range(100):
         widths = (3, int(rng.integers(3, 12)), 1)
         net = random_net(rng, widths, nonneg=(False, True))
-        S0 = potential_stress(net, net.layout.flatten(net.weights)[None],
-                              at_reference)[0][0, 0]
+        S0 = stack_stress(net, net.layout.flatten(net.weights)[None], at_reference)[0, 0]
         worst_s0 = max(worst_s0, np.linalg.norm(voigt_to_sym(S0)))
 
     params = TruthParams()
@@ -189,7 +188,7 @@ def test_criterion_06_zero_stress_reference_and_truth_consistency():
     theta = net.layout.flatten(net.weights)
 
     def net_stress(E):
-        return potential_stress(net, theta[None], strain_features(E))[0][0]
+        return stack_stress(net, theta[None], strain_features(E))[0]
 
     cycle = max(abs(stress_cycle_integral(stress, A, B))
                 for stress in (lambda E: truth_stress(E, params), net_stress))

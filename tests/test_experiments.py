@@ -19,10 +19,10 @@ from csvgd.experiments import (RunConfig, cmd_condense_inspect, cmd_hyperelastic
                                cmd_mvn, cmd_sweep, default_config, load_config,
                                mvn_ensemble_error, save_config)
 from csvgd.likelihoods import RegressionTarget
-from csvgd.mechanics import (generate_data, icnn_template, potential_stress,
-                             strain_features)
+from csvgd.mechanics import generate_data, icnn_template, strain_features
 
-from _oracles import dump_graphs_per_particle, inspect_weight_rows, load_dataset
+from _oracles import (dump_graphs_per_particle, inspect_weight_rows, load_dataset,
+                      stack_stress)
 from conftest import condensed_icnn_ensemble
 
 
@@ -497,7 +497,7 @@ class TestW1Reference:
 
 def _per_particle_cloud(template, P, features):
     """The sorted test-path cloud from one prediction per particle."""
-    return np.sort(np.stack([potential_stress(template, p[None], features)[0][0]
+    return np.sort(np.stack([stack_stress(template, p[None], features)[0]
                              for p in P], axis=-1), axis=-1)
 
 

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from csvgd import mechanics as mech
 from csvgd import network as nw
-from csvgd.errors import ShapeError
+from csvgd.errors import ShapeError, StaleBlockError
 from csvgd.engine import init_net_ensemble
 from csvgd.likelihoods import MvnTarget, RegressionTarget
 from csvgd.mechanics import Dataset, generate_data, icnn_template, save_dataset
 
 from _oracles import (fd_gradient, load_dataset, mvn_log_likelihood,
                       per_particle_score_and_mse, regression_log_likelihood,
-                      two_call_score_and_mse)
+                      stack_stress, two_call_score_and_mse)
 from conftest import condensed_icnn_ensemble, one_row, random_net
 
 MEAN = np.array([1.0, 2.0, 3.0])
@@ -94,7 +94,7 @@ def log_lik(target, net, theta=None):
 
 def stress_of(net, E):
     """Voigt stress rows of one potential network at Voigt strain rows E."""
-    return mech.potential_stress(net, one_row(net), mech.strain_features(E))[0][0]
+    return stack_stress(net, one_row(net), mech.strain_features(E))[0]
 
 
 class TestRegression:
@@ -131,7 +131,7 @@ class TestRegression:
         w = np.array([[0.4, -0.2, 0.3]])
         net = nw.LayeredNet((3, 1), (w,), (False,))
         E = np.array([[0.02, -0.01, 0.03, 0.005, 0.0, -0.01]])
-        inv, dI = mech.strain_features(E)
+        inv, dI = mech.strain_features(E)[:2]
         J = dI[0] - np.outer([2.0, 4.0, 2.0], dI[0, 2]) / (2.0 * np.sqrt(inv[0, 2]))
         Y = np.array([[1.0, 0.5, -0.3, 0.2, 0.1, 0.0]])
         target = RegressionTarget(Dataset(E, Y), 0.5)
@@ -207,7 +207,8 @@ def _block_budget(target, template, per_block):
 
 
 class TestOnePassScore:
-    """A score call makes one forward pass per row set per particle block."""
+    """A score call makes one forward pass over the reference row for the
+    stack and one over the strain rows per particle block."""
 
     @staticmethod
     def _count_passes(monkeypatch):
@@ -234,8 +235,24 @@ class TestOnePassScore:
         monkeypatch.setattr(nw, "PASS_ELEMENTS", _block_budget(target, ens.template, 2))
         rows = self._count_passes(monkeypatch)
         S, mse = target.score_and_mse_batch(ens.template, ens.particles)
-        assert rows == [12, 1] * 3          # blocks of 2, 2 and 1 particles
+        # one reference-row pass for the stack, then blocks of 2, 2 and 1
+        assert rows == [1, 12, 12, 12]
         assert S.shape == ens.particles.shape and mse.shape == (5,)
+
+    def test_a_score_kept_past_its_block_is_named(self):
+        # the generator drops each block's pass before forming the next, so a
+        # kept score must not read another block's pass
+        target = _stress_target(n_train=12)
+        ens = init_net_ensemble(icnn_template((3, 8, 8, 1)), 5, seed=2)
+        blocks = mech.potential_stress(ens.template, ens.particles,
+                                       mech.strain_features(target.dataset.inputs),
+                                       _block_budget(target, ens.template, 2))
+        block, pred, score_of = next(blocks)
+        R = target.dataset.outputs - pred
+        assert score_of(R).shape == ens.particles[block].shape
+        next(blocks)
+        with pytest.raises(StaleBlockError, match="block 0"):
+            score_of(R)
 
 
 @lru_cache(maxsize=None)

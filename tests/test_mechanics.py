@@ -11,7 +11,8 @@ from csvgd.likelihoods import RegressionTarget
 
 from _oracles import (fd_gradient, fd_strain_gradient, invariants_3x3, net_potential,
                       pinned_stress_einsum, reference_normalized,
-                      regression_log_likelihood, strain_energy, truth_potential)
+                      regression_log_likelihood, stack_stress, strain_energy,
+                      truth_potential)
 from conftest import random_net
 
 
@@ -27,7 +28,7 @@ def random_icnn(rng, widths=(3, 4, 1)):
 def predict_one(net, E_voigt):
     """Voigt stress rows of one potential network at Voigt strain rows."""
     theta = net.layout.flatten(net.weights)
-    return mech.potential_stress(net, theta[None], mech.strain_features(E_voigt))[0][0]
+    return stack_stress(net, theta[None], mech.strain_features(E_voigt))[0]
 
 
 def voigt_fd_stress(potential, E):
@@ -171,7 +172,7 @@ class TestNormalization:
         every row: the stress moves along dI3/dE alone."""
         net = random_icnn(rng)
         E = np.stack([mech.sym_to_voigt(random_strain(rng)) for _ in range(5)])
-        inv, dI = mech.strain_features(E)
+        inv, dI = mech.strain_features(E)[:2]
         raw = np.einsum("ni,nik->nk",
                         nw.forward_pass(net, inv, net.layout.flatten(net.weights)[None])
                         .grad_input()[0, :, 0, :], dI)
@@ -231,8 +232,8 @@ class TestStressModelScore:
 
     def test_predict_zero_at_reference(self, rng):
         net = random_icnn(rng)
-        S, _ = mech.potential_stress(net, net.layout.flatten(net.weights)[None],
-                                     mech.strain_features(np.zeros((1, 6))))
+        S = stack_stress(net, net.layout.flatten(net.weights)[None],
+                         mech.strain_features(np.zeros((1, 6))))
         assert np.linalg.norm(S) < 1e-8
 
     def test_predict_matches_stress_batch(self, rng):
@@ -240,9 +241,8 @@ class TestStressModelScore:
         reference-normalized potential."""
         nets = [random_icnn(rng) for _ in range(3)]
         E = 0.05 * rng.normal(size=(7, 6))
-        S, _ = mech.potential_stress(
-            nets[0], np.stack([n.layout.flatten(n.weights) for n in nets]),
-            mech.strain_features(E))
+        S = stack_stress(nets[0], np.stack([n.layout.flatten(n.weights) for n in nets]),
+                         mech.strain_features(E))
         for a, net in enumerate(nets):
             pinned = reference_normalized(net_potential(net))
             expect = [voigt_fd_stress(pinned, mech.voigt_to_sym(row)) for row in E]
@@ -278,6 +278,15 @@ def pinned_cases(draw):
     return g, g_ref, inv, dI
 
 
+def features_of(inv, dI):
+    """The ``strain_features`` operands of given invariant rows and dI/dE."""
+    return inv, dI, np.ascontiguousarray(np.moveaxis(dI, 0, -1)), np.sqrt(inv[:, 2])
+
+
+def pinned_stress(g, g_ref, inv, dI):
+    return mech._pinned_stress(g, g_ref, features_of(inv, dI))
+
+
 class TestPinnedStressForm:
     """The broadcast multiply-add gives the einsum's bits, signed zeros
     included, and its NaNs at the same places.  (Which of two NaNs meeting
@@ -292,9 +301,18 @@ class TestPinnedStressForm:
     @given(case=pinned_cases())
     def test_equals_the_einsum_bit_for_bit(self, case):
         with np.errstate(all="ignore"):
-            got, want = mech._pinned_stress(*case), pinned_stress_einsum(*case)
+            got, want = pinned_stress(*case), pinned_stress_einsum(*case)
         assert got.shape == want.shape
         np.testing.assert_array_equal(self.bits(got), self.bits(want))
+
+    def test_strain_features_form_the_operands_it_reads(self, rng):
+        # the component-major dI/dE and sqrt(I3), formed once per strain rows
+        E = rng.normal(scale=0.05, size=(9, 6))
+        got = mech.strain_features(E)
+        want = features_of(mech.invariants_batch(E), mech.invariant_derivatives_batch(E))
+        for a, b in zip(got, want, strict=True):
+            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert got[2].flags.c_contiguous
 
     @pytest.mark.parametrize("n, rows", [(10, 80), (2, 1001), (27, 80)])
     def test_equals_the_einsum_at_the_run_shapes(self, n, rows):
@@ -306,5 +324,5 @@ class TestPinnedStressForm:
         g.flat[::7] = -0.0
         dI = dI.copy()
         dI.flat[::5] = -0.0
-        np.testing.assert_array_equal(self.bits(mech._pinned_stress(g, g_ref, inv, dI)),
+        np.testing.assert_array_equal(self.bits(pinned_stress(g, g_ref, inv, dI)),
                                       self.bits(pinned_stress_einsum(g, g_ref, inv, dI)))

@@ -382,6 +382,19 @@ class TestParticleBlocks:
     def test_rows_wider_than_the_budget_take_one_particle(self):
         assert self._sizes((3, 30, 1), 3, nw.PASS_ELEMENTS) == [1, 1, 1]
 
+    @pytest.mark.parametrize("widths", [(3, 1), (3, 5, 1), (3, 6, 4, 1)])
+    def test_a_block_of_a_pass_has_the_bits_of_a_pass_of_the_block(self, widths):
+        rng = np.random.default_rng(3)
+        net = random_net(rng, widths)
+        P = np.stack([net.layout.flatten(random_net(rng, widths).weights) for _ in range(7)])
+        X, u = rng.normal(size=(4, 3)), rng.normal(size=(7, 4, 3))
+        whole = nw.forward_pass(net, X, P)
+        for block in (slice(0, 3), slice(3, 7)):
+            got, want = whole.block(block), nw.forward_pass(net, X, P[block])
+            np.testing.assert_array_equal(got.grad_input(), want.grad_input())
+            np.testing.assert_array_equal(got.grad_params_dirderiv(u[block]),
+                                          want.grad_params_dirderiv(u[block]))
+
 
 def param_count(net, threshold):
     """The engine's active-parameter count of a one-particle ensemble of ``net``."""
