@@ -13,7 +13,6 @@ such constants harmless in the mechanics pipeline).
 
 import numpy as np
 
-from csvgd import network as nw
 from csvgd.condense import distance_matrix
 from csvgd.engine import active_param_count, condense_ensemble, init_net_ensemble
 from csvgd.mechanics import icnn_template
@@ -22,7 +21,7 @@ from csvgd.mechanics import icnn_template
 def outputs(ensemble, X):
     """Every member's outputs on X, (members, rows, 1): softplus hidden
     links, then the identity output link."""
-    *hidden, last = nw.stack_weights(ensemble.template, ensemble.particles)
+    *hidden, last = ensemble.template.layout.unflatten(ensemble.particles)
     h = X
     for W in hidden:
         h = np.logaddexp(0.0, h @ W.swapaxes(-1, -2))

@@ -17,7 +17,7 @@ from .likelihoods import MvnTarget, RegressionTarget
 from .mechanics import Dataset, save_dataset
 from .metrics import (GaussianSummary, PushforwardReference, bhattacharyya,
                       moving_average, pushforward_w1, sparsity_l1)
-from .network import LayeredNet, Layout, forward_pass, permute_hidden
+from .network import LayeredNet, Layout, forward_pass
 from .priors import PriorSpec, prior_constants, prior_score
 
 __version__ = "0.1.0"

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import CondenseError, DomainError, ShapeError
 from .files import write_text_atomically
 from .kernels import pairwise_square_sums
-from .network import LayeredNet, stack_weights
+from .network import LayeredNet
 
 __all__ = [
     "NetGraph",
@@ -68,7 +68,7 @@ class NetGraph:
     def from_net(cls, net: LayeredNet, params) -> "NetGraph":
         """The stacked graph of the N networks whose flat rows ``params`` (N, D)
         are laid out like ``net``."""
-        weights = stack_weights(net, params)
+        weights = net.layout.unflatten(params)
         lead = weights[0].shape[:-2]
         return cls(
             widths=net.layer_widths,

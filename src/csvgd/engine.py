@@ -156,11 +156,10 @@ def init_net_ensemble(template: LayeredNet, n_particles: int, seed: int) -> Ense
     particles = np.empty((n_particles, template.layout.size))
     for a in range(n_particles):
         parts = []
-        for w, nonneg in zip(template.weights, template.nonneg_mask):
-            rows, cols = w.shape
+        for (_, (rows, cols)), nonneg in zip(template.layout.entries, template.nonneg_mask):
             r = np.sqrt(6.0 / (rows + cols))
             lo = 0.0 if nonneg else -r
-            parts.append(rng.uniform(lo, r, size=w.size))
+            parts.append(rng.uniform(lo, r, size=rows * cols))
         particles[a] = np.concatenate(parts)
     return Ensemble(particles, template, rng)
 
@@ -324,8 +323,7 @@ def condense_ensemble(ensemble: Ensemble, epsilon: float) -> tuple[Ensemble, np.
     template = ensemble.template
     graph, widths = gc.condense_graphs(
         gc.NetGraph.from_net(template, ensemble.particles), epsilon)
-    new_template = LayeredNet(widths, tuple(np.zeros(w.shape[1:]) for w in graph.weights),
-                              graph.nonneg_mask)
+    new_template = LayeredNet(widths, graph.nonneg_mask)
     new_ens = Ensemble(new_template.layout.flatten(graph.weights), new_template,
                        ensemble.rng, ensemble.iteration, ensemble.stage)
     return new_ens, _flat_index_map(graph, template.layer_widths)

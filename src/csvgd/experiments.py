@@ -155,10 +155,10 @@ class RunConfig:
             kind, what = _FIELD_KINDS[f.type]
             if not kind(value):
                 raise ValueError(f"{f.name} must be {what}, got {value!r}")
-        for name in ("n_particles", "metrics_every", "w1_ref_samples"):
+        for name in ("n_particles", "metrics_every", "w1_ref_samples", "n_train", "n_test"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("noise", "noise_floor"):
+        for name in ("noise", "noise_floor", "init_scale", "train_delta"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not all(_is_integer(w) and w >= 1 for w in self.widths):

@@ -351,10 +351,7 @@ def generate_data(params: TruthParams | None = None, n_train: int = 80,
 
 
 def icnn_template(widths=(3, 30, 30, 1)) -> network.LayeredNet:
-    """Zero-weight convex-potential chain: softplus hidden layers, identity
+    """Convex-potential chain template: softplus hidden layers, identity
     output, all matrices except the input one constrained nonnegative."""
-    widths = tuple(int(w) for w in widths)
     n_links = len(widths) - 1
-    weights = tuple(np.zeros((widths[k + 1], widths[k])) for k in range(n_links))
-    nonneg = tuple([False] + [True] * (n_links - 1))
-    return network.LayeredNet(widths, weights, nonneg)
+    return network.LayeredNet(widths, tuple([False] + [True] * (n_links - 1)))

@@ -2,7 +2,11 @@
 
 A network is a chain of weight matrices, each followed by its link's
 activation: softplus on every hidden link and identity on the output link,
-the chain of ``mechanics.icnn_template`` that every run builds.
+the chain of ``mechanics.icnn_template`` that every run builds.  A template,
+``LayeredNet``, is only that chain's shape: its layer widths and which links
+are constrained nonnegative.  The weights live in the particle stack, one
+flat row per network laid out by the template's ``layout``, so a network is
+a template plus a particle row.
 Everything here is a pure function of immutable value objects, so results
 are reproducible bit-for-bit and safe to evaluate from multiple threads.
 Besides the usual parameter/input gradients, the module provides the
@@ -59,7 +63,7 @@ about 9 per-link arrays (4.5 MiB traced).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -72,8 +76,6 @@ __all__ = [
     "ForwardPass",
     "forward_pass",
     "particle_blocks",
-    "stack_weights",
-    "permute_hidden",
     "net_to_dict",
     "net_from_dict",
 ]
@@ -119,12 +121,6 @@ def _sigmoid_slope(s):
     return d2
 
 
-def _frozen(a):
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class Layout:
     """Ordered flattening map: tuple of (array name, shape)."""
@@ -145,25 +141,25 @@ class Layout:
         return tuple(out)
 
     def flatten(self, arrays) -> np.ndarray:
-        """One flat vector, or one flat row per particle for stacked arrays."""
+        """One flat row per particle, (N, size), of stacked arrays (N, *shape)."""
         if len(arrays) != len(self.entries):
             raise ShapeError(f"layout has {len(self.entries)} entries, got {len(arrays)} arrays")
-        parts, lead = [], None
+        parts, n = [], None
         for (name, shape), a in zip(self.entries, arrays):
             a = np.asarray(a, dtype=float)
-            k = a.ndim - len(shape)
-            if k < 0 or a.shape[k:] != shape or lead not in (None, a.shape[:k]):
-                raise ShapeError(f"{name}: expected shape {shape}, got {a.shape}")
-            lead = a.shape[:k]
-            parts.append(a.reshape(lead + (math.prod(shape),)))
-        return np.concatenate(parts, axis=-1) if parts else np.zeros(0)
+            if a.shape[1:] != shape or n not in (None, len(a)):
+                raise ShapeError(f"{name}: expected a particle stack (N, *{shape}), "
+                                 f"got shape {a.shape}")
+            n = len(a)
+            parts.append(a.reshape(n, math.prod(shape)))
+        return np.concatenate(parts, axis=1)
 
     def unflatten(self, flat) -> list[np.ndarray]:
-        """Array views of a flat vector, or of flat rows (N, size) with a particle axis."""
+        """Array views (N, *shape) of flat particle rows (N, size)."""
         flat = np.asarray(flat, dtype=float)
-        if flat.ndim not in (1, 2) or flat.shape[-1] != self.size:
-            raise ShapeError(f"flat vector has shape {flat.shape}, layout needs "
-                             f"({self.size},) or (N, {self.size})")
+        if flat.ndim != 2 or flat.shape[1] != self.size:
+            raise ShapeError(f"flat parameter rows: shape {flat.shape} is not a particle "
+                             f"stack (N, {self.size})")
         return self.views(flat)
 
     def views(self, flat) -> list[np.ndarray]:
@@ -176,58 +172,46 @@ class Layout:
 
 @dataclass(frozen=True)
 class LayeredNet:
-    """Immutable chain network: softplus hidden links, an identity output link.
+    """Immutable chain template: softplus hidden links, an identity output link.
 
-    weights[k] maps layer k to layer k+1 and has shape
-    (layer_widths[k+1], layer_widths[k]).  The weights are the only
+    A template is a shape, not a network: it holds no weights.  Link k maps
+    layer k to layer k+1 through a matrix of shape (layer_widths[k+1],
+    layer_widths[k]), and a network is a template plus one flat particle row
+    of those matrices, laid out by ``layout``.  The weights are the only
     parameters: condensation reconciles networks through their edges, so a
     flat parameter row is every edge weight and nothing else.
-    ``nonneg_mask[k]`` marks weight matrices constrained to be elementwise
-    >= 0.
+    ``nonneg_mask[k]`` marks the links whose weights are constrained to be
+    elementwise >= 0.
     """
 
     layer_widths: tuple[int, ...]
-    weights: tuple[np.ndarray, ...]
     nonneg_mask: tuple[bool, ...]
 
     def __post_init__(self):
         widths = tuple(int(w) for w in self.layer_widths)
-        object.__setattr__(self, "layer_widths", widths)
         if len(widths) < 2:
             raise ShapeError("need at least an input and an output layer")
-        n_links = len(widths) - 1
-        if len(self.weights) != n_links:
-            raise ShapeError(f"expected {n_links} weight matrices, got {len(self.weights)}")
-        if len(self.nonneg_mask) != n_links:
+        if min(widths) < 1:
+            raise ShapeError(f"layer widths must be >= 1, got {widths}")
+        if len(self.nonneg_mask) != len(widths) - 1:
             raise ShapeError("nonneg_mask must have one entry per link")
-        ws = []
-        for k, w in enumerate(self.weights):
-            w = _frozen(w)
-            if w.shape != (widths[k + 1], widths[k]):
-                raise ShapeError(
-                    f"W{k}: expected shape {(widths[k + 1], widths[k])}, got {w.shape}")
-            if self.nonneg_mask[k] and w.size and w.min() < 0.0:
-                raise ShapeError(f"W{k} is flagged nonnegative but has negative entries")
-            ws.append(w)
-        object.__setattr__(self, "weights", tuple(ws))
+        object.__setattr__(self, "layer_widths", widths)
         object.__setattr__(self, "nonneg_mask", tuple(bool(m) for m in self.nonneg_mask))
 
     @property
     def n_links(self) -> int:
-        return len(self.weights)
+        return len(self.layer_widths) - 1
 
-    # The template's constants are computed once per (frozen) network.
+    # The template's constants are computed once per (frozen) template.
     @cached_property
     def layout(self) -> Layout:
-        return Layout(tuple((f"W{k}", w.shape) for k, w in enumerate(self.weights)))
-
-    def with_values(self, flat) -> "LayeredNet":
-        return replace(self, weights=tuple(self.layout.unflatten(flat)))
+        w = self.layer_widths
+        return Layout(tuple((f"W{k}", (w[k + 1], w[k])) for k in range(self.n_links)))
 
     @cached_property
     def _nonneg_flat(self) -> np.ndarray:
-        mask = np.concatenate([np.full(w.size, m, dtype=bool)
-                               for w, m in zip(self.weights, self.nonneg_mask)])
+        mask = np.repeat(self.nonneg_mask,
+                         [math.prod(shape) for _, shape in self.layout.entries])
         mask.flags.writeable = False
         return mask
 
@@ -252,15 +236,6 @@ def _check_rows(name, A, shape):
     if A.shape[-2:] != shape:
         raise ShapeError(f"{name} shape {A.shape} does not match {shape}")
     return A
-
-
-def stack_weights(net: LayeredNet, params) -> list[np.ndarray]:
-    """Views (N, out, in) per link of the flat particle rows ``params`` (N, D)
-    laid out like ``net``."""
-    if np.ndim(params) != 2:
-        raise ShapeError(f"params shape {np.shape(params)} is not a particle stack "
-                         f"(N, {net.layout.size})")
-    return net.layout.unflatten(params)
 
 
 def _matmul(a, b, out=None):
@@ -435,7 +410,7 @@ def forward_pass(net: LayeredNet, X, params) -> ForwardPass:
     ``params`` rows (N, D), laid out like ``net``, on the input rows X (batch,
     in).  It evaluates the hidden links only, and forms no value of the last."""
     X = _check_input(net, X)
-    W = stack_weights(net, params)
+    W = net.layout.unflatten(params)
     H, D1 = [X], []
     last = net.n_links - 2
     for k in range(last + 1):
@@ -459,36 +434,25 @@ def particle_blocks(net: LayeredNet, n_particles: int, rows: int,
     return [slice(a, a + step) for a in range(0, n_particles, step)]
 
 
-def permute_hidden(net: LayeredNet, layer: int, perm) -> LayeredNet:
-    """Reorder the nodes of a hidden layer; the network output is unchanged.
-
-    Permutes the rows of the incoming matrix and the columns of the outgoing
-    matrix by the same permutation.
-    """
-    if not 0 < layer < len(net.layer_widths) - 1:
-        raise ShapeError("only hidden layers can be permuted")
-    perm = np.asarray(perm, dtype=int)
-    if sorted(perm.tolist()) != list(range(net.layer_widths[layer])):
-        raise ShapeError("perm is not a permutation of the layer's node indices")
-    ws = list(net.weights)
-    ws[layer - 1] = ws[layer - 1][perm, :]
-    ws[layer] = ws[layer][:, perm]
-    return replace(net, weights=tuple(ws))
-
-
 def _link_tags(net: LayeredNet) -> list[str]:
     """The v1 format's per-link activation list, which the chain fixes."""
     return ["softplus"] * (net.n_links - 1) + ["identity"]
 
 
+def _zero_weights(net: LayeredNet) -> list:
+    """The v1 format's template ``weights``: the zero matrices of the widths,
+    since the weights live in the particle rows."""
+    return [np.zeros(shape).tolist() for _, shape in net.layout.entries]
+
+
 def net_to_dict(net: LayeredNet) -> dict:
-    """Plain JSON-ready form of a network; floats round-trip exactly.  The
-    v1 format's ``biases`` key is always the empty list, and its
-    ``activations`` list names the softplus hidden links and the identity
-    output link."""
+    """Plain JSON-ready form of a template.  The v1 format's ``weights`` key
+    holds the zero matrices of the widths, its ``biases`` key is always the
+    empty list, and its ``activations`` list names the softplus hidden links
+    and the identity output link."""
     return {
         "layer_widths": list(net.layer_widths),
-        "weights": [w.tolist() for w in net.weights],
+        "weights": _zero_weights(net),
         "biases": [],
         "activations": _link_tags(net),
         "nonneg_mask": list(net.nonneg_mask),
@@ -496,14 +460,15 @@ def net_to_dict(net: LayeredNet) -> dict:
 
 
 def net_from_dict(d: dict) -> LayeredNet:
-    """Inverse of net_to_dict; keys other than the network's are ignored."""
+    """Inverse of net_to_dict; keys other than the template's are ignored."""
     if d["biases"]:
         raise ShapeError("networks are bias-free: the biases must be the empty list")
-    net = LayeredNet(
-        layer_widths=tuple(d["layer_widths"]),
-        weights=tuple(np.asarray(w, dtype=float) for w in d["weights"]),
-        nonneg_mask=tuple(d["nonneg_mask"]),
-    )
+    net = LayeredNet(layer_widths=tuple(d["layer_widths"]),
+                     nonneg_mask=tuple(d["nonneg_mask"]))
+    if d["weights"] != _zero_weights(net):
+        raise ShapeError(f"template weights are not the zero matrices of the layer "
+                         f"widths {list(net.layer_widths)}: a template holds no weights, "
+                         f"the particle rows do")
     if list(d["activations"]) != _link_tags(net):
         raise ShapeError(f"activations {d['activations']!r} are not {_link_tags(net)!r}: "
                          f"hidden links are softplus, the output link identity")

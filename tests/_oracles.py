@@ -10,10 +10,12 @@ stress, the gathered prior score, the out-of-place step): each keeps the
 replaced code as it was and says which library pieces it reuses.  So do the
 references that left the library because only tests called them (the
 log-densities the scores differentiate, the readers of the files a run
-writes, per-network views of a particle stack, W1 of unsorted samples).
+writes, per-network views of a particle stack, the hidden-node permutation,
+W1 of unsorted samples).
 """
 
 import csv
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -367,7 +369,7 @@ class FormulaPass:
 
         self.net, self._check_rows = net, nw._check_rows
         X = nw._check_input(net, X)
-        self.W = nw.stack_weights(net, params)
+        self.W = net.layout.unflatten(params)
         self.H, self.D1, self.D2 = [X], [], []
         for k in range(net.n_links):
             z = self.H[-1] @ self.W[k].swapaxes(-1, -2)
@@ -622,20 +624,21 @@ def remap_opt_state_per_particle(opt_state, index_maps):
 
 
 def graph_of_net(net):
-    """`condense.NetGraph.from_net` of one network."""
+    """`condense.NetGraph.from_net` of one `Net`."""
     from csvgd.condense import NetGraph
 
-    return NetGraph(widths=net.layer_widths,
+    widths = net.template.layer_widths
+    return NetGraph(widths=widths,
                     weights=[np.array(w) for w in net.weights],
-                    active=[np.ones(w, dtype=bool) for w in net.layer_widths],
-                    provenance=[np.arange(w) for w in net.layer_widths],
-                    nonneg_mask=net.nonneg_mask)
+                    active=[np.ones(w, dtype=bool) for w in widths],
+                    provenance=[np.arange(w) for w in widths],
+                    nonneg_mask=net.template.nonneg_mask)
 
 
 def condense_ensemble_per_particle(template, particles, epsilon):
     """`engine.condense_ensemble` through one network and one graph per
     particle: (new flat rows, template widths, index maps)."""
-    graphs = [graph_of_net(template.with_values(p)) for p in particles]
+    graphs = [graph_of_net(Net(template, p)) for p in particles]
     graphs, widths = condense_graphs_per_graph(graphs, epsilon)
     rows = np.stack([np.concatenate([w.ravel() for w in g.weights]) for g in graphs])
     return rows, widths, [flat_index_map_per_graph(g, template.layer_widths)
@@ -667,7 +670,7 @@ def dump_graphs_per_particle(template, particles, paths):
     """The stage graph dumps, one network, one pruned graph and one file per
     particle."""
     for p, path in zip(particles, paths):
-        dump_graph_per_graph(prune_per_graph(graph_of_net(template.with_values(p)), 0.0),
+        dump_graph_per_graph(prune_per_graph(graph_of_net(Net(template, p)), 0.0),
                              path)
 
 
@@ -676,7 +679,7 @@ def inspect_weight_rows(template, particles, k):
     loops: (layer, row, col, particle, value)."""
     rows = []
     for a, p in enumerate(particles):
-        w = template.with_values(p).weights[k]
+        w = Net(template, p).weights[k]
         for i in range(w.shape[0]):
             for j in range(w.shape[1]):
                 rows.append((k, i, j, a, w[i, j]))
@@ -707,12 +710,11 @@ def truth_potential(params, inv):
 
 
 def net_potential(net):
-    """A scalar-output network as a potential of one invariant triple."""
+    """A scalar-output `Net` as a potential of one invariant triple."""
     from csvgd import network as nw
 
-    P = net.layout.flatten(net.weights)[None]
-    return lambda inv: float(
-        pass_output(nw.forward_pass(net, np.reshape(inv, (1, -1)), P))[0, 0, 0])
+    return lambda inv: float(pass_output(
+        nw.forward_pass(net.template, np.reshape(inv, (1, -1)), net.row[None]))[0, 0, 0])
 
 
 def reference_normalized(potential, h=1e-3):
@@ -861,19 +863,64 @@ def load_graph_dump(path):
     return nodes, edges
 
 
+@dataclass(frozen=True)
+class Net:
+    """One network as a test value: a weightless `network.LayeredNet`
+    template and its flat parameter row (D,)."""
+
+    template: object
+    row: np.ndarray
+
+    @classmethod
+    def of(cls, weights, nonneg=None):
+        """The network of the weight matrices (out, in) per link, every link
+        signed unless ``nonneg`` marks it."""
+        from csvgd.network import LayeredNet
+
+        weights = [np.asarray(w, dtype=float) for w in weights]
+        widths = (weights[0].shape[1],) + tuple(w.shape[0] for w in weights)
+        template = LayeredNet(widths, nonneg or (False,) * len(weights))
+        return cls(template, template.layout.flatten([w[None] for w in weights])[0])
+
+    @property
+    def weights(self):
+        """The weight matrices (out, in) per link, views of the row."""
+        return [w[0] for w in self.template.layout.unflatten(self.row[None])]
+
+
 def nets_of(ensemble):
     """One network per particle of a network ensemble, on its template."""
-    return [ensemble.template.with_values(p) for p in ensemble.particles]
+    return [Net(ensemble.template, p) for p in ensemble.particles]
 
 
 def net_stack_of_graph(graph):
-    """The template network and flat particle rows (N, D) of a stacked
+    """The template and flat particle rows (N, D) of a stacked
     `condense.NetGraph`."""
     from csvgd.network import LayeredNet
 
-    template = LayeredNet(graph.widths, tuple(np.zeros(w.shape[1:]) for w in graph.weights),
-                          graph.nonneg_mask)
-    return template, np.concatenate([w.reshape(len(w), -1) for w in graph.weights], axis=1)
+    return (LayeredNet(graph.widths, graph.nonneg_mask),
+            np.concatenate([w.reshape(len(w), -1) for w in graph.weights], axis=1))
+
+
+def permute_hidden(template, rows, layer, perm):
+    """The flat particle rows (N, D), laid out like ``template``, with the
+    nodes of hidden ``layer`` reordered; no network's output changes.
+
+    ``perm`` is one permutation of the layer's node indices, or one per
+    particle (N, width).  It permutes the rows of the layer's incoming
+    matrix and the columns of its outgoing matrix alike."""
+    from csvgd.errors import ShapeError
+
+    if not 0 < layer < len(template.layer_widths) - 1:
+        raise ShapeError("only hidden layers can be permuted")
+    W = template.layout.unflatten(rows)
+    width = template.layer_widths[layer]
+    perm = np.broadcast_to(np.asarray(perm, dtype=int), (len(W[0]), width))
+    if not (np.sort(perm, axis=1) == np.arange(width)).all():
+        raise ShapeError("perm is not a permutation of the layer's node indices")
+    W[layer - 1] = np.take_along_axis(W[layer - 1], perm[:, :, None], axis=1)
+    W[layer] = np.take_along_axis(W[layer], perm[:, None, :], axis=2)
+    return template.layout.flatten(W)
 
 
 def wasserstein1_batch(A, B):

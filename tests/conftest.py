@@ -10,7 +10,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from csvgd.engine import condense_ensemble, init_net_ensemble
 from csvgd.mechanics import icnn_template
-from csvgd.network import LayeredNet
+
+from _oracles import Net
 
 
 @pytest.fixture
@@ -59,8 +60,8 @@ def full_disk(monkeypatch):
 
 
 def random_net(rng, widths=(3, 4, 1), nonneg=None, low=0.05, high=0.6):
-    """Softplus chain with weights bounded away from zero so FD probes stay
-    inside the nonnegativity domain."""
+    """A `Net` of the softplus chain with weights bounded away from zero so
+    FD probes stay inside the nonnegativity domain."""
     n_links = len(widths) - 1
     nonneg = nonneg if nonneg is not None else (False,) * n_links
     weights = []
@@ -69,12 +70,12 @@ def random_net(rng, widths=(3, 4, 1), nonneg=None, low=0.05, high=0.6):
         if not nonneg[k]:
             w *= rng.choice([-1.0, 1.0], size=w.shape)
         weights.append(w)
-    return LayeredNet(tuple(widths), tuple(weights), tuple(nonneg))
+    return Net.of(weights, tuple(nonneg))
 
 
 def one_row(net):
     """The flat weights of ``net`` as a one-particle stack, shape (1, D)."""
-    return net.layout.flatten(net.weights)[None]
+    return net.row[None]
 
 
 def condensed_icnn_ensemble(n_particles=5):

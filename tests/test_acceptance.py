@@ -87,16 +87,17 @@ def test_criterion_03_gradient_correctness():
     for _ in range(6):
         net = random_net(rng, (3, 8, 8, 1))
         x = rng.normal(size=3)
-        theta = net.layout.flatten(net.weights)
-        g = pass_grad_params(nw.forward_pass(net, x[None], theta[None]), np.array([[1.0]]))[0]
+        template, theta = net.template, net.row
+        g = pass_grad_params(nw.forward_pass(template, x[None], theta[None]), np.array([[1.0]]))[0]
         fd = fd_gradient(
-            lambda t: float(pass_output(nw.forward_pass(net, x[None], t[None]))[0, 0, 0]), theta)
+            lambda t: float(pass_output(nw.forward_pass(template, x[None], t[None]))[0, 0, 0]),
+            theta)
         rel = np.abs(g - fd) / np.maximum(np.abs(fd), 1e-8)
         worst = max(worst, rel.max())
         n_checked += theta.size
-        gi = nw.forward_pass(net, x[None], theta[None]).grad_input()[0, 0, 0]
-        fdi = fd_gradient(
-            lambda xv: float(pass_output(nw.forward_pass(net, xv[None], theta[None]))[0, 0, 0]), x)
+        gi = nw.forward_pass(template, x[None], theta[None]).grad_input()[0, 0, 0]
+        fdi = fd_gradient(lambda xv: float(
+            pass_output(nw.forward_pass(template, xv[None], theta[None]))[0, 0, 0]), x)
         rel_i = np.abs(gi - fdi) / np.maximum(np.abs(fdi), 1e-8)
         worst = max(worst, rel_i.max())
         n_checked += x.size
@@ -144,12 +145,12 @@ def test_criterion_05_condensation_correctness():
     pruned = gc.prune(gc.NetGraph.from_net(ens.template, ens.particles), 1e-3)
     for i, (net, b, a) in enumerate(zip(nets_of(ens), before, after)):
         h, dh = X, np.zeros(X.shape[1])
-        for k in range(net.n_links):
+        for k in range(net.template.n_links):
             level = np.abs(h).max(axis=0)
             dz = (np.abs(net.weights[k] - pruned.weights[k][i]) @ level
                   + np.abs(pruned.weights[k][i]) @ dh)
             z = h @ net.weights[k].T
-            h = z if k == net.n_links - 1 else softplus_formula(z)
+            h = z if k == net.template.n_links - 1 else softplus_formula(z)
             dh = dz
         if np.max(np.abs(b - a)) > dh.max() + 1e-9:
             within_bound = False
@@ -168,7 +169,7 @@ def test_criterion_06_zero_stress_reference_and_truth_consistency():
     for _ in range(100):
         widths = (3, int(rng.integers(3, 12)), 1)
         net = random_net(rng, widths, nonneg=(False, True))
-        S0 = stack_stress(net, net.layout.flatten(net.weights)[None], at_reference)[0, 0]
+        S0 = stack_stress(net.template, net.row[None], at_reference)[0, 0]
         worst_s0 = max(worst_s0, np.linalg.norm(voigt_to_sym(S0)))
 
     params = TruthParams()
@@ -185,10 +186,10 @@ def test_criterion_06_zero_stress_reference_and_truth_consistency():
     A = 0.04 * np.array([[1.0, 0.3, 0.0], [0.3, -0.5, 0.1], [0.0, 0.1, 0.2]])
     B = 0.04 * np.array([[0.2, -0.1, 0.4], [-0.1, 0.8, 0.0], [0.4, 0.0, -0.3]])
     net = random_net(rng, (3, 6, 1), nonneg=(False, True))
-    theta = net.layout.flatten(net.weights)
+    theta = net.row
 
     def net_stress(E):
-        return stack_stress(net, theta[None], strain_features(E))[0]
+        return stack_stress(net.template, theta[None], strain_features(E))[0]
 
     cycle = max(abs(stress_cycle_integral(stress, A, B))
                 for stress in (lambda E: truth_stress(E, params), net_stress))

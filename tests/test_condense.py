@@ -15,18 +15,18 @@ from csvgd.engine import (Ensemble, _remap_opt_state, active_param_count,
 from csvgd.errors import CondenseError, DomainError, ShapeError
 from csvgd.mechanics import icnn_template
 
-from _oracles import (condense_ensemble_per_particle, condense_graphs_per_graph,
+from _oracles import (Net, condense_ensemble_per_particle, condense_graphs_per_graph,
                       dump_graph_csv, dump_graph_per_graph, dump_graphs_per_particle,
                       graph_of_net, load_graph_dump, net_stack_of_graph, nets_of,
-                      prune_per_graph, prune_per_node, reconcile_per_graph,
-                      pass_output, remap_opt_state_per_particle, softplus_formula,
-                      sort_nodes_per_graph)
+                      permute_hidden, prune_per_graph, prune_per_node,
+                      reconcile_per_graph, pass_output, remap_opt_state_per_particle,
+                      softplus_formula, sort_nodes_per_graph)
 from conftest import one_row, random_net
 
 
 def graph_of(net):
     """The one-particle stacked graph of ``net``."""
-    return gc.NetGraph.from_net(net, one_row(net))
+    return gc.NetGraph.from_net(net.template, one_row(net))
 
 
 def outputs_of(graph, X):
@@ -36,10 +36,7 @@ def outputs_of(graph, X):
 
 
 def chain(weights, nonneg=None):
-    weights = [np.atleast_2d(np.asarray(w, dtype=float)) for w in weights]
-    widths = [weights[0].shape[1]] + [w.shape[0] for w in weights]
-    nonneg = nonneg or (False,) * len(weights)
-    return nw.LayeredNet(tuple(widths), tuple(weights), tuple(nonneg))
+    return Net.of([np.atleast_2d(np.asarray(w, dtype=float)) for w in weights], nonneg)
 
 
 class TestPrune:
@@ -156,7 +153,7 @@ class TestSortNodes:
         g = gc.sort_nodes(graph_of(net))
         assert g.provenance[1].tolist() == [[1, 0]]
         x = rng.normal(size=(10, 1))
-        before = pass_output(nw.forward_pass(net, x, one_row(net)))
+        before = pass_output(nw.forward_pass(net.template, x, one_row(net)))
         assert np.max(np.abs(before - outputs_of(g, x))) <= 1e-12
 
     def test_ties_keep_original_order(self):
@@ -175,11 +172,12 @@ class TestTemplateAndReconcile:
     def _ensemble(self, rng, n=3, widths=(2, 5, 1)):
         nets = [random_net(rng, widths, nonneg=(True,) * (len(widths) - 1))
                 for _ in range(n)]
-        return gc.NetGraph.from_net(nets[0], np.concatenate([one_row(n) for n in nets]))
+        return gc.NetGraph.from_net(nets[0].template,
+                                    np.concatenate([one_row(n) for n in nets]))
 
     def test_identical_graphs_template(self, rng):
         net = random_net(rng, (2, 4, 1))
-        g = gc.NetGraph.from_net(net, np.repeat(one_row(net), 3, axis=0))
+        g = gc.NetGraph.from_net(net.template, np.repeat(one_row(net), 3, axis=0))
         assert gc.common_template(g) == (2, 4, 1)
 
     def test_max_active_rule(self, rng):
@@ -192,7 +190,7 @@ class TestTemplateAndReconcile:
         # rows laid out for another architecture do not make a stack
         deeper = random_net(rng, (2, 4, 4, 1))
         with pytest.raises(ShapeError):
-            gc.NetGraph.from_net(random_net(rng, (2, 4, 1)), one_row(deeper))
+            gc.NetGraph.from_net(random_net(rng, (2, 4, 1)).template, one_row(deeper))
 
     def test_reconcile_pads_inert_nodes(self, rng):
         net = chain([[[0.9], [0.7]], [[1.0, 5.0]]], nonneg=(True, True))
@@ -201,7 +199,7 @@ class TestTemplateAndReconcile:
         assert padded.widths == (1, 3, 1)
         assert padded.provenance[1].tolist()[0][-1] == -1
         x = rng.normal(size=(10, 1))
-        assert np.max(np.abs(pass_output(nw.forward_pass(net, x, one_row(net)))
+        assert np.max(np.abs(pass_output(nw.forward_pass(net.template, x, one_row(net)))
                              - outputs_of(padded, x))) <= 1e-12
 
     def test_reconcile_on_own_template_is_identity(self, rng):
@@ -272,12 +270,12 @@ class TestCondense:
         for a, net in enumerate(nets_of(ens)):
             h = X
             dh = np.zeros(X.shape[1])
-            for k in range(net.n_links):
+            for k in range(net.template.n_links):
                 level = np.abs(h).max(axis=0)
                 dW = np.abs(net.weights[k] - pruned.weights[k][a])
                 dz = dW @ level + np.abs(pruned.weights[k][a]) @ dh
                 z = h @ net.weights[k].T
-                h = z if k == net.n_links - 1 else softplus_formula(z)
+                h = z if k == net.template.n_links - 1 else softplus_formula(z)
                 dh = dz
             bounds.append(dh.max())
         out, _ = condense_ensemble(ens, eps)
@@ -320,7 +318,7 @@ class TestCondense:
                 weights.append(w)
             net = chain(weights, nonneg=nonneg)
             rows.append(one_row(net))
-        graph = gc.NetGraph.from_net(net, np.concatenate(rows))
+        graph = gc.NetGraph.from_net(net.template, np.concatenate(rows))
         with mock.patch.object(gc, "common_template", wraps=gc.common_template) as passes:
             try:
                 once, widths_once = gc.condense_graphs(graph, epsilon)
@@ -338,7 +336,7 @@ class TestCondense:
     def test_bias_networks_rejected(self, rng):
         # condensation reconciles edges only, and a LayeredNet has no biases;
         # a network document that carries some is refused where it is read
-        doc = nw.net_to_dict(random_net(rng, (2, 3, 1)))
+        doc = nw.net_to_dict(random_net(rng, (2, 3, 1)).template)
         assert doc["biases"] == []
         doc["biases"] = [rng.normal(size=3).tolist(), rng.normal(size=1).tolist()]
         with pytest.raises(ShapeError, match="bias-free"):
@@ -367,9 +365,7 @@ def random_stack(widths, n_particles, seed, tie_values, zero_share):
     rng = np.random.default_rng(seed)
     n_links = len(widths) - 1
     nonneg = tuple(bool(x) for x in rng.random(n_links) < 0.5)
-    template = nw.LayeredNet(tuple(widths),
-                             tuple(np.zeros((b, a)) for a, b in zip(widths[:-1], widths[1:])),
-                             nonneg)
+    template = nw.LayeredNet(tuple(widths), nonneg)
     pool = np.array([0.1, 0.2, 0.3, 1 / 3, 0.6, 0.7])   # sums that tie in the last bit
     P = (rng.choice(pool, size=(n_particles, template.layout.size)) if tie_values
          else rng.uniform(0.0, 1.0, size=(n_particles, template.layout.size)))
@@ -392,7 +388,7 @@ class TestStackEquivalence:
                                     zero_share, epsilon):
         template, P = random_stack(widths, n_particles, seed, tie_values, zero_share)
         stacked = gc.NetGraph.from_net(template, P)
-        singles = [graph_of_net(template.with_values(p)) for p in P]
+        singles = [graph_of_net(Net(template, p)) for p in P]
         assert_stack_equals(stacked, singles)
 
         pruned = gc.prune(stacked, epsilon)
@@ -407,7 +403,7 @@ class TestStackEquivalence:
         assert_stack_equals(gc.reconcile(ordered, padded),
                             [reconcile_per_graph(g, padded) for g in singles])
 
-        singles = [graph_of_net(template.with_values(p)) for p in P]
+        singles = [graph_of_net(Net(template, p)) for p in P]
         try:
             want, want_widths = condense_graphs_per_graph(singles, epsilon)
         except CondenseError as err:
@@ -460,17 +456,12 @@ class TestPermutationInvariance:
         tie-free, so importance alone orders the nodes."""
         template, P = random_stack(widths, n_particles, seed, False, 0.0)
         rng = np.random.default_rng(seed)
-        positions = template.with_values(np.arange(template.layout.size, dtype=float))
-        rows, origins = [], []
-        for p in P:
-            net, where = template.with_values(p), positions
-            for layer in range(1, len(widths) - 1):
-                perm = rng.permutation(widths[layer])
-                net = nw.permute_hidden(net, layer, perm)
-                where = nw.permute_hidden(where, layer, perm)
-            rows.append(one_row(net)[0])
-            origins.append(one_row(where)[0].astype(int))
-        shuffled = np.stack(rows)
+        perms = [[rng.permutation(w) for w in widths[1:-1]] for _ in P]
+        shuffled = P
+        origins = np.tile(np.arange(template.layout.size, dtype=float), (len(P), 1))
+        for layer, perm in enumerate(zip(*perms), start=1):
+            shuffled = permute_hidden(template, shuffled, layer, np.stack(perm))
+            origins = permute_hidden(template, origins, layer, np.stack(perm))
 
         def condense(particles):
             return condense_ensemble(Ensemble(particles, template, np.random.default_rng(0)),
@@ -486,7 +477,7 @@ class TestPermutationInvariance:
         assert got.template.layer_widths == want.template.layer_widths
         assert same_bits(got.particles, want.particles)
         # the index map points into the permuted rows: map it back
-        origins = np.stack(origins)
+        origins = origins.astype(int)
         unpermuted = np.take_along_axis(origins, np.maximum(got_map, 0), axis=1)
         assert same_bits(np.where(got_map >= 0, unpermuted, -1), want_map)
 
@@ -531,7 +522,7 @@ class TestGraphDump:
         path = tmp_path / "graph.txt"
         gc.dump_graph(g, [path])
         nodes, edges = load_graph_dump(path)
-        assert len(nodes) == sum(net.layer_widths)
+        assert len(nodes) == sum(net.template.layer_widths)
         assert len(edges) == sum(int(np.count_nonzero(w)) for w in net.weights)
         # edge weights survive exactly
         k, j, i, w = edges[0]
@@ -539,7 +530,7 @@ class TestGraphDump:
 
     def test_one_path_per_particle(self, rng, tmp_path):
         net = random_net(rng, (2, 3, 1))
-        g = gc.NetGraph.from_net(net, np.repeat(one_row(net), 3, axis=0))
+        g = gc.NetGraph.from_net(net.template, np.repeat(one_row(net), 3, axis=0))
         with pytest.raises(ShapeError, match="2 paths for a stack of 3 graphs"):
             gc.dump_graph(g, [tmp_path / "a.txt", tmp_path / "b.txt"])
         # one path is not a list of paths: a 3-character name would have
@@ -552,9 +543,9 @@ class TestGraphDump:
     def test_from_net_takes_a_required_particle_stack(self, rng):
         net = random_net(rng, (2, 3, 1))
         with pytest.raises(TypeError, match="params"):
-            gc.NetGraph.from_net(net)
+            gc.NetGraph.from_net(net.template)
         with pytest.raises(ShapeError, match=r"\(9,\) is not a particle stack \(N, 9\)"):
-            gc.NetGraph.from_net(net, one_row(net)[0])
+            gc.NetGraph.from_net(net.template, one_row(net)[0])
 
     def test_bytes_equal_csv_writer_rows(self, rng, tmp_path):
         net = random_net(rng, (3, 6, 5, 1), nonneg=(False, True, True))

@@ -135,7 +135,7 @@ class TestSharedPairwisePass:
     @pytest.mark.parametrize("widths", [(3, 5, 2), (1, 2, 1)], ids=["wide", "narrow"])
     def test_net_median_equals_the_pairwise_median(self, rng, widths):
         # bit for bit, on rows of 25 and of 4 weights: both layouts
-        template = random_net(rng, widths)
+        template = random_net(rng, widths).template
         P = rng.normal(size=(9, template.layout.size))
         ens = Ensemble(P, template, np.random.default_rng(0))
         sq = broadcast_power_sum(P, 2)
@@ -345,7 +345,7 @@ def coordinate_net(mask):
     """A chain of 1 x 1 links, one flat coordinate each, flagged nonnegative
     by ``mask``: a template for any projection mask."""
     n = len(mask)
-    return LayeredNet((1,) * (n + 1), tuple(np.zeros((1, 1)) for _ in range(n)), tuple(mask))
+    return LayeredNet((1,) * (n + 1), tuple(mask))
 
 
 # signed zeros drawn on their own so that -0.0 coordinates show up often
@@ -623,9 +623,9 @@ class TestCheckpointing:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("mutation", [
-        "template_biases", "template_weight_shape", "unknown_activation",
-        "identity_hidden_link", "particle_row_width", "negative_step_size", "beta_3",
-        "ragged_rows"])
+        "template_biases", "template_weight_shape", "template_weight_nonzero",
+        "unknown_activation", "identity_hidden_link", "particle_row_width",
+        "negative_step_size", "beta_3", "ragged_rows"])
     def test_malformed_field_values_are_named(self, tmp_path, mutation):
         from csvgd.errors import CheckpointError
         doc = json.loads(json.dumps(LEGACY_CHECKPOINT))
@@ -634,6 +634,8 @@ class TestCheckpointing:
             template["biases"] = [[0.5, -0.5], [1.0]]
         elif mutation == "template_weight_shape":
             template["weights"][0] = [[0.0, 0.0], [0.0, 0.0]]
+        elif mutation == "template_weight_nonzero":
+            template["weights"][1][0][1] = 0.5
         elif mutation == "unknown_activation":
             template["activations"][0] = "tanh"
         elif mutation == "identity_hidden_link":
@@ -648,8 +650,11 @@ class TestCheckpointing:
             ens["particles"][1] = ens["particles"][1][:3]
         path = tmp_path / "stage_00.json"
         path.write_text(json.dumps(doc))
+        # a template holds no weights: its v1 weights are the zero matrices
+        named = ("template weights are not the zero matrices of the layer widths"
+                 if mutation.startswith("template_weight") else "")
         with pytest.raises(CheckpointError,
-                           match=r"malformed checkpoint .*stage_00\.json"):
+                           match=r"malformed checkpoint .*stage_00\.json: .*" + named):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("mutation", ["row_dropped", "one_row_kept",
@@ -708,7 +713,6 @@ class TestCheckpointing:
         draw_direct = ens.rng.normal()
         ens2 = init_vector_ensemble(2, 4, seed=3)
         cfg = vector_config()
-        state = dataclasses.replace  # noqa: F841  (kept simple: build state via run)
         from csvgd.engine import _RunState
         st = _RunState(ens2, cfg, 0.0, 0.0, float("inf"), 0, [], [], None)
         save_checkpoint(tmp_path / "c.json", st)

@@ -93,6 +93,15 @@ class TestConfig:
             RunConfig(**{field: value})
 
     @pytest.mark.parametrize("field, value, message", [
+        ("init_scale", -1.0, "init_scale must be >= 0"),
+        ("train_delta", -0.2, "train_delta must be >= 0"),
+        ("n_train", 0, "n_train must be >= 1"),
+        ("n_test", 0, "n_test must be >= 1")])
+    def test_data_fields_rejected_by_name(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
         ("widths", (3, 30.7, 1), "widths must be integers >= 1"),
         ("widths", (3, 0, 1), "widths must be integers >= 1"),
         ("sweep_betas", (2.5,), "sweep_betas must be the integers 1 or 2"),
@@ -715,6 +724,22 @@ class TestCli:
         assert rc == 1
         assert field in capsys.readouterr().err
         assert not (tmp_path / "hyp" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("mvn", "init_scale", -1.0), ("hyperelastic", "train_delta", -0.2),
+        ("hyperelastic", "n_train", 0), ("hyperelastic", "n_test", 0)])
+    def test_impossible_data_fields_named_before_any_file(self, tmp_path, capsys,
+                                                          command, field, value):
+        # init_scale -1 wrote config.json and README.txt, then ended in numpy's
+        # "scale < 0"; train_delta -0.2 in "high - low < 0" and n_train 0 in
+        # "dataset must be non-empty"
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({field: value}))
+        out = tmp_path / "r"
+        rc = main([command, "--config", str(path), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"csvgd {command}: {field} must be >= ")
+        assert not out.exists()
 
     def test_nan_lambda_flag_exits_1(self, tmp_path, capsys):
         # it used to run with no prior and exit 0: lam > 0 is false for NaN

@@ -14,7 +14,7 @@ from csvgd.engine import init_net_ensemble
 from csvgd.likelihoods import MvnTarget, RegressionTarget
 from csvgd.mechanics import Dataset, generate_data, icnn_template, save_dataset
 
-from _oracles import (fd_gradient, load_dataset, mvn_log_likelihood,
+from _oracles import (Net, fd_gradient, load_dataset, mvn_log_likelihood,
                       per_particle_score_and_mse, regression_log_likelihood,
                       stack_stress, two_call_score_and_mse)
 from conftest import condensed_icnn_ensemble, one_row, random_net
@@ -83,18 +83,18 @@ class TestMvn:
 
 
 def score_of(target, net):
-    S, _ = target.score_and_mse_batch(net, net.layout.flatten(net.weights)[None])
+    S, _ = target.score_and_mse_batch(net.template, one_row(net))
     return S[0]
 
 
 def log_lik(target, net, theta=None):
-    theta = net.layout.flatten(net.weights) if theta is None else theta
-    return float(regression_log_likelihood(target, net, theta[None])[0])
+    theta = net.row if theta is None else theta
+    return float(regression_log_likelihood(target, net.template, theta[None])[0])
 
 
 def stress_of(net, E):
     """Voigt stress rows of one potential network at Voigt strain rows E."""
-    return stack_stress(net, one_row(net), mech.strain_features(E))[0]
+    return stack_stress(net.template, one_row(net), mech.strain_features(E))[0]
 
 
 class TestRegression:
@@ -114,7 +114,8 @@ class TestRegression:
     def test_single_residual_value(self):
         # a zero-weight potential has zero stress: one strain datum with
         # residual 2 in one component and unit variance -> -2
-        net = icnn_template((3, 4, 1))
+        template = icnn_template((3, 4, 1))
+        net = Net(template, np.zeros(template.layout.size))
         target = RegressionTarget(Dataset([[0.01, 0.0, 0.0, 0.0, 0.0, 0.0]],
                                           [[0.0, 2.0, 0.0, 0.0, 0.0, 0.0]]), 1.0)
         assert log_lik(target, net) == pytest.approx(-2.0)
@@ -129,7 +130,7 @@ class TestRegression:
         # dS/dw_i = dI_i/dE - c_i dI_3/dE / (2 sqrt(I3)) with c = (2, 4, 2),
         # so score = J r / sigma^2 for J = dS/dw (3, 6) and residual r
         w = np.array([[0.4, -0.2, 0.3]])
-        net = nw.LayeredNet((3, 1), (w,), (False,))
+        net = Net.of((w,))
         E = np.array([[0.02, -0.01, 0.03, 0.005, 0.0, -0.01]])
         inv, dI = mech.strain_features(E)[:2]
         J = dI[0] - np.outer([2.0, 4.0, 2.0], dI[0, 2]) / (2.0 * np.sqrt(inv[0, 2]))
@@ -140,15 +141,14 @@ class TestRegression:
 
     def test_score_matches_finite_differences(self, rng):
         net, target = self._target(rng, noise_var=0.3)
-        oracle = fd_gradient(lambda t: log_lik(target, net, t),
-                             net.layout.flatten(net.weights))
+        oracle = fd_gradient(lambda t: log_lik(target, net, t), net.row)
         score = score_of(target, net)
         rel = np.abs(score - oracle) / np.maximum(np.abs(oracle), 1e-8)
         assert rel.max() < 1e-5
 
     def test_score_and_mse_consistent(self, rng):
         net, target = self._target(rng)
-        _, m = target.score_and_mse_batch(net, one_row(net))
+        _, m = target.score_and_mse_batch(net.template, one_row(net))
         r = target.dataset.outputs - stress_of(net, target.dataset.inputs)
         assert m[0] == pytest.approx(np.mean(r * r), rel=1e-14)
         assert log_lik(target, net) == pytest.approx(

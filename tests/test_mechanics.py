@@ -9,7 +9,7 @@ from csvgd import network as nw
 from csvgd.errors import DomainError, ShapeError
 from csvgd.likelihoods import RegressionTarget
 
-from _oracles import (fd_gradient, fd_strain_gradient, invariants_3x3, net_potential,
+from _oracles import (Net, fd_gradient, fd_strain_gradient, invariants_3x3, net_potential,
                       pinned_stress_einsum, reference_normalized,
                       regression_log_likelihood, stack_stress, strain_energy,
                       truth_potential)
@@ -27,8 +27,7 @@ def random_icnn(rng, widths=(3, 4, 1)):
 
 def predict_one(net, E_voigt):
     """Voigt stress rows of one potential network at Voigt strain rows."""
-    theta = net.layout.flatten(net.weights)
-    return stack_stress(net, theta[None], mech.strain_features(E_voigt))[0]
+    return stack_stress(net.template, net.row[None], mech.strain_features(E_voigt))[0]
 
 
 def voigt_fd_stress(potential, E):
@@ -137,13 +136,13 @@ class TestStressFromPotential:
     def test_constant_potential_gives_zero(self, rng):
         net = random_icnn(rng)
         W0, W1 = net.weights
-        constant = nw.LayeredNet(net.layer_widths, (W0, np.zeros_like(W1)), net.nonneg_mask)
+        constant = Net.of((W0, np.zeros_like(W1)), net.template.nonneg_mask)
         S = predict_one(constant, mech.sym_to_voigt(random_strain(rng))[None])
         assert np.all(S == 0.0)
 
     def test_first_invariant_potential(self, rng):
         # Phi = I1 has n = 2, so S = 2I - (1/sqrt(I3)) dI3/dE = 2I - 2 sqrt(I3) C^-1
-        net = nw.LayeredNet((3, 1), (np.array([[1.0, 0.0, 0.0]]),), (False,))
+        net = Net.of((np.array([[1.0, 0.0, 0.0]]),))
         E = random_strain(rng)
         C = 2.0 * E + np.eye(3)
         S = predict_one(net, mech.sym_to_voigt(E)[None])[0]
@@ -174,7 +173,7 @@ class TestNormalization:
         E = np.stack([mech.sym_to_voigt(random_strain(rng)) for _ in range(5)])
         inv, dI = mech.strain_features(E)[:2]
         raw = np.einsum("ni,nik->nk",
-                        nw.forward_pass(net, inv, net.layout.flatten(net.weights)[None])
+                        nw.forward_pass(net.template, inv, net.row[None])
                         .grad_input()[0, :, 0, :], dI)
         shift = predict_one(net, E) - raw
         c = np.sum(shift * dI[:, 2], axis=1) / np.sum(dI[:, 2] ** 2, axis=1)
@@ -224,16 +223,15 @@ class TestStressModelScore:
         net = random_icnn(rng, (3, 4, 1))
         data = mech.generate_data(n_train=6, seed=3, n_test=11)
         target = RegressionTarget(data.train, 0.5)
-        S, _ = target.score_and_mse_batch(net, net.layout.flatten(net.weights)[None])
-        oracle = fd_gradient(lambda t: regression_log_likelihood(target, net, t[None])[0],
-                             net.layout.flatten(net.weights))
+        S, _ = target.score_and_mse_batch(net.template, net.row[None])
+        oracle = fd_gradient(
+            lambda t: regression_log_likelihood(target, net.template, t[None])[0], net.row)
         rel = np.abs(S[0] - oracle) / np.maximum(np.abs(oracle), 1e-6)
         assert rel.max() < 1e-5
 
     def test_predict_zero_at_reference(self, rng):
         net = random_icnn(rng)
-        S = stack_stress(net, net.layout.flatten(net.weights)[None],
-                         mech.strain_features(np.zeros((1, 6))))
+        S = stack_stress(net.template, net.row[None], mech.strain_features(np.zeros((1, 6))))
         assert np.linalg.norm(S) < 1e-8
 
     def test_predict_matches_stress_batch(self, rng):
@@ -241,7 +239,7 @@ class TestStressModelScore:
         reference-normalized potential."""
         nets = [random_icnn(rng) for _ in range(3)]
         E = 0.05 * rng.normal(size=(7, 6))
-        S = stack_stress(nets[0], np.stack([n.layout.flatten(n.weights) for n in nets]),
+        S = stack_stress(nets[0].template, np.stack([n.row for n in nets]),
                          mech.strain_features(E))
         for a, net in enumerate(nets):
             pinned = reference_normalized(net_potential(net))

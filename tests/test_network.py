@@ -13,8 +13,9 @@ from csvgd.errors import NonFiniteGradientError, ShapeError
 from csvgd.likelihoods import RegressionTarget
 from csvgd.mechanics import generate_data, icnn_template
 
-from _oracles import (FormulaPass, fd_gradient, pass_grad_params, pass_output,
-                      sigmoid_deriv_formula, sigmoid_formula, softplus_formula)
+from _oracles import (FormulaPass, Net, fd_gradient, pass_grad_params, pass_output,
+                      permute_hidden, sigmoid_deriv_formula, sigmoid_formula,
+                      softplus_formula)
 from conftest import one_row, random_net
 
 
@@ -23,55 +24,54 @@ def single_layer(w, hidden=False):
     softplus layer summed by a ones row."""
     w = np.atleast_2d(np.asarray(w, dtype=float))
     if hidden:
-        return nw.LayeredNet((w.shape[1], w.shape[0], 1),
-                             (w, np.ones((1, w.shape[0]))), (False, False))
-    return nw.LayeredNet((w.shape[1], w.shape[0]), (w,), (False,))
+        return Net.of((w, np.ones((1, w.shape[0]))))
+    return Net.of((w,))
 
 
 class TestForward:
     def test_identity_single_layer(self):
         net = single_layer([[1.0]])
-        out = pass_output(nw.forward_pass(net, [[2.0]], one_row(net)))
+        out = pass_output(nw.forward_pass(net.template, [[2.0]], one_row(net)))
         assert out.ravel() == pytest.approx([2.0])
 
     def test_softplus_at_zero(self):
         net = single_layer([[1.0]], hidden=True)
-        out = pass_output(nw.forward_pass(net, [[0.0]], one_row(net)))
+        out = pass_output(nw.forward_pass(net.template, [[0.0]], one_row(net)))
         assert out.ravel() == pytest.approx([np.log(2.0)], abs=1e-15)
 
     def test_zero_weights_give_zero_output(self):
         widths = (3, 30, 30, 1)
-        net = nw.LayeredNet(widths,
-                            tuple(np.zeros((widths[k + 1], widths[k])) for k in range(3)),
-                            (False, True, True))
-        out = pass_output(nw.forward_pass(net, [[0.3, -1.0, 2.0]], one_row(net)))
+        net = Net.of([np.zeros((widths[k + 1], widths[k])) for k in range(3)],
+                     (False, True, True))
+        out = pass_output(nw.forward_pass(net.template, [[0.3, -1.0, 2.0]], one_row(net)))
         assert out.ravel() == pytest.approx([0.0])
 
     def test_dimension_mismatch(self):
         net = single_layer([[1.0]])
         with pytest.raises(ShapeError):
-            nw.forward_pass(net, [[1.0, 2.0]], one_row(net))
+            nw.forward_pass(net.template, [[1.0, 2.0]], one_row(net))
 
     def test_one_sample_input_is_named(self):
         net = single_layer([[1.0, 2.0, 3.0]])
         with pytest.raises(ShapeError, match=r"input shape \(3,\) is not rows"):
-            nw.forward_pass(net, [1.0, 2.0, 3.0], one_row(net))
+            nw.forward_pass(net.template, [1.0, 2.0, 3.0], one_row(net))
 
     def test_params_are_a_required_particle_stack(self, rng):
         net = random_net(rng, (3, 4, 1))
         X = rng.normal(size=(5, 3))
         with pytest.raises(TypeError, match="params"):
-            nw.forward_pass(net, X)
+            nw.forward_pass(net.template, X)
         with pytest.raises(ShapeError, match=r"\(16,\) is not a particle stack \(N, 16\)"):
-            nw.forward_pass(net, X, one_row(net)[0])
+            nw.forward_pass(net.template, X, one_row(net)[0])
 
     def test_batch_matches_single(self, rng):
         net = random_net(rng, (3, 5, 2))
         X = rng.normal(size=(7, 3))
-        batch = pass_output(nw.forward_pass(net, X, one_row(net)))
+        batch = pass_output(nw.forward_pass(net.template, X, one_row(net)))
         for b in range(7):
             assert batch[0, b] == pytest.approx(
-                pass_output(nw.forward_pass(net, X[b:b + 1], one_row(net)))[0, 0], abs=1e-14)
+                pass_output(nw.forward_pass(net.template, X[b:b + 1], one_row(net)))[0, 0],
+                abs=1e-14)
 
 
 class TestActivationTerms:
@@ -97,22 +97,22 @@ class TestActivationTerms:
 class TestGradParams:
     def test_linear_map(self):
         net = single_layer([[0.7]])
-        g = pass_grad_params(nw.forward_pass(net, [[3.0]], one_row(net)), [[1.0]])
+        g = pass_grad_params(nw.forward_pass(net.template, [[3.0]], one_row(net)), [[1.0]])
         assert g.ravel() == pytest.approx([3.0])
 
     def test_zero_upstream(self, rng):
         net = random_net(rng, (3, 4, 2))
-        g = pass_grad_params(nw.forward_pass(net, rng.normal(size=(1, 3)), one_row(net)),
+        g = pass_grad_params(nw.forward_pass(net.template, rng.normal(size=(1, 3)), one_row(net)),
                              np.zeros((1, 2)))
         assert np.all(g == 0.0)
 
     def test_matches_finite_differences(self, rng):
         net = random_net(rng, (3, 4, 1))
         x = rng.normal(size=(1, 3))
-        g = pass_grad_params(nw.forward_pass(net, x, one_row(net)), [[1.0]])[0]
+        g = pass_grad_params(nw.forward_pass(net.template, x, one_row(net)), [[1.0]])[0]
         oracle = fd_gradient(
-            lambda t: float(pass_output(nw.forward_pass(net, x, t[None]))[0, 0, 0]),
-            net.layout.flatten(net.weights))
+            lambda t: float(pass_output(nw.forward_pass(net.template, x, t[None]))[0, 0, 0]),
+            net.row)
         rel = np.abs(g - oracle) / np.maximum(np.abs(oracle), 1e-10)
         assert rel.max() < 1e-5
 
@@ -121,8 +121,8 @@ class TestGradParams:
         X = rng.normal(size=(4, 2))
         U = rng.normal(size=(4, 2))
         P = one_row(net)
-        total = pass_grad_params(nw.forward_pass(net, X, P), U)
-        parts = sum(pass_grad_params(nw.forward_pass(net, X[b:b + 1], P), U[b:b + 1])
+        total = pass_grad_params(nw.forward_pass(net.template, X, P), U)
+        parts = sum(pass_grad_params(nw.forward_pass(net.template, X[b:b + 1], P), U[b:b + 1])
                     for b in range(4))
         assert total == pytest.approx(parts, abs=1e-12)
 
@@ -130,22 +130,22 @@ class TestGradParams:
 class TestGradInput:
     def test_identity_single_layer(self):
         net = single_layer([[2.0]])
-        J = nw.forward_pass(net, [[1.0]], one_row(net)).grad_input()
+        J = nw.forward_pass(net.template, [[1.0]], one_row(net)).grad_input()
         assert J.ravel() == pytest.approx([2.0])
 
     def test_softplus_slope_at_zero(self):
         net = single_layer([[1.0]], hidden=True)
         # softplus' = logistic, logistic(0) = 1/2
-        J = nw.forward_pass(net, [[0.0]], one_row(net)).grad_input()
+        J = nw.forward_pass(net.template, [[0.0]], one_row(net)).grad_input()
         assert J.ravel() == pytest.approx([0.5])
 
     def test_matches_finite_differences(self, rng):
         net = random_net(rng, (3, 5, 1))
         P = one_row(net)
         x = rng.normal(size=3)
-        J = nw.forward_pass(net, x[None], P).grad_input()[0, 0, 0]
+        J = nw.forward_pass(net.template, x[None], P).grad_input()[0, 0, 0]
         oracle = fd_gradient(
-            lambda xv: float(pass_output(nw.forward_pass(net, xv[None], P))[0, 0, 0]), x)
+            lambda xv: float(pass_output(nw.forward_pass(net.template, xv[None], P))[0, 0, 0]), x)
         rel = np.abs(J - oracle) / np.maximum(np.abs(oracle), 1e-10)
         assert rel.max() < 1e-5
 
@@ -157,19 +157,19 @@ class TestDirectionalSecondOrder:
         P = one_row(net)
         x = rng.normal(size=(1, 3))
         u = rng.normal(size=(1, 3))
-        J = nw.forward_pass(net, x, P).grad_input()
-        assert FormulaPass(net, x, P).dirderiv(u) == pytest.approx(J @ u[0], abs=1e-12)
+        J = nw.forward_pass(net.template, x, P).grad_input()
+        assert FormulaPass(net.template, x, P).dirderiv(u) == pytest.approx(J @ u[0], abs=1e-12)
 
     def test_grad_params_dirderiv_matches_fd(self, rng):
         net = random_net(rng, (3, 4, 1))
         x = rng.normal(size=(1, 3))
         u = rng.normal(size=(1, 3))
-        g = nw.forward_pass(net, x, one_row(net)).grad_params_dirderiv(u)[0]
+        g = nw.forward_pass(net.template, x, one_row(net)).grad_params_dirderiv(u)[0]
 
         def phi(t):
-            return float(FormulaPass(net, x, t[None]).dirderiv(u)[0, 0, 0])
+            return float(FormulaPass(net.template, x, t[None]).dirderiv(u)[0, 0, 0])
 
-        oracle = fd_gradient(phi, net.layout.flatten(net.weights))
+        oracle = fd_gradient(phi, net.row)
         rel = np.abs(g - oracle) / np.maximum(np.abs(oracle), 1e-8)
         assert rel.max() < 1e-4
 
@@ -181,7 +181,7 @@ class TestParticleStack:
     @staticmethod
     def _stack(rng, widths):
         nets = [random_net(rng, widths) for _ in range(4)]
-        return nets[0], np.stack([n.layout.flatten(n.weights) for n in nets])
+        return nets[0].template, np.stack([n.row for n in nets])
 
     @pytest.fixture
     def stack(self, rng):
@@ -250,15 +250,13 @@ _values = st.one_of(st.just(-0.0), st.just(0.0), st.floats(-4.0, 4.0))
 
 @st.composite
 def lean_pass_cases(draw, min_links=1, outputs=(1, 2)):
-    """A net (-0.0 weights allowed) with an output width from ``outputs``, a
-    particle stack of one or three flat rows, one or four input rows, and
-    tangent directions and upstreams shared or per particle."""
+    """A template with an output width from ``outputs``, a particle stack of
+    one or three flat rows (-0.0 weights allowed), one or four input rows,
+    and tangent directions and upstreams shared or per particle."""
     n_links = draw(st.integers(min_links, 3))
     widths = (tuple(draw(st.lists(st.integers(1, 4), min_size=n_links, max_size=n_links)))
               + (draw(st.sampled_from(outputs)),))
-    weights = tuple(draw(arrays(float, (widths[k + 1], widths[k]), elements=_values))
-                    for k in range(n_links))
-    net = nw.LayeredNet(widths, weights, (False,) * n_links)
+    net = nw.LayeredNet(widths, (False,) * n_links)
     stack = draw(st.sampled_from([1, 3]))
     params = draw(arrays(float, (stack, net.layout.size), elements=_values))
     rows = draw(st.sampled_from([1, 4]))
@@ -356,8 +354,8 @@ class TestLeanPasses:
     def test_the_unit_upstream_needs_a_scalar_output(self, rng):
         net = random_net(rng, (3, 4, 2))
         with pytest.raises(ShapeError, match="scalar-output"):
-            nw.forward_pass(net, rng.normal(size=(5, 3)), one_row(net)).grad_params_dirderiv(
-                rng.normal(size=(5, 3)))
+            nw.forward_pass(net.template, rng.normal(size=(5, 3)),
+                            one_row(net)).grad_params_dirderiv(rng.normal(size=(5, 3)))
 
 
 class TestParticleBlocks:
@@ -365,7 +363,7 @@ class TestParticleBlocks:
     def _sizes(widths, n_particles, rows, budget=nw.PASS_ELEMENTS):
         net = random_net(np.random.default_rng(0), widths)
         return [len(range(n_particles)[b])
-                for b in nw.particle_blocks(net, n_particles, rows, budget)]
+                for b in nw.particle_blocks(net.template, n_particles, rows, budget)]
 
     def test_block_holds_pass_elements_over_rows_times_widest_layer(self):
         assert self._sizes((3, 30, 30, 1), 64, 80) == [27, 27, 10]
@@ -386,11 +384,11 @@ class TestParticleBlocks:
     def test_a_block_of_a_pass_has_the_bits_of_a_pass_of_the_block(self, widths):
         rng = np.random.default_rng(3)
         net = random_net(rng, widths)
-        P = np.stack([net.layout.flatten(random_net(rng, widths).weights) for _ in range(7)])
+        P = np.stack([random_net(rng, widths).row for _ in range(7)])
         X, u = rng.normal(size=(4, 3)), rng.normal(size=(7, 4, 3))
-        whole = nw.forward_pass(net, X, P)
+        whole = nw.forward_pass(net.template, X, P)
         for block in (slice(0, 3), slice(3, 7)):
-            got, want = whole.block(block), nw.forward_pass(net, X, P[block])
+            got, want = whole.block(block), nw.forward_pass(net.template, X, P[block])
             np.testing.assert_array_equal(got.grad_input(), want.grad_input())
             np.testing.assert_array_equal(got.grad_params_dirderiv(u[block]),
                                           want.grad_params_dirderiv(u[block]))
@@ -398,16 +396,15 @@ class TestParticleBlocks:
 
 def param_count(net, threshold):
     """The engine's active-parameter count of a one-particle ensemble of ``net``."""
-    return active_param_count(Ensemble(net.layout.flatten(net.weights)[None], net,
+    return active_param_count(Ensemble(one_row(net), net.template,
                                        np.random.default_rng(0)), threshold)
 
 
 class TestParamCount:
     def test_initial_wide_architecture(self):
         widths = (3, 30, 30, 1)
-        net = nw.LayeredNet(widths,
-                            tuple(np.ones((widths[k + 1], widths[k])) for k in range(3)),
-                            (False, True, True))
+        net = Net.of([np.ones((widths[k + 1], widths[k])) for k in range(3)],
+                     (False, True, True))
         assert param_count(net, 0.0) == 1020
 
     def test_zero_net(self):
@@ -415,7 +412,7 @@ class TestParamCount:
         assert param_count(net, 0.0) == 0
 
     def test_threshold_is_strict(self):
-        net = nw.LayeredNet((3, 1), (np.array([[0.5, 5e-4, -2e-3]]),), (False,))
+        net = Net.of((np.array([[0.5, 5e-4, -2e-3]]),))
         assert param_count(net, 1e-3) == 2
 
 
@@ -423,57 +420,71 @@ class TestPermutationSymmetry:
     def test_hidden_permutation_preserves_output(self, rng):
         net = random_net(rng, (3, 8, 8, 1))
         x = rng.normal(size=(20, 3))
-        base = pass_output(nw.forward_pass(net, x, one_row(net)))
+        base = pass_output(nw.forward_pass(net.template, x, one_row(net)))
         for layer in (1, 2):
             perm = rng.permutation(8)
-            permuted = nw.permute_hidden(net, layer, perm)
-            out = pass_output(nw.forward_pass(permuted, x, one_row(permuted)))
+            permuted = permute_hidden(net.template, one_row(net), layer, perm)
+            out = pass_output(nw.forward_pass(net.template, x, permuted))
             assert np.max(np.abs(out - base)) <= 1e-12
 
     def test_input_output_layers_rejected(self, rng):
         net = random_net(rng, (3, 4, 1))
         with pytest.raises(ShapeError):
-            nw.permute_hidden(net, 0, [0, 1, 2])
+            permute_hidden(net.template, one_row(net), 0, [0, 1, 2])
         with pytest.raises(ShapeError):
-            nw.permute_hidden(net, 2, [0])
+            permute_hidden(net.template, one_row(net), 2, [0])
 
 
 class TestLayoutAndSerialization:
-    def test_flatten_round_trip_exact(self, rng):
-        net = random_net(rng, (4, 6, 3))
-        flat = net.layout.flatten(net.weights)
-        assert net.layout.flatten(net.with_values(flat).weights).tolist() == flat.tolist()
-        assert flat.size == net.layout.size
-
     def test_stacked_round_trip_exact(self, rng):
         nets = [random_net(rng, (2, 3, 1)) for _ in range(3)]
-        P = np.stack([n.layout.flatten(n.weights) for n in nets])
-        arrays = nets[0].layout.unflatten(P)
+        P = np.stack([n.row for n in nets])
+        layout = nets[0].template.layout
+        assert P.shape[1] == layout.size
+        arrays = layout.unflatten(P)
         assert [a.shape for a in arrays] == [(3, 3, 2), (3, 1, 3)]
         for a, net in enumerate(nets):
             assert arrays[0][a].tolist() == net.weights[0].tolist()
             assert arrays[1][a].tolist() == net.weights[1].tolist()
-        assert nets[0].layout.flatten(arrays).tolist() == P.tolist()
+        assert layout.flatten(arrays).tolist() == P.tolist()
 
     def test_stacked_leading_axes_must_agree(self, rng):
-        layout = random_net(rng, (2, 3, 1)).layout
+        layout = random_net(rng, (2, 3, 1)).template.layout
         arrays = layout.unflatten(np.zeros((3, layout.size)))
         arrays[1] = arrays[1][:2]
         with pytest.raises(ShapeError):
             layout.flatten(arrays)
 
-    def test_dict_round_trip_exact(self, rng):
+    def test_a_flat_vector_is_not_a_particle_stack(self, rng):
         net = random_net(rng, (2, 3, 1))
-        again = nw.net_from_dict(json.loads(json.dumps(nw.net_to_dict(net))))
-        assert [w.tolist() for w in again.weights] == [w.tolist() for w in net.weights]
-        assert (again.layer_widths, again.nonneg_mask) == (net.layer_widths, net.nonneg_mask)
+        layout = net.template.layout
+        with pytest.raises(ShapeError, match=r"shape \(9,\) is not a particle stack "
+                                             r"\(N, 9\)"):
+            layout.unflatten(net.row)
+        with pytest.raises(ShapeError, match=r"W0: expected a particle stack "
+                                             r"\(N, \*\(3, 2\)\), got shape \(3, 2\)"):
+            layout.flatten(net.weights)
 
-    def test_nonneg_invariant_enforced(self):
-        with pytest.raises(ShapeError):
-            nw.LayeredNet((1, 1), (np.array([[-0.1]]),), (True,))
+    @pytest.mark.parametrize("widths, mask, message", [
+        ((3,), (), "need at least an input and an output layer"),
+        ((3, 0, 1), (False, False), r"layer widths must be >= 1, got \(3, 0, 1\)"),
+        ((3, 4, 1), (False,), "nonneg_mask must have one entry per link")],
+        ids=["one-layer", "zero-width", "short-mask"])
+    def test_template_shape_checked(self, widths, mask, message):
+        with pytest.raises(ShapeError, match=message):
+            nw.LayeredNet(widths, mask)
+
+    def test_dict_round_trip_exact(self, rng):
+        template = random_net(rng, (2, 3, 1)).template
+        doc = json.loads(json.dumps(nw.net_to_dict(template)))
+        # the v1 format keeps its weights key: the zero matrices of the widths
+        assert doc["weights"] == [[[0.0, 0.0]] * 3, [[0.0] * 3]]
+        again = nw.net_from_dict(doc)
+        assert (again.layer_widths, again.nonneg_mask) == (template.layer_widths,
+                                                           template.nonneg_mask)
 
     def test_output_activation_must_be_identity(self):
-        doc = nw.net_to_dict(nw.LayeredNet((1, 1), (np.array([[1.0]]),), (False,)))
+        doc = nw.net_to_dict(nw.LayeredNet((1, 1), (False,)))
         assert doc["activations"] == ["identity"]
         doc["activations"] = ["softplus"]
         with pytest.raises(ShapeError, match=r"\['softplus'\] are not \['identity'\]"):
